@@ -6,8 +6,7 @@ BENCHTIME ?= 1x
 BENCH ?= .
 # HOTPATH_BENCHTIME governs the hot-path kernel benchmarks only: 5x yields
 # five samples per arm, the minimum benchjson accepts for BENCH_hotpath.json
-# (single-iteration numbers are noise and the bench-select guard compares
-# the two Select arms from this artifact).
+# (single-iteration numbers are noise).
 HOTPATH_BENCHTIME ?= 5x
 # BENCH_HISTORY, when non-empty, makes each bench artifact also append a
 # timestamped JSONL line to this trajectory file (scripts/bench_append.sh
@@ -67,12 +66,16 @@ bench-hotpath:
 	$(GO) test -bench '^Benchmark(Select|Fit|CrossValidate)$$' -benchmem -benchtime $(HOTPATH_BENCHTIME) -run '^$$' . | tee bench_hotpath.out
 	$(GO) run ./cmd/benchjson -in bench_hotpath.out -out BENCH_hotpath.json -min-iters 5 $(BENCH_APPEND)
 
-# bench-select is the selection-regression guard (CI-gated): re-check the
-# committed BENCH_hotpath.json and fail if the parallel-packed Select arm is
-# not strictly faster than the serial-dense baseline, or if either arm was
-# recorded from fewer than 5 iterations.
+# bench-select is the selection-regression guard (CI-gated): measure
+# BenchmarkSelect fresh at 5 iterations per arm into a temporary file and
+# fail if the parallel-packed arm is not strictly faster than the
+# serial-dense baseline, or if either arm ran fewer than 5 iterations. The
+# committed BENCH_hotpath.json is left untouched.
 bench-select:
-	$(GO) run ./cmd/benchjson -injson BENCH_hotpath.json -min-iters 5 \
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test -bench '^BenchmarkSelect$$' -benchmem -benchtime 5x -run '^$$' . > "$$tmp" || { cat "$$tmp"; exit 1; }; \
+	cat "$$tmp"; \
+	$(GO) run ./cmd/benchjson -in "$$tmp" -out /dev/null -min-iters 5 \
 		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'
 
 # bench-history is `make bench` plus the timestamped trajectory: every run

@@ -38,9 +38,9 @@ type Contribution struct {
 
 // AttributeFired recomputes the normalized score and per-feature
 // attribution for a sample on which exactly the given feature slots fired.
-// The summation reproduces encoding.MarginPacked ascending-slot order
-// exactly, so the returned score is bit-identical to the one the serving
-// scorer logged for the same fired set (pinned by TestAttributionMatchesScorer).
+// The score is encoding.MarginPacked over the fired set, so it is
+// bit-identical to the one the serving scorer logged for the same fired set
+// (pinned by TestAttributionMatchesScorer).
 // attr holds the top-k contributions by |Weight| (ties broken by slot
 // ascending); k <= 0 returns all fired features. fired may be unsorted; it
 // is not modified.
@@ -56,22 +56,13 @@ func (d *Detector) AttributeFired(fired []int, k int) (score float64, attr []Con
 			return 0, nil, fmt.Errorf("perspectron: fired slot %d duplicated", slot)
 		}
 	}
-	s := d.Bias
+	bits := encoding.NewBitVec(len(d.Weights))
 	norm := math.Abs(d.Bias)
 	for _, slot := range slots {
-		s += d.Weights[slot]
+		bits.Set(slot)
 		norm += math.Abs(d.Weights[slot])
 	}
-	if norm == 0 {
-		score = 0
-	} else {
-		score = s / norm
-		if score > 1 {
-			score = 1
-		} else if score < -1 {
-			score = -1
-		}
-	}
+	score = encoding.MarginPacked(d.Bias, d.Weights, bits)
 	attr = make([]Contribution, len(slots))
 	for i, slot := range slots {
 		c := Contribution{Slot: slot, Weight: d.Weights[slot]}
@@ -135,30 +126,6 @@ func (r *RawScorer) Attribution(k int) (fired []int, attr []Contribution, err er
 	}
 	fired = appendSetBits(nil, r.detBits)
 	_, attr, err = r.det.AttributeFired(fired, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fired, attr, nil
-}
-
-// Attribution explains the verdict most recently returned by Next: the
-// detector-fired slot set and top-k contributions for that sample's raw
-// vector, consistent with the Verdict's Score. Errors before the first Next
-// or without a detector.
-func (s *Session) Attribution(k int) (fired []int, attr []Contribution, err error) {
-	if s.det == nil {
-		return nil, nil, fmt.Errorf("perspectron: attribution needs a detector")
-	}
-	if s.lastRaw == nil {
-		return nil, nil, fmt.Errorf("perspectron: attribution before any Next call")
-	}
-	bits, _ := s.det.encoding().Bits(s.lastRaw, s.detIdx, s.lastPoint, nil)
-	for slot, f := range bits {
-		if f {
-			fired = append(fired, slot)
-		}
-	}
-	_, attr, err = s.det.AttributeFired(fired, k)
 	if err != nil {
 		return nil, nil, err
 	}

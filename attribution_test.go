@@ -89,7 +89,7 @@ func TestAttributeFiredTopKAndEdgeCases(t *testing.T) {
 
 // TestAttributionMatchesScorer pins the tentpole invariant: for a trained
 // detector on a real attack stream, AttributeFired over RawScorer.LastFired
-// reproduces Detect's score bit-for-bit, and RawScorer/Session agree.
+// reproduces Detect's score bit-for-bit.
 func TestAttributionMatchesScorer(t *testing.T) {
 	det := sharedDetector(t)
 	scorer, err := NewRawScorer(det, nil)
@@ -150,8 +150,10 @@ func TestAttributionMatchesScorer(t *testing.T) {
 	}
 }
 
-// TestSessionAttributionMatchesVerdict drives Session.Next and checks the
-// post-hoc attribution reproduces each verdict's score.
+// TestSessionAttributionMatchesVerdict checks a session stream's attribution
+// against the dense oracle: the fired set RawScorer.Attribution reports must
+// be exactly the dense fired bits, and AttributeFired over it must reproduce
+// the dense margin.
 func TestSessionAttributionMatchesVerdict(t *testing.T) {
 	det := sharedDetector(t)
 	ctx := context.Background()
@@ -164,33 +166,47 @@ func TestSessionAttributionMatchesVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	scorer := sess.scorer()
 
-	if _, _, err := sess.Attribution(3); err == nil {
-		t.Fatal("attribution before Next accepted")
-	}
 	n := 0
 	for {
-		v, ok := sess.Next(ctx)
+		rs, ok := sess.NextRaw(ctx)
 		if !ok {
 			break
 		}
 		n++
-		fired, attr, err := sess.Attribution(0)
+		dense, _ := denseFired(det.encoding(), rs.Raw, scorer.detIdx, rs.Sample)
+		var want []int
+		for slot, f := range dense {
+			if f {
+				want = append(want, slot)
+			}
+		}
+		scorer.Detect(rs)
+		fired, attr, err := scorer.Attribution(0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(fired) != len(want) {
+			t.Fatalf("sample %d: fired %v, dense oracle %v", rs.Sample, fired, want)
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("sample %d: fired %v, dense oracle %v", rs.Sample, fired, want)
+			}
 		}
 		score, _, err := det.AttributeFired(fired, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if score != v.Score {
-			t.Fatalf("sample %d: attribution score %v != verdict score %v", v.Sample, score, v.Score)
+		if wantScore := denseMargin(det.Bias, det.Weights, dense); score != wantScore {
+			t.Fatalf("sample %d: attribution score %v != dense score %v", rs.Sample, score, wantScore)
 		}
 		if len(attr) != len(fired) {
 			t.Fatalf("attr/fired length mismatch: %d vs %d", len(attr), len(fired))
 		}
 	}
 	if n == 0 {
-		t.Fatal("no verdicts produced")
+		t.Fatal("no samples produced")
 	}
 }

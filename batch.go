@@ -1,16 +1,17 @@
 package perspectron
 
-// Batched raw-sample scoring: the serving runtime's shard path. A Session
-// owns one stream and scores inline; a RawScorer instead scores raw
-// counter-delta vectors handed to it from many streams — the bounded-queue
-// ingest stage in internal/serve drains a whole shard's tick through one
-// scorer, so a shard of hundreds of streams costs one bit-pack plus one
-// packed margin sweep per sample instead of a dense dot product per stream.
-// The models are read, never written (the same immutability contract as
-// Session), so any number of RawScorers can share one hot-reloaded pair.
+// Raw-sample scoring: the one sample→verdict implementation. Every path that
+// turns a raw counter-delta vector into a score — Monitor, MonitorFaulty,
+// MonitorWithPolicy, Classify, the promotion gate's golden evaluation and
+// the serving runtime's shard workers (internal/serve) — goes through a
+// RawScorer, so no two of them can drift apart. Sessions only produce raw
+// samples; a RawScorer can score samples from one stream or from many (the
+// bounded-queue ingest stage drains a whole shard's tick through one scorer,
+// one bit-pack plus one packed margin sweep per sample). The models are
+// read, never written, so any number of RawScorers can share one
+// hot-reloaded pair.
 
 import (
-	"context"
 	"fmt"
 
 	"perspectron/internal/encoding"
@@ -30,28 +31,15 @@ type RawSample struct {
 	Raw []float64
 }
 
-// NextRaw returns the next interval's raw sample without scoring it, or
-// false when the run has ended or ctx expired first — the producer half of
-// the serving runtime's ingest stage. It shares Next's deadline semantics:
-// distinguish run-end from deadline by ctx.Err(), and the session remains
-// usable after a deadline. Mixing Next and NextRaw on one session is
-// allowed; each sample is delivered exactly once.
-func (s *Session) NextRaw(ctx context.Context) (RawSample, bool) {
-	smp, ok := s.src.NextCtx(ctx)
-	if !ok {
-		return RawSample{}, false
-	}
-	return RawSample{Sample: smp.Index, Raw: smp.Raw}, true
-}
-
 // RawScorer scores RawSamples against an immutable Detector/Classifier pair
 // through the bit-packed hot path: each sample is packed once per model
 // encoding, the detector margin is one MarginPacked sweep, and the
 // classifier's one-vs-rest bank reuses a single packed vector for all
-// classes. Counter indices are resolved against the standard machine
-// configuration at construction, exactly as a Session resolves them, so a
-// RawScorer and a Session scoring the same raw vector produce bit-identical
-// results (pinned by TestRawScorerMatchesSession).
+// classes. Unresolved counters (index -1) and non-finite raw values are
+// masked, and each margin is renormalized over the surviving weights: the
+// score is s/(|bias|+Σ|w_fired|) over firing features only, so losing a
+// random subset shrinks numerator and denominator together and the
+// normalized confidence degrades gracefully instead of collapsing.
 //
 // A RawScorer reuses internal scratch buffers and is NOT safe for
 // concurrent use — give each shard scorer its own.
@@ -60,8 +48,6 @@ type RawScorer struct {
 	cls    *Classifier
 	detIdx []int
 	clsIdx []int
-	nfDet  int
-	nfCls  int
 
 	detBits encoding.BitVec // scratch, reused across calls
 	clsBits encoding.BitVec
@@ -75,27 +61,18 @@ func NewRawScorer(det *Detector, cls *Classifier) (*RawScorer, error) {
 	if det == nil && cls == nil {
 		return nil, fmt.Errorf("perspectron: raw scorer needs a detector or a classifier")
 	}
-	m := sim.NewMachine(sim.DefaultConfig())
-	r := &RawScorer{det: det, cls: cls}
-	if det != nil {
-		idx, resolved := resolveNames(det.FeatureNames, m)
-		if resolved == 0 {
-			return nil, fmt.Errorf("perspectron: none of the detector's %d counters are present on this machine",
-				len(det.FeatureNames))
-		}
-		r.detIdx = idx
-		r.nfDet = len(det.FeatureNames)
+	detIdx, clsIdx, err := resolveModels(sim.NewMachine(sim.DefaultConfig()), det, cls)
+	if err != nil {
+		return nil, err
 	}
-	if cls != nil {
-		idx, resolved := resolveNames(cls.FeatureNames, m)
-		if resolved == 0 && det == nil {
-			return nil, fmt.Errorf("perspectron: none of the classifier's %d counters are present on this machine",
-				len(cls.FeatureNames))
-		}
-		r.clsIdx = idx
-		r.nfCls = len(cls.FeatureNames)
-	}
-	return r, nil
+	return newRawScorer(det, detIdx, cls, clsIdx), nil
+}
+
+// newRawScorer builds a scorer over explicit slot→counter indices, one per
+// model feature; a negative index masks its slot. A nil model takes nil
+// indices.
+func newRawScorer(det *Detector, detIdx []int, cls *Classifier, clsIdx []int) *RawScorer {
+	return &RawScorer{det: det, cls: cls, detIdx: detIdx, clsIdx: clsIdx}
 }
 
 // Detect scores one raw sample with the detector: the normalized margin,
@@ -108,7 +85,7 @@ func (r *RawScorer) Detect(s RawSample) (score float64, flagged bool, coverage f
 	var avail int
 	r.detBits, avail = r.det.encoding().BitsPacked(s.Raw, r.detIdx, s.Sample, r.detBits)
 	score = encoding.MarginPacked(r.det.Bias, r.det.Weights, r.detBits)
-	return score, score >= r.det.Threshold, float64(avail) / float64(r.nfDet)
+	return score, score >= r.det.Threshold, float64(avail) / float64(len(r.det.FeatureNames))
 }
 
 // Classify names one raw sample's class with the classifier bank: the
@@ -131,5 +108,5 @@ func (r *RawScorer) Classify(s RawSample) (class string, score float64, coverage
 			best = ci
 		}
 	}
-	return r.cls.Classes[best], scores[best], float64(avail) / float64(r.nfCls)
+	return r.cls.Classes[best], scores[best], float64(avail) / float64(len(r.cls.FeatureNames))
 }

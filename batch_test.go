@@ -4,60 +4,103 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"perspectron/internal/encoding"
+	"perspectron/internal/sim"
 )
 
-// TestRawScorerMatchesSession pins the serving shard path to the inline
-// session path bit for bit: two sessions over the same (workload, seed) —
-// one scored inline by Next, one drained raw through NextRaw and scored by
-// a RawScorer — must produce identical scores, flags, classes and coverage,
-// including under injected faults (NaN sentinels through the packed
-// kernels).
+// denseFired is the dense test oracle for the packed scorer's bit-packing:
+// the fired-bit set of one raw sample under enc, with unresolved slots and
+// non-finite values masked, and the number of observable slots.
+func denseFired(enc *encoding.Encoding, raw []float64, idx []int, point int) (fired []bool, avail int) {
+	fired = make([]bool, len(idx))
+	for slot, j := range idx {
+		if j < 0 || j >= len(raw) || math.IsNaN(raw[j]) || math.IsInf(raw[j], 0) {
+			continue
+		}
+		avail++
+		if mx := enc.Max(slot, point); mx > 0 && raw[j]/mx >= encoding.BinarizeThreshold {
+			fired[slot] = true
+		}
+	}
+	return fired, avail
+}
+
+// denseMargin is the dense test oracle for MarginPacked: the renormalized
+// perceptron output over the fired bits, clamped to [-1, 1].
+func denseMargin(bias float64, w []float64, fired []bool) float64 {
+	s, norm := bias, math.Abs(bias)
+	for i, f := range fired {
+		if f {
+			s += w[i]
+			norm += math.Abs(w[i])
+		}
+	}
+	if norm == 0 {
+		return 0
+	}
+	return math.Max(-1, math.Min(1, s/norm))
+}
+
+// TestRawScorerMatchesSession pins the packed scorer to the dense oracle bit
+// for bit on a real session stream: every raw sample NextRaw delivers must
+// score, flag, classify and report coverage exactly as the dense
+// fired-bits + margin math does over the same resolved indices, including
+// under injected faults (NaN sentinels through the packed kernels).
 func TestRawScorerMatchesSession(t *testing.T) {
 	det := sharedDetector(t)
 	cls := sharedClassifier(t)
+	detIdx, clsIdx, err := resolveModels(sim.NewMachine(sim.DefaultConfig()), det, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, faults := range []*FaultConfig{nil, {Seed: 3, Dropout: 0.3}} {
-		cfg := SessionConfig{
+		ctx := context.Background()
+		sess, err := NewSession(ctx, det, cls, SessionConfig{
 			Workload: AttackByName("spectreV1", "fr"),
 			MaxInsts: 60_000,
 			Seed:     11,
 			Faults:   faults,
-		}
-		ctx := context.Background()
-		inline, err := NewSession(ctx, det, cls, cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer inline.Close()
-		rawSess, err := NewSession(ctx, det, cls, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rawSess.Close()
+		defer sess.Close()
 		scorer, err := NewRawScorer(det, cls)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := 0
 		for {
-			v, ok1 := inline.Next(ctx)
-			rs, ok2 := rawSess.NextRaw(ctx)
-			if ok1 != ok2 {
-				t.Fatalf("faults=%v: streams diverged at sample %d (inline=%v raw=%v)", faults, n, ok1, ok2)
-			}
-			if !ok1 {
+			rs, ok := sess.NextRaw(ctx)
+			if !ok {
 				break
 			}
+			fired, avail := denseFired(det.encoding(), rs.Raw, detIdx, rs.Sample)
+			want := denseMargin(det.Bias, det.Weights, fired)
+			wantCov := float64(avail) / float64(len(det.FeatureNames))
 			score, flagged, coverage := scorer.Detect(rs)
-			if score != v.Score || flagged != v.Flagged || coverage != v.Coverage {
-				t.Fatalf("faults=%v sample %d: raw (score=%v flagged=%v cov=%v) != session (%v %v %v)",
-					faults, n, score, flagged, coverage, v.Score, v.Flagged, v.Coverage)
+			if score != want || flagged != (want >= det.Threshold) || coverage != wantCov {
+				t.Fatalf("faults=%v sample %d: packed (score=%v flagged=%v cov=%v) != dense (%v %v %v)",
+					faults, n, score, flagged, coverage, want, want >= det.Threshold, wantCov)
+			}
+
+			clsFired, _ := denseFired(cls.encoding(), rs.Raw, clsIdx, -1)
+			best, bestScore := 0, math.Inf(-1)
+			for ci := range cls.Classes {
+				if s := denseMargin(cls.Biases[ci], cls.Weights[ci], clsFired); s > bestScore {
+					best, bestScore = ci, s
+				}
 			}
 			class, clsScore, _ := scorer.Classify(rs)
-			if class != v.Class || clsScore != v.ClassScore {
-				t.Fatalf("faults=%v sample %d: raw class (%s %v) != session (%s %v)",
-					faults, n, class, clsScore, v.Class, v.ClassScore)
+			if class != cls.Classes[best] || clsScore != bestScore {
+				t.Fatalf("faults=%v sample %d: packed class (%s %v) != dense (%s %v)",
+					faults, n, class, clsScore, cls.Classes[best], bestScore)
 			}
 			n++
+		}
+		if err := sess.Err(); err != nil {
+			t.Fatal(err)
 		}
 		if n == 0 {
 			t.Fatalf("faults=%v: no samples compared", faults)

@@ -11,7 +11,6 @@ import (
 	"perspectron/internal/corpus"
 	"perspectron/internal/encoding"
 	"perspectron/internal/perceptron"
-	"perspectron/internal/sim"
 	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
@@ -34,8 +33,6 @@ type Classifier struct {
 	Biases       []float64   `json:"biases"`
 	Interval     uint64      `json:"interval"`
 	GlobalMax    []float64   `json:"global_max"`
-
-	indices []int
 }
 
 // TrainClassifier collects traces (through the process-wide corpus store, so
@@ -90,30 +87,7 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 		c.Weights = append(c.Weights, det.W)
 		c.Biases = append(c.Biases, det.Bias)
 	}
-	c.indices = encoding.Identity(ds.NumFeatures())
 	return c, nil
-}
-
-// resolve maps feature names to counter indices on the machine. Counters
-// absent from the machine are left unresolved (index -1) and masked during
-// scoring, like Detector.resolve: the classifier serves in degraded mode on
-// whatever signal survives. It returns the number of resolved features; the
-// only error is a machine carrying none of them.
-func (c *Classifier) resolve(m *sim.Machine) (int, error) {
-	if c.indices == nil || len(c.indices) != len(c.FeatureNames) {
-		c.indices, _ = resolveNames(c.FeatureNames, m)
-	}
-	resolved := 0
-	for _, j := range c.indices {
-		if j >= 0 {
-			resolved++
-		}
-	}
-	if resolved == 0 {
-		return 0, fmt.Errorf("perspectron: none of the classifier's %d counters are present on this machine",
-			len(c.FeatureNames))
-	}
-	return resolved, nil
 }
 
 // encoding returns the classifier's slot-indexed view of the shared
@@ -121,27 +95,6 @@ func (c *Classifier) resolve(m *sim.Machine) (int, error) {
 // maxima, so every execution point scales identically.
 func (c *Classifier) encoding() *encoding.Encoding {
 	return &encoding.Encoding{GlobalMax: c.GlobalMax}
-}
-
-// classScores computes per-class normalized outputs for one raw delta
-// through the shared encoding: unresolved or fault-masked (NaN/Inf) counters
-// are skipped and each class margin is renormalized over the surviving
-// weights, exactly like Detector.scoreSample. avail is the number of
-// observable features.
-func (c *Classifier) classScores(raw []float64) (scores []float64, avail int) {
-	return c.classScoresWith(raw, c.indices)
-}
-
-// classScoresWith is classScores over caller-supplied counter indices — the
-// lock-free concurrent path, mirroring Detector.scoreWith: the classifier is
-// read, never written, so serving sessions can share one model.
-func (c *Classifier) classScoresWith(raw []float64, indices []int) (scores []float64, avail int) {
-	bits, avail := c.encoding().Bits(raw, indices, -1, nil)
-	out := make([]float64, len(c.Classes))
-	for ci := range c.Classes {
-		out[ci] = encoding.Margin(c.Biases[ci], c.Weights[ci], bits)
-	}
-	return out, avail
 }
 
 // Classification is the outcome of classifying one workload run.
@@ -179,30 +132,19 @@ func (c *Classifier) ClassifyCtx(ctx context.Context, w Workload, maxInsts uint6
 // machine's sampled vectors — the multi-way analogue of MonitorFaulty. The
 // classifier votes in degraded mode over whatever signal survives.
 func (c *Classifier) ClassifyFaulty(w Workload, maxInsts uint64, seed int64, fc FaultConfig) (*Classification, error) {
-	return c.classify(context.Background(), w, maxInsts, seed, func(m *sim.Machine) error {
-		sched, err := fc.schedule(m)
-		if err != nil {
-			return err
-		}
-		if sched != nil {
-			sched.Attach(m)
-		}
-		return nil
-	})
+	return c.classify(context.Background(), w, maxInsts, seed, &fc)
 }
 
-func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, seed int64, inject func(*sim.Machine) error) (*Classification, error) {
-	m := sim.NewMachine(sim.DefaultConfig())
-	if _, err := c.resolve(m); err != nil {
+// classify streams the run through a Session and names each sample's class
+// with the session's RawScorer — the scorer the serving runtime uses.
+func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, seed int64, fc *FaultConfig) (*Classification, error) {
+	sess, err := NewSession(ctx, nil, c, SessionConfig{Workload: w, MaxInsts: maxInsts, Seed: seed, Faults: fc})
+	if err != nil {
 		return nil, err
 	}
-	if inject != nil {
-		if err := inject(m); err != nil {
-			return nil, err
-		}
-	}
+	defer sess.Close()
+	scorer := sess.scorer()
 	res := &Classification{Workload: w.Info().Name, Votes: map[string]int{}}
-	nf := len(c.FeatureNames)
 	coverageSum := 0.0
 	samples := 0
 
@@ -221,11 +163,8 @@ func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, 
 	sampleCtr := reg.Counter("perspectron_classify_samples_total")
 	_, span := reg.StartSpan(ctx, "classify")
 
-	src := trace.NewRunSource(ctx, m, w, 0, seed,
-		trace.CollectConfig{MaxInsts: maxInsts, Interval: c.Interval})
-	defer src.Close()
 	for {
-		s, ok := src.NextCtx(ctx)
+		rs, ok := sess.NextRaw(ctx)
 		if !ok {
 			break
 		}
@@ -233,45 +172,29 @@ func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, 
 		if enabled {
 			start = time.Now()
 		}
-		scores, avail := c.classScores(s.Raw)
-		if nf > 0 {
-			coverageSum += float64(avail) / float64(nf)
-		}
-		best := 0
-		for i := 1; i < len(scores); i++ {
-			if scores[i] > scores[best] {
-				best = i
-			}
-		}
+		class, score, coverage := scorer.Classify(rs)
 		if enabled {
 			latencyHist.Observe(time.Since(start).Seconds())
-			scoreHist.Observe(scores[best])
+			scoreHist.Observe(score)
 		}
 		sampleCtr.Inc()
-		res.Votes[c.Classes[best]]++
+		coverageSum += coverage
+		res.Votes[class]++
 		samples++
 	}
 	span.End()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("perspectron: classifying %s: %w", res.Workload, err)
 	}
-	if err := src.Err(); err != nil {
+	if err := sess.Err(); err != nil {
 		return nil, fmt.Errorf("perspectron: classifying %s: %w", res.Workload, err)
 	}
 	if samples == 0 {
 		return nil, fmt.Errorf("perspectron: workload produced no samples")
 	}
-	for class, n := range res.Votes {
-		if n > res.Votes[res.Class] || res.Class == "" {
-			res.Class = class
-		}
-	}
+	res.Class = majorityClass(c.Classes, res.Votes)
 	res.Confidence = float64(res.Votes[res.Class]) / float64(samples)
-	if nf > 0 {
-		res.Coverage = coverageSum / float64(samples)
-	} else {
-		res.Coverage = 1
-	}
+	res.Coverage = coverageSum / float64(samples)
 	res.Degraded = res.Coverage < 1-1e-12
 	if enabled {
 		reg.Gauge("perspectron_classify_coverage").Set(res.Coverage)
@@ -281,6 +204,19 @@ func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, 
 		}
 	}
 	return res, nil
+}
+
+// majorityClass returns the class with the most votes. Ties go to the class
+// listed first in classes (sorted at training, never empty on a valid
+// model), so the verdict never depends on map iteration order.
+func majorityClass(classes []string, votes map[string]int) string {
+	best := classes[0]
+	for _, class := range classes[1:] {
+		if votes[class] > votes[best] {
+			best = class
+		}
+	}
+	return best
 }
 
 // Save serializes the classifier as JSON with an embedded SHA-256

@@ -21,26 +21,32 @@ func maskedClassifier() *Classifier {
 		Weights:      [][]float64{{0.5, -0.5}, {-0.5, 0.5}},
 		Biases:       []float64{0, 0},
 		GlobalMax:    []float64{10, 10},
-		indices:      []int{0, 1},
 	}
 }
 
 func TestClassifierFaultMasking(t *testing.T) {
 	c := maskedClassifier()
+	scorer := newRawScorer(nil, nil, c, []int{0, 1})
+	// classScores returns every class margin and the observable feature count
+	// for one raw sample.
+	classScores := func(raw []float64) ([]float64, int) {
+		_, _, coverage := scorer.Classify(RawSample{Sample: -1, Raw: raw})
+		return append([]float64(nil), scorer.scores...), int(coverage * float64(len(c.FeatureNames)))
+	}
 
 	// Baseline: both counters healthy, both bits fire.
-	full, avail := c.classScores([]float64{9, 9})
+	full, avail := classScores([]float64{9, 9})
 	if avail != 2 {
 		t.Fatalf("healthy avail = %d, want 2", avail)
 	}
 
 	// A saturated counter (+Inf, the fault sentinel) must be masked, not
 	// fired: the score equals the one-feature run, not the two-feature one.
-	masked, avail := c.classScores([]float64{9, math.Inf(1)})
+	masked, avail := classScores([]float64{9, math.Inf(1)})
 	if avail != 1 {
 		t.Fatalf("Inf avail = %d, want 1 (masked)", avail)
 	}
-	oneBit, _ := c.classScores([]float64{9, 0})
+	oneBit, _ := classScores([]float64{9, 0})
 	for ci := range c.Classes {
 		if masked[ci] != oneBit[ci] {
 			t.Errorf("class %s: Inf-masked score %v != one-feature score %v",
@@ -53,7 +59,7 @@ func TestClassifierFaultMasking(t *testing.T) {
 	}
 
 	// NaN likewise.
-	if _, avail := c.classScores([]float64{math.NaN(), 9}); avail != 1 {
+	if _, avail := classScores([]float64{math.NaN(), 9}); avail != 1 {
 		t.Fatalf("NaN avail = %d, want 1 (masked)", avail)
 	}
 

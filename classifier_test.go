@@ -100,6 +100,30 @@ func TestLoadClassifierErrors(t *testing.T) {
 	}
 }
 
+// TestMajorityClassBreaksTiesByClassOrder pins the vote to the classifier's
+// class order: a tie must not depend on map iteration order.
+func TestMajorityClassBreaksTiesByClassOrder(t *testing.T) {
+	classes := []string{"benign", "flush_reload", "prime_probe", "spectre_v1"}
+	cases := []struct {
+		votes map[string]int
+		want  string
+	}{
+		{map[string]int{"spectre_v1": 5}, "spectre_v1"},
+		{map[string]int{"benign": 2, "spectre_v1": 3}, "spectre_v1"},
+		{map[string]int{"spectre_v1": 3, "flush_reload": 3}, "flush_reload"},
+		{map[string]int{"prime_probe": 2, "benign": 2, "spectre_v1": 2}, "benign"},
+		{map[string]int{"spectre_v1": 4, "prime_probe": 4, "benign": 1}, "prime_probe"},
+	}
+	for _, tc := range cases {
+		// Repeat so a map-order dependence would surface as a flaky result.
+		for i := 0; i < 20; i++ {
+			if got := majorityClass(classes, tc.votes); got != tc.want {
+				t.Fatalf("majorityClass(%v) = %q, want %q", tc.votes, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestTrainClassifierErrors(t *testing.T) {
 	if _, err := TrainClassifier(nil, DefaultOptions()); err == nil {
 		t.Fatalf("empty corpus accepted")

@@ -53,15 +53,15 @@ func TestDetectorScoreEquivalence(t *testing.T) {
 			{10, 4, 0, 0},
 			{2, 5, 1, 8},
 		},
-		indices: []int{0, 2, 3, 5},
 	}
+	scorer := newRawScorer(det, []int{0, 2, 3, 5}, nil, nil)
 	raws := [][]float64{
 		{9, 1, 1, 0, 7, 4},
 		{1, 0, 4.9, 9, 0, 4.0},
 		{0, 0, math.NaN(), 2, 1, math.Inf(1)},
 		{5, 2, 2.5, 0.5, 3, 7.9},
 	}
-	// golden[point+1][raw] captured from the pre-refactor scoreSample:
+	// golden[point+1][raw] captured from the pre-refactor dense scorer:
 	// points -1 and >=len(PointMax) fall back to the global maxima, so rows
 	// 0 (point -1) and 3 (point 2) equal row 1 (point 0)'s globals-only case.
 	goldenScore := [4][4]float64{
@@ -78,9 +78,10 @@ func TestDetectorScoreEquivalence(t *testing.T) {
 	}
 	for pi := -1; pi < 3; pi++ {
 		for ri, raw := range raws {
-			score, avail := det.scoreSample(raw, pi)
-			if score != goldenScore[pi+1][ri] || avail != goldenAvail[pi+1][ri] {
-				t.Errorf("scoreSample(raw %d, point %d) = (%v, %d), golden (%v, %d)",
+			score, _, coverage := scorer.Detect(RawSample{Sample: pi, Raw: raw})
+			avail := coverage * float64(len(det.FeatureNames))
+			if score != goldenScore[pi+1][ri] || avail != float64(goldenAvail[pi+1][ri]) {
+				t.Errorf("Detect(raw %d, point %d) = (%v, %v), golden (%v, %d)",
 					ri, pi, score, avail, goldenScore[pi+1][ri], goldenAvail[pi+1][ri])
 			}
 		}
@@ -94,8 +95,8 @@ func TestClassifierScoreEquivalence(t *testing.T) {
 		Weights:      [][]float64{{0.5, -0.2, 0.1}, {-0.4, 0.9, 0.2}, {0.3, 0.3, -0.6}},
 		Biases:       []float64{0.1, -0.3, 0.05},
 		GlobalMax:    []float64{10, 0, 4},
-		indices:      []int{0, 1, 2},
 	}
+	scorer := newRawScorer(nil, nil, c, []int{0, 1, 2})
 	craws := [][]float64{
 		{9, 1, 2},
 		{4, 0, 3.9},
@@ -109,10 +110,10 @@ func TestClassifierScoreEquivalence(t *testing.T) {
 		{1, -0.19999999999999996, -0.846153846153846},
 	}
 	for ri, raw := range craws {
-		scores, _ := c.classScores(raw)
-		for ci, s := range scores {
+		scorer.Classify(RawSample{Sample: -1, Raw: raw})
+		for ci, s := range scorer.scores {
 			if s != golden[ri][ci] {
-				t.Errorf("classScores(raw %d)[%s] = %v, golden %v",
+				t.Errorf("Classify(raw %d) score[%s] = %v, golden %v",
 					ri, c.Classes[ci], s, golden[ri][ci])
 			}
 		}

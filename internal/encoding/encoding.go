@@ -4,14 +4,15 @@
 // corpus-wide maximum), sets the k-sparse bit when the scaled statistic
 // reaches 0.5, and sums perceptron weights over the fired bits with the
 // margin renormalized so that a partially observable sample (missing
-// counters, fault-masked values — the PR-1 degraded serving mode) degrades
+// counters, fault-masked values — the degraded serving mode) degrades
 // gracefully instead of collapsing.
 //
-// Every layer that used to carry its own copy of this math — the trace
-// Encoder's training matrices, the Detector's per-sample scoring, and the
-// Classifier's one-vs-rest bank — now routes through this package, so the
-// three cannot drift apart again. Equivalence tests in the root package pin
-// the outputs to the pre-unification implementations bit for bit.
+// The trace Encoder's training matrices and the root package's RawScorer —
+// the one per-sample scorer behind detection, classification, the promotion
+// gate and serving — both route through this package, so they cannot drift
+// apart. Per-sample scoring uses the bit-packed pair BitsPacked and
+// MarginPacked. Equivalence tests in the root package pin the outputs to the
+// pre-unification implementations bit for bit.
 package encoding
 
 import (
@@ -124,76 +125,17 @@ func (e *Encoding) Binarize(vec []float64, point int, dst []float64) []float64 {
 	return dst
 }
 
-// Bits computes the fired-bit set for a serving-path sample. indices maps
-// each feature slot to its raw counter index on the current machine; a
-// negative or out-of-range index marks a counter missing from the machine,
-// and non-finite raw values are the fault sentinel (see internal/faults) —
-// both are masked: the slot neither fires nor counts as observable. avail
-// is the number of observable slots, the numerator of the degraded-mode
-// coverage. The encoding is slot-indexed (GlobalMax[slot], not
-// GlobalMax[counter]). The result is written into dst (pass nil to
-// allocate; a short dst is reallocated).
-func (e *Encoding) Bits(raw []float64, indices []int, point int, dst []bool) (bits []bool, avail int) {
-	if len(dst) < len(indices) {
-		dst = make([]bool, len(indices))
-	}
-	dst = dst[:len(indices)]
-	for slot, j := range indices {
-		dst[slot] = false
-		if j < 0 || j >= len(raw) {
-			continue
-		}
-		v := raw[j]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		avail++
-		mx := e.Max(slot, point)
-		if mx <= 0 {
-			continue
-		}
-		if v/mx >= BinarizeThreshold {
-			dst[slot] = true
-		}
-	}
-	return dst, avail
-}
-
-// Margin returns the renormalized perceptron output over the fired bits:
-// (bias + Σ w_fired) / (|bias| + Σ |w_fired|), clamped to [-1, 1], or 0
-// when the denominator is zero. Because masked slots contribute to neither
-// sum, losing a random subset of counters shrinks numerator and denominator
-// together and the normalized confidence degrades gracefully instead of
-// collapsing (docs/FAULTS.md).
-func Margin(bias float64, w []float64, fired []bool) float64 {
-	s := bias
-	norm := math.Abs(bias)
-	for i, f := range fired {
-		if f {
-			s += w[i]
-			norm += math.Abs(w[i])
-		}
-	}
-	if norm == 0 {
-		return 0
-	}
-	v := s / norm
-	if v > 1 {
-		v = 1
-	} else if v < -1 {
-		v = -1
-	}
-	return v
-}
-
-// BitsPacked is Bits with the fired set emitted as a bit-packed BitVec
-// instead of a []bool — the serving shard path's form, where one packed
-// vector feeds a MarginPacked sweep per model (detector, or one per
-// classifier class) without re-walking the raw sample. Semantics are
-// identical to Bits: negative/out-of-range indices and non-finite raw
-// values are masked and avail counts the observable slots. The result is
-// written into dst (pass nil or a short dst to allocate); dst is cleared
-// first.
+// BitsPacked computes the bit-packed fired set of one raw sample, so one
+// packed vector feeds a MarginPacked sweep per model (detector, or one per
+// classifier class) without re-walking the raw sample. indices maps each
+// feature slot to its raw counter index on the current machine; a negative
+// or out-of-range index marks a counter missing from the machine, and
+// non-finite raw values are the fault sentinel (see internal/faults) — both
+// are masked: the slot neither fires nor counts as observable. avail is the
+// number of observable slots, the numerator of the degraded-mode coverage.
+// The encoding is slot-indexed (GlobalMax[slot], not GlobalMax[counter]).
+// The result is written into dst (pass nil or a short dst to allocate); dst
+// is cleared first.
 func (e *Encoding) BitsPacked(raw []float64, indices []int, point int, dst BitVec) (bits BitVec, avail int) {
 	if words := (len(indices) + 63) / 64; len(dst) < words {
 		dst = make(BitVec, words)
@@ -223,10 +165,14 @@ func (e *Encoding) BitsPacked(raw []float64, indices []int, point int, dst BitVe
 	return dst, avail
 }
 
-// MarginPacked is Margin over a bit-packed fired set, iterating set words
-// only. Set bits are visited in ascending slot order — the same float
-// accumulation order as Margin — so the two are bit-identical (pinned by
-// the packed equivalence tests).
+// MarginPacked returns the renormalized perceptron output over a bit-packed
+// fired set: (bias + Σ w_fired) / (|bias| + Σ |w_fired|), clamped to
+// [-1, 1], or 0 when the denominator is zero. Because masked slots
+// contribute to neither sum, losing a random subset of counters shrinks
+// numerator and denominator together and the normalized confidence degrades
+// gracefully instead of collapsing (docs/FAULTS.md). Set bits are visited in
+// ascending slot order, so the float accumulation order is fixed (pinned
+// against a dense oracle by the packed equivalence tests).
 func MarginPacked(bias float64, w []float64, fired BitVec) float64 {
 	s := bias
 	norm := math.Abs(bias)
@@ -249,14 +195,4 @@ func MarginPacked(bias float64, w []float64, fired BitVec) float64 {
 		v = -1
 	}
 	return v
-}
-
-// Identity returns the identity slot→counter mapping of width n, for
-// serving paths that use the full counter space.
-func Identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -6,6 +6,66 @@ import (
 	"testing"
 )
 
+// Bits is the dense test oracle for BitsPacked: the same fired-bit set as a
+// []bool, with the same masking and avail count. The result is written into
+// dst (pass nil to allocate; a short dst is reallocated).
+func (e *Encoding) Bits(raw []float64, indices []int, point int, dst []bool) (bits []bool, avail int) {
+	if len(dst) < len(indices) {
+		dst = make([]bool, len(indices))
+	}
+	dst = dst[:len(indices)]
+	for slot, j := range indices {
+		dst[slot] = false
+		if j < 0 || j >= len(raw) {
+			continue
+		}
+		v := raw[j]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		avail++
+		mx := e.Max(slot, point)
+		if mx <= 0 {
+			continue
+		}
+		if v/mx >= BinarizeThreshold {
+			dst[slot] = true
+		}
+	}
+	return dst, avail
+}
+
+// Margin is the dense test oracle for MarginPacked over a []bool fired set.
+func Margin(bias float64, w []float64, fired []bool) float64 {
+	s := bias
+	norm := math.Abs(bias)
+	for i, f := range fired {
+		if f {
+			s += w[i]
+			norm += math.Abs(w[i])
+		}
+	}
+	if norm == 0 {
+		return 0
+	}
+	v := s / norm
+	if v > 1 {
+		v = 1
+	} else if v < -1 {
+		v = -1
+	}
+	return v
+}
+
+// Identity returns the identity slot→counter mapping of width n.
+func Identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func TestObserveAndMax(t *testing.T) {
 	e := New(2)
 	e.Observe([][]float64{{4, 1}, {2, 8}})

@@ -54,9 +54,9 @@ type modelScorer struct {
 	threshold float64
 }
 
-// scoreSample encodes one raw delta vector (at execution point j) and
+// scoreAt encodes one raw delta vector (at execution point j) and
 // returns the classifier score.
-func (s *modelScorer) scoreSample(raw []float64, j int) float64 {
+func (s *modelScorer) scoreAt(raw []float64, j int) float64 {
 	var vec []float64
 	if s.binary {
 		vec = s.enc.BinarizeAt(raw, j)
@@ -92,7 +92,7 @@ func (s *modelScorer) verdict(run MonitoredRun) Verdict {
 		v.FirstLeak = run.LeakSamples[0]
 	}
 	for i, raw := range run.Samples {
-		score := s.scoreSample(raw, i)
+		score := s.scoreAt(raw, i)
 		v.Scores = append(v.Scores, score)
 		if v.FirstFlag < 0 && score >= s.threshold {
 			v.FirstFlag = i

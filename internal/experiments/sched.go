@@ -50,7 +50,7 @@ func Sched(cfg Config) *SchedResult {
 	totalBy := map[string]int{}
 	var atkFlag, atkTotal, benFlag, benTotal float64
 	for _, smp := range samples {
-		score := sc.scoreSample(smp.Raw, smp.Index/len(s.Tasks()))
+		score := sc.scoreAt(smp.Raw, smp.Index/len(s.Tasks()))
 		flagged := score >= sc.threshold
 		totalBy[smp.Program]++
 		if flagged {

@@ -34,7 +34,6 @@ type RunSource struct {
 	mu     sync.Mutex
 	stream isa.Stream // underlying workload stream, for LeakMarks
 	err    error      // workload panic converted to an error
-	n      int
 }
 
 // NewRunSource starts streaming prog for up to cfg.MaxInsts committed
@@ -94,7 +93,6 @@ func NewRunSource(ctx context.Context, m *sim.Machine, prog workload.Program, ru
 func (s *RunSource) Next() (*Sample, bool) {
 	smp, ok := <-s.ch
 	if ok {
-		s.n++
 		s.produced.Inc()
 	}
 	return smp, ok
@@ -109,7 +107,6 @@ func (s *RunSource) NextCtx(ctx context.Context) (*Sample, bool) {
 	select {
 	case smp, ok := <-s.ch:
 		if ok {
-			s.n++
 			s.produced.Inc()
 		}
 		return smp, ok
@@ -126,9 +123,6 @@ func (s *RunSource) Close() {
 	for range s.ch { // drain whatever was in flight
 	}
 }
-
-// Count returns the number of samples delivered through Next so far.
-func (s *RunSource) Count() int { return s.n }
 
 // Err reports a workload panic that ended the stream. Valid once Next has
 // returned false (or Close returned).

@@ -168,8 +168,6 @@ type Detector struct {
 	// (see checkpoint.go). Absent on legacy checkpoints; continual training
 	// starts a fresh lineage for them.
 	Lineage *Lineage `json:"lineage,omitempty"`
-
-	indices []int // resolved counter indices on the current machine
 }
 
 // CollectConfig returns the trace-collection configuration the options
@@ -245,7 +243,6 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 			Trainer:        &st,
 			FeatureMeans:   firingRates(Xp, len(sel.Indices)),
 		},
-		indices: sel.Indices,
 	}
 	for i, j := range sel.Indices {
 		d.FeatureNames[i] = ds.FeatureNames[j]
@@ -276,54 +273,10 @@ func (d *Detector) Hardware() perceptron.HardwareModel {
 	return h
 }
 
-// resolve maps feature names onto counter indices for the given machine.
-// Counters absent from the machine are left unresolved (index -1) and masked
-// during scoring — the degraded serving mode, mirroring the paper's
-// replicated-detector argument that a partial signature still scores. It
-// returns the number of resolved features; the only error is a machine on
-// which none of the detector's counters exist.
-func (d *Detector) resolve(m *sim.Machine) (int, error) {
-	if d.indices == nil || len(d.indices) != len(d.FeatureNames) {
-		d.indices, _ = resolveNames(d.FeatureNames, m)
-	}
-	resolved := 0
-	for _, j := range d.indices {
-		if j >= 0 {
-			resolved++
-		}
-	}
-	if resolved == 0 {
-		return 0, fmt.Errorf("perspectron: none of the detector's %d counters are present on this machine",
-			len(d.FeatureNames))
-	}
-	return resolved, nil
-}
-
 // encoding returns the detector's slot-indexed view of the shared
 // normalize/binarize implementation, built over the embedded maxima.
 func (d *Detector) encoding() *encoding.Encoding {
 	return &encoding.Encoding{GlobalMax: d.GlobalMax, PerPoint: d.PointMax}
-}
-
-// scoreSample binarizes one raw counter-delta vector through the shared
-// encoding and returns the normalized perceptron output plus the number of
-// features that were observable (resolved counter, finite value).
-// Unresolved or fault-masked (NaN/Inf) inputs are skipped and the margin is
-// renormalized over the surviving weights: the score is
-// s/(|bias|+Σ|w_fired|) over firing features only, so losing a random
-// subset shrinks numerator and denominator together and the normalized
-// confidence degrades gracefully instead of collapsing.
-func (d *Detector) scoreSample(raw []float64, point int) (score float64, avail int) {
-	return d.scoreWith(raw, point, d.indices)
-}
-
-// scoreWith is scoreSample over caller-supplied counter indices instead of
-// the detector's cached ones. It reads the detector but never writes it, so
-// concurrent sessions (internal/serve workers) can score against one shared
-// model with their own per-machine index slices.
-func (d *Detector) scoreWith(raw []float64, point int, indices []int) (score float64, avail int) {
-	bits, avail := d.encoding().Bits(raw, indices, point, nil)
-	return encoding.Margin(d.Bias, d.Weights, bits), avail
 }
 
 // SamplePoint is one sampling interval's verdict.
@@ -359,6 +312,69 @@ type Report struct {
 	// were observable per scored sample. 1.0 means full fidelity; it is the
 	// denominator of the degraded-mode confidence (see docs/FAULTS.md).
 	Coverage float64
+}
+
+// reportFold folds a run's per-sample verdicts into a Report: the one place
+// the first flag, mean coverage, Degraded, LeakSamples and LeakBefore are
+// derived, shared by Monitor and MonitorWithPolicy.
+type reportFold struct {
+	rep         Report
+	interval    uint64
+	coverageSum float64
+}
+
+func newReportFold(w Workload, interval uint64) *reportFold {
+	info := w.Info()
+	return &reportFold{
+		rep: Report{
+			Workload:  info.Name,
+			Malicious: info.Label == workload.Malicious,
+			FirstFlag: -1,
+		},
+		interval: interval,
+	}
+}
+
+// add records one sampling interval's verdict as RawScorer.Detect returned
+// it.
+func (f *reportFold) add(index int, score float64, flagged bool, coverage float64) {
+	f.coverageSum += coverage
+	f.rep.Samples = append(f.rep.Samples, SamplePoint{
+		Index:   index,
+		Insts:   uint64(index+1) * f.interval,
+		Score:   score,
+		Flagged: flagged,
+	})
+	if flagged && f.rep.FirstFlag < 0 {
+		f.rep.FirstFlag = index
+		f.rep.Detected = true
+	}
+}
+
+// finish completes the report from the run's disclosure marks. A run that
+// scored no sample reports the fraction of detector features the machine
+// resolves (detIdx, the scorer's indices) as its coverage.
+func (f *reportFold) finish(leakMarks []uint64, detIdx []int) *Report {
+	rep := f.rep
+	if n := len(rep.Samples); n > 0 {
+		rep.Coverage = f.coverageSum / float64(n)
+	} else {
+		resolved := 0
+		for _, j := range detIdx {
+			if j >= 0 {
+				resolved++
+			}
+		}
+		rep.Coverage = float64(resolved) / float64(len(detIdx))
+	}
+	rep.Degraded = rep.Coverage < 1-1e-12
+	for _, mark := range leakMarks {
+		rep.LeakSamples = append(rep.LeakSamples, int(mark/f.interval))
+	}
+	if len(rep.LeakSamples) > 0 {
+		rep.LeakBefore = rep.FirstFlag < 0 || rep.LeakSamples[0] < rep.FirstFlag
+	}
+	return &rep
 }
 
 // Monitor runs the workload for maxInsts committed instructions on a fresh
@@ -401,8 +417,9 @@ type FaultConfig struct {
 	BlackoutTo   int
 }
 
-// schedule compiles the config into a fault schedule for machine m.
-func (c FaultConfig) schedule(m *sim.Machine) (*faults.Schedule, error) {
+// attach compiles the config into a fault schedule and attaches it to
+// machine m; a config that selects no fault attaches nothing.
+func (c FaultConfig) attach(m *sim.Machine) error {
 	var models []faults.Model
 	if c.Dropout > 0 {
 		models = append(models, faults.Dropout{Rate: c.Dropout})
@@ -422,14 +439,14 @@ func (c FaultConfig) schedule(m *sim.Machine) (*faults.Schedule, error) {
 	if c.Blackout != "" {
 		b, err := faults.NewBlackout(m.Reg, c.Blackout, c.BlackoutFrom, c.BlackoutTo)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		models = append(models, b)
 	}
-	if len(models) == 0 {
-		return nil, nil
+	if len(models) > 0 {
+		faults.NewSchedule(c.Seed, models...).Attach(m)
 	}
-	return faults.NewSchedule(c.Seed, models...), nil
+	return nil
 }
 
 // MonitorFaulty is Monitor with counter-level faults injected into the
@@ -437,37 +454,20 @@ func (c FaultConfig) schedule(m *sim.Machine) (*faults.Schedule, error) {
 // detector runs in degraded mode over whatever signal survives; the report's
 // Degraded and Coverage fields quantify the loss.
 func (d *Detector) MonitorFaulty(w Workload, maxInsts uint64, seed int64, fc FaultConfig) (*Report, error) {
-	return d.monitor(context.Background(), w, maxInsts, seed, func(m *sim.Machine) error {
-		sched, err := fc.schedule(m)
-		if err != nil {
-			return err
-		}
-		if sched != nil {
-			sched.Attach(m)
-		}
-		return nil
-	})
+	return d.monitor(context.Background(), w, maxInsts, seed, &fc)
 }
 
-func (d *Detector) monitor(ctx context.Context, w Workload, maxInsts uint64, seed int64, inject func(*sim.Machine) error) (*Report, error) {
-	m := sim.NewMachine(sim.DefaultConfig())
-	resolved, err := d.resolve(m)
+// monitor streams the run through a Session and scores each sample with the
+// session's RawScorer as it arrives, so Monitor shares its producer with
+// batch collection and its scorer with the serving runtime.
+func (d *Detector) monitor(ctx context.Context, w Workload, maxInsts uint64, seed int64, fc *FaultConfig) (*Report, error) {
+	sess, err := NewSession(ctx, d, nil, SessionConfig{Workload: w, MaxInsts: maxInsts, Seed: seed, Faults: fc})
 	if err != nil {
 		return nil, err
 	}
-	if inject != nil {
-		if err := inject(m); err != nil {
-			return nil, err
-		}
-	}
-	info := w.Info()
-	rep := &Report{
-		Workload:  info.Name,
-		Malicious: info.Label == workload.Malicious,
-		FirstFlag: -1,
-	}
-	nf := len(d.FeatureNames)
-	coverageSum := 0.0
+	defer sess.Close()
+	scorer := sess.scorer()
+	fold := newReportFold(w, d.Interval)
 
 	// Telemetry instruments are fetched once before the sample loop; on the
 	// disabled (nil registry) path every handle is nil and each per-sample
@@ -487,14 +487,8 @@ func (d *Detector) monitor(ctx context.Context, w Workload, maxInsts uint64, see
 	flaggedCtr := reg.Counter("perspectron_monitor_flagged_total")
 	_, span := reg.StartSpan(context.Background(), "monitor")
 
-	// Stream the run through the same SampleSource batch collection drains,
-	// scoring each sampling interval as it arrives — the online serving path
-	// shares the per-sample machinery with Collect by construction.
-	src := trace.NewRunSource(ctx, m, w, 0, seed,
-		trace.CollectConfig{MaxInsts: maxInsts, Interval: d.Interval})
-	defer src.Close()
 	for {
-		s, ok := src.NextCtx(ctx)
+		rs, ok := sess.NextRaw(ctx)
 		if !ok {
 			break
 		}
@@ -502,51 +496,25 @@ func (d *Detector) monitor(ctx context.Context, w Workload, maxInsts uint64, see
 		if enabled {
 			start = time.Now()
 		}
-		score, avail := d.scoreSample(s.Raw, s.Index)
+		score, flagged, coverage := scorer.Detect(rs)
 		if enabled {
 			latencyHist.Observe(time.Since(start).Seconds())
 			scoreHist.Observe(score)
 		}
 		sampleCtr.Inc()
-		if nf > 0 {
-			coverageSum += float64(avail) / float64(nf)
-		}
-		flagged := score >= d.Threshold
 		if flagged {
 			flaggedCtr.Inc()
 		}
-		rep.Samples = append(rep.Samples, SamplePoint{
-			Index:   s.Index,
-			Insts:   uint64(s.Index+1) * d.Interval,
-			Score:   score,
-			Flagged: flagged,
-		})
-		if flagged && rep.FirstFlag < 0 {
-			rep.FirstFlag = s.Index
-			rep.Detected = true
-		}
+		fold.add(rs.Sample, score, flagged, coverage)
 	}
 	span.End()
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("perspectron: monitoring %s: %w", info.Name, err)
+		return nil, fmt.Errorf("perspectron: monitoring %s: %w", fold.rep.Workload, err)
 	}
-	if err := src.Err(); err != nil {
-		return nil, fmt.Errorf("perspectron: monitoring %s: %w", info.Name, err)
+	if err := sess.Err(); err != nil {
+		return nil, fmt.Errorf("perspectron: monitoring %s: %w", fold.rep.Workload, err)
 	}
-	if len(rep.Samples) > 0 && nf > 0 {
-		rep.Coverage = coverageSum / float64(len(rep.Samples))
-	} else if nf > 0 {
-		rep.Coverage = float64(resolved) / float64(nf)
-	} else {
-		rep.Coverage = 1
-	}
-	rep.Degraded = rep.Coverage < 1-1e-12
-	for _, mark := range src.LeakMarks() {
-		rep.LeakSamples = append(rep.LeakSamples, int(mark/d.Interval))
-	}
-	if len(rep.LeakSamples) > 0 {
-		rep.LeakBefore = rep.FirstFlag < 0 || rep.LeakSamples[0] < rep.FirstFlag
-	}
+	rep := fold.finish(sess.LeakMarks(), scorer.detIdx)
 	if enabled {
 		reg.Gauge("perspectron_monitor_coverage").Set(rep.Coverage)
 		reg.Event("monitor", map[string]any{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"perspectron/internal/isa"
 	"perspectron/internal/sim"
 	"perspectron/internal/workload"
 )
@@ -114,21 +115,22 @@ type MitigatedReport struct {
 // sampling interval ONLINE and the policy drives the machine's hardware
 // mitigations between intervals. This is the end-to-end deployment loop of
 // §IV-G: detect with confidence, mitigate proportionally, stand down when
-// the signal clears.
+// the signal clears. Scoring goes through the same RawScorer as Monitor; the
+// policy runs synchronously inside the machine's sample callback, because a
+// mitigation must be in place before the next interval executes. A panicking
+// workload ends the run with an error, as in Monitor.
 func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, policy Policy) (*MitigatedReport, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("perspectron: nil policy")
 	}
 	m := sim.NewMachine(sim.DefaultConfig())
-	if _, err := d.resolve(m); err != nil {
+	detIdx, _, err := resolveModels(m, d, nil)
+	if err != nil {
 		return nil, err
 	}
-
-	info := w.Info()
+	scorer := newRawScorer(d, detIdx, nil, nil)
+	fold := newReportFold(w, d.Interval)
 	rep := &MitigatedReport{}
-	rep.Workload = info.Name
-	rep.Malicious = info.Label == workload.Malicious
-	rep.FirstFlag = -1
 
 	var active []Mitigation
 	apply := func(ms []Mitigation) {
@@ -145,24 +147,15 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 		m.InjectBPNoise(noise)
 	}
 
-	nf := len(d.FeatureNames)
-	coverageSum := 0.0
-	m.OnSample = func(idx int, delta []float64) {
-		score, avail := d.scoreSample(delta, idx)
-		if nf > 0 {
-			coverageSum += float64(avail) / float64(nf)
+	onSample := func(idx int, delta []float64) bool {
+		// RunStream hands over the trailing partial interval after the
+		// pipeline has drained: no later interval exists for a mitigation to
+		// act on, so the policy loop scores completed intervals only.
+		if uint64(idx+1)*d.Interval > m.Pipe.Committed() {
+			return true
 		}
-		flagged := score >= d.Threshold
-		rep.Samples = append(rep.Samples, SamplePoint{
-			Index:   idx,
-			Insts:   uint64(idx+1) * d.Interval,
-			Score:   score,
-			Flagged: flagged,
-		})
-		if flagged && rep.FirstFlag < 0 {
-			rep.FirstFlag = idx
-			rep.Detected = true
-		}
+		score, flagged, coverage := scorer.Detect(RawSample{Sample: idx, Raw: delta})
+		fold.add(idx, score, flagged, coverage)
 		next := policy(score, active)
 		for _, mit := range next {
 			if mit == MitigateRekey {
@@ -175,10 +168,16 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 		if len(active) > 0 {
 			rep.MitigatedIntervals++
 		}
+		return true
 	}
 
-	stream := w.Stream(rand.New(rand.NewSource(seed)))
-	m.Run(stream, maxInsts, d.Interval)
+	var stream isa.Stream
+	if err := runGuarded(func() {
+		stream = w.Stream(rand.New(rand.NewSource(seed)))
+		m.RunStream(stream, maxInsts, d.Interval, onSample)
+	}); err != nil {
+		return nil, fmt.Errorf("perspectron: monitoring %s: %w", fold.rep.Workload, err)
+	}
 
 	if c, ok := m.Reg.Lookup("iew.blockedSpecLoads"); ok {
 		rep.SpecLoadsBlocked = c.Value()
@@ -186,18 +185,22 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 	if c, ok := m.Reg.Lookup("dcache.rekeys"); ok {
 		rep.Rekeys = c.Value()
 	}
+	var leakMarks []uint64
 	if ls, ok := stream.(*workload.LoopStream); ok {
-		for _, mark := range ls.LeakMarks() {
-			rep.LeakSamples = append(rep.LeakSamples, int(mark/d.Interval))
-		}
+		leakMarks = ls.LeakMarks()
 	}
-	rep.Coverage = 1
-	if n := len(rep.Samples); n > 0 && nf > 0 {
-		rep.Coverage = coverageSum / float64(n)
-	}
-	rep.Degraded = rep.Coverage < 1-1e-12
-	if len(rep.LeakSamples) > 0 {
-		rep.LeakBefore = rep.FirstFlag < 0 || rep.LeakSamples[0] < rep.FirstFlag
-	}
+	rep.Report = *fold.finish(leakMarks, detIdx)
 	return rep, nil
+}
+
+// runGuarded runs f, converting a panic into the "run panicked" error a
+// RunSource reports for the same failure.
+func runGuarded(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("run panicked: %v", r)
+		}
+	}()
+	f()
+	return nil
 }

@@ -1,6 +1,12 @@
 package perspectron
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"perspectron/internal/isa"
+	"perspectron/internal/workload"
+)
 
 func TestEscalationPolicyBands(t *testing.T) {
 	p := EscalationPolicy(0.25, 0.6, MitigateFence)
@@ -86,6 +92,39 @@ func TestMonitorWithPolicyNilPolicy(t *testing.T) {
 	det := sharedDetector(t)
 	if _, err := det.MonitorWithPolicy(AttackByName("meltdown", "fr"), 10_000, 1, nil); err == nil {
 		t.Fatalf("nil policy accepted")
+	}
+}
+
+// panicWorkload's stream panics partway through the run.
+type panicWorkload struct{}
+
+func (panicWorkload) Info() workload.Info {
+	return workload.Info{Name: "panicker", Label: workload.Benign, Category: "test"}
+}
+
+func (panicWorkload) Stream(*rand.Rand) isa.Stream { return &panicStream{} }
+
+type panicStream struct{ n uint64 }
+
+func (s *panicStream) Next() (isa.Op, bool) {
+	s.n++
+	if s.n > 5_000 {
+		panic("workload bug")
+	}
+	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+}
+
+// TestMonitorWithPolicyWorkloadPanic: a panicking workload must surface as
+// the same error Monitor reports, not panic the caller.
+func TestMonitorWithPolicyWorkloadPanic(t *testing.T) {
+	det := sharedDetector(t)
+	const want = "perspectron: monitoring panicker: run panicked: workload bug"
+	_, err := det.MonitorWithPolicy(panicWorkload{}, 40_000, 1, EscalationPolicy(0.25, 0.5, MitigateFence))
+	if err == nil || err.Error() != want {
+		t.Fatalf("MonitorWithPolicy error = %v, want %q", err, want)
+	}
+	if _, err := det.Monitor(panicWorkload{}, 40_000, 1); err == nil || err.Error() != want {
+		t.Fatalf("Monitor error = %v, want %q", err, want)
 	}
 }
 

@@ -76,9 +76,10 @@ func (d *Detector) EvaluateGolden(g *GoldenSet) EvalScores {
 			idx[i] = -1
 		}
 	}
+	scorer := newRawScorer(d, idx, nil, nil)
 	scores := make([]float64, len(g.Raw))
 	for i, raw := range g.Raw {
-		scores[i], _ = d.scoreWith(raw, g.Points[i], idx)
+		scores[i], _, _ = scorer.Detect(RawSample{Sample: g.Points[i], Raw: raw})
 	}
 	m := eval.Score(scores, g.Y, d.Threshold)
 	return EvalScores{

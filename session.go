@@ -1,14 +1,15 @@
 package perspectron
 
-// Streaming scoring sessions: the serving runtime's unit of work. Monitor
-// and Classify own their whole run loop; a Session hands control back after
-// every sampling interval, so a long-running service (internal/serve) can
-// apply per-sample deadlines, walk the degradation ladder mid-run, and shut
-// down promptly. Sessions carry their own resolved counter indices — the
-// Detector/Classifier they score with is never mutated — so any number of
-// concurrent Sessions can share one immutable model, and a hot-reload can
-// swap the model under new Sessions while old ones finish on the previous
-// version.
+// Streaming sessions: the producer half of every scoring path. A Session
+// runs one workload on a fresh machine and hands back raw counter-delta
+// samples one sampling interval at a time, so a caller can apply per-sample
+// deadlines, walk the degradation ladder mid-run, and shut down promptly.
+// Sessions never score: every sample→verdict step goes through a RawScorer
+// (batch.go), whether the caller is Monitor, Classify or the serving runtime
+// (internal/serve). Sessions resolve their own counter indices — the
+// Detector/Classifier is never mutated — so any number of concurrent
+// Sessions can share one immutable model, and a hot-reload can swap the
+// model under new Sessions while old ones finish on the previous version.
 
 import (
 	"context"
@@ -20,9 +21,7 @@ import (
 
 // resolveNames maps feature names onto counter indices for machine m without
 // touching any model state: counters absent from the machine resolve to -1
-// and are masked during scoring. It is the pure core of Detector.resolve and
-// Classifier.resolve, shared with Session so scoring stays lock-free under
-// concurrency.
+// and are masked during scoring.
 func resolveNames(names []string, m *sim.Machine) (indices []int, resolved int) {
 	indices = make([]int, len(names))
 	for i, name := range names {
@@ -34,6 +33,31 @@ func resolveNames(names []string, m *sim.Machine) (indices []int, resolved int) 
 		}
 	}
 	return indices, resolved
+}
+
+// resolveModels resolves a model pair's feature names on machine m. Either
+// model may be nil. Missing counters are masked (the degraded serving mode,
+// mirroring the paper's replicated-detector argument that a partial signature
+// still scores); the only error is a primary model — the detector, or the
+// classifier when there is no detector — of which no counter exists on m.
+func resolveModels(m *sim.Machine, det *Detector, cls *Classifier) (detIdx, clsIdx []int, err error) {
+	if det != nil {
+		idx, resolved := resolveNames(det.FeatureNames, m)
+		if resolved == 0 {
+			return nil, nil, fmt.Errorf("perspectron: none of the detector's %d counters are present on this machine",
+				len(det.FeatureNames))
+		}
+		detIdx = idx
+	}
+	if cls != nil {
+		idx, resolved := resolveNames(cls.FeatureNames, m)
+		if resolved == 0 && det == nil {
+			return nil, nil, fmt.Errorf("perspectron: none of the classifier's %d counters are present on this machine",
+				len(cls.FeatureNames))
+		}
+		clsIdx = idx
+	}
+	return detIdx, clsIdx, nil
 }
 
 // SessionConfig configures one streaming scoring session.
@@ -50,28 +74,9 @@ type SessionConfig struct {
 	Faults *FaultConfig
 }
 
-// Verdict is one sampling interval's combined scoring outcome.
-type Verdict struct {
-	// Sample is the sampling-interval index within the run.
-	Sample int
-	// Insts is the committed-instruction count at the sample.
-	Insts uint64
-	// Score is the detector's normalized output; Flagged is the threshold
-	// cut. Zero-valued when the session has no detector.
-	Score   float64
-	Flagged bool
-	// Class is the classifier's per-interval argmax ("" without a
-	// classifier); ClassScore its normalized margin.
-	Class      string
-	ClassScore float64
-	// Coverage is the fraction (0..1] of the primary model's features
-	// observable at this sample — the degradation ladder's input signal.
-	Coverage float64
-}
-
-// Session streams one workload run through a detector and/or classifier,
-// one sampling interval at a time. Create with NewSession, pull verdicts
-// with Next, and Close when done (Close is mandatory on early abandonment —
+// Session streams one workload run for a detector and/or classifier, one
+// sampling interval at a time. Create with NewSession, pull samples with
+// NextRaw, and Close when done (Close is mandatory on early abandonment —
 // it releases the producer goroutine).
 type Session struct {
 	det    *Detector
@@ -79,22 +84,13 @@ type Session struct {
 	detIdx []int
 	clsIdx []int
 	src    *trace.RunSource
-	m      *sim.Machine
-
-	interval uint64
-	nf       int // primary model's feature width, for Coverage
-
-	// lastRaw/lastPoint hold the most recent Next sample so Attribution can
-	// explain the verdict after the fact without re-running the interval.
-	lastRaw   []float64
-	lastPoint int
 }
 
 // NewSession starts a streaming session for cfg.Workload. Either model may
 // be nil, but not both; when both are present the detector's sampling
-// interval drives the run and the classifier votes on the same raw deltas.
+// interval drives the run and the classifier scores the same raw deltas.
 // ctx bounds the whole run (the producer observes it between instruction
-// blocks); per-sample deadlines go to Next instead.
+// blocks); per-sample deadlines go to NextRaw instead.
 func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg SessionConfig) (*Session, error) {
 	if det == nil && cls == nil {
 		return nil, fmt.Errorf("perspectron: session needs a detector or a classifier")
@@ -103,87 +99,48 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 		return nil, fmt.Errorf("perspectron: session needs a workload")
 	}
 	m := sim.NewMachine(sim.DefaultConfig())
-	s := &Session{det: det, cls: cls, m: m}
-	if det != nil {
-		idx, resolved := resolveNames(det.FeatureNames, m)
-		if resolved == 0 {
-			return nil, fmt.Errorf("perspectron: none of the detector's %d counters are present on this machine",
-				len(det.FeatureNames))
-		}
-		s.detIdx = idx
-		s.interval = det.Interval
-		s.nf = len(det.FeatureNames)
-	}
-	if cls != nil {
-		idx, resolved := resolveNames(cls.FeatureNames, m)
-		if resolved == 0 && det == nil {
-			return nil, fmt.Errorf("perspectron: none of the classifier's %d counters are present on this machine",
-				len(cls.FeatureNames))
-		}
-		s.clsIdx = idx
-		if s.interval == 0 {
-			s.interval = cls.Interval
-			s.nf = len(cls.FeatureNames)
-		}
+	detIdx, clsIdx, err := resolveModels(m, det, cls)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Faults != nil {
-		sched, err := cfg.Faults.schedule(m)
-		if err != nil {
+		if err := cfg.Faults.attach(m); err != nil {
 			return nil, err
 		}
-		if sched != nil {
-			sched.Attach(m)
-		}
 	}
+	var interval uint64
+	if det != nil {
+		interval = det.Interval
+	} else {
+		interval = cls.Interval
+	}
+	s := &Session{det: det, cls: cls, detIdx: detIdx, clsIdx: clsIdx}
 	s.src = trace.NewRunSource(ctx, m, cfg.Workload, 0, cfg.Seed,
-		trace.CollectConfig{MaxInsts: cfg.MaxInsts, Interval: s.interval})
+		trace.CollectConfig{MaxInsts: cfg.MaxInsts, Interval: interval})
 	return s, nil
 }
 
-// Next returns the next interval's verdict, or false when the run has ended
-// or ctx expired first. Distinguish the two by ctx.Err(): nil means the run
-// genuinely ended (check Err for a workload panic). After a deadline the
-// session remains usable — the producer keeps the sample for a later Next.
-func (s *Session) Next(ctx context.Context) (*Verdict, bool) {
+// NextRaw returns the next interval's raw sample, or false when the run has
+// ended or ctx expired first. Distinguish the two by ctx.Err(): nil means
+// the run genuinely ended (check Err for a workload panic). After a deadline
+// the session remains usable — the producer keeps the sample for a later
+// NextRaw.
+func (s *Session) NextRaw(ctx context.Context) (RawSample, bool) {
 	smp, ok := s.src.NextCtx(ctx)
 	if !ok {
-		return nil, false
+		return RawSample{}, false
 	}
-	s.lastRaw, s.lastPoint = smp.Raw, smp.Index
-	v := &Verdict{
-		Sample: smp.Index,
-		Insts:  uint64(smp.Index+1) * s.interval,
-	}
-	if s.det != nil {
-		score, avail := s.det.scoreWith(smp.Raw, smp.Index, s.detIdx)
-		v.Score = score
-		v.Flagged = score >= s.det.Threshold
-		if s.nf > 0 {
-			v.Coverage = float64(avail) / float64(s.nf)
-		}
-	}
-	if s.cls != nil {
-		scores, avail := s.cls.classScoresWith(smp.Raw, s.clsIdx)
-		best := 0
-		for i := 1; i < len(scores); i++ {
-			if scores[i] > scores[best] {
-				best = i
-			}
-		}
-		v.Class = s.cls.Classes[best]
-		v.ClassScore = scores[best]
-		if s.det == nil && s.nf > 0 {
-			v.Coverage = float64(avail) / float64(s.nf)
-		}
-	}
-	return v, true
+	return RawSample{Sample: smp.Index, Raw: smp.Raw}, true
 }
 
-// Count returns the number of verdicts delivered so far.
-func (s *Session) Count() int { return s.src.Count() }
+// scorer returns a RawScorer over the session's model pair and the counter
+// indices the session resolved on its machine.
+func (s *Session) scorer() *RawScorer {
+	return newRawScorer(s.det, s.detIdx, s.cls, s.clsIdx)
+}
 
-// Err reports a workload panic that ended the stream; valid once Next has
-// returned false with a live ctx, or after Close.
+// Err reports a workload panic that ended the stream; valid once NextRaw
+// has returned false with a live ctx, or after Close.
 func (s *Session) Err() error { return s.src.Err() }
 
 // LeakMarks exposes the workload's completed-disclosure marks (attack loops

@@ -1,6 +1,7 @@
 package perspectron
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -19,20 +20,25 @@ func TestSessionStreamsVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	scorer, err := NewRawScorer(det, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	flagged := 0
 	n := 0
 	for {
-		v, ok := s.Next(ctx)
+		rs, ok := s.NextRaw(ctx)
 		if !ok {
 			break
 		}
-		if v.Sample != n {
-			t.Fatalf("sample %d out of order (want %d)", v.Sample, n)
+		if rs.Sample != n {
+			t.Fatalf("sample %d out of order (want %d)", rs.Sample, n)
 		}
-		if v.Coverage <= 0 || v.Coverage > 1 {
-			t.Fatalf("coverage %v out of range", v.Coverage)
+		_, f, coverage := scorer.Detect(rs)
+		if coverage <= 0 || coverage > 1 {
+			t.Fatalf("coverage %v out of range", coverage)
 		}
-		if v.Flagged {
+		if f {
 			flagged++
 		}
 		n++
@@ -69,16 +75,21 @@ func TestSessionWithClassifier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	scorer, err := NewRawScorer(det, cls)
+	if err != nil {
+		t.Fatal(err)
+	}
 	votes := map[string]int{}
 	for {
-		v, ok := s.Next(ctx)
+		rs, ok := s.NextRaw(ctx)
 		if !ok {
 			break
 		}
-		if v.Class == "" {
+		class, _, _ := scorer.Classify(rs)
+		if class == "" {
 			t.Fatalf("classifier session produced empty class")
 		}
-		votes[v.Class]++
+		votes[class]++
 	}
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
@@ -90,8 +101,8 @@ func TestSessionWithClassifier(t *testing.T) {
 
 // TestSessionsShareModelConcurrently is the thread-safety contract behind
 // the serving runtime: many sessions score against ONE detector and ONE
-// classifier simultaneously. Run under -race this proves scoreWith /
-// classScoresWith never write shared model state.
+// classifier simultaneously, each through its own RawScorer. Run under
+// -race this proves scoring never writes shared model state.
 func TestSessionsShareModelConcurrently(t *testing.T) {
 	det := sharedDetector(t)
 	cls := sharedClassifier(t)
@@ -112,13 +123,71 @@ func TestSessionsShareModelConcurrently(t *testing.T) {
 				return
 			}
 			defer s.Close()
+			scorer, err := NewRawScorer(det, cls)
+			if err != nil {
+				errs <- err
+				return
+			}
 			for {
-				if _, ok := s.Next(ctx); !ok {
+				rs, ok := s.NextRaw(ctx)
+				if !ok {
 					break
 				}
+				scorer.Detect(rs)
+				scorer.Classify(rs)
 			}
 			errs <- s.Err()
 		}(int64(i + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestModelsShareConcurrently runs the whole-run entry points — Monitor,
+// MonitorWithPolicy and Classify — concurrently on one freshly loaded
+// detector and classifier. Under -race this proves none of them writes
+// model state on first use.
+func TestModelsShareConcurrently(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sharedDetector(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	det, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := sharedClassifier(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cls, err := LoadClassifier(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := AttackByName("spectreV1", "fr")
+	runs := []func() error{
+		func() error { _, err := det.Monitor(w, 40_000, 1); return err },
+		func() error { _, err := det.Monitor(w, 40_000, 2); return err },
+		func() error {
+			_, err := det.MonitorWithPolicy(w, 40_000, 3, EscalationPolicy(0.25, 0.5, MitigateFence))
+			return err
+		},
+		func() error { _, err := cls.Classify(w, 40_000, 4); return err },
+		func() error { _, err := cls.Classify(w, 40_000, 5); return err },
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(runs))
+	for _, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- run()
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -140,12 +209,12 @@ func TestSessionNextDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// An already-expired per-sample deadline: Next gives up immediately and
-	// the ctx error distinguishes it from end-of-run.
+	// An already-expired per-sample deadline: NextRaw gives up immediately
+	// and the ctx error distinguishes it from end-of-run.
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	if v, ok := s.Next(expired); ok {
-		t.Fatalf("Next returned verdict %+v under expired ctx", v)
+	if rs, ok := s.NextRaw(expired); ok {
+		t.Fatalf("NextRaw returned sample %d under expired ctx", rs.Sample)
 	}
 	if expired.Err() == nil {
 		t.Fatalf("expired ctx reports no error")
@@ -155,7 +224,7 @@ func TestSessionNextDeadline(t *testing.T) {
 	defer cancel2()
 	n := 0
 	for {
-		_, ok := s.Next(live)
+		_, ok := s.NextRaw(live)
 		if !ok {
 			break
 		}
