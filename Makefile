@@ -14,7 +14,7 @@ HOTPATH_BENCHTIME ?= 5x
 BENCH_HISTORY ?=
 BENCH_APPEND = $(if $(BENCH_HISTORY),-append $(BENCH_HISTORY),)
 
-.PHONY: ci vet build test race bench bench-hotpath bench-select bench-history smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
+.PHONY: ci vet build test race bench bench-hotpath bench-select bench-sim bench-history smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
 
 # ci is the gate for every PR: static analysis, a full build, and the test
 # suite under the race detector (trace.Collect and the experiments fan out
@@ -77,6 +77,13 @@ bench-select:
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -in "$$tmp" -out /dev/null -min-iters 5 \
 		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'
+
+# bench-sim regenerates BENCH_sim.json: BenchmarkSimulatorStream runs one
+# 500K-instruction RunStream per op on each serve stream (the benchmark's sim
+# probe), at 5 iterations per stream with insts/s, B/op and allocs/op.
+bench-sim:
+	$(GO) test -bench '^BenchmarkSimulatorStream$$' -benchmem -benchtime 5x -run '^$$' . | tee bench_sim.out
+	$(GO) run ./cmd/benchjson -in bench_sim.out -out BENCH_sim.json -min-iters 5 $(BENCH_APPEND)
 
 # bench-history is `make bench` plus the timestamped trajectory: every run
 # appends one JSONL line per artifact to BENCH_history.jsonl (see

@@ -132,23 +132,28 @@ func BenchmarkRHMDEvasion(b *testing.B) {
 
 // ---- simulator micro-benchmarks ---------------------------------------------
 
-func BenchmarkSimulatorBenign(b *testing.B) {
-	prog := benign.Gcc()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := sim.NewMachine(sim.DefaultConfig())
-		m.Run(prog.Stream(rand.New(rand.NewSource(1))), 100_000, 10_000)
+// BenchmarkSimulatorStream mirrors the benchmark's sim probe: each op is one
+// 500K-instruction RunStream on a fresh machine over one serve stream,
+// sampled every 10K instructions, reporting simulated instructions per host
+// second and the allocation cost of the run.
+func BenchmarkSimulatorStream(b *testing.B) {
+	const insts, interval = 500_000, 10_000
+	streams := []perspectron.Workload{
+		attacks.SpectreV1("fr"), attacks.FlushReload(), benign.Gcc(), benign.Mcf(),
 	}
-	b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds(), "insts/s")
-}
-
-func BenchmarkSimulatorAttack(b *testing.B) {
-	prog := attacks.SpectreV1("fr")
-	for i := 0; i < b.N; i++ {
-		m := sim.NewMachine(sim.DefaultConfig())
-		m.Run(prog.Stream(rand.New(rand.NewSource(1))), 100_000, 10_000)
+	for _, w := range streams {
+		b.Run(w.Info().Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var done uint64
+			for i := 0; i < b.N; i++ {
+				m := sim.NewMachine(sim.DefaultConfig())
+				n := m.RunStream(w.Stream(rand.New(rand.NewSource(1))), insts, interval,
+					func(int, []float64) bool { return true })
+				done += min(uint64(n)*interval, insts)
+			}
+			b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "insts/s")
+		})
 	}
-	b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds(), "insts/s")
 }
 
 func BenchmarkPerceptronInference(b *testing.B) {

@@ -20,6 +20,11 @@
 // into a trajectory gate: 'A<B' fails the run unless benchmark A's ns/op is
 // strictly below B's. With -injson an existing report is re-checked without
 // re-running the benchmarks, which is how `make bench-select` gates CI.
+//
+// Every report it writes is stamped with the environment the numbers came
+// from: the host's CPU count, GOMAXPROCS, the Go version and the git
+// revision of the working tree (suffixed "-dirty" when it has uncommitted
+// changes to tracked files).
 package main
 
 import (
@@ -29,6 +34,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -51,6 +58,10 @@ type Report struct {
 	Goarch     string   `json:"goarch,omitempty"`
 	Pkg        string   `json:"pkg,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	NumCPU     int      `json:"nproc,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
+	Revision   string   `json:"git_revision,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -97,6 +108,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %s ok (%d benchmarks)\n", *inJSON, len(rep.Benchmarks))
 		return
 	}
+	stampEnv(rep)
 
 	var w io.Writer = os.Stdout
 	if *out != "-" {
@@ -203,6 +215,30 @@ func appendHistory(path string, rep *Report) error {
 	}
 	defer f.Close()
 	return json.NewEncoder(f).Encode(&line)
+}
+
+// stampEnv records the environment of the run. benchjson runs right after
+// the benchmarks in the same shell, so its GOMAXPROCS is the one they saw
+// unless -cpu overrode it (the per-entry procs field shows that).
+func stampEnv(rep *Report) {
+	rep.NumCPU = runtime.NumCPU()
+	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	rep.GoVersion = runtime.Version()
+	rep.Revision = gitRevision()
+}
+
+// gitRevision returns HEAD's commit hash, with "-dirty" when tracked files
+// have uncommitted changes, or "" outside a git checkout.
+func gitRevision() string {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	rev := strings.TrimSpace(string(head))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 func fatal(err error) {

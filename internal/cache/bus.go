@@ -59,17 +59,21 @@ type Bus struct {
 
 	PktSizeDist []*stats.Counter
 
-	snoopSet map[uint64]struct{}
+	snoopSet lineSet
 	lineMask uint64
 }
 
 // NewBus creates a bus named name (e.g. "tol2bus", "membus") with the given
-// per-hop latency and registers its counters.
+// per-hop latency and registers its counters. lineBytes is a power of two of
+// at least 2.
 func NewBus(name string, latency uint64, lineBytes int, reg *stats.Registry) *Bus {
+	if lineBytes < 2 || lineBytes&(lineBytes-1) != 0 {
+		panic("cache: bus line size must be a power of two >= 2")
+	}
 	b := &Bus{
 		Name:     name,
 		latency:  latency,
-		snoopSet: make(map[uint64]struct{}),
+		snoopSet: newLineSet(),
 		lineMask: ^uint64(lineBytes - 1),
 	}
 	for t := TransType(0); t < NumTransTypes; t++ {
@@ -118,16 +122,66 @@ func (b *Bus) record(t TransType, addr uint64, bytes int) {
 	// Snoop filter: track which lines have crossed this bus; repeat
 	// requests for tracked lines hit in the filter.
 	b.SnoopRequests.Inc()
-	ln := addr & b.lineMask
-	if _, ok := b.snoopSet[ln]; ok {
+	if b.snoopSet.add(addr & b.lineMask) {
 		b.SnoopHits.Inc()
 		b.SnoopTraffic.Add(float64(bytes))
-	} else {
-		b.snoopSet[ln] = struct{}{}
-		// Bound memory: the snoop filter is a finite structure.
-		if len(b.snoopSet) > 1<<16 {
-			b.snoopSet = make(map[uint64]struct{})
+	}
+}
+
+// snoopCapacity bounds the snoop filter, a finite structure: inserting one
+// line more than this empties it.
+const snoopCapacity = 1 << 16
+
+// lineSet is the snoop filter's set of line addresses: open addressing with
+// linear probing over a power-of-two table kept at most half full. A line
+// address has its low bit clear (lines are at least two bytes), so slots
+// store it with that bit set and zero marks an empty slot.
+type lineSet struct {
+	slots []uint64
+	n     int
+	shift uint // 64 - log2(len(slots)), for Fibonacci hashing
+}
+
+func newLineSet() lineSet { return lineSet{slots: make([]uint64, 1024), shift: 64 - 10} }
+
+// add inserts line and reports whether it was already present. An insert
+// that takes the set past snoopCapacity lines empties it instead.
+func (s *lineSet) add(line uint64) bool {
+	key := line | 1
+	mask := uint64(len(s.slots) - 1)
+	for i := (key * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case key:
+			return true
+		case 0:
+			s.slots[i] = key
+			s.n++
+			if s.n > snoopCapacity {
+				clear(s.slots)
+				s.n = 0
+			} else if 2*s.n > len(s.slots) {
+				s.grow()
+			}
+			return false
 		}
+	}
+}
+
+// grow doubles the table and reinserts every key.
+func (s *lineSet) grow() {
+	old := s.slots
+	s.slots = make([]uint64, 2*len(old))
+	s.shift--
+	mask := uint64(len(s.slots) - 1)
+	for _, key := range old {
+		if key == 0 {
+			continue
+		}
+		i := (key * 0x9e3779b97f4a7c15) >> s.shift
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = key
 	}
 }
 

@@ -190,7 +190,7 @@ type mshrPool struct {
 	size    int
 }
 
-func newMSHRPool(n int) *mshrPool { return &mshrPool{size: n} }
+func newMSHRPool(n int) *mshrPool { return &mshrPool{release: make([]uint64, 0, n), size: n} }
 
 // acquire registers a miss completing at done. It returns the number of
 // cycles the requester stalls because all MSHRs are busy, and the occupancy
@@ -488,11 +488,3 @@ func (c *Cache) ReadLFB(cycle uint64) (forwarded bool) {
 
 // MSHROccupancy returns current in-flight misses (for tests).
 func (c *Cache) MSHROccupancy(cycle uint64) int { return c.mshrs.occupancy(cycle) }
-
-// InvalidateAll empties the cache (used between independent program runs).
-func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.mshrs = newMSHRPool(c.cfg.MSHRs)
-}

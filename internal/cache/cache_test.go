@@ -185,15 +185,6 @@ func TestSharedAccessUsesReadShared(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	c := newTestCache(t)
-	c.Access(0x1000, false, false, 0)
-	c.InvalidateAll()
-	if c.Present(0x1000) {
-		t.Fatalf("line survived InvalidateAll")
-	}
-}
-
 func TestBusTransactionDistribution(t *testing.T) {
 	reg := stats.NewRegistry()
 	b := NewBus("tol2bus", 1, 64, reg)
@@ -357,5 +348,49 @@ func TestQuickFlushRemoves(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(6))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnoopFilterMatchesMapModel drives the snoop filter's line set and the
+// map it replaced with the same line stream — repeats, line-offset aliases,
+// line 0 and enough distinct lines to cross the capacity clear twice — and
+// requires the same hit/miss answer on every request.
+func TestSnoopFilterMatchesMapModel(t *testing.T) {
+	const lineMask = ^uint64(63)
+	set := newLineSet()
+	model := map[uint64]struct{}{}
+	rng := rand.New(rand.NewSource(7))
+	clears := 0
+	for i := 0; i < 5*snoopCapacity; i++ {
+		var addr uint64
+		switch rng.Intn(4) {
+		case 0: // a recent line again, at a different byte offset
+			addr = uint64(rng.Intn(i+1))<<6 | uint64(rng.Intn(64))
+		case 1:
+			addr = uint64(rng.Intn(64)) // line 0
+		default:
+			addr = uint64(i)<<6 + 0x1000_0000
+		}
+		ln := addr & lineMask
+		_, want := model[ln]
+		if !want {
+			model[ln] = struct{}{}
+			if len(model) > snoopCapacity {
+				model = map[uint64]struct{}{}
+				clears++
+			}
+		}
+		if got := set.add(ln); got != want {
+			t.Fatalf("request %d (line %#x): hit=%v, map model %v", i, ln, got, want)
+		}
+		if set.n != len(model) {
+			t.Fatalf("request %d: %d lines tracked, map model %d", i, set.n, len(model))
+		}
+	}
+	if clears < 2 {
+		t.Fatalf("stream cleared the filter %d times, want at least 2", clears)
+	}
+	if len(set.slots) > 2*snoopCapacity {
+		t.Fatalf("table grew to %d slots, want at most %d", len(set.slots), 2*snoopCapacity)
 	}
 }

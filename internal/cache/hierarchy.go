@@ -114,10 +114,3 @@ func (h *Hierarchy) WriteData(addr uint64, cycle uint64) uint64 {
 func (h *Hierarchy) Flush(addr uint64, cycle uint64) (present bool, lat uint64) {
 	return h.L1D.Flush(addr, cycle)
 }
-
-// Reset invalidates all caches (between program runs).
-func (h *Hierarchy) Reset() {
-	h.L1I.InvalidateAll()
-	h.L1D.InvalidateAll()
-	h.L2.InvalidateAll()
-}

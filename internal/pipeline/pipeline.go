@@ -63,7 +63,6 @@ type inflight struct {
 	done    uint64
 	isLoad  bool
 	isStore bool
-	line    uint64
 	nonSpec bool
 	misp    bool // mispredicted control
 }
@@ -145,9 +144,10 @@ type Pipeline struct {
 	sub       int // ops dispatched in the current cycle
 	committed uint64
 
-	window []inflight
-	head   int
-	lq, sq int
+	window  []inflight // ROB; live entries are window[head:]
+	head    int
+	pending completionCalendar // done cycles of window entries still executing
+	lq, sq  int
 
 	fu [6][]uint64 // next-free cycle per FU
 
@@ -159,6 +159,8 @@ type Pipeline struct {
 	recentLoads   []memRef
 	pendingStores []memRef // address-delayed stores (SpectreV4 window)
 
+	wrongPath []isa.Op // scratch for genericWrongPath
+
 	opsSinceHist int
 	lastHistCyc  uint64
 	lastHistInst uint64
@@ -167,7 +169,19 @@ type Pipeline struct {
 // New constructs a pipeline with counters registered in reg. Wire Mem, BP,
 // ITB, DTB before Run.
 func New(cfg Config, c Counters) *Pipeline {
-	p := &Pipeline{cfg: cfg, C: c, lastFetchLine: ^uint64(0), lastFetchPage: ^uint64(0)}
+	p := &Pipeline{
+		cfg:           cfg,
+		C:             c,
+		lastFetchLine: ^uint64(0),
+		lastFetchPage: ^uint64(0),
+		// Occupancy never exceeds ROBEntries, so twice that leaves room
+		// for the copy-shift in dispatchToWindow to stay amortized O(1).
+		window:        make([]inflight, 0, 2*max(cfg.ROBEntries, 32)),
+		recentStores:  make([]memRef, 0, memHistory),
+		recentLoads:   make([]memRef, 0, memHistory),
+		pendingStores: make([]memRef, 0, memHistory),
+		wrongPath:     make([]isa.Op, 0, 7),
+	}
 	for i := range p.fu {
 		p.fu[i] = make([]uint64, fuPoolSizes[i])
 	}
@@ -186,13 +200,17 @@ func (p *Pipeline) Cycle() uint64 { return p.cycle }
 // Committed returns committed instructions so far.
 func (p *Pipeline) Committed() uint64 { return p.committed }
 
-// Run executes the stream until it ends or maxInsts committed-path
-// instructions have been fetched (all fetched instructions then drain and
-// commit).
-func (p *Pipeline) Run(stream isa.Stream, maxInsts uint64) uint64 {
+// Run executes the stream until it ends, maxInsts committed-path
+// instructions have been fetched, or stop reports true (all fetched
+// instructions then drain and commit). stop, when non-nil, is polled before
+// every fetch — the one place a run is cut short.
+func (p *Pipeline) Run(stream isa.Stream, maxInsts uint64, stop func() bool) uint64 {
 	start := p.committed
 	var fetched uint64
 	for maxInsts == 0 || fetched < maxInsts {
+		if stop != nil && stop() {
+			break
+		}
 		op, ok := stream.Next()
 		if !ok {
 			break
@@ -371,13 +389,7 @@ func (p *Pipeline) rename(op *isa.Op) {
 		p.retireForSpace()
 	}
 	if p.windowLen() >= 64 { // IQ capacity model
-		inIQ := 0
-		for i := p.head; i < len(p.window); i++ {
-			if p.window[i].done > p.cycle {
-				inIQ++
-			}
-		}
-		if inIQ >= 64 {
+		if p.inIQ() >= 64 {
 			rc.IQFullEvents.Inc()
 			p.C.IQ.FullEvents.Inc()
 			p.retireForSpace()
@@ -581,25 +593,28 @@ func (p *Pipeline) checkViolation(line uint64) {
 	p.C.MemDep.DepsPredicted.Inc()
 }
 
-func (p *Pipeline) recordLoad(line, done uint64) {
-	p.recentLoads = append(p.recentLoads, memRef{line, done})
-	if len(p.recentLoads) > 32 {
-		p.recentLoads = p.recentLoads[1:]
+// memHistory bounds each load/store history the LSQ model searches.
+const memHistory = 32
+
+// pushRef appends r to a history, dropping the oldest entry once memHistory
+// are kept. It shifts in place, so a history never reallocates.
+func pushRef(refs []memRef, r memRef) []memRef {
+	if len(refs) == memHistory {
+		refs = refs[:copy(refs, refs[1:])]
 	}
+	return append(refs, r)
+}
+
+func (p *Pipeline) recordLoad(line, done uint64) {
+	p.recentLoads = pushRef(p.recentLoads, memRef{line, done})
 }
 
 func (p *Pipeline) recordStore(line, done uint64) {
-	p.recentStores = append(p.recentStores, memRef{line, done})
-	if len(p.recentStores) > 32 {
-		p.recentStores = p.recentStores[1:]
-	}
+	p.recentStores = pushRef(p.recentStores, memRef{line, done})
 }
 
 func (p *Pipeline) recordPendingStore(line, resolveAt uint64) {
-	p.pendingStores = append(p.pendingStores, memRef{line, resolveAt})
-	if len(p.pendingStores) > 32 {
-		p.pendingStores = p.pendingStores[1:]
-	}
+	p.pendingStores = pushRef(p.pendingStores, memRef{line, resolveAt})
 }
 
 // bypassesPendingStore reports whether a load to line at cycle ready slips
@@ -623,7 +638,7 @@ func (p *Pipeline) transientAndSquash(op *isa.Op, faulted bool) {
 		// Generic wrong-path work for mispredicts without an explicit
 		// gadget: the frontend fetches and partially executes a handful
 		// of wrong-path instructions.
-		body = genericWrongPath(op)
+		body = p.genericWrongPath(op)
 	}
 	p.runTransient(body)
 	p.squash(len(body))
@@ -633,9 +648,10 @@ func (p *Pipeline) transientAndSquash(op *isa.Op, faulted bool) {
 }
 
 // genericWrongPath synthesizes the wrong-path instructions a benign
-// mispredict drags through the pipeline.
-func genericWrongPath(op *isa.Op) []isa.Op {
-	wp := make([]isa.Op, 0, 8)
+// mispredict drags through the pipeline, in a scratch buffer reused across
+// mispredicts.
+func (p *Pipeline) genericWrongPath(op *isa.Op) []isa.Op {
+	wp := p.wrongPath[:0]
 	for i := 0; i < 6; i++ {
 		wp = append(wp, isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: op.PC + 8 + uint64(i)*4})
 	}
@@ -643,6 +659,7 @@ func genericWrongPath(op *isa.Op) []isa.Op {
 		wp = append(wp, isa.Op{Kind: isa.KindLoad, Class: isa.MemRead,
 			PC: op.PC + 32, Addr: op.Addr + 64})
 	}
+	p.wrongPath = wp
 	return wp
 }
 
@@ -731,12 +748,19 @@ func (p *Pipeline) dispatchToWindow(op *isa.Op, done uint64, misp bool) {
 	if done < p.cycle {
 		done = p.cycle
 	}
+	if done > p.cycle {
+		p.pending.add(done, p.cycle)
+	}
+	if len(p.window) == cap(p.window) && p.head > 0 {
+		// Shift the live entries down rather than grow the backing array.
+		p.window = p.window[:copy(p.window, p.window[p.head:])]
+		p.head = 0
+	}
 	p.window = append(p.window, inflight{
 		class:   op.Class,
 		done:    done,
 		isLoad:  op.Kind == isa.KindLoad,
 		isStore: op.Kind == isa.KindStore,
-		line:    op.Addr >> 6,
 		nonSpec: op.IsSerializing(),
 		misp:    misp,
 	})
@@ -746,13 +770,76 @@ func (p *Pipeline) dispatchToWindow(op *isa.Op, done uint64, misp bool) {
 // windowLen returns current ROB occupancy.
 func (p *Pipeline) windowLen() int { return len(p.window) - p.head }
 
+// inIQ returns how many window entries are still executing (done > cycle),
+// the instruction-queue occupancy.
+func (p *Pipeline) inIQ() int { return p.pending.count(p.cycle) }
+
+// calendarSpan is how many cycles ahead the completion calendar resolves
+// completions per cycle; later ones, which are rare, wait in a short list.
+const calendarSpan = 1024
+
+// completionCalendar counts window entries that are still executing. An
+// entry only commits once its done cycle has passed and the clock never
+// runs backwards, so the entries with done > cycle are exactly the pending
+// completions beyond the current cycle.
+type completionCalendar struct {
+	at   [calendarSpan]uint32 // completions per cycle in (now, now+calendarSpan), by cycle mod span
+	near int                  // sum of at
+	far  []uint64             // completions at least calendarSpan ahead when added
+	now  uint64               // cycle every completion at or before has expired
+}
+
+// add records an entry completing at done > cycle.
+func (c *completionCalendar) add(done, cycle uint64) {
+	c.advance(cycle)
+	if done-cycle < calendarSpan {
+		c.at[done%calendarSpan]++
+		c.near++
+	} else {
+		c.far = append(c.far, done)
+	}
+}
+
+// count returns the number of entries completing after cycle.
+func (c *completionCalendar) count(cycle uint64) int {
+	c.advance(cycle)
+	return c.near + len(c.far)
+}
+
+// advance expires every completion at or before cycle.
+func (c *completionCalendar) advance(cycle uint64) {
+	if cycle == c.now {
+		return
+	}
+	if cycle-c.now >= calendarSpan {
+		if c.near > 0 {
+			c.at = [calendarSpan]uint32{}
+			c.near = 0
+		}
+	} else {
+		for t := c.now + 1; t <= cycle && c.near > 0; t++ {
+			c.near -= int(c.at[t%calendarSpan])
+			c.at[t%calendarSpan] = 0
+		}
+	}
+	if len(c.far) > 0 {
+		live := c.far[:0]
+		for _, d := range c.far {
+			if d > cycle {
+				live = append(live, d)
+			}
+		}
+		c.far = live
+	}
+	c.now = cycle
+}
+
 // retireReady retires all head instructions whose completion time has
 // passed.
 func (p *Pipeline) retireReady() {
 	for p.head < len(p.window) && p.window[p.head].done <= p.cycle {
 		p.commitHead()
 	}
-	p.compact()
 }
 
 // retireForSpace force-retires the head, advancing the clock to its
@@ -808,13 +895,6 @@ func (p *Pipeline) commitHead() {
 	}
 }
 
-func (p *Pipeline) compact() {
-	if p.head > 4096 {
-		p.window = append(p.window[:0], p.window[p.head:]...)
-		p.head = 0
-	}
-}
-
 // drain retires everything in flight, advancing the clock as needed.
 func (p *Pipeline) drain() {
 	for p.head < len(p.window) {
@@ -825,7 +905,6 @@ func (p *Pipeline) drain() {
 		}
 		p.commitHead()
 	}
-	p.compact()
 }
 
 // advance moves the base clock: width instructions per cycle plus static
@@ -863,13 +942,7 @@ func (p *Pipeline) histograms() {
 	}
 	p.C.ROB.OccDist[bucket].Inc()
 
-	inIQ := 0
-	for i := p.head; i < len(p.window); i++ {
-		if p.window[i].done > p.cycle {
-			inIQ++
-		}
-	}
-	ib := inIQ * (len(p.C.IQ.OccDist) - 1) / 64
+	ib := p.inIQ() * (len(p.C.IQ.OccDist) - 1) / 64
 	if ib >= len(p.C.IQ.OccDist) {
 		ib = len(p.C.IQ.OccDist) - 1
 	}

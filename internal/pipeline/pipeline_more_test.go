@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math/rand"
 	"testing"
 
 	"perspectron/internal/isa"
@@ -16,7 +17,7 @@ func TestLQFullBackPressure(t *testing.T) {
 		ops = append(ops, isa.Op{Kind: isa.KindLoad, PC: 0x2000 + uint64(i)*4,
 			Addr: 0x10000 + uint64(i%4)*64}) // warm lines: fast
 	}
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if p.C.Rename.LQFullEvents.Value() == 0 {
 		t.Fatalf("no LQ-full events")
 	}
@@ -30,7 +31,7 @@ func TestSQFullBackPressure(t *testing.T) {
 		ops = append(ops, isa.Op{Kind: isa.KindStore, PC: 0x2000 + uint64(i)*4,
 			Addr: 0x10000 + uint64(i%4)*64})
 	}
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if p.C.Rename.SQFullEvents.Value() == 0 {
 		t.Fatalf("no SQ-full events")
 	}
@@ -43,7 +44,7 @@ func TestFUContentionCounted(t *testing.T) {
 	for i := range ops {
 		ops[i] = isa.Op{Kind: isa.KindPlain, Class: isa.FloatDiv, PC: 0x1000 + uint64(i)*4}
 	}
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if p.C.IQ.FuFull[isa.FloatDiv].Value() == 0 {
 		t.Fatalf("no fu_full events for FloatDiv burst")
 	}
@@ -65,7 +66,7 @@ func TestIndirectTransient(t *testing.T) {
 	}
 	ops = append(ops, isa.Op{Kind: isa.KindIndirect, PC: 0x3000, Target: 0x6000,
 		Transient: []isa.Op{{Kind: isa.KindLoad, Addr: probe}}})
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if !h.L1D.Present(probe) {
 		t.Fatalf("indirect mispredict did not execute the transient body")
 	}
@@ -77,7 +78,7 @@ func TestIndirectTransient(t *testing.T) {
 func TestQuiesceDefaultWait(t *testing.T) {
 	p, _, _ := newTestPipeline(t)
 	ops := []isa.Op{{Kind: isa.KindQuiesce, PC: 0x1000}} // WaitCycles unset
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if p.C.Fetch.PendingQuiesceStallCycles.Value() == 0 {
 		t.Fatalf("default quiesce wait not applied")
 	}
@@ -91,7 +92,7 @@ func TestCommitKindCounters(t *testing.T) {
 		{Kind: isa.KindStore, PC: 0x1008, Addr: 0x3000},
 		plain(0x100c),
 	}
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if p.C.Commit.Loads.Value() != 2 || p.C.Commit.Stores.Value() != 1 {
 		t.Fatalf("commit loads/stores = %v/%v",
 			p.C.Commit.Loads.Value(), p.C.Commit.Stores.Value())
@@ -114,7 +115,7 @@ func TestFencingSuppressesTransientLoads(t *testing.T) {
 	}
 	ops = append(ops, isa.Op{Kind: isa.KindBranch, PC: 0x4000, Taken: false, Target: 0x4040,
 		Transient: []isa.Op{{Kind: isa.KindLoad, Addr: probe}}})
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if h.L1D.Present(probe) {
 		t.Fatalf("fencing let a transient load fill the cache")
 	}
@@ -141,7 +142,7 @@ func TestGenericWrongPathOnBenignMispredict(t *testing.T) {
 		ops = append(ops, isa.Op{Kind: isa.KindBranch, PC: 0x5000, Taken: taken,
 			Target: 0x5040, Addr: 0x9000 + uint64(i)*64})
 	}
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if p.C.IEW.BranchMispredicts.Value() == 0 {
 		t.Fatalf("irregular branch never mispredicted")
 	}
@@ -170,8 +171,46 @@ func TestPhysicalRegisterPressure(t *testing.T) {
 				PC: 0x2000 + uint64(rep*400+i)*4})
 		}
 	}
-	p.Run(isa.NewSliceStream(ops), 0)
+	p.Run(isa.NewSliceStream(ops), 0, nil)
 	if p.C.Rename.ROBFullEvents.Value() == 0 && p.C.Rename.FullRegisterEvents.Value() == 0 {
 		t.Fatalf("no structural back-pressure recorded")
+	}
+}
+
+// TestCompletionCalendarMatchesScan checks the calendar's count against a
+// brute-force scan of every recorded completion, across small clock steps,
+// jumps past the calendar span and completions beyond it.
+func TestCompletionCalendarMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var c completionCalendar
+	var all []uint64
+	var cycle uint64
+	for i := 0; i < 200_000; i++ {
+		switch r := rng.Intn(100); {
+		case r < 2:
+			cycle += calendarSpan + uint64(rng.Intn(3*calendarSpan))
+		case r < 40:
+			cycle += uint64(rng.Intn(40))
+		}
+		if rng.Intn(4) > 0 {
+			off := uint64(1 + rng.Intn(64))
+			if rng.Intn(50) == 0 {
+				off = uint64(1 + rng.Intn(4*calendarSpan))
+			}
+			c.add(cycle+off, cycle)
+			all = append(all, cycle+off)
+		}
+		want := 0
+		live := all[:0]
+		for _, d := range all {
+			if d > cycle {
+				want++
+				live = append(live, d)
+			}
+		}
+		all = live
+		if got := c.count(cycle); got != want {
+			t.Fatalf("step %d, cycle %d: count %d, scan %d", i, cycle, got, want)
+		}
 	}
 }

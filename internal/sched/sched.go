@@ -80,25 +80,19 @@ func (s *Scheduler) Switches() int { return s.switches }
 // Run executes until totalInsts instructions have committed across all
 // tasks (or every task's stream ends), returning the attributed samples.
 func (s *Scheduler) Run(totalInsts uint64) []OwnedSample {
-	sampler := stats.NewSampler(s.M.Reg, s.Interval)
 	var out []OwnedSample
 	cur := 0
-	idx := 0
-	s.M.Pipe.OnCommit = func(n uint64) {
-		fired := sampler.Tick(n)
-		for i := 0; i < fired; i++ {
-			all := sampler.Samples()
-			info := s.tasks[cur].Prog.Info()
-			out = append(out, OwnedSample{
-				Task:    cur,
-				Program: info.Name,
-				Label:   info.Label,
-				Index:   idx,
-				Raw:     all[len(all)-fired+i],
-			})
-			idx++
-		}
-	}
+	sampler := stats.NewSampler(s.M.Reg, s.Interval, func(v []float64) {
+		info := s.tasks[cur].Prog.Info()
+		out = append(out, OwnedSample{
+			Task:    cur,
+			Program: info.Name,
+			Label:   info.Label,
+			Index:   len(out),
+			Raw:     v,
+		})
+	})
+	s.M.Pipe.OnCommit = func(n uint64) { sampler.Tick(n) }
 
 	var executed uint64
 	for executed < totalInsts {
@@ -109,7 +103,7 @@ func (s *Scheduler) Run(totalInsts uint64) []OwnedSample {
 			}
 			continue
 		}
-		n := s.M.Pipe.Run(t.stream, s.Quantum)
+		n := s.M.Pipe.Run(t.stream, s.Quantum, nil)
 		t.Committed += n
 		executed += n
 		if n < s.Quantum {

@@ -16,7 +16,7 @@ func (r *Registry) Dump(w io.Writer) error {
 		return err
 	}
 	for _, c := range r.counters {
-		if _, err := fmt.Fprintf(bw, "%-56s %14.6g  # %s\n", c.name, c.val, c.desc); err != nil {
+		if _, err := fmt.Fprintf(bw, "%-56s %14.6g  # %s\n", c.meta.name, c.val, c.meta.desc); err != nil {
 			return err
 		}
 	}
@@ -35,7 +35,7 @@ func (r *Registry) DumpDelta(w io.Writer, prev []float64) error {
 	bw := bufio.NewWriter(w)
 	for i, c := range r.counters {
 		if d := c.val - prev[i]; d != 0 {
-			if _, err := fmt.Fprintf(bw, "%-56s %14.6g\n", c.name, d); err != nil {
+			if _, err := fmt.Fprintf(bw, "%-56s %14.6g\n", c.meta.name, d); err != nil {
 				return err
 			}
 		}

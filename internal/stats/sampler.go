@@ -5,22 +5,25 @@ package stats
 // and 100K instructions; the simulator drives Tick with the number of
 // committed instructions and the sampler fires whenever the configured
 // granularity is crossed.
+//
+// The sampler keeps no emitted vector: each one is a fresh slice handed to
+// the emit callback, which owns it from then on.
 type Sampler struct {
 	reg      *Registry
 	interval uint64 // committed instructions per sample
+	emit     func(delta []float64)
 
 	committed uint64
 	nextFire  uint64
 
 	prev []float64
 	cur  []float64
-
-	samples [][]float64
 }
 
 // NewSampler creates a sampler over reg firing every interval committed
-// instructions. The registry must be sealed.
-func NewSampler(reg *Registry, interval uint64) *Sampler {
+// instructions and handing each delta vector to emit. The registry must be
+// sealed.
+func NewSampler(reg *Registry, interval uint64, emit func(delta []float64)) *Sampler {
 	if !reg.Sealed() {
 		panic("stats: sampler requires a sealed registry")
 	}
@@ -30,6 +33,7 @@ func NewSampler(reg *Registry, interval uint64) *Sampler {
 	s := &Sampler{
 		reg:      reg,
 		interval: interval,
+		emit:     emit,
 		nextFire: interval,
 		prev:     make([]float64, reg.Len()),
 		cur:      make([]float64, reg.Len()),
@@ -61,25 +65,24 @@ func (s *Sampler) fire() {
 		delta[i] = s.cur[i] - s.prev[i]
 	}
 	copy(s.prev, s.cur)
-	s.samples = append(s.samples, delta)
+	s.emit(delta)
 }
 
 // Flush emits a final partial sample if at least minInstr instructions have
-// committed since the last emitted sample. Programs whose length is not a
-// multiple of the interval still contribute their tail. Flush is idempotent:
-// the emitted tail advances the interval boundary, so a second Flush (or a
-// Flush-then-Tick on the same boundary) does not double-count it.
-func (s *Sampler) Flush(minInstr uint64) {
+// committed since the last emitted sample, and reports whether it did.
+// Programs whose length is not a multiple of the interval still contribute
+// their tail. Flush is idempotent: the emitted tail advances the interval
+// boundary, so a second Flush (or a Flush-then-Tick on the same boundary)
+// does not double-count it.
+func (s *Sampler) Flush(minInstr uint64) bool {
 	done := s.committed - (s.nextFire - s.interval)
 	if done >= minInstr && done > 0 {
 		s.fire()
 		s.nextFire = s.committed + s.interval
+		return true
 	}
+	return false
 }
-
-// Samples returns all delta vectors emitted so far. The returned slice is
-// owned by the sampler; callers must not mutate it.
-func (s *Sampler) Samples() [][]float64 { return s.samples }
 
 // Committed returns the total committed instructions seen.
 func (s *Sampler) Committed() uint64 { return s.committed }

@@ -72,27 +72,36 @@ func ParseComponent(s string) (Component, error) {
 // Counters are created through Registry.New* and written by the simulator via
 // Add/Inc. Values are float64 so that energy and latency-sum statistics share
 // the same machinery as event counts.
+//
+// A Counter is the value itself plus a pointer to its metadata: the
+// registry lays counters out contiguously in registration order, so the
+// simulator's per-instruction updates touch a few dense cache lines and
+// each Inc is one load and one store.
 type Counter struct {
+	val  float64
+	meta *counterMeta
+}
+
+type counterMeta struct {
 	idx       int
 	name      string
 	component Component
 	desc      string
-	val       float64
 }
 
 // Name returns the fully qualified counter name, e.g.
 // "commit.NonSpecStalls".
-func (c *Counter) Name() string { return c.name }
+func (c *Counter) Name() string { return c.meta.name }
 
 // Component returns the pipeline component this counter belongs to.
-func (c *Counter) Component() Component { return c.component }
+func (c *Counter) Component() Component { return c.meta.component }
 
 // Desc returns the human-readable description.
-func (c *Counter) Desc() string { return c.desc }
+func (c *Counter) Desc() string { return c.meta.desc }
 
 // Index returns the counter's stable position in registry order; sample
 // vectors use this index.
-func (c *Counter) Index() int { return c.idx }
+func (c *Counter) Index() int { return c.meta.idx }
 
 // Value returns the current cumulative value.
 func (c *Counter) Value() float64 { return c.val }
@@ -103,11 +112,15 @@ func (c *Counter) Inc() { c.val++ }
 // Add increments the counter by n (n may be fractional for energy stats).
 func (c *Counter) Add(n float64) { c.val += n }
 
+// counterChunk is how many counters share one contiguous allocation.
+const counterChunk = 256
+
 // Registry holds all counters of a machine in a stable order.
 //
 // The zero value is not usable; call NewRegistry.
 type Registry struct {
 	counters []*Counter
+	slab     []Counter // current chunk; never grown, so pointers stay valid
 	byName   map[string]*Counter
 	sealed   bool
 }
@@ -140,7 +153,11 @@ func (r *Registry) newNamed(full string, comp Component, desc string) *Counter {
 	if _, dup := r.byName[full]; dup {
 		panic("stats: duplicate counter " + full)
 	}
-	c := &Counter{idx: len(r.counters), name: full, component: comp, desc: desc}
+	if len(r.slab) == cap(r.slab) {
+		r.slab = make([]Counter, 0, counterChunk)
+	}
+	r.slab = append(r.slab, Counter{meta: &counterMeta{idx: len(r.counters), name: full, component: comp, desc: desc}})
+	c := &r.slab[len(r.slab)-1]
 	r.counters = append(r.counters, c)
 	r.byName[full] = c
 	return c
@@ -166,7 +183,7 @@ func (r *Registry) Lookup(name string) (*Counter, bool) {
 func (r *Registry) Names() []string {
 	out := make([]string, len(r.counters))
 	for i, c := range r.counters {
-		out[i] = c.name
+		out[i] = c.meta.name
 	}
 	return out
 }
@@ -175,7 +192,7 @@ func (r *Registry) Names() []string {
 func (r *Registry) Components() []Component {
 	out := make([]Component, len(r.counters))
 	for i, c := range r.counters {
-		out[i] = c.component
+		out[i] = c.meta.component
 	}
 	return out
 }
@@ -198,19 +215,12 @@ func (r *Registry) Snapshot(dst []float64) []float64 {
 	return dst
 }
 
-// Reset zeroes all counters. Used between program runs on a shared machine.
-func (r *Registry) Reset() {
-	for _, c := range r.counters {
-		c.val = 0
-	}
-}
-
 // ByComponent returns the indices of all counters belonging to comp, in
 // registry order.
 func (r *Registry) ByComponent(comp Component) []int {
 	var out []int
 	for i, c := range r.counters {
-		if c.component == comp {
+		if c.meta.component == comp {
 			out = append(out, i)
 		}
 	}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,7 +98,7 @@ func TestByComponent(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndReset(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	a := r.New(CompFetch, "a", "")
 	b := r.New(CompDecode, "b", "")
@@ -107,25 +108,28 @@ func TestSnapshotAndReset(t *testing.T) {
 	if snap[0] != 3 || snap[1] != 7 {
 		t.Fatalf("snapshot = %v", snap)
 	}
-	r.Reset()
-	if a.Value() != 0 || b.Value() != 0 {
-		t.Fatalf("reset failed")
-	}
+}
+
+// collecting returns a sampler over r whose emitted vectors accumulate in
+// the returned slice.
+func collecting(r *Registry, interval uint64) (*Sampler, *[][]float64) {
+	var got [][]float64
+	return NewSampler(r, interval, func(v []float64) { got = append(got, v) }), &got
 }
 
 func TestSamplerFiresAtGranularity(t *testing.T) {
 	r := NewRegistry()
 	a := r.New(CompCommit, "insts", "")
 	r.Seal()
-	s := NewSampler(r, 100)
+	s, samples := collecting(r, 100)
 	for i := 0; i < 10; i++ {
 		a.Add(50)
 		s.Tick(50)
 	}
-	if got := len(s.Samples()); got != 5 {
+	if got := len(*samples); got != 5 {
 		t.Fatalf("samples = %d, want 5", got)
 	}
-	for _, vec := range s.Samples() {
+	for _, vec := range *samples {
 		if vec[0] != 100 {
 			t.Fatalf("delta = %v, want 100", vec[0])
 		}
@@ -139,12 +143,12 @@ func TestSamplerDeltaNotCumulative(t *testing.T) {
 	r := NewRegistry()
 	a := r.New(CompCommit, "x", "")
 	r.Seal()
-	s := NewSampler(r, 10)
+	s, samples := collecting(r, 10)
 	a.Add(5)
 	s.Tick(10)
 	a.Add(9)
 	s.Tick(10)
-	got := s.Samples()
+	got := *samples
 	if got[0][0] != 5 || got[1][0] != 9 {
 		t.Fatalf("deltas = %v,%v; want 5,9", got[0][0], got[1][0])
 	}
@@ -154,17 +158,17 @@ func TestSamplerFlush(t *testing.T) {
 	r := NewRegistry()
 	a := r.New(CompCommit, "x", "")
 	r.Seal()
-	s := NewSampler(r, 100)
+	s, samples := collecting(r, 100)
 	a.Add(1)
 	s.Tick(60)
 	s.Flush(50)
-	if len(s.Samples()) != 1 {
+	if len(*samples) != 1 {
 		t.Fatalf("flush did not emit tail sample")
 	}
-	s2 := NewSampler(r, 100)
+	s2, samples2 := collecting(r, 100)
 	s2.Tick(30)
 	s2.Flush(50)
-	if len(s2.Samples()) != 0 {
+	if len(*samples2) != 0 {
 		t.Fatalf("flush emitted sample below minInstr")
 	}
 }
@@ -176,12 +180,12 @@ func TestSamplerFlushIdempotent(t *testing.T) {
 	r := NewRegistry()
 	a := r.New(CompCommit, "x", "")
 	r.Seal()
-	s := NewSampler(r, 100)
+	s, samples := collecting(r, 100)
 	a.Add(1)
 	s.Tick(60)
 	s.Flush(50)
 	s.Flush(50)
-	if got := len(s.Samples()); got != 1 {
+	if got := len(*samples); got != 1 {
 		t.Fatalf("double Flush emitted %d samples, want 1", got)
 	}
 	// The flushed tail consumed instructions 0-60; the next full interval
@@ -191,12 +195,45 @@ func TestSamplerFlushIdempotent(t *testing.T) {
 	if fired := s.Tick(100); fired != 1 {
 		t.Fatalf("post-flush tick fired %d times, want 1", fired)
 	}
-	samples := s.Samples()
-	if got := len(samples); got != 2 {
+	if got := len(*samples); got != 2 {
 		t.Fatalf("samples = %d, want 2", got)
 	}
-	if samples[1][0] != 7 {
-		t.Fatalf("post-flush delta = %v, want 7 (tail re-counted?)", samples[1][0])
+	if (*samples)[1][0] != 7 {
+		t.Fatalf("post-flush delta = %v, want 7 (tail re-counted?)", (*samples)[1][0])
+	}
+}
+
+// TestSamplerHandsOffVectors: each emitted vector belongs to the consumer —
+// scribbling on it must not leak into later deltas, and the sampler keeps
+// no reference that would pin it for the rest of the run.
+func TestSamplerHandsOffVectors(t *testing.T) {
+	r := NewRegistry()
+	a := r.New(CompCommit, "x", "")
+	r.Seal()
+	var last []float64
+	var deltas []float64
+	s := NewSampler(r, 10, func(v []float64) {
+		if last != nil && &last[0] == &v[0] {
+			t.Fatalf("sampler reused an emitted vector")
+		}
+		last = v
+		deltas = append(deltas, v[0])
+		v[0] = -1
+	})
+	for i := 1; i <= 3; i++ {
+		a.Add(float64(i))
+		s.Tick(10)
+	}
+	a.Add(4)
+	s.Tick(5)
+	if !s.Flush(5) {
+		t.Fatalf("Flush did not report the tail sample")
+	}
+	if s.Flush(5) {
+		t.Fatalf("second Flush reported a sample")
+	}
+	if want := []float64{1, 2, 3, 4}; !reflect.DeepEqual(deltas, want) {
+		t.Fatalf("deltas = %v, want %v", deltas, want)
 	}
 }
 
@@ -204,7 +241,7 @@ func TestSamplerMultipleFiresInOneTick(t *testing.T) {
 	r := NewRegistry()
 	r.New(CompCommit, "x", "")
 	r.Seal()
-	s := NewSampler(r, 10)
+	s, _ := collecting(r, 10)
 	if fired := s.Tick(35); fired != 3 {
 		t.Fatalf("fired = %d, want 3", fired)
 	}
@@ -219,7 +256,7 @@ func TestSamplerPanics(t *testing.T) {
 				t.Fatalf("expected panic for unsealed registry")
 			}
 		}()
-		NewSampler(r, 10)
+		NewSampler(r, 10, func([]float64) {})
 	}()
 	r.Seal()
 	defer func() {
@@ -227,7 +264,7 @@ func TestSamplerPanics(t *testing.T) {
 			t.Fatalf("expected panic for zero interval")
 		}
 	}()
-	NewSampler(r, 0)
+	NewSampler(r, 0, func([]float64) {})
 }
 
 func TestMaxMatrixObserveAndScale(t *testing.T) {
@@ -325,7 +362,7 @@ func TestQuickSamplerDeltasSum(t *testing.T) {
 		r := NewRegistry()
 		c := r.New(CompCommit, "x", "")
 		r.Seal()
-		s := NewSampler(r, 7)
+		s, samples := collecting(r, 7)
 		var total float64
 		for _, v := range incs {
 			c.Add(float64(v))
@@ -333,10 +370,10 @@ func TestQuickSamplerDeltasSum(t *testing.T) {
 			s.Tick(7)
 		}
 		var sum float64
-		for _, vec := range s.Samples() {
+		for _, vec := range *samples {
 			sum += vec[0]
 		}
-		return sum == total && len(s.Samples()) == len(incs)
+		return sum == total && len(*samples) == len(incs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)

@@ -60,14 +60,17 @@ func NewRunSource(ctx context.Context, m *sim.Machine, prog workload.Program, ru
 				src.mu.Unlock()
 			}
 		}()
-		var stream isa.Stream = prog.Stream(rand.New(rand.NewSource(seed)))
+		stream := prog.Stream(rand.New(rand.NewSource(seed)))
 		src.mu.Lock()
 		src.stream = stream
 		src.mu.Unlock()
-		if cfg.Timeout > 0 || ctx.Done() != nil {
-			stream = boundStream(ctx, stream, cfg.Timeout)
+		runCtx := ctx
+		if cfg.Timeout > 0 {
+			var cancel context.CancelFunc
+			runCtx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+			defer cancel()
 		}
-		m.RunStream(stream, cfg.MaxInsts, cfg.Interval, func(idx int, v []float64) bool {
+		m.RunStreamCtx(runCtx, stream, cfg.MaxInsts, cfg.Interval, func(idx int, v []float64) bool {
 			s := &Sample{
 				Program:  info.Name,
 				Category: info.Category,

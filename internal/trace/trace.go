@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"perspectron/internal/encoding"
-	"perspectron/internal/isa"
 	"perspectron/internal/retry"
 	"perspectron/internal/sim"
 	"perspectron/internal/stats"
@@ -266,39 +265,6 @@ func collectOne(ctx context.Context, prog workload.Program, run int, seed int64,
 		return nil, err
 	}
 	return out, nil
-}
-
-// boundedStream ends the wrapped op stream when its deadline passes or its
-// context is cancelled, checking every 1024 ops to keep the hot path cheap.
-type boundedStream struct {
-	ctx      context.Context
-	inner    isa.Stream
-	deadline time.Time // zero = none
-	n        uint32
-	done     bool
-}
-
-func boundStream(ctx context.Context, inner isa.Stream, timeout time.Duration) *boundedStream {
-	s := &boundedStream{ctx: ctx, inner: inner}
-	if timeout > 0 {
-		s.deadline = time.Now().Add(timeout)
-	}
-	return s
-}
-
-// Next implements isa.Stream.
-func (s *boundedStream) Next() (isa.Op, bool) {
-	if s.done {
-		return isa.Op{}, false
-	}
-	s.n++
-	if s.n&1023 == 0 {
-		if s.ctx.Err() != nil || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
-			s.done = true
-			return isa.Op{}, false
-		}
-	}
-	return s.inner.Next()
 }
 
 // Encoder scales raw counter deltas by the maximum matrix M and binarizes
