@@ -62,18 +62,20 @@ bench: bench-hotpath
 
 # bench-hotpath regenerates BENCH_hotpath.json with enough samples per arm
 # (-min-iters 5) that the artifact is trustworthy enough to gate on.
+# BenchmarkSelect lives in internal/features, next to its serial oracle.
 bench-hotpath:
-	$(GO) test -bench '^Benchmark(Select|Fit|CrossValidate)$$' -benchmem -benchtime $(HOTPATH_BENCHTIME) -run '^$$' . | tee bench_hotpath.out
+	$(GO) test -bench '^Benchmark(Select|Fit|CrossValidate)$$' -benchmem -benchtime $(HOTPATH_BENCHTIME) -run '^$$' . ./internal/features | tee bench_hotpath.out
 	$(GO) run ./cmd/benchjson -in bench_hotpath.out -out BENCH_hotpath.json -min-iters 5 $(BENCH_APPEND)
 
 # bench-select is the selection-regression guard (CI-gated): measure
 # BenchmarkSelect fresh at 5 iterations per arm into a temporary file and
-# fail if the parallel-packed arm is not strictly faster than the
-# serial-dense baseline, or if either arm ran fewer than 5 iterations. The
-# committed BENCH_hotpath.json is left untouched.
+# fail if the parallel-packed arm (the selection context) is not strictly
+# faster than the serial-dense arm (the serial per-kernel test oracle), or
+# if either arm ran fewer than 5 iterations. The committed
+# BENCH_hotpath.json is left untouched.
 bench-select:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -bench '^BenchmarkSelect$$' -benchmem -benchtime 5x -run '^$$' . > "$$tmp" || { cat "$$tmp"; exit 1; }; \
+	$(GO) test -bench '^BenchmarkSelect$$' -benchmem -benchtime 5x -run '^$$' ./internal/features > "$$tmp" || { cat "$$tmp"; exit 1; }; \
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -in "$$tmp" -out /dev/null -min-iters 5 \
 		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'

@@ -219,30 +219,7 @@ func BenchmarkPerceptronTraining(b *testing.B) {
 // Each benchmark pairs the historical serial/dense implementation against the
 // bit-packed and/or parallel kernel on the same inputs, so the JSON artifact
 // `make bench` writes records the measured speedup next to the baseline.
-
-// BenchmarkSelect compares feature selection with the pair sweep pinned to
-// one worker and the popcount kernels disabled (the seed implementation)
-// against the parallel popcount path.
-func BenchmarkSelect(b *testing.B) {
-	p := benchPrep()
-	X, y := p.Enc.Matrix(p.DS)
-	run := func(workers int, dense bool) func(*testing.B) {
-		return func(b *testing.B) {
-			features.SetWorkers(workers)
-			features.SetForceDense(dense)
-			defer func() { features.SetWorkers(0); features.SetForceDense(false) }()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sel := features.Select(X, y, p.DS.Components, features.DefaultSelectConfig())
-				if len(sel.Indices) == 0 {
-					b.Fatal("empty selection")
-				}
-			}
-		}
-	}
-	b.Run("serial-dense", run(1, true))
-	b.Run("parallel-packed", run(0, false))
-}
+// BenchmarkSelect lives in internal/features, next to its serial oracle.
 
 // BenchmarkFit compares perceptron training over dense float rows against
 // the bit-packed fit (identical weights, set-bit iteration only).
@@ -266,28 +243,23 @@ func BenchmarkFit(b *testing.B) {
 	})
 }
 
-// BenchmarkCrossValidate compares the serial fold loop against concurrent
-// folds (CVConfig.Parallel); results are identical, only wall-clock differs.
+// BenchmarkCrossValidate times the Table III fold loop over the selected
+// features with the binarized perceptron.
 func BenchmarkCrossValidate(b *testing.B) {
 	p := benchPrep()
-	run := func(parallel bool) func(*testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier {
-					return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-				}, eval.CVConfig{
-					Folds:      eval.TableIIIFolds(),
-					FeatureIdx: p.Sel.Indices,
-					Binary:     true,
-					Threshold:  0.25,
-					Parallel:   parallel,
-				})
-				b.ReportMetric(res.MeanAccuracy, "accuracy")
-			}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier {
+				return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
+			}, eval.CVConfig{
+				Folds:      eval.TableIIIFolds(),
+				FeatureIdx: p.Sel.Indices,
+				Binary:     true,
+				Threshold:  0.25,
+			})
+			b.ReportMetric(res.MeanAccuracy, "accuracy")
 		}
-	}
-	b.Run("serial", run(false))
-	b.Run("parallel", run(true))
+	})
 }
 
 func BenchmarkEndToEndMonitor(b *testing.B) {
@@ -432,9 +404,7 @@ func projectComponents(comps []stats.Component, idx []int) []stats.Component {
 // selection against a naive global top-106 by mutual information.
 func BenchmarkAblationSelection(b *testing.B) {
 	p := benchPrep()
-	X, y := p.Enc.Matrix(p.DS)
-	mi := features.MutualInformation(X, y)
-	top := topK(mi, len(p.Sel.Indices))
+	top := topK(p.Sel.MI, len(p.Sel.Indices))
 	b.Run("per-component-greedy", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, newPerceptron) })
 	b.Run("global-top-mi", func(b *testing.B) { ablationCV(b, top, true, newPerceptron) })
 }

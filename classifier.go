@@ -72,7 +72,7 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 	pcfg := perceptron.DefaultConfig()
 	pcfg.Seed = opts.Seed
 	mc := perceptron.NewMultiClass(classes, ds.NumFeatures(), pcfg)
-	mc.FitPacked(X, labels)
+	mc.Fit(X, labels)
 
 	c := &Classifier{
 		Classes:      classes,

@@ -118,7 +118,7 @@ func (d *Detector) TrainIncrement(workloads []Workload, opts Options, budget int
 			prevEpochs = st.Epochs
 		}
 	}
-	newSt, err := perc.FitIncrementalPacked(st, rows, y, budget)
+	newSt, err := perc.FitIncremental(st, rows, y, budget)
 	if err != nil {
 		return nil, stats, fmt.Errorf("perspectron: resuming training: %w", err)
 	}

@@ -214,7 +214,7 @@ func TestEncoderEquivalence(t *testing.T) {
 	legs := 0
 	for st.Epochs < 60 && !st.Converged {
 		var err error
-		st, err = inc.FitIncrementalPacked(st, rowsP, yp, 20)
+		st, err = inc.FitIncremental(st, rowsP, yp, 20)
 		if err != nil {
 			t.Fatalf("incremental leg %d: %v", legs, err)
 		}

@@ -207,8 +207,7 @@ var featureSpaceID = sync.OnceValue(func() string {
 // counter inventory. Workloads are identified by their Info — the generator
 // name encodes every behavioural parameter (channel, bandwidth factor,
 // polymorphic variant), and per-run randomness derives from cfg.Seed, so
-// equal keys collect byte-identical datasets. cfg.Parallel is excluded: it
-// changes scheduling, not results.
+// equal keys collect byte-identical datasets.
 func DatasetKey(progs []workload.Program, cfg trace.CollectConfig) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "corpus/v1 features=%s\n", featureSpaceID())

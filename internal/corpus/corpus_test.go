@@ -88,12 +88,6 @@ func TestDatasetKeySensitivity(t *testing.T) {
 			t.Errorf("changing %s did not change the key", field)
 		}
 	}
-	// Parallel changes scheduling, not output: same key.
-	c := tinyConfig()
-	c.Parallel = 7
-	if DatasetKey(tinyCorpus(), c) != base {
-		t.Errorf("Parallel changed the key; it must not affect results")
-	}
 	// Workload set and order are part of the identity.
 	if DatasetKey([]workload.Program{benign.Bzip2()}, tinyConfig()) == base {
 		t.Errorf("dropping a workload did not change the key")

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"sort"
-	"sync"
 
 	"perspectron/internal/ml"
 	"perspectron/internal/trace"
@@ -76,12 +75,6 @@ type CVConfig struct {
 	Binary bool
 	// Threshold is the decision threshold on the classifier score.
 	Threshold float64
-	// Parallel runs the folds concurrently. Every fold already builds an
-	// independent train/test split, normalization matrix and classifier,
-	// so the per-fold results are identical to a serial run; they are
-	// written into fold-order slots, keeping CVResult deterministic. The
-	// mk factory must be safe to call from multiple goroutines.
-	Parallel bool
 }
 
 // CrossValidate runs attack-holdout CV: per fold it splits the dataset,
@@ -194,20 +187,8 @@ func CrossValidate(ds *trace.Dataset, mk func() ScoredClassifier, cfg CVConfig) 
 	}
 
 	res.Folds = make([]FoldResult, len(cfg.Folds))
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		for fi, fold := range cfg.Folds {
-			wg.Add(1)
-			go func(fi int, fold Fold) {
-				defer wg.Done()
-				res.Folds[fi] = runFold(fi, fold)
-			}(fi, fold)
-		}
-		wg.Wait()
-	} else {
-		for fi, fold := range cfg.Folds {
-			res.Folds[fi] = runFold(fi, fold)
-		}
+	for fi, fold := range cfg.Folds {
+		res.Folds[fi] = runFold(fi, fold)
 	}
 
 	res.MeanAccuracy, _ = MeanStd(res.Accuracies())

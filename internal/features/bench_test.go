@@ -1,0 +1,29 @@
+package features_test
+
+import (
+	"testing"
+
+	"perspectron/internal/experiments"
+	"perspectron/internal/features"
+	"perspectron/internal/stats"
+)
+
+// BenchmarkSelect compares the serial per-kernel oracle (the seed
+// implementation, kept in the package tests) against the selection
+// context on the quick corpus's scaled matrix. `make bench-select` fails
+// unless parallel-packed beats serial-dense on a fresh run.
+func BenchmarkSelect(b *testing.B) {
+	p := experiments.Prepare(experiments.QuickConfig())
+	X, y := p.Enc.Matrix(p.DS)
+	run := func(sel func([][]float64, []float64, []stats.Component, features.SelectConfig) features.Selection) func(*testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if s := sel(X, y, p.DS.Components, features.DefaultSelectConfig()); len(s.Indices) == 0 {
+					b.Fatal("empty selection")
+				}
+			}
+		}
+	}
+	b.Run("serial-dense", run(features.LegacySelect))
+	b.Run("parallel-packed", run(features.Select))
+}

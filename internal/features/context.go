@@ -2,17 +2,15 @@
 //
 // Profiling Select on the quick corpus (330×786 scaled matrix) showed the
 // pair sweep's per-pair dense Pearson at >90% of wall time, with the
-// remainder spent re-deriving shared state per kernel: MutualInformation,
-// ClassCorrelation and CorrelationGroups each re-scanned the full O(n·f)
-// matrix (binary detection, moments) and re-packed every column. selCtx
-// computes each shared pass exactly once per Select call:
+// remainder spent re-deriving shared state per kernel: mutual information,
+// class correlation and the correlation groups each re-scanned the full
+// O(n·f) matrix (moments) and re-packed every column. selCtx computes each
+// shared pass exactly once per Select call:
 //
-//   - one binary/±1-label classification scan;
-//   - one word-tiled PackMatrix (at encoding.BinarizeThreshold — for
-//     exactly-0/1 input that packing is bit-equal to the legacy thr=1
-//     packing, so a single PackedMatrix feeds all three kernels);
+//   - one word-tiled packing at encoding.BinarizeThreshold, read by the
+//     mutual-information popcounts;
 //   - one moments pass, one centered column-major transpose and one
-//     suffix-norm pass (dense input only, and only for the pair sweep).
+//     suffix-norm pass, read by the class correlation and the pair sweep.
 //
 // The dense pair sweep is the big win: instead of len(active)² strided
 // walks over the row-major matrix, it runs dot products over contiguous
@@ -23,8 +21,8 @@
 // bound is applied with a slack factor far above float rounding, so a pair
 // is pruned only when its full correlation is provably below threshold;
 // every surviving pair computes the complete ascending-index sum and takes
-// the decision through arithmetic identical to the legacy Pearson, keeping
-// the partition bit-identical to the per-pair reference.
+// the decision through arithmetic identical to the per-pair Pearson of the
+// test oracle, keeping the partition bit-identical to it.
 //
 // All large intermediates (packed words, centered columns, suffix norms,
 // edge slots) come from a reusable scratch bundle, so repeated Select
@@ -43,18 +41,18 @@ import (
 // One bundle is parked in scratchFree between calls; concurrent selections
 // simply allocate a fresh bundle on miss.
 type selScratch struct {
-	words    []uint64           // flat packed-column backing
-	packBuf  []uint64           // per-word-tile accumulator (f words)
-	cols     []encoding.BitVec  // packed column headers
-	ones     []int              // packed column popcounts
-	mean     []float64          // moments
-	std      []float64          // moments
-	active   []int              // non-zero-variance column indices
-	centBack []float64          // flat centered-column backing (active only)
-	centCols [][]float64        // centered column headers
-	suf      []float64          // flat suffix-norm backing (active only)
-	yc       []float64          // centered labels
-	edges    [][]int32          // per-work-item edge slots
+	words    []uint64          // flat packed-column backing
+	packBuf  []uint64          // per-word-tile accumulator (f words)
+	cols     []encoding.BitVec // packed column headers
+	ones     []int             // packed column popcounts
+	mean     []float64         // moments
+	std      []float64         // moments
+	active   []int             // non-zero-variance column indices
+	centBack []float64         // flat centered-column backing (active only)
+	centCols [][]float64       // centered column headers
+	suf      []float64         // flat suffix-norm backing (active only)
+	yc       []float64         // centered labels
+	edges    [][]int32         // per-work-item edge slots
 }
 
 var scratchFree atomic.Pointer[selScratch]
@@ -87,23 +85,20 @@ func growInt(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// selCtx is the per-call selection context: the classification of the
-// input plus every shared intermediate, each computed at most once.
+// selCtx is the per-call selection context: every intermediate the
+// kernels share, each computed at most once.
 // Contexts are single-goroutine (internal kernels fan out, but the context
 // itself is not shared) and must not be used after release.
 type selCtx struct {
-	X [][]float64
-	y []float64
+	X    [][]float64
+	y    []float64
 	n, f int
 
-	binary bool // every entry exactly 0 or 1
-	signY  bool // every label exactly ±1
-
 	s  *selScratch
-	pm PackedMatrix // columns packed at encoding.BinarizeThreshold
+	pm packedMatrix // columns packed at encoding.BinarizeThreshold
 
 	haveMoments bool
-	m           Moments
+	m           colMoments
 
 	haveActive bool
 	active     []int
@@ -114,15 +109,12 @@ type selCtx struct {
 	ntiles   int
 }
 
-// newSelCtx classifies X/y once and packs the matrix once. Callers have
-// already excluded empty input.
+// newSelCtx packs the matrix once. An empty matrix (no rows, or rows of no
+// columns) yields a context with no features.
 func newSelCtx(X [][]float64, y []float64) *selCtx {
-	sc := &selCtx{
-		X: X, y: y,
-		n: len(X), f: len(X[0]),
-		binary: isBinaryMatrix(X),
-		signY:  isSignLabels(y),
-		s:      getScratch(),
+	sc := &selCtx{X: X, y: y, n: len(X), s: getScratch()}
+	if sc.n > 0 {
+		sc.f = len(X[0])
 	}
 	wpc := (sc.n + 63) / 64
 	sc.s.words = growU64(sc.s.words, sc.f*wpc)
@@ -132,22 +124,22 @@ func newSelCtx(X [][]float64, y []float64) *selCtx {
 		sc.s.cols = make([]encoding.BitVec, sc.f)
 	}
 	sc.s.ones = growInt(sc.s.ones, sc.f)
-	sc.pm = PackedMatrix{N: sc.n, Cols: sc.s.cols[:sc.f], Ones: sc.s.ones}
+	sc.pm = packedMatrix{n: sc.n, cols: sc.s.cols[:sc.f], ones: sc.s.ones}
 	packMatrixInto(X, encoding.BinarizeThreshold, sc.s.words, sc.s.packBuf, &sc.pm)
 	return sc
 }
 
 // release parks the scratch bundle for the next selection. The context —
-// including its PackedMatrix and centered columns — is dead afterwards.
+// including its packed and centered columns — is dead afterwards.
 func (sc *selCtx) release() {
 	s := sc.s
 	sc.s = nil
 	scratchFree.Store(s)
 }
 
-// moments computes the column moments once, with arithmetic identical to
-// ComputeMoments.
-func (sc *selCtx) moments() Moments {
+// moments computes the column moments once: column sums, then squared
+// deviations, each accumulated in ascending row order.
+func (sc *selCtx) moments() colMoments {
 	if sc.haveMoments {
 		return sc.m
 	}
@@ -173,33 +165,27 @@ func (sc *selCtx) moments() Moments {
 		std[j] = math.Sqrt(std[j] / float64(sc.n))
 	}
 	sc.s.mean, sc.s.std = mean, std
-	sc.m = Moments{Mean: mean, Std: std}
+	sc.m = colMoments{Mean: mean, Std: std}
 	sc.haveMoments = true
 	return sc.m
 }
 
-// activeSet returns the non-zero-variance columns. For exactly-0/1 input
-// the one-counts decide (0 < ones < n ⟺ Std > 0), skipping the moments
-// pass entirely.
+// activeSet returns the non-zero-variance columns.
 func (sc *selCtx) activeSet() []int {
 	if sc.haveActive {
 		return sc.active
 	}
-	if sc.binary {
-		sc.active = sc.pm.activeColumns(sc.s.active)
-	} else {
-		m := sc.moments()
-		act := sc.s.active[:0]
-		for j := 0; j < sc.f; j++ {
-			if m.Std[j] > 0 {
-				act = append(act, j)
-			}
+	m := sc.moments()
+	act := sc.s.active[:0]
+	for j := 0; j < sc.f; j++ {
+		if m.Std[j] > 0 {
+			act = append(act, j)
 		}
-		sc.active = act
 	}
-	sc.s.active = sc.active
+	sc.active = act
+	sc.s.active = act
 	sc.haveActive = true
-	return sc.active
+	return act
 }
 
 // denseTile is the row granularity of the suffix-norm prune checks: a pair
@@ -364,20 +350,17 @@ func (sc *selCtx) denseEdges(threshold float64) [][]int32 {
 	return slots
 }
 
-// mutualInformation is MutualInformation off the shared packed columns —
-// bit-identical because the popcounts feed the same contingency integers
-// into the same arithmetic (miFromCounts).
+// mutualInformation is the per-feature mutual information (in bits)
+// between the binarized feature (threshold 0.5) and the class, from
+// popcounts over the shared packed columns.
 func (sc *selCtx) mutualInformation() []float64 {
-	return sc.pm.MutualInformation(sc.y)
+	return sc.pm.mutualInformation(sc.y)
 }
 
-// classCorrelation routes to the exact popcount kernel when the input
-// qualifies, and otherwise runs the dense kernel over the centered columns
-// (identical floats in identical order to the legacy row loop).
+// classCorrelation returns, for every feature, the Pearson correlation with
+// the class labels, as dot products over the centered columns — identical
+// floats in identical order to a per-feature row loop.
 func (sc *selCtx) classCorrelation() []float64 {
-	if sc.binary && sc.signY {
-		return sc.pm.ClassCorrelation(sc.y)
-	}
 	m := sc.moments()
 	n := sc.n
 	var ym, ys float64
@@ -413,18 +396,40 @@ func (sc *selCtx) classCorrelation() []float64 {
 	return out
 }
 
-// correlationGroups runs the pair sweep appropriate to the input class and
-// assembles the single-linkage partition.
+// correlationGroups clusters features whose pairwise |Pearson| reaches
+// threshold, using single-linkage over the features with non-zero variance.
+// Groups are returned largest-first, ties broken by smallest member index;
+// members are ranked by |class correlation|, matching Table I's
+// presentation.
 func (sc *selCtx) correlationGroups(threshold float64) []Group {
 	act := sc.activeSet()
-	var edges [][]int32
-	if sc.binary {
-		edges = packedEdges(&sc.pm, act, threshold, sc.s.edges)
-		sc.s.edges = edges
-	} else {
-		edges = sc.denseEdges(threshold)
-	}
 	uf := newUnionFind(sc.f)
-	applyEdges(uf, act, edges)
+	applyEdges(uf, act, sc.denseEdges(threshold))
 	return assembleGroups(act, uf, sc.classCorrelation())
+}
+
+// unrankBlockPair maps a flat work-item index to the block pair (i, j with
+// i <= j) in row-major upper-triangular order.
+func unrankBlockPair(it, nb int) (int, int) {
+	// Row i starts at offset i*nb - i*(i-1)/2.
+	i := 0
+	for {
+		rowLen := nb - i
+		if it < rowLen {
+			return i, i + it
+		}
+		it -= rowLen
+		i++
+	}
+}
+
+// applyEdges merges every swept edge into the union-find, serially and in
+// work-item order. Single-linkage partitions are union-order independent,
+// so the result matches the historical ascending per-pair order.
+func applyEdges(uf *unionFind, active []int, slots [][]int32) {
+	for _, row := range slots {
+		for k := 0; k < len(row); k += 2 {
+			uf.union(active[row[k]], active[row[k+1]])
+		}
+	}
 }

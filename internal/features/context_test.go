@@ -1,7 +1,6 @@
 package features
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -61,14 +60,16 @@ func TestPackMatrixMatchesPackColumn(t *testing.T) {
 			X, _ = randContinuous(r, n, f)
 		}
 		for _, thr := range []float64{encoding.BinarizeThreshold, 1} {
-			pm := PackMatrix(X, thr)
+			wpc := (n + 63) / 64
+			pm := packedMatrix{n: n, cols: make([]encoding.BitVec, f), ones: make([]int, f)}
+			packMatrixInto(X, thr, make([]uint64, f*wpc), make([]uint64, f), &pm)
 			for j := 0; j < f; j++ {
 				ref := encoding.PackColumn(X, j, thr)
-				if !reflect.DeepEqual([]uint64(pm.Cols[j]), []uint64(ref)) {
+				if !reflect.DeepEqual([]uint64(pm.cols[j]), []uint64(ref)) {
 					t.Fatalf("trial %d thr %v col %d: packed words differ", trial, thr, j)
 				}
-				if pm.Ones[j] != ref.Ones() {
-					t.Fatalf("trial %d thr %v col %d: ones %d != %d", trial, thr, j, pm.Ones[j], ref.Ones())
+				if pm.ones[j] != ref.Ones() {
+					t.Fatalf("trial %d thr %v col %d: ones %d != %d", trial, thr, j, pm.ones[j], ref.Ones())
 				}
 			}
 		}
@@ -76,44 +77,38 @@ func TestPackMatrixMatchesPackColumn(t *testing.T) {
 }
 
 // TestPackedMatrixKernelsBitIdentical: MI, class correlation and
-// correlation groups fed from one shared PackedMatrix must be bit-identical
-// to the historical per-kernel paths on random 0/1 matrices.
+// correlation groups read from one shared selection context — one packing,
+// one moments pass, one centered transpose, reused across the kernels —
+// must be bit-identical to the per-kernel oracle on random 0/1 matrices.
 func TestPackedMatrixKernelsBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		n, f := 30+r.Intn(150), 5+r.Intn(30)
 		X, y := randBinary(r, n, f)
-		pm := PackMatrix(X, encoding.BinarizeThreshold)
+		sc := newSelCtx(X, y)
+		groups := sc.correlationGroups(0.98)
+		cc := sc.classCorrelation()
+		mi := sc.mutualInformation()
+		sc.release()
 
-		mi := pm.MutualInformation(y)
 		if want := legacyMutualInformation(X, y); !reflect.DeepEqual(mi, want) {
-			t.Fatalf("trial %d: packed-matrix MI differs from legacy", trial)
+			t.Fatalf("trial %d: shared-context MI differs from the oracle", trial)
 		}
-		// Class correlation: exact against the integer-count loop reference;
-		// the legacy dense loop rounds intermediates differently, so (as in
-		// TestClassCorrelationPackedBitIdentical) it is a 1e-9 oracle.
-		cc := pm.ClassCorrelation(y)
-		dense := legacyClassCorrelation(X, y)
-		for j := 0; j < f; j++ {
-			if ref := countClassCorrRef(X, y, j); cc[j] != ref {
-				t.Fatalf("trial %d col %d: packed-matrix cc %v != count reference %v", trial, j, cc[j], ref)
-			}
-			if math.Abs(cc[j]-dense[j]) > 1e-9 {
-				t.Fatalf("trial %d col %d: packed-matrix cc %v vs dense %v", trial, j, cc[j], dense[j])
-			}
+		if want := legacyClassCorrelation(X, y); !reflect.DeepEqual(cc, want) {
+			t.Fatalf("trial %d: shared-context class correlation differs from the oracle", trial)
 		}
-		groups := pm.CorrelationGroups(y, 0.98)
 		if want := legacyCorrelationGroups(X, y, 0.98); !reflect.DeepEqual(groups, want) {
-			t.Fatalf("trial %d: packed-matrix groups %v != legacy %v", trial, groups, want)
+			t.Fatalf("trial %d: shared-context groups %v != oracle %v", trial, groups, want)
 		}
 	}
 }
 
-// TestSelectionContextMatchesLegacy: the full selection-context path (the
-// default) must reproduce the legacy per-kernel path exactly — kernels and
-// complete Select output — on binary and continuous matrices. On continuous
-// input this pins the suffix-norm-pruned dense pair sweep to the per-pair
-// reference decision.
+// TestSelectionContextMatchesLegacy: the selection context must reproduce
+// the serial per-kernel oracle exactly — every kernel and the complete
+// Select output — on binary and continuous matrices. On continuous input
+// this pins the suffix-norm-pruned dense pair sweep to the per-pair
+// reference decision; on binary input it pins the dense class correlation
+// and pair sweep to the same oracle.
 func TestSelectionContextMatchesLegacy(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	comps := func(f int) []stats.Component {
@@ -134,45 +129,24 @@ func TestSelectionContextMatchesLegacy(t *testing.T) {
 			X, y = randContinuous(r, n, f)
 		}
 
-		mi := MutualInformation(X, y)
-		cc := ClassCorrelation(X, y)
-		groups := CorrelationGroups(X, y, 0.98)
-		sel := Select(X, y, comps(f), cfg)
-
-		SetForceDense(true)
-		wantMI := MutualInformation(X, y)
-		wantCC := ClassCorrelation(X, y)
-		wantGroups := CorrelationGroups(X, y, 0.98)
-		wantSel := Select(X, y, comps(f), cfg)
-		SetForceDense(false)
-
-		if !reflect.DeepEqual(mi, wantMI) {
+		if mi, want := ctxMutualInformation(X, y), legacyMutualInformation(X, y); !reflect.DeepEqual(mi, want) {
 			t.Fatalf("trial %d: context MI differs from legacy", trial)
 		}
-		if trial%2 == 0 {
-			// Binary input routes CC through the integer popcount identity —
-			// mathematically equal to the dense loop but rounded differently,
-			// so compare within the established 1e-9 oracle.
-			for j := range cc {
-				if math.Abs(cc[j]-wantCC[j]) > 1e-9 {
-					t.Fatalf("trial %d col %d: context cc %v vs legacy %v", trial, j, cc[j], wantCC[j])
-				}
-			}
-		} else if !reflect.DeepEqual(cc, wantCC) {
+		if cc, want := ctxClassCorrelation(X, y), legacyClassCorrelation(X, y); !reflect.DeepEqual(cc, want) {
 			t.Fatalf("trial %d: context class correlation differs from legacy", trial)
 		}
-		if !reflect.DeepEqual(groups, wantGroups) {
-			t.Fatalf("trial %d: context groups %v != legacy %v", trial, groups, wantGroups)
+		if groups, want := ctxCorrelationGroups(X, y, 0.98), legacyCorrelationGroups(X, y, 0.98); !reflect.DeepEqual(groups, want) {
+			t.Fatalf("trial %d: context groups %v != legacy %v", trial, groups, want)
 		}
-		if !reflect.DeepEqual(sel, wantSel) {
-			t.Fatalf("trial %d: context Select %v != legacy %v", trial, sel.Indices, wantSel.Indices)
+		if sel, want := Select(X, y, comps(f), cfg), legacySelect(X, y, comps(f), cfg); !reflect.DeepEqual(sel, want) {
+			t.Fatalf("trial %d: context Select %v != legacy %v", trial, sel.Indices, want.Indices)
 		}
 	}
 }
 
 // TestSelectionContextZeroVariance: a matrix whose every column is constant
 // has no active features — no groups, zero class correlation — and Select
-// must come back empty without faulting, on both paths.
+// must come back empty without faulting, on the context and the oracle.
 func TestSelectionContextZeroVariance(t *testing.T) {
 	n, f := 50, 12
 	X := make([][]float64, n)
@@ -188,22 +162,23 @@ func TestSelectionContextZeroVariance(t *testing.T) {
 	comps := make([]stats.Component, f)
 	cfg := DefaultSelectConfig()
 
-	for _, dense := range []bool{false, true} {
-		SetForceDense(dense)
-		if g := CorrelationGroups(X, y, 0.98); len(g) != 0 {
-			t.Fatalf("dense=%v: zero-variance matrix produced groups %v", dense, g)
+	for _, legacy := range []bool{false, true} {
+		groups, cc, sel := ctxCorrelationGroups, ctxClassCorrelation, Select
+		if legacy {
+			groups, cc, sel = legacyCorrelationGroups, legacyClassCorrelation, legacySelect
 		}
-		cc := ClassCorrelation(X, y)
-		for j, v := range cc {
+		if g := groups(X, y, 0.98); len(g) != 0 {
+			t.Fatalf("legacy=%v: zero-variance matrix produced groups %v", legacy, g)
+		}
+		for j, v := range cc(X, y) {
 			if v != 0 {
-				t.Fatalf("dense=%v: constant column %d has class correlation %v", dense, j, v)
+				t.Fatalf("legacy=%v: constant column %d has class correlation %v", legacy, j, v)
 			}
 		}
-		if sel := Select(X, y, comps, cfg); len(sel.Indices) != 0 {
-			t.Fatalf("dense=%v: zero-variance matrix selected %v", dense, sel.Indices)
+		if s := sel(X, y, comps, cfg); len(s.Indices) != 0 {
+			t.Fatalf("legacy=%v: zero-variance matrix selected %v", legacy, s.Indices)
 		}
 	}
-	SetForceDense(false)
 }
 
 // TestGroupOrderSmallestMemberTieBreak: equal-size groups must order by
@@ -230,12 +205,13 @@ func TestGroupOrderSmallestMemberTieBreak(t *testing.T) {
 		row[5] = other
 		X[i] = row
 	}
-	for _, dense := range []bool{false, true} {
-		SetForceDense(dense)
-		groups := CorrelationGroups(X, y, 0.98)
-		SetForceDense(false)
+	for _, legacy := range []bool{false, true} {
+		groups := ctxCorrelationGroups(X, y, 0.98)
+		if legacy {
+			groups = legacyCorrelationGroups(X, y, 0.98)
+		}
 		if len(groups) != 2 {
-			t.Fatalf("dense=%v: got %d groups %v, want 2", dense, len(groups), groups)
+			t.Fatalf("legacy=%v: got %d groups %v, want 2", legacy, len(groups), groups)
 		}
 		min0 := groups[0].Members[0]
 		for _, m := range groups[0].Members {
@@ -244,19 +220,19 @@ func TestGroupOrderSmallestMemberTieBreak(t *testing.T) {
 			}
 		}
 		if min0 != 0 {
-			t.Fatalf("dense=%v: first group %v does not contain the smallest member index 0: %v",
-				dense, groups[0].Members, groups)
+			t.Fatalf("legacy=%v: first group %v does not contain the smallest member index 0: %v",
+				legacy, groups[0].Members, groups)
 		}
 	}
 }
 
-// TestSelectConcurrentWithConfigChanges: selection running concurrently
-// with SetWorkers/SetForceDense flips must stay race-free (the knobs are
-// atomics) and every result must match one of the two valid paths — which
-// are bit-identical anyway.
+// TestSelectConcurrentWithConfigChanges: selections running concurrently
+// share the parked scratch bundle (one goroutine takes it, the others
+// allocate fresh ones, and every release parks its own). They must stay
+// race-free, and every result must match the serial one.
 func TestSelectConcurrentWithConfigChanges(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
-	X, y := randBinary(r, 80, 16)
+	X, y := randContinuous(r, 80, 16)
 	comps := make([]stats.Component, 16)
 	for j := range comps {
 		comps[j] = stats.Component(j % int(stats.NumComponents))
@@ -265,25 +241,10 @@ func TestSelectConcurrentWithConfigChanges(t *testing.T) {
 	want := Select(X, y, comps, cfg)
 
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			SetWorkers(i % 4)
-			SetForceDense(i%2 == 0)
-		}
-	}()
-	var inner sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		inner.Add(1)
+		wg.Add(1)
 		go func() {
-			defer inner.Done()
+			defer wg.Done()
 			for iter := 0; iter < 8; iter++ {
 				if got := Select(X, y, comps, cfg); !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent Select diverged: %v vs %v", got.Indices, want.Indices)
@@ -292,9 +253,5 @@ func TestSelectConcurrentWithConfigChanges(t *testing.T) {
 			}
 		}()
 	}
-	inner.Wait()
-	close(stop)
 	wg.Wait()
-	SetWorkers(0)
-	SetForceDense(false)
 }

@@ -6,18 +6,16 @@
 // selection by mutual information with the class, down to the paper's 106
 // features.
 //
-// Selection is the dominant offline cost, so the default path runs through
-// a shared per-call selection context (see context.go): the input matrix is
-// classified (exactly-0/1?, ±1 labels?) once, bit-packed into a column-major
-// PackedMatrix once, and its moments are computed once; the mutual
-// information, class correlation and correlation-group kernels all read from
-// that context instead of re-deriving those passes per kernel. The
-// correlation pair sweep — O(f²·n) over the paper's counter space — runs
-// blocked (cache-resident column tiles, balanced work items) and, on dense
-// input, prunes pairs that provably cannot reach the grouping threshold via
-// per-column suffix norms. Outputs are identical to the historical
-// per-kernel implementations, which remain available behind SetForceDense
-// as the benchmark baseline and property-test reference.
+// Selection has one implementation: a per-call selection context (see
+// context.go) that bit-packs the matrix once for the mutual information
+// popcounts, and computes the moments and centered columns once for the
+// dense class correlation and the correlation pair sweep. That sweep —
+// O(f²·n) over the paper's counter space — runs blocked (cache-resident
+// column tiles, balanced work items across GOMAXPROCS) and prunes pairs
+// that provably cannot reach the grouping threshold via per-column suffix
+// norms. The historical per-kernel implementation survives only in the
+// package tests, as the bit-identity oracle and the serial benchmark
+// baseline.
 //
 // It also provides the MAP-style committed-state feature subset used as the
 // prior-work baseline in Table IV.
@@ -32,45 +30,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"perspectron/internal/encoding"
 	"perspectron/internal/stats"
 	"perspectron/internal/telemetry"
 )
 
-// workers bounds the worker goroutines the selection kernels fan out to;
-// forceDense pins the legacy per-kernel reference path. Both are atomics so
-// benchmarks and tests can retune them while a selection is running on
-// another goroutine without tripping the race detector (the knobs used to
-// be bare package globals read concurrently by parallelDo workers).
-var (
-	workers    atomic.Int32
-	forceDense atomic.Bool
-)
-
-// SetWorkers bounds the worker goroutines the selection kernels fan out to.
-// 0 (the default) uses runtime.GOMAXPROCS; 1 forces the serial path — the
-// dense-baseline configuration the hot-path benchmarks measure against.
-// Results are bit-identical for any worker count: work items (feature
-// columns, column-block pairs) are self-contained and written to disjoint
-// slots.
-func SetWorkers(n int) { workers.Store(int32(n)) }
-
-// SetForceDense routes the selection kernels through the legacy per-kernel
-// implementations (per-kernel matrix scans, per-pair dense Pearson over the
-// row-major matrix) instead of the shared selection context. This is the
-// seed-implementation baseline the hot-path benchmarks compare against and
-// the reference the packed-context property tests pin to; production code
-// never sets it.
-func SetForceDense(v bool) { forceDense.Store(v) }
-
-// parallelDo runs fn(0..n-1) across the configured worker count, handing
+// parallelDo runs fn(0..n-1) across runtime.GOMAXPROCS workers, handing
 // out indices through an atomic counter so uneven items stay balanced.
-// fn must write only to its own index's state.
+// fn must write only to its own index's state; results are then
+// independent of the worker count.
 func parallelDo(n int, fn func(i int)) {
-	w := int(workers.Load())
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := runtime.GOMAXPROCS(0)
 	if w > n {
 		w = n
 	}
@@ -98,189 +67,9 @@ func parallelDo(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// isBinaryMatrix reports whether every entry of X is exactly 0 or 1 — the
-// precondition for the popcount kernels.
-func isBinaryMatrix(X [][]float64) bool {
-	for _, row := range X {
-		for _, v := range row {
-			if v != 0 && v != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// isSignLabels reports whether every label is exactly ±1.
-func isSignLabels(y []float64) bool {
-	for _, v := range y {
-		if v != 1 && v != -1 {
-			return false
-		}
-	}
-	return true
-}
-
-// binaryPearson is the Pearson correlation of two 0/1 columns of length n
-// from their one-counts ca, cb and co-occurrence count cab. All products
-// stay below 2^53 for any realistic corpus, so the only roundings are the
-// two square roots and the final division — the popcount kernel and the
-// loop-based reference compute bit-identical values by construction.
-func binaryPearson(n, ca, cb, cab int) float64 {
-	den := math.Sqrt(float64(ca*(n-ca))) * math.Sqrt(float64(cb*(n-cb)))
-	if den == 0 {
-		return 0
-	}
-	return float64(n*cab-ca*cb) / den
-}
-
-// binaryClassCorr is the Pearson correlation between a 0/1 column (ca ones,
-// sxy = Σ x·y) and ±1 labels with sum sy, over n samples.
-func binaryClassCorr(n, ca, sxy, sy int) float64 {
-	den := math.Sqrt(float64(ca*(n-ca))) * math.Sqrt(float64(n*n-sy*sy))
-	if den == 0 {
-		return 0
-	}
-	return float64(n*sxy-ca*sy) / den
-}
-
-// Moments holds per-feature mean and standard deviation over a sample set.
-type Moments struct {
+// colMoments holds per-feature mean and standard deviation over a sample set.
+type colMoments struct {
 	Mean, Std []float64
-}
-
-// ComputeMoments returns the column-wise moments of X.
-func ComputeMoments(X [][]float64) Moments {
-	n := len(X)
-	if n == 0 {
-		return Moments{}
-	}
-	f := len(X[0])
-	mean := make([]float64, f)
-	for _, row := range X {
-		for j, v := range row {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	std := make([]float64, f)
-	for _, row := range X {
-		for j, v := range row {
-			d := v - mean[j]
-			std[j] += d * d
-		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / float64(n))
-	}
-	return Moments{Mean: mean, Std: std}
-}
-
-// Pearson computes the correlation between columns a and b of X given
-// precomputed moments. Zero-variance columns correlate as 0.
-func Pearson(X [][]float64, m Moments, a, b int) float64 {
-	if m.Std[a] == 0 || m.Std[b] == 0 {
-		return 0
-	}
-	var s float64
-	for _, row := range X {
-		s += (row[a] - m.Mean[a]) * (row[b] - m.Mean[b])
-	}
-	return s / (float64(len(X)) * m.Std[a] * m.Std[b])
-}
-
-// ClassCorrelation returns, for every feature, the Pearson correlation with
-// the ±1 class labels. When X is exactly 0/1 and the labels are ±1, each
-// correlation is computed from popcounts over the context's bit-packed
-// columns via the exact integer identity binaryClassCorr — mathematically
-// equal to the dense form, differing only in the rounding of intermediates.
-func ClassCorrelation(X [][]float64, y []float64) []float64 {
-	if forceDense.Load() || len(X) == 0 || len(X[0]) == 0 {
-		return legacyClassCorrelation(X, y)
-	}
-	sc := newSelCtx(X, y)
-	defer sc.release()
-	return sc.classCorrelation()
-}
-
-// legacyClassCorrelation is the historical dense implementation: its own
-// moments pass plus a per-feature row loop. Kept verbatim as the
-// SetForceDense baseline and property-test reference.
-func legacyClassCorrelation(X [][]float64, y []float64) []float64 {
-	m := ComputeMoments(X)
-	n := len(X)
-	var ym, ys float64
-	for _, v := range y {
-		ym += v
-	}
-	ym /= float64(n)
-	for _, v := range y {
-		ys += (v - ym) * (v - ym)
-	}
-	ys = math.Sqrt(ys / float64(n))
-	out := make([]float64, len(m.Mean))
-	if ys == 0 {
-		return out
-	}
-	parallelDo(len(out), func(j int) {
-		if m.Std[j] == 0 {
-			return
-		}
-		var s float64
-		for i, row := range X {
-			s += (row[j] - m.Mean[j]) * (y[i] - ym)
-		}
-		out[j] = s / (float64(n) * m.Std[j] * ys)
-	})
-	return out
-}
-
-// MutualInformation returns, per feature, the mutual information (in bits)
-// between the binarized feature (threshold 0.5) and the class.
-//
-// The contingency counts are gathered by popcount over the context's
-// bit-packed columns and features are swept in parallel; since the counts
-// are exact integers either way and the downstream arithmetic is unchanged,
-// the result is bit-identical to the historical dense row loop (pinned by
-// TestMutualInformationPackedBitIdentical).
-func MutualInformation(X [][]float64, y []float64) []float64 {
-	if len(X) == 0 {
-		return nil
-	}
-	if forceDense.Load() || len(X[0]) == 0 {
-		return legacyMutualInformation(X, y)
-	}
-	sc := newSelCtx(X, y)
-	defer sc.release()
-	return sc.mutualInformation()
-}
-
-// legacyMutualInformation is the per-kernel implementation MutualInformation
-// shipped with: it re-packs every column itself (one PackColumn per
-// feature) instead of reading a shared PackedMatrix. Kept as the
-// SetForceDense baseline.
-func legacyMutualInformation(X [][]float64, y []float64) []float64 {
-	n := len(X)
-	if n == 0 {
-		return nil
-	}
-	f := len(X[0])
-	out := make([]float64, f)
-	ypos := encoding.NewBitVec(n) // bit i set iff y[i] > 0
-	for i, v := range y {
-		if v > 0 {
-			ypos.Set(i)
-		}
-	}
-	nPosInt := ypos.Ones()
-	pY1 := float64(nPosInt) / float64(n)
-	parallelDo(f, func(j int) {
-		col := encoding.PackColumn(X, j, encoding.BinarizeThreshold)
-		out[j] = miFromCounts(n, col.Ones(), col.AndCount(ypos), nPosInt, pY1)
-	})
-	return out
 }
 
 // miFromCounts computes the mutual information of one binarized feature
@@ -312,67 +101,6 @@ func miFromCounts(n, onesJ, c11i, nPos int, pY1 float64) float64 {
 // Group is one set of mutually correlated features (Table I column).
 type Group struct {
 	Members []int // feature indices, ranked by |class correlation| desc
-}
-
-// CorrelationGroups clusters features whose pairwise |Pearson| exceeds
-// threshold, using single-linkage over the features with non-zero variance.
-// Groups are returned largest-first, ties broken by smallest member index;
-// members are ranked by class correlation, matching Table I's presentation.
-//
-// The O(f²·n) pair sweep — the dominant cost of selection over the paper's
-// ~1159 counters — runs over cache-blocked column-pair work items sharded
-// across the configured workers. On exactly-0/1 input each pair drops to
-// popcounts over the shared bit-packed columns (binaryPearson); on dense
-// input the sweep runs over contiguous centered columns with a suffix-norm
-// bound that exactly prunes pairs which cannot reach the threshold (see
-// denseEdges). Either way the partition is identical to the serial
-// per-pair sweep.
-func CorrelationGroups(X [][]float64, y []float64, threshold float64) []Group {
-	if forceDense.Load() || len(X) == 0 || len(X[0]) == 0 {
-		return legacyCorrelationGroups(X, y, threshold)
-	}
-	sc := newSelCtx(X, y)
-	defer sc.release()
-	return sc.correlationGroups(threshold)
-}
-
-// legacyCorrelationGroups is the historical dense implementation: a
-// per-kernel moments pass and a per-pair Pearson sweep over the row-major
-// matrix, sharded per row (row ai carries len(active)-ai pairs). Kept as
-// the SetForceDense baseline and reference.
-func legacyCorrelationGroups(X [][]float64, y []float64, threshold float64) []Group {
-	m := ComputeMoments(X)
-	f := len(m.Mean)
-	active := make([]int, 0, f)
-	for j := 0; j < f; j++ {
-		if m.Std[j] > 0 {
-			active = append(active, j)
-		}
-	}
-
-	// Sweep all pairs in parallel, collecting over-threshold edges into
-	// per-row slots (disjoint per work item); unions are applied serially
-	// afterwards. Single-linkage components are order-independent, so the
-	// partition matches the historical serial union order exactly.
-	edges := make([][]int, len(active)) // edges[ai] = indices bi > ai linked to ai
-	parallelDo(len(active), func(ai int) {
-		var row []int
-		a := active[ai]
-		for bi := ai + 1; bi < len(active); bi++ {
-			if math.Abs(Pearson(X, m, a, active[bi])) >= threshold {
-				row = append(row, bi)
-			}
-		}
-		edges[ai] = row
-	})
-
-	uf := newUnionFind(f)
-	for ai, row := range edges {
-		for _, bi := range row {
-			uf.union(active[ai], active[bi])
-		}
-	}
-	return assembleGroups(active, uf, ClassCorrelation(X, y))
 }
 
 // unionFind is the single-linkage merge structure shared by every pair
@@ -495,28 +223,28 @@ func SelectCtx(ctx context.Context, X [][]float64, y []float64, comps []stats.Co
 	ctx, span := telemetry.StartSpan(ctx, "select")
 	defer span.End()
 
-	var mi []float64
-	var groups []Group
-	if forceDense.Load() || len(X) == 0 || len(X[0]) == 0 {
-		_, miSpan := telemetry.StartSpan(ctx, "mi")
-		mi = MutualInformation(X, y)
-		miSpan.End()
-		_, gSpan := telemetry.StartSpan(ctx, "groups")
-		groups = CorrelationGroups(X, y, cfg.GroupThreshold)
-		gSpan.End()
-	} else {
-		_, packSpan := telemetry.StartSpan(ctx, "pack")
-		sc := newSelCtx(X, y)
-		defer sc.release()
-		packSpan.End()
-		_, miSpan := telemetry.StartSpan(ctx, "mi")
-		mi = sc.mutualInformation()
-		miSpan.End()
-		_, gSpan := telemetry.StartSpan(ctx, "groups")
-		groups = sc.correlationGroups(cfg.GroupThreshold)
-		gSpan.End()
-	}
+	_, packSpan := telemetry.StartSpan(ctx, "pack")
+	sc := newSelCtx(X, y)
+	defer sc.release()
+	packSpan.End()
+	_, miSpan := telemetry.StartSpan(ctx, "mi")
+	mi := sc.mutualInformation()
+	miSpan.End()
+	_, gSpan := telemetry.StartSpan(ctx, "groups")
+	groups := sc.correlationGroups(cfg.GroupThreshold)
+	gSpan.End()
 
+	picked := pickFeatures(mi, groups, comps, cfg)
+	if reg := telemetry.Get(); reg != nil {
+		reg.Gauge("perspectron_select_groups").Set(float64(len(groups)))
+		reg.Gauge("perspectron_select_features").Set(float64(len(picked)))
+	}
+	return Selection{Indices: picked, Groups: groups, MI: mi}
+}
+
+// pickFeatures runs steps 2 and 3 of the selection over the per-feature
+// mutual information and the correlation groups of step 1.
+func pickFeatures(mi []float64, groups []Group, comps []stats.Component, cfg SelectConfig) []int {
 	// Step 2: within-component decorrelation. For every (group, component)
 	// pair keep the member with the highest MI.
 	dropped := make([]bool, len(mi))
@@ -567,11 +295,7 @@ func SelectCtx(ctx context.Context, X [][]float64, y []float64, comps []stats.Co
 			break
 		}
 	}
-	if reg := telemetry.Get(); reg != nil {
-		reg.Gauge("perspectron_select_groups").Set(float64(len(groups)))
-		reg.Gauge("perspectron_select_features").Set(float64(len(picked)))
-	}
-	return Selection{Indices: picked, Groups: groups, MI: mi}
+	return picked
 }
 
 // MAPFeatures returns the indices of the committed-state features a

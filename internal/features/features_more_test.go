@@ -31,7 +31,7 @@ func TestQuickGroupThresholdMonotone(t *testing.T) {
 		}
 		grouped := func(thr float64) int {
 			total := 0
-			for _, g := range CorrelationGroups(X, y, thr) {
+			for _, g := range ctxCorrelationGroups(X, y, thr) {
 				total += len(g.Members)
 			}
 			return total

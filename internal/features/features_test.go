@@ -39,7 +39,7 @@ func synth(n int, r *rand.Rand) (X [][]float64, y []float64, comps []stats.Compo
 
 func TestClassCorrelation(t *testing.T) {
 	X, y, _ := synth(200, rand.New(rand.NewSource(1)))
-	cc := ClassCorrelation(X, y)
+	cc := ctxClassCorrelation(X, y)
 	if cc[0] < 0.99 {
 		t.Fatalf("signal feature correlation = %v", cc[0])
 	}
@@ -73,7 +73,7 @@ func TestPearsonSelfAndCopy(t *testing.T) {
 
 func TestMutualInformation(t *testing.T) {
 	X, y, _ := synth(400, rand.New(rand.NewSource(3)))
-	mi := MutualInformation(X, y)
+	mi := ctxMutualInformation(X, y)
 	if mi[0] < 0.99 { // perfect predictor of a balanced class = 1 bit
 		t.Fatalf("MI of signal = %v", mi[0])
 	}
@@ -90,7 +90,7 @@ func TestMutualInformation(t *testing.T) {
 
 func TestCorrelationGroups(t *testing.T) {
 	X, y, _ := synth(300, rand.New(rand.NewSource(4)))
-	groups := CorrelationGroups(X, y, 0.98)
+	groups := ctxCorrelationGroups(X, y, 0.98)
 	// f0, f1, f2, f5 are all mutually |corr|=1: one group of 4.
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d, want 1", len(groups))
@@ -195,7 +195,16 @@ func TestEmptyInputs(t *testing.T) {
 	if m := ComputeMoments(nil); m.Mean != nil {
 		t.Fatalf("moments of empty set")
 	}
-	if mi := MutualInformation(nil, nil); mi != nil {
+	if mi := ctxMutualInformation(nil, nil); mi != nil {
 		t.Fatalf("MI of empty set")
+	}
+	cfg := DefaultSelectConfig()
+	if sel := Select(nil, nil, nil, cfg); len(sel.Indices) != 0 || len(sel.Groups) != 0 || len(sel.MI) != 0 {
+		t.Fatalf("Select on a nil matrix = %+v, want empty", sel)
+	}
+	X := [][]float64{{}, {}, {}}
+	y := []float64{1, -1, 1}
+	if sel := Select(X, y, nil, cfg); len(sel.Indices) != 0 || len(sel.Groups) != 0 || len(sel.MI) != 0 {
+		t.Fatalf("Select on a zero-column matrix = %+v, want empty", sel)
 	}
 }

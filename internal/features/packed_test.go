@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"perspectron/internal/encoding"
@@ -114,7 +115,7 @@ func TestMutualInformationPackedBitIdentical(t *testing.T) {
 				X[i] = row
 			}
 		}
-		got := MutualInformation(X, y)
+		got := ctxMutualInformation(X, y)
 		want := denseMIRef(X, y)
 		for j := range want {
 			if got[j] != want[j] {
@@ -124,119 +125,24 @@ func TestMutualInformationPackedBitIdentical(t *testing.T) {
 	}
 }
 
-// countPearsonRef computes binaryPearson counts by plain row iteration — no
-// bit packing — proving the popcount extraction is exact.
-func countPearsonRef(X [][]float64, a, b int) float64 {
-	n := len(X)
-	var ca, cb, cab int
-	for _, row := range X {
-		xa, xb := row[a] == 1, row[b] == 1
-		if xa {
-			ca++
-		}
-		if xb {
-			cb++
-		}
-		if xa && xb {
-			cab++
-		}
-	}
-	return binaryPearson(n, ca, cb, cab)
-}
-
-// TestBinaryPearsonPackedBitIdentical: every pairwise correlation from
-// packed columns must equal the loop-counted reference bit for bit, and
-// agree with the dense moment-based Pearson to float tolerance.
-func TestBinaryPearsonPackedBitIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 10; trial++ {
-		n, f := 40+r.Intn(120), 4+r.Intn(20)
-		X, _ := randBinary(r, n, f)
-		m := ComputeMoments(X)
-		cols := make([]encoding.BitVec, f)
-		for j := 0; j < f; j++ {
-			cols[j] = encoding.PackColumn(X, j, 1)
-		}
-		for a := 0; a < f; a++ {
-			for b := a + 1; b < f; b++ {
-				packed := binaryPearson(n, cols[a].Ones(), cols[b].Ones(), cols[a].AndCount(cols[b]))
-				if ref := countPearsonRef(X, a, b); packed != ref {
-					t.Fatalf("pair (%d,%d): packed %v != loop reference %v", a, b, packed, ref)
-				}
-				if m.Std[a] == 0 || m.Std[b] == 0 {
-					continue
-				}
-				dense := Pearson(X, m, a, b)
-				if math.Abs(packed-dense) > 1e-9 {
-					t.Fatalf("pair (%d,%d): packed %v vs dense %v", a, b, packed, dense)
-				}
-			}
-		}
-	}
-}
-
-// countClassCorrRef mirrors the popcount ClassCorrelation kernel with plain
-// row iteration.
-func countClassCorrRef(X [][]float64, y []float64, j int) float64 {
-	n := len(X)
-	var ca, sxy, sy int
-	for i, row := range X {
-		yi := 1
-		if y[i] < 0 {
-			yi = -1
-		}
-		sy += yi
-		if row[j] == 1 {
-			ca++
-			sxy += yi
-		}
-	}
-	return binaryClassCorr(n, ca, sxy, sy)
-}
-
-func TestClassCorrelationPackedBitIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 10; trial++ {
-		n, f := 40+r.Intn(120), 4+r.Intn(20)
-		X, y := randBinary(r, n, f)
-		got := ClassCorrelation(X, y)
-
-		SetForceDense(true)
-		dense := ClassCorrelation(X, y)
-		SetForceDense(false)
-
-		for j := 0; j < f; j++ {
-			if ref := countClassCorrRef(X, y, j); got[j] != ref {
-				t.Fatalf("feature %d: packed %v != loop reference %v", j, got[j], ref)
-			}
-			if math.Abs(got[j]-dense[j]) > 1e-9 {
-				t.Fatalf("feature %d: packed %v vs dense %v", j, got[j], dense[j])
-			}
-		}
-	}
-}
-
-// TestCorrelationGroupsPackedMatchesDense: on 0/1 input the popcount sweep
-// and the dense float sweep must produce the same partition, ranking, and
-// ordering.
+// TestCorrelationGroupsPackedMatchesDense: on 0/1 input the context's
+// pruned sweep over centered columns must produce the same partition,
+// ranking, and ordering as the per-pair dense oracle.
 func TestCorrelationGroupsPackedMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 10; trial++ {
 		X, y := randBinary(r, 60+r.Intn(100), 8+r.Intn(16))
-		packed := CorrelationGroups(X, y, 0.98)
-
-		SetForceDense(true)
-		dense := CorrelationGroups(X, y, 0.98)
-		SetForceDense(false)
-
-		if !reflect.DeepEqual(packed, dense) {
-			t.Fatalf("trial %d: packed groups %v != dense groups %v", trial, packed, dense)
+		got := ctxCorrelationGroups(X, y, 0.98)
+		want := legacyCorrelationGroups(X, y, 0.98)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: context groups %v != oracle groups %v", trial, got, want)
 		}
 	}
 }
 
 // TestSelectionWorkerCountInvariant: the full Select outcome must not
-// depend on the worker count, on binary or continuous input.
+// depend on GOMAXPROCS (the selection kernels' worker count), on binary or
+// continuous input.
 func TestSelectionWorkerCountInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	comps := func(f int) []stats.Component {
@@ -269,11 +175,11 @@ func TestSelectionWorkerCountInvariant(t *testing.T) {
 			}
 		}
 		var got []Selection
-		for _, workers := range []int{1, 2, 7} {
-			SetWorkers(workers)
+		for _, procs := range []int{1, 2, 7} {
+			prev := runtime.GOMAXPROCS(procs)
 			got = append(got, Select(X, y, comps(f), cfg))
+			runtime.GOMAXPROCS(prev)
 		}
-		SetWorkers(0)
 		for i := 1; i < len(got); i++ {
 			if !reflect.DeepEqual(got[0], got[i]) {
 				t.Fatalf("trial %d: selection differs between worker counts: %v vs %v",

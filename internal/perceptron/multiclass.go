@@ -24,35 +24,10 @@ func NewMultiClass(classes []string, n int, cfg Config) *MultiClass {
 	return m
 }
 
-// classIndex returns the index of name in Classes, or -1.
-func (m *MultiClass) classIndex(name string) int {
-	for i, c := range m.Classes {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Fit trains every class detector one-vs-rest on (X, labels).
-func (m *MultiClass) Fit(X [][]float64, labels []string) {
-	y := make([]float64, len(X))
-	for ci := range m.Classes {
-		for i, l := range labels {
-			if l == m.Classes[ci] {
-				y[i] = 1
-			} else {
-				y[i] = -1
-			}
-		}
-		m.Detectors[ci].Fit(X, y)
-	}
-}
-
-// FitPacked is Fit over bit-packed rows; each class detector trains through
-// Perceptron.FitPacked, so the bank's weights are bit-identical to Fit on
-// the equivalent dense 0/1 matrix.
-func (m *MultiClass) FitPacked(X []encoding.BitVec, labels []string) {
+// Fit trains every class detector one-vs-rest on the bit-packed rows X
+// through Perceptron.FitPacked, so the bank's weights are bit-identical to
+// dense one-vs-rest training on the equivalent 0/1 matrix.
+func (m *MultiClass) Fit(X []encoding.BitVec, labels []string) {
 	y := make([]float64, len(X))
 	for ci := range m.Classes {
 		for i, l := range labels {
@@ -66,20 +41,12 @@ func (m *MultiClass) FitPacked(X []encoding.BitVec, labels []string) {
 	}
 }
 
-// Scores returns the per-class normalized outputs.
-func (m *MultiClass) Scores(x []float64) []float64 {
-	out := make([]float64, len(m.Detectors))
-	for i, d := range m.Detectors {
-		out[i] = d.Score(x)
-	}
-	return out
-}
-
-// Predict returns the argmax class and its confidence.
-func (m *MultiClass) Predict(x []float64) (class string, confidence float64) {
-	best, bestScore := 0, m.Detectors[0].Score(x)
+// Predict returns the argmax class and its confidence for a bit-packed
+// input.
+func (m *MultiClass) Predict(x encoding.BitVec) (class string, confidence float64) {
+	best, bestScore := 0, m.Detectors[0].ScorePacked(x)
 	for i := 1; i < len(m.Detectors); i++ {
-		if s := m.Detectors[i].Score(x); s > bestScore {
+		if s := m.Detectors[i].ScorePacked(x); s > bestScore {
 			best, bestScore = i, s
 		}
 	}

@@ -3,6 +3,8 @@ package perceptron
 import (
 	"math/rand"
 	"testing"
+
+	"perspectron/internal/encoding"
 )
 
 // threeClassData builds separable data: class i has bit i set plus noise in
@@ -26,22 +28,16 @@ func TestMultiClassLearnsSeparable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	X, labels := threeClassData(300, r)
 	m := NewMultiClass([]string{"a", "b", "c"}, 8, DefaultConfig())
-	m.Fit(X, labels)
+	Xp := encoding.PackRows(X)
+	m.Fit(Xp, labels)
 	errs := 0
-	for i, x := range X {
+	for i, x := range Xp {
 		if got, _ := m.Predict(x); got != labels[i] {
 			errs++
 		}
 	}
 	if float64(errs)/float64(len(X)) > 0.02 {
 		t.Fatalf("multiclass training error %d/%d", errs, len(X))
-	}
-}
-
-func TestMultiClassScoresLength(t *testing.T) {
-	m := NewMultiClass([]string{"x", "y"}, 4, DefaultConfig())
-	if got := len(m.Scores([]float64{1, 0, 0, 1})); got != 2 {
-		t.Fatalf("scores length = %d", got)
 	}
 }
 

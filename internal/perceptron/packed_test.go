@@ -160,8 +160,9 @@ func TestFitPackedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestScorePackedBitIdentical: packed scoring (float and quantized) must
-// match the dense path bit for bit on random 0/1 inputs.
+// TestScorePackedBitIdentical: packed scoring — ScorePacked and the
+// production scorer encoding.MarginPacked — must match the dense Score bit
+// for bit on random 0/1 inputs.
 func TestScorePackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 20; trial++ {
@@ -171,7 +172,6 @@ func TestScorePackedBitIdentical(t *testing.T) {
 			p.W[j] = r.NormFloat64()
 		}
 		p.Bias = r.NormFloat64()
-		q := p.Quantized()
 		x := make([]float64, f)
 		for j := range x {
 			if r.Intn(3) == 0 {
@@ -179,23 +179,11 @@ func TestScorePackedBitIdentical(t *testing.T) {
 			}
 		}
 		xp := encoding.Pack(x)
-		if got, want := p.RawPacked(xp), p.Raw(x); got != want {
-			t.Fatalf("RawPacked = %v, Raw = %v", got, want)
-		}
 		if got, want := p.ScorePacked(xp), p.Score(x); got != want {
 			t.Fatalf("ScorePacked = %v, Score = %v", got, want)
 		}
-		if got, want := p.PredictPacked(xp), p.Predict(x); got != want {
-			t.Fatalf("PredictPacked = %v, Predict = %v", got, want)
-		}
-		if got, want := q.RawPacked(xp), q.Raw(x); got != want {
-			t.Fatalf("Quantized.RawPacked = %v, Raw = %v", got, want)
-		}
-		if got, want := q.ScorePacked(xp), q.Score(x); got != want {
-			t.Fatalf("Quantized.ScorePacked = %v, Score = %v", got, want)
-		}
-		if got, want := q.PredictPacked(xp), q.Predict(x); got != want {
-			t.Fatalf("Quantized.PredictPacked = %v, Predict = %v", got, want)
+		if got, want := encoding.MarginPacked(p.Bias, p.W, xp), p.Score(x); got != want {
+			t.Fatalf("MarginPacked = %v, Score = %v", got, want)
 		}
 	}
 }
@@ -242,7 +230,7 @@ func TestQuantizedScoreSinglePass(t *testing.T) {
 }
 
 // TestMultiClassFitPackedBitIdentical pins the packed one-vs-rest bank to
-// the dense bank.
+// dense one-vs-rest training of each class detector.
 func TestMultiClassFitPackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	n, f := 90, 40
@@ -254,11 +242,18 @@ func TestMultiClassFitPackedBitIdentical(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Epochs = 40
-	dense := NewMultiClass(names, f, cfg)
-	dense.Fit(X, labels)
 	packed := NewMultiClass(names, f, cfg)
-	packed.FitPacked(encoding.PackRows(X), labels)
-	for ci := range names {
-		sameWeights(t, "multiclass "+names[ci], dense.Detectors[ci], packed.Detectors[ci])
+	packed.Fit(encoding.PackRows(X), labels)
+	dense := NewMultiClass(names, f, cfg)
+	y := make([]float64, n)
+	for ci, name := range names {
+		for i, l := range labels {
+			y[i] = -1
+			if l == name {
+				y[i] = 1
+			}
+		}
+		dense.Detectors[ci].Fit(X, y)
+		sameWeights(t, "multiclass "+name, dense.Detectors[ci], packed.Detectors[ci])
 	}
 }

@@ -109,20 +109,6 @@ func (p *Perceptron) Raw(x []float64) float64 {
 	return s
 }
 
-// RawPacked is Raw over a bit-packed input: one add per set bit, visiting
-// bits in ascending index order so the float accumulation matches Raw
-// exactly on 0/1 input.
-func (p *Perceptron) RawPacked(x encoding.BitVec) float64 {
-	s := p.Bias
-	for w, word := range x {
-		for word != 0 {
-			s += p.W[w<<6+bits.TrailingZeros64(word)]
-			word &= word - 1
-		}
-	}
-	return s
-}
-
 // rawNorm accumulates the raw output and the active-weight magnitude in a
 // single pass over the input — Score used to make two.
 func (p *Perceptron) rawNorm(x []float64) (raw, norm float64) {
@@ -170,14 +156,6 @@ func (p *Perceptron) ScorePacked(x encoding.BitVec) float64 {
 // configured threshold, else -1 (benign).
 func (p *Perceptron) Predict(x []float64) float64 {
 	if p.Score(x) >= p.Threshold {
-		return 1
-	}
-	return -1
-}
-
-// PredictPacked thresholds the packed-input score.
-func (p *Perceptron) PredictPacked(x encoding.BitVec) float64 {
-	if p.ScorePacked(x) >= p.Threshold {
 		return 1
 	}
 	return -1
@@ -275,18 +253,6 @@ func (q *Quantized) Raw(x []float64) int32 {
 	return s
 }
 
-// RawPacked is Raw over a bit-packed input: one integer add per set bit.
-func (q *Quantized) RawPacked(x encoding.BitVec) int32 {
-	s := q.Bias
-	for w, word := range x {
-		for word != 0 {
-			s += int32(q.W[w<<6+bits.TrailingZeros64(word)])
-			word &= word - 1
-		}
-	}
-	return s
-}
-
 // Score normalizes the integer output into [-1, 1] over the active inputs,
 // mirroring Perceptron.Score. Like its float mirror it accumulates the raw
 // sum and the norm in one pass instead of re-walking the input through Raw.
@@ -302,32 +268,9 @@ func (q *Quantized) Score(x []float64) float64 {
 	return clampScore(float64(raw), norm)
 }
 
-// ScorePacked is Score over a bit-packed input, iterating set words only.
-func (q *Quantized) ScorePacked(x encoding.BitVec) float64 {
-	raw := q.Bias
-	norm := math.Abs(float64(q.Bias))
-	for w, word := range x {
-		for word != 0 {
-			wj := q.W[w<<6+bits.TrailingZeros64(word)]
-			raw += int32(wj)
-			norm += math.Abs(float64(wj))
-			word &= word - 1
-		}
-	}
-	return clampScore(float64(raw), norm)
-}
-
 // Predict thresholds the normalized integer output.
 func (q *Quantized) Predict(x []float64) float64 {
 	if q.Score(x) >= q.Threshold {
-		return 1
-	}
-	return -1
-}
-
-// PredictPacked thresholds the packed-input score.
-func (q *Quantized) PredictPacked(x encoding.BitVec) float64 {
-	if q.ScorePacked(x) >= q.Threshold {
 		return 1
 	}
 	return -1

@@ -262,21 +262,11 @@ func (t *Trainer) fitLoop(budget int, step func() bool) (converged bool) {
 }
 
 // FitIncremental resumes training from a serialized optimizer state over a
-// (possibly grown) dense corpus: at most budget additional epochs, stopping
-// early on convergence. It returns the advanced state for the next
+// (possibly grown) bit-packed corpus: at most budget additional epochs,
+// stopping early on convergence. It returns the advanced state for the next
 // checkpoint. A zero-valued state (no epochs) starts a fresh run, making
-// FitIncremental-from-zero bit-identical to Fit on the same corpus.
-func (p *Perceptron) FitIncremental(st TrainerState, X [][]float64, y []float64, budget int) (TrainerState, error) {
-	t, err := p.resumeOrNew(st)
-	if err != nil {
-		return st, err
-	}
-	t.Fit(X, y, budget)
-	return t.State(), nil
-}
-
-// FitIncrementalPacked is FitIncremental over bit-packed rows.
-func (p *Perceptron) FitIncrementalPacked(st TrainerState, X []encoding.BitVec, y []float64, budget int) (TrainerState, error) {
+// FitIncremental-from-zero bit-identical to FitPacked on the same corpus.
+func (p *Perceptron) FitIncremental(st TrainerState, X []encoding.BitVec, y []float64, budget int) (TrainerState, error) {
 	t, err := p.resumeOrNew(st)
 	if err != nil {
 		return st, err

@@ -81,7 +81,7 @@ func TestTrainerStepMatchesFit(t *testing.T) {
 // fresh trainer, and requires the final weights to match an uninterrupted
 // run exactly.
 func TestTrainerResumeBitIdentical(t *testing.T) {
-	X, Xp, y := trainCorpus(80, 190, 3)
+	_, Xp, y := trainCorpus(80, 190, 3)
 	cfg := DefaultConfig()
 	cfg.Epochs = 60
 	cfg.Seed = 5
@@ -112,12 +112,12 @@ func TestTrainerResumeBitIdentical(t *testing.T) {
 	resumed.FitPacked(Xp, y, cfg.Epochs-17)
 	weightsEqual(t, straight, interrupted, "resume vs straight-through")
 
-	// The dense incremental wrapper from zero must also match.
+	// The incremental wrapper from zero must also match.
 	inc := New(190, cfg)
-	if _, err := inc.FitIncremental(TrainerState{}, X, y, 0); err != nil {
+	if _, err := inc.FitIncremental(TrainerState{}, Xp, y, 0); err != nil {
 		t.Fatal(err)
 	}
-	weightsEqual(t, straight, inc, "FitIncremental from zero vs Fit")
+	weightsEqual(t, straight, inc, "FitIncremental from zero vs FitPacked")
 }
 
 // TestTrainerGrownCorpus verifies the incremental path over a corpus that

@@ -95,7 +95,6 @@ type CollectConfig struct {
 	Interval uint64 // sampling granularity (10K/50K/100K)
 	Seed     int64
 	Runs     int // independent runs (seeds) per program
-	Parallel int // worker goroutines; 0 = GOMAXPROCS
 
 	// Timeout bounds each program run's wall-clock time; the run's stream
 	// is cut off at the deadline and whatever samples it produced are kept.
@@ -163,10 +162,7 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 	}
 
 	results := make([][]Sample, len(jobs))
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards ds.Dropped and retried
 	retried := 0

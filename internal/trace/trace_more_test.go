@@ -1,19 +1,23 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
 
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/benign"
 )
 
+// TestCollectParallelMatchesSerial: collection fans runs out across
+// GOMAXPROCS workers; the dataset must not depend on the worker count.
 func TestCollectParallelMatchesSerial(t *testing.T) {
 	progs := []workload.Program{benign.Bzip2(), benign.Mcf()}
-	cfgSerial := CollectConfig{MaxInsts: 20_000, Interval: 10_000, Seed: 9, Runs: 1, Parallel: 1}
-	cfgParallel := cfgSerial
-	cfgParallel.Parallel = 4
-	a := Collect(progs, cfgSerial)
-	b := Collect(progs, cfgParallel)
+	cfg := CollectConfig{MaxInsts: 20_000, Interval: 10_000, Seed: 9, Runs: 1}
+	prev := runtime.GOMAXPROCS(1)
+	a := Collect(progs, cfg)
+	runtime.GOMAXPROCS(4)
+	b := Collect(progs, cfg)
+	runtime.GOMAXPROCS(prev)
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatalf("sample counts differ: %d vs %d", len(a.Samples), len(b.Samples))
 	}
