@@ -162,9 +162,11 @@ func BenchmarkPerceptronInference(b *testing.B) {
 	for j := range p.W {
 		p.W[j] = r.Float64()*2 - 1
 	}
-	x := make([]float64, 106)
-	for j := range x {
-		x[j] = float64(r.Intn(2))
+	x := encoding.NewBitVec(106)
+	for j := 0; j < 106; j++ {
+		if r.Intn(2) == 1 {
+			x.Set(j)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -180,9 +182,11 @@ func BenchmarkQuantizedInference(b *testing.B) {
 		p.W[j] = r.Float64()*2 - 1
 	}
 	q := p.Quantized()
-	x := make([]float64, 106)
-	for j := range x {
-		x[j] = float64(r.Intn(2))
+	x := encoding.NewBitVec(106)
+	for j := 0; j < 106; j++ {
+		if r.Intn(2) == 1 {
+			x.Set(j)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -205,40 +209,27 @@ func BenchmarkFeatureSelection(b *testing.B) {
 
 func BenchmarkPerceptronTraining(b *testing.B) {
 	p := benchPrep()
-	X, y := p.Enc.BinaryMatrix(p.DS)
-	Xp := trace.Project(X, p.Sel.Indices)
+	X, y := p.Enc.PackedBinaryMatrix(p.DS, p.Sel.Indices)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-		det.Fit(Xp, y)
+		det.Fit(X, y)
 	}
 }
 
 // ---- hot-path kernel benchmarks (BENCH_hotpath.json) ------------------------
 //
-// Each benchmark pairs the historical serial/dense implementation against the
-// bit-packed and/or parallel kernel on the same inputs, so the JSON artifact
-// `make bench` writes records the measured speedup next to the baseline.
 // BenchmarkSelect lives in internal/features, next to its serial oracle.
 
-// BenchmarkFit compares perceptron training over dense float rows against
-// the bit-packed fit (identical weights, set-bit iteration only).
+// BenchmarkFit times perceptron training over the bit-packed rows of the
+// selected features (set-bit iteration only).
 func BenchmarkFit(b *testing.B) {
 	p := benchPrep()
-	Xd, y := p.Enc.BinaryMatrix(p.DS)
-	Xdense := trace.Project(Xd, p.Sel.Indices)
-	Xb, _ := p.Enc.PackedBinaryMatrix(p.DS)
-	Xpacked := trace.ProjectPacked(Xb, p.Sel.Indices)
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-			det.Fit(Xdense, y)
-		}
-	})
+	X, y := p.Enc.PackedBinaryMatrix(p.DS, p.Sel.Indices)
 	b.Run("packed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-			det.FitPacked(Xpacked, y)
+			det.Fit(X, y)
 		}
 	})
 }
@@ -249,12 +240,11 @@ func BenchmarkCrossValidate(b *testing.B) {
 	p := benchPrep()
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier {
+			res := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
 				return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-			}, eval.CVConfig{
+			}, eval.Bits, eval.CVConfig{
 				Folds:      eval.TableIIIFolds(),
 				FeatureIdx: p.Sel.Indices,
-				Binary:     true,
 				Threshold:  0.25,
 			})
 			b.ReportMetric(res.MeanAccuracy, "accuracy")
@@ -322,36 +312,30 @@ func BenchmarkMonitorTelemetryOverhead(b *testing.B) {
 
 // ---- ablation benchmarks (design choices from DESIGN.md §5) -----------------
 
-// ablationCV runs the Table III CV with the given encoding/feature choices
-// and reports the mean accuracy.
-func ablationCV(b *testing.B, idx []int, binary bool, mk func(n int) eval.ScoredClassifier) {
+// ablationCV runs the Table III CV of a perceptron over the bit-packed
+// k-sparse inputs of the given features, encoded per fold by encode, and
+// reports the mean accuracy. The binarization ablation lives in
+// internal/perceptron, next to the dense oracle its scaled arm needs.
+func ablationCV(b *testing.B, idx []int, encode func(*trace.Encoder, *trace.Dataset, []int) ([]encoding.BitVec, []float64),
+	mk func(n int) eval.Model[encoding.BitVec]) {
 	p := benchPrep()
 	n := len(idx)
 	if idx == nil {
 		n = p.DS.NumFeatures()
 	}
 	for i := 0; i < b.N; i++ {
-		res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier { return mk(n) },
+		res := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] { return mk(n) }, encode,
 			eval.CVConfig{
 				Folds:      eval.TableIIIFolds(),
 				FeatureIdx: idx,
-				Binary:     binary,
 				Threshold:  0.25,
 			})
 		b.ReportMetric(res.MeanAccuracy, "accuracy")
 	}
 }
 
-func newPerceptron(n int) eval.ScoredClassifier {
+func newPerceptron(n int) eval.Model[encoding.BitVec] {
 	return perceptron.New(n, perceptron.DefaultConfig())
-}
-
-// BenchmarkAblationBinarization compares the paper's k-sparse binarized
-// inputs against raw scaled inputs on the same 106 features.
-func BenchmarkAblationBinarization(b *testing.B) {
-	p := benchPrep()
-	b.Run("binary", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, newPerceptron) })
-	b.Run("scaled", func(b *testing.B) { ablationCV(b, p.Sel.Indices, false, newPerceptron) })
 }
 
 // BenchmarkAblationReplication compares the cross-component replicated
@@ -364,19 +348,18 @@ func BenchmarkAblationReplication(b *testing.B) {
 			commitOnly = append(commitOnly, j)
 		}
 	}
-	b.Run("replicated", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, newPerceptron) })
-	b.Run("commit-only", func(b *testing.B) { ablationCV(b, commitOnly, true, newPerceptron) })
+	b.Run("replicated", func(b *testing.B) { ablationCV(b, p.Sel.Indices, eval.Bits, newPerceptron) })
+	b.Run("commit-only", func(b *testing.B) { ablationCV(b, commitOnly, eval.Bits, newPerceptron) })
 	b.Run("replicated-bank", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier {
+			res := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
 				return perceptron.NewReplicatedBank(
 					seqIndices(len(p.Sel.Indices)),
 					projectComponents(p.DS.Components, p.Sel.Indices),
 					perceptron.DefaultConfig())
-			}, eval.CVConfig{
+			}, eval.Bits, eval.CVConfig{
 				Folds:      eval.TableIIIFolds(),
 				FeatureIdx: p.Sel.Indices,
-				Binary:     true,
 				Threshold:  0.25,
 			})
 			b.ReportMetric(res.MeanAccuracy, "accuracy")
@@ -405,8 +388,8 @@ func projectComponents(comps []stats.Component, idx []int) []stats.Component {
 func BenchmarkAblationSelection(b *testing.B) {
 	p := benchPrep()
 	top := topK(p.Sel.MI, len(p.Sel.Indices))
-	b.Run("per-component-greedy", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, newPerceptron) })
-	b.Run("global-top-mi", func(b *testing.B) { ablationCV(b, top, true, newPerceptron) })
+	b.Run("per-component-greedy", func(b *testing.B) { ablationCV(b, p.Sel.Indices, eval.Bits, newPerceptron) })
+	b.Run("global-top-mi", func(b *testing.B) { ablationCV(b, top, eval.Bits, newPerceptron) })
 }
 
 func topK(vals []float64, k int) []int {
@@ -427,27 +410,29 @@ func topK(vals []float64, k int) []int {
 // §6) against the classic error-driven perceptron rule.
 func BenchmarkAblationMargin(b *testing.B) {
 	p := benchPrep()
-	withMargin := func(m float64) func(n int) eval.ScoredClassifier {
-		return func(n int) eval.ScoredClassifier {
+	withMargin := func(m float64) func(n int) eval.Model[encoding.BitVec] {
+		return func(n int) eval.Model[encoding.BitVec] {
 			cfg := perceptron.DefaultConfig()
 			cfg.Margin = m
 			return perceptron.New(n, cfg)
 		}
 	}
-	b.Run("margin-0.3", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, withMargin(0.3)) })
-	b.Run("no-margin", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, withMargin(0)) })
+	b.Run("margin-0.3", func(b *testing.B) { ablationCV(b, p.Sel.Indices, eval.Bits, withMargin(0.3)) })
+	b.Run("no-margin", func(b *testing.B) { ablationCV(b, p.Sel.Indices, eval.Bits, withMargin(0)) })
 }
 
 // BenchmarkAblationNormalization compares per-execution-point maxima (the
-// paper's matrix M) against corpus-global per-counter maxima.
+// paper's matrix M) against corpus-global per-counter maxima: the
+// global-max arm drops each fold encoder's per-point columns, so Max falls
+// back to the global column.
 func BenchmarkAblationNormalization(b *testing.B) {
 	p := benchPrep()
-	b.Run("per-point", func(b *testing.B) { ablationCV(b, p.Sel.Indices, true, newPerceptron) })
-	b.Run("global-max", func(b *testing.B) {
-		encoding.GlobalOnly = true
-		defer func() { encoding.GlobalOnly = false }()
-		ablationCV(b, p.Sel.Indices, true, newPerceptron)
-	})
+	globalMax := func(enc *trace.Encoder, d *trace.Dataset, idx []int) ([]encoding.BitVec, []float64) {
+		enc.M.PerPoint = nil
+		return eval.Bits(enc, d, idx)
+	}
+	b.Run("per-point", func(b *testing.B) { ablationCV(b, p.Sel.Indices, eval.Bits, newPerceptron) })
+	b.Run("global-max", func(b *testing.B) { ablationCV(b, p.Sel.Indices, globalMax, newPerceptron) })
 }
 
 // BenchmarkSerialAdderScaling reports the hardware model's inference cycle

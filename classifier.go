@@ -44,9 +44,8 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 	}
 	ds := corpus.Default().Dataset(workloads, opts.CollectConfig())
 	enc := trace.NewEncoder(ds)
-	// The bank trains on bit-packed k-sparse rows; weights are bit-identical
-	// to the dense float path (internal/perceptron packed tests).
-	X, _ := enc.PackedBinaryMatrix(ds)
+	// The bank trains on bit-packed k-sparse rows over every feature.
+	X, _ := enc.PackedBinaryMatrix(ds, nil)
 
 	labelOf := func(s *trace.Sample) string {
 		if s.Label == workload.Benign {
@@ -78,10 +77,7 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 		Classes:      classes,
 		FeatureNames: ds.FeatureNames,
 		Interval:     opts.Interval,
-		GlobalMax:    make([]float64, ds.NumFeatures()),
-	}
-	for j := 0; j < ds.NumFeatures(); j++ {
-		c.GlobalMax[j] = enc.M.GlobalMax(j)
+		GlobalMax:    append([]float64(nil), enc.M.GlobalMax...),
 	}
 	for _, det := range mc.Detectors {
 		c.Weights = append(c.Weights, det.W)

@@ -16,6 +16,9 @@ func NewBitVec(n int) BitVec { return make(BitVec, (n+63)/64) }
 // Set sets bit i.
 func (b BitVec) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
 
+// Clear clears bit i.
+func (b BitVec) Clear(i int) { b[i>>6] &^= 1 << uint(i&63) }
+
 // Get reports whether bit i is set. Bits beyond the backing words read as 0.
 func (b BitVec) Get(i int) bool {
 	if w := i >> 6; w < len(b) {
@@ -47,55 +50,12 @@ func (b BitVec) AndCount(o BitVec) int {
 	return n
 }
 
-// XorCount returns popcount(b XOR o): the Hamming distance between two
-// packed vectors. Missing trailing words count as zero.
-func (b BitVec) XorCount(o BitVec) int {
-	long, short := b, o
-	if len(long) < len(short) {
-		long, short = short, long
-	}
-	n := 0
-	for i, w := range short {
-		n += bits.OnesCount64(w ^ long[i])
-	}
-	for _, w := range long[len(short):] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// AndNotCount returns popcount(b AND NOT o) — the count of bits set in b
-// only, used to split a one-count into contingency-table cells.
-func (b BitVec) AndNotCount(o BitVec) int {
-	n := 0
-	for i, w := range b {
-		var ow uint64
-		if i < len(o) {
-			ow = o[i]
-		}
-		n += bits.OnesCount64(w &^ ow)
-	}
-	return n
-}
-
 // Pack converts a dense 0/1 row into its packed form: bit i is set iff
 // row[i] is non-zero.
 func Pack(row []float64) BitVec {
 	b := NewBitVec(len(row))
 	for i, v := range row {
 		if v != 0 {
-			b[i>>6] |= 1 << uint(i&63)
-		}
-	}
-	return b
-}
-
-// PackThreshold packs row with bit i set iff row[i] >= thr — the binarizing
-// cut feature selection applies to scaled columns (BinarizeThreshold).
-func PackThreshold(row []float64, thr float64) BitVec {
-	b := NewBitVec(len(row))
-	for i, v := range row {
-		if v >= thr {
 			b[i>>6] |= 1 << uint(i&63)
 		}
 	}
@@ -120,6 +80,18 @@ func PackRows(X [][]float64) []BitVec {
 	out := make([]BitVec, len(X))
 	for i, row := range X {
 		out[i] = Pack(row)
+	}
+	return out
+}
+
+// Project returns the vector restricted to the given bit indices: output
+// bit j mirrors bit idx[j] of b.
+func (b BitVec) Project(idx []int) BitVec {
+	out := NewBitVec(len(idx))
+	for j, f := range idx {
+		if b.Get(f) {
+			out.Set(j)
+		}
 	}
 	return out
 }

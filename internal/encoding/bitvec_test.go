@@ -58,27 +58,14 @@ func TestBitVecCounts(t *testing.T) {
 		x := randBinaryRow(r, n)
 		y := randBinaryRow(r, n)
 		a, b := Pack(x), Pack(y)
-		var and, xor, andNot int
+		and := 0
 		for i := range x {
-			xa, xb := x[i] != 0, y[i] != 0
-			if xa && xb {
+			if x[i] != 0 && y[i] != 0 {
 				and++
-			}
-			if xa != xb {
-				xor++
-			}
-			if xa && !xb {
-				andNot++
 			}
 		}
 		if got := a.AndCount(b); got != and {
 			t.Fatalf("AndCount = %d, want %d", got, and)
-		}
-		if got := a.XorCount(b); got != xor {
-			t.Fatalf("XorCount = %d, want %d", got, xor)
-		}
-		if got := a.AndNotCount(b); got != andNot {
-			t.Fatalf("AndNotCount = %d, want %d", got, andNot)
 		}
 	}
 }
@@ -95,29 +82,55 @@ func TestBitVecUnequalLengths(t *testing.T) {
 	if got := short.AndCount(long); got != 1 {
 		t.Fatalf("AndCount (short receiver) = %d, want 1", got)
 	}
-	if got := long.XorCount(short); got != 1 {
-		t.Fatalf("XorCount = %d, want 1 (bit 100 unmatched)", got)
-	}
-	if got := short.XorCount(long); got != 1 {
-		t.Fatalf("XorCount (short receiver) = %d, want 1", got)
-	}
-	if got := long.AndNotCount(short); got != 1 {
-		t.Fatalf("AndNotCount = %d, want 1", got)
-	}
 }
 
-func TestPackThresholdAndColumn(t *testing.T) {
+func TestPackColumn(t *testing.T) {
 	X := [][]float64{
 		{0.2, 0.5, 0.9},
 		{0.6, 0.4, 0.5},
 		{0.5, 0.0, 0.1},
 	}
-	b := PackThreshold(X[0], 0.5)
-	if b.Get(0) || !b.Get(1) || !b.Get(2) {
-		t.Fatalf("PackThreshold wrong: %v", b)
-	}
 	col := PackColumn(X, 0, 0.5)
 	if col.Get(0) || !col.Get(1) || !col.Get(2) {
 		t.Fatalf("PackColumn wrong: %v", col)
+	}
+}
+
+// TestBitVecProject: output bit j mirrors input bit idx[j], across word
+// boundaries, and matches projecting the dense row.
+func TestBitVecProject(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + r.Intn(200)
+		row := randBinaryRow(r, n)
+		idx := r.Perm(n)[:1+r.Intn(n)]
+		got := Pack(row).Project(idx)
+		if len(got) != (len(idx)+63)/64 {
+			t.Fatalf("projected width %d words, want %d", len(got), (len(idx)+63)/64)
+		}
+		ones := 0
+		for j, f := range idx {
+			if got.Get(j) != (row[f] != 0) {
+				t.Fatalf("bit %d = %v, want row[%d] = %v", j, got.Get(j), f, row[f])
+			}
+			if row[f] != 0 {
+				ones++
+			}
+		}
+		if got.Ones() != ones {
+			t.Fatalf("Ones = %d, want %d", got.Ones(), ones)
+		}
+	}
+}
+
+func TestBitVecClear(t *testing.T) {
+	b := NewBitVec(130)
+	for _, i := range []int{0, 63, 64, 129} {
+		b.Set(i)
+	}
+	b.Clear(64)
+	b.Clear(1) // clearing an unset bit is a no-op
+	if b.Get(64) || b.Get(1) || !b.Get(63) || !b.Get(129) || b.Ones() != 3 {
+		t.Fatalf("Clear wrong: %v", b)
 	}
 }

@@ -26,17 +26,11 @@ import (
 // constant rather than re-deriving it.
 const BinarizeThreshold = 0.5
 
-// GlobalOnly disables per-execution-point maxima process-wide: Max (and
-// everything built on it) then normalizes by the corpus-wide per-counter
-// maximum. Per-point maxima are phase-alignment sensitive; detectors meant
-// to generalize across unseen programs can prefer the global column.
-var GlobalOnly = false
-
 // Encoding holds the normalization maxima for a feature space: the paper's
 // matrix M. GlobalMax is indexed by feature; PerPoint, when present, is
 // indexed [execution point][feature] and takes precedence wherever its
-// entry is positive. A nil PerPoint (the Classifier's configuration)
-// normalizes by the global column only.
+// entry is positive. A nil PerPoint (the Classifier's configuration, and the
+// global-max normalization ablation) normalizes by the global column only.
 type Encoding struct {
 	GlobalMax []float64
 	PerPoint  [][]float64
@@ -80,7 +74,7 @@ func (e *Encoding) Observe(samples [][]float64) {
 // the corpus-wide maximum. A result of 0 means the counter never fired
 // anywhere in training.
 func (e *Encoding) Max(i, point int) float64 {
-	if !GlobalOnly && point >= 0 && point < len(e.PerPoint) {
+	if point >= 0 && point < len(e.PerPoint) {
 		if v := e.PerPoint[point][i]; v > 0 {
 			return v
 		}
@@ -110,19 +104,12 @@ func (e *Encoding) Scale(vec []float64, point int, dst []float64) []float64 {
 	return dst
 }
 
-// Binarize produces the paper's k-sparse 0/1 feature vector: bit t is 1 iff
-// the scaled statistic t is >= 0.5. The result is written into dst (pass
-// nil to allocate).
-func (e *Encoding) Binarize(vec []float64, point int, dst []float64) []float64 {
-	dst = e.Scale(vec, point, dst)
-	for i, s := range dst {
-		if s >= BinarizeThreshold {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
-	return dst
+// Fires reports the paper's k-sparse bit for raw value v of feature i at
+// execution point point: the scaled statistic v/M reaches BinarizeThreshold.
+// A counter that never fired in training (M = 0) never fires.
+func (e *Encoding) Fires(i, point int, v float64) bool {
+	mx := e.Max(i, point)
+	return mx > 0 && v/mx >= BinarizeThreshold
 }
 
 // BitsPacked computes the bit-packed fired set of one raw sample, so one
@@ -154,15 +141,47 @@ func (e *Encoding) BitsPacked(raw []float64, indices []int, point int, dst BitVe
 			continue
 		}
 		avail++
-		mx := e.Max(slot, point)
-		if mx <= 0 {
-			continue
-		}
-		if v/mx >= BinarizeThreshold {
+		if e.Fires(slot, point, v) {
 			dst.Set(slot)
 		}
 	}
 	return dst, avail
+}
+
+// RawNorm returns the perceptron's raw output over a bit-packed fired set,
+// bias + Σ w_fired (the quantity the hardware's serial adder accumulates),
+// together with the active-weight magnitude |bias| + Σ |w_fired|. Set bits
+// are visited in ascending slot order, so the float accumulation order is
+// fixed. It is the one per-sample sum behind MarginPacked, Perceptron.Score
+// and the trainer's update rule.
+func RawNorm(bias float64, w []float64, fired BitVec) (raw, norm float64) {
+	raw = bias
+	norm = math.Abs(bias)
+	for wi, word := range fired {
+		base := wi << 6
+		for word != 0 {
+			j := base + bits.TrailingZeros64(word)
+			raw += w[j]
+			norm += math.Abs(w[j])
+			word &= word - 1
+		}
+	}
+	return raw, norm
+}
+
+// Normalize divides a raw output by its active-weight magnitude, clamped to
+// [-1, 1], or 0 when the magnitude is zero.
+func Normalize(raw, norm float64) float64 {
+	if norm == 0 {
+		return 0
+	}
+	v := raw / norm
+	if v > 1 {
+		v = 1
+	} else if v < -1 {
+		v = -1
+	}
+	return v
 }
 
 // MarginPacked returns the renormalized perceptron output over a bit-packed
@@ -170,29 +189,7 @@ func (e *Encoding) BitsPacked(raw []float64, indices []int, point int, dst BitVe
 // [-1, 1], or 0 when the denominator is zero. Because masked slots
 // contribute to neither sum, losing a random subset of counters shrinks
 // numerator and denominator together and the normalized confidence degrades
-// gracefully instead of collapsing (docs/FAULTS.md). Set bits are visited in
-// ascending slot order, so the float accumulation order is fixed (pinned
-// against a dense oracle by the packed equivalence tests).
+// gracefully instead of collapsing (docs/FAULTS.md).
 func MarginPacked(bias float64, w []float64, fired BitVec) float64 {
-	s := bias
-	norm := math.Abs(bias)
-	for wi, word := range fired {
-		base := wi << 6
-		for word != 0 {
-			j := base + bits.TrailingZeros64(word)
-			s += w[j]
-			norm += math.Abs(w[j])
-			word &= word - 1
-		}
-	}
-	if norm == 0 {
-		return 0
-	}
-	v := s / norm
-	if v > 1 {
-		v = 1
-	} else if v < -1 {
-		v = -1
-	}
-	return v
+	return Normalize(RawNorm(bias, w, fired))
 }

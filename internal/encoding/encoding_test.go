@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // Bits is the dense test oracle for BitsPacked: the same fired-bit set as a
@@ -93,10 +94,10 @@ func TestObserveAndMax(t *testing.T) {
 		t.Fatalf("out-of-range point did not fall back to global")
 	}
 
-	GlobalOnly = true
-	defer func() { GlobalOnly = false }()
-	if e.Max(0, 0) != 6 {
-		t.Fatalf("GlobalOnly ignored the global column")
+	// A nil PerPoint normalizes by the global column only.
+	e.PerPoint = nil
+	if e.Max(0, 0) != 6 || e.Max(1, 1) != 8 {
+		t.Fatalf("nil PerPoint ignored the global column: %v %v", e.Max(0, 0), e.Max(1, 1))
 	}
 }
 
@@ -118,13 +119,51 @@ func TestScaleAndBinarize(t *testing.T) {
 	if s[0] != 0.5 || s[1] != 1 || s[2] != 0 {
 		t.Fatalf("scaled = %v", s)
 	}
-	b := e.Binarize([]float64{5, 1, 7}, 0, nil)
-	if b[0] != 1 || b[1] != 0 || b[2] != 0 {
-		t.Fatalf("binarized = %v", b)
+	// Binarization: a counter fires when v/M reaches the threshold; one
+	// that never fired in training (M = 0) never fires.
+	if !e.Fires(0, 0, 5) || e.Fires(1, 0, 1) || e.Fires(2, 0, 7) {
+		t.Fatalf("fired = %v %v %v, want true false false",
+			e.Fires(0, 0, 5), e.Fires(1, 0, 1), e.Fires(2, 0, 7))
 	}
 	// The firing cut is exactly BinarizeThreshold, inclusive.
-	if bb := e.Binarize([]float64{10*BinarizeThreshold - 1e-9, 0, 0}, 0, nil); bb[0] != 0 {
-		t.Fatalf("fired just below the threshold")
+	if e.Fires(0, 0, 10*BinarizeThreshold-1e-9) || !e.Fires(0, 0, 10*BinarizeThreshold) {
+		t.Fatalf("firing cut is not the inclusive BinarizeThreshold")
+	}
+	// A fault sentinel never fires.
+	if e.Fires(0, 0, math.NaN()) {
+		t.Fatalf("NaN fired")
+	}
+}
+
+// Property: scaling stays within [0,1] and a feature fires exactly when
+// its scaled statistic reaches BinarizeThreshold, for arbitrary
+// non-negative observations.
+func TestQuickScaleInRange(t *testing.T) {
+	f := func(raw []uint16, probe []uint16) bool {
+		n := len(raw)
+		if n == 0 || len(probe) < n {
+			return true
+		}
+		e := New(n)
+		obs := make([]float64, n)
+		for i, v := range raw {
+			obs[i] = float64(v)
+		}
+		e.Observe([][]float64{obs})
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = float64(probe[i])
+		}
+		scaled := e.Scale(p, 0, nil)
+		for i, s := range scaled {
+			if s < 0 || s > 1 || e.Fires(i, 0, p[i]) != (s >= BinarizeThreshold) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
 	}
 }
 

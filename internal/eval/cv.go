@@ -3,7 +3,7 @@ package eval
 import (
 	"sort"
 
-	"perspectron/internal/ml"
+	"perspectron/internal/encoding"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 )
@@ -60,29 +60,48 @@ func (r CVResult) Accuracies() []float64 {
 	return out
 }
 
-// ScoredClassifier is what CrossValidate trains per fold: ml.Classifier is
-// structurally satisfied by the baselines, the perceptron, and the
-// replicated bank.
-type ScoredClassifier = ml.Classifier
+// Model is what CrossValidate trains per fold, over inputs of type V: the
+// ml baselines over scaled rows ([]float64), the perceptron family over
+// bit-packed k-sparse rows (encoding.BitVec).
+type Model[V any] interface {
+	Fit(X []V, y []float64)
+	Score(x V) float64
+}
+
+// Scaled encodes a split as scaled rows restricted to idx (nil = all
+// features) — the ml baselines' input.
+func Scaled(enc *trace.Encoder, d *trace.Dataset, idx []int) ([][]float64, []float64) {
+	X, y := enc.Matrix(d)
+	if idx != nil {
+		X = trace.Project(X, idx)
+	}
+	return X, y
+}
+
+// Bits encodes a split as bit-packed k-sparse rows restricted to idx (nil =
+// all features) — PerSpectron's representation, the perceptron family's
+// input.
+func Bits(enc *trace.Encoder, d *trace.Dataset, idx []int) ([]encoding.BitVec, []float64) {
+	return enc.PackedBinaryMatrix(d, idx)
+}
 
 // CVConfig controls a cross-validation run.
 type CVConfig struct {
 	Folds []Fold
 	// FeatureIdx restricts the feature space (nil = all features).
 	FeatureIdx []int
-	// Binary feeds the classifier k-sparse binarized inputs instead of
-	// scaled ones (PerSpectron's representation).
-	Binary bool
 	// Threshold is the decision threshold on the classifier score.
 	Threshold float64
 }
 
 // CrossValidate runs attack-holdout CV: per fold it splits the dataset,
-// builds the normalization matrix M from training data only, fits a fresh
-// classifier, and scores the held-out attacks plus a held-out benign slice
-// (benign programs are split round-robin so class proportions stay roughly
-// balanced, per §VII-B).
-func CrossValidate(ds *trace.Dataset, mk func() ScoredClassifier, cfg CVConfig) CVResult {
+// builds the normalization matrix M from training data only, encodes both
+// halves with encode (given that fold's encoder, the split and
+// cfg.FeatureIdx), fits a fresh model, and scores the held-out attacks plus
+// a held-out benign slice (benign programs are split round-robin so class
+// proportions stay roughly balanced, per §VII-B).
+func CrossValidate[V any](ds *trace.Dataset, mk func() Model[V],
+	encode func(*trace.Encoder, *trace.Dataset, []int) ([]V, []float64), cfg CVConfig) CVResult {
 	var res CVResult
 	benignProgs := benignPrograms(ds)
 
@@ -144,16 +163,8 @@ func CrossValidate(ds *trace.Dataset, mk func() ScoredClassifier, cfg CVConfig) 
 		}
 
 		enc := trace.NewEncoder(train)
-		encode := enc.Matrix
-		if cfg.Binary {
-			encode = enc.BinaryMatrix
-		}
-		Xtr, ytr := encode(train)
-		Xte, yte := encode(test)
-		if cfg.FeatureIdx != nil {
-			Xtr = trace.Project(Xtr, cfg.FeatureIdx)
-			Xte = trace.Project(Xte, cfg.FeatureIdx)
-		}
+		Xtr, ytr := encode(enc, train, cfg.FeatureIdx)
+		Xte, yte := encode(enc, test, cfg.FeatureIdx)
 
 		clf := mk()
 		clf.Fit(Xtr, ytr)

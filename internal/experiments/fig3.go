@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"perspectron/internal/encoding"
 	"perspectron/internal/perceptron"
-	"perspectron/internal/trace"
 	"perspectron/internal/workload/attacks"
 )
 
@@ -29,13 +29,11 @@ type Fig3Result struct {
 
 // trainPerSpectron trains the detector on the base corpus and returns a
 // scorer (shared by Fig3/Fig4).
-func trainPerSpectron(p *Prepared, threshold float64) *modelScorer {
-	enc := p.Enc
-	X, y := enc.BinaryMatrix(p.DS)
-	Xp := trace.Project(X, p.Sel.Indices)
+func trainPerSpectron(p *Prepared, threshold float64) *modelScorer[encoding.BitVec] {
+	X, y := p.Enc.PackedBinaryMatrix(p.DS, p.Sel.Indices)
 	det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-	det.Fit(Xp, y)
-	return &modelScorer{enc: enc, idx: p.Sel.Indices, binary: true,
+	det.Fit(X, y)
+	return &modelScorer[encoding.BitVec]{encode: bitsAt(p.Enc, p.Sel.Indices),
 		clf: det, threshold: threshold}
 }
 

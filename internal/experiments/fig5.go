@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
 	"perspectron/internal/perceptron"
 )
@@ -37,12 +38,11 @@ func Fig5(cfg Config) *Fig5Result {
 		}
 		p := Prepare(c)
 
-		cv := eval.CrossValidate(p.DS, func() eval.ScoredClassifier {
+		cv := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
 			return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-		}, eval.CVConfig{
+		}, eval.Bits, eval.CVConfig{
 			Folds:      eval.TableIIIFolds(),
 			FeatureIdx: p.Sel.Indices,
-			Binary:     true,
 			Threshold:  0.25,
 		})
 

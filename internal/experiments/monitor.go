@@ -3,7 +3,8 @@ package experiments
 import (
 	"math/rand"
 
-	"perspectron/internal/ml"
+	"perspectron/internal/encoding"
+	"perspectron/internal/eval"
 	"perspectron/internal/sim"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
@@ -44,33 +45,37 @@ func collectRuns(progs []workload.Program, cfg Config) []MonitoredRun {
 	return out
 }
 
-// modelScorer scores monitored runs with a trained classifier over an
-// encoder built from the training corpus.
-type modelScorer struct {
-	enc       *trace.Encoder
-	idx       []int // feature projection (nil = all)
-	binary    bool
-	clf       ml.Classifier
+// modelScorer scores monitored runs with a trained model over an encoder
+// built from the training corpus: encode turns one raw delta vector, taken
+// at an execution point, into the model's input.
+type modelScorer[V any] struct {
+	encode    func(raw []float64, point int) V
+	clf       eval.Model[V]
 	threshold float64
 }
 
-// scoreAt encodes one raw delta vector (at execution point j) and
-// returns the classifier score.
-func (s *modelScorer) scoreAt(raw []float64, j int) float64 {
-	var vec []float64
-	if s.binary {
-		vec = s.enc.BinarizeAt(raw, j)
-	} else {
-		vec = s.enc.ScaleAt(raw, j)
-	}
-	if s.idx != nil {
-		p := make([]float64, len(s.idx))
-		for i, f := range s.idx {
-			p[i] = vec[f]
+// bitsAt encodes one raw delta vector as its bit-packed k-sparse vector over
+// the feature indices idx — the perceptron family's input.
+func bitsAt(enc *trace.Encoder, idx []int) func([]float64, int) encoding.BitVec {
+	return func(raw []float64, j int) encoding.BitVec { return enc.BitsAt(raw, j, idx) }
+}
+
+// scaledAt encodes one raw delta vector as its scaled row over the feature
+// indices idx (nil = all) — the ml baselines' input.
+func scaledAt(enc *trace.Encoder, idx []int) func([]float64, int) []float64 {
+	return func(raw []float64, j int) []float64 {
+		x := enc.ScaleAt(raw, j)
+		if idx != nil {
+			x = trace.Project([][]float64{x}, idx)[0]
 		}
-		vec = p
+		return x
 	}
-	return s.clf.Score(vec)
+}
+
+// scoreAt encodes one raw delta vector (at execution point j) and
+// returns the model score.
+func (s *modelScorer[V]) scoreAt(raw []float64, j int) float64 {
+	return s.clf.Score(s.encode(raw, j))
 }
 
 // Verdict summarizes one monitored run's detection outcome.
@@ -86,7 +91,7 @@ type Verdict struct {
 }
 
 // verdict scores a run sample by sample.
-func (s *modelScorer) verdict(run MonitoredRun) Verdict {
+func (s *modelScorer[V]) verdict(run MonitoredRun) Verdict {
 	v := Verdict{Name: run.Name, FirstFlag: -1, FirstLeak: -1}
 	if len(run.LeakSamples) > 0 {
 		v.FirstLeak = run.LeakSamples[0]

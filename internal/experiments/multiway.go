@@ -49,7 +49,7 @@ func Multiway(cfg Config) *MultiwayResult {
 	// Classification uses the full k-sparse feature space: distinguishing
 	// SpectreV1 from V2 from RSB needs the per-predictor-unit counters
 	// that the binary benign/suspicious selection has no reason to keep.
-	Xp, _ := enc.PackedBinaryMatrix(p.DS)
+	Xp, _ := enc.PackedBinaryMatrix(p.DS, nil)
 	labels := make([]string, len(p.DS.Samples))
 	for i := range p.DS.Samples {
 		labels[i] = labelOf(&p.DS.Samples[i])

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"perspectron/internal/perceptron"
-	"perspectron/internal/trace"
 )
 
 // RHMDResult evaluates the stochastic multi-detector hardening the paper
@@ -34,9 +33,7 @@ type RHMDResult struct {
 // evasion study.
 func RHMD(cfg Config) *RHMDResult {
 	p := Prepare(cfg)
-	enc := p.Enc
-	X, y := enc.BinaryMatrix(p.DS)
-	Xp := trace.Project(X, p.Sel.Indices)
+	Xp, y := p.Enc.PackedBinaryMatrix(p.DS, p.Sel.Indices)
 
 	const k = 4
 	subset := len(p.Sel.Indices) / 2

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
 	"perspectron/internal/perceptron"
 )
@@ -29,12 +30,11 @@ type Table3Result struct {
 func Table3(cfg Config) *Table3Result {
 	p := Prepare(cfg)
 	folds := eval.TableIIIFolds()
-	res := eval.CrossValidate(p.DS, func() eval.ScoredClassifier {
+	res := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
 		return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-	}, eval.CVConfig{
+	}, eval.Bits, eval.CVConfig{
 		Folds:      folds,
 		FeatureIdx: p.Sel.Indices,
-		Binary:     true,
 		Threshold:  0.25,
 	})
 

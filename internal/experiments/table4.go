@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
 	"perspectron/internal/features"
 	"perspectron/internal/ml"
@@ -37,37 +38,73 @@ type Table4Result struct {
 type table4Spec struct {
 	model      string
 	featureSet string // "MAP", "PerSpectron", "full"
-	binary     bool
 	threshold  float64
 	hw         string
-	mk         func(nFeatures int) eval.ScoredClassifier
+	run        table4Run
+}
+
+// table4Run cross-validates one grid model over the n features idx (nil =
+// all) and trains it on the full corpus, returning the CV result and the
+// trained model's per-run verdict for the evasion assessment.
+type table4Run func(p *Prepared, idx []int, n int, threshold float64) (eval.CVResult, func(MonitoredRun) Verdict)
+
+// scaledModel binds an ml baseline to scaled inputs.
+func scaledModel(mk func(n int) eval.Model[[]float64]) table4Run {
+	return gridModel(mk, eval.Scaled, scaledAt)
+}
+
+// bitsModel binds a perceptron to bit-packed k-sparse inputs.
+func bitsModel(mk func(n int) eval.Model[encoding.BitVec]) table4Run {
+	return gridModel(mk, eval.Bits, bitsAt)
+}
+
+// gridModel is the Table IV protocol for a model over inputs V: encode
+// encodes a split for CV and full-corpus training, at one raw sample for
+// monitoring.
+func gridModel[V any](mk func(n int) eval.Model[V],
+	encode func(*trace.Encoder, *trace.Dataset, []int) ([]V, []float64),
+	at func(*trace.Encoder, []int) func([]float64, int) V) table4Run {
+	return func(p *Prepared, idx []int, n int, threshold float64) (eval.CVResult, func(MonitoredRun) Verdict) {
+		cv := eval.CrossValidate(p.DS, func() eval.Model[V] { return mk(n) }, encode,
+			eval.CVConfig{
+				Folds:      eval.TableIIIFolds(),
+				FeatureIdx: idx,
+				Threshold:  threshold,
+			})
+		// Evasion assessment with a full-corpus-trained model.
+		X, y := encode(p.Enc, p.DS, idx)
+		clf := mk(n)
+		clf.Fit(X, y)
+		sc := &modelScorer[V]{encode: at(p.Enc, idx), clf: clf, threshold: threshold}
+		return cv, sc.verdict
+	}
 }
 
 func table4Grid() []table4Spec {
-	plainPerceptron := func(n int) eval.ScoredClassifier {
+	plainPerceptron := func(n int) eval.Model[encoding.BitVec] {
 		cfg := perceptron.DefaultConfig()
 		cfg.Margin = 0 // the plain-perceptron baseline has no margin training
 		cfg.Epochs = 200
 		return perceptron.New(n, cfg)
 	}
 	return []table4Spec{
-		{"DT-CART", "MAP", false, 0, "low",
-			func(int) eval.ScoredClassifier { return ml.NewCART() }},
-		{"DT-CART", "PerSpectron", false, 0, "low",
-			func(int) eval.ScoredClassifier { return ml.NewCART() }},
-		{"LogisticRegression", "MAP", false, 0, "low",
-			func(int) eval.ScoredClassifier { return ml.NewLogReg() }},
-		{"Perceptron", "full", true, 0, "low", plainPerceptron},
-		{"KNN", "PerSpectron", false, 0, "high",
-			func(int) eval.ScoredClassifier { return ml.NewKNN() }},
-		{"NeuralNetwork", "MAP", false, 0, "high",
-			func(int) eval.ScoredClassifier { return ml.NewMLP() }},
-		{"NeuralNetwork", "PerSpectron", false, 0, "high",
-			func(int) eval.ScoredClassifier { return ml.NewMLP() }},
-		{"PerSpectron", "PerSpectron", true, 0.25, "low",
-			func(n int) eval.ScoredClassifier {
+		{"DT-CART", "MAP", 0, "low",
+			scaledModel(func(int) eval.Model[[]float64] { return ml.NewCART() })},
+		{"DT-CART", "PerSpectron", 0, "low",
+			scaledModel(func(int) eval.Model[[]float64] { return ml.NewCART() })},
+		{"LogisticRegression", "MAP", 0, "low",
+			scaledModel(func(int) eval.Model[[]float64] { return ml.NewLogReg() })},
+		{"Perceptron", "full", 0, "low", bitsModel(plainPerceptron)},
+		{"KNN", "PerSpectron", 0, "high",
+			scaledModel(func(int) eval.Model[[]float64] { return ml.NewKNN() })},
+		{"NeuralNetwork", "MAP", 0, "high",
+			scaledModel(func(int) eval.Model[[]float64] { return ml.NewMLP() })},
+		{"NeuralNetwork", "PerSpectron", 0, "high",
+			scaledModel(func(int) eval.Model[[]float64] { return ml.NewMLP() })},
+		{"PerSpectron", "PerSpectron", 0.25, "low",
+			bitsModel(func(n int) eval.Model[encoding.BitVec] {
 				return perceptron.New(n, perceptron.DefaultConfig())
-			}},
+			})},
 	}
 }
 
@@ -78,18 +115,13 @@ func Table4(cfg Config) *Table4Result {
 
 	// Evasion suite: the 12 polymorphic variants plus bandwidth-reduced
 	// SpectreV1, monitored once and scored by every model.
-	evCfg := cfg
-	evCfg.MaxInsts = cfg.MaxInsts
-	polyRuns := collectRuns(attacks.AllPolymorphic("fr"), evCfg)
+	polyRuns := collectRuns(attacks.AllPolymorphic("fr"), cfg)
 	bwFactors := []float64{0.75, 0.5, 0.25}
 	var bwRuns []MonitoredRun
 	for _, f := range bwFactors {
 		bwRuns = append(bwRuns,
-			collectRun(attacks.Bandwidth(attacks.SpectreV1("fr"), f), evCfg, cfg.Seed+991))
+			collectRun(attacks.Bandwidth(attacks.SpectreV1("fr"), f), cfg, cfg.Seed+991))
 	}
-
-	// Full-corpus training encoder for the evasion assessment.
-	fullEnc := p.Enc
 
 	res := &Table4Result{}
 	for _, spec := range table4Grid() {
@@ -107,29 +139,7 @@ func Table4(cfg Config) *Table4Result {
 			n = p.DS.NumFeatures()
 		}
 
-		// CV accuracy.
-		cv := eval.CrossValidate(p.DS, func() eval.ScoredClassifier { return spec.mk(n) },
-			eval.CVConfig{
-				Folds:      eval.TableIIIFolds(),
-				FeatureIdx: idx,
-				Binary:     spec.binary,
-				Threshold:  spec.threshold,
-			})
-
-		// Evasion assessment with a full-corpus-trained model.
-		encode := fullEnc.Matrix
-		if spec.binary {
-			encode = fullEnc.BinaryMatrix
-		}
-		X, y := encode(p.DS)
-		if idx != nil {
-			X = trace.Project(X, idx)
-		}
-		clf := spec.mk(n)
-		clf.Fit(X, y)
-		sc := &modelScorer{enc: fullEnc, idx: idx, binary: spec.binary,
-			clf: clf, threshold: spec.threshold}
-
+		cv, verdict := spec.run(p, idx, n, spec.threshold)
 		row := Table4Row{
 			Model:        spec.model,
 			FeatureSet:   spec.featureSet,
@@ -140,7 +150,7 @@ func Table4(cfg Config) *Table4Result {
 			HWComplexity: spec.hw,
 		}
 		for _, run := range polyRuns {
-			v := sc.verdict(run)
+			v := verdict(run)
 			if v.Detected {
 				row.PolyDetected++
 			}
@@ -149,7 +159,7 @@ func Table4(cfg Config) *Table4Result {
 			}
 		}
 		for bi, run := range bwRuns {
-			v := sc.verdict(run)
+			v := verdict(run)
 			switch {
 			case v.PreLeak:
 				row.BWDetected[bwFactors[bi]] = "pre"

@@ -7,7 +7,6 @@ import (
 
 	"perspectron/internal/perceptron"
 	"perspectron/internal/stats"
-	"perspectron/internal/trace"
 )
 
 // WeightEntry pairs a feature with its learned weight.
@@ -30,11 +29,9 @@ type WeightsResult struct {
 // learned weights.
 func Weights(cfg Config) *WeightsResult {
 	p := Prepare(cfg)
-	enc := p.Enc
-	X, y := enc.BinaryMatrix(p.DS)
-	Xp := trace.Project(X, p.Sel.Indices)
+	X, y := p.Enc.PackedBinaryMatrix(p.DS, p.Sel.Indices)
 	det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-	det.Fit(Xp, y)
+	det.Fit(X, y)
 
 	res := &WeightsResult{ByComponent: map[string][]WeightEntry{}}
 	var all []WeightEntry

@@ -43,9 +43,9 @@ func (h HardwareModel) WeightStorageBits() int {
 	return (h.NumFeatures + 1) * h.WeightBits
 }
 
-// MaxMatrixStorageBits returns the normalization-matrix footprint for s
-// execution points with 16-bit maxima.
-func (h HardwareModel) MaxMatrixStorageBits(points int) int {
+// MaximaStorageBits returns the footprint of the normalization maxima (the
+// paper's matrix M) for s execution points with 16-bit maxima.
+func (h HardwareModel) MaximaStorageBits(points int) int {
 	return h.NumFeatures * points * 16
 }
 

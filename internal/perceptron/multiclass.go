@@ -25,8 +25,7 @@ func NewMultiClass(classes []string, n int, cfg Config) *MultiClass {
 }
 
 // Fit trains every class detector one-vs-rest on the bit-packed rows X
-// through Perceptron.FitPacked, so the bank's weights are bit-identical to
-// dense one-vs-rest training on the equivalent 0/1 matrix.
+// through Perceptron.Fit.
 func (m *MultiClass) Fit(X []encoding.BitVec, labels []string) {
 	y := make([]float64, len(X))
 	for ci := range m.Classes {
@@ -37,16 +36,16 @@ func (m *MultiClass) Fit(X []encoding.BitVec, labels []string) {
 				y[i] = -1
 			}
 		}
-		m.Detectors[ci].FitPacked(X, y)
+		m.Detectors[ci].Fit(X, y)
 	}
 }
 
 // Predict returns the argmax class and its confidence for a bit-packed
 // input.
 func (m *MultiClass) Predict(x encoding.BitVec) (class string, confidence float64) {
-	best, bestScore := 0, m.Detectors[0].ScorePacked(x)
+	best, bestScore := 0, m.Detectors[0].Score(x)
 	for i := 1; i < len(m.Detectors); i++ {
-		if s := m.Detectors[i].ScorePacked(x); s > bestScore {
+		if s := m.Detectors[i].Score(x); s > bestScore {
 			best, bestScore = i, s
 		}
 	}

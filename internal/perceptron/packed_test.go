@@ -29,9 +29,11 @@ func randSparse(r *rand.Rand, n, f int) (X [][]float64, y []float64) {
 	return X, y
 }
 
-// oldFit is the pre-bugfix Fit hot loop, kept verbatim (minus telemetry):
-// the margin check recomputed the full Score dot product after Raw. The
-// bugfix must not change a single weight bit.
+// oldFit is the dense-float test oracle for Fit: the historical Fit hot
+// loop, kept verbatim (minus telemetry and the shuffle journal), where the
+// margin check recomputed the full Score dot product after the raw sum. It
+// runs on any float rows, 0/1 or scaled; on 0/1 rows Fit must reproduce it
+// bit for bit.
 func oldFit(p *Perceptron, X [][]float64, y []float64) {
 	r := rand.New(rand.NewSource(p.cfg.Seed))
 	idx := make([]int, len(X))
@@ -46,7 +48,7 @@ func oldFit(p *Perceptron, X [][]float64, y []float64) {
 		r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		errs, updates := 0, 0
 		for _, i := range idx {
-			out := p.Raw(X[i])
+			out := oldRaw(p, X[i])
 			pred := 1.0
 			if out < 0 {
 				pred = -1
@@ -75,7 +77,19 @@ func oldFit(p *Perceptron, X [][]float64, y []float64) {
 	}
 }
 
-// oldScore is the two-pass Score the margin check used to call.
+// oldRaw is the dense un-normalized dot product w·x + b.
+func oldRaw(p *Perceptron, x []float64) float64 {
+	s := p.Bias
+	for j, v := range x {
+		if v != 0 {
+			s += p.W[j] * v
+		}
+	}
+	return s
+}
+
+// oldScore is the dense two-pass Score: the active-weight magnitude, then
+// the raw sum, normalized and clamped to [-1, 1].
 func oldScore(p *Perceptron, x []float64) float64 {
 	norm := math.Abs(p.Bias)
 	for j, v := range x {
@@ -86,7 +100,7 @@ func oldScore(p *Perceptron, x []float64) float64 {
 	if norm == 0 {
 		return 0
 	}
-	s := p.Raw(x) / norm
+	s := oldRaw(p, x) / norm
 	if s > 1 {
 		s = 1
 	} else if s < -1 {
@@ -107,30 +121,22 @@ func sameWeights(t *testing.T, label string, a, b *Perceptron) {
 	}
 }
 
-// TestFitMarginReuseBitIdentical: removing the redundant Score dot product
-// from the margin check must leave training bit-for-bit unchanged, with and
-// without margin training, including on non-binary (scaled) inputs.
+// TestFitMarginReuseBitIdentical: the trainer's margin check normalizes the
+// raw sum already in hand instead of recomputing the dot product; training
+// must stay bit-for-bit equal to the oracle that recomputes it, with and
+// without margin training.
 func TestFitMarginReuseBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 6; trial++ {
 		n, f := 60+r.Intn(100), 20+r.Intn(40)
 		X, y := randSparse(r, n, f)
-		if trial%3 == 2 { // scaled, non-binary inputs
-			for _, row := range X {
-				for j := range row {
-					if row[j] != 0 {
-						row[j] = 0.25 + 0.75*r.Float64()
-					}
-				}
-			}
-		}
-		for _, margin := range []float64{0, 0.3} {
+		for _, margin := range []float64{0, 0.3, 0.9} {
 			cfg := DefaultConfig()
 			cfg.Epochs = 50
 			cfg.Margin = margin
 			cfg.Seed = int64(trial)
 			pNew := New(f, cfg)
-			pNew.Fit(X, y)
+			pNew.Fit(encoding.PackRows(X), y)
 			pOld := New(f, cfg)
 			oldFit(pOld, X, y)
 			sameWeights(t, "margin-reuse", pNew, pOld)
@@ -139,11 +145,11 @@ func TestFitMarginReuseBitIdentical(t *testing.T) {
 }
 
 // TestFitPackedBitIdentical: training on bit-packed rows must reproduce the
-// dense path's weights exactly.
+// dense oracle's weights exactly, across word boundaries and ragged tails.
 func TestFitPackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 6; trial++ {
-		n, f := 60+r.Intn(100), 20+r.Intn(80)
+		n, f := 60+r.Intn(100), 20+r.Intn(180)
 		X, y := randSparse(r, n, f)
 		Xp := encoding.PackRows(X)
 		for _, margin := range []float64{0, 0.3} {
@@ -152,17 +158,17 @@ func TestFitPackedBitIdentical(t *testing.T) {
 			cfg.Margin = margin
 			cfg.Seed = int64(trial)
 			dense := New(f, cfg)
-			dense.Fit(X, y)
+			oldFit(dense, X, y)
 			packed := New(f, cfg)
-			packed.FitPacked(Xp, y)
+			packed.Fit(Xp, y)
 			sameWeights(t, "packed-fit", dense, packed)
 		}
 	}
 }
 
-// TestScorePackedBitIdentical: packed scoring — ScorePacked and the
-// production scorer encoding.MarginPacked — must match the dense Score bit
-// for bit on random 0/1 inputs.
+// TestScorePackedBitIdentical: packed scoring — Score and the production
+// scorer encoding.MarginPacked — must match the dense oracle bit for bit on
+// random 0/1 inputs.
 func TestScorePackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 20; trial++ {
@@ -179,18 +185,18 @@ func TestScorePackedBitIdentical(t *testing.T) {
 			}
 		}
 		xp := encoding.Pack(x)
-		if got, want := p.ScorePacked(xp), p.Score(x); got != want {
-			t.Fatalf("ScorePacked = %v, Score = %v", got, want)
+		if got, want := p.Score(xp), oldScore(p, x); got != want {
+			t.Fatalf("Score = %v, oracle %v", got, want)
 		}
-		if got, want := encoding.MarginPacked(p.Bias, p.W, xp), p.Score(x); got != want {
-			t.Fatalf("MarginPacked = %v, Score = %v", got, want)
+		if got, want := encoding.MarginPacked(p.Bias, p.W, xp), oldScore(p, x); got != want {
+			t.Fatalf("MarginPacked = %v, oracle %v", got, want)
 		}
 	}
 }
 
-// TestQuantizedScoreSinglePass: the one-pass Quantized.Score rewrite must
-// match the historical two-pass (norm loop + Raw loop) output bit for bit,
-// including on fractional inputs where norm scales by v but Raw does not.
+// TestQuantizedScoreSinglePass: the one-pass packed Quantized.Score must
+// match the historical two-pass (norm loop + integer raw loop) output bit
+// for bit.
 func TestQuantizedScoreSinglePass(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 20; trial++ {
@@ -204,33 +210,39 @@ func TestQuantizedScoreSinglePass(t *testing.T) {
 		x := make([]float64, f)
 		for j := range x {
 			if r.Intn(2) == 0 {
-				x[j] = r.Float64()
+				x[j] = 1
 			}
 		}
 		// historical two-pass reference
 		norm := math.Abs(float64(q.Bias))
+		raw := q.Bias
 		for j, v := range x {
 			if v != 0 {
 				norm += math.Abs(float64(q.W[j]) * v)
 			}
 		}
+		for j, v := range x {
+			if v != 0 {
+				raw += int32(q.W[j])
+			}
+		}
 		want := 0.0
 		if norm != 0 {
-			want = float64(q.Raw(x)) / norm
+			want = float64(raw) / norm
 			if want > 1 {
 				want = 1
 			} else if want < -1 {
 				want = -1
 			}
 		}
-		if got := q.Score(x); got != want {
+		if got := q.Score(encoding.Pack(x)); got != want {
 			t.Fatalf("Quantized.Score = %v, two-pass reference %v", got, want)
 		}
 	}
 }
 
 // TestMultiClassFitPackedBitIdentical pins the packed one-vs-rest bank to
-// dense one-vs-rest training of each class detector.
+// the dense oracle's one-vs-rest training of each class detector.
 func TestMultiClassFitPackedBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	n, f := 90, 40
@@ -253,7 +265,7 @@ func TestMultiClassFitPackedBitIdentical(t *testing.T) {
 				y[i] = 1
 			}
 		}
-		dense.Detectors[ci].Fit(X, y)
+		oldFit(dense.Detectors[ci], X, y)
 		sameWeights(t, "multiclass "+name, dense.Detectors[ci], packed.Detectors[ci])
 	}
 }

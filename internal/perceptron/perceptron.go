@@ -60,82 +60,15 @@ func New(n int, cfg Config) *Perceptron {
 	return &Perceptron{W: make([]float64, n), Threshold: cfg.Threshold, cfg: cfg}
 }
 
-// Name implements the shared classifier interface.
-func (p *Perceptron) Name() string { return "PerSpectron" }
-
-// Fit trains with the perceptron learning rule on inputs X (0/1 features)
-// and targets y (±1), shuffling each epoch. When telemetry is enabled, Fit
-// records per-epoch error rates, total epochs/updates, the epoch count at
-// convergence and the quantized weight-saturation count. It is exactly a
-// fresh Trainer run to the config's epoch budget — the incremental path in
-// trainer.go replays the identical epoch loop one step at a time.
-func (p *Perceptron) Fit(X [][]float64, y []float64) {
+// Fit trains with the perceptron learning rule on bit-packed k-sparse rows X
+// and targets y (±1), shuffling each epoch. The dot product, margin check and
+// weight update iterate only the set bits of each row. When telemetry is
+// enabled, Fit records per-epoch error rates, total epochs/updates, the epoch
+// count at convergence and the quantized weight-saturation count. It is
+// exactly a fresh Trainer run to the config's epoch budget — the incremental
+// path in trainer.go replays the identical epoch loop one step at a time.
+func (p *Perceptron) Fit(X []encoding.BitVec, y []float64) {
 	NewTrainer(p).Fit(X, y, 0)
-}
-
-// FitPacked is Fit over bit-packed rows: the dot product, margin check and
-// weight update iterate only the set words of each k-sparse vector instead
-// of all f floats. For rows packed from the same 0/1 matrix it produces
-// bit-identical weights to Fit — set bits are visited in the same ascending
-// order, and w·1 is exactly w — which TestFitPackedBitIdentical pins.
-func (p *Perceptron) FitPacked(X []encoding.BitVec, y []float64) {
-	NewTrainer(p).FitPacked(X, y, 0)
-}
-
-// clampScore normalizes a raw output by the active-weight magnitude into
-// [-1, 1] — the shared tail of every Score variant.
-func clampScore(raw, norm float64) float64 {
-	if norm == 0 {
-		return 0
-	}
-	s := raw / norm
-	if s > 1 {
-		s = 1
-	} else if s < -1 {
-		s = -1
-	}
-	return s
-}
-
-// Raw returns the un-normalized dot product w·x + b — the quantity the
-// hardware's serial adder accumulates.
-func (p *Perceptron) Raw(x []float64) float64 {
-	s := p.Bias
-	for j, v := range x {
-		if v != 0 {
-			s += p.W[j] * v
-		}
-	}
-	return s
-}
-
-// rawNorm accumulates the raw output and the active-weight magnitude in a
-// single pass over the input — Score used to make two.
-func (p *Perceptron) rawNorm(x []float64) (raw, norm float64) {
-	raw = p.Bias
-	norm = math.Abs(p.Bias)
-	for j, v := range x {
-		if v != 0 {
-			raw += p.W[j] * v
-			norm += math.Abs(p.W[j] * v)
-		}
-	}
-	return raw, norm
-}
-
-// rawNormPacked is rawNorm over a bit-packed input.
-func (p *Perceptron) rawNormPacked(x encoding.BitVec) (raw, norm float64) {
-	raw = p.Bias
-	norm = math.Abs(p.Bias)
-	for w, word := range x {
-		for word != 0 {
-			wj := p.W[w<<6+bits.TrailingZeros64(word)]
-			raw += wj
-			norm += math.Abs(wj)
-			word &= word - 1
-		}
-	}
-	return raw, norm
 }
 
 // Score returns the normalized pre-threshold output in [-1, 1]: the raw sum
@@ -143,22 +76,8 @@ func (p *Perceptron) rawNormPacked(x encoding.BitVec) (raw, norm float64) {
 // every active feature voted suspicious. This is the paper's confidence
 // measurement passed to the OS on detection (§IV-G1); the default decision
 // threshold on it is 0.25.
-func (p *Perceptron) Score(x []float64) float64 {
-	return clampScore(p.rawNorm(x))
-}
-
-// ScorePacked is Score over a bit-packed input, iterating set words only.
-func (p *Perceptron) ScorePacked(x encoding.BitVec) float64 {
-	return clampScore(p.rawNormPacked(x))
-}
-
-// Predict returns +1 (suspicious) when the normalized output exceeds the
-// configured threshold, else -1 (benign).
-func (p *Perceptron) Predict(x []float64) float64 {
-	if p.Score(x) >= p.Threshold {
-		return 1
-	}
-	return -1
+func (p *Perceptron) Score(x encoding.BitVec) float64 {
+	return encoding.MarginPacked(p.Bias, p.W, x)
 }
 
 // TopWeights returns the k most positive and k most negative weight indices
@@ -241,37 +160,19 @@ type Quantized struct {
 	Threshold float64
 }
 
-// Raw accumulates the integer dot product exactly as the serial adder does:
-// one add per set input bit.
-func (q *Quantized) Raw(x []float64) int32 {
-	s := q.Bias
-	for j, v := range x {
-		if v != 0 {
-			s += int32(q.W[j])
-		}
-	}
-	return s
-}
-
 // Score normalizes the integer output into [-1, 1] over the active inputs,
-// mirroring Perceptron.Score. Like its float mirror it accumulates the raw
-// sum and the norm in one pass instead of re-walking the input through Raw.
-func (q *Quantized) Score(x []float64) float64 {
+// mirroring Perceptron.Score: the serial adder's one add per set input bit,
+// over the bit-packed input.
+func (q *Quantized) Score(x encoding.BitVec) float64 {
 	raw := q.Bias
 	norm := math.Abs(float64(q.Bias))
-	for j, v := range x {
-		if v != 0 {
-			raw += int32(q.W[j])
-			norm += math.Abs(float64(q.W[j]) * v)
+	for w, word := range x {
+		for word != 0 {
+			wj := q.W[w<<6+bits.TrailingZeros64(word)]
+			raw += int32(wj)
+			norm += math.Abs(float64(wj))
+			word &= word - 1
 		}
 	}
-	return clampScore(float64(raw), norm)
-}
-
-// Predict thresholds the normalized integer output.
-func (q *Quantized) Predict(x []float64) float64 {
-	if q.Score(x) >= q.Threshold {
-		return 1
-	}
-	return -1
+	return encoding.Normalize(float64(raw), norm)
 }

@@ -5,12 +5,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"perspectron/internal/encoding"
 	"perspectron/internal/stats"
 )
 
-// sep builds a linearly separable binary dataset: class +1 iff feature 0 is
-// set, with noisy irrelevant bits.
-func sep(n, f int, r *rand.Rand) (X [][]float64, y []float64) {
+// sep builds a linearly separable bit-packed dataset: class +1 iff feature 0
+// is set, with noisy irrelevant bits.
+func sep(n, f int, r *rand.Rand) (X []encoding.BitVec, y []float64) {
 	for i := 0; i < n; i++ {
 		row := make([]float64, f)
 		cls := -1.0
@@ -23,10 +24,19 @@ func sep(n, f int, r *rand.Rand) (X [][]float64, y []float64) {
 				row[j] = 1
 			}
 		}
-		X = append(X, row)
+		X = append(X, encoding.Pack(row))
 		y = append(y, cls)
 	}
 	return X, y
+}
+
+// ones returns an all-set bit vector of width n.
+func ones(n int) encoding.BitVec {
+	b := encoding.NewBitVec(n)
+	for i := 0; i < n; i++ {
+		b.Set(i)
+	}
+	return b
 }
 
 func TestLearnsSeparableData(t *testing.T) {
@@ -37,7 +47,7 @@ func TestLearnsSeparableData(t *testing.T) {
 	errs := 0
 	for i, x := range X {
 		pred := 1.0
-		if p.Raw(x) < 0 {
+		if p.Score(x) < 0 {
 			pred = -1
 		}
 		if pred != y[i] {
@@ -69,23 +79,24 @@ func TestPredictThreshold(t *testing.T) {
 	p := New(2, DefaultConfig())
 	p.W = []float64{1, -1}
 	p.Threshold = 0.25
-	// x = [1,0]: raw = 1, norm = 2, score = 0.5 >= 0.25 -> +1.
-	if p.Predict([]float64{1, 0}) != 1 {
+	flagged := func(row ...float64) bool { return p.Score(encoding.Pack(row)) >= p.Threshold }
+	// x = [1,0]: raw = 1, norm = 2, score = 0.5 >= 0.25 -> flagged.
+	if !flagged(1, 0) {
 		t.Fatalf("strong positive not flagged")
 	}
-	// x = [0,1]: score = -0.5 -> -1.
-	if p.Predict([]float64{0, 1}) != -1 {
+	// x = [0,1]: score = -0.5 -> benign.
+	if flagged(0, 1) {
 		t.Fatalf("negative flagged")
 	}
-	// x = [1,1]: raw = 0, score 0 < 0.25 -> -1.
-	if p.Predict([]float64{1, 1}) != -1 {
+	// x = [1,1]: raw = 0, score 0 < 0.25 -> benign.
+	if flagged(1, 1) {
 		t.Fatalf("neutral flagged at threshold 0.25")
 	}
 }
 
 func TestZeroWeightScore(t *testing.T) {
 	p := New(4, DefaultConfig())
-	if s := p.Score([]float64{1, 1, 1, 1}); s != 0 {
+	if s := p.Score(ones(4)); s != 0 {
 		t.Fatalf("untrained score = %v", s)
 	}
 }
@@ -110,7 +121,7 @@ func TestQuantizedAgreesWithFloat(t *testing.T) {
 	q := p.Quantized()
 	agree := 0
 	for _, x := range X {
-		if p.Predict(x) == q.Predict(x) {
+		if (p.Score(x) >= p.Threshold) == (q.Score(x) >= q.Threshold) {
 			agree++
 		}
 	}
@@ -131,7 +142,7 @@ func TestQuantizedWeightRange(t *testing.T) {
 func TestQuantizedZero(t *testing.T) {
 	p := New(3, DefaultConfig())
 	q := p.Quantized()
-	if q.Score([]float64{1, 1, 1}) != 0 {
+	if q.Score(ones(3)) != 0 {
 		t.Fatalf("zero perceptron quantized score nonzero")
 	}
 }
@@ -141,7 +152,7 @@ func TestReplicatedBankLearns(t *testing.T) {
 	// Feature 0 (fetch) and feature 3 (commit) both carry the signal.
 	comps := []stats.Component{stats.CompFetch, stats.CompFetch,
 		stats.CompCommit, stats.CompCommit}
-	var X [][]float64
+	var X []encoding.BitVec
 	var y []float64
 	for i := 0; i < 300; i++ {
 		cls := -1.0
@@ -150,7 +161,7 @@ func TestReplicatedBankLearns(t *testing.T) {
 			cls, sig = 1, 1
 		}
 		noise := float64(r.Intn(2))
-		X = append(X, []float64{sig, noise, noise, sig})
+		X = append(X, encoding.Pack([]float64{sig, noise, noise, sig}))
 		y = append(y, cls)
 	}
 	b := NewReplicatedBank([]int{0, 1, 2, 3}, comps, DefaultConfig())
@@ -181,7 +192,7 @@ func TestReplicatedBankRecoversFromOneComponent(t *testing.T) {
 	b.Detectors[0].W = []float64{-1} // wrong polarity
 	b.Detectors[1].W = []float64{3}  // right
 	b.Detectors[2].W = []float64{2}  // right
-	if b.Score([]float64{1, 1, 1}) <= 0 {
+	if b.Score(ones(3)) <= 0 {
 		t.Fatalf("bank did not recover from one bad component")
 	}
 }
@@ -205,8 +216,8 @@ func TestHardwareModel(t *testing.T) {
 	if h.WeightStorageBits() != 107*8 {
 		t.Fatalf("weight storage = %d bits", h.WeightStorageBits())
 	}
-	if h.MaxMatrixStorageBits(20) != 106*20*16 {
-		t.Fatalf("matrix storage = %d bits", h.MaxMatrixStorageBits(20))
+	if h.MaximaStorageBits(20) != 106*20*16 {
+		t.Fatalf("matrix storage = %d bits", h.MaximaStorageBits(20))
 	}
 }
 
@@ -217,14 +228,14 @@ func TestQuickTrainingStable(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 20 + r.Intn(50)
 		fdim := 2 + r.Intn(20)
-		X := make([][]float64, n)
+		X := make([]encoding.BitVec, n)
 		y := make([]float64, n)
 		for i := range X {
 			row := make([]float64, fdim)
 			for j := range row {
 				row[j] = float64(r.Intn(2))
 			}
-			X[i] = row
+			X[i] = encoding.Pack(row)
 			y[i] = float64(2*r.Intn(2) - 1)
 		}
 		cfg := DefaultConfig()

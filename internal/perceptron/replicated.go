@@ -1,6 +1,9 @@
 package perceptron
 
-import "perspectron/internal/stats"
+import (
+	"perspectron/internal/encoding"
+	"perspectron/internal/stats"
+)
 
 // ReplicatedBank is the per-component replicated-detector organization of
 // §IV-A: one perceptron per pipeline component over that component's
@@ -33,46 +36,26 @@ func NewReplicatedBank(selected []int, comps []stats.Component, cfg Config) *Rep
 	return b
 }
 
-// Name implements the shared classifier interface.
-func (b *ReplicatedBank) Name() string { return "ReplicatedBank" }
-
-func (b *ReplicatedBank) project(x []float64, d int) []float64 {
-	idx := b.Features[d]
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = x[j]
-	}
-	return out
-}
-
-// Fit trains every component detector on its feature slice. x rows are full
-// feature vectors.
-func (b *ReplicatedBank) Fit(X [][]float64, y []float64) {
-	for d := range b.Detectors {
-		sub := make([][]float64, len(X))
+// Fit trains every component detector on its feature slice. X rows are full
+// bit-packed feature vectors.
+func (b *ReplicatedBank) Fit(X []encoding.BitVec, y []float64) {
+	for d, det := range b.Detectors {
+		sub := make([]encoding.BitVec, len(X))
 		for i, row := range X {
-			sub[i] = b.project(row, d)
+			sub[i] = row.Project(b.Features[d])
 		}
-		b.Detectors[d].Fit(sub, y)
+		det.Fit(sub, y)
 	}
 }
 
 // Score averages the component detectors' normalized outputs.
-func (b *ReplicatedBank) Score(x []float64) float64 {
+func (b *ReplicatedBank) Score(x encoding.BitVec) float64 {
 	if len(b.Detectors) == 0 {
 		return 0
 	}
 	var s float64
 	for d, det := range b.Detectors {
-		s += det.Score(b.project(x, d))
+		s += det.Score(x.Project(b.Features[d]))
 	}
 	return s / float64(len(b.Detectors))
-}
-
-// Predict thresholds the combined score.
-func (b *ReplicatedBank) Predict(x []float64) float64 {
-	if b.Score(x) >= b.Threshold {
-		return 1
-	}
-	return -1
 }

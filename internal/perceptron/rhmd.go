@@ -1,6 +1,10 @@
 package perceptron
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"perspectron/internal/encoding"
+)
 
 // RHMD is the stochastic multi-detector defense the paper proposes adopting
 // from Khasawneh et al. (RHMD, MICRO'17) to harden PerSpectron against
@@ -43,26 +47,14 @@ func NewRHMD(k, n, subset int, cfg Config, r *rand.Rand) *RHMD {
 	return e
 }
 
-// Name implements the shared classifier interface.
-func (e *RHMD) Name() string { return "RHMD" }
-
-func (e *RHMD) project(x []float64, d int) []float64 {
-	idx := e.Subsets[d]
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = x[j]
-	}
-	return out
-}
-
-// Fit trains every detector on its subset view of X.
-func (e *RHMD) Fit(X [][]float64, y []float64) {
-	for d := range e.Detectors {
-		sub := make([][]float64, len(X))
+// Fit trains every detector on its subset view of the bit-packed rows X.
+func (e *RHMD) Fit(X []encoding.BitVec, y []float64) {
+	for d, det := range e.Detectors {
+		sub := make([]encoding.BitVec, len(X))
 		for i, row := range X {
-			sub[i] = e.project(row, d)
+			sub[i] = row.Project(e.Subsets[d])
 		}
-		e.Detectors[d].Fit(sub, y)
+		det.Fit(sub, y)
 	}
 }
 
@@ -75,36 +67,27 @@ func (e *RHMD) pick() int {
 }
 
 // Score scores x with a stochastically chosen detector.
-func (e *RHMD) Score(x []float64) float64 {
-	d := e.pick()
-	return e.Detectors[d].Score(e.project(x, d))
+func (e *RHMD) Score(x encoding.BitVec) float64 {
+	return e.ScoreWith(e.pick(), x)
 }
 
 // ScoreWith scores x with a specific detector (used by evasion analyses).
-func (e *RHMD) ScoreWith(d int, x []float64) float64 {
-	return e.Detectors[d].Score(e.project(x, d))
-}
-
-// Predict thresholds the stochastic score.
-func (e *RHMD) Predict(x []float64) float64 {
-	if e.Score(x) >= e.Threshold {
-		return 1
-	}
-	return -1
+func (e *RHMD) ScoreWith(d int, x encoding.BitVec) float64 {
+	return e.Detectors[d].Score(x.Project(e.Subsets[d]))
 }
 
 // EvadeOne returns a copy of x adversarially modified against detector d:
 // every feature with a positive weight in d is cleared and every negative-
 // weight feature is set — the strongest white-box bit-flip attack available
 // on a linear detector over binary features.
-func (e *RHMD) EvadeOne(d int, x []float64) []float64 {
-	out := append([]float64(nil), x...)
+func (e *RHMD) EvadeOne(d int, x encoding.BitVec) encoding.BitVec {
+	out := append(encoding.BitVec(nil), x...)
 	det := e.Detectors[d]
 	for i, j := range e.Subsets[d] {
 		if det.W[i] > 0 {
-			out[j] = 0
+			out.Clear(j)
 		} else if det.W[i] < 0 {
-			out[j] = 1
+			out.Set(j)
 		}
 	}
 	return out

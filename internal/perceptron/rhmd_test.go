@@ -3,12 +3,14 @@ package perceptron
 import (
 	"math/rand"
 	"testing"
+
+	"perspectron/internal/encoding"
 )
 
 // redundantData builds samples where the positive class sets many redundant
 // signal bits (like replicated microarchitectural features), so random
 // subsets all carry signal.
-func redundantData(n, f int, r *rand.Rand) (X [][]float64, y []float64) {
+func redundantData(n, f int, r *rand.Rand) (X []encoding.BitVec, y []float64) {
 	for i := 0; i < n; i++ {
 		cls := -1.0
 		row := make([]float64, f)
@@ -25,13 +27,13 @@ func redundantData(n, f int, r *rand.Rand) (X [][]float64, y []float64) {
 				row[j] = float64(r.Intn(2)) // noise
 			}
 		}
-		X = append(X, row)
+		X = append(X, encoding.Pack(row))
 		y = append(y, cls)
 	}
 	return X, y
 }
 
-func newRHMD(t *testing.T) (*RHMD, [][]float64, []float64) {
+func newRHMD(t *testing.T) (*RHMD, []encoding.BitVec, []float64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(1))
 	X, y := redundantData(400, 40, r)

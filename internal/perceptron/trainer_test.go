@@ -46,8 +46,8 @@ func weightsEqual(t *testing.T, a, b *Perceptron, what string) {
 }
 
 // TestTrainerStepMatchesFit pins the core contract: stepping a fresh
-// trainer to the same epoch budget is bit-identical to batch Fit, on both
-// the dense and packed paths.
+// trainer to the same epoch budget is bit-identical to batch Fit, and both
+// match the dense oracle.
 func TestTrainerStepMatchesFit(t *testing.T) {
 	X, Xp, y := trainCorpus(64, 130, 7)
 	cfg := DefaultConfig()
@@ -55,25 +55,20 @@ func TestTrainerStepMatchesFit(t *testing.T) {
 	cfg.Seed = 11
 
 	batch := New(130, cfg)
-	batch.Fit(X, y)
+	batch.Fit(Xp, y)
+
+	oracle := New(130, cfg)
+	oldFit(oracle, X, y)
+	weightsEqual(t, oracle, batch, "Fit vs dense oracle")
 
 	stepped := New(130, cfg)
 	tr := NewTrainer(stepped)
 	for i := 0; i < cfg.Epochs; i++ {
-		if tr.Step(X, y) {
+		if tr.Step(Xp, y) {
 			break
 		}
 	}
-	weightsEqual(t, batch, stepped, "dense steps vs Fit")
-
-	packed := New(130, cfg)
-	ptr := NewTrainer(packed)
-	for i := 0; i < cfg.Epochs; i++ {
-		if ptr.StepPacked(Xp, y) {
-			break
-		}
-	}
-	weightsEqual(t, batch, packed, "packed steps vs Fit")
+	weightsEqual(t, batch, stepped, "steps vs Fit")
 }
 
 // TestTrainerResumeBitIdentical interrupts training mid-run, round-trips
@@ -87,12 +82,12 @@ func TestTrainerResumeBitIdentical(t *testing.T) {
 	cfg.Seed = 5
 
 	straight := New(190, cfg)
-	straight.FitPacked(Xp, y)
+	straight.Fit(Xp, y)
 
 	interrupted := New(190, cfg)
 	tr := NewTrainer(interrupted)
 	for i := 0; i < 17; i++ {
-		tr.StepPacked(Xp, y)
+		tr.Step(Xp, y)
 	}
 	blob, err := json.Marshal(tr.State())
 	if err != nil {
@@ -109,7 +104,7 @@ func TestTrainerResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed.FitPacked(Xp, y, cfg.Epochs-17)
+	resumed.Fit(Xp, y, cfg.Epochs-17)
 	weightsEqual(t, straight, interrupted, "resume vs straight-through")
 
 	// The incremental wrapper from zero must also match.
@@ -117,7 +112,7 @@ func TestTrainerResumeBitIdentical(t *testing.T) {
 	if _, err := inc.FitIncremental(TrainerState{}, Xp, y, 0); err != nil {
 		t.Fatal(err)
 	}
-	weightsEqual(t, straight, inc, "FitIncremental from zero vs FitPacked")
+	weightsEqual(t, straight, inc, "FitIncremental from zero vs Fit")
 }
 
 // TestTrainerGrownCorpus verifies the incremental path over a corpus that
@@ -142,9 +137,9 @@ func TestTrainerGrownCorpus(t *testing.T) {
 				}
 			}
 			if i < 4 {
-				tr.StepPacked(first, firstY)
+				tr.Step(first, firstY)
 			} else {
-				tr.StepPacked(Xp, y) // corpus grew 60 -> 100
+				tr.Step(Xp, y) // corpus grew 60 -> 100
 			}
 		}
 		if got := len(tr.State().ShuffleLog); got != 2 {

@@ -267,94 +267,6 @@ func TestSamplerPanics(t *testing.T) {
 	NewSampler(r, 0, func([]float64) {})
 }
 
-func TestMaxMatrixObserveAndScale(t *testing.T) {
-	m := NewMaxMatrix(2)
-	m.Observe([][]float64{{10, 0}, {20, 4}})
-	m.Observe([][]float64{{5, 2}, {40, 1}})
-	if m.NumPoints() != 2 {
-		t.Fatalf("points = %d", m.NumPoints())
-	}
-	if m.Max(0, 0) != 10 || m.Max(0, 1) != 40 {
-		t.Fatalf("max col: %v %v", m.Max(0, 0), m.Max(0, 1))
-	}
-	// counter 1 at point 0: per-point max is 2.
-	if m.Max(1, 0) != 2 {
-		t.Fatalf("max(1,0) = %v", m.Max(1, 0))
-	}
-	// Unseen point falls back to global max.
-	if m.Max(0, 9) != 40 {
-		t.Fatalf("fallback max = %v", m.Max(0, 9))
-	}
-	scaled := m.Scale([]float64{5, 1}, 0, nil)
-	if scaled[0] != 0.5 || scaled[1] != 0.5 {
-		t.Fatalf("scaled = %v", scaled)
-	}
-	// Values above the recorded max clamp to 1.
-	scaled = m.Scale([]float64{100, 100}, 0, nil)
-	if scaled[0] != 1 || scaled[1] != 1 {
-		t.Fatalf("clamp failed: %v", scaled)
-	}
-}
-
-func TestBinarizeThreshold(t *testing.T) {
-	m := NewMaxMatrix(3)
-	m.Observe([][]float64{{10, 10, 0}})
-	bits := m.Binarize([]float64{5, 4.9, 0}, 0, nil)
-	if bits[0] != 1 || bits[1] != 0 || bits[2] != 0 {
-		t.Fatalf("bits = %v", bits)
-	}
-}
-
-func TestSparsity(t *testing.T) {
-	if got := Sparsity([]float64{1, 0, 1, 0}); got != 0.5 {
-		t.Fatalf("sparsity = %v", got)
-	}
-	if got := Sparsity(nil); got != 0 {
-		t.Fatalf("sparsity(nil) = %v", got)
-	}
-}
-
-// Property: binarized vectors contain only 0/1 and scaling is always within
-// [0,1], for arbitrary non-negative observations.
-func TestQuickBinarizeIsBinary(t *testing.T) {
-	f := func(raw []uint16, probe []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		n := len(raw)
-		if len(probe) < n {
-			return true
-		}
-		m := NewMaxMatrix(n)
-		obs := make([]float64, n)
-		for i, v := range raw {
-			obs[i] = float64(v)
-		}
-		m.Observe([][]float64{obs})
-		p := make([]float64, n)
-		for i := 0; i < n; i++ {
-			p[i] = float64(probe[i])
-		}
-		scaled := m.Scale(p, 0, nil)
-		bits := m.Binarize(p, 0, nil)
-		for i := 0; i < n; i++ {
-			if scaled[i] < 0 || scaled[i] > 1 {
-				return false
-			}
-			if bits[i] != 0 && bits[i] != 1 {
-				return false
-			}
-			if (scaled[i] >= 0.5) != (bits[i] == 1) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: sampler deltas sum back to the cumulative counter value when the
 // instruction stream is a multiple of the interval.
 func TestQuickSamplerDeltasSum(t *testing.T) {

@@ -2,7 +2,7 @@
 // the simulator — the paper's gem5 statistics dumps at 10K/50K/100K
 // instruction granularity — and prepares them for learning: the per-
 // (counter, execution-point) maximum matrix M, scaling to [0,1], and the
-// k-sparse binarization PerSpectron consumes.
+// bit-packed k-sparse binarization PerSpectron consumes.
 package trace
 
 import (
@@ -264,15 +264,16 @@ func collectOne(ctx context.Context, prog workload.Program, run int, seed int64,
 }
 
 // Encoder scales raw counter deltas by the maximum matrix M and binarizes
-// them into the paper's k-sparse representation.
+// them into the paper's k-sparse representation. M is the shared
+// normalize/binarize implementation the serving paths also use.
 type Encoder struct {
-	M *stats.MaxMatrix
+	M *encoding.Encoding
 }
 
 // NewEncoder builds M from the training dataset: per-run sample sequences
 // update the per-execution-point maxima.
 func NewEncoder(train *Dataset) *Encoder {
-	m := stats.NewMaxMatrix(train.NumFeatures())
+	m := encoding.New(train.NumFeatures())
 	// Group samples into per-run sequences ordered by index.
 	type key struct {
 		prog string
@@ -301,18 +302,9 @@ func NewEncoder(train *Dataset) *Encoder {
 	return &Encoder{M: m}
 }
 
-// Enc exposes the encoder's maxima as the shared encoding type — the
-// single normalize/binarize implementation the serving paths also use.
-func (e *Encoder) Enc() *encoding.Encoding { return e.M.Encoding() }
-
 // Scale returns the sample scaled to [0,1] per feature.
 func (e *Encoder) Scale(s *Sample) []float64 {
 	return e.M.Scale(s.Raw, s.Index, nil)
-}
-
-// Binarize returns the k-sparse 0/1 vector for the sample.
-func (e *Encoder) Binarize(s *Sample) []float64 {
-	return e.M.Binarize(s.Raw, s.Index, nil)
 }
 
 // ScaleAt normalizes one raw counter-delta vector taken at execution point
@@ -322,9 +314,25 @@ func (e *Encoder) ScaleAt(raw []float64, j int) []float64 {
 	return e.M.Scale(raw, j, nil)
 }
 
-// BinarizeAt is ScaleAt followed by the 0.5 binarization.
-func (e *Encoder) BinarizeAt(raw []float64, j int) []float64 {
-	return e.M.Binarize(raw, j, nil)
+// BitsAt returns the bit-packed k-sparse vector of one raw counter-delta
+// vector taken at execution point point, restricted to the feature indices
+// idx (nil = all features): output bit j is set when feature idx[j] fires.
+func (e *Encoder) BitsAt(raw []float64, point int, idx []int) encoding.BitVec {
+	n := len(idx)
+	if idx == nil {
+		n = e.M.NumFeatures()
+	}
+	b := encoding.NewBitVec(n)
+	for j := 0; j < n; j++ {
+		f := j
+		if idx != nil {
+			f = idx[j]
+		}
+		if e.M.Fires(f, point, raw[f]) {
+			b.Set(j)
+		}
+	}
+	return b
 }
 
 // Matrix encodes the whole dataset: X is scaled features (rows in dataset
@@ -339,27 +347,17 @@ func (e *Encoder) Matrix(d *Dataset) (X [][]float64, y []float64) {
 	return X, y
 }
 
-// BinaryMatrix encodes the dataset as k-sparse binary vectors.
-func (e *Encoder) BinaryMatrix(d *Dataset) (X [][]float64, y []float64) {
-	X = make([][]float64, len(d.Samples))
-	y = make([]float64, len(d.Samples))
-	for i := range d.Samples {
-		X[i] = e.Binarize(&d.Samples[i])
-		y[i] = LabelValue(d.Samples[i].Label)
-	}
-	return X, y
-}
-
 // PackedBinaryMatrix encodes the dataset as bit-packed k-sparse binary
-// vectors: row i has bit j set exactly where BinaryMatrix would put a 1.
-// It feeds the popcount scoring/training kernels without materializing the
-// dense float matrix.
-func (e *Encoder) PackedBinaryMatrix(d *Dataset) (X []encoding.BitVec, y []float64) {
+// vectors restricted to the feature indices idx (nil = all features), with
+// the same ±1 labels as Matrix. It feeds the perceptron's popcount
+// training and scoring kernels directly from the raw samples.
+func (e *Encoder) PackedBinaryMatrix(d *Dataset, idx []int) (X []encoding.BitVec, y []float64) {
 	X = make([]encoding.BitVec, len(d.Samples))
 	y = make([]float64, len(d.Samples))
 	for i := range d.Samples {
-		X[i] = encoding.Pack(e.Binarize(&d.Samples[i]))
-		y[i] = LabelValue(d.Samples[i].Label)
+		s := &d.Samples[i]
+		X[i] = e.BitsAt(s.Raw, s.Index, idx)
+		y[i] = LabelValue(s.Label)
 	}
 	return X, y
 }
@@ -379,22 +377,6 @@ func Project(X [][]float64, idx []int) [][]float64 {
 		p := make([]float64, len(idx))
 		for j, f := range idx {
 			p[j] = row[f]
-		}
-		out[i] = p
-	}
-	return out
-}
-
-// ProjectPacked is Project over bit-packed rows: output bit j mirrors input
-// bit idx[j].
-func ProjectPacked(X []encoding.BitVec, idx []int) []encoding.BitVec {
-	out := make([]encoding.BitVec, len(X))
-	for i, row := range X {
-		p := encoding.NewBitVec(len(idx))
-		for j, f := range idx {
-			if row.Get(f) {
-				p.Set(j)
-			}
 		}
 		out[i] = p
 	}

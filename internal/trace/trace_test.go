@@ -90,15 +90,16 @@ func TestEncoderScaleRange(t *testing.T) {
 func TestEncoderBinary(t *testing.T) {
 	ds := smallDataset(t)
 	enc := NewEncoder(ds)
-	X, _ := enc.BinaryMatrix(ds)
+	X, _ := enc.PackedBinaryMatrix(ds, nil)
 	ones := 0
 	for _, row := range X {
-		for _, v := range row {
-			if v != 0 && v != 1 {
-				t.Fatalf("non-binary value %v", v)
-			}
-			if v == 1 {
-				ones++
+		if len(row) != (ds.NumFeatures()+63)/64 {
+			t.Fatalf("row width %d words for %d features", len(row), ds.NumFeatures())
+		}
+		ones += row.Ones()
+		for j := ds.NumFeatures(); j < len(row)*64; j++ {
+			if row.Get(j) {
+				t.Fatalf("bit %d set beyond the feature width", j)
 			}
 		}
 	}
@@ -128,40 +129,31 @@ func TestProject(t *testing.T) {
 }
 
 // TestPackedBinaryMatrixMatchesDense: the bit-packed encoding must carry
-// exactly the same bits (and labels) as the dense BinaryMatrix path.
+// exactly the bits of the dense scaled matrix cut at BinarizeThreshold (and
+// the same labels), over all features and over a reordering projection.
 func TestPackedBinaryMatrixMatchesDense(t *testing.T) {
 	ds := smallDataset(t)
 	enc := NewEncoder(ds)
-	Xd, yd := enc.BinaryMatrix(ds)
-	Xp, yp := enc.PackedBinaryMatrix(ds)
-	if len(Xp) != len(Xd) || len(yp) != len(yd) {
-		t.Fatalf("packed shape (%d,%d) != dense (%d,%d)", len(Xp), len(yp), len(Xd), len(yd))
-	}
-	for i := range Xd {
-		if yp[i] != yd[i] {
-			t.Fatalf("label %d: packed %v != dense %v", i, yp[i], yd[i])
+	Xd, yd := enc.Matrix(ds)
+	idx := []int{ds.NumFeatures() - 1, 3, 0, 70, 64, 63}
+	for _, proj := range [][]int{nil, idx} {
+		Xs := Xd
+		if proj != nil {
+			Xs = Project(Xd, proj)
 		}
-		for j, v := range Xd[i] {
-			if Xp[i].Get(j) != (v == 1) {
-				t.Fatalf("row %d bit %d: packed %v, dense %v", i, j, Xp[i].Get(j), v)
+		Xp, yp := enc.PackedBinaryMatrix(ds, proj)
+		if len(Xp) != len(Xs) || len(yp) != len(yd) {
+			t.Fatalf("packed shape (%d,%d) != dense (%d,%d)", len(Xp), len(yp), len(Xs), len(yd))
+		}
+		for i := range Xs {
+			if yp[i] != yd[i] {
+				t.Fatalf("label %d: packed %v != dense %v", i, yp[i], yd[i])
 			}
-		}
-	}
-}
-
-func TestProjectPacked(t *testing.T) {
-	X := [][]float64{{1, 0, 1, 1}, {0, 1, 0, 1}}
-	idx := []int{3, 0, 2}
-	dense := Project(X, idx)
-	packed := ProjectPacked(encoding.PackRows(X), idx)
-	for i := range dense {
-		for j, v := range dense[i] {
-			if packed[i].Get(j) != (v == 1) {
-				t.Fatalf("row %d bit %d: packed %v, dense %v", i, j, packed[i].Get(j), v)
+			for j, v := range Xs[i] {
+				if Xp[i].Get(j) != (v >= encoding.BinarizeThreshold) {
+					t.Fatalf("row %d bit %d: packed %v, scaled %v", i, j, Xp[i].Get(j), v)
+				}
 			}
-		}
-		if want := []int{3, 1}[i]; packed[i].Ones() != want {
-			t.Fatalf("row %d ones = %d, want %d", i, packed[i].Ones(), want)
 		}
 	}
 }

@@ -215,20 +215,18 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 		return nil, fmt.Errorf("perspectron: feature selection found no informative features")
 	}
 
-	// Train through the bit-packed kernel: the packed fit walks only the set
-	// bits of each k-sparse row, and its weights are bit-identical to the
-	// dense float path (see internal/perceptron packed tests). Driving the
-	// epoch loop through a Trainer (rather than batch FitPacked) yields the
-	// same weights and leaves behind the serialized optimizer state the
-	// continual-learning pipeline resumes from.
-	Xb, yb := enc.PackedBinaryMatrix(ds)
-	Xp := trace.ProjectPacked(Xb, sel.Indices)
+	// Train on the bit-packed k-sparse rows of the selected features: the fit
+	// walks only the set bits of each row. Driving the epoch loop through a
+	// Trainer (rather than batch Fit) yields the same weights and leaves
+	// behind the serialized optimizer state the continual-learning pipeline
+	// resumes from.
+	Xp, yb := enc.PackedBinaryMatrix(ds, sel.Indices)
 	pcfg := perceptron.DefaultConfig()
 	pcfg.Threshold = opts.Threshold
 	pcfg.Seed = opts.Seed
 	perc := perceptron.New(len(sel.Indices), pcfg)
 	tr := perceptron.NewTrainer(perc)
-	tr.FitPacked(Xp, yb, 0)
+	tr.Fit(Xp, yb, 0)
 	st := tr.State()
 
 	d := &Detector{
@@ -246,7 +244,7 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 	}
 	for i, j := range sel.Indices {
 		d.FeatureNames[i] = ds.FeatureNames[j]
-		d.GlobalMax[i] = enc.M.GlobalMax(j)
+		d.GlobalMax[i] = enc.M.GlobalMax[j]
 	}
 	points := enc.M.NumPoints()
 	if points > 64 {
