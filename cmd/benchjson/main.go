@@ -6,7 +6,7 @@
 //
 //	go test -bench . -benchmem | benchjson -out BENCH.json
 //	benchjson -in bench.out -out BENCH.json -min-iters 5
-//	benchjson -injson BENCH.json -require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'
+//	benchjson -in bench.out -out /dev/null -require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'
 //
 // Each benchmark result line
 //
@@ -18,8 +18,7 @@
 // warns about them and refuses them outright under -min-iters. The
 // -require-faster flag (repeatable via comma separation) turns the report
 // into a trajectory gate: 'A<B' fails the run unless benchmark A's ns/op is
-// strictly below B's. With -injson an existing report is re-checked without
-// re-running the benchmarks, which is how `make bench-select` gates CI.
+// strictly below B's; that is how `make bench-select` gates CI.
 //
 // Every report it writes is stamped with the environment the numbers came
 // from: the host's CPU count, GOMAXPROCS, the Go version and the git
@@ -38,7 +37,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Result is one parsed benchmark line.
@@ -51,9 +49,6 @@ type Result struct {
 
 // Report is the emitted JSON document.
 type Report struct {
-	// Time stamps the run (RFC 3339, UTC) — set only on history lines
-	// written via -append, so the trajectory file is self-dating.
-	Time       string   `json:"time,omitempty"`
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
 	Pkg        string   `json:"pkg,omitempty"`
@@ -67,33 +62,23 @@ type Report struct {
 
 func main() {
 	in := flag.String("in", "-", "benchmark text input file (- for stdin)")
-	inJSON := flag.String("injson", "", "existing benchjson report to re-check (guards only, no output written)")
 	out := flag.String("out", "-", "JSON output file (- for stdout)")
-	appendTo := flag.String("append", "", "also append the report as one timestamped JSONL line to this history file")
 	minIters := flag.Int64("min-iters", 0, "fail if any benchmark ran fewer iterations (0: warn on 1-iteration entries only)")
 	faster := flag.String("require-faster", "", "comma-separated 'A<B' pairs; fail unless ns/op of A is strictly below B")
 	flag.Parse()
 
-	var rep *Report
-	if *inJSON != "" {
-		var err error
-		if rep, err = loadReport(*inJSON); err != nil {
+	var r io.Reader = os.Stdin
+	if *in != "-" {
+		f, err := os.Open(*in)
+		if err != nil {
 			fatal(err)
 		}
-	} else {
-		var r io.Reader = os.Stdin
-		if *in != "-" {
-			f, err := os.Open(*in)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			r = f
-		}
-		var err error
-		if rep, err = parse(r); err != nil {
-			fatal(err)
-		}
+		defer f.Close()
+		r = f
+	}
+	rep, err := parse(r)
+	if err != nil {
+		fatal(err)
 	}
 
 	if err := checkIterations(rep, *minIters); err != nil {
@@ -101,12 +86,6 @@ func main() {
 	}
 	if err := checkFaster(rep, *faster); err != nil {
 		fatal(err)
-	}
-
-	if *inJSON != "" {
-		// Guard-only mode: the report already exists on disk; just say so.
-		fmt.Fprintf(os.Stderr, "benchjson: %s ok (%d benchmarks)\n", *inJSON, len(rep.Benchmarks))
-		return
 	}
 	stampEnv(rep)
 
@@ -127,25 +106,6 @@ func main() {
 	if *out != "-" {
 		fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 	}
-	if *appendTo != "" {
-		if err := appendHistory(*appendTo, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: appended run to %s\n", *appendTo)
-	}
-}
-
-// loadReport reads a previously emitted report back for guard re-checks.
-func loadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{}
-	if err := json.Unmarshal(data, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
 }
 
 // checkIterations enforces the minimum iteration count. Single-iteration
@@ -201,20 +161,6 @@ func checkFaster(rep *Report, spec string) error {
 			strings.TrimSpace(a), va, strings.TrimSpace(b), vb, vb/va)
 	}
 	return nil
-}
-
-// appendHistory appends the report as one compact, timestamped JSON line, so
-// repeated bench runs accumulate a trajectory instead of overwriting the
-// snapshot artifact.
-func appendHistory(path string, rep *Report) error {
-	line := *rep
-	line.Time = time.Now().UTC().Format(time.RFC3339)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return json.NewEncoder(f).Encode(&line)
 }
 
 // stampEnv records the environment of the run. benchjson runs right after

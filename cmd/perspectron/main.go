@@ -11,15 +11,16 @@
 //	perspectron serve  [-in detector.json] [-classifier classifier.json]
 //	                   [-workloads name,name|all|attacks|benign] [-channel fr|ff|pp]
 //	                   [-insts N] [-seed N] [-episodes N] [-verdicts FILE]
-//	                   [-sample-timeout D] [-episode-timeout D] [-poll D]
+//	                   [-sample-timeout D] [-poll D]
 //	                   [-shards N] [-queue-depth N] [-batch N]
 //	                   [-load-high F] [-load-critical F]
 //	                   [-attr-k N] [-attr-benign-every N] [-flight N]
-//	                   [-slow-sample D] [-slo-latency D]
-//	                   [-slo-latency-budget F] [-slo-shed-budget F]
+//	                   [-slow-sample D] [-no-stage-trace]
 //	                   [-dropout F] [-stuck0 F] [-stuckmax F] [-faultseed N]
-//	                   [-state FILE] [-log-flush D] [-no-last-good]
+//	                   [-state FILE] [-log-flush D]
 //	                   [-disk-faults SPEC] [-disk-fault-seed N]
+//	                   [-shadow] [-shadow-workloads SPEC] [-shadow-interval D]
+//	                   [-shadow-budget N] [-shadow-insts N]
 //	perspectron explain -verdicts FILE [-in detector.json]
 //	                   [-trace ID | -index N] [-force] [-json]
 //	perspectron list
@@ -463,7 +464,6 @@ func cmdServe(args []string) {
 	episodes := fs.Int("episodes", 0, "stop each worker after N episodes (0 = run until signalled)")
 	verdicts := fs.String("verdicts", "-", "verdict log destination: - for stdout, empty to disable, else a file (appended)")
 	sampleTimeout := fs.Duration("sample-timeout", 2*time.Second, "per-sample deadline before an episode fails")
-	episodeTimeout := fs.Duration("episode-timeout", 60*time.Second, "whole-episode deadline")
 	poll := fs.Duration("poll", 500*time.Millisecond, "checkpoint watch cadence (negative disables hot-reload)")
 	shards := fs.Int("shards", 0, "scoring shards on the consistent-hash ring (0 = min(GOMAXPROCS, 8))")
 	queueDepth := fs.Int("queue-depth", 0, "per-shard pending-sample cap; a full queue sheds loudly (0 = 1024)")
@@ -474,9 +474,6 @@ func cmdServe(args []string) {
 	attrBenign := fs.Int("attr-benign-every", 0, "also attribute every Nth benign verdict per shard (0 = off)")
 	flightSize := fs.Int("flight", 0, "flight-recorder capacity for /debug/verdicts (0 = 256, negative disables)")
 	slowSample := fs.Duration("slow-sample", 0, "enqueue-to-verdict latency that emits a slow-sample exemplar to -trace-out (0 = 250ms, negative disables)")
-	sloLatency := fs.Duration("slo-latency", 0, "verdict-latency SLO target for the burn-rate gauges (0 = 50ms, negative disables SLO tracking)")
-	sloLatencyBudget := fs.Float64("slo-latency-budget", 0, "error budget: tolerated fraction of verdicts over -slo-latency (0 = 0.01)")
-	sloShedBudget := fs.Float64("slo-shed-budget", 0, "error budget: tolerated shed fraction (0 = 0.01)")
 	noTrace := fs.Bool("no-stage-trace", false, "disable per-sample trace IDs and stage timings in verdict records")
 	dropout := fs.Float64("dropout", 0, "per-sample counter dropout probability (fault injection)")
 	stuck0 := fs.Float64("stuck0", 0, "fraction of counters stuck at zero")
@@ -485,12 +482,10 @@ func cmdServe(args []string) {
 	shadowOn := fs.Bool("shadow", false, "run the continual-learning shadow trainer in-process (retrain + gated promotion against -in)")
 	shadowSpec := fs.String("shadow-workloads", "all", "shadow trainer's fresh-corpus source: all|attacks|benign or names")
 	shadowInterval := fs.Duration("shadow-interval", 30*time.Second, "cadence of shadow-training rounds")
-	shadowBudget := fs.Int("shadow-budget", 0, "incremental epochs per shadow round (0 = 50)")
+	shadowBudget := fs.Int("shadow-budget", perspectron.DefaultIncrementEpochs, "incremental epochs per shadow round")
 	shadowInsts := fs.Uint64("shadow-insts", 120_000, "committed instructions per shadow fresh-corpus run")
-	driftThr := fs.Float64("drift-threshold", 0.25, "smoothed drift level that raises the /healthz drift alarm")
 	statePath := fs.String("state", "", "durable accounting state file for file-based -verdicts (default <verdicts>.state)")
 	logFlush := fs.Duration("log-flush", 0, "verdict-log flush + state-persist cadence in file mode (0 = 500ms, negative disables the loop)")
-	noLastGood := fs.Bool("no-last-good", false, "do not bank verified checkpoints as .last-good fallback copies")
 	faultSpec := fs.String("disk-faults", "", "inject disk faults: comma-separated site:op:kind[:after=N][:count=N][:rate=F] rules (sites checkpoint|verdictlog|corpus|servestate|shadowstate|*; ops create|write|sync|rename; kinds torn|enospc|eio|syncfail|crash)")
 	faultDiskSeed := fs.Int64("disk-fault-seed", 1, "seed for probabilistic (rate=) disk-fault rules")
 	tel := telemetrycli.Register(fs)
@@ -510,7 +505,6 @@ func cmdServe(args []string) {
 		Seed:           *seed,
 		MaxEpisodes:    *episodes,
 		SampleTimeout:  *sampleTimeout,
-		EpisodeTimeout: *episodeTimeout,
 		PollInterval:   *poll,
 		Shards:         *shards,
 		QueueDepth:     *queueDepth,
@@ -518,14 +512,11 @@ func cmdServe(args []string) {
 		LoadHigh:       *loadHigh,
 		LoadCritical:   *loadCritical,
 
-		DisableTracing:   *noTrace,
-		AttributionK:     *attrK,
-		AttrBenignEvery:  *attrBenign,
-		FlightSize:       *flightSize,
-		SlowSample:       *slowSample,
-		SLOLatencyTarget: *sloLatency,
-		SLOLatencyBudget: *sloLatencyBudget,
-		SLOShedBudget:    *sloShedBudget,
+		DisableTracing:  *noTrace,
+		AttributionK:    *attrK,
+		AttrBenignEvery: *attrBenign,
+		FlightSize:      *flightSize,
+		SlowSample:      *slowSample,
 	}
 	if *dropout > 0 || *stuck0 > 0 || *stuckMax > 0 {
 		cfg.Faults = &perspectron.FaultConfig{
@@ -546,7 +537,6 @@ func cmdServe(args []string) {
 		cfg.VerdictLogPath = *verdicts
 		cfg.StatePath = *statePath
 		cfg.LogFlushInterval = *logFlush
-		cfg.DisableLastGood = *noLastGood
 	}
 
 	sup, err := serve.New(cfg)
@@ -587,12 +577,11 @@ func cmdServe(args []string) {
 		sopts.Runs = 1
 		sopts.Seed = *seed
 		scfg := shadow.Config{
-			DetectorPath:   *in,
-			Workloads:      shadowWorkloads,
-			Opts:           sopts,
-			Budget:         *shadowBudget,
-			Interval:       *shadowInterval,
-			DriftThreshold: *driftThr,
+			DetectorPath: *in,
+			Workloads:    shadowWorkloads,
+			Opts:         sopts,
+			Budget:       *shadowBudget,
+			Interval:     *shadowInterval,
 		}
 		if *verdicts != "" && *verdicts != "-" {
 			scfg.VerdictLog = *verdicts
@@ -639,12 +628,11 @@ func cmdShadow(args []string) {
 	spec := fs.String("workloads", "all", "fresh-corpus source: all|attacks|benign or comma-separated names")
 	channel := fs.String("channel", "fr", "disclosure channel for attack workloads")
 	interval := fs.Duration("interval", 30*time.Second, "round cadence")
-	budget := fs.Int("budget", 0, "incremental epochs per round (0 = 50)")
+	budget := fs.Int("budget", perspectron.DefaultIncrementEpochs, "incremental epochs per round")
 	rounds := fs.Int("rounds", 0, "run N rounds then exit (0 = run until signalled)")
 	insts := fs.Uint64("insts", 120_000, "committed instructions per fresh-corpus run")
 	runs := fs.Int("runs", 1, "runs per workload per round")
 	seed := fs.Int64("seed", 1, "base seed, varied per round")
-	driftThr := fs.Float64("drift-threshold", 0.25, "smoothed drift level that raises the alarm")
 	cacheDir := fs.String("cachedir", "", "on-disk corpus cache directory")
 	tel := telemetrycli.Register(fs)
 	fs.Parse(args)
@@ -664,14 +652,13 @@ func cmdShadow(args []string) {
 	opts.Seed = *seed
 	armDiskFaults(*faultSpec, *faultDiskSeed)
 	trainer, err := shadow.New(shadow.Config{
-		DetectorPath:   *in,
-		VerdictLog:     *verdicts,
-		StatePath:      *statePath,
-		Workloads:      workloads,
-		Opts:           opts,
-		Budget:         *budget,
-		Interval:       *interval,
-		DriftThreshold: *driftThr,
+		DetectorPath: *in,
+		VerdictLog:   *verdicts,
+		StatePath:    *statePath,
+		Workloads:    workloads,
+		Opts:         opts,
+		Budget:       *budget,
+		Interval:     *interval,
 	})
 	if err != nil {
 		fatal(err)

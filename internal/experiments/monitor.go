@@ -64,7 +64,7 @@ func bitsAt(enc *trace.Encoder, idx []int) func([]float64, int) encoding.BitVec 
 // indices idx (nil = all) — the ml baselines' input.
 func scaledAt(enc *trace.Encoder, idx []int) func([]float64, int) []float64 {
 	return func(raw []float64, j int) []float64 {
-		x := enc.ScaleAt(raw, j)
+		x := enc.M.Scale(raw, j, nil)
 		if idx != nil {
 			x = trace.Project([][]float64{x}, idx)[0]
 		}

@@ -14,9 +14,6 @@ type CART struct {
 // NewCART returns a tree with the comparison's defaults.
 func NewCART() *CART { return &CART{MaxDepth: 12, MinLeafSize: 4} }
 
-// Name implements Classifier.
-func (c *CART) Name() string { return "DT-CART" }
-
 type cartNode struct {
 	feature   int
 	threshold float64
@@ -114,7 +111,7 @@ func (c *CART) grow(X [][]float64, y []float64, idx []int, depth int) *cartNode 
 	}
 }
 
-// Score implements Classifier: the mean label of the reached leaf.
+// Score implements eval.Model: the mean label of the reached leaf.
 func (c *CART) Score(x []float64) float64 {
 	n := c.root
 	if n == nil {

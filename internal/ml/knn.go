@@ -18,9 +18,6 @@ type KNN struct {
 // NewKNN returns the paper's configuration (k = 3).
 func NewKNN() *KNN { return &KNN{K: 3} }
 
-// Name implements Classifier.
-func (k *KNN) Name() string { return "KNN" }
-
 // Fit memorizes the training set.
 func (k *KNN) Fit(X [][]float64, y []float64) {
 	k.X = X
@@ -47,7 +44,7 @@ func (h *neighborHeap) Pop() interface{} {
 	return v
 }
 
-// Score implements Classifier: the mean label of the K nearest training
+// Score implements eval.Model: the mean label of the K nearest training
 // samples.
 func (k *KNN) Score(x []float64) float64 {
 	if len(k.X) == 0 {

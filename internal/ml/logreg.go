@@ -18,9 +18,6 @@ func NewLogReg() *LogReg {
 	return &LogReg{Epochs: 300, LearningRate: 0.5, L2: 1e-4}
 }
 
-// Name implements Classifier.
-func (l *LogReg) Name() string { return "LogisticRegression" }
-
 func sigmoid(z float64) float64 {
 	if z >= 0 {
 		return 1 / (1 + math.Exp(-z))
@@ -75,7 +72,7 @@ func (l *LogReg) raw(x []float64) float64 {
 	return s
 }
 
-// Score implements Classifier: the log-odds (positive = malicious).
+// Score implements eval.Model: the log-odds (positive = malicious).
 func (l *LogReg) Score(x []float64) float64 {
 	if l.w == nil {
 		return 0

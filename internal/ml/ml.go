@@ -1,23 +1,9 @@
 // Package ml implements the baseline classifiers PerSpectron is compared
 // against in Table IV — a CART decision tree, logistic regression,
 // K-nearest-neighbours, and a single-hidden-layer neural network trained by
-// backpropagation — behind a common Classifier interface. All are stdlib-
-// only reimplementations of the scikit-learn models the paper used.
-package ml
-
-// Classifier is the shared train/score contract. Score returns a decision
-// value: positive means malicious; magnitude is confidence. The evaluation
+// backpropagation. All are stdlib-only reimplementations of the
+// scikit-learn models the paper used, and each meets eval.Model[[]float64]:
+// Fit trains on scaled rows, and Score returns a decision value where
+// positive means malicious and magnitude is confidence. The evaluation
 // harness sweeps thresholds over Score for ROC construction.
-type Classifier interface {
-	Name() string
-	Fit(X [][]float64, y []float64)
-	Score(x []float64) float64
-}
-
-// Predict converts a classifier's score into a ±1 label at threshold 0.
-func Predict(c Classifier, x []float64) float64 {
-	if c.Score(x) >= 0 {
-		return 1
-	}
-	return -1
-}
+package ml

@@ -22,7 +22,7 @@ func TestCARTSingleClassLeaf(t *testing.T) {
 	X := [][]float64{{0.1}, {0.2}, {0.3}}
 	y := []float64{1, 1, 1}
 	c.Fit(X, y)
-	if Predict(c, []float64{0.5}) != 1 {
+	if predict(c, []float64{0.5}) != 1 {
 		t.Fatalf("pure-class tree mispredicts")
 	}
 }
@@ -67,7 +67,7 @@ func TestKNNKLargerThanTrainingSet(t *testing.T) {
 	k := NewKNN()
 	k.K = 100
 	k.Fit([][]float64{{0}, {1}}, []float64{-1, 1})
-	// Mean of the two labels is 0; Predict rounds to +1 at >= 0.
+	// Mean of the two labels is 0; predict rounds to +1 at >= 0.
 	if got := k.Score([]float64{0.5}); got != 0 {
 		t.Fatalf("score with K > n = %v", got)
 	}
@@ -77,7 +77,7 @@ func TestKNNZeroKDefaults(t *testing.T) {
 	k := NewKNN()
 	k.K = 0
 	k.Fit([][]float64{{0}, {0.1}, {1}}, []float64{-1, -1, 1})
-	if Predict(k, []float64{0.05}) != -1 {
+	if predict(k, []float64{0.05}) != -1 {
 		t.Fatalf("zero K did not default sanely")
 	}
 }
@@ -96,25 +96,11 @@ func TestMLPHiddenSizeAffectsCapacity(t *testing.T) {
 	}
 }
 
-func TestClassifierNames(t *testing.T) {
-	wants := map[string]Classifier{
-		"DT-CART":            NewCART(),
-		"LogisticRegression": NewLogReg(),
-		"KNN":                NewKNN(),
-		"NeuralNetwork":      NewMLP(),
-	}
-	for want, c := range wants {
-		if c.Name() != want {
-			t.Fatalf("name %q != %q", c.Name(), want)
-		}
-	}
-}
-
 func TestEmptyFit(t *testing.T) {
-	for _, c := range classifiers() {
-		c.Fit(nil, nil) // must not panic
-		if s := c.Score([]float64{1}); s != 0 {
-			t.Fatalf("%s scores %v after empty fit", c.Name(), s)
+	for _, m := range classifiers() {
+		m.c.Fit(nil, nil) // must not panic
+		if s := m.c.Score([]float64{1}); s != 0 {
+			t.Fatalf("%s scores %v after empty fit", m.name, s)
 		}
 	}
 }

@@ -4,7 +4,26 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"perspectron/internal/eval"
 )
+
+// model is the train/score contract every baseline meets.
+type model = eval.Model[[]float64]
+
+// named labels a table row with the baseline's Table IV name.
+type named struct {
+	name string
+	c    model
+}
+
+// predict thresholds a score into a ±1 label at 0.
+func predict(c model, x []float64) float64 {
+	if c.Score(x) >= 0 {
+		return 1
+	}
+	return -1
+}
 
 // linear builds a noisy linearly separable dataset: class = sign(x0 - x1).
 func linear(n int, r *rand.Rand) (X [][]float64, y []float64) {
@@ -37,18 +56,23 @@ func xor(n int, r *rand.Rand) (X [][]float64, y []float64) {
 	return X, y
 }
 
-func accuracy(c Classifier, X [][]float64, y []float64) float64 {
+func accuracy(c model, X [][]float64, y []float64) float64 {
 	ok := 0
 	for i, x := range X {
-		if Predict(c, x) == y[i] {
+		if predict(c, x) == y[i] {
 			ok++
 		}
 	}
 	return float64(ok) / float64(len(X))
 }
 
-func classifiers() []Classifier {
-	return []Classifier{NewCART(), NewLogReg(), NewKNN(), NewMLP()}
+func classifiers() []named {
+	return []named{
+		{"DT-CART", NewCART()},
+		{"LogisticRegression", NewLogReg()},
+		{"KNN", NewKNN()},
+		{"NeuralNetwork", NewMLP()},
+	}
 }
 
 func TestAllLearnLinear(t *testing.T) {
@@ -56,10 +80,10 @@ func TestAllLearnLinear(t *testing.T) {
 	X, y := linear(600, r)
 	train, trainY := X[:400], y[:400]
 	test, testY := X[400:], y[400:]
-	for _, c := range classifiers() {
-		c.Fit(train, trainY)
-		if acc := accuracy(c, test, testY); acc < 0.9 {
-			t.Errorf("%s linear accuracy = %.3f", c.Name(), acc)
+	for _, m := range classifiers() {
+		m.c.Fit(train, trainY)
+		if acc := accuracy(m.c, test, testY); acc < 0.9 {
+			t.Errorf("%s linear accuracy = %.3f", m.name, acc)
 		}
 	}
 }
@@ -67,10 +91,10 @@ func TestAllLearnLinear(t *testing.T) {
 func TestTreeAndMLPLearnXOR(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	X, y := xor(400, r)
-	for _, c := range []Classifier{NewCART(), NewMLP(), NewKNN()} {
-		c.Fit(X, y)
-		if acc := accuracy(c, X, y); acc < 0.95 {
-			t.Errorf("%s XOR accuracy = %.3f", c.Name(), acc)
+	for _, m := range []named{{"DT-CART", NewCART()}, {"NeuralNetwork", NewMLP()}, {"KNN", NewKNN()}} {
+		m.c.Fit(X, y)
+		if acc := accuracy(m.c, X, y); acc < 0.95 {
+			t.Errorf("%s XOR accuracy = %.3f", m.name, acc)
 		}
 	}
 }
@@ -114,18 +138,18 @@ func TestKNNExactNeighbours(t *testing.T) {
 	k := NewKNN()
 	k.K = 1
 	k.Fit([][]float64{{0, 0}, {1, 1}}, []float64{-1, 1})
-	if Predict(k, []float64{0.1, 0.1}) != -1 {
+	if predict(k, []float64{0.1, 0.1}) != -1 {
 		t.Fatalf("1-NN picked the wrong neighbour")
 	}
-	if Predict(k, []float64{0.9, 0.9}) != 1 {
+	if predict(k, []float64{0.9, 0.9}) != 1 {
 		t.Fatalf("1-NN picked the wrong neighbour")
 	}
 }
 
 func TestScoresBeforeFit(t *testing.T) {
-	for _, c := range classifiers() {
-		if s := c.Score([]float64{1, 2, 3}); s != 0 {
-			t.Errorf("%s unfitted score = %v", c.Name(), s)
+	for _, m := range classifiers() {
+		if s := m.c.Score([]float64{1, 2, 3}); s != 0 {
+			t.Errorf("%s unfitted score = %v", m.name, s)
 		}
 	}
 }
@@ -140,13 +164,5 @@ func TestMLPDeterministicWithSeed(t *testing.T) {
 		if a.Score(x) != b.Score(x) {
 			t.Fatalf("MLP nondeterministic at sample %d", i)
 		}
-	}
-}
-
-func TestPredictSign(t *testing.T) {
-	lr := NewLogReg()
-	lr.w = []float64{1}
-	if Predict(lr, []float64{1}) != 1 || Predict(lr, []float64{-1}) != -1 {
-		t.Fatalf("Predict sign wrong")
 	}
 }

@@ -26,9 +26,6 @@ func NewMLP() *MLP {
 	return &MLP{Hidden: 16, Epochs: 150, LearningRate: 0.05, Seed: 1}
 }
 
-// Name implements Classifier.
-func (m *MLP) Name() string { return "NeuralNetwork" }
-
 // Fit trains on ±1 labels.
 func (m *MLP) Fit(X [][]float64, y []float64) {
 	if len(X) == 0 {
@@ -92,7 +89,7 @@ func (m *MLP) Fit(X [][]float64, y []float64) {
 	}
 }
 
-// Score implements Classifier.
+// Score implements eval.Model.
 func (m *MLP) Score(x []float64) float64 {
 	if m.w1 == nil {
 		return 0

@@ -228,13 +228,8 @@ func TestForensicsDisabledLeavesRecordsBare(t *testing.T) {
 }
 
 func TestSLOTrackerBurnMath(t *testing.T) {
-	cfg := Config{
-		SLOLatencyTarget: 10 * time.Millisecond,
-		SLOLatencyBudget: 0.1,
-		SLOShedBudget:    0.1,
-		SLOAlpha:         0.5,
-	}
-	tr := newSLOTracker(cfg)
+	target := 10 * time.Millisecond
+	tr := newSLOTracker(target)
 	if tr == nil {
 		t.Fatal("tracker disabled despite positive target")
 	}
@@ -246,7 +241,8 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 	if h.Breach || h.LatencyBurn != 0 || h.ShedBurn != 0 || h.Samples != 20 {
 		t.Fatalf("fast traffic burned: %+v", h)
 	}
-	// Sustained slow verdicts push the slow fraction toward 1 = 10× budget.
+	// Sustained slow verdicts push the slow fraction toward 1: after 20 at
+	// sloAlpha it is 1-0.98^20 ≈ 0.33, a burn of ≈33× the 0.01 budget.
 	for i := 0; i < 20; i++ {
 		tr.observe(time.Second, false)
 	}
@@ -255,7 +251,7 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 		t.Fatalf("slow traffic did not breach: %+v", h)
 	}
 	// Shed burn is independent of latency burn.
-	tr2 := newSLOTracker(cfg)
+	tr2 := newSLOTracker(target)
 	for i := 0; i < 20; i++ {
 		tr2.observe(0, true)
 	}
@@ -270,7 +266,7 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 		t.Fatal("nil tracker snapshot not nil")
 	}
 	neg := Config{SLOLatencyTarget: -1}
-	if newSLOTracker(neg.withDefaults()) != nil {
+	if newSLOTracker(neg.withDefaults().SLOLatencyTarget) != nil {
 		t.Fatal("negative target did not disable SLO")
 	}
 }
@@ -289,7 +285,7 @@ func TestShedRecordsCarryTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &worker{id: 0, name: "burst", benign: true,
-		ladder: newLadder(s.cfg.ClassifierFloor, s.cfg.DetectorFloor, s.cfg.Hysteresis, false)}
+		ladder: newLadder(classifierFloor, detectorFloor, hysteresis, false)}
 	var sheds []VerdictRecord
 	s.onVerdict = func(rec VerdictRecord) {
 		if rec.Shed {

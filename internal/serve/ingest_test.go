@@ -18,7 +18,7 @@ import (
 // --- ring ----------------------------------------------------------------
 
 func TestRingSpreadsAndIsStable(t *testing.T) {
-	r := newRing(4, 16)
+	r := newRing(4)
 	counts := make([]int, 4)
 	owner := map[string]int{}
 	for i := 0; i < 400; i++ {
@@ -37,7 +37,7 @@ func TestRingSpreadsAndIsStable(t *testing.T) {
 	}
 	// A rebuilt ring routes identically — placement is a pure function of
 	// the key, so streams keep their shard across restarts.
-	r2 := newRing(4, 16)
+	r2 := newRing(4)
 	for key, sh := range owner {
 		if got := r2.lookup(key, nil); got != sh {
 			t.Fatalf("rebuilt ring moved %q: %d -> %d", key, sh, got)
@@ -46,7 +46,7 @@ func TestRingSpreadsAndIsStable(t *testing.T) {
 }
 
 func TestRingRoutesAroundUnhealthyShards(t *testing.T) {
-	r := newRing(4, 16)
+	r := newRing(4)
 	down := 2
 	healthy := func(sh int) bool { return sh != down }
 	moved := 0

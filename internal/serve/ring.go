@@ -7,8 +7,8 @@ import (
 )
 
 // ring is the consistent-hash ring that assigns streams to scoring shards.
-// Each shard owns `replicas` virtual nodes so load spreads evenly; a stream
-// hashes to the first virtual node clockwise from its key. Routing is a
+// Each shard owns ringReplicas virtual nodes so load spreads evenly; a
+// stream hashes to the first virtual node clockwise from its key. Routing is a
 // pure function of (key, healthy-set): when a shard goes down — scorer
 // breaker open after repeated panics — lookups walk clockwise to the next
 // healthy shard, so only the streams that hashed to the dead shard move,
@@ -24,20 +24,19 @@ type ring struct {
 	shards int
 }
 
-// newRing builds a ring of n shards with the given virtual-node fan-out per
-// shard (replicas < 1 defaults to 16).
-func newRing(n, replicas int) *ring {
-	if replicas < 1 {
-		replicas = 16
-	}
+// ringReplicas is the virtual-node fan-out per shard.
+const ringReplicas = 16
+
+// newRing builds a ring of n shards, ringReplicas virtual nodes each.
+func newRing(n int) *ring {
 	r := &ring{shards: n}
 	type vnode struct {
 		h     uint64
 		shard int
 	}
-	vnodes := make([]vnode, 0, n*replicas)
+	vnodes := make([]vnode, 0, n*ringReplicas)
 	for s := 0; s < n; s++ {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			vnodes = append(vnodes, vnode{hashKey("shard-" + strconv.Itoa(s) + "#" + strconv.Itoa(v)), s})
 		}
 	}

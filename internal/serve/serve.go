@@ -28,6 +28,18 @@ import (
 	"perspectron/internal/workload"
 )
 
+// Fixed serving policy: no caller needs other values.
+const (
+	// episodeTimeout bounds one whole episode.
+	episodeTimeout = 60 * time.Second
+	// classifierFloor and detectorFloor are the smoothed-coverage levels
+	// below which the ladder abandons the classifier and the detector;
+	// hysteresis is the climb-back margin, shared with the load rung.
+	classifierFloor = 0.9
+	detectorFloor   = 0.5
+	hysteresis      = 0.05
+)
+
 // Config configures a Supervisor. Zero-valued durations and floors fall
 // back to the defaults noted on each field.
 type Config struct {
@@ -57,8 +69,6 @@ type Config struct {
 	// SampleTimeout is the per-sample deadline: a stream that stalls past
 	// it fails the episode (default 2s).
 	SampleTimeout time.Duration
-	// EpisodeTimeout bounds one whole episode (default 60s).
-	EpisodeTimeout time.Duration
 	// Backoff shapes the delay between failed episodes (default
 	// retry.DefaultPolicy with unlimited attempts — the breaker, not the
 	// policy, decides when to stop trying).
@@ -69,19 +79,9 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// ClassifierFloor and DetectorFloor are the smoothed-coverage levels
-	// below which the ladder abandons the classifier (default 0.9) and the
-	// detector (default 0.5); Hysteresis is the climb-back margin
-	// (default 0.05), shared with the load rung.
-	ClassifierFloor float64
-	DetectorFloor   float64
-	Hysteresis      float64
-
 	// Shards is the number of scoring lanes samples are hashed onto
-	// (default min(GOMAXPROCS, 8)); RingReplicas the virtual nodes per
-	// shard on the consistent-hash ring (default 16).
-	Shards       int
-	RingReplicas int
+	// (default min(GOMAXPROCS, 8)).
+	Shards int
 	// QueueDepth caps each shard's pending-sample ring buffer (default
 	// 1024). A full ring sheds — oldest benign-stream sample first — and
 	// every shed is logged and counted, never silent.
@@ -119,9 +119,6 @@ type Config struct {
 	// LogFlushInterval is the periodic flush+persist cadence in file mode
 	// (default 500ms; negative disables the loop — drain still flushes).
 	LogFlushInterval time.Duration
-	// DisableLastGood turns off the .last-good checkpoint copies written
-	// after every verified load (tests that stage deliberate corruption).
-	DisableLastGood bool
 
 	// Faults optionally injects counter faults into every episode's
 	// machine — the degradation ladder's test harness.
@@ -149,13 +146,8 @@ type Config struct {
 	SlowSample time.Duration
 	// SLOLatencyTarget is the per-verdict latency objective driving the
 	// latency burn-rate gauge (default 50ms; negative disables SLO
-	// tracking). SLOLatencyBudget and SLOShedBudget are the tolerated
-	// fractions of slow verdicts and shed samples (default 0.01 each);
-	// SLOAlpha the burn EWMAs' smoothing factor (default 0.02).
+	// tracking).
 	SLOLatencyTarget time.Duration
-	SLOLatencyBudget float64
-	SLOShedBudget    float64
-	SLOAlpha         float64
 }
 
 // verdictLogWriter is the internal log type behind Config.VerdictLog.
@@ -175,9 +167,6 @@ func (c *Config) withDefaults() Config {
 	if out.SampleTimeout <= 0 {
 		out.SampleTimeout = 2 * time.Second
 	}
-	if out.EpisodeTimeout <= 0 {
-		out.EpisodeTimeout = 60 * time.Second
-	}
 	if out.Backoff == (retry.Policy{}) {
 		out.Backoff = retry.DefaultPolicy()
 	}
@@ -187,15 +176,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.BreakerCooldown <= 0 {
 		out.BreakerCooldown = 5 * time.Second
-	}
-	if out.ClassifierFloor == 0 {
-		out.ClassifierFloor = 0.9
-	}
-	if out.DetectorFloor == 0 {
-		out.DetectorFloor = 0.5
-	}
-	if out.Hysteresis == 0 {
-		out.Hysteresis = 0.05
 	}
 	if out.PollInterval == 0 {
 		out.PollInterval = 500 * time.Millisecond
@@ -211,9 +191,6 @@ func (c *Config) withDefaults() Config {
 		if out.Shards > 8 {
 			out.Shards = 8
 		}
-	}
-	if out.RingReplicas <= 0 {
-		out.RingReplicas = 16
 	}
 	if out.QueueDepth <= 0 {
 		out.QueueDepth = 1024
@@ -261,15 +238,6 @@ func (c *Config) withDefaults() Config {
 		out.SLOLatencyTarget = 50 * time.Millisecond
 	} else if out.SLOLatencyTarget < 0 {
 		out.SLOLatencyTarget = 0
-	}
-	if out.SLOLatencyBudget <= 0 {
-		out.SLOLatencyBudget = 0.01
-	}
-	if out.SLOShedBudget <= 0 {
-		out.SLOShedBudget = 0.01
-	}
-	if out.SLOAlpha <= 0 || out.SLOAlpha > 1 {
-		out.SLOAlpha = 0.02
 	}
 	return out
 }
@@ -376,19 +344,17 @@ func New(cfg Config) (*Supervisor, error) {
 	// The checkpoints we just proved loadable from disk get banked as the
 	// last-good fallback chain recovery restores from after corruption.
 	// Injected models (tests, embedding) prove nothing about the files.
-	if !cfg.DisableLastGood {
-		if loadedDet {
-			saveLastGood(cfg.DetectorPath)
-		}
-		if loadedCls {
-			saveLastGood(cfg.ClassifierPath)
-		}
+	if loadedDet {
+		saveLastGood(cfg.DetectorPath)
+	}
+	if loadedCls {
+		saveLastGood(cfg.ClassifierPath)
 	}
 	s := &Supervisor{
 		cfg:     cfg,
 		log:     vlog,
 		flight:  newFlightRecorder(cfg.FlightSize),
-		slo:     newSLOTracker(cfg),
+		slo:     newSLOTracker(cfg.SLOLatencyTarget),
 		report:  report,
 		started: time.Now(),
 	}
@@ -398,7 +364,6 @@ func New(cfg Config) (*Supervisor, error) {
 	s.models.Store(&Models{Det: det, Cls: cls})
 	if cfg.PollInterval > 0 && (cfg.DetectorPath != "" || cfg.ClassifierPath != "") {
 		s.watch = newWatcher(cfg.DetectorPath, cfg.ClassifierPath, &s.models, cfg.PollInterval)
-		s.watch.saveGood = !cfg.DisableLastGood
 	}
 	for i, w := range cfg.Workloads {
 		s.workers = append(s.workers, &worker{
@@ -407,14 +372,14 @@ func New(cfg Config) (*Supervisor, error) {
 			prog:    w,
 			benign:  w.Info().Label == workload.Benign,
 			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-			ladder:  newLadder(cfg.ClassifierFloor, cfg.DetectorFloor, cfg.Hysteresis, cls != nil),
+			ladder:  newLadder(classifierFloor, detectorFloor, hysteresis, cls != nil),
 		})
 	}
-	s.ring = newRing(cfg.Shards, cfg.RingReplicas)
+	s.ring = newRing(cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		// The load rung reuses the coverage ladder on headroom = 1-pressure,
 		// so its floors are the complements of the pressure marks.
-		load := newLadder(1-cfg.LoadHigh, 1-cfg.LoadCritical, cfg.Hysteresis, cls != nil)
+		load := newLadder(1-cfg.LoadHigh, 1-cfg.LoadCritical, hysteresis, cls != nil)
 		s.shards = append(s.shards, newShard(i, cfg.QueueDepth, load,
 			newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)))
 	}
@@ -605,7 +570,7 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 			err = fmt.Errorf("episode panic: %v", r)
 		}
 	}()
-	epCtx, cancel := context.WithTimeout(ctx, s.cfg.EpisodeTimeout)
+	epCtx, cancel := context.WithTimeout(ctx, episodeTimeout)
 	defer cancel()
 
 	mdl := s.models.Load() // pinned for the whole episode

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -610,5 +611,66 @@ func TestNewErrors(t *testing.T) {
 		Workloads:    []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 	}); err == nil {
 		t.Fatalf("missing initial checkpoint accepted")
+	}
+}
+
+// TestConfigDefaults pins every documented default: the zero Config's
+// resolved fields, the fixed-policy constants, the LoadCritical >= LoadHigh
+// clamp, and the "negative disables" forms normalizing to 0.
+func TestConfigDefaults(t *testing.T) {
+	if episodeTimeout != 60*time.Second || ringReplicas != 16 ||
+		classifierFloor != 0.9 || detectorFloor != 0.5 || hysteresis != 0.05 ||
+		sloLatencyBudget != 0.01 || sloShedBudget != 0.01 || sloAlpha != 0.02 {
+		t.Fatalf("fixed-policy constant moved")
+	}
+
+	shards := runtime.GOMAXPROCS(0)
+	if shards > 8 {
+		shards = 8
+	}
+	backoff := retry.DefaultPolicy()
+	backoff.MaxAttempts = 0
+	want := Config{
+		MaxInsts:         100_000,
+		SampleTimeout:    2 * time.Second,
+		Backoff:          backoff,
+		BreakerThreshold: 3,
+		BreakerCooldown:  5 * time.Second,
+		Shards:           shards,
+		QueueDepth:       1024,
+		Batch:            256,
+		ScoreTick:        5 * time.Millisecond,
+		LoadHigh:         0.75,
+		LoadCritical:     0.9,
+		Pace:             time.Millisecond,
+		PollInterval:     500 * time.Millisecond,
+		LogFlushInterval: 500 * time.Millisecond,
+		AttributionK:     5,
+		FlightSize:       256,
+		SlowSample:       250 * time.Millisecond,
+		SLOLatencyTarget: 50 * time.Millisecond,
+	}
+	var zero Config
+	if got := zero.withDefaults(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero Config defaults:\n got %+v\nwant %+v", got, want)
+	}
+
+	inverted := Config{LoadHigh: 0.95, LoadCritical: 0.8}
+	if got := inverted.withDefaults(); got.LoadHigh != 0.95 || got.LoadCritical != 0.95 {
+		t.Fatalf("LoadCritical not clamped to LoadHigh: high %v critical %v", got.LoadHigh, got.LoadCritical)
+	}
+
+	neg := Config{
+		AttributionK:     -1,
+		AttrBenignEvery:  -1,
+		FlightSize:       -1,
+		SlowSample:       -1,
+		SLOLatencyTarget: -1,
+		LogFlushInterval: -1,
+	}
+	got := neg.withDefaults()
+	if got.AttributionK != 0 || got.AttrBenignEvery != 0 || got.FlightSize != 0 ||
+		got.SlowSample != 0 || got.SLOLatencyTarget != 0 || got.LogFlushInterval != 0 {
+		t.Fatalf("negative knobs not normalized to 0: %+v", got)
 	}
 }

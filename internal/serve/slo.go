@@ -16,13 +16,17 @@ import (
 	"perspectron/internal/telemetry"
 )
 
+// The error budgets and the burn EWMAs' smoothing factor.
+const (
+	sloLatencyBudget = 0.01 // tolerated slow-verdict fraction
+	sloShedBudget    = 0.01 // tolerated shed fraction
+	sloAlpha         = 0.02 // EWMA smoothing per observation
+)
+
 // sloTracker accumulates the burn state. The nil tracker (SLO disabled)
 // absorbs all operations, mirroring the telemetry instruments.
 type sloTracker struct {
 	latencyTarget time.Duration
-	latencyBudget float64 // tolerated slow-verdict fraction
-	shedBudget    float64 // tolerated shed fraction
-	alpha         float64 // EWMA smoothing per observation
 
 	mu       sync.Mutex
 	slowEwma float64 // smoothed fraction of verdicts past the target
@@ -30,18 +34,13 @@ type sloTracker struct {
 	n        int64
 }
 
-// newSLOTracker builds the tracker from an already-defaulted Config; a
-// non-positive latency target disables SLO tracking entirely.
-func newSLOTracker(cfg Config) *sloTracker {
-	if cfg.SLOLatencyTarget <= 0 {
+// newSLOTracker builds the tracker for a latency target; a non-positive
+// target disables SLO tracking entirely.
+func newSLOTracker(latencyTarget time.Duration) *sloTracker {
+	if latencyTarget <= 0 {
 		return nil
 	}
-	return &sloTracker{
-		latencyTarget: cfg.SLOLatencyTarget,
-		latencyBudget: cfg.SLOLatencyBudget,
-		shedBudget:    cfg.SLOShedBudget,
-		alpha:         cfg.SLOAlpha,
-	}
+	return &sloTracker{latencyTarget: latencyTarget}
 }
 
 // observe folds one sample outcome into the burn state: its enqueue→verdict
@@ -58,11 +57,11 @@ func (t *sloTracker) observe(latency time.Duration, shed bool) {
 		slow = 1
 	}
 	t.mu.Lock()
-	t.slowEwma += t.alpha * (slow - t.slowEwma)
-	t.shedEwma += t.alpha * (shedV - t.shedEwma)
+	t.slowEwma += sloAlpha * (slow - t.slowEwma)
+	t.shedEwma += sloAlpha * (shedV - t.shedEwma)
 	t.n++
-	latencyBurn := t.slowEwma / t.latencyBudget
-	shedBurn := t.shedEwma / t.shedBudget
+	latencyBurn := t.slowEwma / sloLatencyBudget
+	shedBurn := t.shedEwma / sloShedBudget
 	t.mu.Unlock()
 	reg := telemetry.Get()
 	reg.Gauge("perspectron_serve_slo_latency_burn").Set(latencyBurn)
@@ -99,12 +98,12 @@ func (t *sloTracker) snapshot() *SLOHealth {
 	defer t.mu.Unlock()
 	h := &SLOHealth{
 		LatencyTargetMs: float64(t.latencyTarget) / float64(time.Millisecond),
-		LatencyBudget:   t.latencyBudget,
+		LatencyBudget:   sloLatencyBudget,
 		SlowFraction:    t.slowEwma,
-		LatencyBurn:     t.slowEwma / t.latencyBudget,
-		ShedBudget:      t.shedBudget,
+		LatencyBurn:     t.slowEwma / sloLatencyBudget,
+		ShedBudget:      sloShedBudget,
 		ShedFraction:    t.shedEwma,
-		ShedBurn:        t.shedEwma / t.shedBudget,
+		ShedBurn:        t.shedEwma / sloShedBudget,
 		Samples:         t.n,
 	}
 	h.Breach = h.LatencyBurn > 1 || h.ShedBurn > 1

@@ -58,11 +58,10 @@ func sigOf(path string) (fileSig, bool) {
 // PollInterval) so a persistently corrupt or vanishing file does not
 // busy-spin the watcher; the first success snaps the cadence back.
 type watcher struct {
-	detPath  string
-	clsPath  string
-	models   *atomic.Pointer[Models]
-	poll     time.Duration
-	saveGood bool // bank verified reloads as .last-good fallback copies
+	detPath string
+	clsPath string
+	models  *atomic.Pointer[Models]
+	poll    time.Duration
 
 	mu         sync.Mutex
 	detSig     fileSig
@@ -171,13 +170,11 @@ func (w *watcher) tick() {
 	w.recoverLocked()
 	// The new files just proved loadable: rotate them into the last-good
 	// fallback chain startup recovery restores from.
-	if w.saveGood {
-		if changedDet {
-			saveLastGood(w.detPath)
-		}
-		if changedCls {
-			saveLastGood(w.clsPath)
-		}
+	if changedDet {
+		saveLastGood(w.detPath)
+	}
+	if changedCls {
+		saveLastGood(w.clsPath)
 	}
 	det, cls := next.Versions()
 	reg.Counter(telemetry.Name("perspectron_serve_reloads_total", "result", "ok")).Inc()

@@ -36,6 +36,10 @@ import (
 	"perspectron/internal/telemetry"
 )
 
+// goldenSeedOffset shifts the opts seed for the gate corpus to a seed the
+// round-varied training collections never reuse.
+const goldenSeedOffset = 9973
+
 // Config configures a shadow Trainer. Zero-valued fields fall back to the
 // defaults noted on each field.
 type Config struct {
@@ -65,11 +69,9 @@ type Config struct {
 
 	// Golden is the held-out gate corpus. When nil, the trainer collects
 	// one on first use from GoldenWorkloads (default: Workloads) with the
-	// opts seed offset by GoldenSeedOffset — a seed the round-varied
-	// training collections never reuse.
-	Golden           *perspectron.GoldenSet
-	GoldenWorkloads  []perspectron.Workload
-	GoldenSeedOffset int64 // default 9973
+	// opts seed offset by goldenSeedOffset.
+	Golden          *perspectron.GoldenSet
+	GoldenWorkloads []perspectron.Workload
 
 	// Interval is the cadence of Run's rounds (default 30s).
 	Interval time.Duration
@@ -94,9 +96,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if len(out.GoldenWorkloads) == 0 {
 		out.GoldenWorkloads = out.Workloads
-	}
-	if out.GoldenSeedOffset == 0 {
-		out.GoldenSeedOffset = 9973
 	}
 	if out.Interval <= 0 {
 		out.Interval = 30 * time.Second
@@ -394,7 +393,7 @@ func (t *Trainer) goldenSet() (*perspectron.GoldenSet, error) {
 		return g, nil
 	}
 	opts := t.cfg.Opts
-	opts.Seed += t.cfg.GoldenSeedOffset
+	opts.Seed += goldenSeedOffset
 	g, err := perspectron.CollectGolden(t.cfg.GoldenWorkloads, opts)
 	if err != nil {
 		return nil, fmt.Errorf("shadow: collecting golden corpus: %w", err)

@@ -302,18 +302,6 @@ func NewEncoder(train *Dataset) *Encoder {
 	return &Encoder{M: m}
 }
 
-// Scale returns the sample scaled to [0,1] per feature.
-func (e *Encoder) Scale(s *Sample) []float64 {
-	return e.M.Scale(s.Raw, s.Index, nil)
-}
-
-// ScaleAt normalizes one raw counter-delta vector taken at execution point
-// j — the serving-path entry used when the raw vector does not come from a
-// Dataset sample.
-func (e *Encoder) ScaleAt(raw []float64, j int) []float64 {
-	return e.M.Scale(raw, j, nil)
-}
-
 // BitsAt returns the bit-packed k-sparse vector of one raw counter-delta
 // vector taken at execution point point, restricted to the feature indices
 // idx (nil = all features): output bit j is set when feature idx[j] fires.
@@ -341,7 +329,7 @@ func (e *Encoder) Matrix(d *Dataset) (X [][]float64, y []float64) {
 	X = make([][]float64, len(d.Samples))
 	y = make([]float64, len(d.Samples))
 	for i := range d.Samples {
-		X[i] = e.Scale(&d.Samples[i])
+		X[i] = e.M.Scale(d.Samples[i].Raw, d.Samples[i].Index, nil)
 		y[i] = LabelValue(d.Samples[i].Label)
 	}
 	return X, y

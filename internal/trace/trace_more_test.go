@@ -40,7 +40,7 @@ func TestEncoderPointFallback(t *testing.T) {
 	// scale via the global maxima rather than zeros.
 	s := ds.Samples[0]
 	s.Index = 10_000
-	scaled := enc.Scale(&s)
+	scaled := enc.M.Scale(s.Raw, s.Index, nil)
 	nonzero := false
 	for _, v := range scaled {
 		if v > 0 {
