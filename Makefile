@@ -9,7 +9,7 @@ BENCH ?= .
 # (single-iteration numbers are noise).
 HOTPATH_BENCHTIME ?= 5x
 
-.PHONY: ci vet build test race bench bench-hotpath bench-select bench-sim smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
+.PHONY: ci vet build test race fuzz bench bench-hotpath bench-select bench-sim smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
 
 # ci is the gate for every PR: static analysis, a full build, and the test
 # suite under the race detector (trace.Collect and the experiments fan out
@@ -27,6 +27,13 @@ test:
 
 race:
 	$(GO) test -race -timeout 20m ./...
+
+# fuzz runs the native fuzz target over the checkpoint parsers (Load and
+# LoadClassifier) for a bounded budget, starting from the seed corpus in
+# testdata/fuzz/FuzzLoad. A crasher is written there and fails the run.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) .
 
 # smoke-serve exercises the long-running detection service end to end with a
 # race-enabled binary: readiness, corrupt-checkpoint rollback via /healthz and

@@ -87,17 +87,6 @@ func (d *Detector) AttributeFired(fired []int, k int) (score float64, attr []Con
 	return score, attr, nil
 }
 
-// LastFired returns the detector feature slots that fired on the sample
-// most recently passed to Detect, ascending, appended to dst (pass nil to
-// allocate). Valid until the next Detect call; empty before the first one
-// or when the scorer has no detector.
-func (r *RawScorer) LastFired(dst []int) []int {
-	if r.det == nil {
-		return dst
-	}
-	return appendSetBits(dst, r.detBits)
-}
-
 // appendSetBits appends the set-bit positions of v to dst, ascending — the
 // same TrailingZeros64 walk MarginPacked scores with.
 func appendSetBits(dst []int, v encoding.BitVec) []int {

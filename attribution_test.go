@@ -88,8 +88,8 @@ func TestAttributeFiredTopKAndEdgeCases(t *testing.T) {
 }
 
 // TestAttributionMatchesScorer pins the tentpole invariant: for a trained
-// detector on a real attack stream, AttributeFired over RawScorer.LastFired
-// reproduces Detect's score bit-for-bit.
+// detector on a real attack stream, AttributeFired over the fired set
+// RawScorer.Attribution reports reproduces Detect's score bit-for-bit.
 func TestAttributionMatchesScorer(t *testing.T) {
 	det := sharedDetector(t)
 	scorer, err := NewRawScorer(det, nil)
@@ -166,7 +166,10 @@ func TestSessionAttributionMatchesVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	scorer := sess.scorer()
+	scorer, err := NewRawScorer(det, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	n := 0
 	for {

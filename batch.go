@@ -1,10 +1,11 @@
 package perspectron
 
 // Raw-sample scoring: the one sample→verdict implementation. Every path that
-// turns a raw counter-delta vector into a score — Monitor, MonitorFaulty,
-// MonitorWithPolicy, Classify, the promotion gate's golden evaluation and
-// the serving runtime's shard workers (internal/serve) — goes through a
-// RawScorer, so no two of them can drift apart. Sessions only produce raw
+// turns a raw counter-delta vector into a score — Replay (behind Monitor,
+// MonitorFaulty, Classify and ClassifyFaulty), MonitorWithPolicy, the
+// promotion gate's golden evaluation and the serving runtime's shard workers
+// (internal/serve) — goes through a RawScorer, so no two of them can drift
+// apart. Sessions only produce raw
 // samples; a RawScorer can score samples from one stream or from many (the
 // bounded-queue ingest stage drains a whole shard's tick through one scorer,
 // one bit-pack plus one packed margin sweep per sample). The models are
@@ -61,7 +62,7 @@ func NewRawScorer(det *Detector, cls *Classifier) (*RawScorer, error) {
 	if det == nil && cls == nil {
 		return nil, fmt.Errorf("perspectron: raw scorer needs a detector or a classifier")
 	}
-	detIdx, clsIdx, err := resolveModels(sim.NewMachine(sim.DefaultConfig()), det, cls)
+	detIdx, clsIdx, err := resolveModels(sim.NewMachine(sim.DefaultConfig()).Reg, det, cls)
 	if err != nil {
 		return nil, err
 	}

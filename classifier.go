@@ -115,76 +115,54 @@ type Classification struct {
 // Classify runs the workload and names its class by per-interval majority
 // vote.
 func (c *Classifier) Classify(w Workload, maxInsts uint64, seed int64) (*Classification, error) {
-	return c.classify(context.Background(), w, maxInsts, seed, nil)
-}
-
-// ClassifyCtx is Classify bounded by ctx: cancellation or a deadline ends
-// the run early and surfaces as the context's error.
-func (c *Classifier) ClassifyCtx(ctx context.Context, w Workload, maxInsts uint64, seed int64) (*Classification, error) {
-	return c.classify(ctx, w, maxInsts, seed, nil)
+	return c.ClassifyFaulty(w, maxInsts, seed, FaultConfig{})
 }
 
 // ClassifyFaulty is Classify with counter-level faults injected into the
-// machine's sampled vectors — the multi-way analogue of MonitorFaulty. The
-// classifier votes in degraded mode over whatever signal survives.
+// run's sampled vectors — the multi-way analogue of MonitorFaulty: Record,
+// then Replay. The classifier votes in degraded mode over whatever signal
+// survives.
 func (c *Classifier) ClassifyFaulty(w Workload, maxInsts uint64, seed int64, fc FaultConfig) (*Classification, error) {
-	return c.classify(context.Background(), w, maxInsts, seed, &fc)
-}
-
-// classify streams the run through a Session and names each sample's class
-// with the session's RawScorer — the scorer the serving runtime uses.
-func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, seed int64, fc *FaultConfig) (*Classification, error) {
-	sess, err := NewSession(ctx, nil, c, SessionConfig{Workload: w, MaxInsts: maxInsts, Seed: seed, Faults: fc})
+	rec, err := Record(context.Background(), w, maxInsts, seed, c.Interval)
 	if err != nil {
 		return nil, err
 	}
-	defer sess.Close()
-	scorer := sess.scorer()
-	res := &Classification{Workload: w.Info().Name, Votes: map[string]int{}}
+	return c.Replay(rec, &fc)
+}
+
+// Replay names a recorded run's class, one sample at a time through the
+// RawScorer the serving runtime uses. A non-nil fc injects counter-level
+// faults into a copy of each sample; rec is never modified.
+func (c *Classifier) Replay(rec *Recording, fc *FaultConfig) (*Classification, error) {
+	res := &Classification{Workload: rec.Workload, Votes: map[string]int{}}
 	coverageSum := 0.0
-	samples := 0
 
 	// Instruments are fetched once before the vote loop — the nil handles of
 	// the disabled path keep per-sample cost at a pointer check each.
 	reg := telemetry.Get()
-	enabled := reg != nil
-	var (
-		scoreHist   *telemetry.Histogram
-		latencyHist *telemetry.Histogram
-	)
-	if enabled {
-		scoreHist = reg.Histogram("perspectron_classify_score", telemetry.ScoreBuckets)
-		latencyHist = reg.Histogram("perspectron_classify_sample_seconds", telemetry.LatencyBuckets)
-	}
+	scoreHist := reg.Histogram("perspectron_classify_score", telemetry.ScoreBuckets)
+	latencyHist := reg.Histogram("perspectron_classify_sample_seconds", telemetry.LatencyBuckets)
 	sampleCtr := reg.Counter("perspectron_classify_samples_total")
-	_, span := reg.StartSpan(ctx, "classify")
-
-	for {
-		rs, ok := sess.NextRaw(ctx)
-		if !ok {
-			break
-		}
+	_, span := reg.StartSpan(context.Background(), "classify")
+	_, err := rec.replay(nil, c, c.Interval, fc, func(scorer *RawScorer, rs RawSample) {
 		var start time.Time
-		if enabled {
+		if reg != nil {
 			start = time.Now()
 		}
 		class, score, coverage := scorer.Classify(rs)
-		if enabled {
+		if reg != nil {
 			latencyHist.Observe(time.Since(start).Seconds())
-			scoreHist.Observe(score)
 		}
+		scoreHist.Observe(score)
 		sampleCtr.Inc()
 		coverageSum += coverage
 		res.Votes[class]++
-		samples++
-	}
+	})
 	span.End()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("perspectron: classifying %s: %w", res.Workload, err)
+	if err != nil {
+		return nil, err
 	}
-	if err := sess.Err(); err != nil {
-		return nil, fmt.Errorf("perspectron: classifying %s: %w", res.Workload, err)
-	}
+	samples := len(rec.Samples)
 	if samples == 0 {
 		return nil, fmt.Errorf("perspectron: workload produced no samples")
 	}
@@ -192,7 +170,7 @@ func (c *Classifier) classify(ctx context.Context, w Workload, maxInsts uint64, 
 	res.Confidence = float64(res.Votes[res.Class]) / float64(samples)
 	res.Coverage = coverageSum / float64(samples)
 	res.Degraded = res.Coverage < 1-1e-12
-	if enabled {
+	if reg != nil {
 		reg.Gauge("perspectron_classify_coverage").Set(res.Coverage)
 		for class, n := range res.Votes {
 			reg.Counter(telemetry.Name("perspectron_classify_votes_total", "class", class)).

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"perspectron"
 	"perspectron/internal/corpus"
+	"perspectron/internal/telemetry"
 )
 
 // TestSingleCollectionAcrossExperiments is the collect-once acceptance test:
@@ -56,6 +58,60 @@ func TestSingleCollectionAcrossExperiments(t *testing.T) {
 	if d5.Collections != 2 {
 		t.Fatalf("Fig5 ran %d collections, want exactly 2 (50K and 100K; stats delta: %s)",
 			d5.Collections, d5)
+	}
+}
+
+// TestFaultTolSimulatesEachRunOnce is the simulate-once acceptance test for
+// monitoring, counted in machine run loops the way
+// TestSingleCollectionAcrossExperiments counts collections: with the
+// training corpus already warm in the store, FaultTol simulates each of its
+// (workload, seed) runs exactly once however many dropout rates it sweeps,
+// and replaying a recording simulates nothing.
+func TestFaultTolSimulatesEachRunOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a detector")
+	}
+	cfg := QuickConfig()
+	cfg.MaxInsts = 30_000
+	cfg.Seed = 535353 // unique to this test: no other corpus shares the key
+
+	// Warm the training corpus exactly as FaultTol trains.
+	opts := perspectron.DefaultOptions()
+	opts.MaxInsts = cfg.MaxInsts
+	opts.Runs = cfg.Runs
+	opts.Seed = cfg.Seed
+	opts.Interval = cfg.Interval
+	det, err := perspectron.Train(perspectron.TrainingWorkloads(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.Enable()
+	defer telemetry.Disable()
+	simRuns := func() uint64 { return reg.CounterValue("perspectron_sim_runs_total") }
+
+	before := simRuns()
+	if res := FaultTol(cfg); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	want := len(perspectron.AttackWorkloads()) + len(perspectron.BenignWorkloads())
+	if got := simRuns() - before; got != uint64(want) {
+		t.Fatalf("FaultTol simulated %d runs, want %d (one per workload)", got, want)
+	}
+
+	rec, err := perspectron.Record(context.Background(), perspectron.AttackByName("spectreV1", "fr"),
+		cfg.MaxInsts, 1, det.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = simRuns()
+	for _, rate := range []float64{0, 0.3} {
+		if _, err := det.Replay(rec, &perspectron.FaultConfig{Seed: 2, Dropout: rate}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := simRuns() - before; got != 0 {
+		t.Fatalf("Replay simulated %d runs, want 0", got)
 	}
 }
 

@@ -32,7 +32,7 @@ type FaultTolResult struct {
 
 // FaultTol trains the standard detector, then monitors every training-set
 // attack and benign kernel under increasing random counter dropout injected
-// into the machine's sampled vectors.
+// into the run's sampled vectors.
 func FaultTol(cfg Config) *FaultTolResult {
 	opts := perspectron.DefaultOptions()
 	opts.MaxInsts = cfg.MaxInsts
@@ -47,14 +47,22 @@ func FaultTol(cfg Config) *FaultTolResult {
 		return res
 	}
 
-	attacks := perspectron.AttackWorkloads()
-	benign := perspectron.BenignWorkloads()
+	// Every (workload, seed) run is simulated once and replayed under each
+	// dropout rate: faults rewrite sampled vectors only, so a replay equals
+	// a simulation with the faults injected.
+	var attacks, benign []*perspectron.Recording
+	for i, w := range perspectron.AttackWorkloads() {
+		attacks = append(attacks, record(w, cfg, cfg.Seed+int64(i)*131))
+	}
+	for i, w := range perspectron.BenignWorkloads() {
+		benign = append(benign, record(w, cfg, cfg.Seed+int64(i)*151))
+	}
 	for _, rate := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
-		fc := perspectron.FaultConfig{Seed: cfg.Seed + 1, Dropout: rate}
+		fc := &perspectron.FaultConfig{Seed: cfg.Seed + 1, Dropout: rate}
 		row := FaultTolRow{Rate: rate, Attacks: len(attacks)}
 		covSum := 0.0
-		for i, w := range attacks {
-			rep, err := det.MonitorFaulty(w, cfg.MaxInsts, cfg.Seed+int64(i)*131, fc)
+		for _, rec := range attacks {
+			rep, err := det.Replay(rec, fc)
 			if err != nil {
 				continue
 			}
@@ -70,8 +78,8 @@ func FaultTol(cfg Config) *FaultTolResult {
 			row.MeanCoverage = covSum / float64(len(attacks))
 		}
 		flagged, total := 0, 0
-		for i, w := range benign {
-			rep, err := det.MonitorFaulty(w, cfg.MaxInsts, cfg.Seed+int64(i)*151, fc)
+		for _, rec := range benign {
+			rep, err := det.Replay(rec, fc)
 			if err != nil {
 				continue
 			}

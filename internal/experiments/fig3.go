@@ -42,13 +42,12 @@ func trainPerSpectron(p *Prepared, threshold float64) *modelScorer[encoding.BitV
 func Fig3(cfg Config) *Fig3Result {
 	p := PrepareCore(cfg)
 	sc := trainPerSpectron(p, 0.25)
-	runs := collectRuns(attacks.AllPolymorphic("fr"), cfg)
 
 	res := &Fig3Result{Interval: cfg.Interval, Threshold: sc.threshold}
-	for _, run := range runs {
-		v := sc.verdict(run)
+	for i, prog := range attacks.AllPolymorphic("fr") {
+		v := sc.verdict(record(prog, cfg, cfg.Seed+int64(i)*101))
 		res.Series = append(res.Series, Fig3Series{
-			Variant:   strings.TrimPrefix(run.Name, "spectreV1-poly-"),
+			Variant:   strings.TrimPrefix(v.Name, "spectreV1-poly-"),
 			Scores:    v.Scores,
 			FirstFlag: v.FirstFlag,
 			Detected:  v.Detected,

@@ -41,8 +41,7 @@ func Fig4(cfg Config) *Fig4Result {
 		// same number of attack phases.
 		runCfg := cfg
 		runCfg.MaxInsts = uint64(float64(cfg.MaxInsts) / factor)
-		run := collectRun(prog, runCfg, cfg.Seed+17)
-		v := sc.verdict(run)
+		v := sc.verdict(record(prog, runCfg, cfg.Seed+17))
 		res.Series = append(res.Series, Fig4Series{
 			Factor:    factor,
 			Scores:    v.Scores,

@@ -1,51 +1,27 @@
 package experiments
 
 import (
-	"math/rand"
+	"context"
 
+	"perspectron"
 	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
-	"perspectron/internal/sim"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 )
 
-// MonitoredRun is one program execution with per-interval counter deltas and
-// the sample indices at which disclosures completed.
-type MonitoredRun struct {
-	Name        string
-	Category    string
-	Samples     [][]float64
-	LeakSamples []int
-}
-
-// collectRun executes one program and records samples plus leak marks.
-func collectRun(p workload.Program, cfg Config, seed int64) MonitoredRun {
-	m := sim.NewMachine(sim.DefaultConfig())
-	stream := p.Stream(rand.New(rand.NewSource(seed)))
-	vecs := m.Run(stream, cfg.MaxInsts, cfg.Interval)
-	run := MonitoredRun{Name: p.Info().Name, Category: p.Info().Category, Samples: vecs}
-	if ls, ok := stream.(*workload.LoopStream); ok {
-		for _, mark := range ls.LeakMarks() {
-			s := int(mark / cfg.Interval)
-			if s < len(vecs) {
-				run.LeakSamples = append(run.LeakSamples, s)
-			}
-		}
+// record simulates one monitored run of p at the config's run length and
+// interval. The experiments' runs are never cancelled and their workloads
+// never panic, so an error is a bug and panics.
+func record(p workload.Program, cfg Config, seed int64) *perspectron.Recording {
+	rec, err := perspectron.Record(context.Background(), p, cfg.MaxInsts, seed, cfg.Interval)
+	if err != nil {
+		panic(err)
 	}
-	return run
+	return rec
 }
 
-// collectRuns monitors a list of programs.
-func collectRuns(progs []workload.Program, cfg Config) []MonitoredRun {
-	out := make([]MonitoredRun, len(progs))
-	for i, p := range progs {
-		out[i] = collectRun(p, cfg, cfg.Seed+int64(i)*101)
-	}
-	return out
-}
-
-// modelScorer scores monitored runs with a trained model over an encoder
+// modelScorer scores recorded runs with a trained model over an encoder
 // built from the training corpus: encode turns one raw delta vector, taken
 // at an execution point, into the model's input.
 type modelScorer[V any] struct {
@@ -90,13 +66,13 @@ type Verdict struct {
 	PreLeak  bool
 }
 
-// verdict scores a run sample by sample.
-func (s *modelScorer[V]) verdict(run MonitoredRun) Verdict {
-	v := Verdict{Name: run.Name, FirstFlag: -1, FirstLeak: -1}
-	if len(run.LeakSamples) > 0 {
-		v.FirstLeak = run.LeakSamples[0]
+// verdict scores a recorded run sample by sample.
+func (s *modelScorer[V]) verdict(rec *perspectron.Recording) Verdict {
+	v := Verdict{Name: rec.Workload, FirstFlag: -1, FirstLeak: -1}
+	if len(rec.LeakSamples) > 0 {
+		v.FirstLeak = rec.LeakSamples[0]
 	}
-	for i, raw := range run.Samples {
+	for i, raw := range rec.Samples {
 		score := s.scoreAt(raw, i)
 		v.Scores = append(v.Scores, score)
 		if v.FirstFlag < 0 && score >= s.threshold {

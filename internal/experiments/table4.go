@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"perspectron"
 	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
 	"perspectron/internal/features"
@@ -46,7 +47,7 @@ type table4Spec struct {
 // table4Run cross-validates one grid model over the n features idx (nil =
 // all) and trains it on the full corpus, returning the CV result and the
 // trained model's per-run verdict for the evasion assessment.
-type table4Run func(p *Prepared, idx []int, n int, threshold float64) (eval.CVResult, func(MonitoredRun) Verdict)
+type table4Run func(p *Prepared, idx []int, n int, threshold float64) (eval.CVResult, func(*perspectron.Recording) Verdict)
 
 // scaledModel binds an ml baseline to scaled inputs.
 func scaledModel(mk func(n int) eval.Model[[]float64]) table4Run {
@@ -64,7 +65,7 @@ func bitsModel(mk func(n int) eval.Model[encoding.BitVec]) table4Run {
 func gridModel[V any](mk func(n int) eval.Model[V],
 	encode func(*trace.Encoder, *trace.Dataset, []int) ([]V, []float64),
 	at func(*trace.Encoder, []int) func([]float64, int) V) table4Run {
-	return func(p *Prepared, idx []int, n int, threshold float64) (eval.CVResult, func(MonitoredRun) Verdict) {
+	return func(p *Prepared, idx []int, n int, threshold float64) (eval.CVResult, func(*perspectron.Recording) Verdict) {
 		cv := eval.CrossValidate(p.DS, func() eval.Model[V] { return mk(n) }, encode,
 			eval.CVConfig{
 				Folds:      eval.TableIIIFolds(),
@@ -115,12 +116,15 @@ func Table4(cfg Config) *Table4Result {
 
 	// Evasion suite: the 12 polymorphic variants plus bandwidth-reduced
 	// SpectreV1, monitored once and scored by every model.
-	polyRuns := collectRuns(attacks.AllPolymorphic("fr"), cfg)
+	var polyRuns []*perspectron.Recording
+	for i, prog := range attacks.AllPolymorphic("fr") {
+		polyRuns = append(polyRuns, record(prog, cfg, cfg.Seed+int64(i)*101))
+	}
 	bwFactors := []float64{0.75, 0.5, 0.25}
-	var bwRuns []MonitoredRun
+	var bwRuns []*perspectron.Recording
 	for _, f := range bwFactors {
 		bwRuns = append(bwRuns,
-			collectRun(attacks.Bandwidth(attacks.SpectreV1("fr"), f), cfg, cfg.Seed+991))
+			record(attacks.Bandwidth(attacks.SpectreV1("fr"), f), cfg, cfg.Seed+991))
 	}
 
 	res := &Table4Result{}

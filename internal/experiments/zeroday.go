@@ -34,8 +34,7 @@ func ZeroDay(cfg Config) *ZeroDayResult {
 	}
 	res := &ZeroDayResult{TPRate: map[string]float64{}, Detected: map[string]bool{}}
 	for _, prog := range subjects {
-		run := collectRun(prog, cfg, cfg.Seed+303)
-		v := sc.verdict(run)
+		v := sc.verdict(record(prog, cfg, cfg.Seed+303))
 		flagged := 0
 		for _, s := range v.Scores {
 			if s >= sc.threshold {

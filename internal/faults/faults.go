@@ -21,7 +21,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"perspectron/internal/sim"
 	"perspectron/internal/stats"
 )
 
@@ -207,7 +206,9 @@ func (b *Blackout) Apply(index int, vec []float64, _ *rand.Rand, _ uint64) {
 // Schedule composes fault models under one seed. Applying the schedule to
 // sample index i always produces the same mutation for the same seed,
 // regardless of the order or number of ApplyOne calls, so streaming and
-// batch injection agree and experiments are reproducible.
+// batch injection agree and experiments are reproducible. A schedule only
+// ever rewrites vectors that were already sampled: it is a pure function of
+// (seed, model, sample index, vector) and cannot change the run itself.
 type Schedule struct {
 	Seed   int64
 	Models []Model
@@ -248,11 +249,6 @@ func (s *Schedule) Apply(vecs [][]float64) {
 		s.ApplyOne(i, v)
 	}
 }
-
-// Attach installs the schedule as m's sample filter, so every vector the
-// machine samples (including what OnSample hooks observe) passes through
-// the fault models before anything downstream sees it.
-func (s *Schedule) Attach(m *sim.Machine) { m.SampleFilter = s.ApplyOne }
 
 // mix folds values into a splitmix64-style hash.
 func mix(vs ...uint64) uint64 {

@@ -174,20 +174,22 @@ func TestScheduleComposesInOrder(t *testing.T) {
 	nilSched.ApplyOne(0, v) // must not panic
 }
 
-func TestAttachFiltersMachineSamples(t *testing.T) {
+// TestScheduleApplyRecordedRun applies a dropout schedule to a recorded
+// machine run, trailing partial sample included, the way a recording is
+// replayed: about half the values go missing, and the same seed masks the
+// same values again.
+func TestScheduleApplyRecordedRun(t *testing.T) {
 	prog := benign.All()[0]
-	run := func(sched *Schedule) [][]float64 {
-		m := sim.NewMachine(sim.DefaultConfig())
-		if sched != nil {
-			sched.Attach(m)
+	clean := sim.NewMachine(sim.DefaultConfig()).Run(prog.Stream(rand.New(rand.NewSource(9))), 35_000, 10_000)
+	run := func() [][]float64 {
+		vecs := make([][]float64, len(clean))
+		for i, v := range clean {
+			vecs[i] = append([]float64(nil), v...)
 		}
-		return m.Run(prog.Stream(rand.New(rand.NewSource(9))), 35_000, 10_000)
+		NewSchedule(13, Dropout{Rate: 0.5}).Apply(vecs)
+		return vecs
 	}
-	clean := run(nil)
-	faulty := run(NewSchedule(13, Dropout{Rate: 0.5}))
-	if len(clean) != len(faulty) {
-		t.Fatalf("fault injection changed sample count: %d vs %d", len(clean), len(faulty))
-	}
+	faulty := run()
 	missing := 0
 	total := 0
 	for _, v := range faulty {
@@ -196,21 +198,19 @@ func TestAttachFiltersMachineSamples(t *testing.T) {
 	}
 	frac := float64(missing) / float64(total)
 	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("attached dropout masked %.3f of values, want ~0.5", frac)
+		t.Fatalf("dropout masked %.3f of values, want ~0.5", frac)
 	}
-	// The trailing partial sample (35K insts at 10K interval) must be
-	// filtered too.
+	// The trailing partial sample (35K insts at 10K interval) is faulted too.
 	last := faulty[len(faulty)-1]
 	if Coverage(last) > 0.7 {
-		t.Fatalf("flush-tail sample escaped the fault filter (coverage %.3f)", Coverage(last))
+		t.Fatalf("flush-tail sample escaped the schedule (coverage %.3f)", Coverage(last))
 	}
-	// Determinism end to end.
-	again := run(NewSchedule(13, Dropout{Rate: 0.5}))
+	again := run()
 	for i := range faulty {
 		for j := range faulty[i] {
 			a, b := faulty[i][j], again[i][j]
 			if (IsMissing(a) != IsMissing(b)) || (!IsMissing(a) && a != b) {
-				t.Fatalf("attached schedule not deterministic at [%d][%d]", i, j)
+				t.Fatalf("schedule not deterministic at [%d][%d]", i, j)
 			}
 		}
 	}

@@ -162,11 +162,8 @@ var simGolden = map[string]string{
 	"33:spectreV4-fr/seed=2":   "4710b82b92d3803d",
 	"34:rowhammer/seed=1":      "3bf8f451f4defb49",
 	"34:rowhammer/seed=2":      "3bf8f451f4defb49",
-	"cutoff+filter/gcc":        "ba1cda436184617b",
 	"cutoff/mcf":               "7ffae8fdb11402f2",
 	"cutoff/spectreV1":         "4ed68be3900015f9",
-	"filter/flush+flush":       "e7609cfc18b79ad5",
-	"filter/mcf":               "1b6188d52c4549d6",
 	"mitigate/gcc":             "148e0bc2749ebaba",
 	"mitigate/prime+probe":     "bd5557b8a718a331",
 	"mitigate/spectreV1":       "a4b53bfe295549e6",
@@ -199,8 +196,8 @@ func TestSimulatorGolden(t *testing.T) {
 }
 
 // TestSimulatorGoldenHooks pins the runs whose behaviour depends on the
-// machine hooks: mitigations toggled mid-run from OnSample, a SampleFilter
-// rewriting vectors in place, and a consumer that stops listening early.
+// machine hooks: mitigations toggled mid-run from OnSample, and a consumer
+// that stops listening early.
 func TestSimulatorGoldenHooks(t *testing.T) {
 	mitigate := func(m *Machine) {
 		m.OnSample = func(idx int, _ []float64) {
@@ -219,13 +216,6 @@ func TestSimulatorGoldenHooks(t *testing.T) {
 			}
 		}
 	}
-	filter := func(m *Machine) {
-		m.SampleFilter = func(idx int, v []float64) {
-			for j := idx % 7; j < len(v); j += 7 {
-				v[j] = v[j]*0.5 + float64(idx)
-			}
-		}
-	}
 	cases := []struct {
 		name      string
 		prog      workload.Program
@@ -235,11 +225,8 @@ func TestSimulatorGoldenHooks(t *testing.T) {
 		{"mitigate/spectreV1", attacks.SpectreV1("fr"), -1, mitigate},
 		{"mitigate/prime+probe", attacks.PrimeProbe(), -1, mitigate},
 		{"mitigate/gcc", benign.Gcc(), -1, mitigate},
-		{"filter/flush+flush", attacks.FlushFlush(), -1, filter},
-		{"filter/mcf", benign.Mcf(), -1, filter},
 		{"cutoff/spectreV1", attacks.SpectreV1("fr"), 5, nil},
 		{"cutoff/mcf", benign.Mcf(), 0, nil},
-		{"cutoff+filter/gcc", benign.Gcc(), 7, filter},
 	}
 	for _, c := range cases {
 		c := c

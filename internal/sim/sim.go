@@ -52,16 +52,10 @@ type Machine struct {
 	ITB  *tlb.TLB
 	DTB  *tlb.TLB
 
-	// OnSample is invoked after each sampling interval during Run with the
-	// 0-based sample index; mitigation policies hook here.
+	// OnSample is invoked after each completed sampling interval during Run
+	// with the 0-based sample index; mitigation policies hook here. It never
+	// sees the trailing partial interval delivered after the drain.
 	OnSample sampleHook
-
-	// SampleFilter, if set, transforms each sampled counter-delta vector in
-	// place as soon as it is emitted — before OnSample observes it and
-	// before Run returns it. Fault-injection schedules
-	// (internal/faults.Schedule.Attach) hook here, so everything downstream
-	// of the sampler sees the degraded signal.
-	SampleFilter func(index int, vec []float64)
 }
 
 // memAdapter exposes the hierarchy as the pipeline's MemSystem.
@@ -122,8 +116,8 @@ func (m *Machine) Run(stream isa.Stream, maxInsts, sampleInterval uint64) [][]fl
 // online monitoring. Each vector is fresh and belongs to fn. fn returning
 // false cuts the run off at the next instruction fetch. The trailing
 // partial interval (at least half a sample long, as in Run) is delivered
-// after the pipeline drains. SampleFilter and OnSample observe every vector
-// before fn does. It returns the number of samples delivered.
+// after the pipeline drains. OnSample observes every completed interval's
+// vector before fn does. It returns the number of samples delivered.
 func (m *Machine) RunStream(stream isa.Stream, maxInsts, sampleInterval uint64, fn func(index int, delta []float64) bool) int {
 	return m.RunStreamCtx(context.Background(), stream, maxInsts, sampleInterval, fn)
 }
@@ -141,9 +135,6 @@ func (m *Machine) RunStreamCtx(ctx context.Context, stream isa.Stream, maxInsts,
 	cut := false      // fn stopped listening
 	trailing := false // emitting the partial tail, which OnSample skips
 	sampler := stats.NewSampler(m.Reg, sampleInterval, func(v []float64) {
-		if m.SampleFilter != nil {
-			m.SampleFilter(idx, v)
-		}
 		if m.OnSample != nil && !trailing {
 			m.OnSample(idx, v)
 		}

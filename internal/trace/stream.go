@@ -12,38 +12,29 @@ import (
 	"perspectron/internal/workload"
 )
 
-// SampleSource streams labelled samples one sampling interval at a time.
-// Batch collection drains a source into a Dataset; the online Monitor
-// scores each sample as it arrives. Next returns false when the run is
-// exhausted (or the source was closed); Close releases the source early.
-type SampleSource interface {
-	Next() (*Sample, bool)
-	Close()
-}
-
 // RunSource streams one program run on a simulated machine — the shared
-// per-sample producer behind Collect and Detector.Monitor. The workload
-// stream, machine run loop, fault filters and sample labelling all live
-// here, so the batch and online paths cannot diverge.
+// per-sample producer behind Collect, perspectron.Record and the streaming
+// Session. The workload stream, machine run loop and sample labelling all
+// live here, so the batch and online paths cannot diverge.
 type RunSource struct {
 	ch        chan *Sample
 	done      chan struct{}
 	closeOnce sync.Once
 	produced  *telemetry.Counter // samples delivered; nil when disabled
 
-	mu     sync.Mutex
-	stream isa.Stream // underlying workload stream, for LeakMarks
-	err    error      // workload panic converted to an error
+	mu    sync.Mutex
+	leaks []int // LeakSamples of the delivered run
+	err   error // workload panic converted to an error
 }
 
 // NewRunSource starts streaming prog for up to cfg.MaxInsts committed
 // instructions on machine m, sampling every cfg.Interval. The machine must
-// be fully configured (detectors resolved, fault schedules attached) before
-// the call; it is driven from a background goroutine until the source is
-// drained or closed. run tags the produced samples' Run field; seed drives
-// the workload's data-dependent behaviour. A cfg.Timeout or cancellable ctx
-// bounds the run's wall clock as in Collect. A panicking workload ends the
-// stream early and surfaces through Err.
+// be fully configured (detectors resolved) before the call; it is driven
+// from a background goroutine until the source is drained or closed. run
+// tags the produced samples' Run field; seed drives the workload's
+// data-dependent behaviour. A cfg.Timeout or cancellable ctx bounds the
+// run's wall clock as in Collect. A panicking workload ends the stream
+// early and surfaces through Err.
 func NewRunSource(ctx context.Context, m *sim.Machine, prog workload.Program, run int, seed int64, cfg CollectConfig) *RunSource {
 	src := &RunSource{
 		ch:       make(chan *Sample),
@@ -61,9 +52,7 @@ func NewRunSource(ctx context.Context, m *sim.Machine, prog workload.Program, ru
 			}
 		}()
 		stream := prog.Stream(rand.New(rand.NewSource(seed)))
-		src.mu.Lock()
-		src.stream = stream
-		src.mu.Unlock()
+		delivered := 0
 		runCtx := ctx
 		if cfg.Timeout > 0 {
 			var cancel context.CancelFunc
@@ -82,17 +71,21 @@ func NewRunSource(ctx context.Context, m *sim.Machine, prog workload.Program, ru
 			}
 			select {
 			case src.ch <- s:
+				delivered++
 				return true
 			case <-src.done:
 				return false
 			}
 		})
+		src.mu.Lock()
+		src.leaks = LeakSamples(stream, cfg.Interval, delivered)
+		src.mu.Unlock()
 	}()
 	return src
 }
 
 // Next returns the next sample in execution order, or false when the run
-// has ended. After false, Err and LeakMarks are valid.
+// has ended. After false, Err and LeakSamples are valid.
 func (s *RunSource) Next() (*Sample, bool) {
 	smp, ok := <-s.ch
 	if ok {
@@ -135,27 +128,28 @@ func (s *RunSource) Err() error {
 	return s.err
 }
 
-// LeakMarks returns the committed-instruction marks at which the workload's
-// disclosures completed, when the workload exposes them (attack loops do).
-// Valid once Next has returned false (or Close returned).
-func (s *RunSource) LeakMarks() []uint64 {
+// LeakSamples returns LeakSamples over the delivered samples. Valid once
+// Next has returned false (or Close returned).
+func (s *RunSource) LeakSamples() []int {
 	s.mu.Lock()
-	stream := s.stream
-	s.mu.Unlock()
-	if ls, ok := stream.(*workload.LoopStream); ok {
-		return ls.LeakMarks()
-	}
-	return nil
+	defer s.mu.Unlock()
+	return s.leaks
 }
 
-// Drain consumes the rest of the source into a slice, in order.
-func Drain(src SampleSource) []Sample {
-	var out []Sample
-	for {
-		s, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, *s)
+// LeakSamples is the one mapping from a workload stream's completed-
+// disclosure marks to sample indices: mark m lies in sample m/interval, and
+// marks at or past the samples intervals actually delivered are dropped.
+// Streams that record no marks (benign kernels) yield nil.
+func LeakSamples(stream isa.Stream, interval uint64, samples int) []int {
+	ls, ok := stream.(*workload.LoopStream)
+	if !ok {
+		return nil
 	}
+	var out []int
+	for _, mark := range ls.LeakMarks() {
+		if s := int(mark / interval); s < samples {
+			out = append(out, s)
+		}
+	}
+	return out
 }

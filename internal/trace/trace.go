@@ -120,12 +120,6 @@ type CollectConfig struct {
 // almost immediately while correlated failures still spread out.
 var collectBackoff = retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2, Jitter: 0.5}
 
-// DefaultCollectConfig mirrors the paper's densest setting at a laptop-
-// friendly run length.
-func DefaultCollectConfig() CollectConfig {
-	return CollectConfig{MaxInsts: 200_000, Interval: 10_000, Seed: 1, Runs: 2}
-}
-
 // Collect runs every program on a fresh machine per run and gathers the
 // sampled counter deltas. Collection is deterministic for a fixed config
 // (per-run seeds are derived from cfg.Seed) and parallel across runs.
@@ -249,14 +243,15 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 	return ds
 }
 
-// collectOne executes a single program run by draining its sample stream —
-// the same per-sample path the online Monitor scores — converting workload
-// panics into errors and bounding wall-clock time via the config timeout /
-// context.
+// collectOne executes a single program run by draining its RunSource — the
+// producer recorded and streaming runs share — converting workload panics
+// into errors and bounding wall-clock time via the config timeout / context.
 func collectOne(ctx context.Context, prog workload.Program, run int, seed int64, cfg CollectConfig) ([]Sample, error) {
-	m := sim.NewMachine(sim.DefaultConfig())
-	src := NewRunSource(ctx, m, prog, run, seed, cfg)
-	out := Drain(src)
+	src := NewRunSource(ctx, sim.NewMachine(sim.DefaultConfig()), prog, run, seed, cfg)
+	var out []Sample
+	for s, ok := src.Next(); ok; s, ok = src.Next() {
+		out = append(out, *s)
+	}
 	if err := src.Err(); err != nil {
 		return nil, err
 	}

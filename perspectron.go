@@ -27,7 +27,7 @@ import (
 	"perspectron/internal/faults"
 	"perspectron/internal/features"
 	"perspectron/internal/perceptron"
-	"perspectron/internal/sim"
+	"perspectron/internal/stats"
 	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
@@ -314,21 +314,16 @@ type Report struct {
 
 // reportFold folds a run's per-sample verdicts into a Report: the one place
 // the first flag, mean coverage, Degraded, LeakSamples and LeakBefore are
-// derived, shared by Monitor and MonitorWithPolicy.
+// derived, shared by Replay and MonitorWithPolicy.
 type reportFold struct {
 	rep         Report
 	interval    uint64
 	coverageSum float64
 }
 
-func newReportFold(w Workload, interval uint64) *reportFold {
-	info := w.Info()
+func newReportFold(name string, malicious bool, interval uint64) *reportFold {
 	return &reportFold{
-		rep: Report{
-			Workload:  info.Name,
-			Malicious: info.Label == workload.Malicious,
-			FirstFlag: -1,
-		},
+		rep:      Report{Workload: name, Malicious: malicious, FirstFlag: -1},
 		interval: interval,
 	}
 }
@@ -349,10 +344,11 @@ func (f *reportFold) add(index int, score float64, flagged bool, coverage float6
 	}
 }
 
-// finish completes the report from the run's disclosure marks. A run that
-// scored no sample reports the fraction of detector features the machine
-// resolves (detIdx, the scorer's indices) as its coverage.
-func (f *reportFold) finish(leakMarks []uint64, detIdx []int) *Report {
+// finish completes the report from the run's leak samples (as
+// trace.LeakSamples maps them). A run that scored no sample reports the
+// fraction of detector features the machine resolves (detIdx, the scorer's
+// indices) as its coverage.
+func (f *reportFold) finish(leakSamples []int, detIdx []int) *Report {
 	rep := f.rep
 	if n := len(rep.Samples); n > 0 {
 		rep.Coverage = f.coverageSum / float64(n)
@@ -366,9 +362,7 @@ func (f *reportFold) finish(leakMarks []uint64, detIdx []int) *Report {
 		rep.Coverage = float64(resolved) / float64(len(detIdx))
 	}
 	rep.Degraded = rep.Coverage < 1-1e-12
-	for _, mark := range leakMarks {
-		rep.LeakSamples = append(rep.LeakSamples, int(mark/f.interval))
-	}
+	rep.LeakSamples = append([]int(nil), leakSamples...)
 	if len(rep.LeakSamples) > 0 {
 		rep.LeakBefore = rep.FirstFlag < 0 || rep.LeakSamples[0] < rep.FirstFlag
 	}
@@ -376,22 +370,16 @@ func (f *reportFold) finish(leakMarks []uint64, detIdx []int) *Report {
 }
 
 // Monitor runs the workload for maxInsts committed instructions on a fresh
-// machine with the detector attached, scoring every sampling interval. seed
-// drives the workload's data-dependent behaviour.
+// machine and scores every sampling interval with the detector. seed drives
+// the workload's data-dependent behaviour.
 func (d *Detector) Monitor(w Workload, maxInsts uint64, seed int64) (*Report, error) {
-	return d.monitor(context.Background(), w, maxInsts, seed, nil)
+	return d.MonitorFaulty(w, maxInsts, seed, FaultConfig{})
 }
 
-// MonitorCtx is Monitor bounded by ctx: cancellation or a deadline ends the
-// run early and surfaces as the context's error. This is the deadline every
-// stage of the serving runtime puts on its scoring work.
-func (d *Detector) MonitorCtx(ctx context.Context, w Workload, maxInsts uint64, seed int64) (*Report, error) {
-	return d.monitor(ctx, w, maxInsts, seed, nil)
-}
-
-// FaultConfig selects deterministic counter-level faults for MonitorFaulty.
-// The zero value injects nothing. All faults draw from Seed, so a
-// (detector, workload, FaultConfig) triple is fully reproducible.
+// FaultConfig selects deterministic counter-level faults for MonitorFaulty,
+// ClassifyFaulty, Replay and streaming Sessions. The zero value injects
+// nothing. All faults draw from Seed, so a (detector, workload, FaultConfig)
+// triple is fully reproducible.
 type FaultConfig struct {
 	Seed int64
 	// Dropout is the per-sample probability that each counter value goes
@@ -415,9 +403,9 @@ type FaultConfig struct {
 	BlackoutTo   int
 }
 
-// attach compiles the config into a fault schedule and attaches it to
-// machine m; a config that selects no fault attaches nothing.
-func (c FaultConfig) attach(m *sim.Machine) error {
+// schedule compiles the config into a fault schedule over the counter space
+// reg; a config that selects no fault compiles to nil (no faults).
+func (c FaultConfig) schedule(reg *stats.Registry) (*faults.Schedule, error) {
 	var models []faults.Model
 	if c.Dropout > 0 {
 		models = append(models, faults.Dropout{Rate: c.Dropout})
@@ -435,85 +423,70 @@ func (c FaultConfig) attach(m *sim.Machine) error {
 		models = append(models, faults.Jitter{Frac: c.Jitter})
 	}
 	if c.Blackout != "" {
-		b, err := faults.NewBlackout(m.Reg, c.Blackout, c.BlackoutFrom, c.BlackoutTo)
+		b, err := faults.NewBlackout(reg, c.Blackout, c.BlackoutFrom, c.BlackoutTo)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		models = append(models, b)
 	}
-	if len(models) > 0 {
-		faults.NewSchedule(c.Seed, models...).Attach(m)
+	if len(models) == 0 {
+		return nil, nil
 	}
-	return nil
+	return faults.NewSchedule(c.Seed, models...), nil
 }
 
 // MonitorFaulty is Monitor with counter-level faults injected into the
-// machine's sampled vectors — the robustness-evaluation entry point. The
-// detector runs in degraded mode over whatever signal survives; the report's
-// Degraded and Coverage fields quantify the loss.
+// run's sampled vectors — the robustness-evaluation entry point: Record,
+// then Replay. The detector runs in degraded mode over whatever signal
+// survives; the report's Degraded and Coverage fields quantify the loss.
 func (d *Detector) MonitorFaulty(w Workload, maxInsts uint64, seed int64, fc FaultConfig) (*Report, error) {
-	return d.monitor(context.Background(), w, maxInsts, seed, &fc)
-}
-
-// monitor streams the run through a Session and scores each sample with the
-// session's RawScorer as it arrives, so Monitor shares its producer with
-// batch collection and its scorer with the serving runtime.
-func (d *Detector) monitor(ctx context.Context, w Workload, maxInsts uint64, seed int64, fc *FaultConfig) (*Report, error) {
-	sess, err := NewSession(ctx, d, nil, SessionConfig{Workload: w, MaxInsts: maxInsts, Seed: seed, Faults: fc})
+	rec, err := Record(context.Background(), w, maxInsts, seed, d.Interval)
 	if err != nil {
 		return nil, err
 	}
-	defer sess.Close()
-	scorer := sess.scorer()
-	fold := newReportFold(w, d.Interval)
+	return d.Replay(rec, &fc)
+}
+
+// Replay scores a recorded run with the detector, one sample at a time
+// through the RawScorer the serving runtime uses. A non-nil fc injects
+// counter-level faults into a copy of each sample (rec is never modified),
+// so one recording replayed under many fault schedules gives exactly the
+// reports that simulating the run once per schedule would.
+func (d *Detector) Replay(rec *Recording, fc *FaultConfig) (*Report, error) {
+	fold := newReportFold(rec.Workload, rec.Malicious, d.Interval)
 
 	// Telemetry instruments are fetched once before the sample loop; on the
 	// disabled (nil registry) path every handle is nil and each per-sample
-	// operation is a single pointer check, keeping Monitor's hot loop at its
+	// operation is a single pointer check, keeping the hot loop at its
 	// uninstrumented cost.
 	reg := telemetry.Get()
-	enabled := reg != nil
-	var (
-		scoreHist   *telemetry.Histogram
-		latencyHist *telemetry.Histogram
-	)
-	if enabled {
-		scoreHist = reg.Histogram("perspectron_monitor_score", telemetry.ScoreBuckets)
-		latencyHist = reg.Histogram("perspectron_monitor_sample_seconds", telemetry.LatencyBuckets)
-	}
+	scoreHist := reg.Histogram("perspectron_monitor_score", telemetry.ScoreBuckets)
+	latencyHist := reg.Histogram("perspectron_monitor_sample_seconds", telemetry.LatencyBuckets)
 	sampleCtr := reg.Counter("perspectron_monitor_samples_total")
 	flaggedCtr := reg.Counter("perspectron_monitor_flagged_total")
 	_, span := reg.StartSpan(context.Background(), "monitor")
-
-	for {
-		rs, ok := sess.NextRaw(ctx)
-		if !ok {
-			break
-		}
+	scorer, err := rec.replay(d, nil, d.Interval, fc, func(scorer *RawScorer, rs RawSample) {
 		var start time.Time
-		if enabled {
+		if reg != nil {
 			start = time.Now()
 		}
 		score, flagged, coverage := scorer.Detect(rs)
-		if enabled {
+		if reg != nil {
 			latencyHist.Observe(time.Since(start).Seconds())
-			scoreHist.Observe(score)
 		}
+		scoreHist.Observe(score)
 		sampleCtr.Inc()
 		if flagged {
 			flaggedCtr.Inc()
 		}
 		fold.add(rs.Sample, score, flagged, coverage)
-	}
+	})
 	span.End()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("perspectron: monitoring %s: %w", fold.rep.Workload, err)
+	if err != nil {
+		return nil, err
 	}
-	if err := sess.Err(); err != nil {
-		return nil, fmt.Errorf("perspectron: monitoring %s: %w", fold.rep.Workload, err)
-	}
-	rep := fold.finish(sess.LeakMarks(), scorer.detIdx)
-	if enabled {
+	rep := fold.finish(rec.LeakSamples, scorer.detIdx)
+	if reg != nil {
 		reg.Gauge("perspectron_monitor_coverage").Set(rep.Coverage)
 		reg.Event("monitor", map[string]any{
 			"workload":  rep.Workload,

@@ -6,6 +6,7 @@ import (
 
 	"perspectron/internal/isa"
 	"perspectron/internal/sim"
+	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 )
 
@@ -115,21 +116,24 @@ type MitigatedReport struct {
 // sampling interval ONLINE and the policy drives the machine's hardware
 // mitigations between intervals. This is the end-to-end deployment loop of
 // §IV-G: detect with confidence, mitigate proportionally, stand down when
-// the signal clears. Scoring goes through the same RawScorer as Monitor; the
-// policy runs synchronously inside the machine's sample callback, because a
-// mitigation must be in place before the next interval executes. A panicking
-// workload ends the run with an error, as in Monitor.
+// the signal clears. Scoring goes through the same RawScorer as Replay; the
+// policy runs synchronously in the machine's OnSample hook, because a
+// mitigation must be in place before the next interval executes (so this
+// cannot be a recorded run). OnSample skips the trailing partial interval,
+// which has no later interval to act on. A panicking workload ends the run
+// with an error, as in Monitor.
 func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, policy Policy) (*MitigatedReport, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("perspectron: nil policy")
 	}
 	m := sim.NewMachine(sim.DefaultConfig())
-	detIdx, _, err := resolveModels(m, d, nil)
+	detIdx, _, err := resolveModels(m.Reg, d, nil)
 	if err != nil {
 		return nil, err
 	}
 	scorer := newRawScorer(d, detIdx, nil, nil)
-	fold := newReportFold(w, d.Interval)
+	info := w.Info()
+	fold := newReportFold(info.Name, info.Label == workload.Malicious, d.Interval)
 	rep := &MitigatedReport{}
 
 	var active []Mitigation
@@ -147,13 +151,7 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 		m.InjectBPNoise(noise)
 	}
 
-	onSample := func(idx int, delta []float64) bool {
-		// RunStream hands over the trailing partial interval after the
-		// pipeline has drained: no later interval exists for a mitigation to
-		// act on, so the policy loop scores completed intervals only.
-		if uint64(idx+1)*d.Interval > m.Pipe.Committed() {
-			return true
-		}
+	m.OnSample = func(idx int, delta []float64) {
 		score, flagged, coverage := scorer.Detect(RawSample{Sample: idx, Raw: delta})
 		fold.add(idx, score, flagged, coverage)
 		next := policy(score, active)
@@ -168,15 +166,14 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 		if len(active) > 0 {
 			rep.MitigatedIntervals++
 		}
-		return true
 	}
 
 	var stream isa.Stream
 	if err := runGuarded(func() {
 		stream = w.Stream(rand.New(rand.NewSource(seed)))
-		m.RunStream(stream, maxInsts, d.Interval, onSample)
+		m.RunStream(stream, maxInsts, d.Interval, func(int, []float64) bool { return true })
 	}); err != nil {
-		return nil, fmt.Errorf("perspectron: monitoring %s: %w", fold.rep.Workload, err)
+		return nil, fmt.Errorf("perspectron: monitoring %s: %w", info.Name, err)
 	}
 
 	if c, ok := m.Reg.Lookup("iew.blockedSpecLoads"); ok {
@@ -185,11 +182,8 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 	if c, ok := m.Reg.Lookup("dcache.rekeys"); ok {
 		rep.Rekeys = c.Value()
 	}
-	var leakMarks []uint64
-	if ls, ok := stream.(*workload.LoopStream); ok {
-		leakMarks = ls.LeakMarks()
-	}
-	rep.Report = *fold.finish(leakMarks, detIdx)
+	leaks := trace.LeakSamples(stream, d.Interval, len(fold.rep.Samples))
+	rep.Report = *fold.finish(leaks, detIdx)
 	return rep, nil
 }
 

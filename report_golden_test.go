@@ -5,7 +5,10 @@ package perspectron
 // seed) pairs against the shared test models. Every sample's score bits,
 // flags and coverage, the first flag, the leak timeline and the mitigation
 // timeline all feed the hash, so any drift in how a report is scored or
-// folded fails here bit for bit.
+// folded fails here bit for bit. The five attack goldens were re-frozen once,
+// when LeakSamples stopped reporting a disclosure in an interval the run
+// never delivered (index len(Samples)); every other row hashed identically
+// before and after.
 
 import "testing"
 
@@ -78,14 +81,14 @@ func TestReportGoldens(t *testing.T) {
 		golden string
 		rows   func() ([][]float64, error)
 	}{
-		{"monitor/spectreV1", "79d1e47d4b74d5af", func() ([][]float64, error) {
+		{"monitor/spectreV1", "597f0cf8458228df", func() ([][]float64, error) {
 			r, err := det.Monitor(AttackByName("spectreV1", "fr"), 80_000, 7)
 			if err != nil {
 				return nil, err
 			}
 			return reportRows(r), nil
 		}},
-		{"monitor/prime+probe", "2e3ed97e4a84a576", func() ([][]float64, error) {
+		{"monitor/prime+probe", "f951578d570501f6", func() ([][]float64, error) {
 			r, err := det.Monitor(AttackByName("prime+probe", ""), 80_000, 5)
 			if err != nil {
 				return nil, err
@@ -99,7 +102,7 @@ func TestReportGoldens(t *testing.T) {
 			}
 			return reportRows(r), nil
 		}},
-		{"monitor-faulty/spectreV1-dropout", "b30dc7d117895884", func() ([][]float64, error) {
+		{"monitor-faulty/spectreV1-dropout", "84091ce1c22fb074", func() ([][]float64, error) {
 			r, err := det.MonitorFaulty(AttackByName("spectreV1", "fr"), 80_000, 7,
 				FaultConfig{Seed: 3, Dropout: 0.3})
 			if err != nil {
@@ -107,7 +110,7 @@ func TestReportGoldens(t *testing.T) {
 			}
 			return reportRows(r), nil
 		}},
-		{"policy/spectreV1-fence", "5ee57a91a1a3cff4", func() ([][]float64, error) {
+		{"policy/spectreV1-fence", "bdfde6700d00a3c0", func() ([][]float64, error) {
 			r, err := det.MonitorWithPolicy(AttackByName("spectreV1", "fr"), 100_000, 9,
 				EscalationPolicy(0.25, 0.5, MitigateFence))
 			if err != nil {
@@ -115,7 +118,7 @@ func TestReportGoldens(t *testing.T) {
 			}
 			return mitigatedRows(r), nil
 		}},
-		{"policy/prime+probe-rekey", "c5d2e52aa3e99652", func() ([][]float64, error) {
+		{"policy/prime+probe-rekey", "49394de315fbf952", func() ([][]float64, error) {
 			r, err := det.MonitorWithPolicy(AttackByName("prime+probe", ""), 80_000, 9,
 				EscalationPolicy(0.2, 0.4, MitigateRekey))
 			if err != nil {

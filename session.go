@@ -5,27 +5,30 @@ package perspectron
 // samples one sampling interval at a time, so a caller can apply per-sample
 // deadlines, walk the degradation ladder mid-run, and shut down promptly.
 // Sessions never score: every sample→verdict step goes through a RawScorer
-// (batch.go), whether the caller is Monitor, Classify or the serving runtime
-// (internal/serve). Sessions resolve their own counter indices — the
-// Detector/Classifier is never mutated — so any number of concurrent
-// Sessions can share one immutable model, and a hot-reload can swap the
-// model under new Sessions while old ones finish on the previous version.
+// (batch.go). The serving runtime (internal/serve) streams through Sessions;
+// batch monitoring records a whole run instead (record.go). A Session only
+// checks its models' counters against its machine — the Detector/Classifier
+// is never mutated — so any number of concurrent Sessions can share one
+// immutable model, and a hot-reload can swap the model under new Sessions
+// while old ones finish on the previous version.
 
 import (
 	"context"
 	"fmt"
 
+	"perspectron/internal/faults"
 	"perspectron/internal/sim"
+	"perspectron/internal/stats"
 	"perspectron/internal/trace"
 )
 
-// resolveNames maps feature names onto counter indices for machine m without
-// touching any model state: counters absent from the machine resolve to -1
-// and are masked during scoring.
-func resolveNames(names []string, m *sim.Machine) (indices []int, resolved int) {
+// resolveNames maps feature names onto the counter indices of a machine's
+// registry reg without touching any model state: counters absent from the
+// machine resolve to -1 and are masked during scoring.
+func resolveNames(names []string, reg *stats.Registry) (indices []int, resolved int) {
 	indices = make([]int, len(names))
 	for i, name := range names {
-		if c, ok := m.Reg.Lookup(name); ok {
+		if c, ok := reg.Lookup(name); ok {
 			indices[i] = c.Index()
 			resolved++
 		} else {
@@ -35,14 +38,15 @@ func resolveNames(names []string, m *sim.Machine) (indices []int, resolved int) 
 	return indices, resolved
 }
 
-// resolveModels resolves a model pair's feature names on machine m. Either
-// model may be nil. Missing counters are masked (the degraded serving mode,
-// mirroring the paper's replicated-detector argument that a partial signature
-// still scores); the only error is a primary model — the detector, or the
-// classifier when there is no detector — of which no counter exists on m.
-func resolveModels(m *sim.Machine, det *Detector, cls *Classifier) (detIdx, clsIdx []int, err error) {
+// resolveModels resolves a model pair's feature names on a machine's
+// registry reg. Either model may be nil. Missing counters are masked (the
+// degraded serving mode, mirroring the paper's replicated-detector argument
+// that a partial signature still scores); the only error is a primary model
+// — the detector, or the classifier when there is no detector — of which no
+// counter exists on reg.
+func resolveModels(reg *stats.Registry, det *Detector, cls *Classifier) (detIdx, clsIdx []int, err error) {
 	if det != nil {
-		idx, resolved := resolveNames(det.FeatureNames, m)
+		idx, resolved := resolveNames(det.FeatureNames, reg)
 		if resolved == 0 {
 			return nil, nil, fmt.Errorf("perspectron: none of the detector's %d counters are present on this machine",
 				len(det.FeatureNames))
@@ -50,7 +54,7 @@ func resolveModels(m *sim.Machine, det *Detector, cls *Classifier) (detIdx, clsI
 		detIdx = idx
 	}
 	if cls != nil {
-		idx, resolved := resolveNames(cls.FeatureNames, m)
+		idx, resolved := resolveNames(cls.FeatureNames, reg)
 		if resolved == 0 && det == nil {
 			return nil, nil, fmt.Errorf("perspectron: none of the classifier's %d counters are present on this machine",
 				len(cls.FeatureNames))
@@ -69,8 +73,8 @@ type SessionConfig struct {
 	MaxInsts uint64
 	// Seed drives the workload's data-dependent behaviour.
 	Seed int64
-	// Faults optionally injects counter-level faults (see FaultConfig);
-	// nil runs clean.
+	// Faults optionally injects counter-level faults (see FaultConfig) into
+	// every sample NextRaw returns; nil runs clean.
 	Faults *FaultConfig
 }
 
@@ -79,11 +83,8 @@ type SessionConfig struct {
 // NextRaw, and Close when done (Close is mandatory on early abandonment —
 // it releases the producer goroutine).
 type Session struct {
-	det    *Detector
-	cls    *Classifier
-	detIdx []int
-	clsIdx []int
 	src    *trace.RunSource
+	faults *faults.Schedule // nil: clean
 }
 
 // NewSession starts a streaming session for cfg.Workload. Either model may
@@ -99,12 +100,13 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 		return nil, fmt.Errorf("perspectron: session needs a workload")
 	}
 	m := sim.NewMachine(sim.DefaultConfig())
-	detIdx, clsIdx, err := resolveModels(m, det, cls)
+	_, _, err := resolveModels(m.Reg, det, cls)
 	if err != nil {
 		return nil, err
 	}
+	s := &Session{}
 	if cfg.Faults != nil {
-		if err := cfg.Faults.attach(m); err != nil {
+		if s.faults, err = cfg.Faults.schedule(m.Reg); err != nil {
 			return nil, err
 		}
 	}
@@ -114,7 +116,6 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 	} else {
 		interval = cls.Interval
 	}
-	s := &Session{det: det, cls: cls, detIdx: detIdx, clsIdx: clsIdx}
 	s.src = trace.NewRunSource(ctx, m, cfg.Workload, 0, cfg.Seed,
 		trace.CollectConfig{MaxInsts: cfg.MaxInsts, Interval: interval})
 	return s, nil
@@ -124,28 +125,21 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 // ended or ctx expired first. Distinguish the two by ctx.Err(): nil means
 // the run genuinely ended (check Err for a workload panic). After a deadline
 // the session remains usable — the producer keeps the sample for a later
-// NextRaw.
+// NextRaw. With SessionConfig.Faults set, the fault schedule has already
+// rewritten the returned vector: each sample is a fresh vector the simulator
+// no longer reads, so injecting here is exactly injecting into the run.
 func (s *Session) NextRaw(ctx context.Context) (RawSample, bool) {
 	smp, ok := s.src.NextCtx(ctx)
 	if !ok {
 		return RawSample{}, false
 	}
+	s.faults.ApplyOne(smp.Index, smp.Raw)
 	return RawSample{Sample: smp.Index, Raw: smp.Raw}, true
-}
-
-// scorer returns a RawScorer over the session's model pair and the counter
-// indices the session resolved on its machine.
-func (s *Session) scorer() *RawScorer {
-	return newRawScorer(s.det, s.detIdx, s.cls, s.clsIdx)
 }
 
 // Err reports a workload panic that ended the stream; valid once NextRaw
 // has returned false with a live ctx, or after Close.
 func (s *Session) Err() error { return s.src.Err() }
-
-// LeakMarks exposes the workload's completed-disclosure marks (attack loops
-// record them); valid once the run has ended.
-func (s *Session) LeakMarks() []uint64 { return s.src.LeakMarks() }
 
 // Close stops the underlying run and releases the producer goroutine. Safe
 // to call more than once.

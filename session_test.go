@@ -3,6 +3,7 @@ package perspectron
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -238,15 +239,12 @@ func TestSessionNextDeadline(t *testing.T) {
 	}
 }
 
-func TestMonitorCtxCancelled(t *testing.T) {
-	det := sharedDetector(t)
+func TestRecordCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := det.MonitorCtx(ctx, AttackByName("spectreV1", "fr"), 40_000, 5); err == nil {
-		t.Fatalf("cancelled MonitorCtx returned no error")
-	}
-	if _, err := sharedClassifier(t).ClassifyCtx(ctx, AttackByName("flush+reload", ""), 40_000, 5); err == nil {
-		t.Fatalf("cancelled ClassifyCtx returned no error")
+	_, err := Record(ctx, AttackByName("spectreV1", "fr"), 40_000, 5, 10_000)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Record returned %v, want context.Canceled", err)
 	}
 }
 
