@@ -28,12 +28,15 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./...
 
-# fuzz runs the native fuzz target over the checkpoint parsers (Load and
-# LoadClassifier) for a bounded budget, starting from the seed corpus in
-# testdata/fuzz/FuzzLoad. A crasher is written there and fails the run.
+# fuzz runs the native fuzz targets for a bounded budget each: FuzzLoad over
+# the checkpoint parsers (Load and LoadClassifier), seeded from
+# testdata/fuzz/FuzzLoad, and FuzzVerdictScanner over the verdict-log reader
+# and Explain, seeded from internal/serve/testdata/fuzz/FuzzVerdictScanner.
+# A crasher is written into the target's corpus directory and fails the run.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzVerdictScanner$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # smoke-serve exercises the long-running detection service end to end with a
 # race-enabled binary: readiness, corrupt-checkpoint rollback via /healthz and

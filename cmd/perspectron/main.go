@@ -15,7 +15,7 @@
 //	                   [-shards N] [-queue-depth N] [-batch N]
 //	                   [-load-high F] [-load-critical F]
 //	                   [-attr-k N] [-attr-benign-every N] [-flight N]
-//	                   [-slow-sample D] [-no-stage-trace]
+//	                   [-slow-sample D]
 //	                   [-dropout F] [-stuck0 F] [-stuckmax F] [-faultseed N]
 //	                   [-state FILE] [-log-flush D]
 //	                   [-disk-faults SPEC] [-disk-fault-seed N]
@@ -470,11 +470,10 @@ func cmdServe(args []string) {
 	batch := fs.Int("batch", 0, "max samples per scorer sweep (0 = 256)")
 	loadHigh := fs.Float64("load-high", 0, "queue pressure that starts backpressure + classifier demotion (0 = 0.75)")
 	loadCritical := fs.Float64("load-critical", 0, "queue pressure that demotes to the threshold rung (0 = 0.9)")
-	attrK := fs.Int("attr-k", 0, "top-k feature attributions stamped on flagged verdicts (0 = 5, negative disables)")
+	attrK := fs.Int("attr-k", 0, "top-k feature attributions stamped on flagged verdicts (0 = 5)")
 	attrBenign := fs.Int("attr-benign-every", 0, "also attribute every Nth benign verdict per shard (0 = off)")
-	flightSize := fs.Int("flight", 0, "flight-recorder capacity for /debug/verdicts (0 = 256, negative disables)")
-	slowSample := fs.Duration("slow-sample", 0, "enqueue-to-verdict latency that emits a slow-sample exemplar to -trace-out (0 = 250ms, negative disables)")
-	noTrace := fs.Bool("no-stage-trace", false, "disable per-sample trace IDs and stage timings in verdict records")
+	flightSize := fs.Int("flight", 0, "flight-recorder capacity for /debug/verdicts (0 = 256)")
+	slowSample := fs.Duration("slow-sample", 0, "enqueue-to-verdict latency that emits a slow-sample exemplar to -trace-out (0 = 250ms)")
 	dropout := fs.Float64("dropout", 0, "per-sample counter dropout probability (fault injection)")
 	stuck0 := fs.Float64("stuck0", 0, "fraction of counters stuck at zero")
 	stuckMax := fs.Float64("stuckmax", 0, "fraction of counters stuck at saturation")
@@ -512,7 +511,6 @@ func cmdServe(args []string) {
 		LoadHigh:       *loadHigh,
 		LoadCritical:   *loadCritical,
 
-		DisableTracing:  *noTrace,
 		AttributionK:    *attrK,
 		AttrBenignEvery: *attrBenign,
 		FlightSize:      *flightSize,

@@ -31,21 +31,6 @@ func Missing() float64 { return math.NaN() }
 // IsMissing reports whether v is a suppressed counter value.
 func IsMissing(v float64) bool { return math.IsNaN(v) }
 
-// Coverage returns the fraction of vec that is observable (not missing).
-// An empty vector has coverage 1.
-func Coverage(vec []float64) float64 {
-	if len(vec) == 0 {
-		return 1
-	}
-	ok := 0
-	for _, v := range vec {
-		if !IsMissing(v) {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(vec))
-}
-
 // Model is one composable counter-level fault. Apply mutates a sampled
 // counter-delta vector in place. index is the sampling-interval number; rng
 // is deterministically seeded per (schedule seed, model, sample) for

@@ -50,6 +50,21 @@ func TestDropoutRateAndDeterminism(t *testing.T) {
 	}
 }
 
+// Coverage returns the fraction of vec that is observable (not missing).
+// An empty vector has coverage 1.
+func Coverage(vec []float64) float64 {
+	if len(vec) == 0 {
+		return 1
+	}
+	ok := 0
+	for _, v := range vec {
+		if !IsMissing(v) {
+			ok++
+		}
+	}
+	return float64(ok) / float64(len(vec))
+}
+
 func TestCoverage(t *testing.T) {
 	v := []float64{1, 2, Missing(), 4}
 	if got := Coverage(v); got != 0.75 {

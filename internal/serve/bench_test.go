@@ -151,11 +151,15 @@ func BenchmarkServeSaturation(b *testing.B) {
 	b.ReportMetric(0, "ns/op") // wall time is the saturation run, not a unit op
 }
 
-// BenchmarkServeForensicsOverhead pins the per-verdict cost of the
-// forensics layer, in the same family as BenchmarkMonitorTelemetryOverhead:
-// the "off" arm (tracing, attribution, flight recorder, SLO, slow exemplars
-// all disabled) must match the pre-forensics scoring hot path, while the
-// "on" arm prices what the default configuration pays per scored sample.
+// scoreSink keeps the score arm's Detect call from being optimized away.
+var scoreSink float64
+
+// BenchmarkServeForensicsOverhead prices the per-verdict cost of serve's
+// forensics, in the same family as BenchmarkMonitorTelemetryOverhead: the
+// "score" arm is bare RawScorer.Detect over the harvested samples, and the
+// "verdict" arm is scoreItem at the defaults — trace ID, stage timings and
+// histograms, attribution, flight recorder, SLO burn and slow exemplars —
+// which is what serve pays per scored sample.
 func BenchmarkServeForensicsOverhead(b *testing.B) {
 	det, _ := testModels(b)
 	ctx := context.Background()
@@ -180,43 +184,39 @@ func BenchmarkServeForensicsOverhead(b *testing.B) {
 		b.Fatal("no raw samples harvested")
 	}
 
-	arms := []struct {
-		name string
-		cfg  Config
-	}{
-		{"off", Config{
-			DisableTracing:   true,
-			AttributionK:     -1,
-			FlightSize:       -1,
-			SlowSample:       -1,
-			SLOLatencyTarget: -1,
-		}},
-		{"on", Config{}}, // the forensics defaults: tracing + attribution + flight + SLO
-	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			cfg := arm.cfg
-			cfg.Detector = det
-			cfg.Workloads = []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")}
-			s, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh := s.shards[0]
-			w := &worker{id: 0, name: "bench", benign: false,
-				ladder: newLadder(classifierFloor, detectorFloor, hysteresis, false)}
-			var cache scorerCache
-			loadMode, _ := sh.load.snapshot()
-			now := time.Now()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				it := &ingestItem{w: w, episode: 0, sample: samples[i%len(samples)],
-					enqueuedAt: now, dequeuedAt: now}
-				if !s.scoreItem(sh, &cache, it, loadMode) {
-					b.Fatal("scorer panicked")
-				}
-			}
+	b.Run("score", func(b *testing.B) {
+		scorer, err := perspectron.NewRawScorer(det, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scoreSink, _, _ = scorer.Detect(samples[i%len(samples)])
+		}
+	})
+	b.Run("verdict", func(b *testing.B) {
+		s, err := New(Config{
+			Detector:  det,
+			Workloads: []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh := s.shards[0]
+		w := &worker{id: 0, name: "bench", benign: false,
+			ladder: newLadder(classifierFloor, detectorFloor, hysteresis, false)}
+		var cache scorerCache
+		loadMode, _ := sh.load.snapshot()
+		now := time.Now()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			it := &ingestItem{w: w, episode: 0, sample: samples[i%len(samples)],
+				enqueuedAt: now, dequeuedAt: now}
+			if !s.scoreItem(sh, &cache, it, loadMode) {
+				b.Fatal("scorer panicked")
+			}
+		}
+	})
 }

@@ -171,7 +171,7 @@ func TestForensicsEndToEnd(t *testing.T) {
 	if h.UptimeSeconds <= 0 {
 		t.Fatalf("uptime = %v", h.UptimeSeconds)
 	}
-	if h.SLO == nil || h.SLO.Samples == 0 {
+	if h.SLO.Samples == 0 {
 		t.Fatalf("SLO block missing: %+v", h.SLO)
 	}
 	if h.SLO.Breach {
@@ -179,95 +179,35 @@ func TestForensicsEndToEnd(t *testing.T) {
 	}
 }
 
-func TestForensicsDisabledLeavesRecordsBare(t *testing.T) {
-	det, _ := testModels(t)
-	var buf bytes.Buffer
-	s, err := New(Config{
-		Detector:         det,
-		Workloads:        []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
-		MaxInsts:         40_000,
-		MaxEpisodes:      1,
-		Backoff:          fastBackoff(),
-		VerdictLog:       NewVerdictLog(&buf),
-		DisableTracing:   true,
-		AttributionK:     -1,
-		FlightSize:       -1,
-		SlowSample:       -1,
-		SLOLatencyTarget: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := s.Run(ctx); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	total := 0
-	sc := NewVerdictScanner(bytes.NewReader(buf.Bytes()))
-	for {
-		rec, ok := sc.Next()
-		if !ok {
-			break
-		}
-		total++
-		if rec.Trace != "" || rec.Fired != nil || rec.Attr != nil ||
-			rec.QueueMs != 0 || rec.BatchMs != 0 || rec.ScoreMs != 0 {
-			t.Fatalf("disabled forensics still stamped record: %+v", rec)
-		}
-	}
-	if total == 0 {
-		t.Fatal("no verdicts")
-	}
-	if _, ok := s.Handlers()["/debug/verdicts"]; ok {
-		t.Fatal("/debug/verdicts mounted with FlightSize disabled")
-	}
-	if h := s.Health(); h.SLO != nil {
-		t.Fatalf("SLO block present when disabled: %+v", h.SLO)
-	}
-}
-
 func TestSLOTrackerBurnMath(t *testing.T) {
-	target := 10 * time.Millisecond
-	tr := newSLOTracker(target)
-	if tr == nil {
-		t.Fatal("tracker disabled despite positive target")
-	}
-	// Fast verdicts: no burn.
+	var tr sloTracker
+	// Verdicts at the target are on time: no burn.
 	for i := 0; i < 20; i++ {
-		tr.observe(time.Millisecond, false)
+		tr.observe(sloLatencyTarget, false)
 	}
 	h := tr.snapshot()
-	if h.Breach || h.LatencyBurn != 0 || h.ShedBurn != 0 || h.Samples != 20 {
-		t.Fatalf("fast traffic burned: %+v", h)
+	if h.Breach || h.LatencyBurn != 0 || h.ShedBurn != 0 || h.Samples != 20 ||
+		h.LatencyTargetMs != 50 {
+		t.Fatalf("on-time traffic burned: %+v", h)
 	}
-	// Sustained slow verdicts push the slow fraction toward 1: after 20 at
-	// sloAlpha it is 1-0.98^20 ≈ 0.33, a burn of ≈33× the 0.01 budget.
+	// Sustained verdicts just past the target push the slow fraction toward
+	// 1: after 20 at sloAlpha it is 1-0.98^20 ≈ 0.33, a burn of ≈33× the
+	// 0.01 budget.
 	for i := 0; i < 20; i++ {
-		tr.observe(time.Second, false)
+		tr.observe(sloLatencyTarget+time.Microsecond, false)
 	}
 	h = tr.snapshot()
 	if !h.Breach || h.LatencyBurn < 5 {
 		t.Fatalf("slow traffic did not breach: %+v", h)
 	}
 	// Shed burn is independent of latency burn.
-	tr2 := newSLOTracker(target)
+	var tr2 sloTracker
 	for i := 0; i < 20; i++ {
 		tr2.observe(0, true)
 	}
 	h = tr2.snapshot()
 	if !h.Breach || h.ShedBurn < 5 || h.LatencyBurn != 0 {
 		t.Fatalf("shed traffic did not breach: %+v", h)
-	}
-	// Disabled tracker: nil-safe everywhere.
-	var nilTr *sloTracker
-	nilTr.observe(time.Second, true)
-	if nilTr.snapshot() != nil {
-		t.Fatal("nil tracker snapshot not nil")
-	}
-	neg := Config{SLOLatencyTarget: -1}
-	if newSLOTracker(neg.withDefaults().SLOLatencyTarget) != nil {
-		t.Fatal("negative target did not disable SLO")
 	}
 }
 
@@ -311,7 +251,7 @@ func TestShedRecordsCarryTrace(t *testing.T) {
 			t.Fatalf("shed queue wait negative: %+v", rec)
 		}
 	}
-	if h := s.Health(); h.SLO == nil || h.SLO.ShedFraction == 0 {
+	if h := s.Health(); h.SLO.ShedFraction == 0 {
 		t.Fatalf("sheds not folded into SLO: %+v", h.SLO)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
+
+	"perspectron/internal/telemetry"
 )
 
 // WorkerHealth is one worker's row in the /healthz report.
@@ -51,11 +53,11 @@ type Health struct {
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	DetectorVersion   string  `json:"detector_version"`
 	ClassifierVersion string  `json:"classifier_version"`
-	Reloads           int    `json:"reloads"`
-	Rollbacks         int    `json:"rollbacks"`
-	ReloadError       string `json:"reload_error,omitempty"`
-	LastReloadAt      string `json:"last_reload_at,omitempty"`
-	Verdicts          int    `json:"verdicts"`
+	Reloads           int     `json:"reloads"`
+	Rollbacks         int     `json:"rollbacks"`
+	ReloadError       string  `json:"reload_error,omitempty"`
+	LastReloadAt      string  `json:"last_reload_at,omitempty"`
+	Verdicts          int     `json:"verdicts"`
 	// VerdictVersion is the detector version stamped into the most recent
 	// verdict record — normally DetectorVersion, trailing it briefly around
 	// a hot-reload.
@@ -71,9 +73,8 @@ type Health struct {
 	// state — a sticky disk_error or active lossy mode degrades Status —
 	// and what the last startup recovery found.
 	Durable *DurableHealth `json:"durable,omitempty"`
-	// SLO is the burn-rate block (nil when SLO tracking is disabled); a
-	// breach degrades Status.
-	SLO     *SLOHealth     `json:"slo,omitempty"`
+	// SLO is the burn-rate block; a breach degrades Status.
+	SLO     SLOHealth      `json:"slo"`
 	Workers []WorkerHealth `json:"workers"`
 	Shards  []ShardHealth  `json:"shards"`
 }
@@ -132,7 +133,7 @@ func (s *Supervisor) Health() Health {
 	h.Durable = s.durableSnapshot()
 	h.SLO = s.slo.snapshot()
 	degraded := h.ReloadError != "" || h.LogError != "" || h.DriftAlarm ||
-		(h.SLO != nil && h.SLO.Breach) ||
+		h.SLO.Breach ||
 		(h.Durable != nil && (h.Durable.Lossy || h.Durable.DiskError != ""))
 	topMode := "detector"
 	if s.models.Load().Cls != nil {
@@ -230,15 +231,12 @@ func (s *Supervisor) Readyz() http.Handler {
 }
 
 // Handlers returns the health routes keyed by pattern, shaped for
-// telemetry.ServeWith / telemetrycli's Extra map. The flight recorder's
-// /debug/verdicts rides along when enabled.
+// telemetry.ServeWith / telemetrycli's Extra map, with the flight
+// recorder's /debug/verdicts.
 func (s *Supervisor) Handlers() map[string]http.Handler {
-	m := map[string]http.Handler{
-		"/healthz": s.Healthz(),
-		"/readyz":  s.Readyz(),
+	return map[string]http.Handler{
+		"/healthz":        s.Healthz(),
+		"/readyz":         s.Readyz(),
+		"/debug/verdicts": telemetry.RingHandler(s.flight),
 	}
-	if s.flight != nil {
-		m["/debug/verdicts"] = s.flight.handler()
-	}
-	return m
 }

@@ -32,7 +32,6 @@ type ingestItem struct {
 	enqueuedAt time.Time
 	// dequeuedAt is stamped (once per batch) when the scorer drains the
 	// item, splitting end-to-end latency into queue wait vs scoring stages.
-	// Zero when tracing is disabled.
 	dequeuedAt time.Time
 }
 
@@ -215,12 +214,10 @@ func (s *Supervisor) logShed(sh *shard, it *ingestItem) {
 		Version: det,
 		Shed:    true,
 		Shard:   sh.id,
-	}
-	if !s.cfg.DisableTracing {
 		// A shed victim's whole life was queue wait; the trace still joins
 		// it to its stream.
-		rec.Trace = it.trace()
-		rec.QueueMs = float64(time.Since(it.enqueuedAt)) / float64(time.Millisecond)
+		Trace:   it.trace(),
+		QueueMs: float64(time.Since(it.enqueuedAt)) / float64(time.Millisecond),
 	}
 	s.slo.observe(0, true)
 	s.log.record(rec)
@@ -284,14 +281,12 @@ func (s *Supervisor) scoreShard(sh *shard) {
 		}
 		loadMode, _ := sh.load.snapshot()
 		batch = sh.dequeueBatch(s.cfg.Batch, batch[:0])
-		if !s.cfg.DisableTracing {
-			// One clock read covers the whole batch: every item left the
-			// queue at this instant, and per-item batch wait accrues from
-			// here until its scoring turn.
-			now := time.Now()
-			for _, it := range batch {
-				it.dequeuedAt = now
-			}
+		// One clock read covers the whole batch: every item left the queue
+		// at this instant, and per-item batch wait accrues from here until
+		// its scoring turn.
+		now := time.Now()
+		for _, it := range batch {
+			it.dequeuedAt = now
 		}
 		panicked := false
 		for _, it := range batch {
@@ -338,21 +333,17 @@ func (c *scorerCache) get(mdl *Models) (*perspectron.RawScorer, error) {
 // reports false when scoring panicked; the item is still logged (mode
 // "error") so the verdict accounting stays exact.
 //
-// With tracing on (the default) the verdict record additionally carries its
-// trace ID and the queue/batch/score stage breakdown, the four
-// perspectron_serve_stage_seconds histograms are fed, and a verdict past
-// SlowSample emits an exemplar event into the telemetry trace stream. With
-// attribution on, flagged samples (and every AttrBenignEvery-th benign one)
-// get their fired slots and top-k weight×bit contributions stamped and are
-// pushed into the flight recorder. Both features cost nothing when disabled
-// (pinned by BenchmarkServeForensicsOverhead).
+// Every verdict carries its forensics: the record holds its trace ID and
+// the queue/batch/score stage breakdown, the four
+// perspectron_serve_stage_seconds histograms are fed, the latency folds
+// into the SLO burn, and a verdict past SlowSample emits an exemplar event
+// into the telemetry trace stream. Flagged samples (and every
+// AttrBenignEvery-th benign one) get their fired slots and top-k weight×bit
+// contributions stamped and are pushed into the flight recorder.
+// BenchmarkServeForensicsOverhead prices this against bare scoring.
 func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, loadMode perspectron.ServeMode) (ok bool) {
 	ok = true
-	tracing := !s.cfg.DisableTracing
-	var scoreStart time.Time
-	if tracing {
-		scoreStart = time.Now()
-	}
+	scoreStart := time.Now()
 	mdl := s.models.Load() // pinned: the verdict is attributed to this version
 	detVer, _ := mdl.Versions()
 	rec := VerdictRecord{
@@ -371,49 +362,43 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 			rec.Error = msg
 		}
 		reg := telemetry.Get()
-		var queueWait, batchWait, scoreDur time.Duration
-		var logStart time.Time
-		if tracing {
-			logStart = time.Now()
-			queueWait = it.dequeuedAt.Sub(it.enqueuedAt)
-			batchWait = scoreStart.Sub(it.dequeuedAt)
-			scoreDur = logStart.Sub(scoreStart)
-			rec.Trace = it.trace()
-			rec.QueueMs = float64(queueWait) / float64(time.Millisecond)
-			rec.BatchMs = float64(batchWait) / float64(time.Millisecond)
-			rec.ScoreMs = float64(scoreDur) / float64(time.Millisecond)
-		}
+		logStart := time.Now()
+		queueWait := it.dequeuedAt.Sub(it.enqueuedAt)
+		batchWait := scoreStart.Sub(it.dequeuedAt)
+		scoreDur := logStart.Sub(scoreStart)
+		rec.Trace = it.trace()
+		rec.QueueMs = float64(queueWait) / float64(time.Millisecond)
+		rec.BatchMs = float64(batchWait) / float64(time.Millisecond)
+		rec.ScoreMs = float64(scoreDur) / float64(time.Millisecond)
 		total := time.Since(it.enqueuedAt)
 		rec.LatencyMs = float64(total) / float64(time.Millisecond)
 		s.log.record(rec)
 		s.observe(rec)
 		if rec.Attr != nil {
-			s.flight.push(rec)
+			s.flight.Push(rec)
 		}
 		s.slo.observe(total, false)
 		sh.scored.Add(1)
 		reg.Histogram("perspectron_serve_verdict_latency_seconds", latencyBounds).
 			Observe(total.Seconds())
 		reg.Counter(telemetry.Name("perspectron_serve_verdicts_total", "mode", rec.Mode)).Inc()
-		if tracing {
-			logDur := time.Since(logStart)
-			reg.Histogram(stageQueue, telemetry.LatencyBuckets).Observe(queueWait.Seconds())
-			reg.Histogram(stageBatch, telemetry.LatencyBuckets).Observe(batchWait.Seconds())
-			reg.Histogram(stageScore, telemetry.LatencyBuckets).Observe(scoreDur.Seconds())
-			reg.Histogram(stageLog, telemetry.LatencyBuckets).Observe(logDur.Seconds())
-			if s.cfg.SlowSample > 0 && total >= s.cfg.SlowSample {
-				reg.Counter("perspectron_serve_slow_verdicts_total").Inc()
-				reg.Event("serve.slow_verdict", map[string]any{
-					"trace":    rec.Trace,
-					"shard":    sh.id,
-					"mode":     rec.Mode,
-					"total_ms": rec.LatencyMs,
-					"queue_ms": rec.QueueMs,
-					"batch_ms": rec.BatchMs,
-					"score_ms": rec.ScoreMs,
-					"log_ms":   float64(logDur) / float64(time.Millisecond),
-				})
-			}
+		logDur := time.Since(logStart)
+		reg.Histogram(stageQueue, telemetry.LatencyBuckets).Observe(queueWait.Seconds())
+		reg.Histogram(stageBatch, telemetry.LatencyBuckets).Observe(batchWait.Seconds())
+		reg.Histogram(stageScore, telemetry.LatencyBuckets).Observe(scoreDur.Seconds())
+		reg.Histogram(stageLog, telemetry.LatencyBuckets).Observe(logDur.Seconds())
+		if total >= s.cfg.SlowSample {
+			reg.Counter("perspectron_serve_slow_verdicts_total").Inc()
+			reg.Event("serve.slow_verdict", map[string]any{
+				"trace":    rec.Trace,
+				"shard":    sh.id,
+				"mode":     rec.Mode,
+				"total_ms": rec.LatencyMs,
+				"queue_ms": rec.QueueMs,
+				"batch_ms": rec.BatchMs,
+				"score_ms": rec.ScoreMs,
+				"log_ms":   float64(logDur) / float64(time.Millisecond),
+			})
 		}
 	}()
 	if hook := s.scoreHook; hook != nil {
@@ -442,19 +427,17 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 	if flagged {
 		telemetry.Get().Counter(telemetry.Name("perspectron_serve_flagged_total", "worker", it.w.name)).Inc()
 	}
-	if k := s.cfg.AttributionK; k > 0 && mdl.Det != nil {
-		// Attribute flagged verdicts always, benign ones on the shard's
-		// round-robin tick. Classify scratches a separate bit vector, so the
-		// detector's fired set is still intact here.
-		attributed := flagged
-		if !attributed && s.cfg.AttrBenignEvery > 0 &&
-			sh.attrTick.Add(1)%uint64(s.cfg.AttrBenignEvery) == 0 {
-			attributed = true
-		}
-		if attributed {
-			if fired, attr, aerr := scorer.Attribution(k); aerr == nil {
-				rec.Fired, rec.Attr = fired, attr
-			}
+	// Attribute flagged verdicts always, benign ones on the shard's
+	// round-robin tick. Classify scratches a separate bit vector, so the
+	// detector's fired set is still intact here.
+	attributed := flagged
+	if !attributed && s.cfg.AttrBenignEvery > 0 &&
+		sh.attrTick.Add(1)%uint64(s.cfg.AttrBenignEvery) == 0 {
+		attributed = true
+	}
+	if attributed {
+		if fired, attr, aerr := scorer.Attribution(s.cfg.AttributionK); aerr == nil {
+			rec.Fired, rec.Attr = fired, attr
 		}
 	}
 	rec.Mode = mode.String()

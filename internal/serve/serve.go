@@ -124,30 +124,24 @@ type Config struct {
 	// machine — the degradation ladder's test harness.
 	Faults *perspectron.FaultConfig
 
-	// DisableTracing turns off per-sample trace IDs, stage timestamps and
-	// the stage-latency histograms — the zero-overhead escape hatch pinned
-	// by BenchmarkServeForensicsOverhead. Tracing is on by default.
-	DisableTracing bool
+	// Forensics are always on: every verdict record carries its trace ID
+	// and stage timings, and the knobs below only tune them. A negative
+	// value is a New error.
+	//
 	// AttributionK is how many top weight×bit contributions are stamped
-	// into attributed verdict records (default 5; negative disables
-	// attribution entirely).
+	// into attributed verdict records (default 5).
 	AttributionK int
 	// AttrBenignEvery additionally attributes every Nth non-flagged verdict
 	// per shard, so the flight recorder shows what "normal" looks like too
-	// (0 disables benign sampling; flagged samples are always attributed
-	// while AttributionK is enabled).
+	// (0 disables benign sampling; flagged samples are always attributed).
 	AttrBenignEvery int
 	// FlightSize is the flight recorder's capacity — the last N attributed
-	// verdicts served at /debug/verdicts (default 256; negative disables).
+	// verdicts served at /debug/verdicts (default 256).
 	FlightSize int
 	// SlowSample is the total-latency mark past which a verdict emits a
 	// slow-sample exemplar event into the telemetry trace stream (default
-	// 250ms; negative disables).
+	// 250ms).
 	SlowSample time.Duration
-	// SLOLatencyTarget is the per-verdict latency objective driving the
-	// latency burn-rate gauge (default 50ms; negative disables SLO
-	// tracking).
-	SLOLatencyTarget time.Duration
 }
 
 // verdictLogWriter is the internal log type behind Config.VerdictLog.
@@ -213,31 +207,14 @@ func (c *Config) withDefaults() Config {
 	if out.Pace <= 0 {
 		out.Pace = time.Millisecond
 	}
-	// Forensics knobs share the zero-value convention: 0 picks the default,
-	// negative disables. Normalize the disabled forms here so the hot path
-	// only ever compares against 0.
 	if out.AttributionK == 0 {
 		out.AttributionK = 5
-	} else if out.AttributionK < 0 {
-		out.AttributionK = 0
-	}
-	if out.AttrBenignEvery < 0 {
-		out.AttrBenignEvery = 0
 	}
 	if out.FlightSize == 0 {
 		out.FlightSize = 256
-	} else if out.FlightSize < 0 {
-		out.FlightSize = 0
 	}
 	if out.SlowSample == 0 {
 		out.SlowSample = 250 * time.Millisecond
-	} else if out.SlowSample < 0 {
-		out.SlowSample = 0
-	}
-	if out.SLOLatencyTarget == 0 {
-		out.SLOLatencyTarget = 50 * time.Millisecond
-	} else if out.SLOLatencyTarget < 0 {
-		out.SLOLatencyTarget = 0
 	}
 	return out
 }
@@ -273,8 +250,12 @@ type Supervisor struct {
 	// finish draining their queues and stop. Created by Run.
 	produceDone chan struct{}
 
-	flight *flightRecorder // last N attributed verdicts (/debug/verdicts)
-	slo    *sloTracker     // burn-rate state surfaced on /healthz
+	// flight is the flight recorder: the last FlightSize attributed
+	// verdict records, served at /debug/verdicts. The verdict log is the
+	// durable stream; the recorder is the "what just happened" view an
+	// operator opens first, triaging a fresh alert from one curl.
+	flight *telemetry.Ring
+	slo    sloTracker // burn-rate state surfaced on /healthz
 
 	// report and base are the crash-safe file mode's recovery outcome and
 	// cumulative ledger baseline (nil report = durability off).
@@ -301,6 +282,17 @@ type Supervisor struct {
 // or corrupt initial checkpoint — rollback needs a last good model to roll
 // back to.
 func New(cfg Config) (*Supervisor, error) {
+	// Forensics cannot be turned off, so a negative knob is a mistake.
+	switch {
+	case cfg.AttributionK < 0:
+		return nil, fmt.Errorf("serve: negative AttributionK %d", cfg.AttributionK)
+	case cfg.AttrBenignEvery < 0:
+		return nil, fmt.Errorf("serve: negative AttrBenignEvery %d", cfg.AttrBenignEvery)
+	case cfg.FlightSize < 0:
+		return nil, fmt.Errorf("serve: negative FlightSize %d", cfg.FlightSize)
+	case cfg.SlowSample < 0:
+		return nil, fmt.Errorf("serve: negative SlowSample %s", cfg.SlowSample)
+	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Workloads) == 0 {
 		return nil, fmt.Errorf("serve: no workloads to monitor")
@@ -353,8 +345,7 @@ func New(cfg Config) (*Supervisor, error) {
 	s := &Supervisor{
 		cfg:     cfg,
 		log:     vlog,
-		flight:  newFlightRecorder(cfg.FlightSize),
-		slo:     newSLOTracker(cfg.SLOLatencyTarget),
+		flight:  telemetry.NewRing(cfg.FlightSize),
 		report:  report,
 		started: time.Now(),
 	}

@@ -612,15 +612,33 @@ func TestNewErrors(t *testing.T) {
 	}); err == nil {
 		t.Fatalf("missing initial checkpoint accepted")
 	}
+	// Forensics cannot be turned off: a negative knob names its field.
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"AttributionK", Config{AttributionK: -1}},
+		{"AttrBenignEvery", Config{AttrBenignEvery: -1}},
+		{"FlightSize", Config{FlightSize: -1}},
+		{"SlowSample", Config{SlowSample: -1}},
+	} {
+		tc.cfg.Detector = det
+		tc.cfg.Workloads = []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")}
+		_, err := New(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("negative %s: err = %v, want one naming the field", tc.field, err)
+		}
+	}
 }
 
 // TestConfigDefaults pins every documented default: the zero Config's
-// resolved fields, the fixed-policy constants, the LoadCritical >= LoadHigh
-// clamp, and the "negative disables" forms normalizing to 0.
+// resolved fields, the fixed-policy constants, the LoadCritical >=
+// LoadHigh clamp, and the negative LogFlushInterval normalizing to 0.
 func TestConfigDefaults(t *testing.T) {
 	if episodeTimeout != 60*time.Second || ringReplicas != 16 ||
 		classifierFloor != 0.9 || detectorFloor != 0.5 || hysteresis != 0.05 ||
-		sloLatencyBudget != 0.01 || sloShedBudget != 0.01 || sloAlpha != 0.02 {
+		sloLatencyTarget != 50*time.Millisecond || sloLatencyBudget != 0.01 ||
+		sloShedBudget != 0.01 || sloAlpha != 0.02 {
 		t.Fatalf("fixed-policy constant moved")
 	}
 
@@ -648,7 +666,6 @@ func TestConfigDefaults(t *testing.T) {
 		AttributionK:     5,
 		FlightSize:       256,
 		SlowSample:       250 * time.Millisecond,
-		SLOLatencyTarget: 50 * time.Millisecond,
 	}
 	var zero Config
 	if got := zero.withDefaults(); !reflect.DeepEqual(got, want) {
@@ -659,18 +676,7 @@ func TestConfigDefaults(t *testing.T) {
 	if got := inverted.withDefaults(); got.LoadHigh != 0.95 || got.LoadCritical != 0.95 {
 		t.Fatalf("LoadCritical not clamped to LoadHigh: high %v critical %v", got.LoadHigh, got.LoadCritical)
 	}
-
-	neg := Config{
-		AttributionK:     -1,
-		AttrBenignEvery:  -1,
-		FlightSize:       -1,
-		SlowSample:       -1,
-		SLOLatencyTarget: -1,
-		LogFlushInterval: -1,
-	}
-	got := neg.withDefaults()
-	if got.AttributionK != 0 || got.AttrBenignEvery != 0 || got.FlightSize != 0 ||
-		got.SlowSample != 0 || got.SLOLatencyTarget != 0 || got.LogFlushInterval != 0 {
-		t.Fatalf("negative knobs not normalized to 0: %+v", got)
+	if got := (&Config{LogFlushInterval: -1}).withDefaults(); got.LogFlushInterval != 0 {
+		t.Fatalf("negative LogFlushInterval not normalized to 0: %v", got.LogFlushInterval)
 	}
 }

@@ -16,44 +16,31 @@ import (
 	"perspectron/internal/telemetry"
 )
 
-// The error budgets and the burn EWMAs' smoothing factor.
+// The latency objective, the error budgets and the burn EWMAs' smoothing
+// factor.
 const (
-	sloLatencyBudget = 0.01 // tolerated slow-verdict fraction
-	sloShedBudget    = 0.01 // tolerated shed fraction
-	sloAlpha         = 0.02 // EWMA smoothing per observation
+	sloLatencyTarget = 50 * time.Millisecond // per-verdict latency objective
+	sloLatencyBudget = 0.01                  // tolerated slow-verdict fraction
+	sloShedBudget    = 0.01                  // tolerated shed fraction
+	sloAlpha         = 0.02                  // EWMA smoothing per observation
 )
 
-// sloTracker accumulates the burn state. The nil tracker (SLO disabled)
-// absorbs all operations, mirroring the telemetry instruments.
+// sloTracker accumulates the burn state; the zero value is ready to use.
 type sloTracker struct {
-	latencyTarget time.Duration
-
 	mu       sync.Mutex
 	slowEwma float64 // smoothed fraction of verdicts past the target
 	shedEwma float64 // smoothed fraction of samples shed
 	n        int64
 }
 
-// newSLOTracker builds the tracker for a latency target; a non-positive
-// target disables SLO tracking entirely.
-func newSLOTracker(latencyTarget time.Duration) *sloTracker {
-	if latencyTarget <= 0 {
-		return nil
-	}
-	return &sloTracker{latencyTarget: latencyTarget}
-}
-
 // observe folds one sample outcome into the burn state: its enqueue→verdict
 // latency (ignored for sheds) and whether it was shed. Called once per
 // verdict record, off the packed scoring inner loop.
 func (t *sloTracker) observe(latency time.Duration, shed bool) {
-	if t == nil {
-		return
-	}
 	slow, shedV := 0.0, 0.0
 	if shed {
 		shedV = 1
-	} else if latency > t.latencyTarget {
+	} else if latency > sloLatencyTarget {
 		slow = 1
 	}
 	t.mu.Lock()
@@ -89,15 +76,12 @@ type SLOHealth struct {
 	Breach bool `json:"breach"`
 }
 
-// snapshot returns the current burn block, or nil when SLO tracking is off.
-func (t *sloTracker) snapshot() *SLOHealth {
-	if t == nil {
-		return nil
-	}
+// snapshot returns the current burn block.
+func (t *sloTracker) snapshot() SLOHealth {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	h := &SLOHealth{
-		LatencyTargetMs: float64(t.latencyTarget) / float64(time.Millisecond),
+	h := SLOHealth{
+		LatencyTargetMs: float64(sloLatencyTarget) / float64(time.Millisecond),
 		LatencyBudget:   sloLatencyBudget,
 		SlowFraction:    t.slowEwma,
 		LatencyBurn:     t.slowEwma / sloLatencyBudget,

@@ -43,8 +43,9 @@ type VerdictRecord struct {
 	Error string `json:"error,omitempty"`
 
 	// Trace is the sample's stream-scoped trace ID (worker/episode/sample),
-	// stamped when tracing is on — the join key between the verdict log, the
-	// slow-verdict exemplar events in -trace-out, and /debug/verdicts.
+	// stamped on every scored and shed record — the join key between the
+	// verdict log, the slow-verdict exemplar events in -trace-out, and
+	// /debug/verdicts.
 	Trace string `json:"trace,omitempty"`
 	// QueueMs/BatchMs/ScoreMs break LatencyMs into stages: admission→dequeue
 	// (queue wait), dequeue→this item's scoring turn (batch wait), and the

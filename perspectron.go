@@ -301,7 +301,6 @@ type Report struct {
 	// late (or, when FirstFlag < 0, never came). It is always false for
 	// workloads that never leaked (empty LeakSamples).
 	LeakBefore bool
-	Categories []string // reserved for multi-way classification
 	// Degraded is true when the detector could not observe its full feature
 	// set: counters missing from the machine, or values masked by injected
 	// faults. Scores are then renormalized over the surviving weights.
