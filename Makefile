@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 # BENCHTIME bounds each benchmark's measurement time; 1x runs one iteration,
 # which keeps `make bench` CI-friendly.
 BENCHTIME ?= 1x
@@ -16,8 +17,11 @@ HOTPATH_BENCHTIME ?= 5x
 # across goroutines).
 ci: vet build race
 
+# vet is go vet plus a formatting gate: any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

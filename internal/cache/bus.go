@@ -96,21 +96,35 @@ func NewBus(name string, latency uint64, lineBytes int, reg *stats.Registry) *Bu
 // response transaction (ReadReq -> ReadResp etc.), matching how gem5's
 // distribution counts both directions.
 func (b *Bus) Send(t TransType, addr uint64, bytes int) uint64 {
-	b.record(t, addr, bytes)
+	line := addr & b.lineMask
+	hit := b.snoopSet.add(line)
+	b.record(t, bytes, hit)
+	resp, respBytes := TransType(-1), 0
 	switch t {
 	case TransReadReq, TransReadSharedReq:
-		b.record(TransReadResp, addr, bytes)
+		resp, respBytes = TransReadResp, bytes
 	case TransReadExReq:
-		b.record(TransReadExResp, addr, bytes)
+		resp, respBytes = TransReadExResp, bytes
 	case TransWriteReq:
-		b.record(TransWriteResp, addr, 0)
+		resp = TransWriteResp
 	case TransInvalidateReq:
-		b.record(TransInvalidateResp, addr, 0)
+		resp = TransInvalidateResp
+	}
+	if resp >= 0 {
+		// The request's probe left line in the filter, so the response's
+		// probe hits — unless that insert emptied the filter at capacity,
+		// in which case the response re-inserts it.
+		respHit := true
+		if !hit && b.snoopSet.n == 0 {
+			respHit = b.snoopSet.add(line)
+		}
+		b.record(resp, respBytes, respHit)
 	}
 	return b.latency
 }
 
-func (b *Bus) record(t TransType, addr uint64, bytes int) {
+// record counts one transaction whose snoop-filter probe hit or missed.
+func (b *Bus) record(t TransType, bytes int, snoopHit bool) {
 	b.Trans[t].Inc()
 	b.PktCount.Inc()
 	b.PktSize.Add(float64(bytes))
@@ -122,7 +136,7 @@ func (b *Bus) record(t TransType, addr uint64, bytes int) {
 	// Snoop filter: track which lines have crossed this bus; repeat
 	// requests for tracked lines hit in the filter.
 	b.SnoopRequests.Inc()
-	if b.snoopSet.add(addr & b.lineMask) {
+	if snoopHit {
 		b.SnoopHits.Inc()
 		b.SnoopTraffic.Add(float64(bytes))
 	}

@@ -5,7 +5,11 @@
 // feature analysis identifies as invariant attack footprints.
 package cache
 
-import "perspectron/internal/stats"
+import (
+	"math/bits"
+
+	"perspectron/internal/stats"
+)
 
 // Config sizes one cache.
 type Config struct {
@@ -37,14 +41,6 @@ func L2Config() Config {
 	return Config{Name: "l2", Component: stats.CompL2,
 		SizeBytes: 2 * 1024 * 1024, LineBytes: 64, Ways: 8, Latency: 20,
 		MSHRs: 20, TgtsPerMSHR: 12, WriteBuffers: 8}
-}
-
-type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
-	shared  bool // filled by a shared-memory read (ReadSharedReq)
-	lastUse uint64
 }
 
 // ReqStats is the per-request-type counter family gem5 reports for each
@@ -174,14 +170,14 @@ func itobs(n int) string {
 	return string(buf[i:])
 }
 
-// log2Bucket maps v into one of n log2-spaced buckets.
+// log2Bucket maps v into one of n log2-spaced buckets: floor(log2(v)),
+// with 0 and 1 in bucket 0 and everything past the top clamped into it.
 func log2Bucket(v uint64, n int) int {
-	b := 0
-	for v > 1 && b < n-1 {
-		v >>= 1
-		b++
+	b := bits.Len64(v) - 1
+	if b < 0 {
+		return 0
 	}
-	return b
+	return min(b, n-1)
 }
 
 // mshrPool tracks outstanding misses by release cycle.
@@ -242,8 +238,17 @@ func (m *mshrPool) occupancy(now uint64) int {
 type Cache struct {
 	cfg      Config
 	sets     int
-	shift    uint
-	lines    []line
+	setMask  uint64 // sets-1: sets is a power of two
+	setShift uint   // log2(sets)
+	shift    uint   // log2(line bytes)
+	// The tag store is struct-of-arrays, set-major (way w of set s sits
+	// at s*Ways+w). keys holds tag+1 with 0 marking an invalid way, so a
+	// set's tags share one host cache line on the hit path; the LRU stamps
+	// and dirty flags live apart and mean nothing for an invalid way (a
+	// fill sets both).
+	keys     []uint64
+	lastUse  []uint64
+	dirty    []bool
 	tick     uint64 // LRU clock
 	scramble uint64 // CEASER index key; 0 = direct mapping
 	C        Counters
@@ -258,21 +263,28 @@ type Cache struct {
 	flushBelow func(addr uint64, cycle uint64) uint64
 }
 
-// New constructs a cache and registers its counters.
+// New constructs a cache and registers its counters. The set count
+// (SizeBytes / LineBytes / Ways) and LineBytes must be powers of two.
 func New(cfg Config, reg *stats.Registry) *Cache {
 	lineCount := cfg.SizeBytes / cfg.LineBytes
 	sets := lineCount / cfg.Ways
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
+	if sets <= 0 || sets&(sets-1) != 0 {
+		panic("cache: " + cfg.Name + " set count must be a power of two")
+	}
+	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		panic("cache: " + cfg.Name + " line size must be a power of two")
 	}
 	return &Cache{
-		cfg:   cfg,
-		sets:  sets,
-		shift: shift,
-		lines: make([]line, lineCount),
-		C:     newCounters(reg, cfg.Component, cfg.Name),
-		mshrs: newMSHRPool(cfg.MSHRs),
+		cfg:      cfg,
+		sets:     sets,
+		setMask:  uint64(sets - 1),
+		setShift: uint(bits.TrailingZeros(uint(sets))),
+		shift:    uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		keys:     make([]uint64, lineCount),
+		lastUse:  make([]uint64, lineCount),
+		dirty:    make([]bool, lineCount),
+		C:        newCounters(reg, cfg.Component, cfg.Name),
+		mshrs:    newMSHRPool(cfg.MSHRs),
 	}
 }
 
@@ -297,15 +309,21 @@ func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.cfg.Ways }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// index returns addr's set and its tag-store key (tag+1).
+func (c *Cache) index(addr uint64) (set int, key uint64) {
 	blk := addr >> c.shift
 	if c.scramble != 0 {
 		// CEASER-style encrypted index: a keyed mix decides set placement
 		// so attackers cannot construct eviction sets.
 		mixed := (blk ^ c.scramble) * 0x9e3779b97f4a7c15
-		return int(mixed % uint64(c.sets)), blk / uint64(c.sets)
+		return int(mixed & c.setMask), blk>>c.setShift + 1
 	}
-	return int(blk % uint64(c.sets)), blk / uint64(c.sets)
+	return int(blk & c.setMask), blk>>c.setShift + 1
+}
+
+// lineAddr rebuilds the address of the line held under key in set.
+func (c *Cache) lineAddr(set int, key uint64) uint64 {
+	return ((key-1)<<c.setShift | uint64(set)) << c.shift
 }
 
 // Rekey enables (or rotates) CEASER-style index randomization (§IV-G1 /
@@ -314,23 +332,28 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 // (dirty lines write back), modelling an epoch remap.
 func (c *Cache) Rekey(key uint64, cycle uint64) {
 	c.C.Rekeys.Inc()
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
+	for i, k := range c.keys {
+		if k != 0 && c.dirty[i] {
 			c.C.WritebacksDirty.Inc()
 			if c.evict != nil {
 				// Address reconstruction uses the old mapping.
-				set := i / c.cfg.Ways
-				addr := (c.lines[i].tag*uint64(c.sets) + uint64(set)) << c.shift
-				c.evict(addr, true, cycle)
+				c.evict(c.lineAddr(i/c.cfg.Ways, k), true, cycle)
 			}
 		}
-		c.lines[i] = line{}
 	}
+	clear(c.keys)
 	c.scramble = key
 }
 
-func (c *Cache) set(i int) []line {
-	return c.lines[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
+// find returns the flat index of key's way in set, or -1.
+func (c *Cache) find(set int, key uint64) int {
+	base := set * c.cfg.Ways
+	for i, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == key {
+			return base + i
+		}
+	}
+	return -1
 }
 
 func (c *Cache) reqStats(write, shared bool) *ReqStats {
@@ -354,19 +377,16 @@ func (c *Cache) Access(addr uint64, write, shared bool, cycle uint64) uint64 {
 	c.C.TagAccesses.Inc()
 	c.tick++
 
-	set, tag := c.index(addr)
-	ways := c.set(set)
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			rs.Hits.Inc()
-			c.C.OverallHits.Inc()
-			c.C.DataAccesses.Inc()
-			ways[i].lastUse = c.tick
-			if write {
-				ways[i].dirty = true
-			}
-			return c.cfg.Latency
+	set, key := c.index(addr)
+	if i := c.find(set, key); i >= 0 {
+		rs.Hits.Inc()
+		c.C.OverallHits.Inc()
+		c.C.DataAccesses.Inc()
+		c.lastUse[i] = c.tick
+		if write {
+			c.dirty[i] = true
 		}
+		return c.cfg.Latency
 	}
 
 	// Miss.
@@ -394,49 +414,48 @@ func (c *Cache) Access(addr uint64, write, shared bool, cycle uint64) uint64 {
 	rs.MSHRMissLat.Add(float64(lat))
 	rs.AvgMissLatency.Add(float64(lat))
 
-	c.fill(set, tag, write, shared, cycle)
+	c.fill(set, key, write, cycle)
 	return lat
 }
 
-// fill installs a line, evicting the LRU victim if necessary.
-func (c *Cache) fill(set int, tag uint64, write, shared bool, cycle uint64) {
-	ways := c.set(set)
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			goto install
-		}
-		if ways[i].lastUse < ways[victim].lastUse {
-			victim = i
+// fill installs a line into the first invalid way of set, else over the
+// LRU victim (the first way with the oldest stamp), which it evicts.
+func (c *Cache) fill(set int, key uint64, write bool, cycle uint64) {
+	base := set * c.cfg.Ways
+	victim := -1
+	for i, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == 0 {
+			victim = base + i
+			break
 		}
 	}
-	// Evict.
-	c.C.Replacements.Inc()
-	if ways[victim].dirty {
-		c.C.WritebacksDirty.Inc()
-	} else {
-		c.C.WritebacksClean.Inc()
+	if victim < 0 {
+		victim = base
+		for i := base + 1; i < base+c.cfg.Ways; i++ {
+			if c.lastUse[i] < c.lastUse[victim] {
+				victim = i
+			}
+		}
+		c.C.Replacements.Inc()
+		if c.dirty[victim] {
+			c.C.WritebacksDirty.Inc()
+		} else {
+			c.C.WritebacksClean.Inc()
+		}
+		if c.evict != nil {
+			c.evict(c.lineAddr(set, c.keys[victim]), c.dirty[victim], cycle)
+		}
 	}
-	if c.evict != nil {
-		vAddr := (ways[victim].tag*uint64(c.sets) + uint64(set)) << c.shift
-		c.evict(vAddr, ways[victim].dirty, cycle)
-	}
-install:
-	ways[victim] = line{tag: tag, valid: true, dirty: write, shared: shared, lastUse: c.tick}
+	c.keys[victim] = key
+	c.lastUse[victim] = c.tick
+	c.dirty[victim] = write
 	c.C.Fills.Inc()
 }
 
 // Present reports whether addr is cached (no counter side effects beyond a
 // tag access; used by tests and the flush-timing path).
 func (c *Cache) Present(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, l := range c.set(set) {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	return c.find(c.index(addr)) >= 0
 }
 
 // Flush implements CLFLUSH: invalidate addr's line if present, writing back
@@ -445,26 +464,20 @@ func (c *Cache) Present(addr uint64) bool {
 func (c *Cache) Flush(addr uint64, cycle uint64) (present bool, lat uint64) {
 	c.C.FlushOps.Inc()
 	c.C.TagAccesses.Inc()
-	set, tag := c.index(addr)
-	ways := c.set(set)
 	lat = c.cfg.Latency
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			present = true
-			c.C.FlushHits.Inc()
-			if ways[i].dirty {
-				c.C.WritebacksDirty.Inc()
-				if c.evict != nil {
-					c.evict(addr, true, cycle)
-				}
-				lat += 4
+	if i := c.find(c.index(addr)); i >= 0 {
+		present = true
+		c.C.FlushHits.Inc()
+		if c.dirty[i] {
+			c.C.WritebacksDirty.Inc()
+			if c.evict != nil {
+				c.evict(addr, true, cycle)
 			}
-			ways[i] = line{}
-			lat += c.cfg.Latency // back-invalidate cost
-			break
+			lat += 4
 		}
-	}
-	if !present {
+		c.keys[i] = 0
+		lat += c.cfg.Latency // back-invalidate cost
+	} else {
 		c.C.FlushMisses.Inc()
 	}
 	if c.flushBelow != nil {

@@ -32,6 +32,17 @@ func newTestCache(t *testing.T) *Cache {
 	return c
 }
 
+func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
+	cfg := L1DConfig()
+	cfg.Ways = 3 // 1,024 lines over 3 ways: 341 sets
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("New accepted %d sets", cfg.SizeBytes/cfg.LineBytes/cfg.Ways)
+		}
+	}()
+	New(cfg, stats.NewRegistry())
+}
+
 func TestCacheMissThenHit(t *testing.T) {
 	c := newTestCache(t)
 	lat1 := c.Access(0x1000, false, false, 0)

@@ -7,8 +7,9 @@
 package isa
 
 // OpClass mirrors gem5's operation classes; the iq.fu_full::<class> and
-// commit.op_class_0::<class> counter families are indexed by it.
-type OpClass int
+// commit.op_class_0::<class> counter families are indexed by it. It is an
+// int16 so an Op packs into one 64-byte host cache line.
+type OpClass int16
 
 const (
 	NoOpClass OpClass = iota
@@ -55,7 +56,7 @@ func (c OpClass) String() string {
 }
 
 // Kind is the structural kind of an op, orthogonal to its FU class.
-type Kind int
+type Kind int8
 
 const (
 	// KindPlain is a non-memory, non-control computational op.
@@ -85,13 +86,11 @@ const (
 	KindNop
 )
 
-// Op is one micro-operation on the committed path.
+// Op is one micro-operation on the committed path. The small fields lead so
+// an Op is 64 bytes: ops are copied by value throughout the pipeline.
 type Op struct {
-	Kind  Kind
 	Class OpClass
-
-	PC   uint64 // instruction address (drives I-cache and predictors)
-	Addr uint64 // data address for loads/stores/flushes
+	Kind  Kind
 
 	// Shared marks loads of shared (library) pages, which travel as
 	// ReadSharedReq bus transactions — the Flush+Reload substrate.
@@ -99,8 +98,6 @@ type Op struct {
 
 	// Taken is the actual direction of a KindBranch.
 	Taken bool
-	// Target is the actual target of calls/returns/indirect branches.
-	Target uint64
 
 	// DependsOnPrev serializes this op's execution behind the previous
 	// op's completion (address dependence: pointer chasing, or the
@@ -117,6 +114,12 @@ type Op struct {
 	// bypass) window. Such loads run their Transient body when the bypass
 	// occurs and are then replayed.
 	AddrDelayed bool
+
+	PC   uint64 // instruction address (drives I-cache and predictors)
+	Addr uint64 // data address for loads/stores/flushes
+
+	// Target is the actual target of calls/returns/indirect branches.
+	Target uint64
 
 	// WaitCycles is the quiesce duration for KindQuiesce.
 	WaitCycles uint64

@@ -1,6 +1,17 @@
 package isa
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestOpIsOneCacheLine pins Op at 64 bytes: the pipeline copies ops by
+// value on its hot path, and one more field past a line doubles that copy.
+func TestOpIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 64 {
+		t.Fatalf("sizeof(Op) = %d bytes, want 64", n)
+	}
+}
 
 func TestOpClassNames(t *testing.T) {
 	for c := OpClass(0); c < NumOpClasses; c++ {

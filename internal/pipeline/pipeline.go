@@ -15,19 +15,10 @@ package pipeline
 
 import (
 	"perspectron/internal/branch"
+	"perspectron/internal/cache"
 	"perspectron/internal/isa"
 	"perspectron/internal/tlb"
 )
-
-// MemSystem is the data/instruction memory interface the pipeline drives
-// (implemented by the cache hierarchy via internal/sim).
-type MemSystem interface {
-	FetchInst(pc uint64, cycle uint64) uint64
-	ReadData(addr uint64, shared bool, cycle uint64) uint64
-	WriteData(addr uint64, cycle uint64) uint64
-	Flush(addr uint64, cycle uint64) (present bool, lat uint64)
-	ReadLFB(cycle uint64) bool
-}
 
 // Config holds the core parameters (Table II).
 type Config struct {
@@ -125,7 +116,7 @@ type Pipeline struct {
 	cfg Config
 	C   Counters
 
-	Mem MemSystem
+	Mem *cache.Hierarchy
 	BP  *branch.Predictor
 	ITB *tlb.TLB
 	DTB *tlb.TLB
@@ -480,7 +471,7 @@ func (p *Pipeline) execute(op *isa.Op) (done uint64, faulted bool) {
 			done = max64(ready+1, fwd)
 		} else if op.FBRead {
 			// MDS fill-buffer sample: no architectural cache access.
-			p.Mem.ReadLFB(ready)
+			p.Mem.L1D.ReadLFB(ready)
 			done = ready + 4
 		} else {
 			memLat := p.Mem.ReadData(op.Addr, op.Shared, ready+lat)
@@ -702,7 +693,7 @@ func (p *Pipeline) runTransient(body []isa.Op) {
 			}
 			res := p.DTB.Translate(t.Addr, false)
 			if t.FBRead {
-				p.Mem.ReadLFB(ready)
+				p.Mem.L1D.ReadLFB(ready)
 				tDone = ready + 4
 			} else {
 				lat := p.Mem.ReadData(t.Addr, t.Shared, ready+res.Latency)

@@ -11,17 +11,6 @@ import (
 	"perspectron/internal/tlb"
 )
 
-// memAdapter adapts the cache hierarchy to the pipeline's MemSystem.
-type memAdapter struct{ h *cache.Hierarchy }
-
-func (m memAdapter) FetchInst(pc uint64, cycle uint64) uint64 { return m.h.FetchInst(pc, cycle) }
-func (m memAdapter) ReadData(addr uint64, shared bool, cycle uint64) uint64 {
-	return m.h.ReadData(addr, shared, cycle)
-}
-func (m memAdapter) WriteData(addr uint64, cycle uint64) uint64     { return m.h.WriteData(addr, cycle) }
-func (m memAdapter) Flush(addr uint64, cycle uint64) (bool, uint64) { return m.h.Flush(addr, cycle) }
-func (m memAdapter) ReadLFB(cycle uint64) bool                      { return m.h.L1D.ReadLFB(cycle) }
-
 func newTestPipeline(t *testing.T) (*Pipeline, *cache.Hierarchy, *stats.Registry) {
 	t.Helper()
 	reg := stats.NewRegistry()
@@ -31,7 +20,7 @@ func newTestPipeline(t *testing.T) (*Pipeline, *cache.Hierarchy, *stats.Registry
 	itb := tlb.New(tlb.DefaultConfig(), reg, stats.CompITB, "itb")
 	dtb := tlb.New(tlb.DefaultConfig(), reg, stats.CompDTB, "dtb")
 	p := New(DefaultConfig(), NewCounters(reg, DefaultConfig().Width))
-	p.Mem = memAdapter{h}
+	p.Mem = h
 	p.BP = bp
 	p.ITB = itb
 	p.DTB = dtb

@@ -208,10 +208,13 @@ func BenchmarkServeForensicsOverhead(b *testing.B) {
 			ladder: newLadder(classifierFloor, detectorFloor, hysteresis, false)}
 		var cache scorerCache
 		loadMode, _ := sh.load.snapshot()
-		now := time.Now()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			// Stamped per item, as route and the scorer do: one stamp for
+			// the whole loop would age every item past SlowSample and time
+			// the slow-verdict event instead of a verdict.
+			now := time.Now()
 			it := &ingestItem{w: w, episode: 0, sample: samples[i%len(samples)],
 				enqueuedAt: now, dequeuedAt: now}
 			if !s.scoreItem(sh, &cache, it, loadMode) {

@@ -48,9 +48,9 @@ func TestServeChaos(t *testing.T) {
 
 	var buf bytes.Buffer
 	s, err := New(Config{
-		Detector:         det,
-		Classifier:       cls,
-		DetectorPath:     path,
+		Detector:     det,
+		Classifier:   cls,
+		DetectorPath: path,
 		Workloads: []perspectron.Workload{
 			perspectron.AttackByName("spectreV1", "fr"),
 			perspectron.AttackByName("flush+reload", ""),

@@ -590,7 +590,14 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 			}
 			break // run genuinely ended
 		}
-		if pressure := s.route(w, episode, rs); pressure >= s.cfg.LoadHigh {
+		pressure := s.route(w, episode, rs)
+		// Hand the P to the scorer route just woke. The runtime parks a
+		// woken goroutine in the waker's runnext slot, and a CPU-bound
+		// producer would otherwise keep simulating until its next blocking
+		// send or the 10ms preemption slice — the whole of a verdict's
+		// queue wait when streams outnumber Ps.
+		runtime.Gosched()
+		if pressure >= s.cfg.LoadHigh {
 			if !sleepCtx(epCtx, s.cfg.Pace) {
 				break // drain or deadline; the session loop surfaces which
 			}

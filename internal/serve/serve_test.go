@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -303,6 +304,59 @@ func TestServiceScoresAndLogsVerdicts(t *testing.T) {
 	}
 	if total == 0 || flagged == 0 {
 		t.Fatalf("spectreV1 produced %d verdicts, %d flagged", total, flagged)
+	}
+}
+
+// TestQueueWaitStaysUnderPreemptionSlice guards the producers' yield after
+// route. With more CPU-bound simulated streams than Ps, a scorer that waits
+// for its waker's next blocking point or Go's 10ms preemption slice puts
+// about that much queue wait on every verdict; scored on arrival, the median
+// verdict waits microseconds.
+func TestQueueWaitStaysUnderPreemptionSlice(t *testing.T) {
+	det, _ := testModels(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ws := []perspectron.Workload{
+		perspectron.AttackByName("spectreV1", "fr"),
+		perspectron.AttackByName("flush+reload", "fr"),
+	}
+	for _, b := range perspectron.BenignWorkloads() {
+		if name := b.Info().Name; name == "gcc" || name == "mcf" {
+			ws = append(ws, b)
+		}
+	}
+	var buf bytes.Buffer
+	s, err := New(Config{
+		Detector:   det,
+		Workloads:  ws,
+		MaxInsts:   500_000,
+		Shards:     2,
+		Backoff:    fastBackoff(),
+		VerdictLog: NewVerdictLog(&buf),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := s.Run(ctx); err != nil && ctx.Err() == nil {
+		t.Fatalf("run: %v", err)
+	}
+	var queue []float64
+	sc := NewVerdictScanner(bytes.NewReader(buf.Bytes()))
+	for rec, ok := sc.Next(); ok; rec, ok = sc.Next() {
+		if !rec.Shed {
+			queue = append(queue, rec.QueueMs)
+		}
+	}
+	if len(queue) < 20 {
+		t.Fatalf("only %d scored verdicts in 2s of %d streams", len(queue), len(ws))
+	}
+	sort.Float64s(queue)
+	p50 := queue[len(queue)/2]
+	t.Logf("median queue wait %.4f ms over %d verdicts", p50, len(queue))
+	if p50 >= 2 {
+		t.Fatalf("median queue wait %.3f ms, want < 2 ms: "+
+			"scorers wait on the simulating producers", p50)
 	}
 }
 

@@ -58,17 +58,6 @@ type Machine struct {
 	OnSample sampleHook
 }
 
-// memAdapter exposes the hierarchy as the pipeline's MemSystem.
-type memAdapter struct{ h *cache.Hierarchy }
-
-func (m memAdapter) FetchInst(pc uint64, cycle uint64) uint64 { return m.h.FetchInst(pc, cycle) }
-func (m memAdapter) ReadData(addr uint64, shared bool, cycle uint64) uint64 {
-	return m.h.ReadData(addr, shared, cycle)
-}
-func (m memAdapter) WriteData(addr uint64, cycle uint64) uint64     { return m.h.WriteData(addr, cycle) }
-func (m memAdapter) Flush(addr uint64, cycle uint64) (bool, uint64) { return m.h.Flush(addr, cycle) }
-func (m memAdapter) ReadLFB(cycle uint64) bool                      { return m.h.L1D.ReadLFB(cycle) }
-
 // NewMachine wires a machine and seals its counter registry.
 func NewMachine(cfg Config) *Machine {
 	reg := stats.NewRegistry()
@@ -78,7 +67,7 @@ func NewMachine(cfg Config) *Machine {
 	itb := tlb.New(cfg.TLB, reg, stats.CompITB, "itb")
 	dtb := tlb.New(cfg.TLB, reg, stats.CompDTB, "dtb")
 	p := pipeline.New(cfg.Pipeline, pipeline.NewCounters(reg, cfg.Pipeline.Width))
-	p.Mem = memAdapter{h}
+	p.Mem = h
 	p.BP = bp
 	p.ITB = itb
 	p.DTB = dtb

@@ -63,7 +63,9 @@ func (s *Span) End() {
 	}
 	secs := time.Since(s.start).Seconds()
 	s.reg.Histogram(Name(PhaseMetric, "phase", s.path), DurationBuckets).Observe(secs)
-	s.reg.emit(map[string]any{"event": "span", "phase": s.path, "seconds": secs})
+	if s.reg.hasSink.Load() {
+		s.reg.emit(map[string]any{"event": "span", "phase": s.path, "seconds": secs})
+	}
 }
 
 // eventSink serializes writes to the run-event log.
@@ -79,6 +81,7 @@ func (r *Registry) SetEventSink(w io.Writer) {
 	}
 	r.sinkMu.Lock()
 	r.sink = eventSink{w: w}
+	r.hasSink.Store(w != nil)
 	r.sinkMu.Unlock()
 }
 
@@ -86,7 +89,7 @@ func (r *Registry) SetEventSink(w io.Writer) {
 // event sink, if one is attached. Use it for one-shot run outcomes that have
 // no natural metric shape — a detection verdict, a training summary.
 func (r *Registry) Event(name string, fields map[string]any) {
-	if r == nil {
+	if r == nil || !r.hasSink.Load() {
 		return
 	}
 	ev := map[string]any{"event": name}

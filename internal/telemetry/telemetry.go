@@ -35,6 +35,9 @@ type Registry struct {
 
 	sinkMu sync.Mutex
 	sink   eventSink
+	// hasSink mirrors sink.w != nil so event producers can skip building
+	// an event nobody will write without taking sinkMu.
+	hasSink atomic.Bool
 }
 
 // NewRegistry returns an empty registry.

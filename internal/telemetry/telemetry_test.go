@@ -232,6 +232,16 @@ func TestSpanHierarchyAndSink(t *testing.T) {
 	}
 }
 
+// TestEventWithoutSinkIsFree pins the no-sink fast path: an Event on a
+// registry with no sink attached builds nothing.
+func TestEventWithoutSinkIsFree(t *testing.T) {
+	r := NewRegistry()
+	fields := map[string]any{"worker": "w", "ms": 1.5}
+	if n := testing.AllocsPerRun(100, func() { r.Event("slow_sample", fields) }); n != 0 {
+		t.Fatalf("Event without a sink allocated %v times per call, want 0", n)
+	}
+}
+
 func TestNameEscaping(t *testing.T) {
 	if got := Name("m"); got != "m" {
 		t.Errorf("Name no labels = %q", got)
