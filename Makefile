@@ -34,13 +34,16 @@ race:
 
 # fuzz runs the native fuzz targets for a bounded budget each: FuzzLoad over
 # the checkpoint parsers (Load and LoadClassifier), seeded from
-# testdata/fuzz/FuzzLoad, and FuzzVerdictScanner over the verdict-log reader
-# and Explain, seeded from internal/serve/testdata/fuzz/FuzzVerdictScanner.
+# testdata/fuzz/FuzzLoad; FuzzVerdictScanner over the verdict-log reader
+# and Explain, seeded from internal/serve/testdata/fuzz/FuzzVerdictScanner;
+# and FuzzParseSpec over the -disk-faults grammar, seeded from
+# internal/diskfaults/testdata/fuzz/FuzzParseSpec.
 # A crasher is written into the target's corpus directory and fails the run.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzVerdictScanner$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/diskfaults
 
 # smoke-serve exercises the long-running detection service end to end with a
 # race-enabled binary: readiness, corrupt-checkpoint rollback via /healthz and

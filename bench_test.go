@@ -20,7 +20,6 @@ import (
 	"perspectron/internal/perceptron"
 	"perspectron/internal/sim"
 	"perspectron/internal/stats"
-	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload/attacks"
 	"perspectron/internal/workload/benign"
@@ -273,12 +272,11 @@ func BenchmarkEndToEndMonitor(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorTelemetryOverhead pins the nil-registry fast path on the
-// online serving loop: Detector.Monitor with telemetry disabled must run at
-// its uninstrumented cost (the acceptance bound is ≤2% vs the seed), and the
-// enabled sub-benchmark quantifies what full instrumentation adds.
+// BenchmarkMonitorTelemetryOverhead prices the online serving loop with its
+// always-on instrumentation: Detector.Monitor recording its score and
+// latency histograms, sample counters and monitor span into the process
+// registry.
 func BenchmarkMonitorTelemetryOverhead(b *testing.B) {
-	telemetry.Disable()
 	opts := perspectron.DefaultOptions()
 	opts.MaxInsts = 100_000
 	opts.Runs = 1
@@ -287,7 +285,9 @@ func BenchmarkMonitorTelemetryOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	attack := perspectron.AttackByName("flush+reload", "")
-	run := func(b *testing.B) {
+	// One sub-benchmark, so the detector is trained once rather than once
+	// per b.N round.
+	b.Run("monitor", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rep, err := det.Monitor(attack, 50_000, int64(i))
@@ -298,15 +298,6 @@ func BenchmarkMonitorTelemetryOverhead(b *testing.B) {
 				b.Fatal("missed")
 			}
 		}
-	}
-	b.Run("disabled", func(b *testing.B) {
-		telemetry.Disable()
-		run(b)
-	})
-	b.Run("enabled", func(b *testing.B) {
-		telemetry.Enable()
-		defer telemetry.Disable()
-		run(b)
 	})
 }
 

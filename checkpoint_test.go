@@ -57,8 +57,7 @@ func TestChecksumDetectsMutation(t *testing.T) {
 }
 
 func TestLegacyChecksumlessDetectorLoadsWithWarning(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	reg := telemetry.Get()
 	series := telemetry.Name("perspectron_checkpoint_legacy_total", "kind", "detector")
 	before := reg.CounterValue(series)
 

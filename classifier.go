@@ -137,22 +137,17 @@ func (c *Classifier) Replay(rec *Recording, fc *FaultConfig) (*Classification, e
 	res := &Classification{Workload: rec.Workload, Votes: map[string]int{}}
 	coverageSum := 0.0
 
-	// Instruments are fetched once before the vote loop — the nil handles of
-	// the disabled path keep per-sample cost at a pointer check each.
+	// Instruments are fetched once before the vote loop, so the loop pays
+	// atomics, not registry lookups.
 	reg := telemetry.Get()
 	scoreHist := reg.Histogram("perspectron_classify_score", telemetry.ScoreBuckets)
 	latencyHist := reg.Histogram("perspectron_classify_sample_seconds", telemetry.LatencyBuckets)
 	sampleCtr := reg.Counter("perspectron_classify_samples_total")
 	_, span := reg.StartSpan(context.Background(), "classify")
 	_, err := rec.replay(nil, c, c.Interval, fc, func(scorer *RawScorer, rs RawSample) {
-		var start time.Time
-		if reg != nil {
-			start = time.Now()
-		}
+		start := time.Now()
 		class, score, coverage := scorer.Classify(rs)
-		if reg != nil {
-			latencyHist.Observe(time.Since(start).Seconds())
-		}
+		latencyHist.Observe(time.Since(start).Seconds())
 		scoreHist.Observe(score)
 		sampleCtr.Inc()
 		coverageSum += coverage
@@ -170,12 +165,10 @@ func (c *Classifier) Replay(rec *Recording, fc *FaultConfig) (*Classification, e
 	res.Confidence = float64(res.Votes[res.Class]) / float64(samples)
 	res.Coverage = coverageSum / float64(samples)
 	res.Degraded = res.Coverage < 1-1e-12
-	if reg != nil {
-		reg.Gauge("perspectron_classify_coverage").Set(res.Coverage)
-		for class, n := range res.Votes {
-			reg.Counter(telemetry.Name("perspectron_classify_votes_total", "class", class)).
-				Add(uint64(n))
-		}
+	reg.Gauge("perspectron_classify_coverage").Set(res.Coverage)
+	for class, n := range res.Votes {
+		reg.Counter(telemetry.Name("perspectron_classify_votes_total", "class", class)).
+			Add(uint64(n))
 	}
 	return res, nil
 }

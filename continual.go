@@ -141,16 +141,15 @@ func (d *Detector) TrainIncrement(workloads []Workload, opts Options, budget int
 			FeatureMeans:   blendMeans(d.Lineage, stats.FiringRates, prevSamples, len(rows)),
 		},
 	}
-	if reg := telemetry.Get(); reg != nil {
-		reg.Counter("perspectron_train_increments_total").Inc()
-		reg.Event("train.increment", map[string]any{
-			"parent":     d.Version(),
-			"generation": child.Lineage.Generation,
-			"samples":    stats.Samples,
-			"epochs":     stats.Epochs,
-			"drift":      stats.Drift,
-		})
-	}
+	reg := telemetry.Get()
+	reg.Counter("perspectron_train_increments_total").Inc()
+	reg.Event("train.increment", map[string]any{
+		"parent":     d.Version(),
+		"generation": child.Lineage.Generation,
+		"samples":    stats.Samples,
+		"epochs":     stats.Epochs,
+		"drift":      stats.Drift,
+	})
 	return child, stats, nil
 }
 

@@ -118,20 +118,24 @@ type Store struct {
 
 // NewStore returns an empty in-memory store with a private telemetry
 // registry for its traffic counters.
-func NewStore() *Store {
+func NewStore() *Store { return newStore(telemetry.NewRegistry()) }
+
+func newStore(reg *telemetry.Registry) *Store {
 	return &Store{
 		datasets: map[string]*trace.Dataset{},
 		prepared: map[string]*Prepared{},
 		inflight: map[string]*sync.WaitGroup{},
-		reg:      telemetry.NewRegistry(),
+		reg:      reg,
 		collect:  trace.CollectCtx,
 	}
 }
 
-var defaultStore = NewStore()
+var defaultStore = newStore(telemetry.Get())
 
 // Default returns the process-wide store shared by the public Train APIs,
-// the experiments, and the CLIs.
+// the experiments, and the CLIs. Its traffic counters record into the
+// process telemetry registry, so the corpus series appear in every
+// exposition.
 func Default() *Store { return defaultStore }
 
 // SetCacheDir enables the on-disk cache under dir (creating it if needed);
@@ -151,15 +155,12 @@ func (s *Store) SetCacheDir(dir string) error {
 	return nil
 }
 
-// SetRegistry redirects the store's traffic accounting to reg — typically
-// the process-wide registry enabled by a CLI's -metrics-addr flag, so the
-// corpus series become scrapable. Counters already accumulated in the
-// previous registry are not migrated; point the store before using it.
-// A nil reg is ignored.
+// SetRegistry redirects the store's traffic accounting to reg. Counters
+// already accumulated in the previous registry are not migrated. Default
+// already records into the process registry; SetRegistry remains only
+// because the benchmark harness (bench/child.go) still calls it. Delete it
+// when that file is next edited.
 func (s *Store) SetRegistry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	s.mu.Lock()
 	s.reg = reg
 	s.mu.Unlock()

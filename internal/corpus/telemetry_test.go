@@ -43,7 +43,6 @@ func TestSetRegistryExposesCorpusSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := NewStore()
 	s.SetRegistry(reg)
-	s.SetRegistry(nil) // ignored: the store keeps its registry
 
 	s.Dataset(tinyCorpus(), tinyConfig())
 	s.Dataset(tinyCorpus(), tinyConfig())
@@ -68,6 +67,23 @@ func TestSetRegistryExposesCorpusSeries(t *testing.T) {
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("exposition missing %q:\n%s", series, out)
+		}
+	}
+}
+
+// TestDefaultStoreRecordsIntoProcessRegistry pins the always-on wiring: the
+// process-wide store's dataset lookups appear as corpus series in the
+// process telemetry registry with no SetRegistry call.
+func TestDefaultStoreRecordsIntoProcessRegistry(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Seed = 4242 // a key no other test collects
+	before := telemetry.Get().Snapshot().Counters
+	Default().Dataset(tinyCorpus(), cfg)
+	Default().Dataset(tinyCorpus(), cfg)
+	after := telemetry.Get().Snapshot().Counters
+	for _, series := range []string{MetricDatasetsCollected, MetricDatasetsMemory} {
+		if got := after[series] - before[series]; got != 1 {
+			t.Errorf("%s advanced by %d in the process registry, want 1", series, got)
 		}
 	}
 }

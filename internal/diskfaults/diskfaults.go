@@ -313,8 +313,8 @@ func (in *Injector) WriteFileAtomic(site, path string, write func(w io.Writer) e
 
 // ---- process-wide injector ---------------------------------------------
 
-// global is the process-wide injector; nil until Enable — the disabled
-// zero-overhead path, mirroring the telemetry registry.
+// global is the process-wide injector; nil until Enable, which leaves every
+// disk operation uninjected.
 var global atomic.Pointer[Injector]
 
 // Enable installs (or returns the already-installed) process-wide injector.
@@ -408,7 +408,8 @@ func ParseSpec(spec string) ([]Rule, error) {
 				r.Count = n
 			case "rate":
 				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f < 0 || f > 1 {
+				// Written so NaN, which fails every comparison, is rejected.
+				if err != nil || !(f >= 0 && f <= 1) {
 					return nil, fmt.Errorf("diskfaults: bad rate=%q in %q", v, clause)
 				}
 				r.Rate = f

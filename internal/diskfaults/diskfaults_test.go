@@ -32,8 +32,9 @@ func TestNilInjectorPassesThrough(t *testing.T) {
 }
 
 func TestDeterministicNthWriteFault(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	series := telemetry.Name("perspectron_diskfault_injected_total",
+		"site", "s", "op", "write", "kind", "enospc")
+	before := telemetry.Get().CounterValue(series)
 	in := New(1)
 	in.Arm(Rule{Site: "s", Op: OpWrite, Kind: KindENOSPC, After: 2, Count: 1})
 
@@ -56,10 +57,8 @@ func TestDeterministicNthWriteFault(t *testing.T) {
 	if _, err := w.Write([]byte("x")); err != nil {
 		t.Fatalf("write after exhausted rule: %v", err)
 	}
-	got := reg.CounterValue(telemetry.Name("perspectron_diskfault_injected_total",
-		"site", "s", "op", "write", "kind", "enospc"))
-	if got != 1 {
-		t.Fatalf("injected counter = %d, want 1", got)
+	if got := telemetry.Get().CounterValue(series) - before; got != 1 {
+		t.Fatalf("injected counter advanced by %d, want 1", got)
 	}
 }
 
@@ -182,7 +181,8 @@ func TestParseSpec(t *testing.T) {
 	if rules[1].Site != "" || rules[1].Rate != 0.5 || rules[1].Kind != KindSyncFail {
 		t.Fatalf("rule 1 = %+v", rules[1])
 	}
-	for _, bad := range []string{"", "x:y", "s:write:nope", "s:frob:eio", "s:write:eio:after=-1", "s:write:eio:rate=2", "s:write:eio:bogus=1"} {
+	for _, bad := range []string{"", "x:y", "s:write:nope", "s:frob:eio", "s:write:eio:after=-1", "s:write:eio:rate=2", "s:write:eio:bogus=1",
+		"s:write:eio:rate=NaN", "s:write:eio:rate=nan", "s:write:eio:rate=-0.1", "s:write:eio:rate=Inf"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}

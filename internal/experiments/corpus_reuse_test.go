@@ -86,9 +86,7 @@ func TestFaultTolSimulatesEachRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
-	simRuns := func() uint64 { return reg.CounterValue("perspectron_sim_runs_total") }
+	simRuns := func() uint64 { return telemetry.Get().CounterValue("perspectron_sim_runs_total") }
 
 	before := simRuns()
 	if res := FaultTol(cfg); res.Err != nil {

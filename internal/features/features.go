@@ -235,10 +235,9 @@ func SelectCtx(ctx context.Context, X [][]float64, y []float64, comps []stats.Co
 	gSpan.End()
 
 	picked := pickFeatures(mi, groups, comps, cfg)
-	if reg := telemetry.Get(); reg != nil {
-		reg.Gauge("perspectron_select_groups").Set(float64(len(groups)))
-		reg.Gauge("perspectron_select_features").Set(float64(len(picked)))
-	}
+	reg := telemetry.Get()
+	reg.Gauge("perspectron_select_groups").Set(float64(len(groups)))
+	reg.Gauge("perspectron_select_features").Set(float64(len(picked)))
 	return Selection{Indices: picked, Groups: groups, MI: mi}
 }
 

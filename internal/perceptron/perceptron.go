@@ -62,9 +62,9 @@ func New(n int, cfg Config) *Perceptron {
 
 // Fit trains with the perceptron learning rule on bit-packed k-sparse rows X
 // and targets y (±1), shuffling each epoch. The dot product, margin check and
-// weight update iterate only the set bits of each row. When telemetry is
-// enabled, Fit records per-epoch error rates, total epochs/updates, the epoch
-// count at convergence and the quantized weight-saturation count. It is
+// weight update iterate only the set bits of each row. Fit records per-epoch
+// error rates, total epochs/updates, the epoch count at convergence and the
+// quantized weight-saturation count into the process telemetry registry. It is
 // exactly a fresh Trainer run to the config's epoch budget — the incremental
 // path in trainer.go replays the identical epoch loop one step at a time.
 func (p *Perceptron) Fit(X []encoding.BitVec, y []float64) {

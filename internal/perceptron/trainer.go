@@ -177,7 +177,7 @@ func (t *Trainer) Step(X []encoding.BitVec, y []float64) (converged bool) {
 	t.journalShuffle(n)
 	reg.Counter("perspectron_train_epochs_total").Inc()
 	reg.Counter("perspectron_train_updates_total").Add(uint64(updates))
-	if reg != nil && n > 0 {
+	if n > 0 {
 		reg.Histogram("perspectron_train_epoch_error", telemetry.RatioBuckets).
 			Observe(float64(errs) / float64(n))
 	}
@@ -220,10 +220,9 @@ func (t *Trainer) Fit(X []encoding.BitVec, y []float64, budget int) (converged b
 			break
 		}
 	}
-	if reg := telemetry.Get(); reg != nil {
-		reg.Gauge("perspectron_train_epochs_converged").Set(float64(used))
-		reg.Gauge("perspectron_train_saturated_weights").Set(float64(t.p.SaturatedWeights()))
-	}
+	reg := telemetry.Get()
+	reg.Gauge("perspectron_train_epochs_converged").Set(float64(used))
+	reg.Gauge("perspectron_train_saturated_weights").Set(float64(t.p.SaturatedWeights()))
 	return converged
 }
 

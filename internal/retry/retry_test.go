@@ -125,15 +125,15 @@ func TestDoCancelDuringBackoff(t *testing.T) {
 }
 
 func TestDoRecordsTelemetry(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	reg := telemetry.Get()
 	before := reg.CounterValue(telemetry.Name("perspectron_retry_attempts_total", "op", "unit"))
+	giveups := reg.CounterValue(telemetry.Name("perspectron_retry_giveups_total", "op", "unit"))
 	p := Policy{MaxAttempts: 2, Base: time.Millisecond, Max: time.Millisecond}
 	Do(context.Background(), "unit", p, 1, func(int) error { return errors.New("x") })
 	if got := reg.CounterValue(telemetry.Name("perspectron_retry_attempts_total", "op", "unit")); got != before+2 {
 		t.Fatalf("attempts counter = %d, want %d", got, before+2)
 	}
-	if got := reg.CounterValue(telemetry.Name("perspectron_retry_giveups_total", "op", "unit")); got == 0 {
+	if got := reg.CounterValue(telemetry.Name("perspectron_retry_giveups_total", "op", "unit")); got != giveups+1 {
 		t.Fatalf("giveup not recorded")
 	}
 }

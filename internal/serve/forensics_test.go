@@ -2,8 +2,7 @@ package serve
 
 // Verdict-forensics tests: end-to-end tracing + attribution through a live
 // supervisor, the offline Explain round trip (including tamper detection),
-// the flight recorder surface, SLO burn math, and the disabled-everything
-// configuration that the zero-overhead benchmark pins.
+// the flight recorder surface and SLO burn math.
 
 import (
 	"bytes"
@@ -20,8 +19,14 @@ import (
 )
 
 func TestForensicsEndToEnd(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	stages := []string{stageQueue, stageBatch, stageScore, stageLog}
+	stageCount := func(name string) uint64 {
+		return telemetry.Get().Histogram(name, telemetry.LatencyBuckets).Count()
+	}
+	before := map[string]uint64{}
+	for _, name := range stages {
+		before[name] = stageCount(name)
+	}
 	det, _ := testModels(t)
 	var buf bytes.Buffer
 	s, err := New(Config{
@@ -132,9 +137,9 @@ func TestForensicsEndToEnd(t *testing.T) {
 	}
 
 	// Stage histograms observed every scored sample.
-	for _, name := range []string{stageQueue, stageBatch, stageScore, stageLog} {
-		if c := reg.Histogram(name, telemetry.LatencyBuckets).Count(); c == 0 {
-			t.Fatalf("stage histogram %s empty", name)
+	for _, name := range stages {
+		if stageCount(name) == before[name] {
+			t.Fatalf("stage histogram %s observed nothing", name)
 		}
 	}
 

@@ -5,13 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"perspectron/internal/telemetry"
 )
 
 func TestVerdictScannerSkipsCorruptKeepsPartial(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	input := `{"worker":"w","episode":1,"sample":1,"mode":"detector","score":0.5,"flagged":true}` + "\n" +
 		"this is not json\n" +
 		"\n" + // blank lines are tolerated silently
@@ -44,7 +41,7 @@ func TestVerdictScannerSkipsCorruptKeepsPartial(t *testing.T) {
 	if got, want := sc.Consumed(), int64(len(input)); got != want {
 		t.Fatalf("consumed %d bytes, want %d (partial line must not count)", got, want)
 	}
-	if got := reg.CounterValue("perspectron_verdict_corrupt_lines_total"); got != 1 {
+	if got := delta("perspectron_verdict_corrupt_lines_total"); got != 1 {
 		t.Fatalf("corrupt-line counter = %d, want 1", got)
 	}
 }

@@ -13,6 +13,15 @@ import (
 	"perspectron/internal/telemetry"
 )
 
+// counterDelta returns a reader of how far a process-registry counter has
+// advanced since the call: the registry is shared by every test in the
+// process, so each test asserts only its own increments.
+func counterDelta() func(name string) uint64 {
+	reg := telemetry.Get()
+	before := reg.Snapshot().Counters
+	return func(name string) uint64 { return reg.CounterValue(name) - before[name] }
+}
+
 // writeLog joins lines (each becoming one newline-terminated record) plus an
 // optional torn suffix into path.
 func writeLog(t *testing.T, path string, torn string, lines ...string) {
@@ -63,8 +72,7 @@ func TestRepairLogTailCleanAndMissing(t *testing.T) {
 }
 
 func TestRepairLogTailTruncatesAndQuarantines(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "v.jsonl")
 	tornTail := `{"worker":"w","epi` // writer died mid-record
@@ -85,10 +93,10 @@ func TestRepairLogTailTruncatesAndQuarantines(t *testing.T) {
 	if string(quarantined) != tornTail {
 		t.Fatalf("quarantine = %q, want %q", quarantined, tornTail)
 	}
-	if n := reg.CounterValue("perspectron_serve_log_repairs_total"); n != 1 {
+	if n := delta("perspectron_serve_log_repairs_total"); n != 1 {
 		t.Fatalf("repairs counter = %d, want 1", n)
 	}
-	if n := reg.CounterValue("perspectron_serve_log_torn_bytes_total"); n != uint64(len(tornTail)) {
+	if n := delta("perspectron_serve_log_torn_bytes_total"); n != uint64(len(tornTail)) {
 		t.Fatalf("torn-bytes counter = %d, want %d", n, len(tornTail))
 	}
 
@@ -197,8 +205,7 @@ func TestRunRecoveryFirstRun(t *testing.T) {
 }
 
 func TestRunRecoveryAttributesCrashLoss(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	cfg := recoveryCfg(t)
 	// Previous incarnation: stamped session 1, five records reached disk,
 	// then died mid-record. Its last persisted ledger had admitted 10
@@ -225,7 +232,7 @@ func TestRunRecoveryAttributesCrashLoss(t *testing.T) {
 	if rep.State.Enqueued != rep.State.Records+rep.State.Lost {
 		t.Fatalf("invariant broken: %+v", rep.State)
 	}
-	if n := reg.CounterValue("perspectron_serve_lost_on_crash_total"); n != 3 {
+	if n := delta("perspectron_serve_lost_on_crash_total"); n != 3 {
 		t.Fatalf("lost-on-crash counter = %d, want 3", n)
 	}
 	// The new stamp records the crash loss.
@@ -276,8 +283,7 @@ func TestRunRecoveryRebuildsBaselineFromStamps(t *testing.T) {
 }
 
 func TestLoadServeStateCorrupt(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state")
 	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
@@ -286,7 +292,7 @@ func TestLoadServeStateCorrupt(t *testing.T) {
 	if _, ok := loadServeState(path); ok {
 		t.Fatal("corrupt state file loaded")
 	}
-	if n := reg.CounterValue("perspectron_serve_state_corrupt_total"); n != 1 {
+	if n := delta("perspectron_serve_state_corrupt_total"); n != 1 {
 		t.Fatalf("corrupt-state counter = %d, want 1", n)
 	}
 }
@@ -307,8 +313,7 @@ func contentLoader(p string) error {
 }
 
 func TestRecoverCheckpointFallbackChain(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "det.json")
 	chain := lastGoodPaths(path)
@@ -333,7 +338,7 @@ func TestRecoverCheckpointFallbackChain(t *testing.T) {
 	if b, _ := os.ReadFile(path + ".corrupt"); string(b) != "bad!" {
 		t.Fatalf("corrupt primary not quarantined: %q", b)
 	}
-	if n := reg.CounterValue("perspectron_serve_checkpoint_fallback_total"); n != 1 {
+	if n := delta("perspectron_serve_checkpoint_fallback_total"); n != 1 {
 		t.Fatalf("fallback counter = %d, want 1", n)
 	}
 
@@ -443,8 +448,7 @@ func blockRetry(l *verdictLog) {
 }
 
 func TestVerdictLogPersistentENOSPC(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	diskfaults.Disable()
 	in := diskfaults.Enable(1)
 	defer diskfaults.Disable()
@@ -500,13 +504,13 @@ func TestVerdictLogPersistentENOSPC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := reg.CounterValue("perspectron_serve_verdicts_lost_total"); n != 3 {
+	if n := delta("perspectron_serve_verdicts_lost_total"); n != 3 {
 		t.Fatalf("lost counter = %d, want 3", n)
 	}
-	if n := reg.CounterValue("perspectron_serve_disk_error_total"); n != 2 {
+	if n := delta("perspectron_serve_disk_error_total"); n != 2 {
 		t.Fatalf("disk-error counter = %d, want 2", n)
 	}
-	if n := reg.CounterValue("perspectron_serve_disk_recovered_total"); n != 1 {
+	if n := delta("perspectron_serve_disk_recovered_total"); n != 1 {
 		t.Fatalf("recovered counter = %d, want 1", n)
 	}
 
@@ -522,8 +526,6 @@ func TestVerdictLogPersistentENOSPC(t *testing.T) {
 }
 
 func TestVerdictLogTornWriteSealsCorruptLine(t *testing.T) {
-	telemetry.Enable()
-	defer telemetry.Disable()
 	diskfaults.Disable()
 	in := diskfaults.Enable(1)
 	defer diskfaults.Disable()

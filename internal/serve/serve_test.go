@@ -361,8 +361,7 @@ func TestQueueWaitStaysUnderPreemptionSlice(t *testing.T) {
 }
 
 func TestServiceSurvivesWorkloadPanics(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	det, _ := testModels(t)
 	prog := &panicProg{failures: 2}
 	s, err := New(Config{
@@ -385,7 +384,7 @@ func TestServiceSurvivesWorkloadPanics(t *testing.T) {
 	if h.Workers[0].Episodes != 1 || h.Workers[0].Failures != 2 {
 		t.Fatalf("worker health = %+v, want 1 episode after 2 panicked attempts", h.Workers[0])
 	}
-	fails := reg.CounterValue(telemetry.Name("perspectron_serve_episode_failures_total", "worker", "panicker"))
+	fails := delta(telemetry.Name("perspectron_serve_episode_failures_total", "worker", "panicker"))
 	if fails != 2 {
 		t.Fatalf("failure counter = %d, want 2", fails)
 	}
@@ -395,8 +394,7 @@ func TestServiceSurvivesWorkloadPanics(t *testing.T) {
 }
 
 func TestServiceStalledSourceHitsDeadlineAndBreaker(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	det, _ := testModels(t)
 	// Stalls forever (from the deadline's point of view) but self-terminates
 	// so producer goroutines can be reclaimed.
@@ -421,13 +419,13 @@ func TestServiceStalledSourceHitsDeadlineAndBreaker(t *testing.T) {
 	go func() { done <- s.Run(ctx) }()
 	deadline := time.After(25 * time.Second)
 	for {
-		if reg.CounterValue(telemetry.Name("perspectron_serve_breaker_open_total", "worker", "staller")) >= 1 {
+		if delta(telemetry.Name("perspectron_serve_breaker_open_total", "worker", "staller")) >= 1 {
 			break
 		}
 		select {
 		case <-deadline:
 			t.Fatalf("breaker never opened; failures=%d",
-				reg.CounterValue(telemetry.Name("perspectron_serve_episode_failures_total", "worker", "staller")))
+				delta(telemetry.Name("perspectron_serve_episode_failures_total", "worker", "staller")))
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
@@ -477,8 +475,7 @@ func TestServiceDegradesUnderFaults(t *testing.T) {
 }
 
 func TestServiceHotReloadAndRollback(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	delta := counterDelta()
 	det, _ := testModels(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "det.json")
@@ -510,7 +507,7 @@ func TestServiceHotReloadAndRollback(t *testing.T) {
 	if v2 == v1 {
 		t.Fatalf("good checkpoint did not swap in")
 	}
-	if got := reg.CounterValue(telemetry.Name("perspectron_serve_reloads_total", "result", "ok")); got != 1 {
+	if got := delta(telemetry.Name("perspectron_serve_reloads_total", "result", "ok")); got != 1 {
 		t.Fatalf("ok-reload counter = %d, want 1", got)
 	}
 
@@ -529,7 +526,7 @@ func TestServiceHotReloadAndRollback(t *testing.T) {
 	if got := s.Models().Det.Version(); got != v2 {
 		t.Fatalf("corrupt checkpoint changed the live model: %s -> %s", v2, got)
 	}
-	if got := reg.CounterValue(telemetry.Name("perspectron_serve_reloads_total", "result", "rollback")); got != 1 {
+	if got := delta(telemetry.Name("perspectron_serve_reloads_total", "result", "rollback")); got != 1 {
 		t.Fatalf("rollback counter = %d, want 1", got)
 	}
 	h := s.Health()

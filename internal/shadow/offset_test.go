@@ -9,8 +9,8 @@ import (
 )
 
 func TestOffsetRoundTripAndResets(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	reg := telemetry.Get()
+	resets := reg.CounterValue("perspectron_shadow_offset_resets_total")
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "verdicts.jsonl")
 	statePath := logPath + ".offset"
@@ -55,7 +55,7 @@ func TestOffsetRoundTripAndResets(t *testing.T) {
 	if off := loadOffset(statePath, logPath); off != 0 {
 		t.Fatalf("stale offset past EOF: %d, want 0", off)
 	}
-	if n := reg.CounterValue("perspectron_shadow_offset_resets_total"); n != 1 {
+	if n := reg.CounterValue("perspectron_shadow_offset_resets_total") - resets; n != 1 {
 		t.Fatalf("reset counter = %d, want 1", n)
 	}
 	// An offset at exactly EOF is valid — the tail is simply caught up.

@@ -370,17 +370,15 @@ func (t *Trainer) RunOnce(ctx context.Context) (Round, error) {
 		result = "promoted"
 	}
 	reg.Counter(telemetry.Name("perspectron_shadow_rounds_total", "result", result)).Inc()
-	if reg != nil {
-		reg.Event("shadow.round", map[string]any{
-			"round":     r.Round,
-			"samples":   r.FreshSamples,
-			"drift":     r.Drift,
-			"smoothed":  r.SmoothedDrift,
-			"promoted":  promo.Promoted,
-			"candidate": promo.CandidateVersion,
-			"reason":    promo.Reason,
-		})
-	}
+	reg.Event("shadow.round", map[string]any{
+		"round":     r.Round,
+		"samples":   r.FreshSamples,
+		"drift":     r.Drift,
+		"smoothed":  r.SmoothedDrift,
+		"promoted":  promo.Promoted,
+		"candidate": promo.CandidateVersion,
+		"reason":    promo.Reason,
+	})
 	return r, nil
 }
 
@@ -416,11 +414,10 @@ func (t *Trainer) observeDrift(raw float64) float64 {
 	smoothed := t.drift
 	alarm := smoothed > t.cfg.DriftThreshold
 	t.mu.Unlock()
-	if reg := telemetry.Get(); reg != nil {
-		reg.Gauge("perspectron_shadow_drift").Set(smoothed)
-		if alarm {
-			reg.Counter("perspectron_shadow_drift_alarms_total").Inc()
-		}
+	reg := telemetry.Get()
+	reg.Gauge("perspectron_shadow_drift").Set(smoothed)
+	if alarm {
+		reg.Counter("perspectron_shadow_drift_alarms_total").Inc()
 	}
 	return smoothed
 }

@@ -141,10 +141,9 @@ func (m *Machine) RunStreamCtx(ctx context.Context, stream isa.Stream, maxInsts,
 	m.DRAM.FinishAt(m.Pipe.Cycle())
 	trailing = true
 	sampler.Flush(sampleInterval / 2)
-	if reg := telemetry.Get(); reg != nil {
-		reg.Counter("perspectron_sim_runs_total").Inc()
-		reg.Counter("perspectron_sim_samples_total").Add(uint64(idx))
-	}
+	reg := telemetry.Get()
+	reg.Counter("perspectron_sim_runs_total").Inc()
+	reg.Counter("perspectron_sim_samples_total").Add(uint64(idx))
 	return idx
 }
 

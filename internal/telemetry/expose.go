@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -13,9 +12,6 @@ import (
 // format (version 0.0.4), deterministically ordered: families sorted by
 // name, series sorted within each family, one # TYPE line per family.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	counterNames := sortedKeys(r.counters)
 	gaugeNames := sortedKeys(r.gauges)
@@ -114,16 +110,12 @@ type HistogramSnapshot struct {
 	Buckets []uint64  `json:"buckets"`
 }
 
-// Snapshot captures every instrument's current value. A nil registry
-// snapshots empty.
+// Snapshot captures every instrument's current value.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
-	}
-	if r == nil {
-		return s
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -146,34 +138,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	return s
-}
-
-// Families returns the distinct metric family names present, sorted — a
-// debugging and test aid.
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := map[string]bool{}
-	add := func(name string) {
-		family, _ := splitName(name)
-		seen[family] = true
-	}
-	for name := range r.counters {
-		add(name)
-	}
-	for name := range r.gauges {
-		add(name)
-	}
-	for name := range r.hists {
-		add(name)
-	}
-	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }

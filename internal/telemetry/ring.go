@@ -14,6 +14,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync/atomic"
@@ -26,55 +27,38 @@ type ringEntry struct {
 	v   any
 }
 
-// Ring is a fixed-capacity lock-free ring of recent values. The nil Ring
-// absorbs Push and snapshots empty, mirroring the nil-instrument contract.
+// Ring is a fixed-capacity lock-free ring of recent values.
 type Ring struct {
 	slots []atomic.Pointer[ringEntry]
 	seq   atomic.Uint64
 }
 
-// NewRing returns a ring holding the most recent n values; n <= 0 returns
-// nil (the disabled ring).
+// NewRing returns a ring holding the most recent n values. It panics when
+// n <= 0: a ring must hold at least one value.
 func NewRing(n int) *Ring {
 	if n <= 0 {
-		return nil
+		panic(fmt.Sprintf("telemetry: NewRing(%d): capacity must be positive", n))
 	}
 	return &Ring{slots: make([]atomic.Pointer[ringEntry], n)}
 }
 
 // Push appends v, overwriting the oldest entry once the ring is full.
 func (r *Ring) Push(v any) {
-	if r == nil {
-		return
-	}
 	seq := r.seq.Add(1)
 	r.slots[(seq-1)%uint64(len(r.slots))].Store(&ringEntry{seq: seq, v: v})
 }
 
-// Cap returns the ring's capacity (0 for the nil Ring).
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
+// Cap returns the ring's capacity.
+func (r *Ring) Cap() int { return len(r.slots) }
 
 // Count returns the total number of values ever pushed (not the number
 // currently held, which is min(Count, Cap)).
-func (r *Ring) Count() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.seq.Load()
-}
+func (r *Ring) Count() uint64 { return r.seq.Load() }
 
 // Snapshot returns the currently held values, oldest first. Entries pushed
 // concurrently with the snapshot may or may not appear; each returned value
 // is a complete entry.
 func (r *Ring) Snapshot() []any {
-	if r == nil {
-		return nil
-	}
 	entries := make([]*ringEntry, 0, len(r.slots))
 	for i := range r.slots {
 		if e := r.slots[i].Load(); e != nil {
@@ -99,14 +83,10 @@ type RingSnapshot struct {
 }
 
 // RingHandler exports a ring as a JSON debug endpoint: the held entries
-// oldest-first plus capacity and total-pushed accounting. A nil ring serves
-// an empty snapshot, so the route can be mounted unconditionally.
+// oldest-first plus capacity and total-pushed accounting.
 func RingHandler(r *Ring) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		snap := RingSnapshot{Capacity: r.Cap(), Count: r.Count(), Entries: r.Snapshot()}
-		if snap.Entries == nil {
-			snap.Entries = []any{}
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -49,14 +50,16 @@ func TestRingWrapsOldestFirst(t *testing.T) {
 	}
 }
 
-func TestRingNilAndDisabled(t *testing.T) {
-	var r *Ring
-	r.Push("ignored")
-	if r.Cap() != 0 || r.Count() != 0 || r.Snapshot() != nil {
-		t.Fatal("nil ring must absorb all operations")
-	}
-	if NewRing(0) != nil || NewRing(-1) != nil {
-		t.Fatal("non-positive capacity must return the nil (disabled) ring")
+func TestNewRingPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRing(%d) did not panic", n)
+				}
+			}()
+			NewRing(n)
+		}()
 	}
 }
 
@@ -134,15 +137,20 @@ func TestRingHandlerJSON(t *testing.T) {
 	}
 }
 
-func TestRingHandlerNilRing(t *testing.T) {
+// TestRingHandlerEmptyRing pins that a ring nothing was pushed into serves
+// an empty entries array, not null.
+func TestRingHandlerEmptyRing(t *testing.T) {
 	rec := httptest.NewRecorder()
-	RingHandler(nil).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/verdicts", nil))
+	RingHandler(NewRing(4)).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/verdicts", nil))
+	if !strings.Contains(rec.Body.String(), `"entries": []`) {
+		t.Fatalf("empty ring body lacks an empty entries array:\n%s", rec.Body.String())
+	}
 	var snap RingSnapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if snap.Capacity != 0 || snap.Count != 0 || len(snap.Entries) != 0 {
-		t.Fatalf("nil ring snapshot = %+v, want empty", snap)
+	if snap.Capacity != 4 || snap.Count != 0 || len(snap.Entries) != 0 {
+		t.Fatalf("empty ring snapshot = %+v, want capacity 4 and nothing held", snap)
 	}
 }
 

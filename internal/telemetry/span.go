@@ -17,8 +17,7 @@ type spanCtxKey struct{}
 
 // Span measures one pipeline phase's wall time. End records the duration
 // into the registry's phase histogram and, when an event sink is attached,
-// appends a JSONL run event. The nil Span (returned when tracing is
-// disabled) absorbs End.
+// appends a JSONL run event.
 type Span struct {
 	reg   *Registry
 	path  string
@@ -33,12 +32,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 // StartSpan opens a span. The returned context carries the span's path so
 // that child spans started under it render hierarchically
-// ("train/select/mi"). On a nil registry the context is returned unchanged
-// with a nil span.
+// ("train/select/mi").
 func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if r == nil {
-		return ctx, nil
-	}
 	path := name
 	if parent, ok := ctx.Value(spanCtxKey{}).(string); ok && parent != "" {
 		path = parent + "/" + name
@@ -47,20 +42,12 @@ func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context,
 		&Span{reg: r, path: path, start: time.Now()}
 }
 
-// Path returns the span's hierarchical phase path ("" for the nil Span).
-func (s *Span) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}
+// Path returns the span's hierarchical phase path.
+func (s *Span) Path() string { return s.path }
 
 // End closes the span: the elapsed wall time is recorded into
 // perspectron_phase_seconds{phase=<path>} and emitted to the event sink.
 func (s *Span) End() {
-	if s == nil {
-		return
-	}
 	secs := time.Since(s.start).Seconds()
 	s.reg.Histogram(Name(PhaseMetric, "phase", s.path), DurationBuckets).Observe(secs)
 	if s.reg.hasSink.Load() {
@@ -76,9 +63,6 @@ type eventSink struct{ w io.Writer }
 // serializes writes; the caller retains ownership of w (close it after
 // detaching).
 func (r *Registry) SetEventSink(w io.Writer) {
-	if r == nil {
-		return
-	}
 	r.sinkMu.Lock()
 	r.sink = eventSink{w: w}
 	r.hasSink.Store(w != nil)
@@ -89,7 +73,7 @@ func (r *Registry) SetEventSink(w io.Writer) {
 // event sink, if one is attached. Use it for one-shot run outcomes that have
 // no natural metric shape — a detection verdict, a training summary.
 func (r *Registry) Event(name string, fields map[string]any) {
-	if r == nil || !r.hasSink.Load() {
+	if !r.hasSink.Load() {
 		return
 	}
 	ev := map[string]any{"event": name}

@@ -6,13 +6,14 @@
 // records into it; docs/OBSERVABILITY.md catalogues the metric names and the
 // span hierarchy.
 //
-// Telemetry is off by default. The process-wide registry starts nil and every
-// instrument operation on a nil registry — or on the nil instrument handles a
-// nil registry returns — is a single pointer check, so uninstrumented runs
-// pay effectively nothing (the nil fast path is pinned by benchmarks in this
-// package and on Detector.Monitor). CLIs switch it on with Enable when a
-// telemetry flag is given; isolated consumers (the corpus store, tests)
-// create private registries with NewRegistry.
+// Telemetry is always on: Get returns the one process-wide registry from
+// the start, and every process records into it. What is exposed is chosen
+// separately — the CLIs' -metrics-addr and -trace-out flags attach the HTTP
+// server and the event sink (see telemetrycli). Isolated consumers (the
+// corpus store's tests, unit tests) create private registries with
+// NewRegistry. Callers fetch instrument handles outside hot loops, because a
+// lookup takes the registry's mutex; an operation on a held handle is one
+// or a few atomics.
 package telemetry
 
 import (
@@ -24,9 +25,7 @@ import (
 )
 
 // Registry holds a process- or component-scoped set of named instruments.
-// All methods are safe for concurrent use, and all methods on a nil
-// *Registry are no-ops returning nil instruments, whose methods are in turn
-// no-ops: callers never branch on whether telemetry is enabled.
+// All methods are safe for concurrent use.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -50,62 +49,32 @@ func NewRegistry() *Registry {
 }
 
 // global is the process-wide registry the pipeline instruments record into.
-// It is nil until Enable — the disabled fast path.
-var global atomic.Pointer[Registry]
+var global = NewRegistry()
 
-// Enable installs (or returns the already-installed) process-wide registry.
-func Enable() *Registry {
-	if r := global.Load(); r != nil {
-		return r
-	}
-	r := NewRegistry()
-	if global.CompareAndSwap(nil, r) {
-		return r
-	}
-	return global.Load()
-}
+// Get returns the process-wide registry.
+func Get() *Registry { return global }
 
-// Get returns the process-wide registry, or nil when telemetry is disabled.
-// All instrument methods tolerate the nil result, so call sites read
-// naturally: telemetry.Get().Counter("x").Inc().
-func Get() *Registry { return global.Load() }
-
-// Disable removes the process-wide registry; subsequent Get calls return nil
-// and instrumentation reverts to the zero-overhead path. Existing instrument
-// handles keep working against the detached registry.
-func Disable() { global.Store(nil) }
+// Enable returns Get(). It remains only because the benchmark harness
+// (bench/child.go) still calls it; delete it when that file is next edited.
+func Enable() *Registry { return Get() }
 
 // ---- counters ---------------------------------------------------------------
 
-// Counter is a monotonically increasing uint64. The nil Counter (returned by
-// a nil Registry) absorbs all operations.
+// Counter is a monotonically increasing uint64.
 type Counter struct{ v atomic.Uint64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count (0 for the nil Counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Counter returns the named counter, creating it on first use. Series labels
 // are part of the name, in canonical form (see Name).
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
@@ -117,36 +86,27 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // CounterValue reads the named counter without creating it; missing counters
-// (and nil registries) read as 0.
+// read as 0.
 func (r *Registry) CounterValue(name string) uint64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	c := r.counters[name]
 	r.mu.Unlock()
+	if c == nil {
+		return 0
+	}
 	return c.Value()
 }
 
 // ---- gauges -----------------------------------------------------------------
 
-// Gauge is a float64 that can go up and down (stored as atomic bits). The
-// nil Gauge absorbs all operations.
+// Gauge is a float64 that can go up and down (stored as atomic bits).
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the gauge by d.
 func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
@@ -155,19 +115,11 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// Value returns the current value (0 for the nil Gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
+// Value returns the current value.
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -178,22 +130,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// GaugeValue reads the named gauge without creating it.
-func (r *Registry) GaugeValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	g := r.gauges[name]
-	r.mu.Unlock()
-	return g.Value()
-}
-
 // ---- histograms -------------------------------------------------------------
 
 // Histogram counts observations into fixed cumulative-style buckets (upper
-// bounds ascending, implicit +Inf last) and tracks sum and count. The nil
-// Histogram absorbs all operations.
+// bounds ascending, implicit +Inf last) and tracks sum and count.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Uint64 // len(bounds)+1; last is the +Inf overflow
@@ -203,9 +143,6 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -220,30 +157,17 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations (0 for the nil Histogram).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of observations (0 for the nil Histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
+// Sum returns the sum of observations.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Histogram returns the named histogram, creating it with the given bucket
 // upper bounds (which must be ascending and are not copied; treat the slice
 // as immutable) on first use. A later call with different bounds returns the
 // original instrument unchanged.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]

@@ -30,8 +30,8 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	if got := g.Value(); got != 1.5 {
 		t.Errorf("gauge = %v, want 1.5", got)
 	}
-	if got := r.GaugeValue("g"); got != 1.5 {
-		t.Errorf("GaugeValue = %v, want 1.5", got)
+	if got := r.Gauge("g").Value(); got != 1.5 {
+		t.Errorf("Gauge(g).Value = %v, want 1.5", got)
 	}
 
 	h := r.Histogram("h", []float64{1, 10})
@@ -50,51 +50,17 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	}
 }
 
-func TestNilRegistryIsNoOp(t *testing.T) {
-	var r *Registry
-	r.Counter("c").Inc()
-	r.Counter("c").Add(3)
-	r.Gauge("g").Set(1)
-	r.Gauge("g").Add(1)
-	r.Histogram("h", ScoreBuckets).Observe(0.5)
-	if r.CounterValue("c") != 0 || r.GaugeValue("g") != 0 {
-		t.Error("nil registry reported nonzero values")
-	}
-	ctx, span := r.StartSpan(context.Background(), "x")
-	if span != nil {
-		t.Error("nil registry returned a non-nil span")
-	}
-	span.End() // must not panic
-	if ctx != context.Background() {
-		t.Error("nil registry modified the context")
-	}
-	r.SetEventSink(&bytes.Buffer{})
-	r.Event("e", nil)
-	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
-		t.Errorf("nil WritePrometheus: %v", err)
-	}
-	if fams := r.Families(); fams != nil {
-		t.Errorf("nil Families = %v, want nil", fams)
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
-		t.Error("nil Snapshot not empty")
-	}
-}
-
-func TestEnableDisableGlobal(t *testing.T) {
-	Disable()
-	t.Cleanup(Disable)
-	if Get() != nil {
-		t.Fatal("Get before Enable should be nil")
-	}
-	r := Enable()
+// TestGetIsOneLiveRegistry pins the always-on contract: the process
+// registry exists from the start and is the same value on every call.
+func TestGetIsOneLiveRegistry(t *testing.T) {
+	r := Get()
 	if r == nil || Get() != r || Enable() != r {
-		t.Fatal("Enable/Get did not return a stable registry")
+		t.Fatal("Get/Enable did not return one stable registry")
 	}
-	Disable()
-	if Get() != nil {
-		t.Fatal("Get after Disable should be nil")
+	before := r.CounterValue("telemetry_test_live_total")
+	Get().Counter("telemetry_test_live_total").Inc()
+	if got := r.CounterValue("telemetry_test_live_total"); got != before+1 {
+		t.Fatalf("process registry counter advanced by %d, want 1", got-before)
 	}
 }
 
@@ -117,7 +83,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.CounterValue("c_total"); got != workers*per {
 		t.Errorf("counter = %d, want %d", got, workers*per)
 	}
-	if got := r.GaugeValue("g"); got != workers*per {
+	if got := r.Gauge("g").Value(); got != workers*per {
 		t.Errorf("gauge = %v, want %d", got, workers*per)
 	}
 	h := r.Histogram("h", RatioBuckets)

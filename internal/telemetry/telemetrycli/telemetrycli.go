@@ -1,8 +1,9 @@
 // Package telemetrycli wires the shared telemetry flags into the command
 // line tools: every CLI registers -metrics-addr, -trace-out and
 // -metrics-hold through Register and brackets its work with Options.Start.
-// When neither flag is given, Start is a no-op and the process keeps the
-// zero-overhead nil-registry path.
+// The process registry is always recording; the flags only choose what is
+// exposed — the HTTP server and the run-event log. When neither flag is
+// given, Start starts nothing.
 package telemetrycli
 
 import (
@@ -13,7 +14,6 @@ import (
 	"os"
 	"time"
 
-	"perspectron/internal/corpus"
 	"perspectron/internal/telemetry"
 )
 
@@ -47,18 +47,13 @@ func Register(fs *flag.FlagSet) *Options {
 	return o
 }
 
-// Start enables the process-wide telemetry registry when any telemetry flag
-// was given, points the shared corpus store's accounting at it (so corpus
-// cache series appear in the exposition), opens the run-event log, and
-// starts the metrics server. The returned stop function flushes and tears
-// everything down — and, when -metrics-hold is set, first keeps the metrics
-// endpoint alive for that duration so a scraper can read the completed run.
+// Start exposes the process-wide telemetry registry as the flags ask: it
+// attaches -trace-out as the run-event log and serves -metrics-addr. The
+// returned stop function flushes and tears everything down — and, when
+// -metrics-hold is set, first keeps the metrics endpoint alive for that
+// duration so a scraper can read the completed run.
 func (o *Options) Start() (stop func(), err error) {
-	if o.Addr == "" && o.TraceOut == "" {
-		return func() {}, nil
-	}
-	reg := telemetry.Enable()
-	corpus.Default().SetRegistry(reg)
+	reg := telemetry.Get()
 
 	var closers []func()
 	if o.TraceOut != "" {

@@ -29,15 +29,23 @@ func TestRegisterInstallsFlags(t *testing.T) {
 	}
 }
 
+// TestStartNoFlagsIsNoOp pins that Start without flags exposes nothing: no
+// server is bound and no event sink is attached to the process registry.
 func TestStartNoFlagsIsNoOp(t *testing.T) {
-	stop, err := (&Options{}).Start()
+	o := &Options{}
+	stop, err := o.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if telemetry.Get() != nil {
-		t.Fatal("no-flag Start enabled the global registry")
+	defer stop()
+	if o.Bound != "" {
+		t.Fatalf("no-flag Start bound a metrics server on %s", o.Bound)
 	}
-	stop()
+	// An Event allocates only when a sink is attached to write it.
+	fields := map[string]any{"k": 1}
+	if n := testing.AllocsPerRun(10, func() { telemetry.Get().Event("no_flags", fields) }); n != 0 {
+		t.Fatalf("no-flag Start attached an event sink (Event allocated %v times)", n)
+	}
 }
 
 func TestStartServesMetricsAndWritesTrace(t *testing.T) {
@@ -47,12 +55,11 @@ func TestStartServesMetricsAndWritesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(telemetry.Disable)
+	if o.Bound == "" {
+		t.Fatal("Start did not report the bound metrics address")
+	}
 
 	reg := telemetry.Get()
-	if reg == nil {
-		t.Fatal("Start did not enable the global registry")
-	}
 	reg.Counter("perspectron_test_total").Inc()
 	_, span := reg.StartSpan(context.Background(), "smoke")
 	span.End()
@@ -98,5 +105,4 @@ func TestStartBadTraceOutFails(t *testing.T) {
 	if _, err := o.Start(); err == nil {
 		t.Fatal("Start with an unwritable -trace-out succeeded")
 	}
-	telemetry.Disable()
 }

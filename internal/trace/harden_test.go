@@ -191,8 +191,7 @@ func TestCollectCtxCancelStopsScheduling(t *testing.T) {
 // accounting: a collection that retries must show up under op="collect" in
 // the attempt counter and the backoff-sleep histogram.
 func TestCollectRetryRecordsBackoffTelemetry(t *testing.T) {
-	reg := telemetry.Enable()
-	defer telemetry.Disable()
+	reg := telemetry.Get()
 	attemptSeries := telemetry.Name("perspectron_retry_attempts_total", "op", "collect")
 	before := reg.CounterValue(attemptSeries)
 

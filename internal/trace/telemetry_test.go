@@ -35,9 +35,14 @@ func TestSummaryOmitsHealthWhenClean(t *testing.T) {
 }
 
 func TestCollectRecordsTelemetry(t *testing.T) {
-	telemetry.Disable()
-	reg := telemetry.Enable()
-	t.Cleanup(telemetry.Disable)
+	reg := telemetry.Get()
+	counter := func(name string) uint64 { return reg.CounterValue(name) }
+	hist := func(name string) uint64 { return reg.Histogram(name, telemetry.DurationBuckets).Count() }
+	runSeconds := telemetry.Name("perspectron_collect_run_seconds", "workload", "panicker")
+	phase := telemetry.Name(telemetry.PhaseMetric, "phase", "collect")
+	runs, dropped, retries := counter("perspectron_collect_runs_total"),
+		counter("perspectron_collect_runs_dropped_total"), counter("perspectron_collect_run_retries_total")
+	runObs, phaseObs := hist(runSeconds), hist(phase)
 
 	var attempts int32
 	progs := []workload.Program{
@@ -48,22 +53,20 @@ func TestCollectRecordsTelemetry(t *testing.T) {
 	if len(ds.Dropped) != 1 {
 		t.Fatalf("Dropped = %v, want 1", ds.Dropped)
 	}
-	if got := reg.CounterValue("perspectron_collect_runs_total"); got != 1 {
-		t.Errorf("runs counter = %d, want 1", got)
+	if got := counter("perspectron_collect_runs_total") - runs; got != 1 {
+		t.Errorf("runs counter advanced by %d, want 1", got)
 	}
-	if got := reg.CounterValue("perspectron_collect_runs_dropped_total"); got != 1 {
-		t.Errorf("dropped counter = %d, want 1", got)
+	if got := counter("perspectron_collect_runs_dropped_total") - dropped; got != 1 {
+		t.Errorf("dropped counter advanced by %d, want 1", got)
 	}
-	if got := reg.CounterValue("perspectron_collect_run_retries_total"); got != 1 {
-		t.Errorf("retries counter = %d, want 1", got)
+	if got := counter("perspectron_collect_run_retries_total") - retries; got != 1 {
+		t.Errorf("retries counter advanced by %d, want 1", got)
 	}
-	name := telemetry.Name("perspectron_collect_run_seconds", "workload", "panicker")
-	if got := reg.Histogram(name, telemetry.DurationBuckets).Count(); got != 1 {
+	if got := hist(runSeconds) - runObs; got != 1 {
 		t.Errorf("per-workload run-seconds observations = %d, want 1", got)
 	}
 	// The phase span recorded collect wall time.
-	phase := telemetry.Name(telemetry.PhaseMetric, "phase", "collect")
-	if got := reg.Histogram(phase, telemetry.DurationBuckets).Count(); got != 1 {
+	if got := hist(phase) - phaseObs; got != 1 {
 		t.Errorf("collect phase observations = %d, want 1", got)
 	}
 	_ = atomic.LoadInt32(&attempts)

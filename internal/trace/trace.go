@@ -177,10 +177,7 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 					continue
 				}
 				var out []Sample
-				var start time.Time
-				if reg != nil {
-					start = time.Now()
-				}
+				start := time.Now()
 				pol := cfg.Backoff
 				if pol == (retry.Policy{}) {
 					pol = collectBackoff
@@ -206,12 +203,10 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 					retried += attempts - 1
 					mu.Unlock()
 				}
-				if reg != nil {
-					name := telemetry.Name("perspectron_collect_run_seconds",
-						"workload", j.prog.Info().Name)
-					reg.Histogram(name, telemetry.DurationBuckets).
-						Observe(time.Since(start).Seconds())
-				}
+				name := telemetry.Name("perspectron_collect_run_seconds",
+					"workload", j.prog.Info().Name)
+				reg.Histogram(name, telemetry.DurationBuckets).
+					Observe(time.Since(start).Seconds())
 				if err != nil {
 					drop(j, err.Error())
 					continue
@@ -234,12 +229,10 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 		ds.Samples = append(ds.Samples, r...)
 	}
 	ds.Retried = retried
-	if reg != nil {
-		reg.Counter("perspectron_collect_runs_total").Add(uint64(len(jobs)))
-		reg.Counter("perspectron_collect_run_retries_total").Add(uint64(ds.Retried))
-		reg.Counter("perspectron_collect_runs_dropped_total").Add(uint64(len(ds.Dropped)))
-		reg.Counter("perspectron_collect_samples_total").Add(uint64(len(ds.Samples)))
-	}
+	reg.Counter("perspectron_collect_runs_total").Add(uint64(len(jobs)))
+	reg.Counter("perspectron_collect_run_retries_total").Add(uint64(ds.Retried))
+	reg.Counter("perspectron_collect_runs_dropped_total").Add(uint64(len(ds.Dropped)))
+	reg.Counter("perspectron_collect_samples_total").Add(uint64(len(ds.Samples)))
 	return ds
 }
 

@@ -454,10 +454,8 @@ func (d *Detector) MonitorFaulty(w Workload, maxInsts uint64, seed int64, fc Fau
 func (d *Detector) Replay(rec *Recording, fc *FaultConfig) (*Report, error) {
 	fold := newReportFold(rec.Workload, rec.Malicious, d.Interval)
 
-	// Telemetry instruments are fetched once before the sample loop; on the
-	// disabled (nil registry) path every handle is nil and each per-sample
-	// operation is a single pointer check, keeping the hot loop at its
-	// uninstrumented cost.
+	// Telemetry instruments are fetched once before the sample loop, so the
+	// hot loop pays atomics, not registry lookups.
 	reg := telemetry.Get()
 	scoreHist := reg.Histogram("perspectron_monitor_score", telemetry.ScoreBuckets)
 	latencyHist := reg.Histogram("perspectron_monitor_sample_seconds", telemetry.LatencyBuckets)
@@ -465,14 +463,9 @@ func (d *Detector) Replay(rec *Recording, fc *FaultConfig) (*Report, error) {
 	flaggedCtr := reg.Counter("perspectron_monitor_flagged_total")
 	_, span := reg.StartSpan(context.Background(), "monitor")
 	scorer, err := rec.replay(d, nil, d.Interval, fc, func(scorer *RawScorer, rs RawSample) {
-		var start time.Time
-		if reg != nil {
-			start = time.Now()
-		}
+		start := time.Now()
 		score, flagged, coverage := scorer.Detect(rs)
-		if reg != nil {
-			latencyHist.Observe(time.Since(start).Seconds())
-		}
+		latencyHist.Observe(time.Since(start).Seconds())
 		scoreHist.Observe(score)
 		sampleCtr.Inc()
 		if flagged {
@@ -485,16 +478,14 @@ func (d *Detector) Replay(rec *Recording, fc *FaultConfig) (*Report, error) {
 		return nil, err
 	}
 	rep := fold.finish(rec.LeakSamples, scorer.detIdx)
-	if reg != nil {
-		reg.Gauge("perspectron_monitor_coverage").Set(rep.Coverage)
-		reg.Event("monitor", map[string]any{
-			"workload":  rep.Workload,
-			"malicious": rep.Malicious,
-			"detected":  rep.Detected,
-			"samples":   len(rep.Samples),
-			"coverage":  rep.Coverage,
-		})
-	}
+	reg.Gauge("perspectron_monitor_coverage").Set(rep.Coverage)
+	reg.Event("monitor", map[string]any{
+		"workload":  rep.Workload,
+		"malicious": rep.Malicious,
+		"detected":  rep.Detected,
+		"samples":   len(rep.Samples),
+		"coverage":  rep.Coverage,
+	})
 	return rep, nil
 }
 

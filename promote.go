@@ -172,15 +172,13 @@ func PromoteDetector(candPath, livePath string, golden *GoldenSet) (*Promotion, 
 	}
 	p.Promoted = true
 	reg.Counter(telemetry.Name("perspectron_promote_total", "result", "promoted")).Inc()
-	if reg != nil {
-		reg.Event("promote", map[string]any{
-			"candidate": p.CandidateVersion,
-			"baseline":  p.BaselineVersion,
-			"reason":    p.Reason,
-			"accuracy":  p.Candidate.Accuracy,
-			"auc":       p.Candidate.AUC,
-		})
-	}
+	reg.Event("promote", map[string]any{
+		"candidate": p.CandidateVersion,
+		"baseline":  p.BaselineVersion,
+		"reason":    p.Reason,
+		"accuracy":  p.Candidate.Accuracy,
+		"auc":       p.Candidate.AUC,
+	})
 	return p, nil
 }
 
