@@ -10,7 +10,7 @@ BENCH ?= .
 # (single-iteration numbers are noise).
 HOTPATH_BENCHTIME ?= 5x
 
-.PHONY: ci vet build test race fuzz bench bench-hotpath bench-select bench-sim smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
+.PHONY: ci vet build test race fuzz bench bench-hotpath bench-select bench-verdict bench-sim smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
 
 # ci is the gate for every PR: static analysis, a full build, and the test
 # suite under the race detector (trace.Collect and the experiments fan out
@@ -93,6 +93,20 @@ bench-select:
 	cat "$$tmp"; \
 	$(GO) run ./cmd/benchjson -in "$$tmp" -out /dev/null -min-iters 5 \
 		-require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'
+
+# bench-verdict is the verdict-cost guard (CI-gated): measure
+# BenchmarkServeForensicsOverhead fresh at 5 iterations per arm into a
+# temporary file and fail unless the verdict arm (scoreItem at serve's
+# defaults: trace ID, stage timings and histograms, attribution, flight
+# recorder, SLO burn) costs under four times the score arm (bare
+# RawScorer.Detect), or if either arm ran fewer than 5 iterations. Nothing
+# is written to the repository.
+bench-verdict:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test -bench '^BenchmarkServeForensicsOverhead$$' -benchmem -benchtime 5x -run '^$$' ./internal/serve > "$$tmp" || { cat "$$tmp"; exit 1; }; \
+	cat "$$tmp"; \
+	$(GO) run ./cmd/benchjson -in "$$tmp" -out /dev/null -min-iters 5 \
+		-require-faster 'BenchmarkServeForensicsOverhead/verdict<4*BenchmarkServeForensicsOverhead/score'
 
 # bench-sim regenerates BENCH_sim.json: BenchmarkSimulatorStream runs one
 # 500K-instruction RunStream per op on each serve stream (the benchmark's sim

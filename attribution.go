@@ -45,9 +45,12 @@ type Contribution struct {
 // ascending); k <= 0 returns all fired features. fired may be unsorted; it
 // is not modified.
 func (d *Detector) AttributeFired(fired []int, k int) (score float64, attr []Contribution, err error) {
-	slots := make([]int, len(fired))
-	copy(slots, fired)
-	sort.Ints(slots)
+	slots := fired
+	if !sort.IntsAreSorted(slots) {
+		slots = append([]int(nil), fired...)
+		sort.Ints(slots)
+	}
+	bits := encoding.NewBitVec(len(d.Weights))
 	for i, slot := range slots {
 		if slot < 0 || slot >= len(d.Weights) {
 			return 0, nil, fmt.Errorf("perspectron: fired slot %d outside model width %d", slot, len(d.Weights))
@@ -55,36 +58,56 @@ func (d *Detector) AttributeFired(fired []int, k int) (score float64, attr []Con
 		if i > 0 && slots[i-1] == slot {
 			return 0, nil, fmt.Errorf("perspectron: fired slot %d duplicated", slot)
 		}
-	}
-	bits := encoding.NewBitVec(len(d.Weights))
-	norm := math.Abs(d.Bias)
-	for _, slot := range slots {
 		bits.Set(slot)
-		norm += math.Abs(d.Weights[slot])
 	}
 	score = encoding.MarginPacked(d.Bias, d.Weights, bits)
-	attr = make([]Contribution, len(slots))
-	for i, slot := range slots {
-		c := Contribution{Slot: slot, Weight: d.Weights[slot]}
-		if slot < len(d.FeatureNames) {
-			c.Feature = d.FeatureNames[slot]
+	return score, d.topContributions(slots, k), nil
+}
+
+// topContributions returns the top-k contributions over fired, which must
+// be ascending, in range and duplicate-free; k <= 0 or k > len(fired) keeps
+// them all. Each slot is ranked by insertion into a k-slot array ordered by
+// |Weight| descending: slots arrive ascending, so a newcomer goes after
+// every entry of equal magnitude, which is the slot-ascending tie-break.
+// The norm |bias| + Σ|w_fired| accumulates in the same ascending order as
+// encoding.RawNorm, so every Share is bit-identical to one derived from the
+// scorer's own norm. The result is never nil, even for an empty fired set.
+func (d *Detector) topContributions(fired []int, k int) []Contribution {
+	if k <= 0 || k > len(fired) {
+		k = len(fired)
+	}
+	top := make([]Contribution, 0, k)
+	norm := math.Abs(d.Bias)
+	floor := 0.0 // |Weight| of the last kept contribution once top is full
+	for _, slot := range fired {
+		w := d.Weights[slot]
+		mag := math.Abs(w)
+		norm += mag
+		i := len(top)
+		if i < k {
+			top = top[:i+1]
+		} else if mag <= floor {
+			continue // ranks below every kept contribution
+		} else {
+			i = k - 1 // evict the last kept contribution
+		}
+		for ; i > 0 && math.Abs(top[i-1].Weight) < mag; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = Contribution{Slot: slot, Weight: w}
+		if len(top) == k {
+			floor = math.Abs(top[k-1].Weight)
+		}
+	}
+	for i := range top {
+		if slot := top[i].Slot; slot < len(d.FeatureNames) {
+			top[i].Feature = d.FeatureNames[slot]
 		}
 		if norm != 0 {
-			c.Share = c.Weight / norm
+			top[i].Share = top[i].Weight / norm
 		}
-		attr[i] = c
 	}
-	sort.SliceStable(attr, func(i, j int) bool {
-		ai, aj := math.Abs(attr[i].Weight), math.Abs(attr[j].Weight)
-		if ai != aj {
-			return ai > aj
-		}
-		return attr[i].Slot < attr[j].Slot
-	})
-	if k > 0 && k < len(attr) {
-		attr = attr[:k]
-	}
-	return score, attr, nil
+	return top
 }
 
 // appendSetBits appends the set-bit positions of v to dst, ascending — the
@@ -102,9 +125,10 @@ func appendSetBits(dst []int, v encoding.BitVec) []int {
 
 // Attribution explains the sample most recently passed to Detect: the fired
 // slot set (ascending) and the top-k contributions, exactly consistent with
-// the score Detect returned. It costs one bit walk plus a sort over the
-// fired set — call it only for verdicts worth explaining (flagged samples,
-// a sampled fraction of benign ones). Errors before any Detect call or
+// the score Detect returned. It costs one bit walk plus an insertion of each
+// fired slot into the k-slot top list — O(fired·k), cheap at serving's
+// default k; call it only for verdicts worth explaining (flagged samples, a
+// sampled fraction of benign ones). Errors before any Detect call or
 // without a detector.
 func (r *RawScorer) Attribution(k int) (fired []int, attr []Contribution, err error) {
 	if r.det == nil {
@@ -113,10 +137,8 @@ func (r *RawScorer) Attribution(k int) (fired []int, attr []Contribution, err er
 	if r.detBits == nil {
 		return nil, nil, fmt.Errorf("perspectron: attribution before any Detect call")
 	}
-	fired = appendSetBits(nil, r.detBits)
-	_, attr, err = r.det.AttributeFired(fired, k)
-	if err != nil {
-		return nil, nil, err
+	if n := r.detBits.Ones(); n > 0 {
+		fired = appendSetBits(make([]int, 0, n), r.detBits)
 	}
-	return fired, attr, nil
+	return fired, r.det.topContributions(fired, k), nil
 }

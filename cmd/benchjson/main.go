@@ -7,6 +7,7 @@
 //	go test -bench . -benchmem | benchjson -out BENCH.json
 //	benchjson -in bench.out -out BENCH.json -min-iters 5
 //	benchjson -in bench.out -out /dev/null -require-faster 'BenchmarkSelect/parallel-packed<BenchmarkSelect/serial-dense'
+//	benchjson -in bench.out -out /dev/null -require-faster 'BenchmarkServeForensicsOverhead/verdict<4*BenchmarkServeForensicsOverhead/score'
 //
 // Each benchmark result line
 //
@@ -18,7 +19,9 @@
 // warns about them and refuses them outright under -min-iters. The
 // -require-faster flag (repeatable via comma separation) turns the report
 // into a trajectory gate: 'A<B' fails the run unless benchmark A's ns/op is
-// strictly below B's; that is how `make bench-select` gates CI.
+// strictly below B's; that is how `make bench-select` gates CI. 'A<F*B'
+// scales B by the factor F first, so 'A<4*B' bounds A's cost to under four
+// times B's; that is how `make bench-verdict` gates CI.
 //
 // Every report it writes is stamped with the environment the numbers came
 // from: the host's CPU count, GOMAXPROCS, the Go version and the git
@@ -32,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -64,7 +68,7 @@ func main() {
 	in := flag.String("in", "-", "benchmark text input file (- for stdin)")
 	out := flag.String("out", "-", "JSON output file (- for stdout)")
 	minIters := flag.Int64("min-iters", 0, "fail if any benchmark ran fewer iterations (0: warn on 1-iteration entries only)")
-	faster := flag.String("require-faster", "", "comma-separated 'A<B' pairs; fail unless ns/op of A is strictly below B")
+	faster := flag.String("require-faster", "", "comma-separated 'A<B' or 'A<F*B' pairs; fail unless ns/op of A is strictly below B's (times the factor F)")
 	flag.Parse()
 
 	var r io.Reader = os.Stdin
@@ -124,7 +128,8 @@ func checkIterations(rep *Report, min int64) error {
 }
 
 // checkFaster enforces 'A<B' ns/op orderings, e.g. the parallel-packed vs
-// serial-dense selection guard.
+// serial-dense selection guard, and 'A<F*B' cost bounds, e.g. a verdict
+// costing under four bare scores.
 func checkFaster(rep *Report, spec string) error {
 	if spec == "" {
 		return nil
@@ -144,21 +149,39 @@ func checkFaster(rep *Report, spec string) error {
 	for _, pair := range strings.Split(spec, ",") {
 		a, b, ok := strings.Cut(strings.TrimSpace(pair), "<")
 		if !ok {
-			return fmt.Errorf("bad -require-faster pair %q, want 'A<B'", pair)
+			return fmt.Errorf("bad -require-faster pair %q, want 'A<B' or 'A<F*B'", pair)
 		}
-		va, err := nsop(strings.TrimSpace(a))
+		a, b = strings.TrimSpace(a), strings.TrimSpace(b)
+		factor := 1.0
+		if f, name, scaled := strings.Cut(b, "*"); scaled {
+			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+			if err != nil || !(v > 0) || math.IsInf(v, 0) {
+				return fmt.Errorf("bad factor %q in -require-faster pair %q, want a positive number", f, pair)
+			}
+			factor, b = v, strings.TrimSpace(name)
+		}
+		va, err := nsop(a)
 		if err != nil {
 			return err
 		}
-		vb, err := nsop(strings.TrimSpace(b))
+		vb, err := nsop(b)
 		if err != nil {
 			return err
 		}
-		if va >= vb {
+		if va >= factor*vb {
+			if factor != 1 {
+				return fmt.Errorf("regression: %s (%.0f ns/op) costs %.2fx %s (%.0f ns/op), bound %gx",
+					a, va, va/vb, b, vb, factor)
+			}
 			return fmt.Errorf("regression: %s (%.0f ns/op) is not faster than %s (%.0f ns/op)", a, va, b, vb)
 		}
+		if factor != 1 {
+			fmt.Fprintf(os.Stderr, "benchjson: %s (%.0f ns/op) costs %.2fx %s (%.0f ns/op), under the %gx bound\n",
+				a, va, va/vb, b, vb, factor)
+			continue
+		}
 		fmt.Fprintf(os.Stderr, "benchjson: %s (%.0f ns/op) faster than %s (%.0f ns/op): %.2fx\n",
-			strings.TrimSpace(a), va, strings.TrimSpace(b), vb, vb/va)
+			a, va, b, vb, vb/va)
 	}
 	return nil
 }

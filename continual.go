@@ -143,13 +143,15 @@ func (d *Detector) TrainIncrement(workloads []Workload, opts Options, budget int
 	}
 	reg := telemetry.Get()
 	reg.Counter("perspectron_train_increments_total").Inc()
-	reg.Event("train.increment", map[string]any{
-		"parent":     d.Version(),
-		"generation": child.Lineage.Generation,
-		"samples":    stats.Samples,
-		"epochs":     stats.Epochs,
-		"drift":      stats.Drift,
-	})
+	if reg.HasEventSink() {
+		reg.Event("train.increment", map[string]any{
+			"parent":     d.Version(),
+			"generation": child.Lineage.Generation,
+			"samples":    stats.Samples,
+			"epochs":     stats.Epochs,
+			"drift":      stats.Drift,
+		})
+	}
 	return child, stats, nil
 }
 

@@ -66,12 +66,13 @@ func BenchmarkServeSaturation(b *testing.B) {
 		}
 		workers := make([]*worker, streams)
 		for i := range workers {
-			workers[i] = &worker{
-				id:     i,
-				name:   fmt.Sprintf("stream-%d", i),
-				benign: i%4 != 0, // mostly-benign fleet, like production
-				ladder: newLadder(classifierFloor, detectorFloor, hysteresis, false),
+			benign := i%4 != 0 // mostly-benign fleet, like production
+			fam := "spectre_v1"
+			if benign {
+				fam = "benign"
 			}
+			workers[i] = newWorker(i, fmt.Sprintf("stream-%d", i), fam, benign,
+				newLadder(classifierFloor, detectorFloor, hysteresis, false))
 		}
 
 		var mu sync.Mutex
@@ -204,20 +205,29 @@ func BenchmarkServeForensicsOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		sh := s.shards[0]
-		w := &worker{id: 0, name: "bench", benign: false,
-			ladder: newLadder(classifierFloor, detectorFloor, hysteresis, false)}
-		var cache scorerCache
+		w := newWorker(0, "bench", "spectre_v1", false,
+			newLadder(classifierFloor, detectorFloor, hysteresis, false))
+		ss := newShardScorer(sh)
+		// Build the RawScorer before timing, as the score arm does.
+		if _, err := ss.scorerFor(s.Models()); err != nil {
+			b.Fatal(err)
+		}
 		loadMode, _ := sh.load.snapshot()
+		// One item is reused: route allocates items on the producer side,
+		// and this arm prices the scorer's work per verdict.
+		it := &ingestItem{w: w}
 		b.ReportAllocs()
 		b.ResetTimer()
+		now := time.Now()
 		for i := 0; i < b.N; i++ {
-			// Stamped per item, as route and the scorer do: one stamp for
-			// the whole loop would age every item past SlowSample and time
-			// the slow-verdict event instead of a verdict.
-			now := time.Now()
-			it := &ingestItem{w: w, episode: 0, sample: samples[i%len(samples)],
-				enqueuedAt: now, dequeuedAt: now}
-			if !s.scoreItem(sh, &cache, it, loadMode) {
+			// Stamped per item: one stamp for the whole loop would age
+			// every item past SlowSample and time the slow-verdict event
+			// instead of a verdict. As in scoreShard, each verdict's end
+			// stamp opens the next item's turn, so the arm reads the clock
+			// only where serve does.
+			it.sample, it.enqueuedAt, it.dequeuedAt = samples[i%len(samples)], now, now
+			var ok bool
+			if now, ok = s.scoreItem(ss, it, loadMode, now); !ok {
 				b.Fatal("scorer panicked")
 			}
 		}

@@ -160,11 +160,13 @@ func TestServeChaos(t *testing.T) {
 		defer chaos.Done()
 		spikeWorkers := make([]*worker, 32)
 		for i := range spikeWorkers {
-			spikeWorkers[i] = &worker{
-				id: 1000 + i, name: "spike-" + strings.Repeat("x", i%4),
-				benign: i%2 == 0,
-				ladder: newLadder(0.9, 0.5, 0.05, true),
+			benign := i%2 == 0
+			fam := "spike"
+			if benign {
+				fam = "benign"
 			}
+			spikeWorkers[i] = newWorker(1000+i, "spike-"+strings.Repeat("x", i%4), fam, benign,
+				newLadder(0.9, 0.5, 0.05, true))
 		}
 		raw := make([]float64, 64) // worthless sample, zero coverage — fine
 		n := 0

@@ -185,7 +185,7 @@ func TestForensicsEndToEnd(t *testing.T) {
 }
 
 func TestSLOTrackerBurnMath(t *testing.T) {
-	var tr sloTracker
+	tr := newSLOTracker()
 	// Verdicts at the target are on time: no burn.
 	for i := 0; i < 20; i++ {
 		tr.observe(sloLatencyTarget, false)
@@ -206,7 +206,7 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 		t.Fatalf("slow traffic did not breach: %+v", h)
 	}
 	// Shed burn is independent of latency burn.
-	var tr2 sloTracker
+	tr2 := newSLOTracker()
 	for i := 0; i < 20; i++ {
 		tr2.observe(0, true)
 	}
@@ -229,8 +229,8 @@ func TestShedRecordsCarryTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &worker{id: 0, name: "burst", benign: true,
-		ladder: newLadder(classifierFloor, detectorFloor, hysteresis, false)}
+	w := newWorker(0, "burst", "benign", true,
+		newLadder(classifierFloor, detectorFloor, hysteresis, false))
 	var sheds []VerdictRecord
 	s.onVerdict = func(rec VerdictRecord) {
 		if rec.Shed {

@@ -15,6 +15,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,9 +38,16 @@ type ingestItem struct {
 
 // trace renders the item's stream-scoped trace ID: worker/episode/sample,
 // unique per admitted sample and stable across the verdict log, the
-// slow-verdict exemplars and /debug/verdicts.
+// slow-verdict exemplars and /debug/verdicts. The appends run into a stack
+// buffer, so the returned string is the only allocation.
 func (it *ingestItem) trace() string {
-	return fmt.Sprintf("%s/%d/%d", it.w.name, it.episode, it.sample.Sample)
+	var buf [64]byte
+	b := append(buf[:0], it.w.name...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(it.episode), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(it.sample.Sample), 10)
+	return string(b)
 }
 
 // shard is one scoring lane: a bounded ring buffer of pending samples, a
@@ -66,16 +74,21 @@ type shard struct {
 	panics   atomic.Int64
 	down     atomic.Bool   // breaker-open mirror the ring can read lock-free
 	attrTick atomic.Uint64 // benign-sample attribution round-robin counter
+
+	// shedTotal is perspectron_serve_shed_total{shard}, resolved once here:
+	// producers shed through it without a registry lookup.
+	shedTotal *telemetry.Counter
 }
 
 func newShard(id, capacity int, load *ladder, brk *breaker) *shard {
 	return &shard{
-		id:      id,
-		cap:     capacity,
-		load:    load,
-		breaker: brk,
-		buf:     make([]*ingestItem, capacity),
-		notify:  make(chan struct{}, 1),
+		id:        id,
+		cap:       capacity,
+		load:      load,
+		breaker:   brk,
+		buf:       make([]*ingestItem, capacity),
+		notify:    make(chan struct{}, 1),
+		shedTotal: telemetry.Get().Counter(telemetry.Name("perspectron_serve_shed_total", "shard", strconv.Itoa(id))),
 	}
 }
 
@@ -204,7 +217,7 @@ func (s *Supervisor) shardHealthy(i int) bool { return !s.shards[i].down.Load() 
 // a scored sample would, so downstream consumers see the gap.
 func (s *Supervisor) logShed(sh *shard, it *ingestItem) {
 	it.w.sheds.Add(1)
-	telemetry.Get().Counter(telemetry.Name("perspectron_serve_shed_total", "worker", it.w.name)).Inc()
+	sh.shedTotal.Inc()
 	det, _ := s.models.Load().Versions()
 	rec := VerdictRecord{
 		Worker:  it.w.name,
@@ -249,7 +262,7 @@ func (s *Supervisor) scoreShard(sh *shard) {
 	defer reg.Gauge("perspectron_serve_scorers_running").Add(-1)
 	tick := time.NewTicker(s.cfg.ScoreTick)
 	defer tick.Stop()
-	var cache scorerCache
+	ss := newShardScorer(sh)
 	batch := make([]*ingestItem, 0, s.cfg.Batch)
 	for {
 		if sh.depth() == 0 {
@@ -283,23 +296,25 @@ func (s *Supervisor) scoreShard(sh *shard) {
 		batch = sh.dequeueBatch(s.cfg.Batch, batch[:0])
 		// One clock read covers the whole batch: every item left the queue
 		// at this instant, and per-item batch wait accrues from here until
-		// its scoring turn.
+		// its scoring turn. Each verdict's closing clock read opens the
+		// next item's turn.
 		now := time.Now()
 		for _, it := range batch {
 			it.dequeuedAt = now
 		}
 		panicked := false
 		for _, it := range batch {
-			if !s.scoreItem(sh, &cache, it, loadMode) {
+			var ok bool
+			if now, ok = s.scoreItem(ss, it, loadMode, now); !ok {
 				panicked = true
 			}
 		}
 		if panicked {
 			sh.panics.Add(1)
-			reg.Counter(telemetry.Name("perspectron_serve_scorer_panics_total", "shard", fmt.Sprint(sh.id))).Inc()
+			ss.panics.Inc()
 			if sh.breaker.failure() {
 				sh.down.Store(true)
-				reg.Counter(telemetry.Name("perspectron_serve_shard_down_total", "shard", fmt.Sprint(sh.id))).Inc()
+				ss.down.Inc()
 			}
 		} else {
 			sh.breaker.success()
@@ -308,30 +323,70 @@ func (s *Supervisor) scoreShard(sh *shard) {
 	}
 }
 
-// scorerCache memoizes the RawScorer for the current model generation so a
-// hot-reload rebuilds packed state once per shard, not once per sample.
-type scorerCache struct {
+// shardScorer is one shard scorer's private state: the RawScorer memoized
+// per model generation, so a hot-reload rebuilds packed state once per
+// shard rather than once per sample, and every telemetry handle a verdict
+// touches, resolved once when the scorer starts, so a verdict does no
+// registry lookup and renders no label string. The stream's flagged
+// counter lives on its worker and the SLO burn gauges on the tracker, both
+// resolved once as well.
+type shardScorer struct {
+	sh     *shard
 	mdl    *Models
 	scorer *perspectron.RawScorer
+
+	latency                            *telemetry.Histogram
+	stageQueue, stageBatch, stageScore *telemetry.Histogram
+	stageLog                           *telemetry.Histogram
+	verdicts, modeChanges              [numServeModes]*telemetry.Counter
+	errors, slow, panics, down         *telemetry.Counter
 }
 
-func (c *scorerCache) get(mdl *Models) (*perspectron.RawScorer, error) {
-	if c.scorer != nil && c.mdl == mdl {
-		return c.scorer, nil
+// numServeModes counts the ladder rungs, classifier through threshold.
+const numServeModes = int(perspectron.ModeThreshold) + 1
+
+func newShardScorer(sh *shard) *shardScorer {
+	reg := telemetry.Get()
+	ss := &shardScorer{
+		sh:         sh,
+		latency:    reg.Histogram("perspectron_serve_verdict_latency_seconds", latencyBounds),
+		stageQueue: reg.Histogram(stageQueue, telemetry.LatencyBuckets),
+		stageBatch: reg.Histogram(stageBatch, telemetry.LatencyBuckets),
+		stageScore: reg.Histogram(stageScore, telemetry.LatencyBuckets),
+		stageLog:   reg.Histogram(stageLog, telemetry.LatencyBuckets),
+		errors:     reg.Counter(telemetry.Name("perspectron_serve_verdicts_total", "mode", "error")),
+		slow:       reg.Counter("perspectron_serve_slow_verdicts_total"),
+		panics:     reg.Counter(telemetry.Name("perspectron_serve_scorer_panics_total", "shard", strconv.Itoa(sh.id))),
+		down:       reg.Counter(telemetry.Name("perspectron_serve_shard_down_total", "shard", strconv.Itoa(sh.id))),
+	}
+	for m := range ss.verdicts {
+		mode := perspectron.ServeMode(m).String()
+		ss.verdicts[m] = reg.Counter(telemetry.Name("perspectron_serve_verdicts_total", "mode", mode))
+		ss.modeChanges[m] = reg.Counter(telemetry.Name("perspectron_serve_mode_changes_total", "mode", mode))
+	}
+	return ss
+}
+
+// scorerFor returns the RawScorer for mdl, rebuilding it when the model
+// generation changed.
+func (ss *shardScorer) scorerFor(mdl *Models) (*perspectron.RawScorer, error) {
+	if ss.scorer != nil && ss.mdl == mdl {
+		return ss.scorer, nil
 	}
 	scorer, err := perspectron.NewRawScorer(mdl.Det, mdl.Cls)
 	if err != nil {
 		return nil, err
 	}
-	c.mdl, c.scorer = mdl, scorer
+	ss.mdl, ss.scorer = mdl, scorer
 	return scorer, nil
 }
 
-// scoreItem scores one sample end to end: packed detector margin, coverage
-// into the worker's ladder, effective mode = the worse of the coverage rung
-// and the shard's load rung, classifier naming only on the top rung. It
-// reports false when scoring panicked; the item is still logged (mode
-// "error") so the verdict accounting stays exact.
+// scoreItem scores one sample end to end and logs its verdict. start is
+// the instant the item's scoring turn began: the batch's dequeue stamp for
+// the first item, the previous verdict's end stamp after that. It returns
+// its own end stamp, so one clock read closes a verdict and opens the next
+// one's turn, and it reports false when scoring panicked; the item is
+// still logged (mode "error") so the verdict accounting stays exact.
 //
 // Every verdict carries its forensics: the record holds its trace ID and
 // the queue/batch/score stage breakdown, the four
@@ -341,9 +396,7 @@ func (c *scorerCache) get(mdl *Models) (*perspectron.RawScorer, error) {
 // AttrBenignEvery-th benign one) get their fired slots and top-k weight×bit
 // contributions stamped and are pushed into the flight recorder.
 // BenchmarkServeForensicsOverhead prices this against bare scoring.
-func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, loadMode perspectron.ServeMode) (ok bool) {
-	ok = true
-	scoreStart := time.Now()
+func (s *Supervisor) scoreItem(ss *shardScorer, it *ingestItem, loadMode perspectron.ServeMode, start time.Time) (end time.Time, ok bool) {
 	mdl := s.models.Load() // pinned: the verdict is attributed to this version
 	detVer, _ := mdl.Versions()
 	rec := VerdictRecord{
@@ -351,47 +404,44 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 		Episode: it.episode,
 		Sample:  it.sample.Sample,
 		Version: detVer,
-		Shard:   sh.id,
+		Shard:   ss.sh.id,
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			ok = false
-			msg := fmt.Sprintf("scorer panic: %v", r)
-			it.w.lastErr.Store(&msg)
-			rec.Mode = "error"
-			rec.Error = msg
-		}
-		reg := telemetry.Get()
-		logStart := time.Now()
-		queueWait := it.dequeuedAt.Sub(it.enqueuedAt)
-		batchWait := scoreStart.Sub(it.dequeuedAt)
-		scoreDur := logStart.Sub(scoreStart)
-		rec.Trace = it.trace()
-		rec.QueueMs = float64(queueWait) / float64(time.Millisecond)
-		rec.BatchMs = float64(batchWait) / float64(time.Millisecond)
-		rec.ScoreMs = float64(scoreDur) / float64(time.Millisecond)
-		total := time.Since(it.enqueuedAt)
-		rec.LatencyMs = float64(total) / float64(time.Millisecond)
-		s.log.record(rec)
-		s.observe(rec)
-		if rec.Attr != nil {
-			s.flight.Push(rec)
-		}
-		s.slo.observe(total, false)
-		sh.scored.Add(1)
-		reg.Histogram("perspectron_serve_verdict_latency_seconds", latencyBounds).
-			Observe(total.Seconds())
-		reg.Counter(telemetry.Name("perspectron_serve_verdicts_total", "mode", rec.Mode)).Inc()
-		logDur := time.Since(logStart)
-		reg.Histogram(stageQueue, telemetry.LatencyBuckets).Observe(queueWait.Seconds())
-		reg.Histogram(stageBatch, telemetry.LatencyBuckets).Observe(batchWait.Seconds())
-		reg.Histogram(stageScore, telemetry.LatencyBuckets).Observe(scoreDur.Seconds())
-		reg.Histogram(stageLog, telemetry.LatencyBuckets).Observe(logDur.Seconds())
-		if total >= s.cfg.SlowSample {
-			reg.Counter("perspectron_serve_slow_verdicts_total").Inc()
+	mode, ok := s.scoreSafe(ss, mdl, it, loadMode, &rec)
+	scored := monoNow(start)
+	queueWait := it.dequeuedAt.Sub(it.enqueuedAt)
+	batchWait := start.Sub(it.dequeuedAt)
+	scoreDur := scored.Sub(start)
+	total := scored.Sub(it.enqueuedAt)
+	rec.Trace = it.trace()
+	rec.QueueMs = float64(queueWait) / float64(time.Millisecond)
+	rec.BatchMs = float64(batchWait) / float64(time.Millisecond)
+	rec.ScoreMs = float64(scoreDur) / float64(time.Millisecond)
+	rec.LatencyMs = float64(total) / float64(time.Millisecond)
+	s.log.record(rec)
+	s.observe(rec)
+	if rec.Attr != nil {
+		s.flight.Push(rec)
+	}
+	s.slo.observe(total, false)
+	ss.sh.scored.Add(1)
+	ss.latency.Observe(total.Seconds())
+	if ok {
+		ss.verdicts[mode].Inc()
+	} else {
+		ss.errors.Inc()
+	}
+	end = monoNow(scored)
+	logDur := end.Sub(scored)
+	ss.stageQueue.Observe(queueWait.Seconds())
+	ss.stageBatch.Observe(batchWait.Seconds())
+	ss.stageScore.Observe(scoreDur.Seconds())
+	ss.stageLog.Observe(logDur.Seconds())
+	if total >= s.cfg.SlowSample {
+		ss.slow.Inc()
+		if reg := telemetry.Get(); reg.HasEventSink() {
 			reg.Event("serve.slow_verdict", map[string]any{
 				"trace":    rec.Trace,
-				"shard":    sh.id,
+				"shard":    ss.sh.id,
 				"mode":     rec.Mode,
 				"total_ms": rec.LatencyMs,
 				"queue_ms": rec.QueueMs,
@@ -400,18 +450,48 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 				"log_ms":   float64(logDur) / float64(time.Millisecond),
 			})
 		}
+	}
+	return end, ok
+}
+
+// monoNow returns the current instant as t advanced by the monotonic time
+// elapsed since it: one monotonic clock read, where time.Now also reads the
+// wall clock. The stage split only ever subtracts instants, so the wall
+// part needs no fresh read.
+func monoNow(t time.Time) time.Time { return t.Add(time.Since(t)) }
+
+// scoreSafe runs scoreSample and turns a panic in it (scoring bug, chaos
+// injection) into an error verdict: rec gets mode "error" and the message,
+// the worker's last error is set, and ok is false.
+func (s *Supervisor) scoreSafe(ss *shardScorer, mdl *Models, it *ingestItem, loadMode perspectron.ServeMode, rec *VerdictRecord) (mode perspectron.ServeMode, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			ok = false
+			msg := fmt.Sprintf("scorer panic: %v", r)
+			it.w.lastErr.Store(&msg)
+			rec.Mode = "error"
+			rec.Error = msg
+		}
 	}()
+	return s.scoreSample(ss, mdl, it, loadMode, rec), true
+}
+
+// scoreSample fills rec's verdict: packed detector margin, coverage into
+// the worker's ladder, effective mode = the worse of the coverage rung and
+// the shard's load rung, classifier naming only on the top rung, and the
+// attribution when the verdict is selected for one. It returns the mode.
+func (s *Supervisor) scoreSample(ss *shardScorer, mdl *Models, it *ingestItem, loadMode perspectron.ServeMode, rec *VerdictRecord) perspectron.ServeMode {
 	if hook := s.scoreHook; hook != nil {
 		hook(it)
 	}
-	scorer, err := cache.get(mdl)
+	scorer, err := ss.scorerFor(mdl)
 	if err != nil {
 		panic(err) // surfaces as an error verdict + breaker pressure
 	}
 	score, flagged, coverage := scorer.Detect(it.sample)
 	covMode, changed := it.w.ladder.observe(coverage)
 	if changed {
-		telemetry.Get().Counter(telemetry.Name("perspectron_serve_mode_changes_total", "mode", covMode.String())).Inc()
+		ss.modeChanges[covMode].Inc()
 	}
 	mode := maxMode(covMode, loadMode)
 	class := ""
@@ -425,14 +505,14 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 		flagged = score > 0
 	}
 	if flagged {
-		telemetry.Get().Counter(telemetry.Name("perspectron_serve_flagged_total", "worker", it.w.name)).Inc()
+		it.w.flagged.Inc()
 	}
 	// Attribute flagged verdicts always, benign ones on the shard's
 	// round-robin tick. Classify scratches a separate bit vector, so the
 	// detector's fired set is still intact here.
 	attributed := flagged
 	if !attributed && s.cfg.AttrBenignEvery > 0 &&
-		sh.attrTick.Add(1)%uint64(s.cfg.AttrBenignEvery) == 0 {
+		ss.sh.attrTick.Add(1)%uint64(s.cfg.AttrBenignEvery) == 0 {
 		attributed = true
 	}
 	if attributed {
@@ -445,11 +525,10 @@ func (s *Supervisor) scoreItem(sh *shard, cache *scorerCache, it *ingestItem, lo
 	rec.Class = class
 	rec.Flagged = flagged
 	rec.Coverage = coverage
-	return ok
+	return mode
 }
 
-// Stage-latency series names, pre-rendered once — the per-verdict hot path
-// must not re-run the label formatter.
+// Stage-latency series names, pre-rendered once.
 var (
 	stageQueue = telemetry.Name("perspectron_serve_stage_seconds", "stage", "queue")
 	stageBatch = telemetry.Name("perspectron_serve_stage_seconds", "stage", "batch")

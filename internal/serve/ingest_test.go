@@ -75,8 +75,8 @@ func TestRingRoutesAroundUnhealthyShards(t *testing.T) {
 // --- shard admission control ---------------------------------------------
 
 func testWorkerPair() (benign, attack *worker) {
-	benign = &worker{id: 0, name: "benign", benign: true}
-	attack = &worker{id: 1, name: "attack", benign: false}
+	benign = newWorker(0, "benign", "benign", true, nil)
+	attack = newWorker(1, "attack", "spectre_v1", false, nil)
 	return
 }
 

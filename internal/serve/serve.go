@@ -232,6 +232,41 @@ type worker struct {
 	restarts atomic.Int64 // goroutine restarts after a panic
 	sheds    atomic.Int64 // samples shed by admission control
 	lastErr  atomic.Pointer[string]
+
+	// The stream's counters, labeled by its family (see newWorker) rather
+	// than its name, so the series count is bounded by the number of
+	// workload categories however many streams run. Per-stream detail
+	// lives in the verdict log, the flight recorder and /healthz.
+	flagged, episodesTotal, episodeFailures, panics, breakerOpen *telemetry.Counter
+}
+
+// newWorker returns one stream's runtime state with its counters resolved
+// once. family is the stream's workload category, or "benign" for a benign
+// stream.
+func newWorker(id int, name, family string, benign bool, lad *ladder) *worker {
+	reg := telemetry.Get()
+	counter := func(series string) *telemetry.Counter {
+		return reg.Counter(telemetry.Name(series, "family", family))
+	}
+	return &worker{
+		id:              id,
+		name:            name,
+		benign:          benign,
+		ladder:          lad,
+		flagged:         counter("perspectron_serve_flagged_total"),
+		episodesTotal:   counter("perspectron_serve_episodes_total"),
+		episodeFailures: counter("perspectron_serve_episode_failures_total"),
+		panics:          counter("perspectron_serve_worker_panics_total"),
+		breakerOpen:     counter("perspectron_serve_breaker_open_total"),
+	}
+}
+
+// family is the metric label of a stream with the given workload info.
+func family(info workload.Info) string {
+	if info.Label == workload.Benign {
+		return "benign"
+	}
+	return info.Category
 }
 
 // Supervisor owns the workers, the shard ring, the model pointer, the
@@ -254,8 +289,8 @@ type Supervisor struct {
 	// verdict records, served at /debug/verdicts. The verdict log is the
 	// durable stream; the recorder is the "what just happened" view an
 	// operator opens first, triaging a fresh alert from one curl.
-	flight *telemetry.Ring
-	slo    sloTracker // burn-rate state surfaced on /healthz
+	flight *telemetry.Ring[VerdictRecord]
+	slo    *sloTracker // burn-rate state surfaced on /healthz
 
 	// report and base are the crash-safe file mode's recovery outcome and
 	// cumulative ledger baseline (nil report = durability off).
@@ -345,7 +380,8 @@ func New(cfg Config) (*Supervisor, error) {
 	s := &Supervisor{
 		cfg:     cfg,
 		log:     vlog,
-		flight:  telemetry.NewRing(cfg.FlightSize),
+		flight:  telemetry.NewRing[VerdictRecord](cfg.FlightSize),
+		slo:     newSLOTracker(),
 		report:  report,
 		started: time.Now(),
 	}
@@ -357,14 +393,12 @@ func New(cfg Config) (*Supervisor, error) {
 		s.watch = newWatcher(cfg.DetectorPath, cfg.ClassifierPath, &s.models, cfg.PollInterval)
 	}
 	for i, w := range cfg.Workloads {
-		s.workers = append(s.workers, &worker{
-			id:      i,
-			name:    w.Info().Name,
-			prog:    w,
-			benign:  w.Info().Label == workload.Benign,
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-			ladder:  newLadder(classifierFloor, detectorFloor, hysteresis, cls != nil),
-		})
+		info := w.Info()
+		wk := newWorker(i, info.Name, family(info), info.Label == workload.Benign,
+			newLadder(classifierFloor, detectorFloor, hysteresis, cls != nil))
+		wk.prog = w
+		wk.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+		s.workers = append(s.workers, wk)
 	}
 	s.ring = newRing(cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
@@ -494,7 +528,7 @@ func (s *Supervisor) superviseWorker(ctx context.Context, w *worker) {
 		}
 		// A panic escaped: count the restart and re-enter the loop.
 		w.restarts.Add(1)
-		reg.Counter(telemetry.Name("perspectron_serve_worker_panics_total", "worker", w.name)).Inc()
+		w.panics.Inc()
 	}
 }
 
@@ -508,7 +542,6 @@ func (s *Supervisor) runEpisodeLoop(ctx context.Context, w *worker) (normal bool
 			normal = false
 		}
 	}()
-	reg := telemetry.Get()
 	bo := retry.NewBackoff(s.cfg.Backoff, s.cfg.Seed*31_337+int64(w.id))
 	episode := int(w.episodes.Load() + w.failures.Load()) // resume numbering after a panic restart
 	for ctx.Err() == nil {
@@ -529,7 +562,7 @@ func (s *Supervisor) runEpisodeLoop(ctx context.Context, w *worker) (normal bool
 			w.episodes.Add(1)
 			w.breaker.success()
 			bo.Reset()
-			reg.Counter(telemetry.Name("perspectron_serve_episodes_total", "worker", w.name)).Inc()
+			w.episodesTotal.Inc()
 			continue
 		}
 		if ctx.Err() != nil {
@@ -538,11 +571,11 @@ func (s *Supervisor) runEpisodeLoop(ctx context.Context, w *worker) (normal bool
 		w.failures.Add(1)
 		msg := err.Error()
 		w.lastErr.Store(&msg)
-		reg.Counter(telemetry.Name("perspectron_serve_episode_failures_total", "worker", w.name)).Inc()
+		w.episodeFailures.Inc()
 		if w.breaker.failure() {
-			reg.Counter(telemetry.Name("perspectron_serve_breaker_open_total", "worker", w.name)).Inc()
+			w.breakerOpen.Inc()
 		}
-		if !retry.Sleep(ctx, "serve."+w.name, bo.Next()) {
+		if !retry.Sleep(ctx, "serve.episode", bo.Next()) {
 			return true
 		}
 	}

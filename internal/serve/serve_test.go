@@ -384,7 +384,7 @@ func TestServiceSurvivesWorkloadPanics(t *testing.T) {
 	if h.Workers[0].Episodes != 1 || h.Workers[0].Failures != 2 {
 		t.Fatalf("worker health = %+v, want 1 episode after 2 panicked attempts", h.Workers[0])
 	}
-	fails := delta(telemetry.Name("perspectron_serve_episode_failures_total", "worker", "panicker"))
+	fails := delta(telemetry.Name("perspectron_serve_episode_failures_total", "family", "benign"))
 	if fails != 2 {
 		t.Fatalf("failure counter = %d, want 2", fails)
 	}
@@ -419,13 +419,13 @@ func TestServiceStalledSourceHitsDeadlineAndBreaker(t *testing.T) {
 	go func() { done <- s.Run(ctx) }()
 	deadline := time.After(25 * time.Second)
 	for {
-		if delta(telemetry.Name("perspectron_serve_breaker_open_total", "worker", "staller")) >= 1 {
+		if delta(telemetry.Name("perspectron_serve_breaker_open_total", "family", "benign")) >= 1 {
 			break
 		}
 		select {
 		case <-deadline:
 			t.Fatalf("breaker never opened; failures=%d",
-				delta(telemetry.Name("perspectron_serve_episode_failures_total", "worker", "staller")))
+				delta(telemetry.Name("perspectron_serve_episode_failures_total", "family", "benign")))
 		case <-time.After(50 * time.Millisecond):
 		}
 	}

@@ -25,12 +25,23 @@ const (
 	sloAlpha         = 0.02                  // EWMA smoothing per observation
 )
 
-// sloTracker accumulates the burn state; the zero value is ready to use.
+// sloTracker accumulates the burn state and mirrors it into the two burn
+// gauges, resolved once by newSLOTracker.
 type sloTracker struct {
 	mu       sync.Mutex
 	slowEwma float64 // smoothed fraction of verdicts past the target
 	shedEwma float64 // smoothed fraction of samples shed
 	n        int64
+
+	latencyBurn, shedBurn *telemetry.Gauge
+}
+
+func newSLOTracker() *sloTracker {
+	reg := telemetry.Get()
+	return &sloTracker{
+		latencyBurn: reg.Gauge("perspectron_serve_slo_latency_burn"),
+		shedBurn:    reg.Gauge("perspectron_serve_slo_shed_burn"),
+	}
 }
 
 // observe folds one sample outcome into the burn state: its enqueue→verdict
@@ -50,9 +61,8 @@ func (t *sloTracker) observe(latency time.Duration, shed bool) {
 	latencyBurn := t.slowEwma / sloLatencyBudget
 	shedBurn := t.shedEwma / sloShedBudget
 	t.mu.Unlock()
-	reg := telemetry.Get()
-	reg.Gauge("perspectron_serve_slo_latency_burn").Set(latencyBurn)
-	reg.Gauge("perspectron_serve_slo_shed_burn").Set(shedBurn)
+	t.latencyBurn.Set(latencyBurn)
+	t.shedBurn.Set(shedBurn)
 }
 
 // SLOHealth is the burn-rate block on /healthz.

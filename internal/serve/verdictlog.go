@@ -105,6 +105,11 @@ type verdictLog struct {
 	bo        *retry.Backoff
 	nextRetry time.Time
 	now       func() time.Time // injectable clock (tests)
+
+	// rec holds the record being encoded: the encoder takes a pointer into
+	// the log rather than a copy boxed into an interface, so writing a
+	// verdict allocates nothing here.
+	rec VerdictRecord
 }
 
 func newVerdictLog(w io.Writer) *verdictLog {
@@ -157,7 +162,8 @@ func (l *verdictLog) record(v VerdictRecord) {
 		l.dropLocked(1)
 		return
 	}
-	if err := l.enc.Encode(v); err != nil {
+	l.rec = v
+	if err := l.enc.Encode(&l.rec); err != nil {
 		l.enterLossyLocked(err, 1)
 		return
 	}

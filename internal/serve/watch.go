@@ -178,7 +178,9 @@ func (w *watcher) tick() {
 	}
 	det, cls := next.Versions()
 	reg.Counter(telemetry.Name("perspectron_serve_reloads_total", "result", "ok")).Inc()
-	reg.Event("serve.reload", map[string]any{"detector": det, "classifier": cls})
+	if reg.HasEventSink() {
+		reg.Event("serve.reload", map[string]any{"detector": det, "classifier": cls})
+	}
 	fmt.Fprintf(os.Stderr, "serve: hot-reloaded models (detector %s, classifier %s)\n", det, cls)
 }
 

@@ -370,15 +370,17 @@ func (t *Trainer) RunOnce(ctx context.Context) (Round, error) {
 		result = "promoted"
 	}
 	reg.Counter(telemetry.Name("perspectron_shadow_rounds_total", "result", result)).Inc()
-	reg.Event("shadow.round", map[string]any{
-		"round":     r.Round,
-		"samples":   r.FreshSamples,
-		"drift":     r.Drift,
-		"smoothed":  r.SmoothedDrift,
-		"promoted":  promo.Promoted,
-		"candidate": promo.CandidateVersion,
-		"reason":    promo.Reason,
-	})
+	if reg.HasEventSink() {
+		reg.Event("shadow.round", map[string]any{
+			"round":     r.Round,
+			"samples":   r.FreshSamples,
+			"drift":     r.Drift,
+			"smoothed":  r.SmoothedDrift,
+			"promoted":  promo.Promoted,
+			"candidate": promo.CandidateVersion,
+			"reason":    promo.Reason,
+		})
+	}
 	return r, nil
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRingBasics(t *testing.T) {
-	r := NewRing(4)
+	r := NewRing[int](4)
 	if got := r.Cap(); got != 4 {
 		t.Fatalf("Cap = %d, want 4", got)
 	}
@@ -24,14 +24,14 @@ func TestRingBasics(t *testing.T) {
 		t.Fatalf("snapshot len = %d, want 3", len(snap))
 	}
 	for i, v := range snap {
-		if v.(int) != i+1 {
+		if v != i+1 {
 			t.Fatalf("snapshot[%d] = %v, want %d", i, v, i+1)
 		}
 	}
 }
 
 func TestRingWrapsOldestFirst(t *testing.T) {
-	r := NewRing(3)
+	r := NewRing[int](3)
 	for i := 1; i <= 7; i++ {
 		r.Push(i)
 	}
@@ -44,9 +44,24 @@ func TestRingWrapsOldestFirst(t *testing.T) {
 		t.Fatalf("snapshot len = %d, want %d", len(snap), len(want))
 	}
 	for i, w := range want {
-		if snap[i].(int) != w {
+		if snap[i] != w {
 			t.Fatalf("snapshot[%d] = %v, want %d", i, snap[i], w)
 		}
+	}
+}
+
+// TestRingPushAllocatesNothing pins that Push copies into a preallocated
+// slot: a struct value is stored without boxing it into an interface.
+func TestRingPushAllocatesNothing(t *testing.T) {
+	type rec struct {
+		name  string
+		score float64
+		attr  []int
+	}
+	r := NewRing[rec](4)
+	v := rec{name: "a", score: 1, attr: []int{1, 2}}
+	if allocs := testing.AllocsPerRun(100, func() { r.Push(v) }); allocs != 0 {
+		t.Fatalf("Push allocates %v times, want 0", allocs)
 	}
 }
 
@@ -58,16 +73,16 @@ func TestNewRingPanicsOnNonPositive(t *testing.T) {
 					t.Errorf("NewRing(%d) did not panic", n)
 				}
 			}()
-			NewRing(n)
+			NewRing[int](n)
 		}()
 	}
 }
 
 // TestRingConcurrentPushSnapshot races writers against snapshotters; under
-// -race this pins the lock-free claim, and the assertions pin that every
-// observed entry is complete and in push order.
+// -race this pins that the per-slot locking leaves no data race, and the
+// assertions pin that every observed entry is complete and in push order.
 func TestRingConcurrentPushSnapshot(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing[int](8)
 	const writers, perWriter = 4, 500
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -86,7 +101,7 @@ func TestRingConcurrentPushSnapshot(t *testing.T) {
 				return
 			}
 			for _, v := range snap {
-				if v.(int) < 0 {
+				if v < 0 {
 					t.Error("torn entry observed")
 					return
 				}
@@ -112,7 +127,7 @@ func TestRingConcurrentPushSnapshot(t *testing.T) {
 }
 
 func TestRingHandlerJSON(t *testing.T) {
-	r := NewRing(2)
+	r := NewRing[map[string]any](2)
 	r.Push(map[string]any{"trace": "a/0/1"})
 	r.Push(map[string]any{"trace": "a/0/2"})
 	r.Push(map[string]any{"trace": "a/0/3"})
@@ -124,14 +139,14 @@ func TestRingHandlerJSON(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("content-type = %q", ct)
 	}
-	var snap RingSnapshot
+	var snap RingSnapshot[map[string]any]
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if snap.Capacity != 2 || snap.Count != 3 || len(snap.Entries) != 2 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	first := snap.Entries[0].(map[string]any)
+	first := snap.Entries[0]
 	if first["trace"] != "a/0/2" {
 		t.Fatalf("oldest entry = %v, want a/0/2", first)
 	}
@@ -141,11 +156,11 @@ func TestRingHandlerJSON(t *testing.T) {
 // an empty entries array, not null.
 func TestRingHandlerEmptyRing(t *testing.T) {
 	rec := httptest.NewRecorder()
-	RingHandler(NewRing(4)).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/verdicts", nil))
+	RingHandler(NewRing[int](4)).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/verdicts", nil))
 	if !strings.Contains(rec.Body.String(), `"entries": []`) {
 		t.Fatalf("empty ring body lacks an empty entries array:\n%s", rec.Body.String())
 	}
-	var snap RingSnapshot
+	var snap RingSnapshot[int]
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("decode: %v", err)
 	}

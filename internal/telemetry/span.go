@@ -69,11 +69,16 @@ func (r *Registry) SetEventSink(w io.Writer) {
 	r.sinkMu.Unlock()
 }
 
+// HasEventSink reports whether an event sink is attached. A producer on a
+// path that runs often checks it before building Event's field map, so a
+// run without a sink boxes no field values.
+func (r *Registry) HasEventSink() bool { return r.hasSink.Load() }
+
 // Event appends an arbitrary named run event (plus the given fields) to the
 // event sink, if one is attached. Use it for one-shot run outcomes that have
 // no natural metric shape — a detection verdict, a training summary.
 func (r *Registry) Event(name string, fields map[string]any) {
-	if !r.hasSink.Load() {
+	if !r.HasEventSink() {
 		return
 	}
 	ev := map[string]any{"event": name}

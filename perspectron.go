@@ -479,13 +479,15 @@ func (d *Detector) Replay(rec *Recording, fc *FaultConfig) (*Report, error) {
 	}
 	rep := fold.finish(rec.LeakSamples, scorer.detIdx)
 	reg.Gauge("perspectron_monitor_coverage").Set(rep.Coverage)
-	reg.Event("monitor", map[string]any{
-		"workload":  rep.Workload,
-		"malicious": rep.Malicious,
-		"detected":  rep.Detected,
-		"samples":   len(rep.Samples),
-		"coverage":  rep.Coverage,
-	})
+	if reg.HasEventSink() {
+		reg.Event("monitor", map[string]any{
+			"workload":  rep.Workload,
+			"malicious": rep.Malicious,
+			"detected":  rep.Detected,
+			"samples":   len(rep.Samples),
+			"coverage":  rep.Coverage,
+		})
+	}
 	return rep, nil
 }
 

@@ -172,13 +172,15 @@ func PromoteDetector(candPath, livePath string, golden *GoldenSet) (*Promotion, 
 	}
 	p.Promoted = true
 	reg.Counter(telemetry.Name("perspectron_promote_total", "result", "promoted")).Inc()
-	reg.Event("promote", map[string]any{
-		"candidate": p.CandidateVersion,
-		"baseline":  p.BaselineVersion,
-		"reason":    p.Reason,
-		"accuracy":  p.Candidate.Accuracy,
-		"auc":       p.Candidate.AUC,
-	})
+	if reg.HasEventSink() {
+		reg.Event("promote", map[string]any{
+			"candidate": p.CandidateVersion,
+			"baseline":  p.BaselineVersion,
+			"reason":    p.Reason,
+			"accuracy":  p.Candidate.Accuracy,
+			"auc":       p.Candidate.AUC,
+		})
+	}
 	return p, nil
 }
 

@@ -61,13 +61,15 @@ done
   || fail "/readyz never turned 200"
 
 echo "== wait for sheds and load degradation to register =="
+# The per-shard shed series exist from startup at 0; wait for a non-zero one.
+SHED_RE='^perspectron_serve_shed_total\{shard="[0-9]+"\} [1-9]'
 for i in $(seq 60); do
-  curl -fs "http://127.0.0.1:$PORT/metrics" | grep -q 'perspectron_serve_shed_total' && break
+  curl -fs "http://127.0.0.1:$PORT/metrics" | grep -Eq "$SHED_RE" && break
   kill -0 "$SERVE" 2>/dev/null || fail "serve died under overload"
   sleep 1
 done
 curl -fs "http://127.0.0.1:$PORT/metrics" > /tmp/serve-chaos.metrics
-grep -q 'perspectron_serve_shed_total' /tmp/serve-chaos.metrics \
+grep -Eq "$SHED_RE" /tmp/serve-chaos.metrics \
   || fail "overload produced no shed counter"
 grep -q 'perspectron_serve_verdict_latency_seconds' /tmp/serve-chaos.metrics \
   || fail "verdict latency histogram missing"
