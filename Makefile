@@ -18,8 +18,11 @@ HOTPATH_BENCHTIME ?= 5x
 ci: vet build race
 
 # vet is go vet plus a formatting gate: any file gofmt would rewrite fails it.
+# It also vets the bench/ module, which builds against this one, so an export
+# bench/ calls cannot be deleted or renamed without failing here.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@unformatted=$$($(GOFMT) -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
@@ -36,13 +39,16 @@ race:
 # the checkpoint parsers (Load and LoadClassifier), seeded from
 # testdata/fuzz/FuzzLoad; FuzzVerdictScanner over the verdict-log reader
 # and Explain, seeded from internal/serve/testdata/fuzz/FuzzVerdictScanner;
-# and FuzzParseSpec over the -disk-faults grammar, seeded from
+# FuzzRepairLogTail over startup recovery's torn-tail repair, seeded from
+# internal/serve/testdata/fuzz/FuzzRepairLogTail; and FuzzParseSpec over the
+# -disk-faults grammar, seeded from
 # internal/diskfaults/testdata/fuzz/FuzzParseSpec.
 # A crasher is written into the target's corpus directory and fails the run.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzVerdictScanner$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRepairLogTail$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/diskfaults
 
 # smoke-serve exercises the long-running detection service end to end with a

@@ -7,6 +7,7 @@
 package perspectron_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -199,7 +200,7 @@ func BenchmarkFeatureSelection(b *testing.B) {
 	X, y := p.Enc.Matrix(p.DS)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel := features.Select(X, y, p.DS.Components, features.DefaultSelectConfig())
+		sel := features.Select(context.Background(), X, y, p.DS.Components, features.DefaultSelectConfig())
 		if len(sel.Indices) != 106 {
 			b.Fatalf("selected %d", len(sel.Indices))
 		}
@@ -344,7 +345,7 @@ func BenchmarkAblationReplication(b *testing.B) {
 	b.Run("replicated-bank", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
-				return perceptron.NewReplicatedBank(
+				return newReplicatedBank(
 					seqIndices(len(p.Sel.Indices)),
 					projectComponents(p.DS.Components, p.Sel.Indices),
 					perceptron.DefaultConfig())

@@ -12,6 +12,7 @@ package perspectron
 // TestClassifierFaultMasking).
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -125,7 +126,7 @@ func TestClassifierScoreEquivalence(t *testing.T) {
 // pre-refactor encoder produced.
 func TestEncoderEquivalence(t *testing.T) {
 	progs := []workload.Program{benign.Bzip2(), attacks.FlushReload()}
-	ds := trace.Collect(progs, trace.CollectConfig{
+	ds := trace.Collect(context.Background(), progs, trace.CollectConfig{
 		MaxInsts: 40_000, Interval: 10_000, Seed: 3, Runs: 1,
 	})
 	enc := trace.NewEncoder(ds)

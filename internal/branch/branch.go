@@ -255,19 +255,6 @@ func (p *Predictor) Return(actualTarget uint64) (correct bool) {
 	return correct
 }
 
-// PolluteRAS overwrites the top RAS entry without a matching call, the
-// primitive SpectreRSB uses to redirect speculative control flow.
-func (p *Predictor) PolluteRAS(target uint64) {
-	if p.rasTop == 0 {
-		p.Call(target)
-		return
-	}
-	p.ras[p.rasTop-1] = target
-}
-
-// RASDepth returns the number of valid RAS entries (for tests).
-func (p *Predictor) RASDepth() int { return p.rasTop }
-
 // PredictIndirect predicts the target of an indirect branch at pc and
 // updates the target cache with the actual target. It returns whether the
 // prediction was correct.
@@ -283,14 +270,6 @@ func (p *Predictor) PredictIndirect(pc, target uint64) (correct bool) {
 	p.indTags[i] = pc
 	p.indTargets[i] = target
 	return correct
-}
-
-// MistrainIndirect installs an attacker-chosen target for pc, the SpectreV2
-// (branch target injection) training primitive.
-func (p *Predictor) MistrainIndirect(pc, target uint64) {
-	i := int(pc>>2) % p.cfg.IndirectEntries
-	p.indTags[i] = pc
-	p.indTargets[i] = target
 }
 
 // Squash notifies the predictor that in-flight direction updates were

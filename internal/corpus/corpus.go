@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 
 	"perspectron/internal/features"
@@ -126,7 +125,7 @@ func newStore(reg *telemetry.Registry) *Store {
 		prepared: map[string]*Prepared{},
 		inflight: map[string]*sync.WaitGroup{},
 		reg:      reg,
-		collect:  trace.CollectCtx,
+		collect:  trace.Collect,
 	}
 }
 
@@ -304,15 +303,10 @@ func selKey(datasetKey string, selCfg features.SelectConfig) string {
 		datasetKey, selCfg.GroupThreshold, selCfg.MaxFeatures, selCfg.MinMI)
 }
 
-// Prepared returns the dataset for (progs, cfg) together with its trained
-// encoder and the paper's feature selection under selCfg, computing each
-// layer at most once: the dataset via Dataset, the encoder + selection
-// memoized per (dataset, selCfg).
-func (s *Store) Prepared(progs []workload.Program, cfg trace.CollectConfig, selCfg features.SelectConfig) *Prepared {
-	return s.PreparedCtx(context.Background(), progs, cfg, selCfg)
-}
-
-// PreparedCtx is Prepared with the caller's context threaded through
+// PreparedCtx returns the dataset for (progs, cfg) together with its
+// trained encoder and the paper's feature selection under selCfg, computing
+// each layer at most once: the dataset via DatasetCtx, the encoder +
+// selection memoized per (dataset, selCfg). ctx is threaded through
 // collection and selection, so their telemetry spans nest under the
 // caller's (e.g. a train span) instead of starting a fresh trace.
 func (s *Store) PreparedCtx(ctx context.Context, progs []workload.Program, cfg trace.CollectConfig, selCfg features.SelectConfig) *Prepared {
@@ -329,7 +323,7 @@ func (s *Store) PreparedCtx(ctx context.Context, progs []workload.Program, cfg t
 	ds := s.DatasetCtx(ctx, progs, cfg)
 	enc := trace.NewEncoder(ds)
 	X, y := enc.Matrix(ds)
-	sel := features.SelectCtx(ctx, X, y, ds.Components, selCfg)
+	sel := features.Select(ctx, X, y, ds.Components, selCfg)
 	p := &Prepared{DS: ds, Enc: enc, Sel: sel}
 
 	s.mu.Lock()
@@ -341,17 +335,4 @@ func (s *Store) PreparedCtx(ctx context.Context, progs []workload.Program, cfg t
 	s.reg.Counter(MetricPreparedComputed).Inc()
 	s.mu.Unlock()
 	return p
-}
-
-// Keys returns the dataset keys currently memoized, sorted — a debugging
-// and test aid.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.datasets))
-	for k := range s.datasets {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

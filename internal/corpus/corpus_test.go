@@ -107,7 +107,7 @@ func TestDiskCacheRoundTripByteIdentical(t *testing.T) {
 	}
 	fresh := s1.Dataset(tinyCorpus(), tinyConfig())
 	key := DatasetKey(tinyCorpus(), tinyConfig())
-	if _, err := os.Stat(filepath.Join(dir, CacheFileName(key))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, cacheFileName(key))); err != nil {
 		t.Fatalf("artifact not written: %v", err)
 	}
 
@@ -134,7 +134,7 @@ func TestDiskCacheRoundTripByteIdentical(t *testing.T) {
 func TestDiskCacheIgnoresCorruptArtifact(t *testing.T) {
 	dir := t.TempDir()
 	key := DatasetKey(tinyCorpus(), tinyConfig())
-	if err := os.WriteFile(filepath.Join(dir, CacheFileName(key)), []byte("not gzip"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, cacheFileName(key)), []byte("not gzip"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := NewStore()
@@ -185,8 +185,8 @@ func TestConcurrentRequestsCollapse(t *testing.T) {
 func TestPreparedMemoized(t *testing.T) {
 	s := NewStore()
 	selCfg := features.DefaultSelectConfig()
-	a := s.Prepared(tinyCorpus(), tinyConfig(), selCfg)
-	b := s.Prepared(tinyCorpus(), tinyConfig(), selCfg)
+	a := s.PreparedCtx(context.Background(), tinyCorpus(), tinyConfig(), selCfg)
+	b := s.PreparedCtx(context.Background(), tinyCorpus(), tinyConfig(), selCfg)
 	if a != b {
 		t.Fatalf("prepared bundle not memoized")
 	}
@@ -196,7 +196,7 @@ func TestPreparedMemoized(t *testing.T) {
 	// A different selection budget is a different artifact over the same
 	// dataset: no new collection, one new preparation.
 	selCfg.MaxFeatures = 7
-	c := s.Prepared(tinyCorpus(), tinyConfig(), selCfg)
+	c := s.PreparedCtx(context.Background(), tinyCorpus(), tinyConfig(), selCfg)
 	if c == a {
 		t.Fatalf("different selection config returned the same bundle")
 	}

@@ -33,7 +33,7 @@ func ensureDir(dir string) error {
 }
 
 func (s *Store) path(dir, key string) string {
-	return filepath.Join(dir, key+".dataset.gob.gz")
+	return filepath.Join(dir, cacheFileName(key))
 }
 
 // orphanTmpAge is how old a leftover temp file must be before the sweep
@@ -174,8 +174,7 @@ func (s *Store) save(ctx context.Context, dir, key string, ds *trace.Dataset) (b
 	return size
 }
 
-// CacheFileName returns the file name a key is stored under — exposed so
-// tools can report or prune cache contents.
-func CacheFileName(key string) string {
+// cacheFileName returns the file name a key is stored under.
+func cacheFileName(key string) string {
 	return fmt.Sprintf("%s.dataset.gob.gz", key)
 }

@@ -16,7 +16,7 @@ func TestSweepOrphansRemovesStaleTmpOnly(t *testing.T) {
 	dir := t.TempDir()
 	stale := filepath.Join(dir, "abc123.tmp-999")
 	fresh := filepath.Join(dir, "def456.tmp-111")
-	keep := filepath.Join(dir, CacheFileName("abc123"))
+	keep := filepath.Join(dir, cacheFileName("abc123"))
 	for _, p := range []string{stale, fresh, keep} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
@@ -77,7 +77,7 @@ func TestDatasetCtxCancelledSkipsCacheAndMemo(t *testing.T) {
 	s.DatasetCtx(cancelled, tinyCorpus(), tinyConfig())
 
 	key := DatasetKey(tinyCorpus(), tinyConfig())
-	if _, err := os.Stat(filepath.Join(dir, CacheFileName(key))); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, cacheFileName(key))); !os.IsNotExist(err) {
 		t.Fatalf("cancelled collection was persisted")
 	}
 	ents, err := os.ReadDir(dir)
@@ -89,8 +89,11 @@ func TestDatasetCtxCancelledSkipsCacheAndMemo(t *testing.T) {
 			t.Fatalf("cancelled save left temp file %s", e.Name())
 		}
 	}
-	if len(s.Keys()) != 0 {
-		t.Fatalf("cancelled collection was memoized: %v", s.Keys())
+	s.mu.Lock()
+	memoized := len(s.datasets)
+	s.mu.Unlock()
+	if memoized != 0 {
+		t.Fatalf("cancelled collection was memoized: %d datasets", memoized)
 	}
 
 	// A live request after the cancelled one collects fresh and caches.
@@ -105,7 +108,7 @@ func TestDatasetCtxCancelledSkipsCacheAndMemo(t *testing.T) {
 		t.Fatalf("post-cancel collection broken: %d samples, %d collections",
 			len(ds.Samples), collections)
 	}
-	if _, err := os.Stat(filepath.Join(dir, CacheFileName(key))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, cacheFileName(key))); err != nil {
 		t.Fatalf("post-cancel collection not persisted: %v", err)
 	}
 }

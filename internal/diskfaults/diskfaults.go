@@ -128,17 +128,6 @@ func (in *Injector) Arm(r Rule) {
 	in.mu.Unlock()
 }
 
-// SetCrashFn replaces the crash-point action (tests substitute a panic or a
-// recorder for the default os.Exit).
-func (in *Injector) SetCrashFn(fn func()) {
-	if in == nil || fn == nil {
-		return
-	}
-	in.mu.Lock()
-	in.crashFn = fn
-	in.mu.Unlock()
-}
-
 // decide reports the fault kind (if any) for one operation at site, and
 // counts the injection.
 func (in *Injector) decide(site string, op Op) (Kind, bool) {

@@ -114,7 +114,7 @@ func TestSyncAndRenameFaults(t *testing.T) {
 func TestCrashPointInvokesCrashFn(t *testing.T) {
 	in := New(1)
 	crashed := false
-	in.SetCrashFn(func() { crashed = true })
+	in.crashFn = func() { crashed = true }
 	in.Arm(Rule{Site: "s", Op: OpWrite, Kind: KindCrash, Count: 1})
 	dir := t.TempDir()
 	f, err := os.Create(filepath.Join(dir, "f"))

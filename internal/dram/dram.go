@@ -406,9 +406,6 @@ func (c *Controller) accountBackground(cycle uint64) {
 // FinishAt closes background accounting at the end of a run.
 func (c *Controller) FinishAt(cycle uint64) { c.accountBackground(cycle) }
 
-// WriteQLen returns current write-queue occupancy (for tests).
-func (c *Controller) WriteQLen() int { return len(c.writeQ) }
-
 func min64(a, b uint64) uint64 {
 	if a < b {
 		return a

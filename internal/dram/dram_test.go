@@ -34,8 +34,8 @@ func TestWriteIsPosted(t *testing.T) {
 	if lat > 10 {
 		t.Fatalf("posted write latency = %d", lat)
 	}
-	if c.WriteQLen() != 1 {
-		t.Fatalf("write queue length = %d", c.WriteQLen())
+	if len(c.writeQ) != 1 {
+		t.Fatalf("write queue length = %d", len(c.writeQ))
 	}
 }
 
@@ -56,8 +56,8 @@ func TestWriteQueueDrains(t *testing.T) {
 	c := newCtl(t)
 	c.Access(0x2000, true, 0)
 	c.Access(0x9000, false, DefaultConfig().WriteDrain+100)
-	if c.WriteQLen() != 0 {
-		t.Fatalf("write queue did not drain: %d", c.WriteQLen())
+	if len(c.writeQ) != 0 {
+		t.Fatalf("write queue did not drain: %d", len(c.writeQ))
 	}
 }
 

@@ -94,9 +94,6 @@ func collect(progs []workload.Program, cfg Config) *trace.Dataset {
 	return cfg.store().Dataset(progs, cfg.CollectConfig())
 }
 
-// BaseDataset collects the base corpus at cfg's granularity.
-func BaseDataset(cfg Config) *trace.Dataset { return collect(BaseCorpus(), cfg) }
-
 // Prepared bundles a dataset with its encoder and PerSpectron selection —
 // the shared front half of most experiments. It is the corpus store's
 // memoized artifact type: every experiment asking for the same (corpus,
@@ -108,14 +105,14 @@ type Prepared = corpus.Prepared
 func Prepare(cfg Config) *Prepared {
 	_, span := telemetry.StartSpan(context.Background(), "prepare")
 	defer span.End()
-	return cfg.store().Prepared(BaseCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
+	return cfg.store().PreparedCtx(context.Background(), BaseCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
 }
 
 // PrepareCore is Prepare over the evasion-free core corpus.
 func PrepareCore(cfg Config) *Prepared {
 	_, span := telemetry.StartSpan(context.Background(), "prepare")
 	defer span.End()
-	return cfg.store().Prepared(CoreCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
+	return cfg.store().PreparedCtx(context.Background(), CoreCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
 }
 
 // table renders rows as fixed-width text with a header underline.

@@ -98,17 +98,6 @@ func FaultTol(cfg Config) *FaultTolResult {
 	return res
 }
 
-// DetectionRateAt returns the attack detection rate at the given dropout
-// rate, or -1 if that point was not swept.
-func (r *FaultTolResult) DetectionRateAt(rate float64) float64 {
-	for _, row := range r.Rows {
-		if row.Rate == rate && row.Attacks > 0 {
-			return float64(row.Detected) / float64(row.Attacks)
-		}
-	}
-	return -1
-}
-
 // Render formats the degradation curve.
 func (r *FaultTolResult) Render() string {
 	var b strings.Builder

@@ -76,17 +76,3 @@ func (r *Table1Result) Render() string {
 	b.WriteString(table(header, cells))
 	return b.String()
 }
-
-// SpansComponents reports, per listed group, how many distinct components
-// its members cover (must be >= 2 by construction).
-func (r *Table1Result) SpansComponents() []int {
-	out := make([]int, len(r.Components))
-	for i, comps := range r.Components {
-		seen := map[string]bool{}
-		for _, c := range comps {
-			seen[c] = true
-		}
-		out[i] = len(seen)
-	}
-	return out
-}

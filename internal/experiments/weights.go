@@ -88,7 +88,3 @@ func (r *WeightsResult) Render() string {
 	}
 	return b.String()
 }
-
-// ComponentsCovered returns how many pipeline components contribute
-// selected features — the replication breadth.
-func (r *WeightsResult) ComponentsCovered() int { return len(r.ByComponent) }

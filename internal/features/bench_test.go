@@ -1,6 +1,7 @@
 package features_test
 
 import (
+	"context"
 	"testing"
 
 	"perspectron/internal/experiments"
@@ -25,5 +26,7 @@ func BenchmarkSelect(b *testing.B) {
 		}
 	}
 	b.Run("serial-dense", run(features.LegacySelect))
-	b.Run("parallel-packed", run(features.Select))
+	b.Run("parallel-packed", run(func(X [][]float64, y []float64, comps []stats.Component, cfg features.SelectConfig) features.Selection {
+		return features.Select(context.Background(), X, y, comps, cfg)
+	}))
 }

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -138,7 +139,7 @@ func TestSelectionContextMatchesLegacy(t *testing.T) {
 		if groups, want := ctxCorrelationGroups(X, y, 0.98), legacyCorrelationGroups(X, y, 0.98); !reflect.DeepEqual(groups, want) {
 			t.Fatalf("trial %d: context groups %v != legacy %v", trial, groups, want)
 		}
-		if sel, want := Select(X, y, comps(f), cfg), legacySelect(X, y, comps(f), cfg); !reflect.DeepEqual(sel, want) {
+		if sel, want := Select(context.Background(), X, y, comps(f), cfg), legacySelect(X, y, comps(f), cfg); !reflect.DeepEqual(sel, want) {
 			t.Fatalf("trial %d: context Select %v != legacy %v", trial, sel.Indices, want.Indices)
 		}
 	}
@@ -163,7 +164,10 @@ func TestSelectionContextZeroVariance(t *testing.T) {
 	cfg := DefaultSelectConfig()
 
 	for _, legacy := range []bool{false, true} {
-		groups, cc, sel := ctxCorrelationGroups, ctxClassCorrelation, Select
+		groups, cc, sel := ctxCorrelationGroups, ctxClassCorrelation,
+			func(X [][]float64, y []float64, comps []stats.Component, cfg SelectConfig) Selection {
+				return Select(context.Background(), X, y, comps, cfg)
+			}
 		if legacy {
 			groups, cc, sel = legacyCorrelationGroups, legacyClassCorrelation, legacySelect
 		}
@@ -238,7 +242,7 @@ func TestSelectConcurrentWithConfigChanges(t *testing.T) {
 		comps[j] = stats.Component(j % int(stats.NumComponents))
 	}
 	cfg := SelectConfig{GroupThreshold: 0.98, MaxFeatures: 8, MinMI: 1e-4}
-	want := Select(X, y, comps, cfg)
+	want := Select(context.Background(), X, y, comps, cfg)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -246,7 +250,7 @@ func TestSelectConcurrentWithConfigChanges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 8; iter++ {
-				if got := Select(X, y, comps, cfg); !reflect.DeepEqual(got, want) {
+				if got := Select(context.Background(), X, y, comps, cfg); !reflect.DeepEqual(got, want) {
 					t.Errorf("concurrent Select diverged: %v vs %v", got.Indices, want.Indices)
 					return
 				}

@@ -200,12 +200,7 @@ type Selection struct {
 	MI []float64
 }
 
-// Select runs the paper's three-step selection; see SelectCtx.
-func Select(X [][]float64, y []float64, comps []stats.Component, cfg SelectConfig) Selection {
-	return SelectCtx(context.Background(), X, y, comps, cfg)
-}
-
-// SelectCtx runs the paper's three-step procedure over scaled features X
+// Select runs the paper's three-step procedure over scaled features X
 // with labels y and per-feature component assignments comps, attaching its
 // telemetry spans to the caller's context (so a selection inside a training
 // run nests under the "train" span instead of starting a fresh trace):
@@ -219,7 +214,7 @@ func Select(X [][]float64, y []float64, comps []stats.Component, cfg SelectConfi
 //
 // Both kernels of step 1 run off one shared selection context — the matrix
 // is scanned, packed and centered exactly once per call.
-func SelectCtx(ctx context.Context, X [][]float64, y []float64, comps []stats.Component, cfg SelectConfig) Selection {
+func Select(ctx context.Context, X [][]float64, y []float64, comps []stats.Component, cfg SelectConfig) Selection {
 	ctx, span := telemetry.StartSpan(ctx, "select")
 	defer span.End()
 

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -71,7 +72,7 @@ func TestQuickSelectionWellFormed(t *testing.T) {
 			X[i] = row
 		}
 		cfg := SelectConfig{GroupThreshold: 0.98, MaxFeatures: 8, MinMI: 1e-4}
-		sel := Select(X, y, comps, cfg)
+		sel := Select(context.Background(), X, y, comps, cfg)
 		if len(sel.Indices) > cfg.MaxFeatures {
 			return false
 		}
@@ -115,7 +116,7 @@ func TestSelectionRoundRobinBalance(t *testing.T) {
 		}
 		X[i] = row
 	}
-	sel := Select(X, y, comps, SelectConfig{GroupThreshold: 0.999, MaxFeatures: nComp * 2, MinMI: 0})
+	sel := Select(context.Background(), X, y, comps, SelectConfig{GroupThreshold: 0.999, MaxFeatures: nComp * 2, MinMI: 0})
 	perComp := map[stats.Component]int{}
 	for _, j := range sel.Indices {
 		perComp[comps[j]]++

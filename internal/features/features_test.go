@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,7 +103,7 @@ func TestCorrelationGroups(t *testing.T) {
 
 func TestSelectKeepsReplicasDropsDuplicates(t *testing.T) {
 	X, y, comps := synth(300, rand.New(rand.NewSource(5)))
-	sel := Select(X, y, comps, SelectConfig{GroupThreshold: 0.98, MaxFeatures: 10, MinMI: 1e-4})
+	sel := Select(context.Background(), X, y, comps, SelectConfig{GroupThreshold: 0.98, MaxFeatures: 10, MinMI: 1e-4})
 
 	has := func(j int) bool {
 		for _, v := range sel.Indices {
@@ -147,7 +148,7 @@ func TestSelectRespectsBudget(t *testing.T) {
 		}
 		X[i] = row
 	}
-	sel := Select(X, y, comps, SelectConfig{GroupThreshold: 0.98, MaxFeatures: 7, MinMI: 0})
+	sel := Select(context.Background(), X, y, comps, SelectConfig{GroupThreshold: 0.98, MaxFeatures: 7, MinMI: 0})
 	if len(sel.Indices) != 7 {
 		t.Fatalf("budget violated: %d", len(sel.Indices))
 	}
@@ -199,12 +200,12 @@ func TestEmptyInputs(t *testing.T) {
 		t.Fatalf("MI of empty set")
 	}
 	cfg := DefaultSelectConfig()
-	if sel := Select(nil, nil, nil, cfg); len(sel.Indices) != 0 || len(sel.Groups) != 0 || len(sel.MI) != 0 {
+	if sel := Select(context.Background(), nil, nil, nil, cfg); len(sel.Indices) != 0 || len(sel.Groups) != 0 || len(sel.MI) != 0 {
 		t.Fatalf("Select on a nil matrix = %+v, want empty", sel)
 	}
 	X := [][]float64{{}, {}, {}}
 	y := []float64{1, -1, 1}
-	if sel := Select(X, y, nil, cfg); len(sel.Indices) != 0 || len(sel.Groups) != 0 || len(sel.MI) != 0 {
+	if sel := Select(context.Background(), X, y, nil, cfg); len(sel.Indices) != 0 || len(sel.Groups) != 0 || len(sel.MI) != 0 {
 		t.Fatalf("Select on a zero-column matrix = %+v, want empty", sel)
 	}
 }

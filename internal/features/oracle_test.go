@@ -16,7 +16,7 @@ import (
 // context has to beat.
 
 // legacySelect runs the oracle kernels through the same step-2/3 pick as
-// SelectCtx.
+// Select.
 func legacySelect(X [][]float64, y []float64, comps []stats.Component, cfg SelectConfig) Selection {
 	mi := legacyMutualInformation(X, y)
 	groups := legacyCorrelationGroups(X, y, cfg.GroupThreshold)

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -177,7 +178,7 @@ func TestSelectionWorkerCountInvariant(t *testing.T) {
 		var got []Selection
 		for _, procs := range []int{1, 2, 7} {
 			prev := runtime.GOMAXPROCS(procs)
-			got = append(got, Select(X, y, comps(f), cfg))
+			got = append(got, Select(context.Background(), X, y, comps(f), cfg))
 			runtime.GOMAXPROCS(prev)
 		}
 		for i := 1; i < len(got); i++ {

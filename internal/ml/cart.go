@@ -126,19 +126,3 @@ func (c *CART) Score(x []float64) float64 {
 	}
 	return n.value
 }
-
-// Depth returns the grown tree's depth (for tests).
-func (c *CART) Depth() int {
-	var d func(*cartNode) int
-	d = func(n *cartNode) int {
-		if n == nil || n.leaf {
-			return 0
-		}
-		l, r := d(n.left), d(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return d(c.root)
-}

@@ -12,8 +12,8 @@ func TestCARTMinLeafStopsSplitting(t *testing.T) {
 	X := [][]float64{{0}, {1}, {0}, {1}}
 	y := []float64{-1, 1, -1, 1}
 	c.Fit(X, y)
-	if c.Depth() != 0 {
-		t.Fatalf("tree split below MinLeafSize (depth %d)", c.Depth())
+	if treeDepth(c) != 0 {
+		t.Fatalf("tree split below MinLeafSize (depth %d)", treeDepth(c))
 	}
 }
 

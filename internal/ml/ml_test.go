@@ -118,7 +118,7 @@ func TestCARTDepthBounded(t *testing.T) {
 	c := NewCART()
 	c.MaxDepth = 3
 	c.Fit(X, y)
-	if d := c.Depth(); d > 3 {
+	if d := treeDepth(c); d > 3 {
 		t.Fatalf("tree depth %d exceeds max 3", d)
 	}
 }
@@ -165,4 +165,20 @@ func TestMLPDeterministicWithSeed(t *testing.T) {
 			t.Fatalf("MLP nondeterministic at sample %d", i)
 		}
 	}
+}
+
+// treeDepth returns a grown tree's depth.
+func treeDepth(c *CART) int {
+	var d func(*cartNode) int
+	d = func(n *cartNode) int {
+		if n == nil || n.leaf {
+			return 0
+		}
+		l, r := d(n.left), d(n.right)
+		if l > r {
+			return l + 1
+		}
+		return r + 1
+	}
+	return d(c.root)
 }

@@ -43,12 +43,6 @@ func (h HardwareModel) WeightStorageBits() int {
 	return (h.NumFeatures + 1) * h.WeightBits
 }
 
-// MaximaStorageBits returns the footprint of the normalization maxima (the
-// paper's matrix M) for s execution points with 16-bit maxima.
-func (h HardwareModel) MaximaStorageBits(points int) int {
-	return h.NumFeatures * points * 16
-}
-
 // SamplingIntervalUs returns the wall-clock sampling period. At 10K
 // instructions, IPC 1.7 and 2 GHz this is ~3 µs — the figure §VI-A2 uses to
 // show bandwidth evasion is infeasible (20 sampling points inside the 61 µs

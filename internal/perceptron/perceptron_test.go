@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"perspectron/internal/encoding"
-	"perspectron/internal/stats"
 )
 
 // sep builds a linearly separable bit-packed dataset: class +1 iff feature 0
@@ -147,56 +146,6 @@ func TestQuantizedZero(t *testing.T) {
 	}
 }
 
-func TestReplicatedBankLearns(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	// Feature 0 (fetch) and feature 3 (commit) both carry the signal.
-	comps := []stats.Component{stats.CompFetch, stats.CompFetch,
-		stats.CompCommit, stats.CompCommit}
-	var X []encoding.BitVec
-	var y []float64
-	for i := 0; i < 300; i++ {
-		cls := -1.0
-		sig := 0.0
-		if r.Intn(2) == 0 {
-			cls, sig = 1, 1
-		}
-		noise := float64(r.Intn(2))
-		X = append(X, encoding.Pack([]float64{sig, noise, noise, sig}))
-		y = append(y, cls)
-	}
-	b := NewReplicatedBank([]int{0, 1, 2, 3}, comps, DefaultConfig())
-	if len(b.Detectors) != 2 {
-		t.Fatalf("detectors = %d, want 2", len(b.Detectors))
-	}
-	b.Fit(X, y)
-	errs := 0
-	for i, x := range X {
-		pred := -1.0
-		if b.Score(x) >= 0 {
-			pred = 1
-		}
-		if pred != y[i] {
-			errs++
-		}
-	}
-	if float64(errs)/float64(len(X)) > 0.02 {
-		t.Fatalf("bank training error %d/%d", errs, len(X))
-	}
-}
-
-func TestReplicatedBankRecoversFromOneComponent(t *testing.T) {
-	// One component's detector is deliberately wrong; the other recovers
-	// the decision (the paper's recovery argument in §VII-B).
-	comps := []stats.Component{stats.CompFetch, stats.CompCommit, stats.CompIQ}
-	b := NewReplicatedBank([]int{0, 1, 2}, comps, DefaultConfig())
-	b.Detectors[0].W = []float64{-1} // wrong polarity
-	b.Detectors[1].W = []float64{3}  // right
-	b.Detectors[2].W = []float64{2}  // right
-	if b.Score(ones(3)) <= 0 {
-		t.Fatalf("bank did not recover from one bad component")
-	}
-}
-
 func TestHardwareModel(t *testing.T) {
 	h := DefaultHardwareModel()
 	if c := h.InferenceCycles(); c < 106 || c > 150 {
@@ -215,9 +164,6 @@ func TestHardwareModel(t *testing.T) {
 	}
 	if h.WeightStorageBits() != 107*8 {
 		t.Fatalf("weight storage = %d bits", h.WeightStorageBits())
-	}
-	if h.MaximaStorageBits(20) != 106*20*16 {
-		t.Fatalf("matrix storage = %d bits", h.MaximaStorageBits(20))
 	}
 }
 

@@ -182,9 +182,6 @@ func New(cfg Config, c Counters) *Pipeline {
 // SetFencing toggles the context-sensitive-fencing mitigation.
 func (p *Pipeline) SetFencing(on bool) { p.fencing = on }
 
-// Fencing reports whether the fencing mitigation is active.
-func (p *Pipeline) Fencing() bool { return p.fencing }
-
 // Cycle returns the current cycle.
 func (p *Pipeline) Cycle() uint64 { return p.cycle }
 

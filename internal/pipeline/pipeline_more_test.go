@@ -105,7 +105,7 @@ func TestCommitKindCounters(t *testing.T) {
 func TestFencingSuppressesTransientLoads(t *testing.T) {
 	p, h, _ := newTestPipeline(t)
 	p.SetFencing(true)
-	if !p.Fencing() {
+	if !p.fencing {
 		t.Fatalf("fencing not set")
 	}
 	probe := uint64(0x22220000)

@@ -114,9 +114,6 @@ func (b *Backoff) Next() time.Duration {
 // after a success so the next failure starts cheap again.
 func (b *Backoff) Reset() { b.attempt = 0 }
 
-// Attempt returns how many backoffs have been taken since the last Reset.
-func (b *Backoff) Attempt() int { return b.attempt }
-
 // Sleep blocks for d or until ctx ends, whichever comes first, and reports
 // whether the full backoff elapsed. It records the slept duration in the
 // op's backoff histogram.

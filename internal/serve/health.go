@@ -231,7 +231,7 @@ func (s *Supervisor) Readyz() http.Handler {
 }
 
 // Handlers returns the health routes keyed by pattern, shaped for
-// telemetry.ServeWith / telemetrycli's Extra map, with the flight
+// telemetry.Serve / telemetrycli's Extra map, with the flight
 // recorder's /debug/verdicts.
 func (s *Supervisor) Handlers() map[string]http.Handler {
 	return map[string]http.Handler{

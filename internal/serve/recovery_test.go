@@ -133,6 +133,45 @@ func TestRepairLogTailWholeFileTorn(t *testing.T) {
 	}
 }
 
+// TestRepairLogTailSpansChunks covers the backward scan's chunking, which
+// fuzz inputs are too small to reach: the last newline lies one or more
+// repairChunk reads before the end, exactly on a chunk boundary, or nowhere.
+func TestRepairLogTailSpansChunks(t *testing.T) {
+	long := func(n int) string { return strings.Repeat("x", n) }
+	cases := []struct {
+		name  string
+		lines []string
+		torn  string
+	}{
+		{"tail longer than one chunk", []string{sample(1), sample(2)}, long(repairChunk + 100)},
+		{"newline at a chunk boundary", []string{long(repairChunk)}, long(repairChunk - 1)},
+		{"no newline across chunks", nil, long(3*repairChunk + 7)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "v.jsonl")
+			writeLog(t, path, tc.torn, tc.lines...)
+			torn, q, err := repairLogTail(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if torn != int64(len(tc.torn)) {
+				t.Fatalf("torn = %d, want %d", torn, len(tc.torn))
+			}
+			var want strings.Builder
+			for _, l := range tc.lines {
+				want.WriteString(l + "\n")
+			}
+			if got, _ := os.ReadFile(path); string(got) != want.String() {
+				t.Fatalf("repaired log is %d bytes, want %d", len(got), want.Len())
+			}
+			if got, _ := os.ReadFile(q); string(got) != tc.torn {
+				t.Fatalf("quarantine is %d bytes, want the %d-byte torn tail", len(got), len(tc.torn))
+			}
+		})
+	}
+}
+
 // --- log scanning ---------------------------------------------------------
 
 func TestScanLogTallies(t *testing.T) {

@@ -520,7 +520,7 @@ func (t *Trainer) Health() Health {
 }
 
 // Handlers returns the standalone health routes, shaped for
-// telemetry.ServeWith's Extra map like the supervisor's.
+// telemetry.Serve's Extra map like the supervisor's.
 func (t *Trainer) Handlers() map[string]http.Handler {
 	healthz := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -25,20 +25,3 @@ func (r *Registry) Dump(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// DumpDelta writes only counters whose value differs from the prev
-// snapshot, as "name delta" lines — the compact per-interval form.
-func (r *Registry) DumpDelta(w io.Writer, prev []float64) error {
-	if len(prev) != len(r.counters) {
-		return fmt.Errorf("stats: snapshot length %d != %d counters", len(prev), len(r.counters))
-	}
-	bw := bufio.NewWriter(w)
-	for i, c := range r.counters {
-		if d := c.val - prev[i]; d != 0 {
-			if _, err := fmt.Fprintf(bw, "%-56s %14.6g\n", c.meta.name, d); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -10,7 +10,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Component identifies the pipeline or memory-system unit a counter belongs
@@ -95,9 +94,6 @@ func (c *Counter) Name() string { return c.meta.name }
 
 // Component returns the pipeline component this counter belongs to.
 func (c *Counter) Component() Component { return c.meta.component }
-
-// Desc returns the human-readable description.
-func (c *Counter) Desc() string { return c.meta.desc }
 
 // Index returns the counter's stable position in registry order; sample
 // vectors use this index.
@@ -224,13 +220,5 @@ func (r *Registry) ByComponent(comp Component) []int {
 			out = append(out, i)
 		}
 	}
-	return out
-}
-
-// SortedNames returns counter names sorted lexicographically; useful for
-// stable dumps in tools and tests.
-func (r *Registry) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
 	return out
 }

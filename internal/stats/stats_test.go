@@ -312,40 +312,3 @@ func TestDump(t *testing.T) {
 		t.Fatalf("dump missing frame")
 	}
 }
-
-func TestDumpDelta(t *testing.T) {
-	r := NewRegistry()
-	a := r.New(CompFetch, "a", "")
-	b := r.New(CompFetch, "b", "")
-	prev := r.Snapshot(nil)
-	a.Add(5)
-	_ = b
-	var buf strings.Builder
-	if err := r.DumpDelta(&buf, prev); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "fetch.a") {
-		t.Fatalf("delta missing changed counter")
-	}
-	if strings.Contains(out, "fetch.b") {
-		t.Fatalf("delta includes unchanged counter")
-	}
-	if err := r.DumpDelta(&buf, []float64{1}); err == nil {
-		t.Fatalf("mismatched snapshot accepted")
-	}
-}
-
-func TestSortedNames(t *testing.T) {
-	r := NewRegistry()
-	r.New(CompFetch, "zeta", "")
-	r.New(CompFetch, "alpha", "")
-	names := r.SortedNames()
-	if names[0] != "fetch.alpha" || names[1] != "fetch.zeta" {
-		t.Fatalf("sorted names = %v", names)
-	}
-	// Registry order is unchanged.
-	if r.Names()[0] != "fetch.zeta" {
-		t.Fatalf("SortedNames mutated registry order")
-	}
-}

@@ -19,7 +19,7 @@ import (
 // still growing.
 func TestConcurrentRegistrationAndExposition(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Handler()
+	h := reg.Handler(nil)
 	const writers, perWriter, scrapes = 8, 200, 40
 
 	var wg sync.WaitGroup

@@ -13,15 +13,13 @@ import (
 //	/metrics.json  JSON snapshot (Snapshot)
 //	/debug/pprof/  the standard net/http/pprof profiles
 //
-// Mounting pprof next to the metrics means a long experiments run can be
-// profiled with `go tool pprof http://addr/debug/pprof/profile` without any
-// extra wiring (docs/OBSERVABILITY.md).
-func (r *Registry) Handler() http.Handler { return r.HandlerWith(nil) }
-
-// HandlerWith is Handler with additional routes mounted on the same mux —
-// the serving runtime mounts /healthz and /readyz next to /metrics so one
-// scrape address covers liveness, readiness and metrics.
-func (r *Registry) HandlerWith(extra map[string]http.Handler) http.Handler {
+// plus the extra routes (nil for none) on the same mux — the serving runtime
+// mounts /healthz and /readyz next to /metrics so one scrape address covers
+// liveness, readiness and metrics. Mounting pprof next to the metrics means
+// a long experiments run can be profiled with
+// `go tool pprof http://addr/debug/pprof/profile` without any extra wiring
+// (docs/OBSERVABILITY.md).
+func (r *Registry) Handler(extra map[string]http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -44,21 +42,16 @@ func (r *Registry) HandlerWith(extra map[string]http.Handler) http.Handler {
 	return mux
 }
 
-// Serve starts an HTTP server for the registry's Handler on addr (e.g.
-// ":9464"; ":0" picks a free port). It returns the running server — shut it
-// down with Server.Shutdown/Close — and the bound address.
-func Serve(addr string, r *Registry) (*http.Server, string, error) {
-	return ServeWith(addr, r, nil)
-}
-
-// ServeWith is Serve over HandlerWith: the metrics server with extra routes
-// (health endpoints) mounted.
-func ServeWith(addr string, r *Registry, extra map[string]http.Handler) (*http.Server, string, error) {
+// Serve starts an HTTP server for the registry's Handler, with the extra
+// routes (health endpoints; nil for none) mounted, on addr (e.g. ":9464";
+// ":0" picks a free port). It returns the running server — shut it down
+// with Server.Shutdown/Close — and the bound address.
+func Serve(addr string, r *Registry, extra map[string]http.Handler) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	srv := &http.Server{Handler: r.HandlerWith(extra)}
+	srv := &http.Server{Handler: r.Handler(extra)}
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }

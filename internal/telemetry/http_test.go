@@ -25,7 +25,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("perspectron_test_total").Add(9)
-	srv := httptest.NewServer(r.Handler())
+	srv := httptest.NewServer(r.Handler(nil))
 	defer srv.Close()
 
 	code, body, hdr := get(t, srv, "/metrics")
@@ -55,7 +55,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 func TestServeBindsAndShutsDown(t *testing.T) {
 	r := NewRegistry()
-	srv, addr, err := Serve("127.0.0.1:0", r)
+	srv, addr, err := Serve("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

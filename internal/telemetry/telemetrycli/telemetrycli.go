@@ -68,7 +68,7 @@ func (o *Options) Start() (stop func(), err error) {
 		})
 	}
 	if o.Addr != "" {
-		srv, addr, err := telemetry.ServeWith(o.Addr, reg, o.Extra)
+		srv, addr, err := telemetry.Serve(o.Addr, reg, o.Extra)
 		if err != nil {
 			for _, c := range closers {
 				c()

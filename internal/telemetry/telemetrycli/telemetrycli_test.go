@@ -83,7 +83,7 @@ func TestStartScrapeOverHTTP(t *testing.T) {
 	// the same registry Start would enable.
 	reg := telemetry.NewRegistry()
 	reg.Counter("perspectron_scrape_total").Add(3)
-	srv, addr, err := telemetry.Serve("127.0.0.1:0", reg)
+	srv, addr, err := telemetry.Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestCollectRecoversFromPanickingWorkload(t *testing.T) {
 		&panicProg{after: 5_000, failures: 99, attempts: &attempts}, // never succeeds
 	}
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)
 	if len(ds.Samples) == 0 {
 		t.Fatalf("healthy workload produced no samples alongside a panicking one")
 	}
@@ -92,7 +92,7 @@ func TestCollectRetrySucceedsWithFreshSeed(t *testing.T) {
 		&panicProg{after: 5_000, failures: 1, attempts: &attempts}, // first attempt only
 	}
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)
 	if len(ds.Dropped) != 0 {
 		t.Fatalf("recovered run still dropped: %v", ds.Dropped)
 	}
@@ -115,7 +115,7 @@ func TestCollectBackoffMaxAttemptsHonored(t *testing.T) {
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1,
 		Backoff: retry.Policy{Base: time.Millisecond, Max: 2 * time.Millisecond,
 			Factor: 2, MaxAttempts: 3}}
-	ds := Collect(progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)
 	if len(ds.Dropped) != 0 {
 		t.Fatalf("run that recovered on its Backoff-granted retry was dropped: %v", ds.Dropped)
 	}
@@ -127,7 +127,7 @@ func TestCollectBackoffMaxAttemptsHonored(t *testing.T) {
 	attempts = 0
 	cfg.Retries = 2
 	cfg.Backoff.MaxAttempts = 1
-	ds = Collect([]workload.Program{
+	ds = Collect(context.Background(), []workload.Program{
 		&panicProg{after: 5_000, failures: 1, attempts: &attempts},
 	}, cfg)
 	if len(ds.Dropped) != 0 {
@@ -136,7 +136,7 @@ func TestCollectBackoffMaxAttemptsHonored(t *testing.T) {
 
 	// And the all-defaults case keeps meaning exactly one attempt.
 	attempts = 0
-	ds = Collect([]workload.Program{
+	ds = Collect(context.Background(), []workload.Program{
 		&panicProg{after: 5_000, failures: 99, attempts: &attempts},
 	}, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1})
 	if len(ds.Dropped) != 1 {
@@ -164,7 +164,7 @@ func TestCollectTimeoutCutsRunawayRun(t *testing.T) {
 		Timeout:  100 * time.Millisecond,
 	}
 	start := time.Now()
-	ds := Collect([]workload.Program{endless{}}, cfg)
+	ds := Collect(context.Background(), []workload.Program{endless{}}, cfg)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("timeout did not bound the run (%v elapsed)", elapsed)
 	}
@@ -178,7 +178,7 @@ func TestCollectCtxCancelStopsScheduling(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: every run must be dropped
 	progs := []workload.Program{benign.All()[0], benign.All()[1]}
-	ds := CollectCtx(ctx, progs, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 2})
+	ds := Collect(ctx, progs, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 2})
 	if len(ds.Samples) != 0 {
 		t.Fatalf("cancelled collection still produced %d samples", len(ds.Samples))
 	}
@@ -198,7 +198,7 @@ func TestCollectRetryRecordsBackoffTelemetry(t *testing.T) {
 	var attempts int32
 	progs := []workload.Program{&panicProg{after: 5_000, failures: 1, attempts: &attempts}}
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)
 	if ds.Retried != 1 {
 		t.Fatalf("Retried = %d, want 1", ds.Retried)
 	}
@@ -221,7 +221,7 @@ func TestRunSourceNextCtxDeadline(t *testing.T) {
 		0, 1, CollectConfig{MaxInsts: 1 << 40, Interval: 10_000})
 	defer src.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	s, ok := src.NextCtx(ctx)
+	s, ok := src.Next(ctx)
 	cancel()
 	if !ok || s == nil {
 		t.Fatalf("first sample not delivered before the stall")
@@ -229,14 +229,14 @@ func TestRunSourceNextCtxDeadline(t *testing.T) {
 	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, ok := src.NextCtx(ctx); ok {
+	if _, ok := src.Next(ctx); ok {
 		t.Fatalf("stalled source delivered a sample inside the deadline")
 	}
 	if ctx.Err() == nil {
-		t.Fatalf("NextCtx returned false without a context error on a live run")
+		t.Fatalf("Next returned false without a context error on a live run")
 	}
 	if time.Since(start) > 2*time.Second {
-		t.Fatalf("NextCtx did not honor the per-sample deadline")
+		t.Fatalf("Next did not honor the per-sample deadline")
 	}
 }
 

@@ -85,21 +85,12 @@ func NewRunSource(ctx context.Context, m *sim.Machine, prog workload.Program, ru
 }
 
 // Next returns the next sample in execution order, or false when the run
-// has ended. After false, Err and LeakSamples are valid.
-func (s *RunSource) Next() (*Sample, bool) {
-	smp, ok := <-s.ch
-	if ok {
-		s.produced.Inc()
-	}
-	return smp, ok
-}
-
-// NextCtx is Next bounded by ctx: it gives up and returns (nil, false) when
-// ctx ends before the next sample arrives — the serving runtime's per-sample
-// deadline. The underlying run keeps producing; a caller that abandons the
-// source after a deadline must Close it to release the producer. Distinguish
-// the outcomes by ctx.Err(): nil means the run genuinely ended.
-func (s *RunSource) NextCtx(ctx context.Context) (*Sample, bool) {
+// has ended — after which Err and LeakSamples are valid — or when ctx ends
+// before the next sample arrives (the serving runtime's per-sample
+// deadline). Distinguish the outcomes by ctx.Err(): nil means the run
+// genuinely ended. After a deadline the underlying run keeps producing; a
+// caller that abandons the source must Close it to release the producer.
+func (s *RunSource) Next(ctx context.Context) (*Sample, bool) {
 	select {
 	case smp, ok := <-s.ch:
 		if ok {

@@ -64,19 +64,6 @@ func (d *Dataset) ClassCounts() (benign, malicious int) {
 	return benign, malicious
 }
 
-// Categories returns the distinct program categories present.
-func (d *Dataset) Categories() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range d.Samples {
-		if !seen[s.Category] {
-			seen[s.Category] = true
-			out = append(out, s.Category)
-		}
-	}
-	return out
-}
-
 // Filter returns a shallow dataset containing only samples keep selects.
 func (d *Dataset) Filter(keep func(*Sample) bool) *Dataset {
 	out := &Dataset{FeatureNames: d.FeatureNames, Components: d.Components,
@@ -123,16 +110,11 @@ var collectBackoff = retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Mil
 // Collect runs every program on a fresh machine per run and gathers the
 // sampled counter deltas. Collection is deterministic for a fixed config
 // (per-run seeds are derived from cfg.Seed) and parallel across runs.
-func Collect(progs []workload.Program, cfg CollectConfig) *Dataset {
-	return CollectCtx(context.Background(), progs, cfg)
-}
-
-// CollectCtx is Collect under a context: cancelling ctx stops scheduling new
-// runs and cuts off in-flight ones at their next instruction fetch. Each run
-// is additionally shielded — a panicking workload is retried cfg.Retries
-// times with fresh seeds and then dropped (recorded in Dataset.Dropped)
-// instead of killing the collection.
-func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig) *Dataset {
+// Cancelling ctx stops scheduling new runs and cuts off in-flight ones at
+// their next instruction fetch. Each run is additionally shielded — a
+// panicking workload is retried cfg.Retries times with fresh seeds and then
+// dropped (recorded in Dataset.Dropped) instead of killing the collection.
+func Collect(ctx context.Context, progs []workload.Program, cfg CollectConfig) *Dataset {
 	reg := telemetry.Get()
 	ctx, span := reg.StartSpan(ctx, "collect")
 	defer span.End()
@@ -242,9 +224,10 @@ func CollectCtx(ctx context.Context, progs []workload.Program, cfg CollectConfig
 func collectOne(ctx context.Context, prog workload.Program, run int, seed int64, cfg CollectConfig) ([]Sample, error) {
 	src := NewRunSource(ctx, sim.NewMachine(sim.DefaultConfig()), prog, run, seed, cfg)
 	var out []Sample
-	for s, ok := src.Next(); ok; s, ok = src.Next() {
+	for s, ok := src.Next(ctx); ok; s, ok = src.Next(ctx) {
 		out = append(out, *s)
 	}
+	src.Close() // releases the producer if ctx ended first; Err is valid after
 	if err := src.Err(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"perspectron/internal/encoding"
@@ -13,7 +14,7 @@ import (
 func smallDataset(t *testing.T) *Dataset {
 	t.Helper()
 	progs := []workload.Program{benign.Bzip2(), attacks.FlushReload()}
-	return Collect(progs, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1})
+	return Collect(context.Background(), progs, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1})
 }
 
 func TestCollectProducesBothClasses(t *testing.T) {
@@ -34,8 +35,8 @@ func TestCollectProducesBothClasses(t *testing.T) {
 
 func TestCollectDeterministic(t *testing.T) {
 	cfg := CollectConfig{MaxInsts: 20_000, Interval: 10_000, Seed: 5, Runs: 1}
-	a := Collect([]workload.Program{benign.Mcf()}, cfg)
-	b := Collect([]workload.Program{benign.Mcf()}, cfg)
+	a := Collect(context.Background(), []workload.Program{benign.Mcf()}, cfg)
+	b := Collect(context.Background(), []workload.Program{benign.Mcf()}, cfg)
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatalf("sample counts differ: %d vs %d", len(a.Samples), len(b.Samples))
 	}
@@ -50,7 +51,7 @@ func TestCollectDeterministic(t *testing.T) {
 
 func TestCollectMultiRunSeedsDiffer(t *testing.T) {
 	cfg := CollectConfig{MaxInsts: 20_000, Interval: 10_000, Seed: 5, Runs: 2}
-	ds := Collect([]workload.Program{benign.Gobmk()}, cfg)
+	ds := Collect(context.Background(), []workload.Program{benign.Gobmk()}, cfg)
 	run0 := ds.Filter(func(s *Sample) bool { return s.Run == 0 })
 	run1 := ds.Filter(func(s *Sample) bool { return s.Run == 1 })
 	if len(run0.Samples) == 0 || len(run1.Samples) == 0 {
@@ -114,7 +115,10 @@ func TestFilterAndCategories(t *testing.T) {
 	if b, _ := mal.ClassCounts(); b != 0 {
 		t.Fatalf("filter leaked benign samples")
 	}
-	cats := ds.Categories()
+	cats := map[string]bool{}
+	for _, s := range ds.Samples {
+		cats[s.Category] = true
+	}
 	if len(cats) != 2 {
 		t.Fatalf("categories = %v", cats)
 	}
@@ -164,7 +168,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := ds.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, ds.Components)
+	back, err := readCSV(&buf, ds.Components)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +192,11 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("a,b\n"), nil); err == nil {
+	if _, err := readCSV(bytes.NewBufferString("a,b\n"), nil); err == nil {
 		t.Fatalf("short header accepted")
 	}
 	bad := "program,category,channel,label,run,index,interval,f1\np,c,ch,benign,x,0,10,1\n"
-	if _, err := ReadCSV(bytes.NewBufferString(bad), nil); err == nil {
+	if _, err := readCSV(bytes.NewBufferString(bad), nil); err == nil {
 		t.Fatalf("bad run column accepted")
 	}
 }

@@ -129,7 +129,7 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 // rewritten the returned vector: each sample is a fresh vector the simulator
 // no longer reads, so injecting here is exactly injecting into the run.
 func (s *Session) NextRaw(ctx context.Context) (RawSample, bool) {
-	smp, ok := s.src.NextCtx(ctx)
+	smp, ok := s.src.Next(ctx)
 	if !ok {
 		return RawSample{}, false
 	}

@@ -1,0 +1,47 @@
+// Package a plants exports for the public-surface guard's self-test: two
+// are dead (DeadFunc, Widget.DeadMethod), every other one is referenced by
+// one of the rules the guard honours.
+package a
+
+// Live is called from package b.
+func Live() int { return int(KindA) + table }
+
+// DeadFunc is referenced only by this package's own tests: reported.
+func DeadFunc() {}
+
+// Oracle is used only by package b's tests: a shared test oracle, kept.
+func Oracle() {}
+
+// Widget is named from package b.
+type Widget struct{}
+
+// LiveMethod is selected in package b.
+func (Widget) LiveMethod() {}
+
+// DeadMethod is never selected: reported.
+func (Widget) DeadMethod() {}
+
+// String is called through fmt.Stringer.
+func (Widget) String() string { return "widget" }
+
+// hidden is unexported, so its exported methods are not public surface.
+type hidden struct{}
+
+// Exported is on an unexported type: skipped.
+func (hidden) Exported() {}
+
+// Kind is used inside this package.
+type Kind int
+
+// KindB and KindC are never named, but KindA is: their positions fix every
+// later value, so the block is kept whole.
+const (
+	KindA Kind = iota
+	KindB
+	KindC
+)
+
+var table = len(Table)
+
+// Table is referenced by a bare identifier inside its own package.
+var Table = []int{1, 2}
