@@ -1,8 +1,8 @@
 package perspectron
 
 // Raw-sample scoring: the one sample→verdict implementation. Every path that
-// turns a raw counter-delta vector into a score — Replay (behind Monitor,
-// MonitorFaulty, Classify and ClassifyFaulty), MonitorWithPolicy, the
+// turns a raw counter-delta vector into a score — Replay (behind Monitor
+// and Classify), MonitorWithPolicy, the
 // promotion gate's golden evaluation and the serving runtime's shard workers
 // (internal/serve) — goes through a RawScorer, so no two of them can drift
 // apart. Sessions only produce raw

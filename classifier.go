@@ -113,26 +113,19 @@ type Classification struct {
 }
 
 // Classify runs the workload and names its class by per-interval majority
-// vote.
+// vote: Record, then Replay.
 func (c *Classifier) Classify(w Workload, maxInsts uint64, seed int64) (*Classification, error) {
-	return c.ClassifyFaulty(w, maxInsts, seed, FaultConfig{})
-}
-
-// ClassifyFaulty is Classify with counter-level faults injected into the
-// run's sampled vectors — the multi-way analogue of MonitorFaulty: Record,
-// then Replay. The classifier votes in degraded mode over whatever signal
-// survives.
-func (c *Classifier) ClassifyFaulty(w Workload, maxInsts uint64, seed int64, fc FaultConfig) (*Classification, error) {
 	rec, err := Record(context.Background(), w, maxInsts, seed, c.Interval)
 	if err != nil {
 		return nil, err
 	}
-	return c.Replay(rec, &fc)
+	return c.Replay(rec, nil)
 }
 
 // Replay names a recorded run's class, one sample at a time through the
 // RawScorer the serving runtime uses. A non-nil fc injects counter-level
-// faults into a copy of each sample; rec is never modified.
+// faults into a copy of each sample (rec is never modified), and the
+// classifier votes in degraded mode over whatever signal survives.
 func (c *Classifier) Replay(rec *Recording, fc *FaultConfig) (*Classification, error) {
 	res := &Classification{Workload: rec.Workload, Votes: map[string]int{}}
 	coverageSum := 0.0

@@ -8,6 +8,7 @@ package perspectron
 // visibly but corrupted no score only by luck of the >= comparison.
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -90,8 +91,11 @@ func TestClassifyCleanRunNotDegraded(t *testing.T) {
 // keep voting, report degraded mode, and reflect the loss in Coverage.
 func TestClassifierDropoutDegraded(t *testing.T) {
 	c := sharedClassifier(t)
-	fc := FaultConfig{Seed: 99, Dropout: 0.2}
-	res, err := c.ClassifyFaulty(AttackByName("flush+reload", ""), 80_000, 5, fc)
+	rec, err := Record(context.Background(), AttackByName("flush+reload", ""), 80_000, 5, c.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Replay(rec, &FaultConfig{Seed: 99, Dropout: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestClassifierDropoutDegraded(t *testing.T) {
 		t.Errorf("coverage %.3f, want ~0.8 under 20%% dropout", res.Coverage)
 	}
 
-	clean, err := c.ClassifyFaulty(AttackByName("flush+reload", ""), 80_000, 5, FaultConfig{})
+	clean, err := c.Replay(rec, &FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +124,15 @@ func TestClassifierDropoutDegraded(t *testing.T) {
 // blackout must cost more coverage than a bounded window.
 func TestClassifierBlackoutDegraded(t *testing.T) {
 	c := sharedClassifier(t)
-	if _, err := c.ClassifyFaulty(AttackByName("flush+reload", ""), 40_000, 3,
-		FaultConfig{Blackout: "no-such-component"}); err == nil {
+	rec, err := Record(context.Background(), AttackByName("flush+reload", ""), 80_000, 3, c.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Replay(rec, &FaultConfig{Blackout: "no-such-component"}); err == nil {
 		t.Fatalf("unknown blackout component accepted")
 	}
 
-	full, err := c.ClassifyFaulty(AttackByName("flush+reload", ""), 80_000, 3,
-		FaultConfig{Seed: 5, Blackout: "dcache"})
+	full, err := c.Replay(rec, &FaultConfig{Seed: 5, Blackout: "dcache"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +146,7 @@ func TestClassifierBlackoutDegraded(t *testing.T) {
 
 	// Samples [2, 4) only: still degraded, but strictly more coverage than
 	// losing the component for the whole run.
-	windowed, err := c.ClassifyFaulty(AttackByName("flush+reload", ""), 80_000, 3,
-		FaultConfig{Seed: 5, Blackout: "dcache", BlackoutFrom: 2, BlackoutTo: 4})
+	windowed, err := c.Replay(rec, &FaultConfig{Seed: 5, Blackout: "dcache", BlackoutFrom: 2, BlackoutTo: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +166,10 @@ func TestClassifierBlackoutDegraded(t *testing.T) {
 // verdict from the distorted vectors.
 func TestClassifierStuckAtKeepsFullCoverage(t *testing.T) {
 	c := sharedClassifier(t)
+	rec, err := Record(context.Background(), AttackByName("flush+reload", ""), 80_000, 5, c.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		fc   FaultConfig
@@ -169,7 +178,7 @@ func TestClassifierStuckAtKeepsFullCoverage(t *testing.T) {
 		{"stuck-at-max", FaultConfig{Seed: 11, StuckMax: 0.3}},
 		{"both", FaultConfig{Seed: 11, StuckZero: 0.2, StuckMax: 0.2}},
 	} {
-		res, err := c.ClassifyFaulty(AttackByName("flush+reload", ""), 80_000, 5, tc.fc)
+		res, err := c.Replay(rec, &tc.fc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

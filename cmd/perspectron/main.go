@@ -11,13 +11,9 @@
 //	perspectron serve  [-in detector.json] [-classifier classifier.json]
 //	                   [-workloads name,name|all|attacks|benign] [-channel fr|ff|pp]
 //	                   [-insts N] [-seed N] [-episodes N] [-verdicts FILE]
-//	                   [-sample-timeout D] [-poll D]
-//	                   [-shards N] [-queue-depth N] [-batch N]
+//	                   [-poll D] [-shards N] [-queue-depth N] [-batch N]
 //	                   [-load-high F] [-load-critical F]
-//	                   [-attr-k N] [-attr-benign-every N] [-flight N]
-//	                   [-slow-sample D]
-//	                   [-dropout F] [-stuck0 F] [-stuckmax F] [-faultseed N]
-//	                   [-state FILE] [-log-flush D]
+//	                   [-attr-benign-every N] [-state FILE] [-log-flush D]
 //	                   [-disk-faults SPEC] [-disk-fault-seed N]
 //	                   [-shadow] [-shadow-workloads SPEC] [-shadow-interval D]
 //	                   [-shadow-budget N] [-shadow-insts N]
@@ -243,8 +239,6 @@ func cmdDetect(args []string) {
 			}
 		}
 	}
-	faulty := fc.Dropout > 0 || fc.StuckZero > 0 || fc.StuckMax > 0 ||
-		fc.Noise > 0 || fc.Jitter > 0 || fc.Blackout != ""
 
 	det := loadDetector(*in)
 	var w perspectron.Workload
@@ -269,12 +263,12 @@ func cmdDetect(args []string) {
 		w = perspectron.ReduceBandwidth(w, *bandwidth)
 	}
 
-	var rep *perspectron.Report
-	if faulty {
-		rep, err = det.MonitorFaulty(w, *insts, *seed, fc)
-	} else {
-		rep, err = det.Monitor(w, *insts, *seed)
+	rec, err := perspectron.Record(context.Background(), w, *insts, *seed, det.Interval)
+	if err != nil {
+		fatal(err)
 	}
+	// A FaultConfig that selects no fault injects nothing.
+	rep, err := det.Replay(rec, &fc)
 	if err != nil {
 		fatal(err)
 	}
@@ -463,28 +457,20 @@ func cmdServe(args []string) {
 	seed := fs.Int64("seed", 1, "base seed, varied per worker and episode")
 	episodes := fs.Int("episodes", 0, "stop each worker after N episodes (0 = run until signalled)")
 	verdicts := fs.String("verdicts", "-", "verdict log destination: - for stdout, empty to disable, else a file (appended)")
-	sampleTimeout := fs.Duration("sample-timeout", 2*time.Second, "per-sample deadline before an episode fails")
 	poll := fs.Duration("poll", 500*time.Millisecond, "checkpoint watch cadence (negative disables hot-reload)")
 	shards := fs.Int("shards", 0, "scoring shards on the consistent-hash ring (0 = min(GOMAXPROCS, 8))")
 	queueDepth := fs.Int("queue-depth", 0, "per-shard pending-sample cap; a full queue sheds loudly (0 = 1024)")
 	batch := fs.Int("batch", 0, "max samples per scorer sweep (0 = 256)")
 	loadHigh := fs.Float64("load-high", 0, "queue pressure that starts backpressure + classifier demotion (0 = 0.75)")
 	loadCritical := fs.Float64("load-critical", 0, "queue pressure that demotes to the threshold rung (0 = 0.9)")
-	attrK := fs.Int("attr-k", 0, "top-k feature attributions stamped on flagged verdicts (0 = 5)")
 	attrBenign := fs.Int("attr-benign-every", 0, "also attribute every Nth benign verdict per shard (0 = off)")
-	flightSize := fs.Int("flight", 0, "flight-recorder capacity for /debug/verdicts (0 = 256)")
-	slowSample := fs.Duration("slow-sample", 0, "enqueue-to-verdict latency that emits a slow-sample exemplar to -trace-out (0 = 250ms)")
-	dropout := fs.Float64("dropout", 0, "per-sample counter dropout probability (fault injection)")
-	stuck0 := fs.Float64("stuck0", 0, "fraction of counters stuck at zero")
-	stuckMax := fs.Float64("stuckmax", 0, "fraction of counters stuck at saturation")
-	faultSeed := fs.Int64("faultseed", 1, "fault-schedule seed")
 	shadowOn := fs.Bool("shadow", false, "run the continual-learning shadow trainer in-process (retrain + gated promotion against -in)")
 	shadowSpec := fs.String("shadow-workloads", "all", "shadow trainer's fresh-corpus source: all|attacks|benign or names")
 	shadowInterval := fs.Duration("shadow-interval", 30*time.Second, "cadence of shadow-training rounds")
 	shadowBudget := fs.Int("shadow-budget", perspectron.DefaultIncrementEpochs, "incremental epochs per shadow round")
 	shadowInsts := fs.Uint64("shadow-insts", 120_000, "committed instructions per shadow fresh-corpus run")
 	statePath := fs.String("state", "", "durable accounting state file for file-based -verdicts (default <verdicts>.state)")
-	logFlush := fs.Duration("log-flush", 0, "verdict-log flush + state-persist cadence in file mode (0 = 500ms, negative disables the loop)")
+	logFlush := fs.Duration("log-flush", 0, "verdict-log flush + state-persist cadence in file mode (0 = 500ms)")
 	faultSpec := fs.String("disk-faults", "", "inject disk faults: comma-separated site:op:kind[:after=N][:count=N][:rate=F] rules (sites checkpoint|verdictlog|corpus|servestate|shadowstate|*; ops create|write|sync|rename; kinds torn|enospc|eio|syncfail|crash)")
 	faultDiskSeed := fs.Int64("disk-fault-seed", 1, "seed for probabilistic (rate=) disk-fault rules")
 	tel := telemetrycli.Register(fs)
@@ -503,7 +489,6 @@ func cmdServe(args []string) {
 		MaxInsts:       *insts,
 		Seed:           *seed,
 		MaxEpisodes:    *episodes,
-		SampleTimeout:  *sampleTimeout,
 		PollInterval:   *poll,
 		Shards:         *shards,
 		QueueDepth:     *queueDepth,
@@ -511,18 +496,7 @@ func cmdServe(args []string) {
 		LoadHigh:       *loadHigh,
 		LoadCritical:   *loadCritical,
 
-		AttributionK:    *attrK,
 		AttrBenignEvery: *attrBenign,
-		FlightSize:      *flightSize,
-		SlowSample:      *slowSample,
-	}
-	if *dropout > 0 || *stuck0 > 0 || *stuckMax > 0 {
-		cfg.Faults = &perspectron.FaultConfig{
-			Seed:      *faultSeed,
-			Dropout:   *dropout,
-			StuckZero: *stuck0,
-			StuckMax:  *stuckMax,
-		}
 	}
 	switch *verdicts {
 	case "":
@@ -753,7 +727,7 @@ func cmdExplain(args []string) {
 			}
 		}
 		if rec == nil {
-			fatal(fmt.Errorf("no attributed records in %s (serve with attribution enabled, see -attr-k)", *verdicts))
+			fatal(fmt.Errorf("no attributed records in %s (serve attributes flagged verdicts; see -attr-benign-every)", *verdicts))
 		}
 	}
 

@@ -17,8 +17,9 @@ package perspectron
 //   - methods the standard library calls through an interface (String,
 //     Error, ...) need no selector.
 //
-// exportAllowlist holds the only exceptions: root-package API that README
-// documents but no caller in this tree uses.
+// There are no exceptions. The same scan guards the serving configs (see
+// unsetKnobs): every exported field of serve.Config and shadow.Config is
+// set by a caller, or it is a constant.
 
 import (
 	"fmt"
@@ -26,20 +27,12 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-// exportAllowlist maps "pkg.Name" or "pkg.Type.Method" to why the export
-// stays without a caller. Every entry must be root-package API named in
-// README.md.
-var exportAllowlist = map[string]string{
-	"perspectron.Detector.Update": "the paper's §IV-G1 vendor-patch path: retrain with newly known attack classes",
-}
 
 // stdlibInterfaceMethods are methods the standard library calls through an
 // interface (fmt.Stringer, error, json.Marshaler, http.Handler, sort, heap
@@ -65,11 +58,6 @@ func (d exportDecl) String() string {
 	return fmt.Sprintf("%s:%d %s", d.pos.Filename, d.pos.Line, d.name)
 }
 
-// key is the allowlist key: "pkg.Name" with the import path's last element.
-func (d exportDecl) key() string {
-	return d.pkg[strings.LastIndex(d.pkg, "/")+1:] + "." + d.name
-}
-
 func (d exportDecl) isMethod() bool { return strings.Contains(d.name, ".") }
 
 // goFile is one parsed file with the import path of its directory.
@@ -79,14 +67,13 @@ type goFile struct {
 	test bool
 }
 
-// unusedExports scans the Go files under root, whose module path is module
-// (a subdirectory's import path is module/dir, which also holds for the
-// nested bench/ module), and returns the exported declarations no
-// reference reaches, sorted by position, plus the number scanned.
-func unusedExports(root, module string) (dead []exportDecl, total int, err error) {
+// parseTree parses the Go files under root, whose module path is module (a
+// subdirectory's import path is module/dir, which also holds for the nested
+// bench/ module).
+func parseTree(root, module string) (*token.FileSet, []goFile, error) {
 	fset := token.NewFileSet()
 	var files []goFile
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -110,10 +97,37 @@ func unusedExports(root, module string) (dead []exportDecl, total int, err error
 		files = append(files, goFile{f, pkg, strings.HasSuffix(path, "_test.go")})
 		return nil
 	})
-	if err != nil {
-		return nil, 0, err
-	}
+	return fset, files, err
+}
 
+// fileImports maps each import's local name in f to its import path.
+func fileImports(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		local := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		imports[local] = path
+	}
+	return imports
+}
+
+// sortByPos orders declarations by file, then line.
+func sortByPos(decls []exportDecl) {
+	sort.Slice(decls, func(i, j int) bool {
+		a, b := decls[i].pos, decls[j].pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Line < b.Line
+	})
+}
+
+// unusedExports returns the exported declarations of files that no
+// reference reaches, sorted by position, plus the number scanned.
+func unusedExports(fset *token.FileSet, files []goFile) (dead []exportDecl, total int) {
 	decls, declIdents := exportedDecls(fset, files)
 
 	// own[pkg][name]: a bare identifier in pkg's non-test code.
@@ -131,15 +145,7 @@ func unusedExports(root, module string) (dead []exportDecl, total int, err error
 		m[k1][k2] = true
 	}
 	for _, gf := range files {
-		imports := map[string]string{} // local name -> import path
-		for _, imp := range gf.f.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			local := path[strings.LastIndex(path, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = path
-		}
+		imports := fileImports(gf.f)
 		ast.Inspect(gf.f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
@@ -192,14 +198,130 @@ func unusedExports(root, module string) (dead []exportDecl, total int, err error
 			dead = append(dead, d)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := dead[i].pos, dead[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+	sortByPos(dead)
+	return dead, len(decls)
+}
+
+// knobConfigs are the serving configs whose every exported field must be
+// set by a caller: a field nothing sets is a fixed policy, so it is a
+// constant (or, when only the package's own tests vary it, an unexported
+// test seam).
+var knobConfigs = []string{
+	"perspectron/internal/serve.Config",
+	"perspectron/internal/shadow.Config",
+}
+
+// unsetKnobs returns the exported fields of the struct types named in
+// types ("importpath.Type") that no non-test file outside the declaring
+// package sets, sorted by position, plus the number of fields scanned.
+// Setting is syntactic: a key in a pkg.Type{...} literal, or an
+// assignment x.Field = ... to a variable the same file declares with that
+// type (var x pkg.Type, x := pkg.Type{...} or x := &pkg.Type{...}). The
+// declaring package's own assignments (withDefaults) do not count.
+func unsetKnobs(fset *token.FileSet, files []goFile, types []string) (unset []exportDecl, total int) {
+	want := map[string]bool{}
+	for _, typ := range types {
+		want[typ] = true
+	}
+	var fields []exportDecl
+	set := map[string]bool{} // "importpath.Type.Field"
+	for _, gf := range files {
+		if gf.test {
+			continue
 		}
-		return a.Line < b.Line
-	})
-	return dead, len(decls), nil
+		for _, d := range gf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !want[gf.pkg+"."+ts.Name.Name] {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							fields = append(fields, exportDecl{fset.Position(id.Pos()), gf.pkg, ts.Name.Name + "." + id.Name, id.Name, -1})
+						}
+					}
+				}
+			}
+		}
+
+		imports := fileImports(gf.f)
+		// typeOf names the knob type a pkg.Type or &pkg.Type{...}
+		// expression denotes, or "" for anything else.
+		typeOf := func(e ast.Expr) string {
+			if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				e = u.X
+			}
+			if cl, ok := e.(*ast.CompositeLit); ok {
+				e = cl.Type
+			}
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return ""
+			}
+			x, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return ""
+			}
+			if typ := imports[x.Name] + "." + sel.Sel.Name; want[typ] {
+				return typ
+			}
+			return ""
+		}
+		vars := map[string]string{} // variable name -> knob type
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if typ := typeOf(n.Type); typ != "" {
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if k, ok := kv.Key.(*ast.Ident); ok {
+								set[typ+"."+k.Name] = true
+							}
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for i, id := range n.Names {
+					typ := typeOf(n.Type)
+					if typ == "" && i < len(n.Values) {
+						typ = typeOf(n.Values[i])
+					}
+					if typ != "" {
+						vars[id.Name] = typ
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					switch lhs := lhs.(type) {
+					case *ast.Ident:
+						if len(n.Lhs) == len(n.Rhs) {
+							if typ := typeOf(n.Rhs[i]); typ != "" {
+								vars[lhs.Name] = typ
+							}
+						}
+					case *ast.SelectorExpr:
+						if x, ok := lhs.X.(*ast.Ident); ok && vars[x.Name] != "" {
+							set[vars[x.Name]+"."+lhs.Sel.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, f := range fields {
+		if !set[f.pkg+"."+f.name] {
+			unset = append(unset, f)
+		}
+	}
+	sortByPos(unset)
+	return unset, len(fields)
 }
 
 // exportedDecls lists the exported declarations of the non-test files, and
@@ -290,54 +412,59 @@ func usesIota(d *ast.GenDecl) bool {
 }
 
 func TestExportsAreReferenced(t *testing.T) {
-	dead, total, err := unusedExports(".", "perspectron")
+	fset, files, err := parseTree(".", "perspectron")
 	if err != nil {
 		t.Fatal(err)
 	}
+	dead, total := unusedExports(fset, files)
 	if total < 500 {
 		t.Fatalf("scanned only %d exported declarations — the scanner is broken", total)
 	}
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[string]bool{}
 	for _, d := range dead {
-		if _, ok := exportAllowlist[d.key()]; ok {
-			used[d.key()] = true
-			continue
-		}
 		t.Errorf("%s: exported but referenced only by its own package's tests, if at all", d)
 	}
-	for key := range exportAllowlist {
-		name := strings.TrimPrefix(key, "perspectron.")
-		switch {
-		case name == key:
-			t.Errorf("allowlist entry %s is not root-package API", key)
-		case !strings.Contains(string(readme), name):
-			t.Errorf("allowlist entry %s is not documented in README.md", key)
-		case !used[key]:
-			t.Errorf("allowlist entry %s is stale: it has a caller or no declaration", key)
-		}
-	}
-	t.Logf("%d exported declarations, %d unreferenced (%d allowlisted)", total, len(dead), len(used))
+	t.Logf("%d exported declarations, %d unreferenced", total, len(dead))
 }
 
-// TestExportScannerFindsPlantedDeadCode runs the scanner over a fixture
-// tree with one dead function and one dead method planted among exports
-// each rule keeps: a cross-package call, a method selector, a test oracle
-// used by another package's tests, a String method, an iota block with
-// unnamed siblings and a method on an unexported type.
-func TestExportScannerFindsPlantedDeadCode(t *testing.T) {
-	dead, total, err := unusedExports(filepath.Join("testdata", "exports"), "fixture")
+// TestConfigKnobsAreSet fails with file:line Config.Field for every exported
+// serve.Config or shadow.Config field that no caller sets: cmd/, examples/
+// and the bench/ module count, tests and the declaring package do not.
+func TestConfigKnobsAreSet(t *testing.T) {
+	fset, files, err := parseTree(".", "perspectron")
 	if err != nil {
 		t.Fatal(err)
 	}
+	unset, total := unsetKnobs(fset, files, knobConfigs)
+	if total < 20 {
+		t.Fatalf("scanned only %d config fields — the scanner is broken", total)
+	}
+	for _, d := range unset {
+		t.Errorf("%s: no caller sets it; make it a constant, or an unexported field if only the package's tests vary it", d)
+	}
+	t.Logf("%d config fields, %d unset", total, len(unset))
+}
+
+// TestExportScannerFindsPlantedDeadCode runs both scanners over a fixture
+// tree with one dead function, one dead method and one dead Config field
+// planted among declarations each rule keeps: a cross-package call, a
+// method selector, a test oracle used by another package's tests, a String
+// method, an iota block with unnamed siblings, a method on an unexported
+// type, and Config fields set by a literal key and by an assignment from
+// another package (the dead one is set only by its own package's defaults
+// and tests).
+func TestExportScannerFindsPlantedDeadCode(t *testing.T) {
+	fset, files, err := parseTree(filepath.Join("testdata", "exports"), "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, total := unusedExports(fset, files)
+	unset, fields := unsetKnobs(fset, files, []string{"fixture/a.Config"})
 	var got []string
-	for _, d := range dead {
+	for _, d := range append(dead, unset...) {
 		got = append(got, d.name)
 	}
-	if want := []string{"DeadFunc", "Widget.DeadMethod"}; strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("scanner reported %v, want exactly %v (of %d declarations)", dead, want, total)
+	if want := []string{"DeadFunc", "Widget.DeadMethod", "Config.Dead"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("scanners reported %v and %v, want exactly %v (of %d declarations, %d config fields)",
+			dead, unset, want, total, fields)
 	}
 }

@@ -2,6 +2,7 @@ package perspectron
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -249,7 +250,11 @@ func TestDropoutAcceptance(t *testing.T) {
 	det := sharedDetector(t)
 	fc := FaultConfig{Seed: 99, Dropout: 0.2}
 	for i, w := range AttackWorkloads() {
-		rep, err := det.MonitorFaulty(w, 80_000, int64(3+i), fc)
+		rec, err := Record(context.Background(), w, 80_000, int64(3+i), det.Interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := det.Replay(rec, &fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,14 +270,16 @@ func TestDropoutAcceptance(t *testing.T) {
 	}
 }
 
-func TestMonitorFaultyBlackout(t *testing.T) {
+func TestReplayBlackout(t *testing.T) {
 	det := sharedDetector(t)
-	if _, err := det.MonitorFaulty(AttackByName("spectreV1", "fr"), 40_000, 3,
-		FaultConfig{Blackout: "no-such-component"}); err == nil {
+	rec, err := Record(context.Background(), AttackByName("flush+reload", ""), 40_000, 3, det.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := det.Replay(rec, &FaultConfig{Blackout: "no-such-component"}); err == nil {
 		t.Fatalf("unknown blackout component accepted")
 	}
-	rep, err := det.MonitorFaulty(AttackByName("flush+reload", ""), 40_000, 3,
-		FaultConfig{Seed: 5, Blackout: "dcache"})
+	rep, err := det.Replay(rec, &FaultConfig{Seed: 5, Blackout: "dcache"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +288,7 @@ func TestMonitorFaultyBlackout(t *testing.T) {
 			rep.Degraded, rep.Coverage)
 	}
 	// Zero-value fault config is a clean run.
-	clean, err := det.MonitorFaulty(AttackByName("flush+reload", ""), 40_000, 3, FaultConfig{})
+	clean, err := det.Replay(rec, &FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

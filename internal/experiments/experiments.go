@@ -68,9 +68,13 @@ func QuickConfig() Config {
 
 // CoreCorpus returns the unmodified-attack workload set: all attacks
 // (default channels plus pp-channel variants of the speculative attacks,
-// for the §VI-B channel pairing) and the benign kernels. The evasion
-// experiments (Figs. 3–4) train on this corpus so no evasion variant is
-// ever seen in training.
+// for the §VI-B channel pairing) and the benign kernels. It is the dataset
+// behind the headline accuracy numbers, and the evasion experiments
+// (Figs. 3–4) train on it so no evasion variant is ever seen in training:
+// bandwidth-reduced and polymorphic variants are evaluated separately
+// (Table IV's FN columns, Figs. 3–4) because their quiet filler intervals
+// make sample-level labels ambiguous — the paper likewise reports them as
+// pre/post-leakage coverage, not accuracy.
 func CoreCorpus() []workload.Program {
 	progs := append([]workload.Program{}, benign.All()...)
 	progs = append(progs, attacks.TrainingSet()...)
@@ -79,13 +83,6 @@ func CoreCorpus() []workload.Program {
 	}
 	return progs
 }
-
-// BaseCorpus returns the dataset used for the headline accuracy numbers.
-// It equals the core corpus: bandwidth-reduced and polymorphic variants are
-// evaluated separately (Table IV's FN columns, Figs. 3–4) because their
-// quiet filler intervals make sample-level labels ambiguous — the paper
-// likewise reports them as pre/post-leakage coverage, not accuracy.
-func BaseCorpus() []workload.Program { return CoreCorpus() }
 
 // collect fetches (progs, cfg)'s dataset through the artifact store: a
 // corpus any experiment in this process already collected — at any config —
@@ -100,19 +97,13 @@ func collect(progs []workload.Program, cfg Config) *trace.Dataset {
 // config) receives the identical bundle.
 type Prepared = corpus.Prepared
 
-// Prepare returns the base dataset with its encoder and feature selection,
-// computed at most once per (corpus, config) via the artifact store.
+// Prepare returns the core corpus's dataset with its encoder and feature
+// selection, computed at most once per (corpus, config) via the artifact
+// store. Its collect and select phases nest under the prepare span.
 func Prepare(cfg Config) *Prepared {
-	_, span := telemetry.StartSpan(context.Background(), "prepare")
+	ctx, span := telemetry.StartSpan(context.Background(), "prepare")
 	defer span.End()
-	return cfg.store().PreparedCtx(context.Background(), BaseCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
-}
-
-// PrepareCore is Prepare over the evasion-free core corpus.
-func PrepareCore(cfg Config) *Prepared {
-	_, span := telemetry.StartSpan(context.Background(), "prepare")
-	defer span.End()
-	return cfg.store().PreparedCtx(context.Background(), CoreCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
+	return cfg.store().PreparedCtx(ctx, CoreCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
 }
 
 // table renders rows as fixed-width text with a header underline.

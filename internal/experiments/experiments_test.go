@@ -4,9 +4,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"perspectron/internal/workload"
 )
 
-// sharedPrepared caches the expensive base-dataset preparation across tests.
+// sharedPrepared caches the expensive core-corpus preparation across tests.
 var (
 	prepOnce sync.Once
 	prep     *Prepared
@@ -196,4 +198,56 @@ func TestTable4OrderingHolds(t *testing.T) {
 	if ps.PolyDetected != 12 {
 		t.Fatalf("PerSpectron detected %d/12 polymorphic variants", ps.PolyDetected)
 	}
+}
+
+// DistinctSignatures reports whether every malicious row's bit vector
+// differs from the safe program's — the property the paper's example
+// vectors illustrate.
+func (r *Fig1Result) DistinctSignatures() bool {
+	var safe []int
+	for _, row := range r.Rows {
+		if row.Label == workload.Benign {
+			safe = row.Bits
+		}
+	}
+	if safe == nil {
+		return false
+	}
+	for _, row := range r.Rows {
+		if row.Label == workload.Benign {
+			continue
+		}
+		same := true
+		for i := range row.Bits {
+			if row.Bits[i] != safe[i] {
+				same = false
+				break
+			}
+		}
+		if same {
+			return false
+		}
+	}
+	return true
+}
+
+// Best returns the curve with the highest AUC.
+func (r *Fig5Result) Best() Fig5Curve {
+	best := r.Curves[0]
+	for _, c := range r.Curves[1:] {
+		if c.AUC > best.AUC {
+			best = c
+		}
+	}
+	return best
+}
+
+// Row returns the row for a model/feature-set pair.
+func (r *Table4Result) Row(model, featureSet string) *Table4Row {
+	for i := range r.Rows {
+		if r.Rows[i].Model == model && r.Rows[i].FeatureSet == featureSet {
+			return &r.Rows[i]
+		}
+	}
+	return nil
 }

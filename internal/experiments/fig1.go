@@ -130,34 +130,3 @@ func (r *Fig1Result) Render() string {
 	}
 	return b.String()
 }
-
-// DistinctSignatures reports whether every malicious row's bit vector
-// differs from the safe program's — the property the paper's example
-// vectors illustrate.
-func (r *Fig1Result) DistinctSignatures() bool {
-	var safe []int
-	for _, row := range r.Rows {
-		if row.Label == workload.Benign {
-			safe = row.Bits
-		}
-	}
-	if safe == nil {
-		return false
-	}
-	for _, row := range r.Rows {
-		if row.Label == workload.Benign {
-			continue
-		}
-		same := true
-		for i := range row.Bits {
-			if row.Bits[i] != safe[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return false
-		}
-	}
-	return true
-}

@@ -40,7 +40,7 @@ func trainPerSpectron(p *Prepared, threshold float64) *modelScorer[encoding.BitV
 // Fig3 trains PerSpectron on the core corpus (which contains no polymorphic
 // variants) and monitors each variant.
 func Fig3(cfg Config) *Fig3Result {
-	p := PrepareCore(cfg)
+	p := Prepare(cfg)
 	sc := trainPerSpectron(p, 0.25)
 
 	res := &Fig3Result{Interval: cfg.Interval, Threshold: sc.threshold}

@@ -31,7 +31,7 @@ type Fig4Result struct {
 // Fig4 trains on the core corpus (full-rate attacks only — no bandwidth
 // variant is seen in training) and monitors the reduced-bandwidth variants.
 func Fig4(cfg Config) *Fig4Result {
-	p := PrepareCore(cfg)
+	p := Prepare(cfg)
 	sc := trainPerSpectron(p, 0.25)
 
 	res := &Fig4Result{Interval: cfg.Interval, Threshold: sc.threshold}

@@ -100,14 +100,3 @@ func tprAt(points []eval.ROCPoint, fpr float64) float64 {
 	}
 	return best
 }
-
-// Best returns the curve with the highest AUC.
-func (r *Fig5Result) Best() Fig5Curve {
-	best := r.Curves[0]
-	for _, c := range r.Curves[1:] {
-		if c.AUC > best.AUC {
-			best = c
-		}
-	}
-	return best
-}

@@ -31,7 +31,7 @@ type SchedResult struct {
 // Sched trains PerSpectron on the standard isolated corpus and deploys it
 // on a 4-way multiprogrammed mix with one attacker.
 func Sched(cfg Config) *SchedResult {
-	p := PrepareCore(cfg)
+	p := Prepare(cfg)
 	sc := trainPerSpectron(p, 0.25)
 
 	s, err := sched.New(cfg.Interval, cfg.Interval, cfg.Seed+77,

@@ -207,13 +207,3 @@ func (r *Table4Result) Render() string {
 	b.WriteString("  > NN+MAP 0.8026 > LogReg+MAP 0.7594\n")
 	return b.String()
 }
-
-// Row returns the row for a model/feature-set pair.
-func (r *Table4Result) Row(model, featureSet string) *Table4Row {
-	for i := range r.Rows {
-		if r.Rows[i].Model == model && r.Rows[i].FeatureSet == featureSet {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}

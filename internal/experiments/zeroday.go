@@ -24,7 +24,7 @@ type ZeroDayResult struct {
 // ZeroDay trains PerSpectron on the standard corpus and monitors the
 // excluded attacks.
 func ZeroDay(cfg Config) *ZeroDayResult {
-	p := PrepareCore(cfg)
+	p := Prepare(cfg)
 	sc := trainPerSpectron(p, 0.25)
 
 	subjects := []workload.Program{

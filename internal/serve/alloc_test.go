@@ -60,7 +60,7 @@ func TestVerdictAllocations(t *testing.T) {
 	}
 
 	for _, logged := range []bool{false, true} {
-		cfg := Config{Detector: det, Workloads: []perspectron.Workload{attack}}
+		cfg := Config{detector: det, Workloads: []perspectron.Workload{attack}}
 		name := "nolog"
 		if logged {
 			cfg.VerdictLog, name = NewVerdictLog(io.Discard), "logged"

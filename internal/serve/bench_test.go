@@ -53,13 +53,13 @@ func BenchmarkServeSaturation(b *testing.B) {
 	var p99ms, shedRate, unlogged, perSec float64
 	for iter := 0; iter < b.N; iter++ {
 		s, err := New(Config{
-			Detector:   det,
+			detector:   det,
 			Workloads:  []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 			Shards:     8,
 			QueueDepth: 512,
 			Batch:      256,
-			ScoreTick:  time.Millisecond,
-			Pace:       100 * time.Microsecond,
+			scoreTick:  time.Millisecond,
+			pace:       100 * time.Microsecond,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -107,7 +107,7 @@ func BenchmarkServeSaturation(b *testing.B) {
 				for n := 0; n < samplesPerStream; n++ {
 					rs := samples[(w.id+n)%len(samples)]
 					if pressure := s.route(w, 0, rs); pressure >= s.cfg.LoadHigh {
-						time.Sleep(s.cfg.Pace) // the backpressure contract
+						time.Sleep(s.cfg.pace) // the backpressure contract
 					}
 				}
 			}(w)
@@ -198,7 +198,7 @@ func BenchmarkServeForensicsOverhead(b *testing.B) {
 	})
 	b.Run("verdict", func(b *testing.B) {
 		s, err := New(Config{
-			Detector:  det,
+			detector:  det,
 			Workloads: []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		})
 		if err != nil {
@@ -221,7 +221,7 @@ func BenchmarkServeForensicsOverhead(b *testing.B) {
 		now := time.Now()
 		for i := 0; i < b.N; i++ {
 			// Stamped per item: one stamp for the whole loop would age
-			// every item past SlowSample and time the slow-verdict event
+			// every item past slowSample and time the slow-verdict event
 			// instead of a verdict. As in scoreShard, each verdict's end
 			// stamp opens the next item's turn, so the arm reads the clock
 			// only where serve does.

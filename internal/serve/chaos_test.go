@@ -48,8 +48,8 @@ func TestServeChaos(t *testing.T) {
 
 	var buf bytes.Buffer
 	s, err := New(Config{
-		Detector:     det,
-		Classifier:   cls,
+		detector:     det,
+		classifier:   cls,
 		DetectorPath: path,
 		Workloads: []perspectron.Workload{
 			perspectron.AttackByName("spectreV1", "fr"),
@@ -59,20 +59,20 @@ func TestServeChaos(t *testing.T) {
 		},
 		MaxInsts:         30_000,
 		MaxEpisodes:      0, // run until the chaos window closes
-		SampleTimeout:    80 * time.Millisecond,
-		Backoff:          fastBackoff(),
-		BreakerThreshold: 2,
-		BreakerCooldown:  20 * time.Millisecond,
+		sampleTimeout:    80 * time.Millisecond,
+		backoff:          fastBackoff(),
+		breakerThreshold: 2,
+		breakerCooldown:  20 * time.Millisecond,
 		Shards:           4,
 		QueueDepth:       64,
 		Batch:            32,
-		ScoreTick:        time.Millisecond,
-		Pace:             200 * time.Microsecond,
+		scoreTick:        time.Millisecond,
+		pace:             200 * time.Microsecond,
 		PollInterval:     time.Hour, // reloads driven by the corrupter below
 		VerdictLog:       NewVerdictLog(&buf),
 		// Counter faults run the whole time too: the coverage ladder and the
 		// packed kernels' NaN masking are part of what chaos must not break.
-		Faults: &perspectron.FaultConfig{Seed: 9, Dropout: 0.3},
+		faults: &perspectron.FaultConfig{Seed: 9, Dropout: 0.3},
 	})
 	if err != nil {
 		t.Fatal(err)

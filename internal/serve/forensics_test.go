@@ -30,13 +30,12 @@ func TestForensicsEndToEnd(t *testing.T) {
 	det, _ := testModels(t)
 	var buf bytes.Buffer
 	s, err := New(Config{
-		Detector:        det,
+		detector:        det,
 		Workloads:       []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		MaxInsts:        60_000,
 		MaxEpisodes:     1,
-		Backoff:         fastBackoff(),
+		backoff:         fastBackoff(),
 		VerdictLog:      NewVerdictLog(&buf),
-		AttributionK:    4,
 		AttrBenignEvery: 2,
 	})
 	if err != nil {
@@ -72,8 +71,8 @@ func TestForensicsEndToEnd(t *testing.T) {
 		}
 		if rec.Attr != nil {
 			attributed++
-			if len(rec.Attr) > 4 {
-				t.Fatalf("attr has %d contributions, K=4", len(rec.Attr))
+			if len(rec.Attr) > attributionK {
+				t.Fatalf("attr has %d contributions, K=%d", len(rec.Attr), attributionK)
 			}
 			for i := 1; i < len(rec.Attr); i++ {
 				if math.Abs(rec.Attr[i].Weight) > math.Abs(rec.Attr[i-1].Weight) {
@@ -221,7 +220,7 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 func TestShedRecordsCarryTrace(t *testing.T) {
 	det, _ := testModels(t)
 	s, err := New(Config{
-		Detector:   det,
+		detector:   det,
 		Workloads:  []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		Shards:     1,
 		QueueDepth: 4,

@@ -260,7 +260,7 @@ func (s *Supervisor) scoreShard(sh *shard) {
 	reg := telemetry.Get()
 	reg.Gauge("perspectron_serve_scorers_running").Add(1)
 	defer reg.Gauge("perspectron_serve_scorers_running").Add(-1)
-	tick := time.NewTicker(s.cfg.ScoreTick)
+	tick := time.NewTicker(s.cfg.scoreTick)
 	defer tick.Stop()
 	ss := newShardScorer(sh)
 	batch := make([]*ingestItem, 0, s.cfg.Batch)
@@ -281,7 +281,7 @@ func (s *Supervisor) scoreShard(sh *shard) {
 		if !s.producersDone() && !sh.breaker.allow() {
 			sh.down.Store(true)
 			select {
-			case <-time.After(s.cfg.BreakerCooldown / 4):
+			case <-time.After(s.cfg.breakerCooldown / 4):
 			case <-s.produceDone:
 			}
 			continue
@@ -391,7 +391,7 @@ func (ss *shardScorer) scorerFor(mdl *Models) (*perspectron.RawScorer, error) {
 // Every verdict carries its forensics: the record holds its trace ID and
 // the queue/batch/score stage breakdown, the four
 // perspectron_serve_stage_seconds histograms are fed, the latency folds
-// into the SLO burn, and a verdict past SlowSample emits an exemplar event
+// into the SLO burn, and a verdict past slowSample emits an exemplar event
 // into the telemetry trace stream. Flagged samples (and every
 // AttrBenignEvery-th benign one) get their fired slots and top-k weight×bit
 // contributions stamped and are pushed into the flight recorder.
@@ -436,7 +436,7 @@ func (s *Supervisor) scoreItem(ss *shardScorer, it *ingestItem, loadMode perspec
 	ss.stageBatch.Observe(batchWait.Seconds())
 	ss.stageScore.Observe(scoreDur.Seconds())
 	ss.stageLog.Observe(logDur.Seconds())
-	if total >= s.cfg.SlowSample {
+	if total >= slowSample {
 		ss.slow.Inc()
 		if reg := telemetry.Get(); reg.HasEventSink() {
 			reg.Event("serve.slow_verdict", map[string]any{
@@ -516,7 +516,7 @@ func (s *Supervisor) scoreSample(ss *shardScorer, mdl *Models, it *ingestItem, l
 		attributed = true
 	}
 	if attributed {
-		if fired, attr, aerr := scorer.Attribution(s.cfg.AttributionK); aerr == nil {
+		if fired, attr, aerr := scorer.Attribution(attributionK); aerr == nil {
 			rec.Fired, rec.Attr = fired, attr
 		}
 	}

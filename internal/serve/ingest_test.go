@@ -233,7 +233,7 @@ func TestWatcherBacksOffOnPersistentFailure(t *testing.T) {
 	s, err := New(Config{
 		DetectorPath: path,
 		Workloads:    []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
-		Backoff:      fastBackoff(),
+		backoff:      fastBackoff(),
 		PollInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -301,14 +301,14 @@ func TestServiceBlackoutDegradesToThreshold(t *testing.T) {
 	var buf bytes.Buffer
 	var threshold, total atomic.Int64
 	s, err := New(Config{
-		Detector:    det,
-		Classifier:  cls,
+		detector:    det,
+		classifier:  cls,
 		Workloads:   []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		MaxInsts:    60_000,
 		MaxEpisodes: 2,
-		Backoff:     fastBackoff(),
+		backoff:     fastBackoff(),
 		VerdictLog:  NewVerdictLog(&buf),
-		Faults:      &perspectron.FaultConfig{Seed: 5, Dropout: 1.0},
+		faults:      &perspectron.FaultConfig{Seed: 5, Dropout: 1.0},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestPromotionGateNeverReloadsRegression(t *testing.T) {
 		Workloads:    []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		MaxInsts:     30_000,
 		MaxEpisodes:  1,
-		Backoff:      fastBackoff(),
+		backoff:      fastBackoff(),
 		PollInterval: time.Hour, // ticks driven manually via pollNow
 	})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestPromotionGateHotReload(t *testing.T) {
 		Workloads:    []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		MaxInsts:     30_000,
 		MaxEpisodes:  1,
-		Backoff:      fastBackoff(),
+		backoff:      fastBackoff(),
 		PollInterval: time.Hour,
 	})
 	if err != nil {
@@ -159,11 +159,11 @@ func TestPromotionGateHotReload(t *testing.T) {
 func TestDriftProbeDegradesHealth(t *testing.T) {
 	det, _ := testModels(t)
 	s, err := New(Config{
-		Detector:    det,
+		detector:    det,
 		Workloads:   []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		MaxInsts:    30_000,
 		MaxEpisodes: 1,
-		Backoff:     fastBackoff(),
+		backoff:     fastBackoff(),
 	})
 	if err != nil {
 		t.Fatal(err)

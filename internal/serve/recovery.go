@@ -346,7 +346,7 @@ func runRecovery(cfg Config) (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	rep.SweptTemp = sweepTempDebris(cfg.VerdictLogPath, cfg.StatePath, cfg.DetectorPath, cfg.ClassifierPath)
 
-	if cfg.DetectorPath != "" && cfg.Detector == nil {
+	if cfg.DetectorPath != "" && cfg.detector == nil {
 		fb, err := recoverCheckpoint(cfg.DetectorPath, func(p string) error {
 			_, e := perspectron.LoadFile(p)
 			return e
@@ -356,7 +356,7 @@ func runRecovery(cfg Config) (*RecoveryReport, error) {
 		}
 		rep.CheckpointFallback = fb
 	}
-	if cfg.ClassifierPath != "" && cfg.Classifier == nil {
+	if cfg.ClassifierPath != "" && cfg.classifier == nil {
 		fb, err := recoverCheckpoint(cfg.ClassifierPath, func(p string) error {
 			_, e := perspectron.LoadClassifierFile(p)
 			return e

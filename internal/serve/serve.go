@@ -38,22 +38,44 @@ const (
 	classifierFloor = 0.9
 	detectorFloor   = 0.5
 	hysteresis      = 0.05
+	// attributionK is how many top weight×bit contributions are stamped
+	// into attributed verdict records.
+	attributionK = 5
+	// flightSize is the flight recorder's capacity: the last attributed
+	// verdicts served at /debug/verdicts.
+	flightSize = 256
+	// slowSample is the total-latency mark past which a verdict emits a
+	// slow-sample exemplar event into the telemetry trace stream.
+	slowSample = 250 * time.Millisecond
+
+	// The defaults of the unexported Config test seams below.
+	//
+	// sampleTimeout is the per-sample deadline: a stream that stalls past
+	// it fails the episode.
+	sampleTimeout = 2 * time.Second
+	// breakerThreshold is the consecutive-failure count that opens a
+	// worker's circuit breaker; breakerCooldown is how long it stays open
+	// before a trial episode.
+	breakerThreshold = 3
+	breakerCooldown  = 5 * time.Second
+	// scoreTick is the scorer's fallback wake-up when no enqueue signal
+	// arrives.
+	scoreTick = 5 * time.Millisecond
+	// pace is the producer's sleep per sample once its shard crosses
+	// LoadHigh: the backpressure half of the overload contract.
+	pace = time.Millisecond
 )
 
-// Config configures a Supervisor. Zero-valued durations and floors fall
-// back to the defaults noted on each field.
+// Config configures a Supervisor. Zero-valued fields fall back to the
+// defaults noted on each field. A field stays exported only if it names a
+// deployment input or a caller sets it; every other policy is a constant
+// above.
 type Config struct {
-	// DetectorPath is the detector checkpoint to load and watch. Required
-	// unless Detector is set directly.
+	// DetectorPath is the detector checkpoint to load and watch. Required.
 	DetectorPath string
 	// ClassifierPath optionally adds the multi-way classifier (the top
 	// rung of the degradation ladder).
 	ClassifierPath string
-	// Detector/Classifier inject pre-loaded models (tests, embedding).
-	// When set they win over the paths for the initial load; the watcher
-	// still follows the paths.
-	Detector   *perspectron.Detector
-	Classifier *perspectron.Classifier
 
 	// Workloads is the set of monitored streams: one worker each. Required.
 	Workloads []perspectron.Workload
@@ -66,19 +88,6 @@ type Config struct {
 	// 0 means run until the context ends (the service default).
 	MaxEpisodes int
 
-	// SampleTimeout is the per-sample deadline: a stream that stalls past
-	// it fails the episode (default 2s).
-	SampleTimeout time.Duration
-	// Backoff shapes the delay between failed episodes (default
-	// retry.DefaultPolicy with unlimited attempts — the breaker, not the
-	// policy, decides when to stop trying).
-	Backoff retry.Policy
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// worker's circuit breaker (default 3); BreakerCooldown is how long it
-	// stays open before a trial episode (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
 	// Shards is the number of scoring lanes samples are hashed onto
 	// (default min(GOMAXPROCS, 8)).
 	Shards int
@@ -86,20 +95,15 @@ type Config struct {
 	// 1024). A full ring sheds — oldest benign-stream sample first — and
 	// every shed is logged and counted, never silent.
 	QueueDepth int
-	// Batch bounds how many samples one scorer tick drains (default 256);
-	// ScoreTick is the scorer's fallback wake-up when no enqueue signal
-	// arrives (default 5ms).
-	Batch     int
-	ScoreTick time.Duration
+	// Batch bounds how many samples one scorer tick drains (default 256).
+	Batch int
 	// LoadHigh and LoadCritical are the smoothed queue-pressure marks
 	// (depth/capacity) at which a shard's load rung abandons the classifier
 	// (default 0.75) and the detector (default 0.9) — degrading scoring
-	// cost before latency collapses. Producers also start pacing (Pace
-	// sleep per sample, default 1ms) once their shard crosses LoadHigh:
-	// the backpressure half of the contract.
+	// cost before latency collapses. Producers also start pacing once their
+	// shard crosses LoadHigh: the backpressure half of the contract.
 	LoadHigh     float64
 	LoadCritical float64
-	Pace         time.Duration
 
 	// PollInterval is the checkpoint watcher's cadence (default 500ms;
 	// negative disables watching).
@@ -117,31 +121,32 @@ type Config struct {
 	VerdictLogPath string
 	StatePath      string
 	// LogFlushInterval is the periodic flush+persist cadence in file mode
-	// (default 500ms; negative disables the loop — drain still flushes).
+	// (default 500ms).
 	LogFlushInterval time.Duration
 
-	// Faults optionally injects counter faults into every episode's
-	// machine — the degradation ladder's test harness.
-	Faults *perspectron.FaultConfig
-
-	// Forensics are always on: every verdict record carries its trace ID
-	// and stage timings, and the knobs below only tune them. A negative
-	// value is a New error.
-	//
-	// AttributionK is how many top weight×bit contributions are stamped
-	// into attributed verdict records (default 5).
-	AttributionK int
 	// AttrBenignEvery additionally attributes every Nth non-flagged verdict
 	// per shard, so the flight recorder shows what "normal" looks like too
 	// (0 disables benign sampling; flagged samples are always attributed).
+	// Forensics are always on, so a negative value is a New error.
 	AttrBenignEvery int
-	// FlightSize is the flight recorder's capacity — the last N attributed
-	// verdicts served at /debug/verdicts (default 256).
-	FlightSize int
-	// SlowSample is the total-latency mark past which a verdict emits a
-	// slow-sample exemplar event into the telemetry trace stream (default
-	// 250ms).
-	SlowSample time.Duration
+
+	// Test seams, set only by this package's tests; zero values fall back
+	// to the constants above. detector/classifier inject pre-loaded models
+	// that win over the paths for the initial load (the watcher still
+	// follows the paths); faults injects counter faults into every
+	// episode's machine, the degradation ladder's harness; backoff shapes
+	// the delay between failed episodes (default retry.DefaultPolicy with
+	// unlimited attempts: the breaker, not the policy, decides when to stop
+	// trying).
+	detector         *perspectron.Detector
+	classifier       *perspectron.Classifier
+	faults           *perspectron.FaultConfig
+	sampleTimeout    time.Duration
+	backoff          retry.Policy
+	breakerThreshold int
+	breakerCooldown  time.Duration
+	scoreTick        time.Duration
+	pace             time.Duration
 }
 
 // verdictLogWriter is the internal log type behind Config.VerdictLog.
@@ -158,26 +163,24 @@ func (c *Config) withDefaults() Config {
 	if out.MaxInsts == 0 {
 		out.MaxInsts = 100_000
 	}
-	if out.SampleTimeout <= 0 {
-		out.SampleTimeout = 2 * time.Second
+	if out.sampleTimeout <= 0 {
+		out.sampleTimeout = sampleTimeout
 	}
-	if out.Backoff == (retry.Policy{}) {
-		out.Backoff = retry.DefaultPolicy()
+	if out.backoff == (retry.Policy{}) {
+		out.backoff = retry.DefaultPolicy()
 	}
-	out.Backoff.MaxAttempts = 0 // the breaker owns give-up decisions
-	if out.BreakerThreshold <= 0 {
-		out.BreakerThreshold = 3
+	out.backoff.MaxAttempts = 0 // the breaker owns give-up decisions
+	if out.breakerThreshold <= 0 {
+		out.breakerThreshold = breakerThreshold
 	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = 5 * time.Second
+	if out.breakerCooldown <= 0 {
+		out.breakerCooldown = breakerCooldown
 	}
 	if out.PollInterval == 0 {
 		out.PollInterval = 500 * time.Millisecond
 	}
-	if out.LogFlushInterval == 0 {
+	if out.LogFlushInterval <= 0 {
 		out.LogFlushInterval = 500 * time.Millisecond
-	} else if out.LogFlushInterval < 0 {
-		out.LogFlushInterval = 0
 	}
 	out.derivePaths()
 	if out.Shards <= 0 {
@@ -192,8 +195,8 @@ func (c *Config) withDefaults() Config {
 	if out.Batch <= 0 {
 		out.Batch = 256
 	}
-	if out.ScoreTick <= 0 {
-		out.ScoreTick = 5 * time.Millisecond
+	if out.scoreTick <= 0 {
+		out.scoreTick = scoreTick
 	}
 	if out.LoadHigh <= 0 || out.LoadHigh > 1 {
 		out.LoadHigh = 0.75
@@ -204,17 +207,8 @@ func (c *Config) withDefaults() Config {
 	if out.LoadCritical < out.LoadHigh {
 		out.LoadCritical = out.LoadHigh
 	}
-	if out.Pace <= 0 {
-		out.Pace = time.Millisecond
-	}
-	if out.AttributionK == 0 {
-		out.AttributionK = 5
-	}
-	if out.FlightSize == 0 {
-		out.FlightSize = 256
-	}
-	if out.SlowSample == 0 {
-		out.SlowSample = 250 * time.Millisecond
+	if out.pace <= 0 {
+		out.pace = pace
 	}
 	return out
 }
@@ -285,7 +279,7 @@ type Supervisor struct {
 	// finish draining their queues and stop. Created by Run.
 	produceDone chan struct{}
 
-	// flight is the flight recorder: the last FlightSize attributed
+	// flight is the flight recorder: the last flightSize attributed
 	// verdict records, served at /debug/verdicts. The verdict log is the
 	// durable stream; the recorder is the "what just happened" view an
 	// operator opens first, triaging a fresh alert from one curl.
@@ -312,21 +306,13 @@ type Supervisor struct {
 	onVerdict func(VerdictRecord)
 }
 
-// New loads the initial models (from Config.Detector/Classifier or the
-// checkpoint paths) and prepares the supervisor. It fails fast on a missing
-// or corrupt initial checkpoint — rollback needs a last good model to roll
-// back to.
+// New loads the initial models from the checkpoint paths and prepares the
+// supervisor. It fails fast on a missing or corrupt initial checkpoint —
+// rollback needs a last good model to roll back to.
 func New(cfg Config) (*Supervisor, error) {
 	// Forensics cannot be turned off, so a negative knob is a mistake.
-	switch {
-	case cfg.AttributionK < 0:
-		return nil, fmt.Errorf("serve: negative AttributionK %d", cfg.AttributionK)
-	case cfg.AttrBenignEvery < 0:
+	if cfg.AttrBenignEvery < 0 {
 		return nil, fmt.Errorf("serve: negative AttrBenignEvery %d", cfg.AttrBenignEvery)
-	case cfg.FlightSize < 0:
-		return nil, fmt.Errorf("serve: negative FlightSize %d", cfg.FlightSize)
-	case cfg.SlowSample < 0:
-		return nil, fmt.Errorf("serve: negative SlowSample %s", cfg.SlowSample)
 	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Workloads) == 0 {
@@ -342,7 +328,7 @@ func New(cfg Config) (*Supervisor, error) {
 			return nil, err
 		}
 	}
-	det, cls := cfg.Detector, cfg.Classifier
+	det, cls := cfg.detector, cfg.classifier
 	loadedDet, loadedCls := false, false
 	if det == nil && cfg.DetectorPath != "" {
 		var err error
@@ -359,7 +345,7 @@ func New(cfg Config) (*Supervisor, error) {
 		loadedCls = true
 	}
 	if det == nil {
-		return nil, fmt.Errorf("serve: a detector is required (DetectorPath or Detector)")
+		return nil, fmt.Errorf("serve: a detector is required (DetectorPath)")
 	}
 	vlog := cfg.VerdictLog
 	if cfg.VerdictLogPath != "" {
@@ -370,7 +356,7 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	// The checkpoints we just proved loadable from disk get banked as the
 	// last-good fallback chain recovery restores from after corruption.
-	// Injected models (tests, embedding) prove nothing about the files.
+	// Injected models (tests) prove nothing about the files.
 	if loadedDet {
 		saveLastGood(cfg.DetectorPath)
 	}
@@ -380,7 +366,7 @@ func New(cfg Config) (*Supervisor, error) {
 	s := &Supervisor{
 		cfg:     cfg,
 		log:     vlog,
-		flight:  telemetry.NewRing[VerdictRecord](cfg.FlightSize),
+		flight:  telemetry.NewRing[VerdictRecord](flightSize),
 		slo:     newSLOTracker(),
 		report:  report,
 		started: time.Now(),
@@ -397,7 +383,7 @@ func New(cfg Config) (*Supervisor, error) {
 		wk := newWorker(i, info.Name, family(info), info.Label == workload.Benign,
 			newLadder(classifierFloor, detectorFloor, hysteresis, cls != nil))
 		wk.prog = w
-		wk.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+		wk.breaker = newBreaker(cfg.breakerThreshold, cfg.breakerCooldown)
 		s.workers = append(s.workers, wk)
 	}
 	s.ring = newRing(cfg.Shards)
@@ -406,7 +392,7 @@ func New(cfg Config) (*Supervisor, error) {
 		// so its floors are the complements of the pressure marks.
 		load := newLadder(1-cfg.LoadHigh, 1-cfg.LoadCritical, hysteresis, cls != nil)
 		s.shards = append(s.shards, newShard(i, cfg.QueueDepth, load,
-			newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)))
+			newBreaker(cfg.breakerThreshold, cfg.breakerCooldown)))
 	}
 	return s, nil
 }
@@ -446,7 +432,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	// interval's verdicts — and those are reconciled as lost_on_crash at the
 	// next startup, never silently.
 	var flushWg sync.WaitGroup
-	if s.cfg.VerdictLogPath != "" && s.cfg.LogFlushInterval > 0 {
+	if s.cfg.VerdictLogPath != "" {
 		flushWg.Add(1)
 		go func() {
 			defer flushWg.Done()
@@ -542,7 +528,7 @@ func (s *Supervisor) runEpisodeLoop(ctx context.Context, w *worker) (normal bool
 			normal = false
 		}
 	}()
-	bo := retry.NewBackoff(s.cfg.Backoff, s.cfg.Seed*31_337+int64(w.id))
+	bo := retry.NewBackoff(s.cfg.backoff, s.cfg.Seed*31_337+int64(w.id))
 	episode := int(w.episodes.Load() + w.failures.Load()) // resume numbering after a panic restart
 	for ctx.Err() == nil {
 		if s.cfg.MaxEpisodes > 0 && w.episodes.Load() >= int64(s.cfg.MaxEpisodes) {
@@ -551,7 +537,7 @@ func (s *Supervisor) runEpisodeLoop(ctx context.Context, w *worker) (normal bool
 		if !w.breaker.allow() {
 			// Breaker open: sleep a cooldown slice, not the whole cooldown,
 			// so drain stays prompt.
-			if !sleepCtx(ctx, s.cfg.BreakerCooldown/4+time.Millisecond) {
+			if !sleepCtx(ctx, s.cfg.breakerCooldown/4+time.Millisecond) {
 				return true
 			}
 			continue
@@ -585,9 +571,9 @@ func (s *Supervisor) runEpisodeLoop(ctx context.Context, w *worker) (normal bool
 // episode runs the workload once end to end as a pure producer: each raw
 // sample is routed into the ingest stage under the per-sample deadline —
 // scoring happens on the shard scorers, not here. When the target shard is
-// past LoadHigh the producer paces (sleeps Pace per sample): the
+// past LoadHigh the producer paces (sleeps pace per sample): the
 // backpressure half of the overload contract. Workload panics surface as
-// errors through the session; a stall past SampleTimeout fails the episode.
+// errors through the session; a stall past sampleTimeout fails the episode.
 func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -602,7 +588,7 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 		Workload: w.prog,
 		MaxInsts: s.cfg.MaxInsts,
 		Seed:     s.cfg.Seed + int64(w.id)*10_007 + int64(episode)*101,
-		Faults:   s.cfg.Faults,
+		Faults:   s.cfg.faults,
 	})
 	if err != nil {
 		return err
@@ -610,7 +596,7 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 	defer sess.Close()
 
 	for {
-		sampleCtx, sampleCancel := context.WithTimeout(epCtx, s.cfg.SampleTimeout)
+		sampleCtx, sampleCancel := context.WithTimeout(epCtx, s.cfg.sampleTimeout)
 		rs, ok := sess.NextRaw(sampleCtx)
 		stalled := sampleCtx.Err() == context.DeadlineExceeded
 		sampleCancel()
@@ -619,7 +605,7 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 				return fmt.Errorf("episode deadline: %w", epCtx.Err())
 			}
 			if stalled {
-				return fmt.Errorf("sample stalled past %s", s.cfg.SampleTimeout)
+				return fmt.Errorf("sample stalled past %s", s.cfg.sampleTimeout)
 			}
 			break // run genuinely ended
 		}
@@ -631,7 +617,7 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 		// queue wait when streams outnumber Ps.
 		runtime.Gosched()
 		if pressure >= s.cfg.LoadHigh {
-			if !sleepCtx(epCtx, s.cfg.Pace) {
+			if !sleepCtx(epCtx, s.cfg.pace) {
 				break // drain or deadline; the session loop surfaces which
 			}
 		}

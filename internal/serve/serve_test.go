@@ -264,12 +264,12 @@ func TestServiceScoresAndLogsVerdicts(t *testing.T) {
 	det, cls := testModels(t)
 	var buf bytes.Buffer
 	s, err := New(Config{
-		Detector:    det,
-		Classifier:  cls,
+		detector:    det,
+		classifier:  cls,
 		Workloads:   []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		MaxInsts:    60_000,
 		MaxEpisodes: 2,
-		Backoff:     fastBackoff(),
+		backoff:     fastBackoff(),
 		VerdictLog:  NewVerdictLog(&buf),
 	})
 	if err != nil {
@@ -326,11 +326,11 @@ func TestQueueWaitStaysUnderPreemptionSlice(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	s, err := New(Config{
-		Detector:   det,
+		detector:   det,
 		Workloads:  ws,
 		MaxInsts:   500_000,
 		Shards:     2,
-		Backoff:    fastBackoff(),
+		backoff:    fastBackoff(),
 		VerdictLog: NewVerdictLog(&buf),
 	})
 	if err != nil {
@@ -365,12 +365,12 @@ func TestServiceSurvivesWorkloadPanics(t *testing.T) {
 	det, _ := testModels(t)
 	prog := &panicProg{failures: 2}
 	s, err := New(Config{
-		Detector:         det,
+		detector:         det,
 		Workloads:        []perspectron.Workload{prog},
 		MaxInsts:         30_000,
 		MaxEpisodes:      1,
-		Backoff:          fastBackoff(),
-		BreakerThreshold: 5,
+		backoff:          fastBackoff(),
+		breakerThreshold: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -400,14 +400,14 @@ func TestServiceStalledSourceHitsDeadlineAndBreaker(t *testing.T) {
 	// so producer goroutines can be reclaimed.
 	prog := &stallProg{stallAfter: 2_000, delay: 10 * time.Millisecond, stallOps: 40}
 	s, err := New(Config{
-		Detector:         det,
+		detector:         det,
 		Workloads:        []perspectron.Workload{prog},
 		MaxInsts:         1 << 40, // only the stall machinery ends a run
 		MaxEpisodes:      1,
-		SampleTimeout:    80 * time.Millisecond,
-		Backoff:          fastBackoff(),
-		BreakerThreshold: 2,
-		BreakerCooldown:  20 * time.Millisecond,
+		sampleTimeout:    80 * time.Millisecond,
+		backoff:          fastBackoff(),
+		breakerThreshold: 2,
+		breakerCooldown:  20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -445,13 +445,13 @@ func TestServiceStalledSourceHitsDeadlineAndBreaker(t *testing.T) {
 func TestServiceDegradesUnderFaults(t *testing.T) {
 	det, cls := testModels(t)
 	s, err := New(Config{
-		Detector:    det,
-		Classifier:  cls,
+		detector:    det,
+		classifier:  cls,
 		Workloads:   []perspectron.Workload{perspectron.AttackByName("flush+reload", "")},
 		MaxInsts:    60_000,
 		MaxEpisodes: 2,
-		Backoff:     fastBackoff(),
-		Faults:      &perspectron.FaultConfig{Seed: 7, Dropout: 0.25},
+		backoff:     fastBackoff(),
+		faults:      &perspectron.FaultConfig{Seed: 7, Dropout: 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +487,7 @@ func TestServiceHotReloadAndRollback(t *testing.T) {
 		Workloads:    []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		MaxInsts:     30_000,
 		MaxEpisodes:  1,
-		Backoff:      fastBackoff(),
+		backoff:      fastBackoff(),
 		PollInterval: time.Hour, // ticks driven manually via pollNow
 	})
 	if err != nil {
@@ -554,11 +554,11 @@ func TestServiceHotReloadAndRollback(t *testing.T) {
 func TestHealthEndpoints(t *testing.T) {
 	det, _ := testModels(t)
 	s, err := New(Config{
-		Detector:    det,
+		detector:    det,
 		Workloads:   []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
 		MaxInsts:    30_000,
 		MaxEpisodes: 1,
-		Backoff:     fastBackoff(),
+		backoff:     fastBackoff(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -609,16 +609,16 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	det, cls := testModels(t)
 	before := runtime.NumGoroutine()
 	s, err := New(Config{
-		Detector:   det,
-		Classifier: cls,
+		detector:   det,
+		classifier: cls,
 		Workloads: []perspectron.Workload{
 			perspectron.AttackByName("spectreV1", "fr"),
 			&stallProg{stallAfter: 2_000, delay: 10 * time.Millisecond, stallOps: 40},
 		},
 		MaxInsts:      40_000,
 		MaxEpisodes:   0, // run until drained
-		SampleTimeout: 60 * time.Millisecond,
-		Backoff:       fastBackoff(),
+		sampleTimeout: 60 * time.Millisecond,
+		backoff:       fastBackoff(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -651,7 +651,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 
 func TestNewErrors(t *testing.T) {
 	det, _ := testModels(t)
-	if _, err := New(Config{Detector: det}); err == nil {
+	if _, err := New(Config{detector: det}); err == nil {
 		t.Fatalf("workload-less config accepted")
 	}
 	if _, err := New(Config{Workloads: []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")}}); err == nil {
@@ -664,32 +664,25 @@ func TestNewErrors(t *testing.T) {
 		t.Fatalf("missing initial checkpoint accepted")
 	}
 	// Forensics cannot be turned off: a negative knob names its field.
-	for _, tc := range []struct {
-		field string
-		cfg   Config
-	}{
-		{"AttributionK", Config{AttributionK: -1}},
-		{"AttrBenignEvery", Config{AttrBenignEvery: -1}},
-		{"FlightSize", Config{FlightSize: -1}},
-		{"SlowSample", Config{SlowSample: -1}},
-	} {
-		tc.cfg.Detector = det
-		tc.cfg.Workloads = []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")}
-		_, err := New(tc.cfg)
-		if err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Fatalf("negative %s: err = %v, want one naming the field", tc.field, err)
-		}
+	_, err := New(Config{
+		detector:        det,
+		Workloads:       []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
+		AttrBenignEvery: -1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "AttrBenignEvery") {
+		t.Fatalf("negative AttrBenignEvery: err = %v, want one naming the field", err)
 	}
 }
 
-// TestConfigDefaults pins every documented default: the zero Config's
-// resolved fields, the fixed-policy constants, the LoadCritical >=
-// LoadHigh clamp, and the negative LogFlushInterval normalizing to 0.
+// TestConfigDefaults pins every documented default: the fixed-policy
+// constants, the zero Config's resolved fields (test seams included) and
+// the LoadCritical >= LoadHigh clamp.
 func TestConfigDefaults(t *testing.T) {
 	if episodeTimeout != 60*time.Second || ringReplicas != 16 ||
 		classifierFloor != 0.9 || detectorFloor != 0.5 || hysteresis != 0.05 ||
 		sloLatencyTarget != 50*time.Millisecond || sloLatencyBudget != 0.01 ||
-		sloShedBudget != 0.01 || sloAlpha != 0.02 {
+		sloShedBudget != 0.01 || sloAlpha != 0.02 ||
+		attributionK != 5 || flightSize != 256 || slowSample != 250*time.Millisecond {
 		t.Fatalf("fixed-policy constant moved")
 	}
 
@@ -701,22 +694,19 @@ func TestConfigDefaults(t *testing.T) {
 	backoff.MaxAttempts = 0
 	want := Config{
 		MaxInsts:         100_000,
-		SampleTimeout:    2 * time.Second,
-		Backoff:          backoff,
-		BreakerThreshold: 3,
-		BreakerCooldown:  5 * time.Second,
 		Shards:           shards,
 		QueueDepth:       1024,
 		Batch:            256,
-		ScoreTick:        5 * time.Millisecond,
 		LoadHigh:         0.75,
 		LoadCritical:     0.9,
-		Pace:             time.Millisecond,
 		PollInterval:     500 * time.Millisecond,
 		LogFlushInterval: 500 * time.Millisecond,
-		AttributionK:     5,
-		FlightSize:       256,
-		SlowSample:       250 * time.Millisecond,
+		sampleTimeout:    2 * time.Second,
+		backoff:          backoff,
+		breakerThreshold: 3,
+		breakerCooldown:  5 * time.Second,
+		scoreTick:        5 * time.Millisecond,
+		pace:             time.Millisecond,
 	}
 	var zero Config
 	if got := zero.withDefaults(); !reflect.DeepEqual(got, want) {
@@ -726,8 +716,5 @@ func TestConfigDefaults(t *testing.T) {
 	inverted := Config{LoadHigh: 0.95, LoadCritical: 0.8}
 	if got := inverted.withDefaults(); got.LoadHigh != 0.95 || got.LoadCritical != 0.95 {
 		t.Fatalf("LoadCritical not clamped to LoadHigh: high %v critical %v", got.LoadHigh, got.LoadCritical)
-	}
-	if got := (&Config{LogFlushInterval: -1}).withDefaults(); got.LogFlushInterval != 0 {
-		t.Fatalf("negative LogFlushInterval not normalized to 0: %v", got.LogFlushInterval)
 	}
 }

@@ -36,19 +36,28 @@ import (
 	"perspectron/internal/telemetry"
 )
 
-// goldenSeedOffset shifts the opts seed for the gate corpus to a seed the
-// round-varied training collections never reuse.
-const goldenSeedOffset = 9973
+// Fixed shadow policy: no caller needs other values.
+const (
+	// goldenSeedOffset shifts the opts seed for the gate corpus to a seed
+	// the round-varied training collections never reuse.
+	goldenSeedOffset = 9973
+	// driftAlpha is the drift EWMA's smoothing factor in (0, 1]; higher
+	// follows the newest round faster.
+	driftAlpha = 0.3
+	// driftThreshold is the smoothed-drift level past which the trainer
+	// raises its drift alarm.
+	driftThreshold = 0.25
+)
 
 // Config configures a shadow Trainer. Zero-valued fields fall back to the
-// defaults noted on each field.
+// defaults noted on each field. Candidates are staged at
+// DetectorPath+".candidate", and the held-out gate corpus is collected once,
+// on first use, from Workloads with the opts seed offset by
+// goldenSeedOffset.
 type Config struct {
 	// DetectorPath is the live detector checkpoint: the model each round
 	// resumes from and the promotion gate's target. Required.
 	DetectorPath string
-	// CandidatePath is where freshly trained candidates are staged before
-	// the gate (default DetectorPath+".candidate").
-	CandidatePath string
 	// VerdictLog is the serving runtime's JSONL verdict log to tail
 	// (optional; empty disables verdict consumption).
 	VerdictLog string
@@ -67,44 +76,20 @@ type Config struct {
 	// perspectron.DefaultIncrementEpochs).
 	Budget int
 
-	// Golden is the held-out gate corpus. When nil, the trainer collects
-	// one on first use from GoldenWorkloads (default: Workloads) with the
-	// opts seed offset by goldenSeedOffset.
-	Golden          *perspectron.GoldenSet
-	GoldenWorkloads []perspectron.Workload
-
 	// Interval is the cadence of Run's rounds (default 30s).
 	Interval time.Duration
-	// DriftAlpha is the drift EWMA's smoothing factor in (0, 1]; higher
-	// follows the newest round faster (default 0.3).
-	DriftAlpha float64
-	// DriftThreshold is the smoothed-drift level past which the trainer
-	// raises its drift alarm (default 0.25).
-	DriftThreshold float64
 }
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.CandidatePath == "" {
-		out.CandidatePath = out.DetectorPath + ".candidate"
-	}
 	if out.StatePath == "" && out.VerdictLog != "" {
 		out.StatePath = out.VerdictLog + ".offset"
 	}
 	if out.Budget <= 0 {
 		out.Budget = perspectron.DefaultIncrementEpochs
 	}
-	if len(out.GoldenWorkloads) == 0 {
-		out.GoldenWorkloads = out.Workloads
-	}
 	if out.Interval <= 0 {
 		out.Interval = 30 * time.Second
-	}
-	if out.DriftAlpha <= 0 || out.DriftAlpha > 1 {
-		out.DriftAlpha = 0.3
-	}
-	if out.DriftThreshold <= 0 {
-		out.DriftThreshold = 0.25
 	}
 	return out
 }
@@ -172,7 +157,6 @@ func New(cfg Config) (*Trainer, error) {
 	t := &Trainer{
 		cfg:        cfg,
 		started:    time.Now(),
-		golden:     cfg.Golden,
 		byVersion:  map[string]int{},
 		attrCounts: map[string]int{},
 	}
@@ -233,7 +217,7 @@ func (t *Trainer) SetListenAddr(addr string) {
 func (t *Trainer) Drift() (drift float64, alarm bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.drift, t.driftInit && t.drift > t.cfg.DriftThreshold
+	return t.drift, t.driftInit && t.drift > driftThreshold
 }
 
 // Run executes rounds every Interval until ctx ends. Round errors are
@@ -346,10 +330,11 @@ func (t *Trainer) RunOnce(ctx context.Context) (Round, error) {
 	// 5. Stage the candidate and run the gate. Promotion atomically renames
 	// over the live path; the serving watcher hot-reloads it on its next
 	// poll. Rejection preserves the candidate beside the live file.
-	if err := cand.SaveFile(t.cfg.CandidatePath); err != nil {
+	candidatePath := t.cfg.DetectorPath + ".candidate"
+	if err := cand.SaveFile(candidatePath); err != nil {
 		return fail(fmt.Errorf("shadow: staging candidate: %w", err))
 	}
-	promo, err := perspectron.PromoteDetector(t.cfg.CandidatePath, t.cfg.DetectorPath, golden)
+	promo, err := perspectron.PromoteDetector(candidatePath, t.cfg.DetectorPath, golden)
 	if err != nil {
 		return fail(fmt.Errorf("shadow: promotion gate: %w", err))
 	}
@@ -394,7 +379,7 @@ func (t *Trainer) goldenSet() (*perspectron.GoldenSet, error) {
 	}
 	opts := t.cfg.Opts
 	opts.Seed += goldenSeedOffset
-	g, err := perspectron.CollectGolden(t.cfg.GoldenWorkloads, opts)
+	g, err := perspectron.CollectGolden(t.cfg.Workloads, opts)
 	if err != nil {
 		return nil, fmt.Errorf("shadow: collecting golden corpus: %w", err)
 	}
@@ -411,10 +396,10 @@ func (t *Trainer) observeDrift(raw float64) float64 {
 	if !t.driftInit {
 		t.drift, t.driftInit = raw, true
 	} else {
-		t.drift = t.cfg.DriftAlpha*raw + (1-t.cfg.DriftAlpha)*t.drift
+		t.drift = driftAlpha*raw + (1-driftAlpha)*t.drift
 	}
 	smoothed := t.drift
-	alarm := smoothed > t.cfg.DriftThreshold
+	alarm := smoothed > driftThreshold
 	t.mu.Unlock()
 	reg := telemetry.Get()
 	reg.Gauge("perspectron_shadow_drift").Set(smoothed)
@@ -482,7 +467,7 @@ func (t *Trainer) Health() Health {
 		TailOffset:         t.offset,
 		AttributedVerdicts: t.attributed,
 		Drift:              t.drift,
-		DriftAlarm:         t.driftInit && t.drift > t.cfg.DriftThreshold,
+		DriftAlarm:         t.driftInit && t.drift > driftThreshold,
 		LastError:          t.lastErr,
 	}
 	if addr := t.listenAddr.Load(); addr != nil {

@@ -173,10 +173,7 @@ func TestDriftEWMAAndAlarm(t *testing.T) {
 	if err := trainedDetector(t).SaveFile(livePath); err != nil {
 		t.Fatal(err)
 	}
-	cfg := shadowConfig(t, livePath)
-	cfg.DriftAlpha = 0.5
-	cfg.DriftThreshold = 0.2
-	tr, err := New(cfg)
+	tr, err := New(shadowConfig(t, livePath))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +181,19 @@ func TestDriftEWMAAndAlarm(t *testing.T) {
 		t.Fatalf("drift before any round: %v %v", d, alarm)
 	}
 
+	if driftAlpha != 0.3 || driftThreshold != 0.25 || goldenSeedOffset != 9973 {
+		t.Fatalf("fixed-policy constant moved")
+	}
 	// First observation seeds the EWMA; later ones fold in with alpha.
 	if got := tr.observeDrift(0.1); got != 0.1 {
 		t.Fatalf("seed drift = %v, want 0.1", got)
 	}
-	if got := tr.observeDrift(0.5); got != 0.5*0.5+0.5*0.1 {
-		t.Fatalf("smoothed drift = %v, want 0.3", got)
+	if got, want := tr.observeDrift(0.9), driftAlpha*0.9+(1-driftAlpha)*0.1; got != want {
+		t.Fatalf("smoothed drift = %v, want %v", got, want)
 	}
 	d, alarm := tr.Drift()
-	if d <= cfg.DriftThreshold || !alarm {
-		t.Fatalf("drift %v over threshold %v did not alarm", d, cfg.DriftThreshold)
+	if d <= driftThreshold || !alarm {
+		t.Fatalf("drift %v over threshold %v did not alarm", d, driftThreshold)
 	}
 	h := tr.Health()
 	if !h.DriftAlarm || h.Status != "degraded" {

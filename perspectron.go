@@ -369,14 +369,19 @@ func (f *reportFold) finish(leakSamples []int, detIdx []int) *Report {
 }
 
 // Monitor runs the workload for maxInsts committed instructions on a fresh
-// machine and scores every sampling interval with the detector. seed drives
-// the workload's data-dependent behaviour.
+// machine and scores every sampling interval with the detector: Record,
+// then Replay. seed drives the workload's data-dependent behaviour.
+// Robustness evaluation replays the recording under a FaultConfig instead.
 func (d *Detector) Monitor(w Workload, maxInsts uint64, seed int64) (*Report, error) {
-	return d.MonitorFaulty(w, maxInsts, seed, FaultConfig{})
+	rec, err := Record(context.Background(), w, maxInsts, seed, d.Interval)
+	if err != nil {
+		return nil, err
+	}
+	return d.Replay(rec, nil)
 }
 
-// FaultConfig selects deterministic counter-level faults for MonitorFaulty,
-// ClassifyFaulty, Replay and streaming Sessions. The zero value injects
+// FaultConfig selects deterministic counter-level faults for Replay and
+// streaming Sessions. The zero value injects
 // nothing. All faults draw from Seed, so a (detector, workload, FaultConfig)
 // triple is fully reproducible.
 type FaultConfig struct {
@@ -434,23 +439,13 @@ func (c FaultConfig) schedule(reg *stats.Registry) (*faults.Schedule, error) {
 	return faults.NewSchedule(c.Seed, models...), nil
 }
 
-// MonitorFaulty is Monitor with counter-level faults injected into the
-// run's sampled vectors — the robustness-evaluation entry point: Record,
-// then Replay. The detector runs in degraded mode over whatever signal
-// survives; the report's Degraded and Coverage fields quantify the loss.
-func (d *Detector) MonitorFaulty(w Workload, maxInsts uint64, seed int64, fc FaultConfig) (*Report, error) {
-	rec, err := Record(context.Background(), w, maxInsts, seed, d.Interval)
-	if err != nil {
-		return nil, err
-	}
-	return d.Replay(rec, &fc)
-}
-
 // Replay scores a recorded run with the detector, one sample at a time
 // through the RawScorer the serving runtime uses. A non-nil fc injects
 // counter-level faults into a copy of each sample (rec is never modified),
 // so one recording replayed under many fault schedules gives exactly the
-// reports that simulating the run once per schedule would.
+// reports that simulating the run once per schedule would. The detector
+// then runs in degraded mode over whatever signal survives; the report's
+// Degraded and Coverage fields quantify the loss.
 func (d *Detector) Replay(rec *Recording, fc *FaultConfig) (*Report, error) {
 	fold := newReportFold(rec.Workload, rec.Malicious, d.Interval)
 
@@ -596,21 +591,4 @@ func (d *Detector) TopFeatures(k int) (suspicious, benign []WeightedFeature) {
 type WeightedFeature struct {
 	Name   string
 	Weight float64
-}
-
-// Update retrains the detector with additional workloads folded into the
-// corpus — the paper's §IV-G1 vendor weight patch: "we envision our
-// technique being deployed with the ability to update the neural weights
-// using a vendor distributed patch reflecting training with the most recent
-// known classes of attacks". The feature *selection* is rerun too, so a new
-// attack class can pull in counters the old selection ignored. The updated
-// detector keeps the original sampling interval and threshold.
-func (d *Detector) Update(baseline, additional []Workload, opts Options) (*Detector, error) {
-	opts.Interval = d.Interval
-	opts.Threshold = d.Threshold
-	if opts.MaxFeatures == 0 {
-		opts.MaxFeatures = d.NumFeatures()
-	}
-	corpus := append(append([]Workload{}, baseline...), additional...)
-	return Train(corpus, opts)
 }

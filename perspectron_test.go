@@ -178,48 +178,6 @@ func TestHardwareSummary(t *testing.T) {
 	}
 }
 
-func TestDetectorUpdateLearnsNewAttack(t *testing.T) {
-	// Train WITHOUT flush+flush, then apply a §IV-G1 weight patch that
-	// adds it; the updated detector must keep its configuration and flag
-	// the new attack class strongly.
-	var base []Workload
-	base = append(base, BenignWorkloads()...)
-	for _, a := range AttackWorkloads() {
-		if a.Info().Category == "flush_flush" || a.Info().Category == "calibration_ff" {
-			continue
-		}
-		base = append(base, a)
-	}
-	opts := DefaultOptions()
-	opts.MaxInsts = 100_000
-	opts.Runs = 1
-	det, err := Train(base, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	updated, err := det.Update(base, []Workload{AttackByName("flush+flush", "")}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if updated.Interval != det.Interval || updated.Threshold != det.Threshold {
-		t.Fatalf("update changed deployment configuration")
-	}
-	rep, err := updated.Monitor(AttackByName("flush+flush", ""), 80_000, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged := 0
-	for _, s := range rep.Samples {
-		if s.Flagged {
-			flagged++
-		}
-	}
-	if flagged < len(rep.Samples)*3/4 {
-		t.Fatalf("patched detector flags only %d/%d flush+flush samples",
-			flagged, len(rep.Samples))
-	}
-}
-
 func TestZeroDayBeyondPaper(t *testing.T) {
 	// SpectreV4 and RowHammer are in neither the paper's corpus nor ours;
 	// the detector trained on the standard corpus must still flag both

@@ -1,8 +1,8 @@
 package perspectron
 
 // Frozen report goldens: fingerprints of the full output of Monitor,
-// MonitorFaulty, MonitorWithPolicy and ClassifyFaulty for fixed (workload,
-// seed) pairs against the shared test models. Every sample's score bits,
+// faulty Detector.Replay, MonitorWithPolicy and faulty Classifier.Replay
+// for fixed (workload, seed) pairs against the shared test models. Every sample's score bits,
 // flags and coverage, the first flag, the leak timeline and the mitigation
 // timeline all feed the hash, so any drift in how a report is scored or
 // folded fails here bit for bit. The five attack goldens were re-frozen once,
@@ -10,7 +10,10 @@ package perspectron
 // never delivered (index len(Samples)); every other row hashed identically
 // before and after.
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // fingerprintRows hashes rows through hashMatrix, prefixing each row with its
 // length so that row boundaries are part of the fingerprint.
@@ -102,9 +105,12 @@ func TestReportGoldens(t *testing.T) {
 			}
 			return reportRows(r), nil
 		}},
-		{"monitor-faulty/spectreV1-dropout", "84091ce1c22fb074", func() ([][]float64, error) {
-			r, err := det.MonitorFaulty(AttackByName("spectreV1", "fr"), 80_000, 7,
-				FaultConfig{Seed: 3, Dropout: 0.3})
+		{"replay-faulty/spectreV1-dropout", "84091ce1c22fb074", func() ([][]float64, error) {
+			rec, err := Record(context.Background(), AttackByName("spectreV1", "fr"), 80_000, 7, det.Interval)
+			if err != nil {
+				return nil, err
+			}
+			r, err := det.Replay(rec, &FaultConfig{Seed: 3, Dropout: 0.3})
 			if err != nil {
 				return nil, err
 			}
@@ -126,9 +132,12 @@ func TestReportGoldens(t *testing.T) {
 			}
 			return mitigatedRows(r), nil
 		}},
-		{"classify-faulty/flush+reload-dropout", "f6222e4e5c03ff21", func() ([][]float64, error) {
-			r, err := cls.ClassifyFaulty(AttackByName("flush+reload", ""), 80_000, 5,
-				FaultConfig{Seed: 3, Dropout: 0.3})
+		{"classify-replay-faulty/flush+reload-dropout", "f6222e4e5c03ff21", func() ([][]float64, error) {
+			rec, err := Record(context.Background(), AttackByName("flush+reload", ""), 80_000, 5, cls.Interval)
+			if err != nil {
+				return nil, err
+			}
+			r, err := cls.Replay(rec, &FaultConfig{Seed: 3, Dropout: 0.3})
 			if err != nil {
 				return nil, err
 			}

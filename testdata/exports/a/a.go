@@ -1,6 +1,6 @@
-// Package a plants exports for the public-surface guard's self-test: two
-// are dead (DeadFunc, Widget.DeadMethod), every other one is referenced by
-// one of the rules the guard honours.
+// Package a plants exports for the public-surface guard's self-test: three
+// are dead (DeadFunc, Widget.DeadMethod, Config.Dead), every other one is
+// referenced or set by one of the rules the guard honours.
 package a
 
 // Live is called from package b.
@@ -45,3 +45,26 @@ var table = len(Table)
 
 // Table is referenced by a bare identifier inside its own package.
 var Table = []int{1, 2}
+
+// Config is a knob-guarded config: package b sets Live by a literal key and
+// Assigned by an assignment.
+type Config struct {
+	Live     int
+	Assigned int
+	// Dead is set only by withDefaults and this package's tests: reported.
+	Dead int
+	// seam is unexported: not public surface.
+	seam int
+}
+
+// withDefaults's own assignments do not count as a caller setting a field.
+func (c Config) withDefaults() Config {
+	if c.Dead == 0 {
+		c.Dead = 1
+	}
+	c.seam = 1
+	return c
+}
+
+// Resolve is called from package b.
+func Resolve(c Config) int { return c.withDefaults().Dead + c.seam }

@@ -9,5 +9,7 @@ func main() { println(Use()) }
 func Use() int {
 	var w a.Widget
 	w.LiveMethod()
-	return a.Live()
+	cfg := a.Config{Live: 1}
+	cfg.Assigned = 2
+	return a.Live() + a.Resolve(cfg)
 }
