@@ -43,9 +43,9 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 		return nil, fmt.Errorf("perspectron: no training workloads")
 	}
 	ds := corpus.Default().Dataset(workloads, opts.CollectConfig())
-	enc := trace.NewEncoder(ds)
+	m := trace.Maxima(ds)
 	// The bank trains on bit-packed k-sparse rows over every feature.
-	X, _ := enc.PackedBinaryMatrix(ds, nil)
+	X, _ := trace.Bits(m, ds, nil)
 
 	labelOf := func(s *trace.Sample) string {
 		if s.Label == workload.Benign {
@@ -77,7 +77,7 @@ func TrainClassifier(workloads []Workload, opts Options) (*Classifier, error) {
 		Classes:      classes,
 		FeatureNames: ds.FeatureNames,
 		Interval:     opts.Interval,
-		GlobalMax:    append([]float64(nil), enc.M.GlobalMax...),
+		GlobalMax:    m.GlobalMax,
 	}
 	for _, det := range mc.Detectors {
 		c.Weights = append(c.Weights, det.W)

@@ -501,7 +501,7 @@ func cmdServe(args []string) {
 	switch *verdicts {
 	case "":
 	case "-":
-		cfg.VerdictLog = serve.NewVerdictLog(os.Stdout)
+		cfg.VerdictLog = os.Stdout
 	default:
 		// File-based verdicts run in crash-safe mode: the supervisor owns
 		// the file, repairs any torn tail from a previous crash, reconciles

@@ -1,7 +1,7 @@
 package perspectron
 
 // Continual training: grow a trained detector with fresh samples instead of
-// refitting from scratch. Update (perspectron.go) reruns the whole pipeline
+// refitting from scratch. Train (perspectron.go) reruns the whole pipeline
 // — collection, feature selection, a full fit — which is the right tool for
 // a vendor patch but far too heavy for a background shadow trainer running
 // every few seconds. TrainIncrement keeps the detector's feature selection
@@ -71,27 +71,15 @@ func (d *Detector) TrainIncrement(workloads []Workload, opts Options, budget int
 	// Encode the fresh samples into the detector's frozen feature space:
 	// selected names mapped onto the dataset's positions (missing counters
 	// masked), binarized against the embedded training-time maxima.
-	pos := make(map[string]int, len(ds.FeatureNames))
-	for j, name := range ds.FeatureNames {
-		pos[name] = j
-	}
 	nf := len(d.FeatureNames)
-	idx := make([]int, nf)
-	for i, name := range d.FeatureNames {
-		if p, ok := pos[name]; ok {
-			idx[i] = p
-		} else {
-			idx[i] = -1
-		}
-	}
+	idx, _ := resolveNames(d.FeatureNames, ds.FeatureNames)
 	enc := d.encoding()
-	rows := make([]encoding.BitVec, 0, len(ds.Samples))
-	y := make([]float64, 0, len(ds.Samples))
+	rows := make([]encoding.BitVec, len(ds.Samples))
+	y := make([]float64, len(ds.Samples))
 	for i := range ds.Samples {
 		s := &ds.Samples[i]
-		bits, _ := enc.BitsPacked(s.Raw, idx, s.Index, nil)
-		rows = append(rows, bits)
-		y = append(y, trace.LabelValue(s.Label))
+		rows[i], _ = enc.BitsPacked(s.Raw, idx, s.Index, nil)
+		y[i] = trace.LabelValue(s.Label)
 	}
 	stats.Samples = len(rows)
 	stats.FiringRates = firingRates(rows, nf)

@@ -129,11 +129,11 @@ func TestEncoderEquivalence(t *testing.T) {
 	ds := trace.Collect(context.Background(), progs, trace.CollectConfig{
 		MaxInsts: 40_000, Interval: 10_000, Seed: 3, Runs: 1,
 	})
-	enc := trace.NewEncoder(ds)
-	X, y := enc.Matrix(ds)
+	m := trace.Maxima(ds)
+	X, y := trace.Scaled(m, ds, nil)
 	// The bit-packed encoding must carry the bits of the golden dense
 	// binary matrix.
-	Xp, yp := enc.PackedBinaryMatrix(ds, nil)
+	Xp, yp := trace.Bits(m, ds, nil)
 	Xb := make([][]float64, len(Xp))
 	for i, row := range Xp {
 		Xb[i] = row.Unpack(ds.NumFeatures())
@@ -188,7 +188,7 @@ func TestEncoderEquivalence(t *testing.T) {
 	pcfg := perceptron.DefaultConfig()
 	pcfg.Epochs = 60
 	pcfg.Seed = 3
-	rowsP, _ := enc.PackedBinaryMatrix(ds, idx)
+	rowsP, _ := trace.Bits(m, ds, idx)
 	packed := perceptron.New(len(idx), pcfg)
 	packed.Fit(rowsP, yp)
 	if h := hashMatrix([][]float64{packed.W, {packed.Bias}}); h != "dda33e6daf359e75" {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sync"
 
+	"perspectron/internal/encoding"
 	"perspectron/internal/features"
 	"perspectron/internal/sim"
 	"perspectron/internal/telemetry"
@@ -28,11 +29,12 @@ import (
 	"perspectron/internal/workload"
 )
 
-// Prepared bundles a dataset with its encoder and feature selection — the
-// shared front half of training and most experiments.
+// Prepared bundles a dataset with its maximum matrix M (trace.Maxima) and
+// feature selection — the shared front half of training and most
+// experiments.
 type Prepared struct {
 	DS  *trace.Dataset
-	Enc *trace.Encoder
+	Enc *encoding.Encoding
 	Sel features.Selection
 }
 
@@ -321,10 +323,10 @@ func (s *Store) PreparedCtx(ctx context.Context, progs []workload.Program, cfg t
 	s.mu.Unlock()
 
 	ds := s.DatasetCtx(ctx, progs, cfg)
-	enc := trace.NewEncoder(ds)
-	X, y := enc.Matrix(ds)
+	m := trace.Maxima(ds)
+	X, y := trace.Scaled(m, ds, nil)
 	sel := features.Select(ctx, X, y, ds.Components, selCfg)
-	p := &Prepared{DS: ds, Enc: enc, Sel: sel}
+	p := &Prepared{DS: ds, Enc: m, Sel: sel}
 
 	s.mu.Lock()
 	if prev, ok := s.prepared[key]; ok { // concurrent preparer won

@@ -7,12 +7,14 @@
 // counters, fault-masked values — the degraded serving mode) degrades
 // gracefully instead of collapsing.
 //
-// The trace Encoder's training matrices and the root package's RawScorer —
-// the one per-sample scorer behind detection, classification, the promotion
-// gate and serving — both route through this package, so they cannot drift
-// apart. Per-sample scoring uses the bit-packed pair BitsPacked and
-// MarginPacked. Equivalence tests in the root package pin the outputs to the
-// pre-unification implementations bit for bit.
+// BitsPacked is the one raw→bits kernel: the training, cross-validation and
+// experiment rows (trace.Bits, over an encoding projected onto the model's
+// feature slots) and the root package's RawScorer — the one per-sample
+// scorer behind detection, classification, the promotion gate and serving —
+// all binarize through it, so the bits a model scores are the bits it was
+// trained on. Scoring pairs it with MarginPacked. Equivalence tests in the
+// root package pin the outputs to the pre-unification implementations bit
+// for bit.
 package encoding
 
 import (
@@ -69,6 +71,30 @@ func (e *Encoding) Observe(samples [][]float64) {
 	}
 }
 
+// Project returns the slot-indexed view of e for a model whose feature slot s
+// reads counter idx[s]: GlobalMax[s] = GlobalMax[idx[s]] and
+// PerPoint[pt][s] = Max(idx[s], pt), so the view's Max(s, pt) equals
+// e.Max(idx[s], pt) at every point. This is the form BitsPacked and a
+// trained detector's embedded maxima take. A nil idx (all features, slot =
+// counter) returns e itself.
+func (e *Encoding) Project(idx []int) *Encoding {
+	if idx == nil {
+		return e
+	}
+	p := &Encoding{GlobalMax: make([]float64, len(idx))}
+	for s, j := range idx {
+		p.GlobalMax[s] = e.GlobalMax[j]
+	}
+	for pt := range e.PerPoint {
+		row := make([]float64, len(idx))
+		for s, j := range idx {
+			row[s] = e.Max(j, pt)
+		}
+		p.PerPoint = append(p.PerPoint, row)
+	}
+	return p
+}
+
 // Max returns the normalizing maximum for feature i at execution point
 // point: the per-point maximum when one is recorded and positive, otherwise
 // the corpus-wide maximum. A result of 0 means the counter never fired
@@ -104,10 +130,10 @@ func (e *Encoding) Scale(vec []float64, point int, dst []float64) []float64 {
 	return dst
 }
 
-// Fires reports the paper's k-sparse bit for raw value v of feature i at
+// fires reports the paper's k-sparse bit for raw value v of feature i at
 // execution point point: the scaled statistic v/M reaches BinarizeThreshold.
 // A counter that never fired in training (M = 0) never fires.
-func (e *Encoding) Fires(i, point int, v float64) bool {
+func (e *Encoding) fires(i, point int, v float64) bool {
 	mx := e.Max(i, point)
 	return mx > 0 && v/mx >= BinarizeThreshold
 }
@@ -141,7 +167,7 @@ func (e *Encoding) BitsPacked(raw []float64, indices []int, point int, dst BitVe
 			continue
 		}
 		avail++
-		if e.Fires(slot, point, v) {
+		if e.fires(slot, point, v) {
 			dst.Set(slot)
 		}
 	}

@@ -121,16 +121,16 @@ func TestScaleAndBinarize(t *testing.T) {
 	}
 	// Binarization: a counter fires when v/M reaches the threshold; one
 	// that never fired in training (M = 0) never fires.
-	if !e.Fires(0, 0, 5) || e.Fires(1, 0, 1) || e.Fires(2, 0, 7) {
+	if !e.fires(0, 0, 5) || e.fires(1, 0, 1) || e.fires(2, 0, 7) {
 		t.Fatalf("fired = %v %v %v, want true false false",
-			e.Fires(0, 0, 5), e.Fires(1, 0, 1), e.Fires(2, 0, 7))
+			e.fires(0, 0, 5), e.fires(1, 0, 1), e.fires(2, 0, 7))
 	}
 	// The firing cut is exactly BinarizeThreshold, inclusive.
-	if e.Fires(0, 0, 10*BinarizeThreshold-1e-9) || !e.Fires(0, 0, 10*BinarizeThreshold) {
+	if e.fires(0, 0, 10*BinarizeThreshold-1e-9) || !e.fires(0, 0, 10*BinarizeThreshold) {
 		t.Fatalf("firing cut is not the inclusive BinarizeThreshold")
 	}
 	// A fault sentinel never fires.
-	if e.Fires(0, 0, math.NaN()) {
+	if e.fires(0, 0, math.NaN()) {
 		t.Fatalf("NaN fired")
 	}
 }
@@ -156,7 +156,7 @@ func TestQuickScaleInRange(t *testing.T) {
 		}
 		scaled := e.Scale(p, 0, nil)
 		for i, s := range scaled {
-			if s < 0 || s > 1 || e.Fires(i, 0, p[i]) != (s >= BinarizeThreshold) {
+			if s < 0 || s > 1 || e.fires(i, 0, p[i]) != (s >= BinarizeThreshold) {
 				return false
 			}
 		}

@@ -68,23 +68,6 @@ type Model[V any] interface {
 	Score(x V) float64
 }
 
-// Scaled encodes a split as scaled rows restricted to idx (nil = all
-// features) — the ml baselines' input.
-func Scaled(enc *trace.Encoder, d *trace.Dataset, idx []int) ([][]float64, []float64) {
-	X, y := enc.Matrix(d)
-	if idx != nil {
-		X = trace.Project(X, idx)
-	}
-	return X, y
-}
-
-// Bits encodes a split as bit-packed k-sparse rows restricted to idx (nil =
-// all features) — PerSpectron's representation, the perceptron family's
-// input.
-func Bits(enc *trace.Encoder, d *trace.Dataset, idx []int) ([]encoding.BitVec, []float64) {
-	return enc.PackedBinaryMatrix(d, idx)
-}
-
 // CVConfig controls a cross-validation run.
 type CVConfig struct {
 	Folds []Fold
@@ -96,12 +79,12 @@ type CVConfig struct {
 
 // CrossValidate runs attack-holdout CV: per fold it splits the dataset,
 // builds the normalization matrix M from training data only, encodes both
-// halves with encode (given that fold's encoder, the split and
-// cfg.FeatureIdx), fits a fresh model, and scores the held-out attacks plus
+// halves with encode (trace.Bits or trace.Scaled, given that fold's M, the
+// split and cfg.FeatureIdx), fits a fresh model, and scores the held-out attacks plus
 // a held-out benign slice (benign programs are split round-robin so class
 // proportions stay roughly balanced, per §VII-B).
 func CrossValidate[V any](ds *trace.Dataset, mk func() Model[V],
-	encode func(*trace.Encoder, *trace.Dataset, []int) ([]V, []float64), cfg CVConfig) CVResult {
+	encode func(*encoding.Encoding, *trace.Dataset, []int) ([]V, []float64), cfg CVConfig) CVResult {
 	var res CVResult
 	benignProgs := benignPrograms(ds)
 
@@ -162,9 +145,9 @@ func CrossValidate[V any](ds *trace.Dataset, mk func() Model[V],
 			return FoldResult{}
 		}
 
-		enc := trace.NewEncoder(train)
-		Xtr, ytr := encode(enc, train, cfg.FeatureIdx)
-		Xte, yte := encode(enc, test, cfg.FeatureIdx)
+		m := trace.Maxima(train)
+		Xtr, ytr := encode(m, train, cfg.FeatureIdx)
+		Xte, yte := encode(m, test, cfg.FeatureIdx)
 
 		clf := mk()
 		clf.Fit(Xtr, ytr)

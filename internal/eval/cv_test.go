@@ -53,7 +53,7 @@ func synthDataset() *trace.Dataset {
 
 func TestCrossValidatePerfectSeparation(t *testing.T) {
 	ds := synthDataset()
-	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewLogReg() }, Scaled,
+	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewLogReg() }, trace.Scaled,
 		CVConfig{Folds: TableIIIFolds(), Threshold: 0})
 	if res.MeanAccuracy < 0.99 {
 		t.Fatalf("accuracy %.3f on perfectly separable data", res.MeanAccuracy)
@@ -76,7 +76,7 @@ func TestCrossValidateHoldsOutCategories(t *testing.T) {
 	// A classifier that records training categories is hard to build from
 	// outside; instead verify via the fold outputs: every fold must have
 	// tested its held-out categories.
-	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewCART() }, Scaled,
+	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewCART() }, trace.Scaled,
 		CVConfig{Folds: TableIIIFolds(), Threshold: 0})
 	for i, fold := range TableIIIFolds() {
 		for _, cat := range fold.TestCategories {
@@ -92,7 +92,7 @@ func TestChannelPairing(t *testing.T) {
 	// Multi-channel categories must be tested only on the fold's test
 	// channel; fixed-channel ones on their native channel.
 	fold := Fold{TestCategories: []string{"spectre_v1", "prime_probe"}, TestChannel: "fr"}
-	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewLogReg() }, Scaled,
+	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewLogReg() }, trace.Scaled,
 		CVConfig{Folds: []Fold{fold}, Threshold: 0})
 	f := res.Folds[0]
 	if _, ok := f.PerCatTP["spectre_v1"]; !ok {
@@ -110,7 +110,7 @@ func TestChannelPairing(t *testing.T) {
 
 func TestCategoryTPRateAggregation(t *testing.T) {
 	ds := synthDataset()
-	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewLogReg() }, Scaled,
+	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewLogReg() }, trace.Scaled,
 		CVConfig{Folds: TableIIIFolds(), Threshold: 0})
 	rate, folds := res.CategoryTPRate("cacheout")
 	if folds != 3 {
@@ -128,7 +128,7 @@ func TestFalsePositiveProgramsThreshold(t *testing.T) {
 	// An always-positive classifier flags every benign sample.
 	res := CrossValidate(synthDataset(), func() Model[[]float64] {
 		return constantClassifier{1}
-	}, Scaled, CVConfig{Folds: TableIIIFolds(), Threshold: 0})
+	}, trace.Scaled, CVConfig{Folds: TableIIIFolds(), Threshold: 0})
 	fps := res.FalsePositivePrograms(2)
 	if len(fps) != 6 {
 		t.Fatalf("FP programs = %v, want all 6 benign", fps)
@@ -144,7 +144,7 @@ func (c constantClassifier) Fit([][]float64, []float64) {}
 func (c constantClassifier) Score(x []float64) float64  { return c.v }
 
 func TestAccuraciesAndConfidence(t *testing.T) {
-	res := CrossValidate(synthDataset(), func() Model[[]float64] { return ml.NewLogReg() }, Scaled,
+	res := CrossValidate(synthDataset(), func() Model[[]float64] { return ml.NewLogReg() }, trace.Scaled,
 		CVConfig{Folds: TableIIIFolds(), Threshold: 0})
 	accs := res.Accuracies()
 	if len(accs) != 3 {
@@ -158,7 +158,7 @@ func TestAccuraciesAndConfidence(t *testing.T) {
 func TestBenignSplitRoundRobin(t *testing.T) {
 	ds := synthDataset()
 	// Each fold must hold out exactly 2 of the 6 benign programs.
-	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewLogReg() }, Scaled,
+	res := CrossValidate(ds, func() Model[[]float64] { return ml.NewLogReg() }, trace.Scaled,
 		CVConfig{Folds: TableIIIFolds(), Threshold: 0})
 	for i, f := range res.Folds {
 		benignTested := f.Metrics.TN + f.Metrics.FP
@@ -196,7 +196,7 @@ func TestCrossValidatePerceptronGolden(t *testing.T) {
 	} {
 		res := CrossValidate(synthDataset(), func() Model[encoding.BitVec] {
 			return perceptron.New(2, perceptron.DefaultConfig())
-		}, Bits, CVConfig{Folds: TableIIIFolds(), FeatureIdx: tc.idx, Threshold: 0.25})
+		}, trace.Bits, CVConfig{Folds: TableIIIFolds(), FeatureIdx: tc.idx, Threshold: 0.25})
 		for fi, f := range res.Folds {
 			if h := hashScores(f.Scores); h != tc.want[fi] {
 				t.Errorf("%s: fold %d score hash = %s, golden %s", tc.name, fi, h, tc.want[fi])

@@ -121,8 +121,8 @@ func TestConfigPrivateStore(t *testing.T) {
 	cfg.Store = corpus.NewStore()
 
 	defBefore := corpus.Default().Stats()
-	collect(CoreCorpus(), cfg)
-	collect(CoreCorpus(), cfg)
+	collect(perspectron.TrainingWorkloads(), cfg)
+	collect(perspectron.TrainingWorkloads(), cfg)
 	st := cfg.Store.Stats()
 	if st.Collections != 1 || st.MemoryHits != 1 {
 		t.Fatalf("private store stats = %+v, want 1 collection + 1 hit", st)

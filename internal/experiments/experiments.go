@@ -15,13 +15,12 @@ import (
 	"fmt"
 	"strings"
 
+	"perspectron"
 	"perspectron/internal/corpus"
 	"perspectron/internal/features"
 	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
-	"perspectron/internal/workload/attacks"
-	"perspectron/internal/workload/benign"
 )
 
 // Config scales every experiment.
@@ -66,24 +65,6 @@ func QuickConfig() Config {
 	return Config{Seed: 1, MaxInsts: 100_000, Runs: 1, Interval: 10_000}
 }
 
-// CoreCorpus returns the unmodified-attack workload set: all attacks
-// (default channels plus pp-channel variants of the speculative attacks,
-// for the §VI-B channel pairing) and the benign kernels. It is the dataset
-// behind the headline accuracy numbers, and the evasion experiments
-// (Figs. 3–4) train on it so no evasion variant is ever seen in training:
-// bandwidth-reduced and polymorphic variants are evaluated separately
-// (Table IV's FN columns, Figs. 3–4) because their quiet filler intervals
-// make sample-level labels ambiguous — the paper likewise reports them as
-// pre/post-leakage coverage, not accuracy.
-func CoreCorpus() []workload.Program {
-	progs := append([]workload.Program{}, benign.All()...)
-	progs = append(progs, attacks.TrainingSet()...)
-	for _, cat := range []string{"spectre_v1", "spectre_v2", "spectre_rsb", "meltdown", "cacheout"} {
-		progs = append(progs, attacks.WithChannel(cat, "pp"))
-	}
-	return progs
-}
-
 // collect fetches (progs, cfg)'s dataset through the artifact store: a
 // corpus any experiment in this process already collected — at any config —
 // is served from memory (or the on-disk cache) instead of re-simulated.
@@ -91,19 +72,20 @@ func collect(progs []workload.Program, cfg Config) *trace.Dataset {
 	return cfg.store().Dataset(progs, cfg.CollectConfig())
 }
 
-// Prepared bundles a dataset with its encoder and PerSpectron selection —
-// the shared front half of most experiments. It is the corpus store's
-// memoized artifact type: every experiment asking for the same (corpus,
-// config) receives the identical bundle.
+// Prepared bundles a dataset with its maximum matrix and PerSpectron
+// selection — the shared front half of most experiments. It is the corpus
+// store's memoized artifact type: every experiment asking for the same
+// (corpus, config) receives the identical bundle.
 type Prepared = corpus.Prepared
 
-// Prepare returns the core corpus's dataset with its encoder and feature
-// selection, computed at most once per (corpus, config) via the artifact
-// store. Its collect and select phases nest under the prepare span.
+// Prepare returns the training corpus's (perspectron.TrainingWorkloads)
+// dataset with its maximum matrix and feature selection, computed at most
+// once per (corpus, config) via the artifact store. Its collect and select
+// phases nest under the prepare span.
 func Prepare(cfg Config) *Prepared {
 	ctx, span := telemetry.StartSpan(context.Background(), "prepare")
 	defer span.End()
-	return cfg.store().PreparedCtx(ctx, CoreCorpus(), cfg.CollectConfig(), features.DefaultSelectConfig())
+	return cfg.store().PreparedCtx(ctx, perspectron.TrainingWorkloads(), cfg.CollectConfig(), features.DefaultSelectConfig())
 }
 
 // table renders rows as fixed-width text with a header underline.

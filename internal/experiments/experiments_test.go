@@ -19,6 +19,25 @@ func quickPrep() *Prepared {
 	return prep
 }
 
+// quickRuns holds one memoized QuickConfig result per experiment name, so
+// the per-experiment tests and TestQuickGolden share a single run of each
+// experiment per test binary.
+var quickRuns sync.Map // name -> *quickRun
+
+type quickRun struct {
+	once sync.Once
+	res  any
+}
+
+// quick returns run(QuickConfig()), computed at most once per test binary
+// under name.
+func quick[T any](name string, run func(Config) T) T {
+	r, _ := quickRuns.LoadOrStore(name, new(quickRun))
+	q := r.(*quickRun)
+	q.once.Do(func() { q.res = run(QuickConfig()) })
+	return q.res.(T)
+}
+
 func TestPrepareSelects106(t *testing.T) {
 	p := quickPrep()
 	if got := len(p.Sel.Indices); got != 106 {
@@ -31,7 +50,7 @@ func TestPrepareSelects106(t *testing.T) {
 }
 
 func TestFig1DistinctSignatures(t *testing.T) {
-	r := Fig1(QuickConfig())
+	r := quick("fig1", Fig1)
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -44,7 +63,7 @@ func TestFig1DistinctSignatures(t *testing.T) {
 }
 
 func TestTable1CrossComponentGroups(t *testing.T) {
-	r := Table1(QuickConfig())
+	r := quick("table1", Table1)
 	if len(r.Groups) == 0 {
 		t.Fatalf("no cross-component correlation groups found")
 	}
@@ -78,7 +97,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestTable3HoldoutGeneralizes(t *testing.T) {
-	r := Table3(QuickConfig())
+	r := quick("table3", Table3)
 	if r.MeanAccuracy < 0.90 {
 		t.Fatalf("CV accuracy %.4f below 0.90:\n%s", r.MeanAccuracy, r.Render())
 	}
@@ -93,7 +112,7 @@ func TestTable3HoldoutGeneralizes(t *testing.T) {
 }
 
 func TestFig5TenKBest(t *testing.T) {
-	r := Fig5(QuickConfig())
+	r := quick("fig5", Fig5)
 	if len(r.Curves) != 3 {
 		t.Fatalf("curves = %d", len(r.Curves))
 	}
@@ -112,7 +131,7 @@ func TestFig5TenKBest(t *testing.T) {
 }
 
 func TestFig3AllVariantsDetected(t *testing.T) {
-	r := Fig3(QuickConfig())
+	r := quick("fig3", Fig3)
 	if len(r.Series) != 12 {
 		t.Fatalf("series = %d, want 12", len(r.Series))
 	}
@@ -122,7 +141,7 @@ func TestFig3AllVariantsDetected(t *testing.T) {
 }
 
 func TestFig4AllBandwidthsDetected(t *testing.T) {
-	r := Fig4(QuickConfig())
+	r := quick("fig4", Fig4)
 	if len(r.Series) != 4 {
 		t.Fatalf("series = %d", len(r.Series))
 	}
@@ -153,7 +172,7 @@ func TestTimingMatchesPaperArgument(t *testing.T) {
 }
 
 func TestWeightsCoverComponents(t *testing.T) {
-	r := Weights(QuickConfig())
+	r := quick("weights", Weights)
 	if len(r.ByComponent) < 8 {
 		t.Fatalf("selected features cover only %d components — replication too narrow",
 			len(r.ByComponent))
@@ -170,7 +189,7 @@ func TestWeightsCoverComponents(t *testing.T) {
 }
 
 func TestTable4OrderingHolds(t *testing.T) {
-	r := Table4(QuickConfig())
+	r := quick("table4", Table4)
 	if len(r.Rows) != 8 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMultiwayNearPerfectTrainingF1(t *testing.T) {
-	r := Multiway(QuickConfig())
+	r := quick("multiway", Multiway)
 	if r.MacroF1 < 0.9 {
 		t.Fatalf("macro F1 %.3f (paper: near-perfect on the training set)\n%s",
 			r.MacroF1, r.Render())
@@ -28,7 +28,7 @@ func TestMultiwayNearPerfectTrainingF1(t *testing.T) {
 }
 
 func TestMitigateTradeoffs(t *testing.T) {
-	r := Mitigate(QuickConfig())
+	r := quick("mitigate", Mitigate)
 	// Fencing closes the speculative channel completely...
 	if r.FenceSpecLoadsBlocked < 0.999 {
 		t.Fatalf("fencing blocked only %.1f%% of speculative loads",
@@ -60,7 +60,7 @@ func TestMitigateTradeoffs(t *testing.T) {
 }
 
 func TestRHMDEnsembleCatchesEvasion(t *testing.T) {
-	r := RHMD(QuickConfig())
+	r := quick("rhmd", RHMD)
 	if r.BaselineTPR < 0.9 {
 		t.Fatalf("baseline single-detector TPR %.3f too low", r.BaselineTPR)
 	}
@@ -74,7 +74,7 @@ func TestRHMDEnsembleCatchesEvasion(t *testing.T) {
 }
 
 func TestZeroDayBeyondCorpus(t *testing.T) {
-	r := ZeroDay(QuickConfig())
+	r := quick("zeroday", ZeroDay)
 	if !r.AllDetected() {
 		t.Fatalf("excluded attack evaded detection:\n%s", r.Render())
 	}
@@ -86,7 +86,7 @@ func TestZeroDayBeyondCorpus(t *testing.T) {
 }
 
 func TestSchedAttributionUnderMultiprogramming(t *testing.T) {
-	r := Sched(QuickConfig())
+	r := quick("sched", Sched)
 	if r.AttackerTPR < 0.8 {
 		t.Fatalf("attacker-interval TPR %.3f under multiprogramming:\n%s",
 			r.AttackerTPR, r.Render())

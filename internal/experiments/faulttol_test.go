@@ -9,7 +9,7 @@ func TestFaultTolQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a detector")
 	}
-	res := FaultTol(QuickConfig())
+	res := quick("faulttol", FaultTol)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -67,26 +67,24 @@ func Fig1(cfg Config) *Fig1Result {
 		raw[pi] = vals
 	}
 
-	// Normalize per counter to the corpus maximum.
-	maxes := make([]float64, len(fig1Counters))
-	for _, vals := range raw {
-		for ci, v := range vals {
-			if v > maxes[ci] {
-				maxes[ci] = v
-			}
+	// Normalize per counter to the corpus maximum: an encoding with global
+	// maxima only, read at no particular execution point.
+	enc := encoding.New(len(fig1Counters))
+	idx := make([]int, len(fig1Counters))
+	for ci := range idx {
+		idx[ci] = ci
+		for _, vals := range raw {
+			enc.GlobalMax[ci] = max(enc.GlobalMax[ci], vals[ci])
 		}
 	}
 	res := &Fig1Result{Counters: fig1Counters}
 	for pi, p := range progs {
-		row := Fig1Row{Program: p.Info().Name, Label: p.Info().Label}
-		for ci, v := range raw[pi] {
-			n := 0.0
-			if maxes[ci] > 0 {
-				n = v / maxes[ci]
-			}
-			row.Values = append(row.Values, n)
+		row := Fig1Row{Program: p.Info().Name, Label: p.Info().Label,
+			Values: enc.Scale(raw[pi], -1, nil)}
+		fired, _ := enc.BitsPacked(raw[pi], idx, -1, nil)
+		for ci := range idx {
 			bit := 0
-			if n >= encoding.BinarizeThreshold {
+			if fired.Get(ci) {
 				bit = 1
 			}
 			row.Bits = append(row.Bits, bit)

@@ -6,6 +6,7 @@ import (
 
 	"perspectron/internal/encoding"
 	"perspectron/internal/perceptron"
+	"perspectron/internal/trace"
 	"perspectron/internal/workload/attacks"
 )
 
@@ -30,10 +31,10 @@ type Fig3Result struct {
 // trainPerSpectron trains the detector on the base corpus and returns a
 // scorer (shared by Fig3/Fig4).
 func trainPerSpectron(p *Prepared, threshold float64) *modelScorer[encoding.BitVec] {
-	X, y := p.Enc.PackedBinaryMatrix(p.DS, p.Sel.Indices)
+	X, y := trace.Bits(p.Enc, p.DS, p.Sel.Indices)
 	det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
 	det.Fit(X, y)
-	return &modelScorer[encoding.BitVec]{encode: bitsAt(p.Enc, p.Sel.Indices),
+	return &modelScorer[encoding.BitVec]{enc: p.Enc, idx: p.Sel.Indices, encode: trace.Bits,
 		clf: det, threshold: threshold}
 }
 

@@ -7,6 +7,7 @@ import (
 	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
 	"perspectron/internal/perceptron"
+	"perspectron/internal/trace"
 )
 
 // Fig5Curve is one ROC curve at a sampling granularity.
@@ -40,7 +41,7 @@ func Fig5(cfg Config) *Fig5Result {
 
 		cv := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
 			return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-		}, eval.Bits, eval.CVConfig{
+		}, trace.Bits, eval.CVConfig{
 			Folds:      eval.TableIIIFolds(),
 			FeatureIdx: p.Sel.Indices,
 			Threshold:  0.25,

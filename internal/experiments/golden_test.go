@@ -12,7 +12,8 @@ import (
 // is the stdout of `experiments -quick -run all` with the per-experiment
 // "completed in" timing lines and the corpus-cache summary removed, so any
 // refactor of the encode/train/score path must leave every table and figure
-// byte-identical.
+// byte-identical. The results are the memoized runs the per-experiment tests
+// assert on (quick), so each experiment runs once per test binary.
 func TestQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every quick experiment")
@@ -21,27 +22,26 @@ func TestQuickGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := QuickConfig()
 	all := []struct {
 		name string
 		fn   func() interface{ Render() string }
 	}{
 		{"table2", func() interface{ Render() string } { return Table2() }},
-		{"fig1", func() interface{ Render() string } { return Fig1(cfg) }},
-		{"table1", func() interface{ Render() string } { return Table1(cfg) }},
-		{"table3", func() interface{ Render() string } { return Table3(cfg) }},
-		{"fig5", func() interface{ Render() string } { return Fig5(cfg) }},
-		{"table4", func() interface{ Render() string } { return Table4(cfg) }},
-		{"fig3", func() interface{ Render() string } { return Fig3(cfg) }},
-		{"fig4", func() interface{ Render() string } { return Fig4(cfg) }},
+		{"fig1", func() interface{ Render() string } { return quick("fig1", Fig1) }},
+		{"table1", func() interface{ Render() string } { return quick("table1", Table1) }},
+		{"table3", func() interface{ Render() string } { return quick("table3", Table3) }},
+		{"fig5", func() interface{ Render() string } { return quick("fig5", Fig5) }},
+		{"table4", func() interface{ Render() string } { return quick("table4", Table4) }},
+		{"fig3", func() interface{ Render() string } { return quick("fig3", Fig3) }},
+		{"fig4", func() interface{ Render() string } { return quick("fig4", Fig4) }},
 		{"timing", func() interface{ Render() string } { return Timing() }},
-		{"weights", func() interface{ Render() string } { return Weights(cfg) }},
-		{"multiway", func() interface{ Render() string } { return Multiway(cfg) }},
-		{"mitigate", func() interface{ Render() string } { return Mitigate(cfg) }},
-		{"rhmd", func() interface{ Render() string } { return RHMD(cfg) }},
-		{"zeroday", func() interface{ Render() string } { return ZeroDay(cfg) }},
-		{"sched", func() interface{ Render() string } { return Sched(cfg) }},
-		{"faulttol", func() interface{ Render() string } { return FaultTol(cfg) }},
+		{"weights", func() interface{ Render() string } { return quick("weights", Weights) }},
+		{"multiway", func() interface{ Render() string } { return quick("multiway", Multiway) }},
+		{"mitigate", func() interface{ Render() string } { return quick("mitigate", Mitigate) }},
+		{"rhmd", func() interface{ Render() string } { return quick("rhmd", RHMD) }},
+		{"zeroday", func() interface{ Render() string } { return quick("zeroday", ZeroDay) }},
+		{"sched", func() interface{ Render() string } { return quick("sched", Sched) }},
+		{"faulttol", func() interface{ Render() string } { return quick("faulttol", FaultTol) }},
 	}
 	var b strings.Builder
 	for _, e := range all {

@@ -21,37 +21,27 @@ func record(p workload.Program, cfg Config, seed int64) *perspectron.Recording {
 	return rec
 }
 
-// modelScorer scores recorded runs with a trained model over an encoder
-// built from the training corpus: encode turns one raw delta vector, taken
-// at an execution point, into the model's input.
+// modelScorer scores monitored samples with a model trained on the corpus:
+// encode is the dataset encoder the model's training rows came from
+// (trace.Bits or trace.Scaled) over the corpus maxima enc and the feature
+// indices idx, so a monitored sample is encoded exactly as a training row.
 type modelScorer[V any] struct {
-	encode    func(raw []float64, point int) V
+	enc       *encoding.Encoding
+	idx       []int
+	encode    func(*encoding.Encoding, *trace.Dataset, []int) ([]V, []float64)
 	clf       eval.Model[V]
 	threshold float64
 }
 
-// bitsAt encodes one raw delta vector as its bit-packed k-sparse vector over
-// the feature indices idx — the perceptron family's input.
-func bitsAt(enc *trace.Encoder, idx []int) func([]float64, int) encoding.BitVec {
-	return func(raw []float64, j int) encoding.BitVec { return enc.BitsAt(raw, j, idx) }
-}
-
-// scaledAt encodes one raw delta vector as its scaled row over the feature
-// indices idx (nil = all) — the ml baselines' input.
-func scaledAt(enc *trace.Encoder, idx []int) func([]float64, int) []float64 {
-	return func(raw []float64, j int) []float64 {
-		x := enc.M.Scale(raw, j, nil)
-		if idx != nil {
-			x = trace.Project([][]float64{x}, idx)[0]
-		}
-		return x
+// scores encodes samples (raw delta vectors at their execution points) and
+// returns the model score of each.
+func (s *modelScorer[V]) scores(samples []trace.Sample) []float64 {
+	X, _ := s.encode(s.enc, &trace.Dataset{Samples: samples}, s.idx)
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = s.clf.Score(x)
 	}
-}
-
-// scoreAt encodes one raw delta vector (at execution point j) and
-// returns the model score.
-func (s *modelScorer[V]) scoreAt(raw []float64, j int) float64 {
-	return s.clf.Score(s.encode(raw, j))
+	return out
 }
 
 // Verdict summarizes one monitored run's detection outcome.
@@ -72,11 +62,15 @@ func (s *modelScorer[V]) verdict(rec *perspectron.Recording) Verdict {
 	if len(rec.LeakSamples) > 0 {
 		v.FirstLeak = rec.LeakSamples[0]
 	}
+	samples := make([]trace.Sample, len(rec.Samples))
 	for i, raw := range rec.Samples {
-		score := s.scoreAt(raw, i)
-		v.Scores = append(v.Scores, score)
-		if v.FirstFlag < 0 && score >= s.threshold {
+		samples[i] = trace.Sample{Index: i, Raw: raw}
+	}
+	v.Scores = s.scores(samples)
+	for i, score := range v.Scores {
+		if score >= s.threshold {
 			v.FirstFlag = i
+			break
 		}
 	}
 	v.Detected = v.FirstFlag >= 0

@@ -27,7 +27,6 @@ type MultiwayResult struct {
 // the training set.
 func Multiway(cfg Config) *MultiwayResult {
 	p := Prepare(cfg)
-	enc := p.Enc
 
 	// Class label per sample: the attack category, or "benign".
 	labelOf := func(s *trace.Sample) string {
@@ -49,7 +48,7 @@ func Multiway(cfg Config) *MultiwayResult {
 	// Classification uses the full k-sparse feature space: distinguishing
 	// SpectreV1 from V2 from RSB needs the per-predictor-unit counters
 	// that the binary benign/suspicious selection has no reason to keep.
-	Xp, _ := enc.PackedBinaryMatrix(p.DS, nil)
+	Xp, _ := trace.Bits(p.Enc, p.DS, nil)
 	labels := make([]string, len(p.DS.Samples))
 	for i := range p.DS.Samples {
 		labels[i] = labelOf(&p.DS.Samples[i])

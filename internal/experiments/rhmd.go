@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"perspectron/internal/perceptron"
+	"perspectron/internal/trace"
 )
 
 // RHMDResult evaluates the stochastic multi-detector hardening the paper
@@ -33,7 +34,7 @@ type RHMDResult struct {
 // evasion study.
 func RHMD(cfg Config) *RHMDResult {
 	p := Prepare(cfg)
-	Xp, y := p.Enc.PackedBinaryMatrix(p.DS, p.Sel.Indices)
+	Xp, y := trace.Bits(p.Enc, p.DS, p.Sel.Indices)
 
 	const k = 4
 	subset := len(p.Sel.Indices) / 2

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"perspectron/internal/sched"
+	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/attacks"
 	"perspectron/internal/workload/benign"
@@ -49,9 +50,13 @@ func Sched(cfg Config) *SchedResult {
 	flaggedBy := map[string]int{}
 	totalBy := map[string]int{}
 	var atkFlag, atkTotal, benFlag, benTotal float64
-	for _, smp := range samples {
-		score := sc.scoreAt(smp.Raw, smp.Index/len(s.Tasks()))
-		flagged := score >= sc.threshold
+	points := make([]trace.Sample, len(samples))
+	for i, smp := range samples {
+		points[i] = trace.Sample{Index: smp.Index / len(s.Tasks()), Raw: smp.Raw}
+	}
+	scores := sc.scores(points)
+	for i, smp := range samples {
+		flagged := scores[i] >= sc.threshold
 		totalBy[smp.Program]++
 		if flagged {
 			flaggedBy[smp.Program]++

@@ -8,6 +8,7 @@ import (
 	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
 	"perspectron/internal/perceptron"
+	"perspectron/internal/trace"
 )
 
 // Table3Result regenerates Table III's attack-holdout cross-validation and
@@ -32,7 +33,7 @@ func Table3(cfg Config) *Table3Result {
 	folds := eval.TableIIIFolds()
 	res := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
 		return perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
-	}, eval.Bits, eval.CVConfig{
+	}, trace.Bits, eval.CVConfig{
 		Folds:      folds,
 		FeatureIdx: p.Sel.Indices,
 		Threshold:  0.25,

@@ -51,20 +51,19 @@ type table4Run func(p *Prepared, idx []int, n int, threshold float64) (eval.CVRe
 
 // scaledModel binds an ml baseline to scaled inputs.
 func scaledModel(mk func(n int) eval.Model[[]float64]) table4Run {
-	return gridModel(mk, eval.Scaled, scaledAt)
+	return gridModel(mk, trace.Scaled)
 }
 
 // bitsModel binds a perceptron to bit-packed k-sparse inputs.
 func bitsModel(mk func(n int) eval.Model[encoding.BitVec]) table4Run {
-	return gridModel(mk, eval.Bits, bitsAt)
+	return gridModel(mk, trace.Bits)
 }
 
 // gridModel is the Table IV protocol for a model over inputs V: encode
-// encodes a split for CV and full-corpus training, at one raw sample for
-// monitoring.
+// encodes a split for CV, the full corpus for training, and the monitored
+// runs for the evasion assessment.
 func gridModel[V any](mk func(n int) eval.Model[V],
-	encode func(*trace.Encoder, *trace.Dataset, []int) ([]V, []float64),
-	at func(*trace.Encoder, []int) func([]float64, int) V) table4Run {
+	encode func(*encoding.Encoding, *trace.Dataset, []int) ([]V, []float64)) table4Run {
 	return func(p *Prepared, idx []int, n int, threshold float64) (eval.CVResult, func(*perspectron.Recording) Verdict) {
 		cv := eval.CrossValidate(p.DS, func() eval.Model[V] { return mk(n) }, encode,
 			eval.CVConfig{
@@ -76,7 +75,7 @@ func gridModel[V any](mk func(n int) eval.Model[V],
 		X, y := encode(p.Enc, p.DS, idx)
 		clf := mk(n)
 		clf.Fit(X, y)
-		sc := &modelScorer[V]{encode: at(p.Enc, idx), clf: clf, threshold: threshold}
+		sc := &modelScorer[V]{enc: p.Enc, idx: idx, encode: encode, clf: clf, threshold: threshold}
 		return cv, sc.verdict
 	}
 }

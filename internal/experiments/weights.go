@@ -7,6 +7,7 @@ import (
 
 	"perspectron/internal/perceptron"
 	"perspectron/internal/stats"
+	"perspectron/internal/trace"
 )
 
 // WeightEntry pairs a feature with its learned weight.
@@ -29,7 +30,7 @@ type WeightsResult struct {
 // learned weights.
 func Weights(cfg Config) *WeightsResult {
 	p := Prepare(cfg)
-	X, y := p.Enc.PackedBinaryMatrix(p.DS, p.Sel.Indices)
+	X, y := trace.Bits(p.Enc, p.DS, p.Sel.Indices)
 	det := perceptron.New(len(p.Sel.Indices), perceptron.DefaultConfig())
 	det.Fit(X, y)
 

@@ -7,6 +7,7 @@ import (
 	"perspectron/internal/experiments"
 	"perspectron/internal/features"
 	"perspectron/internal/stats"
+	"perspectron/internal/trace"
 )
 
 // BenchmarkSelect compares the serial per-kernel oracle (the seed
@@ -15,7 +16,7 @@ import (
 // unless parallel-packed beats serial-dense on a fresh run.
 func BenchmarkSelect(b *testing.B) {
 	p := experiments.Prepare(experiments.QuickConfig())
-	X, y := p.Enc.Matrix(p.DS)
+	X, y := trace.Scaled(p.Enc, p.DS, nil)
 	run := func(sel func([][]float64, []float64, []stats.Component, features.SelectConfig) features.Selection) func(*testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

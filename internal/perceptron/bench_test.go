@@ -7,6 +7,7 @@ import (
 	"perspectron/internal/eval"
 	"perspectron/internal/experiments"
 	"perspectron/internal/perceptron"
+	"perspectron/internal/trace"
 )
 
 // scaledPerceptron trains and scores a perceptron on scaled (non-binary)
@@ -28,7 +29,7 @@ func BenchmarkAblationBinarization(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
 				return perceptron.New(n, perceptron.DefaultConfig())
-			}, eval.Bits, cfg)
+			}, trace.Bits, cfg)
 			b.ReportMetric(res.MeanAccuracy, "accuracy")
 		}
 	})
@@ -36,7 +37,7 @@ func BenchmarkAblationBinarization(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res := eval.CrossValidate(p.DS, func() eval.Model[[]float64] {
 				return scaledPerceptron{perceptron.New(n, perceptron.DefaultConfig())}
-			}, eval.Scaled, cfg)
+			}, trace.Scaled, cfg)
 			b.ReportMetric(res.MeanAccuracy, "accuracy")
 		}
 	})

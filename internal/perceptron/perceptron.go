@@ -1,8 +1,9 @@
 // Package perceptron implements PerSpectron's detector: a single-layer
 // perceptron over k-sparse binary microarchitectural features (§II-C, §IV),
-// the replicated per-component detector bank used in the ablation study, an
-// 8-bit quantized variant matching the hardware datapath, and the hardware
-// cost model of §IV-F (serial adder, ~1 cycle per input, negligible area).
+// its resumable trainer, an 8-bit quantized variant matching the hardware
+// datapath, the one-vs-rest multi-class bank, the RHMD randomized-ensemble
+// baseline, and the hardware cost model of §IV-F (serial adder, ~1 cycle per
+// input, negligible area).
 package perceptron
 
 import (

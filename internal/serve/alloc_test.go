@@ -63,7 +63,7 @@ func TestVerdictAllocations(t *testing.T) {
 		cfg := Config{detector: det, Workloads: []perspectron.Workload{attack}}
 		name := "nolog"
 		if logged {
-			cfg.VerdictLog, name = NewVerdictLog(io.Discard), "logged"
+			cfg.VerdictLog, name = io.Discard, "logged"
 		}
 		s, err := New(cfg)
 		if err != nil {

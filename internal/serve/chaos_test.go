@@ -69,7 +69,7 @@ func TestServeChaos(t *testing.T) {
 		scoreTick:        time.Millisecond,
 		pace:             200 * time.Microsecond,
 		PollInterval:     time.Hour, // reloads driven by the corrupter below
-		VerdictLog:       NewVerdictLog(&buf),
+		VerdictLog:       &buf,
 		// Counter faults run the whole time too: the coverage ladder and the
 		// packed kernels' NaN masking are part of what chaos must not break.
 		faults: &perspectron.FaultConfig{Seed: 9, Dropout: 0.3},

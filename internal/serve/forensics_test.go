@@ -35,7 +35,7 @@ func TestForensicsEndToEnd(t *testing.T) {
 		MaxInsts:        60_000,
 		MaxEpisodes:     1,
 		backoff:         fastBackoff(),
-		VerdictLog:      NewVerdictLog(&buf),
+		VerdictLog:      &buf,
 		AttrBenignEvery: 2,
 	})
 	if err != nil {

@@ -307,7 +307,7 @@ func TestServiceBlackoutDegradesToThreshold(t *testing.T) {
 		MaxInsts:    60_000,
 		MaxEpisodes: 2,
 		backoff:     fastBackoff(),
-		VerdictLog:  NewVerdictLog(&buf),
+		VerdictLog:  &buf,
 		faults:      &perspectron.FaultConfig{Seed: 5, Dropout: 1.0},
 	})
 	if err != nil {

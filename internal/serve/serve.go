@@ -109,9 +109,9 @@ type Config struct {
 	// negative disables watching).
 	PollInterval time.Duration
 
-	// VerdictLog receives one JSON line per scored sample (nil = none).
-	// Mutually exclusive with VerdictLogPath.
-	VerdictLog *verdictLogWriter
+	// VerdictLog receives one JSON line per scored sample (nil = none),
+	// buffered and flushed on drain. Mutually exclusive with VerdictLogPath.
+	VerdictLog io.Writer
 
 	// VerdictLogPath switches the verdict log to crash-safe file mode: the
 	// supervisor owns the file, runs startup recovery (torn-tail repair,
@@ -147,15 +147,6 @@ type Config struct {
 	breakerCooldown  time.Duration
 	scoreTick        time.Duration
 	pace             time.Duration
-}
-
-// verdictLogWriter is the internal log type behind Config.VerdictLog.
-type verdictLogWriter = verdictLog
-
-// NewVerdictLog wraps w as a Config.VerdictLog sink (JSON lines, buffered,
-// flushed on drain).
-func NewVerdictLog(w io.Writer) *verdictLogWriter {
-	return newVerdictLog(w)
 }
 
 func (c *Config) withDefaults() Config {
@@ -347,7 +338,10 @@ func New(cfg Config) (*Supervisor, error) {
 	if det == nil {
 		return nil, fmt.Errorf("serve: a detector is required (DetectorPath)")
 	}
-	vlog := cfg.VerdictLog
+	var vlog *verdictLog
+	if cfg.VerdictLog != nil {
+		vlog = newVerdictLog(cfg.VerdictLog)
+	}
 	if cfg.VerdictLogPath != "" {
 		var err error
 		if vlog, err = openVerdictLog(cfg.VerdictLogPath); err != nil {

@@ -270,7 +270,7 @@ func TestServiceScoresAndLogsVerdicts(t *testing.T) {
 		MaxInsts:    60_000,
 		MaxEpisodes: 2,
 		backoff:     fastBackoff(),
-		VerdictLog:  NewVerdictLog(&buf),
+		VerdictLog:  &buf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestQueueWaitStaysUnderPreemptionSlice(t *testing.T) {
 		MaxInsts:   500_000,
 		Shards:     2,
 		backoff:    fastBackoff(),
-		VerdictLog: NewVerdictLog(&buf),
+		VerdictLog: &buf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -234,16 +234,9 @@ func collectOne(ctx context.Context, prog workload.Program, run int, seed int64,
 	return out, nil
 }
 
-// Encoder scales raw counter deltas by the maximum matrix M and binarizes
-// them into the paper's k-sparse representation. M is the shared
-// normalize/binarize implementation the serving paths also use.
-type Encoder struct {
-	M *encoding.Encoding
-}
-
-// NewEncoder builds M from the training dataset: per-run sample sequences
-// update the per-execution-point maxima.
-func NewEncoder(train *Dataset) *Encoder {
+// Maxima builds the maximum matrix M from a training dataset: each run's
+// samples, ordered by execution point, update the per-point maxima.
+func Maxima(train *Dataset) *encoding.Encoding {
 	m := encoding.New(train.NumFeatures())
 	// Group samples into per-run sequences ordered by index.
 	type key struct {
@@ -270,53 +263,53 @@ func NewEncoder(train *Dataset) *Encoder {
 		}
 		m.Observe(compact)
 	}
-	return &Encoder{M: m}
+	return m
 }
 
-// BitsAt returns the bit-packed k-sparse vector of one raw counter-delta
-// vector taken at execution point point, restricted to the feature indices
-// idx (nil = all features): output bit j is set when feature idx[j] fires.
-func (e *Encoder) BitsAt(raw []float64, point int, idx []int) encoding.BitVec {
-	n := len(idx)
+// Bits encodes the dataset as bit-packed k-sparse rows over the feature
+// indices idx (nil = all features) — PerSpectron's representation, the
+// perceptron family's input — with y +1 for malicious and -1 for benign.
+// Row bit s is set when counter idx[s] fires against m; the rows come from
+// BitsPacked over m projected onto idx, the kernel serving scores with, so
+// a trained model sees exactly the bits it will be served.
+func Bits(m *encoding.Encoding, d *Dataset, idx []int) (X []encoding.BitVec, y []float64) {
+	p := m.Project(idx)
 	if idx == nil {
-		n = e.M.NumFeatures()
-	}
-	b := encoding.NewBitVec(n)
-	for j := 0; j < n; j++ {
-		f := j
-		if idx != nil {
-			f = idx[j]
-		}
-		if e.M.Fires(f, point, raw[f]) {
-			b.Set(j)
+		idx = make([]int, m.NumFeatures())
+		for i := range idx {
+			idx[i] = i
 		}
 	}
-	return b
-}
-
-// Matrix encodes the whole dataset: X is scaled features (rows in dataset
-// order), y is +1 for malicious and -1 for benign.
-func (e *Encoder) Matrix(d *Dataset) (X [][]float64, y []float64) {
-	X = make([][]float64, len(d.Samples))
-	y = make([]float64, len(d.Samples))
-	for i := range d.Samples {
-		X[i] = e.M.Scale(d.Samples[i].Raw, d.Samples[i].Index, nil)
-		y[i] = LabelValue(d.Samples[i].Label)
-	}
-	return X, y
-}
-
-// PackedBinaryMatrix encodes the dataset as bit-packed k-sparse binary
-// vectors restricted to the feature indices idx (nil = all features), with
-// the same ±1 labels as Matrix. It feeds the perceptron's popcount
-// training and scoring kernels directly from the raw samples.
-func (e *Encoder) PackedBinaryMatrix(d *Dataset, idx []int) (X []encoding.BitVec, y []float64) {
 	X = make([]encoding.BitVec, len(d.Samples))
 	y = make([]float64, len(d.Samples))
 	for i := range d.Samples {
 		s := &d.Samples[i]
-		X[i] = e.BitsAt(s.Raw, s.Index, idx)
+		X[i], _ = p.BitsPacked(s.Raw, idx, s.Index, nil)
 		y[i] = LabelValue(s.Label)
+	}
+	return X, y
+}
+
+// Scaled encodes the dataset as rows scaled by m into [0,1], restricted to
+// the feature indices idx (nil = all features) — the ml baselines' input and
+// feature selection's — with the same ±1 labels as Bits.
+func Scaled(m *encoding.Encoding, d *Dataset, idx []int) (X [][]float64, y []float64) {
+	X = make([][]float64, len(d.Samples))
+	y = make([]float64, len(d.Samples))
+	var full []float64
+	for i := range d.Samples {
+		s := &d.Samples[i]
+		y[i] = LabelValue(s.Label)
+		if idx == nil {
+			X[i] = m.Scale(s.Raw, s.Index, nil)
+			continue
+		}
+		full = m.Scale(s.Raw, s.Index, full)
+		row := make([]float64, len(idx))
+		for j, f := range idx {
+			row[j] = full[f]
+		}
+		X[i] = row
 	}
 	return X, y
 }
@@ -327,19 +320,6 @@ func LabelValue(l workload.Label) float64 {
 		return 1
 	}
 	return -1
-}
-
-// Project returns copies of rows restricted to the given feature indices.
-func Project(X [][]float64, idx []int) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		p := make([]float64, len(idx))
-		for j, f := range idx {
-			p[j] = row[f]
-		}
-		out[i] = p
-	}
-	return out
 }
 
 // Summary returns a one-line description of the dataset, including the

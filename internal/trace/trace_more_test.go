@@ -36,12 +36,12 @@ func TestCollectParallelMatchesSerial(t *testing.T) {
 
 func TestEncoderPointFallback(t *testing.T) {
 	ds := smallDataset(t)
-	enc := NewEncoder(ds)
+	m := Maxima(ds)
 	// A sample at an execution point far beyond anything observed must
 	// scale via the global maxima rather than zeros.
 	s := ds.Samples[0]
 	s.Index = 10_000
-	scaled := enc.M.Scale(s.Raw, s.Index, nil)
+	scaled := m.Scale(s.Raw, s.Index, nil)
 	nonzero := false
 	for _, v := range scaled {
 		if v > 0 {

@@ -71,8 +71,7 @@ func TestCollectMultiRunSeedsDiffer(t *testing.T) {
 
 func TestEncoderScaleRange(t *testing.T) {
 	ds := smallDataset(t)
-	enc := NewEncoder(ds)
-	X, y := enc.Matrix(ds)
+	X, y := Scaled(Maxima(ds), ds, nil)
 	if len(X) != len(ds.Samples) || len(y) != len(X) {
 		t.Fatalf("matrix shape wrong")
 	}
@@ -90,8 +89,7 @@ func TestEncoderScaleRange(t *testing.T) {
 
 func TestEncoderBinary(t *testing.T) {
 	ds := smallDataset(t)
-	enc := NewEncoder(ds)
-	X, _ := enc.PackedBinaryMatrix(ds, nil)
+	X, _ := Bits(Maxima(ds), ds, nil)
 	ones := 0
 	for _, row := range X {
 		if len(row) != (ds.NumFeatures()+63)/64 {
@@ -124,11 +122,20 @@ func TestFilterAndCategories(t *testing.T) {
 	}
 }
 
+// TestProject: Scaled restricted to idx carries, in idx order, exactly the
+// columns of the full scaled rows.
 func TestProject(t *testing.T) {
-	X := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	P := Project(X, []int{2, 0})
-	if P[0][0] != 3 || P[0][1] != 1 || P[1][0] != 6 || P[1][1] != 4 {
-		t.Fatalf("projection wrong: %v", P)
+	ds := smallDataset(t)
+	m := Maxima(ds)
+	full, _ := Scaled(m, ds, nil)
+	idx := []int{2, 0, ds.NumFeatures() - 1}
+	P, _ := Scaled(m, ds, idx)
+	for i, row := range P {
+		for j, f := range idx {
+			if row[j] != full[i][f] {
+				t.Fatalf("row %d column %d: projected %v, full %v", i, j, row[j], full[i][f])
+			}
+		}
 	}
 }
 
@@ -137,15 +144,11 @@ func TestProject(t *testing.T) {
 // the same labels), over all features and over a reordering projection.
 func TestPackedBinaryMatrixMatchesDense(t *testing.T) {
 	ds := smallDataset(t)
-	enc := NewEncoder(ds)
-	Xd, yd := enc.Matrix(ds)
+	m := Maxima(ds)
 	idx := []int{ds.NumFeatures() - 1, 3, 0, 70, 64, 63}
 	for _, proj := range [][]int{nil, idx} {
-		Xs := Xd
-		if proj != nil {
-			Xs = Project(Xd, proj)
-		}
-		Xp, yp := enc.PackedBinaryMatrix(ds, proj)
+		Xs, yd := Scaled(m, ds, proj)
+		Xp, yp := Bits(m, ds, proj)
 		if len(Xp) != len(Xs) || len(yp) != len(yd) {
 			t.Fatalf("packed shape (%d,%d) != dense (%d,%d)", len(Xp), len(yp), len(Xs), len(yd))
 		}

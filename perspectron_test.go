@@ -2,7 +2,11 @@ package perspectron
 
 import (
 	"bytes"
+	"context"
 	"testing"
+
+	"perspectron/internal/corpus"
+	"perspectron/internal/trace"
 )
 
 // trainSmall trains a quick detector shared by the API tests.
@@ -198,6 +202,35 @@ func TestZeroDayBeyondPaper(t *testing.T) {
 		}
 		if flagged < len(rep.Samples)/2 {
 			t.Errorf("zero-day %s flagged only %d/%d samples", name, flagged, len(rep.Samples))
+		}
+	}
+}
+
+// TestTrainServeBitsAgree: for every training sample, the bits a trained
+// detector's RawScorer fires — the serving path, through the detector's
+// embedded maxima and names resolved on a fresh machine — must equal the
+// sample's training row.
+func TestTrainServeBitsAgree(t *testing.T) {
+	det := sharedDetector(t)
+	opts := DefaultOptions()
+	opts.MaxInsts = 100_000
+	opts.Runs = 1
+	p := corpus.Default().PreparedCtx(context.Background(), TrainingWorkloads(), opts.CollectConfig(), opts.selectConfig())
+	rows, _ := trace.Bits(p.Enc, p.DS, p.Sel.Indices)
+	scorer, err := NewRawScorer(det, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range p.DS.Samples {
+		scorer.Detect(RawSample{Sample: s.Index, Raw: s.Raw})
+		if len(scorer.detBits) != len(rows[i]) {
+			t.Fatalf("sample %d: served %d words, trained %d", i, len(scorer.detBits), len(rows[i]))
+		}
+		for w := range rows[i] {
+			if scorer.detBits[w] != rows[i][w] {
+				t.Fatalf("sample %d (%s, point %d) word %d: served %016x, trained %016x",
+					i, s.Program, s.Index, w, scorer.detBits[w], rows[i][w])
+			}
 		}
 	}
 }

@@ -64,18 +64,7 @@ func CollectGolden(workloads []Workload, opts Options) (*GoldenSet, error) {
 // counters are in degraded serving, so the comparison stays meaningful when
 // feature selections drift between generations.
 func (d *Detector) EvaluateGolden(g *GoldenSet) EvalScores {
-	pos := make(map[string]int, len(g.FeatureNames))
-	for j, name := range g.FeatureNames {
-		pos[name] = j
-	}
-	idx := make([]int, len(d.FeatureNames))
-	for i, name := range d.FeatureNames {
-		if p, ok := pos[name]; ok {
-			idx[i] = p
-		} else {
-			idx[i] = -1
-		}
-	}
+	idx, _ := resolveNames(d.FeatureNames, g.FeatureNames)
 	scorer := newRawScorer(d, idx, nil, nil)
 	scores := make([]float64, len(g.Raw))
 	for i, raw := range g.Raw {

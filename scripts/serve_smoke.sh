@@ -44,23 +44,27 @@ for i in $(seq 60); do
 done
 [ "$(curl -fso /dev/null -w '%{http_code}' "http://127.0.0.1:$PORT/readyz")" = 200 ] \
   || fail "/readyz never turned 200"
-curl -fs "http://127.0.0.1:$PORT/healthz" | grep -q '"detector_version"' \
-  || fail "/healthz missing the model version"
+# Each scrape is captured before it is grepped: piping curl into `grep -q`
+# under pipefail fails when grep exits on the match and curl then writes the
+# rest of the page into the closed pipe.
+HEALTH=$(curl -fs "http://127.0.0.1:$PORT/healthz") || fail "/healthz unreachable"
+grep -q '"detector_version"' <<<"$HEALTH" || fail "/healthz missing the model version"
 
 echo "== corrupt the live checkpoint, expect a rollback =="
-GOOD_VERSION=$(curl -fs "http://127.0.0.1:$PORT/healthz" | grep -o '"detector_version": "[^"]*"')
+GOOD_VERSION=$(grep -o '"detector_version": "[^"]*"' <<<"$HEALTH")
 echo '{"this is": "not a checkpoint"}' > "$DET"
 for i in $(seq 30); do
-  curl -fs "http://127.0.0.1:$PORT/healthz" | grep -q '"rollbacks": 1' && break
+  HEALTH=$(curl -fs "http://127.0.0.1:$PORT/healthz" || true)
+  grep -q '"rollbacks": 1' <<<"$HEALTH" && break
   sleep 1
 done
-HEALTH=$(curl -fs "http://127.0.0.1:$PORT/healthz")
-echo "$HEALTH" | grep -q '"rollbacks": 1'     || fail "rollback not counted in /healthz"
-echo "$HEALTH" | grep -q '"reload_error"'     || fail "reload error not surfaced in /healthz"
-echo "$HEALTH" | grep -q '"status": "degraded"' || fail "rollback did not degrade status"
-echo "$HEALTH" | grep -qF "$GOOD_VERSION"     || fail "live model version changed after a corrupt write"
-curl -fs "http://127.0.0.1:$PORT/metrics" \
-  | grep -q 'perspectron_serve_reloads_total{result="rollback"} 1' \
+HEALTH=$(curl -fs "http://127.0.0.1:$PORT/healthz") || fail "/healthz unreachable after the corrupt write"
+grep -q '"rollbacks": 1' <<<"$HEALTH"       || fail "rollback not counted in /healthz"
+grep -q '"reload_error"' <<<"$HEALTH"       || fail "reload error not surfaced in /healthz"
+grep -q '"status": "degraded"' <<<"$HEALTH" || fail "rollback did not degrade status"
+grep -qF "$GOOD_VERSION" <<<"$HEALTH"       || fail "live model version changed after a corrupt write"
+METRICS=$(curl -fs "http://127.0.0.1:$PORT/metrics") || fail "/metrics unreachable"
+grep -qF 'perspectron_serve_reloads_total{result="rollback"} 1' <<<"$METRICS" \
   || fail "rollback counter missing from /metrics"
 kill -0 "$SERVE" 2>/dev/null || fail "serve died on a corrupt checkpoint"
 

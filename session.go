@@ -22,14 +22,19 @@ import (
 	"perspectron/internal/trace"
 )
 
-// resolveNames maps feature names onto the counter indices of a machine's
-// registry reg without touching any model state: counters absent from the
-// machine resolve to -1 and are masked during scoring.
-func resolveNames(names []string, reg *stats.Registry) (indices []int, resolved int) {
+// resolveNames maps a model's feature names onto their positions in a
+// feature space (a machine's counter registry order, or a dataset's feature
+// names) without touching any model state: names absent from the space
+// resolve to -1 and are masked during scoring. resolved counts the rest.
+func resolveNames(names, space []string) (indices []int, resolved int) {
+	pos := make(map[string]int, len(space))
+	for j, name := range space {
+		pos[name] = j
+	}
 	indices = make([]int, len(names))
 	for i, name := range names {
-		if c, ok := reg.Lookup(name); ok {
-			indices[i] = c.Index()
+		if j, ok := pos[name]; ok {
+			indices[i] = j
 			resolved++
 		} else {
 			indices[i] = -1
@@ -45,8 +50,9 @@ func resolveNames(names []string, reg *stats.Registry) (indices []int, resolved 
 // — the detector, or the classifier when there is no detector — of which no
 // counter exists on reg.
 func resolveModels(reg *stats.Registry, det *Detector, cls *Classifier) (detIdx, clsIdx []int, err error) {
+	space := reg.Names()
 	if det != nil {
-		idx, resolved := resolveNames(det.FeatureNames, reg)
+		idx, resolved := resolveNames(det.FeatureNames, space)
 		if resolved == 0 {
 			return nil, nil, fmt.Errorf("perspectron: none of the detector's %d counters are present on this machine",
 				len(det.FeatureNames))
@@ -54,7 +60,7 @@ func resolveModels(reg *stats.Registry, det *Detector, cls *Classifier) (detIdx,
 		detIdx = idx
 	}
 	if cls != nil {
-		idx, resolved := resolveNames(cls.FeatureNames, reg)
+		idx, resolved := resolveNames(cls.FeatureNames, space)
 		if resolved == 0 && det == nil {
 			return nil, nil, fmt.Errorf("perspectron: none of the classifier's %d counters are present on this machine",
 				len(cls.FeatureNames))
