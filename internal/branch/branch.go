@@ -86,12 +86,14 @@ type Predictor struct {
 	btbTags    []uint64
 	btbTargets []uint64
 	btbValid   []bool
+	btbMask    uint64 // BTBEntries-1
 
 	ras    []uint64
 	rasTop int // number of valid entries
 
 	indTags    []uint64
 	indTargets []uint64
+	indMask    uint64 // IndirectEntries-1
 
 	// noisePermille randomizes predictions at the given rate (per mille)
 	// when nonzero — the paper's branch-predictor noise-injection
@@ -123,27 +125,41 @@ func (p *Predictor) noisy() bool {
 	return false
 }
 
-// New constructs a predictor registering its counters in reg.
+// localHistEntries is the size of the per-PC local history table.
+const localHistEntries = 1 << 10
+
+// New constructs a predictor registering its counters in reg. BTBEntries
+// and IndirectEntries must be powers of two.
 func New(cfg Config, reg *stats.Registry) *Predictor {
+	mustPow2("BTB entry count", cfg.BTBEntries)
+	mustPow2("indirect entry count", cfg.IndirectEntries)
 	p := &Predictor{
 		cfg:        cfg,
 		C:          newCounters(reg),
-		localHist:  make([]uint32, 1<<10),
+		localHist:  make([]uint32, localHistEntries),
 		localCtrs:  make([]int8, 1<<cfg.LocalHistoryBits),
 		globalCtrs: make([]int8, 1<<cfg.GlobalHistoryBits),
 		choiceCtrs: make([]int8, 1<<cfg.GlobalHistoryBits),
 		btbTags:    make([]uint64, cfg.BTBEntries),
 		btbTargets: make([]uint64, cfg.BTBEntries),
 		btbValid:   make([]bool, cfg.BTBEntries),
+		btbMask:    uint64(cfg.BTBEntries - 1),
 		ras:        make([]uint64, cfg.RASEntries),
 		indTags:    make([]uint64, cfg.IndirectEntries),
 		indTargets: make([]uint64, cfg.IndirectEntries),
+		indMask:    uint64(cfg.IndirectEntries - 1),
 	}
 	return p
 }
 
+func mustPow2(what string, v int) {
+	if v <= 0 || v&(v-1) != 0 {
+		panic("branch: " + what + " must be a power of two")
+	}
+}
+
 func (p *Predictor) localIndex(pc uint64) int {
-	h := p.localHist[pc%uint64(len(p.localHist))]
+	h := p.localHist[pc&(localHistEntries-1)]
 	return int(h) & (len(p.localCtrs) - 1)
 }
 
@@ -196,7 +212,7 @@ func (p *Predictor) PredictCond(pc uint64, taken bool) (correct bool) {
 	}
 
 	// History updates.
-	hi := pc % uint64(len(p.localHist))
+	hi := pc & (localHistEntries - 1)
 	p.localHist[hi] = (p.localHist[hi] << 1) & ((1 << p.cfg.LocalHistoryBits) - 1)
 	p.globalHist = (p.globalHist << 1) & ((1 << p.cfg.GlobalHistoryBits) - 1)
 	if taken {
@@ -214,7 +230,7 @@ func (p *Predictor) PredictCond(pc uint64, taken bool) (correct bool) {
 // mismatch. It returns whether the stored target matched.
 func (p *Predictor) LookupBTB(pc, target uint64) (hit bool) {
 	p.C.BTBLookups.Inc()
-	i := int(pc>>2) % p.cfg.BTBEntries
+	i := pc >> 2 & p.btbMask
 	if p.btbValid[i] && p.btbTags[i] == pc && p.btbTargets[i] == target {
 		p.C.BTBHits.Inc()
 		hit = true
@@ -260,7 +276,7 @@ func (p *Predictor) Return(actualTarget uint64) (correct bool) {
 // prediction was correct.
 func (p *Predictor) PredictIndirect(pc, target uint64) (correct bool) {
 	p.C.IndirectLookups.Inc()
-	i := int(pc>>2) % p.cfg.IndirectEntries
+	i := pc >> 2 & p.indMask
 	if p.indTags[i] == pc && p.indTargets[i] == target {
 		p.C.IndirectHits.Inc()
 		correct = true

@@ -217,3 +217,25 @@ func TestQuickRASDepthBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewRejectsNonPowerOfTwo: the BTB and the indirect predictor index by
+// mask, so an entry count that is not a power of two must fail at
+// construction.
+func TestNewRejectsNonPowerOfTwo(t *testing.T) {
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.BTBEntries = 3000 },
+		func(c *Config) { c.IndirectEntries = 100 },
+		func(c *Config) { c.BTBEntries = 0 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg, stats.NewRegistry())
+		}()
+	}
+}

@@ -79,9 +79,9 @@ type Counters struct {
 	ReadSharedReq ReqStats
 	ReadExReq     ReqStats
 
-	OverallHits     *stats.Counter
+	OverallHits     *stats.View // a view over the cache's hit count
 	OverallMisses   *stats.Counter
-	OverallAccesses *stats.Counter
+	OverallAccesses *stats.View // a view over the cache's access count
 	Replacements    *stats.Counter
 	WritebacksDirty *stats.Counter
 	WritebacksClean *stats.Counter
@@ -97,7 +97,7 @@ type Counters struct {
 	MSHROccupancy    *stats.Counter // occupancy-cycles sum
 
 	TagAccesses  *stats.Counter
-	DataAccesses *stats.Counter
+	DataAccesses *stats.View // a view over the cache's hit count
 
 	LFBReads   *stats.Counter // line fill buffer reads (MDS/CacheOut path)
 	LFBForward *stats.Counter
@@ -108,9 +108,14 @@ type Counters struct {
 	Rekeys *stats.Counter // CEASER-style index re-randomizations
 }
 
-func newCounters(reg *stats.Registry, comp stats.Component, name string) Counters {
+// newCounters registers one cache's counters; the lockstep ones are views
+// over accesses and hits.
+func newCounters(reg *stats.Registry, comp stats.Component, name string, accesses, hits *uint64) Counters {
 	mk := func(suffix, desc string) *stats.Counter {
 		return reg.NewRaw(comp, name+"."+suffix, desc)
+	}
+	view := func(suffix, desc string, src *uint64) *stats.View {
+		return reg.NewView(comp, name+"."+suffix, desc, src, 1)
 	}
 	return Counters{
 		ReadReq:       newReqStats(reg, comp, name, "ReadReq"),
@@ -118,9 +123,9 @@ func newCounters(reg *stats.Registry, comp stats.Component, name string) Counter
 		ReadSharedReq: newReqStats(reg, comp, name, "ReadSharedReq"),
 		ReadExReq:     newReqStats(reg, comp, name, "ReadExReq"),
 
-		OverallHits:     mk("overall_hits", "hits for all request types"),
+		OverallHits:     view("overall_hits", "hits for all request types", hits),
 		OverallMisses:   mk("overall_misses", "misses for all request types"),
-		OverallAccesses: mk("overall_accesses", "accesses for all request types"),
+		OverallAccesses: view("overall_accesses", "accesses for all request types", accesses),
 		Replacements:    mk("replacements", "lines evicted to make room for fills"),
 		WritebacksDirty: mk("writebacks_dirty", "dirty lines written back"),
 		WritebacksClean: mk("writebacks_clean", "clean lines evicted with notification"),
@@ -136,7 +141,7 @@ func newCounters(reg *stats.Registry, comp stats.Component, name string) Counter
 		MSHROccupancy:    mk("mshr_occupancy", "MSHR occupancy-cycles"),
 
 		TagAccesses:  mk("tags.tag_accesses", "tag array accesses"),
-		DataAccesses: mk("tags.data_accesses", "data array accesses"),
+		DataAccesses: view("tags.data_accesses", "data array accesses", hits),
 
 		LFBReads:   mk("lfb_reads", "reads serviced from the line fill buffer"),
 		LFBForward: mk("lfb_forwards", "stale fill-buffer data forwarded (MDS window)"),
@@ -190,38 +195,29 @@ func newMSHRPool(n int) *mshrPool { return &mshrPool{release: make([]uint64, 0, 
 
 // acquire registers a miss completing at done. It returns the number of
 // cycles the requester stalls because all MSHRs are busy, and the occupancy
-// after registration.
+// after registration. One pass retires the completed entries and finds the
+// earliest live one; when every MSHR is busy, the request waits for that
+// entry and takes it over.
 func (m *mshrPool) acquire(now, done uint64) (stall uint64, occ int) {
-	// Retire completed entries.
-	live := m.release[:0]
-	for _, r := range m.release {
+	rel := m.release
+	n, earliest, first := 0, 0, ^uint64(0)
+	for _, r := range rel {
 		if r > now {
-			live = append(live, r)
+			rel[n] = r
+			if r < first {
+				earliest, first = n, r
+			}
+			n++
 		}
 	}
-	m.release = live
-	if len(m.release) >= m.size {
-		// Stall until the earliest entry retires.
-		earliest := m.release[0]
-		for _, r := range m.release {
-			if r < earliest {
-				earliest = r
-			}
-		}
-		if earliest > now {
-			stall = earliest - now
-		}
-		// Replace the earliest entry.
-		for i, r := range m.release {
-			if r == earliest {
-				m.release[i] = done + stall
-				break
-			}
-		}
-	} else {
-		m.release = append(m.release, done)
+	if n < m.size {
+		m.release = append(rel[:n], done)
+		return 0, n + 1
 	}
-	return stall, len(m.release)
+	m.release = rel[:n]
+	stall = first - now
+	rel[earliest] = done + stall
+	return stall, n
 }
 
 func (m *mshrPool) occupancy(now uint64) int {
@@ -249,7 +245,8 @@ type Cache struct {
 	keys     []uint64
 	lastUse  []uint64
 	dirty    []bool
-	tick     uint64 // LRU clock
+	tick     uint64 // LRU clock; counts accesses
+	hits     uint64 // hits among those accesses
 	scramble uint64 // CEASER index key; 0 = direct mapping
 	C        Counters
 	mshrs    *mshrPool
@@ -274,7 +271,7 @@ func New(cfg Config, reg *stats.Registry) *Cache {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: " + cfg.Name + " line size must be a power of two")
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
 		setMask:  uint64(sets - 1),
@@ -283,9 +280,10 @@ func New(cfg Config, reg *stats.Registry) *Cache {
 		keys:     make([]uint64, lineCount),
 		lastUse:  make([]uint64, lineCount),
 		dirty:    make([]bool, lineCount),
-		C:        newCounters(reg, cfg.Component, cfg.Name),
 		mshrs:    newMSHRPool(cfg.MSHRs),
 	}
+	c.C = newCounters(reg, cfg.Component, cfg.Name, &c.tick, &c.hits)
+	return c
 }
 
 // SetBelow wires the miss path.
@@ -373,15 +371,13 @@ func (c *Cache) reqStats(write, shared bool) *ReqStats {
 func (c *Cache) Access(addr uint64, write, shared bool, cycle uint64) uint64 {
 	rs := c.reqStats(write, shared)
 	rs.Accesses.Inc()
-	c.C.OverallAccesses.Inc()
 	c.C.TagAccesses.Inc()
 	c.tick++
 
 	set, key := c.index(addr)
 	if i := c.find(set, key); i >= 0 {
 		rs.Hits.Inc()
-		c.C.OverallHits.Inc()
-		c.C.DataAccesses.Inc()
+		c.hits++
 		c.lastUse[i] = c.tick
 		if write {
 			c.dirty[i] = true
@@ -431,9 +427,10 @@ func (c *Cache) fill(set int, key uint64, write bool, cycle uint64) {
 	}
 	if victim < 0 {
 		victim = base
+		oldest := c.lastUse[base]
 		for i := base + 1; i < base+c.cfg.Ways; i++ {
-			if c.lastUse[i] < c.lastUse[victim] {
-				victim = i
+			if u := c.lastUse[i]; u < oldest {
+				victim, oldest = i, u
 			}
 		}
 		c.C.Replacements.Inc()

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"perspectron/internal/stats"
+	"perspectron/internal/tlb"
 )
 
 // fakeMem is a fixed-latency memory backend.
@@ -362,46 +363,89 @@ func TestQuickFlushRemoves(t *testing.T) {
 	}
 }
 
-// TestSnoopFilterMatchesMapModel drives the snoop filter's line set and the
-// map it replaced with the same line stream — repeats, line-offset aliases,
-// line 0 and enough distinct lines to cross the capacity clear twice — and
-// requires the same hit/miss answer on every request.
+// TestSnoopFilterMatchesMapModel drives the snoop filter's grouped line set
+// and the per-line map it replaced with the same line streams, requiring
+// the same hit/miss answer and line count on every request and a group
+// table no larger than its load bound. Each stream is long enough to cross
+// the capacity clear twice:
+//   - mixed: repeats, line-offset aliases, line 0 and fresh sequential lines;
+//   - sparse: one line per 4 KB page, so every line is a group of its own
+//     (the worst case for grouping);
+//   - kernel: lines at and above tlb.KernelBase, up to the top of the
+//     address space.
 func TestSnoopFilterMatchesMapModel(t *testing.T) {
-	const lineMask = ^uint64(63)
-	set := newLineSet()
-	model := map[uint64]struct{}{}
-	rng := rand.New(rand.NewSource(7))
-	clears := 0
-	for i := 0; i < 5*snoopCapacity; i++ {
-		var addr uint64
-		switch rng.Intn(4) {
-		case 0: // a recent line again, at a different byte offset
-			addr = uint64(rng.Intn(i+1))<<6 | uint64(rng.Intn(64))
-		case 1:
-			addr = uint64(rng.Intn(64)) // line 0
-		default:
-			addr = uint64(i)<<6 + 0x1000_0000
-		}
-		ln := addr & lineMask
-		_, want := model[ln]
-		if !want {
-			model[ln] = struct{}{}
-			if len(model) > snoopCapacity {
-				model = map[uint64]struct{}{}
-				clears++
+	streams := []struct {
+		name     string
+		addr     func(rng *rand.Rand, i int) uint64
+		maxSlots int // absolute bound on the group table (16 bytes a slot)
+	}{
+		{"mixed", func(rng *rand.Rand, i int) uint64 {
+			switch rng.Intn(4) {
+			case 0: // a recent line again, at a different byte offset
+				return uint64(rng.Intn(i+1))<<6 | uint64(rng.Intn(64))
+			case 1:
+				return uint64(rng.Intn(64)) // line 0
+			default:
+				return uint64(i)<<6 + 0x1000_0000
 			}
-		}
-		if got := set.add(ln); got != want {
-			t.Fatalf("request %d (line %#x): hit=%v, map model %v", i, ln, got, want)
-		}
-		if set.n != len(model) {
-			t.Fatalf("request %d: %d lines tracked, map model %d", i, set.n, len(model))
-		}
+		}, snoopCapacity / 4},
+		{"sparse", func(rng *rand.Rand, i int) uint64 {
+			if rng.Intn(4) == 0 { // a recent page's line again
+				return uint64(rng.Intn(i+1))<<12 | uint64(rng.Intn(64))
+			}
+			return uint64(i)<<12 | uint64(rng.Intn(4096))&^63
+		}, 2 * snoopCapacity},
+		{"kernel", func(rng *rand.Rand, i int) uint64 {
+			switch rng.Intn(4) {
+			case 0:
+				return ^uint64(0) - uint64(rng.Intn(1<<14)) // the top of the address space
+			case 1:
+				return tlb.Unmapped + uint64(rng.Intn(i+1))<<6
+			default:
+				return tlb.KernelBase + uint64(i)<<6 | uint64(rng.Intn(64))
+			}
+		}, snoopCapacity / 4},
 	}
-	if clears < 2 {
-		t.Fatalf("stream cleared the filter %d times, want at least 2", clears)
-	}
-	if len(set.slots) > 2*snoopCapacity {
-		t.Fatalf("table grew to %d slots, want at most %d", len(set.slots), 2*snoopCapacity)
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			set := newLineSet()
+			model := map[uint64]struct{}{} // lines
+			groups := map[uint64]int{}     // lines per 64-line group
+			rng := rand.New(rand.NewSource(7))
+			clears, peakGroups := 0, 0
+			for i := 0; i < 5*snoopCapacity; i++ {
+				ln := st.addr(rng, i) >> 6
+				_, want := model[ln]
+				if !want {
+					model[ln] = struct{}{}
+					groups[ln>>6]++
+					if len(model) > snoopCapacity {
+						model = map[uint64]struct{}{}
+						groups = map[uint64]int{}
+						clears++
+					}
+				}
+				peakGroups = max(peakGroups, len(groups))
+				if got := set.add(ln); got != want {
+					t.Fatalf("request %d (line %#x): hit=%v, map model %v", i, ln, got, want)
+				}
+				if set.n != len(model) || set.groups != len(groups) {
+					t.Fatalf("request %d: %d lines in %d groups tracked, map model %d in %d",
+						i, set.n, set.groups, len(model), len(groups))
+				}
+			}
+			if clears < 2 {
+				t.Fatalf("stream cleared the filter %d times, want at least 2", clears)
+			}
+			// The table doubles once more than half full, so it never
+			// reaches four slots per group at its peak.
+			if bound := max(256, 4*peakGroups); len(set.slots) > bound {
+				t.Fatalf("table grew to %d slots for at most %d groups, want at most %d", len(set.slots), peakGroups, bound)
+			}
+			if len(set.slots) > st.maxSlots {
+				t.Fatalf("table grew to %d slots, want at most %d", len(set.slots), st.maxSlots)
+			}
+			t.Logf("%d slots (%d KB) at a peak of %d groups", len(set.slots), len(set.slots)*16/1024, peakGroups)
+		})
 	}
 }

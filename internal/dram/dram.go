@@ -9,7 +9,11 @@
 // model computes all of them from the access stream.
 package dram
 
-import "perspectron/internal/stats"
+import (
+	"math/bits"
+
+	"perspectron/internal/stats"
+)
 
 // Config sizes the controller.
 type Config struct {
@@ -193,6 +197,10 @@ type Controller struct {
 	openRow       []int64 // per bank; -1 = closed
 	bytesSinceAct []uint64
 
+	lineShift uint   // log2(LineBytes)
+	rowShift  uint   // log2(RowBytes)
+	bankMask  uint64 // Banks-1
+
 	writeQ []pendingWrite
 	rdQLen int // modelled read-queue occupancy
 
@@ -202,13 +210,20 @@ type Controller struct {
 	lastAccounted uint64
 }
 
-// New constructs a controller and registers its counters.
+// New constructs a controller and registers its counters. Banks, RowBytes
+// and LineBytes must be powers of two.
 func New(cfg Config, reg *stats.Registry) *Controller {
+	mustPow2("bank count", cfg.Banks)
+	mustPow2("row size", cfg.RowBytes)
+	mustPow2("line size", cfg.LineBytes)
 	c := &Controller{
 		cfg:           cfg,
 		C:             newCounters(reg, cfg.Banks),
 		openRow:       make([]int64, cfg.Banks),
 		bytesSinceAct: make([]uint64, cfg.Banks),
+		lineShift:     uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		rowShift:      uint(bits.TrailingZeros(uint(cfg.RowBytes))),
+		bankMask:      uint64(cfg.Banks - 1),
 	}
 	for i := range c.openRow {
 		c.openRow[i] = -1
@@ -216,12 +231,18 @@ func New(cfg Config, reg *stats.Registry) *Controller {
 	return c
 }
 
+func mustPow2(what string, v int) {
+	if v <= 0 || v&(v-1) != 0 {
+		panic("dram: " + what + " must be a power of two")
+	}
+}
+
 func (c *Controller) bank(addr uint64) int {
-	return int((addr / uint64(c.cfg.LineBytes)) % uint64(c.cfg.Banks))
+	return int(addr >> c.lineShift & c.bankMask)
 }
 
 func (c *Controller) row(addr uint64) int64 {
-	return int64(addr / uint64(c.cfg.RowBytes))
+	return int64(addr >> c.rowShift)
 }
 
 // Access services a read or write of one cache line at cycle and returns the
@@ -231,7 +252,7 @@ func (c *Controller) Access(addr uint64, write bool, cycle uint64) uint64 {
 	c.drainWrites(cycle)
 
 	lb := uint64(c.cfg.LineBytes)
-	line := addr / lb
+	line := addr >> c.lineShift
 
 	c.C.WrQLenPdf[minInt(len(c.writeQ), len(c.C.WrQLenPdf)-1)].Inc()
 	c.C.RdQLenPdf[minInt(c.rdQLen, len(c.C.RdQLenPdf)-1)].Inc()

@@ -215,3 +215,25 @@ func TestQuickStateTimeCoversGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewRejectsNonPowerOfTwo: bank, row and line indexing use shift and
+// mask, so a size that is not a power of two must fail at construction.
+func TestNewRejectsNonPowerOfTwo(t *testing.T) {
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Banks = 6 },
+		func(c *Config) { c.RowBytes = 6000 },
+		func(c *Config) { c.LineBytes = 48 },
+		func(c *Config) { c.Banks = 0 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg, stats.NewRegistry())
+		}()
+	}
+}

@@ -172,11 +172,18 @@ func DefaultClass(k Kind) OpClass {
 
 // Stream is a pull-based op source. Next returns the next committed-path op;
 // ok is false when the program ends.
+//
+// The op belongs to the stream and stays valid only until the next call to
+// Next: a stream hands out a pointer into its own buffer instead of copying
+// the op, so a consumer that keeps an op past that point must copy it. The
+// consumer may fill in the op's Class (the pipeline defaults an unset one),
+// but must not change anything else.
 type Stream interface {
-	Next() (op Op, ok bool)
+	Next() (op *Op, ok bool)
 }
 
-// SliceStream adapts a fixed op slice into a Stream.
+// SliceStream adapts a fixed op slice into a Stream. Its ops point into the
+// slice.
 type SliceStream struct {
 	ops []Op
 	i   int
@@ -186,17 +193,16 @@ type SliceStream struct {
 func NewSliceStream(ops []Op) *SliceStream { return &SliceStream{ops: ops} }
 
 // Next implements Stream.
-func (s *SliceStream) Next() (Op, bool) {
+func (s *SliceStream) Next() (*Op, bool) {
 	if s.i >= len(s.ops) {
-		return Op{}, false
+		return nil, false
 	}
-	op := s.ops[s.i]
 	s.i++
-	return op, true
+	return &s.ops[s.i-1], true
 }
 
 // FuncStream adapts a generator function into a Stream.
-type FuncStream func() (Op, bool)
+type FuncStream func() (*Op, bool)
 
 // Next implements Stream.
-func (f FuncStream) Next() (Op, bool) { return f() }
+func (f FuncStream) Next() (*Op, bool) { return f() }

@@ -95,9 +95,11 @@ func TestSliceStream(t *testing.T) {
 
 func TestFuncStream(t *testing.T) {
 	n := 0
-	s := FuncStream(func() (Op, bool) {
+	var op Op
+	s := FuncStream(func() (*Op, bool) {
 		n++
-		return Op{PC: uint64(n)}, n <= 2
+		op = Op{PC: uint64(n)}
+		return &op, n <= 2
 	})
 	if op, ok := s.Next(); !ok || op.PC != 1 {
 		t.Fatalf("func stream first op wrong")

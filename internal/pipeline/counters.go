@@ -10,10 +10,10 @@ import (
 // PendingTrapStallCycles as mutually decorrelated fetch features that
 // correlate with stalls and traps in other components.
 type FetchCounters struct {
-	Insts                     *stats.Counter
+	Insts                     *stats.View
 	Branches                  *stats.Counter
 	PredictedBranches         *stats.Counter
-	Cycles                    *stats.Counter
+	Cycles                    *stats.View
 	SquashCycles              *stats.Counter
 	IcacheStallCycles         *stats.Counter
 	IcacheSquashes            *stats.Counter
@@ -24,7 +24,7 @@ type FetchCounters struct {
 	MiscStallCycles           *stats.Counter
 	BlockedCycles             *stats.Counter
 	IdleCycles                *stats.Counter
-	RunCycles                 *stats.Counter
+	RunCycles                 *stats.View
 	CacheLines                *stats.Counter
 	NoActiveThreadCycles      *stats.Counter
 	DynamicEnergy             *stats.Counter
@@ -34,8 +34,8 @@ type FetchCounters struct {
 
 // DecodeCounters are the decode-stage statistics.
 type DecodeCounters struct {
-	DecodedInsts   *stats.Counter
-	RunCycles      *stats.Counter
+	DecodedInsts   *stats.View
+	RunCycles      *stats.View
 	IdleCycles     *stats.Counter
 	BlockedCycles  *stats.Counter
 	UnblockCycles  *stats.Counter
@@ -52,9 +52,9 @@ type DecodeCounters struct {
 // RenameCounters are the rename-stage statistics; CommittedMaps and
 // UndoneMaps are highlighted as invariant attack features in §VII-C.
 type RenameCounters struct {
-	RenamedInsts         *stats.Counter
-	RenameLookups        *stats.Counter
-	RenamedOperands      *stats.Counter
+	RenamedInsts         *stats.View
+	RenameLookups        *stats.View
+	RenamedOperands      *stats.View
 	IntLookups           *stats.Counter
 	FpLookups            *stats.Counter
 	ROBFullEvents        *stats.Counter
@@ -63,12 +63,12 @@ type RenameCounters struct {
 	SQFullEvents         *stats.Counter
 	FullRegisterEvents   *stats.Counter
 	UndoneMaps           *stats.Counter
-	CommittedMaps        *stats.Counter
+	CommittedMaps        *stats.View
 	SerializingInsts     *stats.Counter
 	TempSerializingInsts *stats.Counter
 	SerializeStallCycles *stats.Counter
 	SquashCycles         *stats.Counter
-	RunCycles            *stats.Counter
+	RunCycles            *stats.View
 	IdleCycles           *stats.Counter
 	BlockCycles          *stats.Counter
 	UnblockCycles        *stats.Counter
@@ -80,9 +80,9 @@ type RenameCounters struct {
 // IQCounters are the instruction-queue statistics, including the per-class
 // fu_full and issued distributions.
 type IQCounters struct {
-	InstsAdded               *stats.Counter
+	InstsAdded               *stats.View
 	NonSpecInstsAdded        *stats.Counter
-	InstsIssued              *stats.Counter
+	InstsIssued              *stats.View
 	SquashedInstsIssued      *stats.Counter
 	SquashedInstsExamined    *stats.Counter
 	SquashedOperandsExamined *stats.Counter
@@ -99,7 +99,7 @@ type IQCounters struct {
 
 // IEWCounters are issue/execute/writeback statistics.
 type IEWCounters struct {
-	ExecutedInsts              *stats.Counter
+	ExecutedInsts              *stats.View
 	ExecLoadInsts              *stats.Counter
 	ExecStoreInsts             *stats.Counter
 	ExecBranches               *stats.Counter
@@ -150,8 +150,8 @@ type MemDepCounters struct {
 // CommitCounters are commit-stage statistics, including the committed
 // op-class distribution that MAP-style malware detectors rely on.
 type CommitCounters struct {
-	CommittedInsts    *stats.Counter
-	CommittedOps      *stats.Counter
+	CommittedInsts    *stats.View
+	CommittedOps      *stats.View
 	SquashedInsts     *stats.Counter
 	NonSpecStalls     *stats.Counter
 	BranchMispredicts *stats.Counter
@@ -160,7 +160,7 @@ type CommitCounters struct {
 	Stores            *stats.Counter
 	Membars           *stats.Counter
 	Traps             *stats.Counter
-	CommitEligible    *stats.Counter
+	CommitEligible    *stats.View
 	ROBHeadStalls     *stats.Counter
 	OpClass           [isa.NumOpClasses]*stats.Counter
 	RateDist          []*stats.Counter
@@ -170,13 +170,16 @@ type CommitCounters struct {
 
 // ROBCounters are reorder-buffer statistics.
 type ROBCounters struct {
-	Reads      *stats.Counter
+	Reads      *stats.View
 	Writes     *stats.Counter
 	FullEvents *stats.Counter
 	OccDist    []*stats.Counter
 }
 
-// Counters aggregates every pipeline-stage counter family.
+// Counters aggregates every pipeline-stage counter family. The *stats.View
+// fields are the lockstep counters: each reads its value from one of the
+// pipeline's integer counts (ops stepped, ops executed, commits, run
+// cycles) instead of taking an increment per event.
 type Counters struct {
 	Fetch  FetchCounters
 	Decode DecodeCounters
@@ -219,17 +222,30 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// NewCounters registers every pipeline-stage counter in reg for a core of
-// the given dispatch width.
-func NewCounters(reg *stats.Registry, width int) Counters {
+// lockstep holds the integer counts that the lockstep counters are views
+// over: each of those counters moves by a fixed multiple exactly when one
+// of these counts moves.
+type lockstep struct {
+	stepped  uint64 // ops through fetch, decode and rename
+	executed uint64 // ops through issue and execute
+	commits  uint64 // instructions committed
+	cycles   uint64 // base-clock cycles counted by advance
+}
+
+// newCounters registers every pipeline-stage counter in reg for a core of
+// the given dispatch width; the lockstep counters are views over n.
+func newCounters(reg *stats.Registry, width int, n *lockstep) Counters {
 	var c Counters
+	v := func(comp stats.Component, name, desc string, src *uint64, mult uint64) *stats.View {
+		return reg.NewView(comp, comp.String()+"."+name, desc, src, mult)
+	}
 
 	fc := &c.Fetch
 	f := func(name, desc string) *stats.Counter { return reg.New(stats.CompFetch, name, desc) }
-	fc.Insts = f("Insts", "instructions fetched")
+	fc.Insts = v(stats.CompFetch, "Insts", "instructions fetched", &n.stepped, 1)
 	fc.Branches = f("Branches", "control instructions fetched")
 	fc.PredictedBranches = f("predictedBranches", "branches predicted at fetch")
-	fc.Cycles = f("Cycles", "cycles fetch was active")
+	fc.Cycles = v(stats.CompFetch, "Cycles", "cycles fetch was active", &n.cycles, 1)
 	fc.SquashCycles = f("SquashCycles", "cycles fetch spent squashing")
 	fc.IcacheStallCycles = f("IcacheStallCycles", "cycles stalled on icache misses")
 	fc.IcacheSquashes = f("IcacheSquashes", "outstanding icache fetches squashed")
@@ -240,7 +256,7 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 	fc.MiscStallCycles = f("MiscStallCycles", "cycles stalled for back-pressure from later stages")
 	fc.BlockedCycles = f("BlockedCycles", "cycles blocked by downstream full buffers")
 	fc.IdleCycles = f("IdleCycles", "cycles with nothing to fetch")
-	fc.RunCycles = f("RunCycles", "cycles fetch delivered instructions")
+	fc.RunCycles = v(stats.CompFetch, "RunCycles", "cycles fetch delivered instructions", &n.cycles, 1)
 	fc.CacheLines = f("CacheLines", "cache lines fetched")
 	fc.NoActiveThreadCycles = f("NoActiveThreadStallCycles", "cycles without an active thread")
 	fc.DynamicEnergy = f("dynamicEnergy", "fetch dynamic energy")
@@ -249,8 +265,8 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 
 	dc := &c.Decode
 	d := func(name, desc string) *stats.Counter { return reg.New(stats.CompDecode, name, desc) }
-	dc.DecodedInsts = d("DecodedInsts", "instructions decoded")
-	dc.RunCycles = d("RunCycles", "cycles decode delivered instructions")
+	dc.DecodedInsts = v(stats.CompDecode, "DecodedInsts", "instructions decoded", &n.stepped, 1)
+	dc.RunCycles = v(stats.CompDecode, "RunCycles", "cycles decode delivered instructions", &n.cycles, 1)
 	dc.IdleCycles = d("IdleCycles", "cycles decode was idle")
 	dc.BlockedCycles = d("BlockedCycles", "cycles decode was blocked")
 	dc.UnblockCycles = d("UnblockCycles", "cycles decode was unblocking")
@@ -265,9 +281,9 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 
 	rc := &c.Rename
 	r := func(name, desc string) *stats.Counter { return reg.New(stats.CompRename, name, desc) }
-	rc.RenamedInsts = r("RenamedInsts", "instructions renamed")
-	rc.RenameLookups = r("RenameLookups", "rename table lookups")
-	rc.RenamedOperands = r("RenamedOperands", "operands renamed")
+	rc.RenamedInsts = v(stats.CompRename, "RenamedInsts", "instructions renamed", &n.stepped, 1)
+	rc.RenameLookups = v(stats.CompRename, "RenameLookups", "rename table lookups", &n.stepped, 2)
+	rc.RenamedOperands = v(stats.CompRename, "RenamedOperands", "operands renamed", &n.stepped, 2)
 	rc.IntLookups = r("IntLookups", "integer rename lookups")
 	rc.FpLookups = r("FpLookups", "floating-point rename lookups")
 	rc.ROBFullEvents = r("ROBFullEvents", "stalls because the ROB was full")
@@ -276,12 +292,12 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 	rc.SQFullEvents = r("SQFullEvents", "stalls because the SQ was full")
 	rc.FullRegisterEvents = r("fullRegistersEvents", "stalls because physical registers ran out")
 	rc.UndoneMaps = r("UndoneMaps", "rename map entries undone by squashes")
-	rc.CommittedMaps = r("CommittedMaps", "rename map entries committed")
+	rc.CommittedMaps = v(stats.CompRename, "CommittedMaps", "rename map entries committed", &n.commits, 1)
 	rc.SerializingInsts = r("serializingInsts", "serializing instructions renamed")
 	rc.TempSerializingInsts = r("tempSerializingInsts", "temporarily serializing instructions renamed")
 	rc.SerializeStallCycles = r("serializeStallCycles", "cycles stalled for serialization")
 	rc.SquashCycles = r("SquashCycles", "cycles rename spent squashing")
-	rc.RunCycles = r("RunCycles", "cycles rename delivered instructions")
+	rc.RunCycles = v(stats.CompRename, "RunCycles", "cycles rename delivered instructions", &n.cycles, 1)
 	rc.IdleCycles = r("IdleCycles", "cycles rename was idle")
 	rc.BlockCycles = r("BlockCycles", "cycles rename was blocked")
 	rc.UnblockCycles = r("UnblockCycles", "cycles rename was unblocking")
@@ -291,9 +307,9 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 
 	qc := &c.IQ
 	q := func(name, desc string) *stats.Counter { return reg.New(stats.CompIQ, name, desc) }
-	qc.InstsAdded = q("iqInstsAdded", "instructions added to the IQ")
+	qc.InstsAdded = v(stats.CompIQ, "iqInstsAdded", "instructions added to the IQ", &n.executed, 1)
 	qc.NonSpecInstsAdded = q("NonSpecInstsAdded", "non-speculative instructions added to the IQ")
-	qc.InstsIssued = q("iqInstsIssued", "instructions issued from the IQ")
+	qc.InstsIssued = v(stats.CompIQ, "iqInstsIssued", "instructions issued from the IQ", &n.executed, 1)
 	qc.SquashedInstsIssued = q("iqSquashedInstsIssued", "squashed instructions that had issued")
 	qc.SquashedInstsExamined = q("SquashedInstsExamined", "squashed instructions examined during squash walk")
 	qc.SquashedOperandsExamined = q("SquashedOperandsExamined", "squashed operands examined during squash walk")
@@ -314,7 +330,7 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 
 	ic := &c.IEW
 	i := func(name, desc string) *stats.Counter { return reg.New(stats.CompIEW, name, desc) }
-	ic.ExecutedInsts = i("iewExecutedInsts", "instructions executed")
+	ic.ExecutedInsts = v(stats.CompIEW, "iewExecutedInsts", "instructions executed", &n.executed, 1)
 	ic.ExecLoadInsts = i("iewExecLoadInsts", "loads executed")
 	ic.ExecStoreInsts = i("iewExecStoreInsts", "stores executed")
 	ic.ExecBranches = i("iewExecBranches", "branches executed")
@@ -362,8 +378,8 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 
 	cc := &c.Commit
 	cm := func(name, desc string) *stats.Counter { return reg.New(stats.CompCommit, name, desc) }
-	cc.CommittedInsts = cm("committedInsts", "instructions committed")
-	cc.CommittedOps = cm("committedOps", "micro-ops committed")
+	cc.CommittedInsts = v(stats.CompCommit, "committedInsts", "instructions committed", &n.commits, 1)
+	cc.CommittedOps = v(stats.CompCommit, "committedOps", "micro-ops committed", &n.commits, 1)
 	cc.SquashedInsts = cm("SquashedInsts", "instructions squashed before commit")
 	cc.NonSpecStalls = cm("NonSpecStalls", "cycles commit stalled on non-speculative instructions")
 	cc.BranchMispredicts = cm("branchMispredicts", "mispredicted branches committed")
@@ -372,7 +388,7 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 	cc.Stores = cm("stores", "stores committed")
 	cc.Membars = cm("membars", "memory barriers committed")
 	cc.Traps = cm("traps", "traps taken at commit")
-	cc.CommitEligible = cm("commitEligible", "instructions eligible to commit")
+	cc.CommitEligible = v(stats.CompCommit, "commitEligible", "instructions eligible to commit", &n.commits, 1)
 	cc.ROBHeadStalls = cm("robHeadStalls", "cycles the ROB head was not ready")
 	for cl := isa.OpClass(0); cl < isa.NumOpClasses; cl++ {
 		cc.OpClass[cl] = reg.NewRaw(stats.CompCommit, "commit.op_class_0::"+cl.String(),
@@ -383,7 +399,7 @@ func NewCounters(reg *stats.Registry, width int) Counters {
 	cc.StaticEnergy = cm("staticEnergy", "commit static energy")
 
 	oc := &c.ROB
-	oc.Reads = reg.New(stats.CompROB, "rob_reads", "ROB reads")
+	oc.Reads = v(stats.CompROB, "rob_reads", "ROB reads", &n.commits, 1)
 	oc.Writes = reg.New(stats.CompROB, "rob_writes", "ROB writes")
 	oc.FullEvents = reg.New(stats.CompROB, "fullEvents", "ROB-full events")
 	oc.OccDist = histogram(reg, stats.CompROB, "rob.occDist", 13)

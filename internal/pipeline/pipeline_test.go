@@ -19,7 +19,7 @@ func newTestPipeline(t *testing.T) (*Pipeline, *cache.Hierarchy, *stats.Registry
 	bp := branch.New(branch.DefaultConfig(), reg)
 	itb := tlb.New(tlb.DefaultConfig(), reg, stats.CompITB, "itb")
 	dtb := tlb.New(tlb.DefaultConfig(), reg, stats.CompDTB, "dtb")
-	p := New(DefaultConfig(), NewCounters(reg, DefaultConfig().Width))
+	p := New(DefaultConfig(), reg)
 	p.Mem = h
 	p.BP = bp
 	p.ITB = itb
@@ -67,9 +67,11 @@ func TestOnCommitCallback(t *testing.T) {
 func TestMaxInstsStopsEarly(t *testing.T) {
 	p, _, _ := newTestPipeline(t)
 	i := 0
-	stream := isa.FuncStream(func() (isa.Op, bool) {
+	var op isa.Op
+	stream := isa.FuncStream(func() (*isa.Op, bool) {
 		i++
-		return plain(uint64(i) * 4), true
+		op = plain(uint64(i) * 4)
+		return &op, true
 	})
 	n := p.Run(stream, 50, nil)
 	if n != 50 {

@@ -63,14 +63,16 @@ func fastBackoff() retry.Policy {
 type plainStream struct {
 	n     uint64
 	limit uint64
+	op    isa.Op
 }
 
-func (s *plainStream) Next() (isa.Op, bool) {
+func (s *plainStream) Next() (*isa.Op, bool) {
 	if s.limit > 0 && s.n >= s.limit {
-		return isa.Op{}, false
+		return nil, false
 	}
 	s.n++
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op, true
 }
 
 // panicProg panics mid-stream on its first `failures` runs, then behaves —
@@ -92,14 +94,16 @@ func (p *panicProg) Stream(_ *rand.Rand) isa.Stream {
 type panicStream struct {
 	n      uint64
 	panics bool
+	op     isa.Op
 }
 
-func (s *panicStream) Next() (isa.Op, bool) {
+func (s *panicStream) Next() (*isa.Op, bool) {
 	s.n++
 	if s.panics && s.n > 5_000 {
 		panic("workload bug")
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op, true
 }
 
 // stallProg delivers ops briskly until stallAfter, then crawls (delay per
@@ -121,19 +125,21 @@ func (p *stallProg) Stream(_ *rand.Rand) isa.Stream {
 }
 
 type stallStream struct {
-	p *stallProg
-	n uint64
+	p  *stallProg
+	n  uint64
+	op isa.Op
 }
 
-func (s *stallStream) Next() (isa.Op, bool) {
+func (s *stallStream) Next() (*isa.Op, bool) {
 	s.n++
 	if s.n > s.p.stallAfter {
 		if s.n > s.p.stallAfter+s.p.stallOps {
-			return isa.Op{}, false
+			return nil, false
 		}
 		time.Sleep(s.p.delay)
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op, true
 }
 
 // --- unit tests ----------------------------------------------------------

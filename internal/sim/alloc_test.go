@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"perspectron/internal/isa"
@@ -22,7 +23,7 @@ func recordOps(n int, progs ...workload.Program) []isa.Op {
 			if !ok {
 				break
 			}
-			ops = append(ops, op)
+			ops = append(ops, *op)
 		}
 	}
 	return ops
@@ -77,5 +78,33 @@ func TestRunStreamAllocations(t *testing.T) {
 	if limit := float64(samples + runStreamAllocSlack); allocs > limit {
 		t.Fatalf("warm RunStream of %d instructions allocated %v times, want at most %v (%d samples + %d)",
 			insts, allocs, limit, samples, runStreamAllocSlack)
+	}
+}
+
+// coldRunByteBound caps what a fresh machine's 500K-instruction mcf run
+// allocates, machine and workload stream included. Measured at 2.18 MiB
+// (go1.24, amd64); the bound leaves about 35% slack. The per-line snoop
+// filter the grouped one replaced grew a 1 MiB table per bus on this run,
+// 5.16 MiB in all, so a table that grows back fails here.
+const coldRunByteBound = 3 << 20
+
+// TestColdRunBytes: the cold-run allocation guard for the simulator's
+// per-machine tables.
+func TestColdRunBytes(t *testing.T) {
+	const insts, interval = 500_000, 10_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewMachine(DefaultConfig())
+	n := m.RunStream(benign.Mcf().Stream(rand.New(rand.NewSource(1))), insts, interval,
+		func(int, []float64) bool { return true })
+	runtime.ReadMemStats(&after)
+	if n != insts/interval {
+		t.Fatalf("run emitted %d samples, want %d", n, insts/interval)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("cold mcf run: %d samples, %.2f MiB allocated", n, float64(bytes)/(1<<20))
+	if bytes > coldRunByteBound {
+		t.Fatalf("a cold %d-instruction mcf run allocated %d bytes, want at most %d", insts, bytes, coldRunByteBound)
 	}
 }

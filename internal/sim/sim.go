@@ -66,7 +66,7 @@ func NewMachine(cfg Config) *Machine {
 	bp := branch.New(cfg.Branch, reg)
 	itb := tlb.New(cfg.TLB, reg, stats.CompITB, "itb")
 	dtb := tlb.New(cfg.TLB, reg, stats.CompDTB, "dtb")
-	p := pipeline.New(cfg.Pipeline, pipeline.NewCounters(reg, cfg.Pipeline.Width))
+	p := pipeline.New(cfg.Pipeline, reg)
 	p.Mem = h
 	p.BP = bp
 	p.ITB = itb

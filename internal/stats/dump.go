@@ -16,7 +16,7 @@ func (r *Registry) Dump(w io.Writer) error {
 		return err
 	}
 	for _, c := range r.counters {
-		if _, err := fmt.Fprintf(bw, "%-56s %14.6g  # %s\n", c.meta.name, c.val, c.meta.desc); err != nil {
+		if _, err := fmt.Fprintf(bw, "%-56s %14.6g  # %s\n", c.meta.name, c.Value(), c.meta.desc); err != nil {
 			return err
 		}
 	}

@@ -86,6 +86,8 @@ type counterMeta struct {
 	name      string
 	component Component
 	desc      string
+	src       *uint64 // a view's integer count, nil for a plain counter
+	mult      uint64  // a view's value is mult * *src
 }
 
 // Name returns the fully qualified counter name, e.g.
@@ -100,13 +102,29 @@ func (c *Counter) Component() Component { return c.meta.component }
 func (c *Counter) Index() int { return c.meta.idx }
 
 // Value returns the current cumulative value.
-func (c *Counter) Value() float64 { return c.val }
+func (c *Counter) Value() float64 {
+	if m := c.meta; m.src != nil {
+		return float64(*m.src * m.mult)
+	}
+	return c.val
+}
 
 // Inc increments the counter by one event.
 func (c *Counter) Inc() { c.val++ }
 
 // Add increments the counter by n (n may be fractional for energy stats).
 func (c *Counter) Add(n float64) { c.val += n }
+
+// View is a read-only counter whose value is a fixed multiple of an
+// integer count its owner keeps (ops stepped, commits, cycles). A counter
+// that moves in lockstep with such a count is registered as a view, so the
+// hot path bumps one integer instead of several float64 counters. A View
+// has no Inc or Add; it samples, snapshots and dumps like any counter, and
+// its value is exact while the count times the multiple stays below 2^53.
+type View Counter
+
+// Value returns the current cumulative value.
+func (v *View) Value() float64 { return (*Counter)(v).Value() }
 
 // counterChunk is how many counters share one contiguous allocation.
 const counterChunk = 256
@@ -116,7 +134,8 @@ const counterChunk = 256
 // The zero value is not usable; call NewRegistry.
 type Registry struct {
 	counters []*Counter
-	slab     []Counter // current chunk; never grown, so pointers stay valid
+	views    []*Counter // the counters registered by NewView
+	slab     []Counter  // current chunk; never grown, so pointers stay valid
 	byName   map[string]*Counter
 	sealed   bool
 }
@@ -140,6 +159,15 @@ func (r *Registry) New(comp Component, name, desc string) *Counter {
 // "tol2bus.trans_dist::ReadSharedReq" under the bus component).
 func (r *Registry) NewRaw(comp Component, fullName, desc string) *Counter {
 	return r.newNamed(fullName, comp, desc)
+}
+
+// NewView registers, like NewRaw, a read-only counter whose value is
+// always mult times *src.
+func (r *Registry) NewView(comp Component, fullName, desc string, src *uint64, mult uint64) *View {
+	c := r.NewRaw(comp, fullName, desc)
+	c.meta.src, c.meta.mult = src, mult
+	r.views = append(r.views, c)
+	return (*View)(c)
 }
 
 func (r *Registry) newNamed(full string, comp Component, desc string) *Counter {
@@ -207,6 +235,9 @@ func (r *Registry) Snapshot(dst []float64) []float64 {
 	}
 	for i, c := range r.counters {
 		dst[i] = c.val
+	}
+	for _, c := range r.views {
+		dst[c.meta.idx] = c.Value()
 	}
 	return dst
 }

@@ -312,3 +312,41 @@ func TestDump(t *testing.T) {
 		t.Fatalf("dump missing frame")
 	}
 }
+
+// TestView: a view reads mult times its count through Value, the registry's
+// Counter handle, Snapshot, a sampler's deltas and Dump, and registers in
+// order like any counter.
+func TestView(t *testing.T) {
+	r := NewRegistry()
+	a := r.New(CompFetch, "a", "")
+	var n uint64
+	v := r.NewView(CompRename, "rename.RenameLookups", "lookups", &n, 2)
+	r.Seal()
+	c, ok := r.Lookup("rename.RenameLookups")
+	if !ok || c.Index() != 1 || c.Component() != CompRename {
+		t.Fatalf("view registered as %v (ok=%v)", c, ok)
+	}
+	var deltas [][]float64
+	s := NewSampler(r, 1, func(d []float64) { deltas = append(deltas, d) })
+	n = 3
+	a.Inc()
+	s.Tick(1)
+	n = 5
+	s.Tick(1)
+	if v.Value() != 10 || c.Value() != 10 {
+		t.Fatalf("view value %v, registry handle %v, want 10", v.Value(), c.Value())
+	}
+	if snap := r.Snapshot(nil); snap[1] != 10 {
+		t.Fatalf("snapshot %v", snap)
+	}
+	if want := [][]float64{{1, 6}, {0, 4}}; !reflect.DeepEqual(deltas, want) {
+		t.Fatalf("deltas %v, want %v", deltas, want)
+	}
+	var b strings.Builder
+	if err := r.Dump(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "rename.RenameLookups") || !strings.Contains(b.String(), " 10  # lookups") {
+		t.Fatalf("dump lacks the view's value:\n%s", b.String())
+	}
+}

@@ -5,7 +5,11 @@
 // reaches commit; the transient window in between is where the attack leaks.
 package tlb
 
-import "perspectron/internal/stats"
+import (
+	"math/bits"
+
+	"perspectron/internal/stats"
+)
 
 // Config sizes one TLB.
 type Config struct {
@@ -77,15 +81,32 @@ type Result struct {
 
 // TLB is one translation buffer.
 type TLB struct {
-	cfg  Config
-	C    Counters
-	ents []entry
-	tick uint64
+	cfg       Config
+	C         Counters
+	ents      []entry
+	tick      uint64
+	pageShift uint   // log2(PageBytes)
+	entMask   uint64 // Entries-1
 }
 
 // New constructs a TLB with counters under comp/name ("dtb" or "itb").
+// Entries and PageBytes must be powers of two.
 func New(cfg Config, reg *stats.Registry, comp stats.Component, name string) *TLB {
-	return &TLB{cfg: cfg, C: newCounters(reg, comp, name), ents: make([]entry, cfg.Entries)}
+	mustPow2("entry count", cfg.Entries)
+	mustPow2("page size", cfg.PageBytes)
+	return &TLB{
+		cfg:       cfg,
+		C:         newCounters(reg, comp, name),
+		ents:      make([]entry, cfg.Entries),
+		pageShift: uint(bits.TrailingZeros(uint(cfg.PageBytes))),
+		entMask:   uint64(cfg.Entries - 1),
+	}
+}
+
+func mustPow2(what string, v int) {
+	if v <= 0 || v&(v-1) != 0 {
+		panic("tlb: " + what + " must be a power of two")
+	}
 }
 
 // Translate translates addr for a user-mode access. write selects the
@@ -106,9 +127,8 @@ func (t *TLB) Translate(addr uint64, write bool) Result {
 	}
 
 	super := addr >= KernelBase
-	vpn := addr / uint64(t.cfg.PageBytes)
-	i := int(vpn % uint64(len(t.ents)))
-	e := &t.ents[i]
+	vpn := addr >> t.pageShift
+	e := &t.ents[vpn&t.entMask]
 	if e.valid && e.vpn == vpn {
 		if write {
 			t.C.WrHits.Inc()

@@ -94,3 +94,24 @@ func TestConflictEviction(t *testing.T) {
 		t.Fatalf("conflicting entry not evicted")
 	}
 }
+
+// TestNewRejectsNonPowerOfTwo: Translate indexes by shift and mask, so a
+// size that is not a power of two must fail at construction.
+func TestNewRejectsNonPowerOfTwo(t *testing.T) {
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Entries = 48 },
+		func(c *Config) { c.PageBytes = 3000 },
+		func(c *Config) { c.Entries = 0 },
+	} {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) did not panic", cfg)
+				}
+			}()
+			New(cfg, stats.NewRegistry(), stats.CompDTB, "dtb")
+		}()
+	}
+}

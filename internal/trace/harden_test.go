@@ -20,14 +20,16 @@ import (
 type plainStream struct {
 	n     uint64
 	limit uint64
+	op    isa.Op
 }
 
-func (s *plainStream) Next() (isa.Op, bool) {
+func (s *plainStream) Next() (*isa.Op, bool) {
 	if s.limit > 0 && s.n >= s.limit {
-		return isa.Op{}, false
+		return nil, false
 	}
 	s.n++
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op, true
 }
 
 // panicProg panics after emitting `after` ops on its first `failures`
@@ -51,14 +53,16 @@ type panicStream struct {
 	n      uint64
 	after  uint64
 	panics bool
+	op     isa.Op
 }
 
-func (s *panicStream) Next() (isa.Op, bool) {
+func (s *panicStream) Next() (*isa.Op, bool) {
 	s.n++
 	if s.panics && s.n > s.after {
 		panic("workload bug")
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op, true
 }
 
 func TestCollectRecoversFromPanickingWorkload(t *testing.T) {
@@ -262,17 +266,19 @@ type stallStream struct {
 	after    uint64
 	delay    time.Duration
 	stallOps uint64
+	op       isa.Op
 }
 
-func (s *stallStream) Next() (isa.Op, bool) {
+func (s *stallStream) Next() (*isa.Op, bool) {
 	s.n++
 	if s.n > s.after {
 		if s.n > s.after+s.stallOps {
-			return isa.Op{}, false
+			return nil, false
 		}
 		time.Sleep(s.delay)
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op, true
 }
 
 func TestFilterCarriesDropped(t *testing.T) {

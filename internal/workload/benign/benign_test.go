@@ -16,7 +16,7 @@ func drain(p workload.Program, n int, seed int64) []isa.Op {
 		if !ok {
 			break
 		}
-		out = append(out, op)
+		out = append(out, *op)
 	}
 	return out
 }

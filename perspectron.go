@@ -227,7 +227,8 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 	// Trainer (rather than batch Fit) yields the same weights and leaves
 	// behind the serialized optimizer state the continual-learning pipeline
 	// resumes from.
-	Xp, yb := trace.Bits(enc, ds, sel.Indices)
+	served := servedView(enc)
+	Xp, yb := trace.Bits(served, ds, sel.Indices)
 	pcfg := perceptron.DefaultConfig()
 	pcfg.Threshold = opts.Threshold
 	pcfg.Seed = opts.Seed
@@ -236,10 +237,9 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 	tr.Fit(Xp, yb, 0)
 	st := tr.State()
 
-	// The detector embeds M projected onto its feature slots — the view
-	// trace.Bits encoded the training rows with — capped at 64 execution
-	// points; later points fall back to the global maxima.
-	proj := enc.Project(sel.Indices)
+	// The detector embeds the served view projected onto its feature slots:
+	// the maxima trace.Bits encoded the training rows with.
+	proj := served.Project(sel.Indices)
 	d := &Detector{
 		FeatureNames: make([]string, len(sel.Indices)),
 		Weights:      perc.W,
@@ -247,7 +247,7 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 		Threshold:    opts.Threshold,
 		Interval:     opts.Interval,
 		GlobalMax:    proj.GlobalMax,
-		PointMax:     proj.PerPoint[:min(len(proj.PerPoint), 64)],
+		PointMax:     proj.PerPoint,
 		Lineage: &Lineage{
 			TrainedSamples: len(Xp),
 			Trainer:        &st,
@@ -258,6 +258,17 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 		d.FeatureNames[i] = ds.FeatureNames[j]
 	}
 	return d, nil
+}
+
+// maxPoints caps the execution points whose maxima a detector embeds;
+// samples at later points normalize by the global maxima.
+const maxPoints = 64
+
+// servedView returns enc with its per-point maxima capped at maxPoints: the
+// view a trained detector serves with, so the one Train encodes its
+// training rows through.
+func servedView(enc *encoding.Encoding) *encoding.Encoding {
+	return &encoding.Encoding{GlobalMax: enc.GlobalMax, PerPoint: enc.PerPoint[:min(len(enc.PerPoint), maxPoints)]}
 }
 
 // NumFeatures returns the detector's input width.

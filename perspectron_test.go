@@ -3,10 +3,14 @@ package perspectron
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"perspectron/internal/corpus"
+	"perspectron/internal/encoding"
 	"perspectron/internal/trace"
+	"perspectron/internal/workload/attacks"
+	"perspectron/internal/workload/benign"
 )
 
 // trainSmall trains a quick detector shared by the API tests.
@@ -211,26 +215,63 @@ func TestZeroDayBeyondPaper(t *testing.T) {
 // embedded maxima and names resolved on a fresh machine — must equal the
 // sample's training row.
 func TestTrainServeBitsAgree(t *testing.T) {
-	det := sharedDetector(t)
 	opts := DefaultOptions()
 	opts.MaxInsts = 100_000
 	opts.Runs = 1
-	p := corpus.Default().PreparedCtx(context.Background(), TrainingWorkloads(), opts.CollectConfig(), opts.selectConfig())
-	rows, _ := trace.Bits(p.Enc, p.DS, p.Sel.Indices)
+	checkTrainServeBits(t, sharedDetector(t), TrainingWorkloads(), opts)
+}
+
+// TestTrainServeBitsAgreePastEmbeddedPoints: runs of 80 sampling points,
+// longer than the maxPoints a detector embeds. Samples past them are served
+// through the global maxima, so they must have been trained that way too.
+func TestTrainServeBitsAgreePastEmbeddedPoints(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MaxInsts = 800_000
+	opts.Runs = 1
+	ws := []Workload{benign.Gcc(), benign.Mcf(), attacks.SpectreV1("fr"), attacks.FlushReload()}
+	det, err := Train(ws, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late := checkTrainServeBits(t, det, ws, opts); late == 0 {
+		t.Fatalf("no sample past point %d", maxPoints-1)
+	}
+}
+
+// checkTrainServeBits serves every training sample of det's corpus and
+// compares the fired bits with the training rows: as a whole against the
+// firing rates Train recorded from the rows it fit (Lineage.FeatureMeans),
+// and row by row against the served view's encoding. It returns how many
+// samples lie past the embedded points.
+func checkTrainServeBits(t *testing.T, det *Detector, ws []Workload, opts Options) (late int) {
+	t.Helper()
+	p := corpus.Default().PreparedCtx(context.Background(), ws, opts.CollectConfig(), opts.selectConfig())
 	scorer, err := NewRawScorer(det, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	served := make([]encoding.BitVec, len(p.DS.Samples))
 	for i, s := range p.DS.Samples {
 		scorer.Detect(RawSample{Sample: s.Index, Raw: s.Raw})
-		if len(scorer.detBits) != len(rows[i]) {
-			t.Fatalf("sample %d: served %d words, trained %d", i, len(scorer.detBits), len(rows[i]))
+		served[i] = slices.Clone(scorer.detBits)
+		if s.Index >= maxPoints {
+			late++
+		}
+	}
+	if got := firingRates(served, det.NumFeatures()); !slices.Equal(got, det.Lineage.FeatureMeans) {
+		t.Fatalf("served firing rates differ from the rates Train fit on:\nserved  %v\ntrained %v", got, det.Lineage.FeatureMeans)
+	}
+	rows, _ := trace.Bits(servedView(p.Enc), p.DS, p.Sel.Indices)
+	for i, s := range p.DS.Samples {
+		if len(served[i]) != len(rows[i]) {
+			t.Fatalf("sample %d: served %d words, trained %d", i, len(served[i]), len(rows[i]))
 		}
 		for w := range rows[i] {
-			if scorer.detBits[w] != rows[i][w] {
+			if served[i][w] != rows[i][w] {
 				t.Fatalf("sample %d (%s, point %d) word %d: served %016x, trained %016x",
-					i, s.Program, s.Index, w, scorer.detBits[w], rows[i][w])
+					i, s.Program, s.Index, w, served[i][w], rows[i][w])
 			}
 		}
 	}
+	return late
 }

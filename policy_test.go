@@ -104,14 +104,18 @@ func (panicWorkload) Info() workload.Info {
 
 func (panicWorkload) Stream(*rand.Rand) isa.Stream { return &panicStream{} }
 
-type panicStream struct{ n uint64 }
+type panicStream struct {
+	n  uint64
+	op isa.Op
+}
 
-func (s *panicStream) Next() (isa.Op, bool) {
+func (s *panicStream) Next() (*isa.Op, bool) {
 	s.n++
 	if s.n > 5_000 {
 		panic("workload bug")
 	}
-	return isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}, true
+	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
+	return &s.op, true
 }
 
 // TestMonitorWithPolicyWorkloadPanic: a panicking workload must surface as
