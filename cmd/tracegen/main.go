@@ -6,6 +6,7 @@
 //
 //	tracegen [-out traces.csv] [-insts 300000] [-interval 10000]
 //	         [-runs 2] [-seed 1] [-workloads all|attacks|benign] [-cachedir DIR]
+//	tracegen -stats <workload> [-insts 300000] [-interval 10000] [-seed 1]
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 
+	"perspectron"
 	"perspectron/internal/corpus"
 	"perspectron/internal/sim"
 	"perspectron/internal/telemetry/telemetrycli"
@@ -97,8 +99,9 @@ func main() {
 	}
 }
 
-// dumpStats runs one named workload on a fresh machine and prints the full
-// counter state in gem5 stats.txt format.
+// dumpStats runs one named workload (a corpus name such as spectreV1-fr, or
+// an attack's short name on the fr channel) on a fresh machine and prints
+// the full counter state in gem5 stats.txt format.
 func dumpStats(name string, insts, interval uint64, seed int64) {
 	var prog workload.Program
 	for _, p := range append(append([]workload.Program{}, benign.All()...), attacks.TrainingSet()...) {
@@ -107,11 +110,14 @@ func dumpStats(name string, insts, interval uint64, seed int64) {
 		}
 	}
 	if prog == nil {
+		prog = perspectron.AttackByName(name, "fr") // the short names `perspectron detect` takes
+	}
+	if prog == nil {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", name)
 		os.Exit(2)
 	}
 	m := sim.NewMachine(sim.DefaultConfig())
-	m.Run(prog.Stream(rand.New(rand.NewSource(seed))), insts, interval)
+	m.RunStream(prog.Stream(rand.New(rand.NewSource(seed))), insts, interval, func(int, []float64) bool { return true })
 	if err := m.Reg.Dump(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

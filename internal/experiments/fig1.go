@@ -55,7 +55,7 @@ func Fig1(cfg Config) *Fig1Result {
 	raw := make([][]float64, len(progs))
 	for pi, p := range progs {
 		m := sim.NewMachine(sim.DefaultConfig())
-		m.Run(p.Stream(rand.New(rand.NewSource(cfg.Seed))), cfg.MaxInsts, cfg.Interval)
+		m.RunStream(p.Stream(rand.New(rand.NewSource(cfg.Seed))), cfg.MaxInsts, cfg.Interval, func(int, []float64) bool { return true })
 		vals := make([]float64, len(fig1Counters))
 		for ci, name := range fig1Counters {
 			c, ok := m.Reg.Lookup(name)

@@ -36,7 +36,7 @@ func runCycles(p workload.Program, cfg Config, seed int64, prep func(*sim.Machin
 	if prep != nil {
 		prep(m)
 	}
-	m.Run(p.Stream(rand.New(rand.NewSource(seed))), cfg.MaxInsts, cfg.Interval)
+	m.RunStream(p.Stream(rand.New(rand.NewSource(seed))), cfg.MaxInsts, cfg.Interval, func(int, []float64) bool { return true })
 	return m, m.Pipe.Cycle()
 }
 

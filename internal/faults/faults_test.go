@@ -195,7 +195,12 @@ func TestScheduleComposesInOrder(t *testing.T) {
 // same values again.
 func TestScheduleApplyRecordedRun(t *testing.T) {
 	prog := benign.All()[0]
-	clean := sim.NewMachine(sim.DefaultConfig()).Run(prog.Stream(rand.New(rand.NewSource(9))), 35_000, 10_000)
+	var clean [][]float64
+	sim.NewMachine(sim.DefaultConfig()).RunStream(prog.Stream(rand.New(rand.NewSource(9))), 35_000, 10_000,
+		func(_ int, v []float64) bool {
+			clean = append(clean, v)
+			return true
+		})
 	run := func() [][]float64 {
 		vecs := make([][]float64, len(clean))
 		for i, v := range clean {

@@ -124,9 +124,9 @@ type Pipeline struct {
 	ITB *tlb.TLB
 	DTB *tlb.TLB
 
-	// OnCommit is invoked with 1 for every committed instruction; the
-	// machine hooks the stats sampler here.
-	OnCommit func(n uint64)
+	// Sampler, when set, is ticked once per committed instruction: the
+	// machine's run loop and the scheduler sample counters through it.
+	Sampler *stats.Sampler
 
 	// fencing enables the §IV-G1 context-sensitive-fencing mitigation:
 	// injected fences at control-flow targets block speculative loads
@@ -199,25 +199,19 @@ func (p *Pipeline) Cycle() uint64 { return p.cycle }
 // Committed returns committed instructions so far.
 func (p *Pipeline) Committed() uint64 { return p.n.commits }
 
-// Run executes the stream until it ends, maxInsts committed-path
-// instructions have been fetched, or stop reports true (all fetched
-// instructions then drain and commit). stop, when non-nil, is polled before
-// every fetch — the one place a run is cut short.
-func (p *Pipeline) Run(stream isa.Stream, maxInsts uint64, stop func() bool) uint64 {
+// Run executes the stream until it ends or maxInsts committed-path
+// instructions have been fetched, then drains, and returns the number of
+// instructions committed.
+func (p *Pipeline) Run(stream isa.Stream, maxInsts uint64) uint64 {
 	start := p.n.commits
-	var fetched uint64
-	for maxInsts == 0 || fetched < maxInsts {
-		if stop != nil && stop() {
-			break
-		}
+	for fetched := uint64(0); maxInsts == 0 || fetched < maxInsts; fetched++ {
 		op, ok := stream.Next()
 		if !ok {
 			break
 		}
-		fetched++
 		p.Step(op)
 	}
-	p.drain()
+	p.Drain()
 	return p.n.commits - start
 }
 
@@ -240,7 +234,7 @@ func (p *Pipeline) Step(op *isa.Op) {
 		p.transientAndSquash(op, faulted)
 		if faulted {
 			// Trap at commit: drain and pay the trap latency.
-			p.drain()
+			p.Drain()
 			p.C.Fetch.PendingTrapStallCycles.Add(float64(p.cfg.TrapLatency))
 			p.C.Commit.Traps.Inc()
 			p.cycle += p.cfg.TrapLatency
@@ -397,7 +391,7 @@ func (p *Pipeline) rename(op *isa.Op) {
 			rc.TempSerializingInsts.Inc()
 		}
 		before := p.cycle
-		p.drain()
+		p.Drain()
 		stall := p.cycle - before
 		rc.SerializeStallCycles.Add(float64(stall))
 		p.C.Commit.NonSpecStalls.Add(float64(stall) + 2)
@@ -892,13 +886,13 @@ func (p *Pipeline) commitHead() {
 		cc.NonSpecStalls.Add(1)
 	}
 	p.n.commits++
-	if p.OnCommit != nil {
-		p.OnCommit(1)
+	if p.Sampler != nil {
+		p.Sampler.Tick(1)
 	}
 }
 
-// drain retires everything in flight, advancing the clock as needed.
-func (p *Pipeline) drain() {
+// Drain retires everything in flight, advancing the clock as needed.
+func (p *Pipeline) Drain() {
 	for p.head != p.tail {
 		h := p.headEntry()
 		if h.done > p.cycle {

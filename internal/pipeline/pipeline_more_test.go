@@ -17,7 +17,7 @@ func TestLQFullBackPressure(t *testing.T) {
 		ops = append(ops, isa.Op{Kind: isa.KindLoad, PC: 0x2000 + uint64(i)*4,
 			Addr: 0x10000 + uint64(i%4)*64}) // warm lines: fast
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Rename.LQFullEvents.Value() == 0 {
 		t.Fatalf("no LQ-full events")
 	}
@@ -31,7 +31,7 @@ func TestSQFullBackPressure(t *testing.T) {
 		ops = append(ops, isa.Op{Kind: isa.KindStore, PC: 0x2000 + uint64(i)*4,
 			Addr: 0x10000 + uint64(i%4)*64})
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Rename.SQFullEvents.Value() == 0 {
 		t.Fatalf("no SQ-full events")
 	}
@@ -44,7 +44,7 @@ func TestFUContentionCounted(t *testing.T) {
 	for i := range ops {
 		ops[i] = isa.Op{Kind: isa.KindPlain, Class: isa.FloatDiv, PC: 0x1000 + uint64(i)*4}
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.IQ.FuFull[isa.FloatDiv].Value() == 0 {
 		t.Fatalf("no fu_full events for FloatDiv burst")
 	}
@@ -66,7 +66,7 @@ func TestIndirectTransient(t *testing.T) {
 	}
 	ops = append(ops, isa.Op{Kind: isa.KindIndirect, PC: 0x3000, Target: 0x6000,
 		Transient: []isa.Op{{Kind: isa.KindLoad, Addr: probe}}})
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if !h.L1D.Present(probe) {
 		t.Fatalf("indirect mispredict did not execute the transient body")
 	}
@@ -78,7 +78,7 @@ func TestIndirectTransient(t *testing.T) {
 func TestQuiesceDefaultWait(t *testing.T) {
 	p, _, _ := newTestPipeline(t)
 	ops := []isa.Op{{Kind: isa.KindQuiesce, PC: 0x1000}} // WaitCycles unset
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Fetch.PendingQuiesceStallCycles.Value() == 0 {
 		t.Fatalf("default quiesce wait not applied")
 	}
@@ -92,7 +92,7 @@ func TestCommitKindCounters(t *testing.T) {
 		{Kind: isa.KindStore, PC: 0x1008, Addr: 0x3000},
 		plain(0x100c),
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Commit.Loads.Value() != 2 || p.C.Commit.Stores.Value() != 1 {
 		t.Fatalf("commit loads/stores = %v/%v",
 			p.C.Commit.Loads.Value(), p.C.Commit.Stores.Value())
@@ -115,7 +115,7 @@ func TestFencingSuppressesTransientLoads(t *testing.T) {
 	}
 	ops = append(ops, isa.Op{Kind: isa.KindBranch, PC: 0x4000, Taken: false, Target: 0x4040,
 		Transient: []isa.Op{{Kind: isa.KindLoad, Addr: probe}}})
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if h.L1D.Present(probe) {
 		t.Fatalf("fencing let a transient load fill the cache")
 	}
@@ -142,7 +142,7 @@ func TestGenericWrongPathOnBenignMispredict(t *testing.T) {
 		ops = append(ops, isa.Op{Kind: isa.KindBranch, PC: 0x5000, Taken: taken,
 			Target: 0x5040, Addr: 0x9000 + uint64(i)*64})
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.IEW.BranchMispredicts.Value() == 0 {
 		t.Fatalf("irregular branch never mispredicted")
 	}
@@ -171,7 +171,7 @@ func TestPhysicalRegisterPressure(t *testing.T) {
 				PC: 0x2000 + uint64(rep*400+i)*4})
 		}
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Rename.ROBFullEvents.Value() == 0 && p.C.Rename.FullRegisterEvents.Value() == 0 {
 		t.Fatalf("no structural back-pressure recorded")
 	}

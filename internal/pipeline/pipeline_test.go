@@ -38,7 +38,7 @@ func TestRunCommitsEverything(t *testing.T) {
 	for i := range ops {
 		ops[i] = plain(0x400000 + uint64(i)*4)
 	}
-	n := p.Run(isa.NewSliceStream(ops), 0, nil)
+	n := p.Run(isa.NewSliceStream(ops), 0)
 	if n != 100 {
 		t.Fatalf("committed %d, want 100", n)
 	}
@@ -53,14 +53,16 @@ func TestRunCommitsEverything(t *testing.T) {
 	}
 }
 
+// TestOnCommitCallback: the pipeline ticks its sampler once per committed
+// instruction, so an interval-1 sampler fires on every commit.
 func TestOnCommitCallback(t *testing.T) {
-	p, _, _ := newTestPipeline(t)
+	p, _, reg := newTestPipeline(t)
 	var got uint64
-	p.OnCommit = func(n uint64) { got += n }
+	p.Sampler = stats.NewSampler(reg, 1, func([]float64) { got++ })
 	ops := []isa.Op{plain(0x1000), plain(0x1004), plain(0x1008)}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
-	if got != 3 {
-		t.Fatalf("OnCommit total = %d", got)
+	p.Run(isa.NewSliceStream(ops), 0)
+	if got != 3 || p.Sampler.Committed() != 3 {
+		t.Fatalf("%d samples over %d ticks, want 3 and 3", got, p.Sampler.Committed())
 	}
 }
 
@@ -73,7 +75,7 @@ func TestMaxInstsStopsEarly(t *testing.T) {
 		op = plain(uint64(i) * 4)
 		return &op, true
 	})
-	n := p.Run(stream, 50, nil)
+	n := p.Run(stream, 50)
 	if n != 50 {
 		t.Fatalf("committed %d, want 50", n)
 	}
@@ -97,7 +99,7 @@ func TestMispredictedBranchRunsTransient(t *testing.T) {
 			{Kind: isa.KindLoad, Addr: probe, DependsOnPrev: true},
 		},
 	})
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 
 	if p.C.IEW.BranchMispredicts.Value() != 1 {
 		t.Fatalf("branchMispredicts = %v", p.C.IEW.BranchMispredicts.Value())
@@ -124,7 +126,7 @@ func TestCorrectBranchNoTransient(t *testing.T) {
 		ops = append(ops, isa.Op{Kind: isa.KindBranch, PC: pc, Taken: true, Target: pc + 64,
 			Transient: []isa.Op{{Kind: isa.KindLoad, Addr: 0x9000000}}})
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	// After warmup, predictions are correct and the transient body must
 	// not run; the gadget line stays cold.
 	if h.L1D.Present(0x9000000) && p.C.IEW.BranchMispredicts.Value() == 0 {
@@ -146,7 +148,7 @@ func TestMeltdownFaultingLoad(t *testing.T) {
 			}},
 		plain(0x1008),
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Commit.Traps.Value() != 1 {
 		t.Fatalf("traps = %v", p.C.Commit.Traps.Value())
 	}
@@ -170,7 +172,7 @@ func TestSerializingDrains(t *testing.T) {
 		{Kind: isa.KindFence, PC: 0x1004},
 		plain(0x1008),
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Rename.SerializingInsts.Value() != 1 {
 		t.Fatalf("serializingInsts = %v", p.C.Rename.SerializingInsts.Value())
 	}
@@ -189,7 +191,7 @@ func TestFlushCountsAndSerializes(t *testing.T) {
 		{Kind: isa.KindLoad, PC: 0x1000, Addr: addr},
 		{Kind: isa.KindFlush, PC: 0x1004, Addr: addr},
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if h.L1D.Present(addr) {
 		t.Fatalf("flush left line present")
 	}
@@ -208,7 +210,7 @@ func TestQuiesceStalls(t *testing.T) {
 		{Kind: isa.KindQuiesce, PC: 0x1004, WaitCycles: 500},
 		plain(0x1008),
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Fetch.PendingQuiesceStallCycles.Value() != 500 {
 		t.Fatalf("quiesce stall cycles = %v", p.C.Fetch.PendingQuiesceStallCycles.Value())
 	}
@@ -223,7 +225,7 @@ func TestStoreLoadForwarding(t *testing.T) {
 		{Kind: isa.KindStore, PC: 0x1000, Addr: 0xc000000},
 		{Kind: isa.KindLoad, PC: 0x1004, Addr: 0xc000000},
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.LSQ.ForwLoads.Value() != 1 {
 		t.Fatalf("forwLoads = %v", p.C.LSQ.ForwLoads.Value())
 	}
@@ -237,7 +239,7 @@ func TestMemOrderViolation(t *testing.T) {
 		{Kind: isa.KindLoad, PC: 0x1000, Addr: 0xd000000},
 		{Kind: isa.KindStore, PC: 0x1004, Addr: 0xd000000},
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.IEW.MemOrderViolationEvents.Value() != 1 {
 		t.Fatalf("memOrderViolationEvents = %v", p.C.IEW.MemOrderViolationEvents.Value())
 	}
@@ -265,7 +267,7 @@ func TestROBBackPressurePropagatesToFetch(t *testing.T) {
 				PC: 0x2000 + uint64(rep*400+i)*4})
 		}
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Rename.ROBFullEvents.Value() == 0 {
 		t.Fatalf("no ROB full events on dependent-miss stream")
 	}
@@ -280,7 +282,7 @@ func TestRetCorrectAfterCall(t *testing.T) {
 		{Kind: isa.KindCall, PC: 0x1000, Target: 0x2000},
 		{Kind: isa.KindRet, PC: 0x2004, Target: 0x1004},
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.BP.C.RASIncorrect.Value() != 0 {
 		t.Fatalf("balanced call/ret mispredicted")
 	}
@@ -291,7 +293,7 @@ func TestFBReadDoesNotFillCache(t *testing.T) {
 	ops := []isa.Op{
 		{Kind: isa.KindLoad, PC: 0x1000, Addr: 0xe000000, FBRead: true},
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if h.L1D.Present(0xe000000) {
 		t.Fatalf("fill-buffer read architecturally filled the cache")
 	}
@@ -306,7 +308,7 @@ func TestHistogramsPopulate(t *testing.T) {
 	for i := range ops {
 		ops[i] = plain(uint64(i) * 4)
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	var total float64
 	for _, c := range p.C.ROB.OccDist {
 		total += c.Value()
@@ -322,7 +324,7 @@ func TestCommittedMapsTrackCommits(t *testing.T) {
 	for i := range ops {
 		ops[i] = plain(uint64(i) * 4)
 	}
-	p.Run(isa.NewSliceStream(ops), 0, nil)
+	p.Run(isa.NewSliceStream(ops), 0)
 	if p.C.Rename.CommittedMaps.Value() != p.C.Commit.CommittedInsts.Value() {
 		t.Fatalf("CommittedMaps %v != committedInsts %v",
 			p.C.Rename.CommittedMaps.Value(), p.C.Commit.CommittedInsts.Value())

@@ -82,7 +82,7 @@ func (s *Scheduler) Switches() int { return s.switches }
 func (s *Scheduler) Run(totalInsts uint64) []OwnedSample {
 	var out []OwnedSample
 	cur := 0
-	sampler := stats.NewSampler(s.M.Reg, s.Interval, func(v []float64) {
+	s.M.Pipe.Sampler = stats.NewSampler(s.M.Reg, s.Interval, func(v []float64) {
 		info := s.tasks[cur].Prog.Info()
 		out = append(out, OwnedSample{
 			Task:    cur,
@@ -92,7 +92,6 @@ func (s *Scheduler) Run(totalInsts uint64) []OwnedSample {
 			Raw:     v,
 		})
 	})
-	s.M.Pipe.OnCommit = func(n uint64) { sampler.Tick(n) }
 
 	var executed uint64
 	for executed < totalInsts {
@@ -103,7 +102,7 @@ func (s *Scheduler) Run(totalInsts uint64) []OwnedSample {
 			}
 			continue
 		}
-		n := s.M.Pipe.Run(t.stream, s.Quantum, nil)
+		n := s.M.Pipe.Run(t.stream, s.Quantum)
 		t.Committed += n
 		executed += n
 		if n < s.Quantum {

@@ -58,7 +58,6 @@ func BenchmarkServeSaturation(b *testing.B) {
 			Shards:     8,
 			QueueDepth: 512,
 			Batch:      256,
-			scoreTick:  time.Millisecond,
 			pace:       100 * time.Microsecond,
 		})
 		if err != nil {

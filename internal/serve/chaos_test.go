@@ -66,7 +66,6 @@ func TestServeChaos(t *testing.T) {
 		Shards:           4,
 		QueueDepth:       64,
 		Batch:            32,
-		scoreTick:        time.Millisecond,
 		pace:             200 * time.Microsecond,
 		PollInterval:     time.Hour, // reloads driven by the corrupter below
 		VerdictLog:       &buf,

@@ -400,51 +400,70 @@ func TestServiceSurvivesWorkloadPanics(t *testing.T) {
 }
 
 func TestServiceStalledSourceHitsDeadlineAndBreaker(t *testing.T) {
-	delta := counterDelta()
 	det, _ := testModels(t)
-	// Stalls forever (from the deadline's point of view) but self-terminates
-	// so producer goroutines can be reclaimed.
-	prog := &stallProg{stallAfter: 2_000, delay: 10 * time.Millisecond, stallOps: 40}
-	s, err := New(Config{
-		detector:         det,
-		Workloads:        []perspectron.Workload{prog},
-		MaxInsts:         1 << 40, // only the stall machinery ends a run
-		MaxEpisodes:      1,
-		sampleTimeout:    80 * time.Millisecond,
-		backoff:          fastBackoff(),
-		breakerThreshold: 2,
-		breakerCooldown:  20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The worker can never complete an episode; run until the breaker has
-	// tripped at least once, then drain.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
-	deadline := time.After(25 * time.Second)
-	for {
-		if delta(telemetry.Name("perspectron_serve_breaker_open_total", "family", "benign")) >= 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("breaker never opened; failures=%d",
-				delta(telemetry.Name("perspectron_serve_episode_failures_total", "family", "benign")))
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-	cancel()
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("drained run returned %v, want context.Canceled", err)
-	}
-	h := s.Health()
-	if h.Workers[0].Failures < 2 {
-		t.Fatalf("stalled worker recorded %d failures, want >= 2", h.Workers[0].Failures)
-	}
-	if !strings.Contains(h.Workers[0].LastErr, "stalled") && !strings.Contains(h.Workers[0].LastErr, "deadline") {
-		t.Fatalf("last error %q does not mention the stall", h.Workers[0].LastErr)
+	// Each stall outlasts sampleTimeout (40 ops at 10ms) but self-terminates
+	// so a stalled episode ends by itself. The first stalls before the first
+	// sample; the second past two sampling intervals, so the gap from the
+	// last sample is measured too.
+	for _, c := range []struct {
+		name       string
+		stallAfter uint64
+	}{
+		{"before-first-sample", 2_000},
+		{"mid-run", 2*det.Interval + 2_000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			delta := counterDelta()
+			prog := &stallProg{stallAfter: c.stallAfter, delay: 10 * time.Millisecond, stallOps: 40}
+			s, err := New(Config{
+				detector:         det,
+				Workloads:        []perspectron.Workload{prog},
+				MaxInsts:         1 << 40, // only the stall machinery ends a run
+				MaxEpisodes:      1,
+				sampleTimeout:    80 * time.Millisecond,
+				backoff:          fastBackoff(),
+				breakerThreshold: 2,
+				breakerCooldown:  20 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The worker can never complete an episode; run until the breaker
+			// has tripped at least once, then drain.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			done := make(chan error, 1)
+			go func() { done <- s.Run(ctx) }()
+			deadline := time.After(25 * time.Second)
+			for {
+				if delta(telemetry.Name("perspectron_serve_breaker_open_total", "family", "benign")) >= 1 {
+					break
+				}
+				select {
+				case <-deadline:
+					t.Fatalf("breaker never opened; failures=%d",
+						delta(telemetry.Name("perspectron_serve_episode_failures_total", "family", "benign")))
+				case <-time.After(50 * time.Millisecond):
+				}
+			}
+			cancel()
+			if err := <-done; err != context.Canceled {
+				t.Fatalf("drained run returned %v, want context.Canceled", err)
+			}
+			h := s.Health()
+			if h.Workers[0].Failures < 2 {
+				t.Fatalf("stalled worker recorded %d failures, want >= 2", h.Workers[0].Failures)
+			}
+			if !strings.Contains(h.Workers[0].LastErr, "stalled") && !strings.Contains(h.Workers[0].LastErr, "deadline") {
+				t.Fatalf("last error %q does not mention the stall", h.Workers[0].LastErr)
+			}
+			var enqueued int64
+			for _, sh := range h.Shards {
+				enqueued += sh.Enqueued
+			}
+			if want := int64(c.stallAfter / det.Interval); enqueued < want {
+				t.Fatalf("%d samples admitted, want at least the %d before the first stall", enqueued, want)
+			}
+		})
 	}
 }
 
@@ -711,7 +730,6 @@ func TestConfigDefaults(t *testing.T) {
 		backoff:          backoff,
 		breakerThreshold: 3,
 		breakerCooldown:  5 * time.Second,
-		scoreTick:        5 * time.Millisecond,
 		pace:             time.Millisecond,
 	}
 	var zero Config

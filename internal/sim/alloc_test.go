@@ -54,9 +54,9 @@ func TestStepAllocationFree(t *testing.T) {
 }
 
 // runStreamAllocSlack is what one RunStream may allocate besides its
-// sample vectors: the sampler and its two snapshot buffers, the closures
-// RunStream wires into the pipeline and the variables they share, and the
-// replayed stream itself.
+// sample vectors: the Run, its sampler and that sampler's two snapshot
+// buffers, the emit callback, the sample queue, and the replayed stream
+// itself.
 const runStreamAllocSlack = 16
 
 // TestRunStreamAllocations: a warm-machine RunStream allocates one vector

@@ -10,7 +10,7 @@ import (
 
 func TestSpectreV4Footprint(t *testing.T) {
 	m := NewMachine(DefaultConfig())
-	m.Run(attacks.SpectreV4("fr").Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
+	runAll(m, attacks.SpectreV4("fr").Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
 	fmt.Println("memOrderViolations:", value(t, m, "iew.memOrderViolationEvents"))
 	fmt.Println("squashedLoads:", value(t, m, "lsq.thread0.squashedLoads"))
 	fmt.Println("rescheduled:", value(t, m, "lsq.thread0.rescheduledLoads"))
@@ -21,7 +21,7 @@ func TestSpectreV4Footprint(t *testing.T) {
 
 func TestRowHammerFootprint(t *testing.T) {
 	m := NewMachine(DefaultConfig())
-	m.Run(attacks.RowHammer().Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
+	runAll(m, attacks.RowHammer().Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
 	fmt.Println("activations:", value(t, m, "mem_ctrls.rank0.actCount"))
 	fmt.Println("flush_ops:", value(t, m, "dcache.flush_ops"))
 	if value(t, m, "mem_ctrls.rank0.actCount") < 1000 {

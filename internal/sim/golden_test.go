@@ -241,22 +241,22 @@ func TestSimulatorGoldenHooks(t *testing.T) {
 	}
 }
 
-// TestRunMatchesRunStream asserts Run is exactly the batch view of
-// RunStream on the four serve streams.
+// TestRunMatchesRunStream asserts that pulling a Run with Next yields
+// RunStream's samples bit for bit on the four serve streams.
 func TestRunMatchesRunStream(t *testing.T) {
 	for _, prog := range []workload.Program{attacks.SpectreV1("fr"), attacks.FlushReload(), benign.Gcc(), benign.Mcf()} {
 		prog := prog
 		t.Run(prog.Info().Name, func(t *testing.T) {
 			t.Parallel()
 			_, streamed := goldenRun(prog, 1, -1, nil)
-			batch := NewMachine(DefaultConfig()).Run(prog.Stream(rand.New(rand.NewSource(1))), goldenInsts, goldenInterval)
-			if len(batch) != len(streamed) {
-				t.Fatalf("Run gave %d samples, RunStream %d", len(batch), len(streamed))
+			pulled := runAll(NewMachine(DefaultConfig()), prog.Stream(rand.New(rand.NewSource(1))), goldenInsts, goldenInterval)
+			if len(pulled) != len(streamed) {
+				t.Fatalf("Next gave %d samples, RunStream %d", len(pulled), len(streamed))
 			}
-			for i := range batch {
-				for j := range batch[i] {
-					if math.Float64bits(batch[i][j]) != math.Float64bits(streamed[i][j]) {
-						t.Fatalf("sample %d counter %d: Run %v, RunStream %v", i, j, batch[i][j], streamed[i][j])
+			for i := range pulled {
+				for j := range pulled[i] {
+					if math.Float64bits(pulled[i][j]) != math.Float64bits(streamed[i][j]) {
+						t.Fatalf("sample %d counter %d: Next %v, RunStream %v", i, j, pulled[i][j], streamed[i][j])
 					}
 				}
 			}

@@ -60,7 +60,7 @@ func TestQuickRandomProgramsPreserveInvariants(t *testing.T) {
 			ops[i] = randomOp(r, i)
 		}
 		m := NewMachine(DefaultConfig())
-		m.Run(isa.NewSliceStream(ops), 0, 1000)
+		runAll(m, isa.NewSliceStream(ops), 0, 1000)
 
 		lookup := func(name string) float64 {
 			c, ok := m.Reg.Lookup(name)
@@ -123,7 +123,7 @@ func TestQuickSamplesPartitionCounters(t *testing.T) {
 			ops[i] = randomOp(r, i)
 		}
 		m := NewMachine(DefaultConfig())
-		samples := m.Run(isa.NewSliceStream(ops), 0, 100)
+		samples := runAll(m, isa.NewSliceStream(ops), 0, 100)
 		if len(samples) == 0 {
 			return true
 		}

@@ -12,7 +12,7 @@ func TestFencingBlocksSpectreChannel(t *testing.T) {
 	attack := attacks.SpectreV1("fr")
 
 	plain := NewMachine(DefaultConfig())
-	plain.Run(attack.Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
+	runAll(plain, attack.Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
 	plainBlocked := value(t, plain, "iew.blockedSpecLoads")
 	plainSquashed := value(t, plain, "lsq.thread0.squashedLoads")
 	if plainBlocked != 0 {
@@ -24,7 +24,7 @@ func TestFencingBlocksSpectreChannel(t *testing.T) {
 
 	fenced := NewMachine(DefaultConfig())
 	fenced.EnableFencing(true)
-	fenced.Run(attack.Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
+	runAll(fenced, attack.Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
 	blocked := value(t, fenced, "iew.blockedSpecLoads")
 	squashed := value(t, fenced, "lsq.thread0.squashedLoads")
 	if blocked != squashed {
@@ -39,7 +39,7 @@ func TestFencingCostsBenignPerformance(t *testing.T) {
 	run := func(fence bool) uint64 {
 		m := NewMachine(DefaultConfig())
 		m.EnableFencing(fence)
-		m.Run(benign.Gobmk().Stream(rand.New(rand.NewSource(2))), 30_000, 10_000)
+		runAll(m, benign.Gobmk().Stream(rand.New(rand.NewSource(2))), 30_000, 10_000)
 		return m.Pipe.Cycle()
 	}
 	base, fenced := run(false), run(true)
@@ -56,7 +56,7 @@ func TestRekeyBreaksPrimeProbeSets(t *testing.T) {
 		if rekey {
 			m.OnSample = func(idx int, _ []float64) { m.RekeyCaches(uint64(idx)*2654435761 + 7) }
 		}
-		m.Run(attack.Stream(rand.New(rand.NewSource(3))), 60_000, 5_000)
+		runAll(m, attack.Stream(rand.New(rand.NewSource(3))), 60_000, 5_000)
 		return value(t, m, "dcache.ReadReq_misses") / value(t, m, "dcache.ReadReq_accesses")
 	}
 	base, rekeyed := miss(false), miss(true)
@@ -66,7 +66,7 @@ func TestRekeyBreaksPrimeProbeSets(t *testing.T) {
 	// The rekey events themselves must be counted.
 	m := NewMachine(DefaultConfig())
 	m.OnSample = func(idx int, _ []float64) { m.RekeyCaches(uint64(idx) + 1) }
-	m.Run(attack.Stream(rand.New(rand.NewSource(3))), 30_000, 10_000)
+	runAll(m, attack.Stream(rand.New(rand.NewSource(3))), 30_000, 10_000)
 	if value(t, m, "dcache.rekeys") == 0 {
 		t.Fatalf("rekeys not counted")
 	}
@@ -78,7 +78,7 @@ func TestBPNoiseDegradesMistraining(t *testing.T) {
 	gadgetLoads := func(permille int) float64 {
 		m := NewMachine(DefaultConfig())
 		m.InjectBPNoise(permille)
-		m.Run(attack.Stream(rand.New(rand.NewSource(4))), 60_000, 10_000)
+		runAll(m, attack.Stream(rand.New(rand.NewSource(4))), 60_000, 10_000)
 		return value(t, m, "lsq.thread0.squashedLoads")
 	}
 	base := gadgetLoads(0)
@@ -89,7 +89,7 @@ func TestBPNoiseDegradesMistraining(t *testing.T) {
 	// The injected randomization must be visible in the counter.
 	m := NewMachine(DefaultConfig())
 	m.InjectBPNoise(300)
-	m.Run(benign.Gobmk().Stream(rand.New(rand.NewSource(5))), 20_000, 10_000)
+	runAll(m, benign.Gobmk().Stream(rand.New(rand.NewSource(5))), 20_000, 10_000)
 	if value(t, m, "branchPred.noiseInjected") == 0 {
 		t.Fatalf("noise injections not counted")
 	}
@@ -102,7 +102,7 @@ func TestOnSampleHookFires(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	var got []int
 	m.OnSample = func(idx int, _ []float64) { got = append(got, idx) }
-	m.Run(benign.Bzip2().Stream(rand.New(rand.NewSource(6))), 35_000, 10_000)
+	runAll(m, benign.Bzip2().Stream(rand.New(rand.NewSource(6))), 35_000, 10_000)
 	if len(got) < 3 {
 		t.Fatalf("hook fired %d times", len(got))
 	}

@@ -52,9 +52,10 @@ type Machine struct {
 	ITB  *tlb.TLB
 	DTB  *tlb.TLB
 
-	// OnSample is invoked after each completed sampling interval during Run
-	// with the 0-based sample index; mitigation policies hook here. It never
-	// sees the trailing partial interval delivered after the drain.
+	// OnSample is invoked inside the Step that completes each sampling
+	// interval of a Run, with the 0-based sample index; mitigation policies
+	// hook here. It never sees the trailing partial interval delivered after
+	// the drain.
 	OnSample sampleHook
 }
 
@@ -86,65 +87,97 @@ func (m *Machine) NumCounters() int { return m.Reg.Len() }
 // caches, toggle fencing) before the next one.
 type sampleHook = func(index int, delta []float64)
 
-// Run executes the stream for up to maxInsts committed-path instructions,
-// sampling all counters every sampleInterval committed instructions. It
-// returns the per-interval counter delta vectors. Run is the batch view of
-// RunStream: it drains the sample stream into a slice.
-func (m *Machine) Run(stream isa.Stream, maxInsts, sampleInterval uint64) [][]float64 {
-	var out [][]float64
-	m.RunStream(stream, maxInsts, sampleInterval, func(_ int, v []float64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
-}
-
-// RunStream executes like Run but delivers each sampled counter-delta
-// vector to fn as soon as its interval completes, instead of accumulating
-// them — the per-sample code path shared by batch trace collection and
-// online monitoring. Each vector is fresh and belongs to fn. fn returning
-// false cuts the run off at the next instruction fetch. The trailing
-// partial interval (at least half a sample long, as in Run) is delivered
-// after the pipeline drains. OnSample observes every completed interval's
-// vector before fn does. It returns the number of samples delivered.
+// RunStream runs stream as Start does, without a context, and hands each
+// counter-delta vector, in order, to fn, which owns it. fn returning false cuts the run off at the
+// next instruction fetch; the samples the drain completes are counted but
+// not delivered. It returns the number of samples the run emitted.
 func (m *Machine) RunStream(stream isa.Stream, maxInsts, sampleInterval uint64, fn func(index int, delta []float64) bool) int {
-	return m.RunStreamCtx(context.Background(), stream, maxInsts, sampleInterval, fn)
+	r := m.Start(context.Background(), stream, maxInsts, sampleInterval)
+	n := 0
+	for v, ok := r.Next(); ok; v, ok = r.Next() {
+		if !r.stopped && !fn(n, v) {
+			r.stopped = true
+		}
+		n++
+	}
+	return n
 }
 
-// ctxPollMask sets how often RunStreamCtx checks its context: every 1024
+// ctxPollMask sets how often a Run checks its context: every 1024
 // instruction fetches, which keeps the check off the per-op cost.
 const ctxPollMask = 1023
 
-// RunStreamCtx is RunStream bounded by ctx: once ctx is done the run stops
-// fetching (the context is polled every 1024 fetches), drains what is in
-// flight and delivers the samples the drain completes, as if the stream had
-// ended there.
-func (m *Machine) RunStreamCtx(ctx context.Context, stream isa.Stream, maxInsts, sampleInterval uint64, fn func(index int, delta []float64) bool) int {
-	idx := 0
-	cut := false      // fn stopped listening
-	trailing := false // emitting the partial tail, which OnSample skips
-	sampler := stats.NewSampler(m.Reg, sampleInterval, func(v []float64) {
-		if m.OnSample != nil && !trailing {
-			m.OnSample(idx, v)
+// Run is one program run on a machine, stepped on the goroutine that calls
+// Next, so a sample reaches its consumer in the call that completed it.
+type Run struct {
+	m        *Machine
+	ctx      context.Context
+	stream   isa.Stream
+	maxInsts uint64
+	sampler  *stats.Sampler
+	fetched  uint64
+	stopped  bool        // RunStream's consumer declined: fetch no more
+	done     bool        // the stream is over: drained, tail flushed
+	queue    [][]float64 // emitted, not yet returned by Next
+	emitted  int
+}
+
+// Start prepares a run of stream on m for up to maxInsts committed-path
+// instructions (0: until the stream ends), sampling every sampleInterval
+// committed instructions; nothing executes until Next. Once ctx is done
+// (polled before the first fetch and every 1024 after) the run stops
+// fetching, as if the stream had ended there.
+func (m *Machine) Start(ctx context.Context, stream isa.Stream, maxInsts, sampleInterval uint64) *Run {
+	r := &Run{m: m, ctx: ctx, stream: stream, maxInsts: maxInsts}
+	r.sampler = stats.NewSampler(m.Reg, sampleInterval, r.emit)
+	m.Pipe.Sampler = r.sampler
+	return r
+}
+
+// emit queues a sample inside the Step whose commit closed its interval,
+// where OnSample sees it, before the next op executes.
+func (r *Run) emit(v []float64) {
+	if r.m.OnSample != nil && !r.done {
+		r.m.OnSample(r.emitted, v)
+	}
+	r.queue = append(r.queue, v)
+	r.emitted++
+}
+
+// Next steps the machine until its sampler has queued a vector and returns
+// it: each completed interval's delta and, once the stream ends and the
+// pipeline drains, the trailing partial interval if it is at least half a
+// sample long. It returns false after the last one.
+func (r *Run) Next() ([]float64, bool) {
+	for len(r.queue) == 0 {
+		if r.done {
+			return nil, false
 		}
-		if !cut && !fn(idx, v) {
-			cut = true
+		r.step()
+	}
+	v := r.queue[0]
+	r.queue = r.queue[:copy(r.queue, r.queue[1:])] // in place: no allocation per sample
+	return v, true
+}
+
+// step fetches and executes one op or, once the stream is over, drains the
+// pipeline and flushes the trailing partial interval.
+func (r *Run) step() {
+	if !r.stopped && (r.maxInsts == 0 || r.fetched < r.maxInsts) &&
+		(r.fetched&ctxPollMask != 0 || r.ctx.Err() == nil) {
+		if op, ok := r.stream.Next(); ok {
+			r.fetched++
+			r.m.Pipe.Step(op)
+			return
 		}
-		idx++
-	})
-	m.Pipe.OnCommit = func(n uint64) { sampler.Tick(n) }
-	var fetches uint32
-	m.Pipe.Run(stream, maxInsts, func() bool {
-		fetches++
-		return cut || (fetches&ctxPollMask == 0 && ctx.Err() != nil)
-	})
-	m.DRAM.FinishAt(m.Pipe.Cycle())
-	trailing = true
-	sampler.Flush(sampleInterval / 2)
+	}
+	r.m.Pipe.Drain()
+	r.m.DRAM.FinishAt(r.m.Pipe.Cycle())
+	r.done = true // OnSample skips the tail
+	r.sampler.Flush(r.sampler.Interval() / 2)
 	reg := telemetry.Get()
 	reg.Counter("perspectron_sim_runs_total").Inc()
-	reg.Counter("perspectron_sim_samples_total").Add(uint64(idx))
-	return idx
+	reg.Counter("perspectron_sim_samples_total").Add(uint64(r.emitted))
 }
 
 // EnableFencing toggles the context-sensitive-fencing mitigation (§IV-G1):

@@ -1,19 +1,31 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"perspectron/internal/isa"
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/attacks"
 	"perspectron/internal/workload/benign"
 )
 
+// runAll pulls a whole run of stream on m and returns its samples.
+func runAll(m *Machine, stream isa.Stream, maxInsts, interval uint64) [][]float64 {
+	var out [][]float64
+	r := m.Start(context.Background(), stream, maxInsts, interval)
+	for v, ok := r.Next(); ok; v, ok = r.Next() {
+		out = append(out, v)
+	}
+	return out
+}
+
 // runProg runs a program for maxInsts on a fresh machine and returns it.
 func runProg(t *testing.T, p workload.Program, maxInsts uint64) *Machine {
 	t.Helper()
 	m := NewMachine(DefaultConfig())
-	samples := m.Run(p.Stream(rand.New(rand.NewSource(42))), maxInsts, 10_000)
+	samples := runAll(m, p.Stream(rand.New(rand.NewSource(42))), maxInsts, 10_000)
 	if len(samples) == 0 {
 		t.Fatalf("%s produced no samples", p.Info().Name)
 	}
@@ -189,7 +201,7 @@ func TestBenignBranchyStillSquashes(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []float64 {
 		m := NewMachine(DefaultConfig())
-		m.Run(attacks.SpectreV1("fr").Stream(rand.New(rand.NewSource(7))), 20_000, 10_000)
+		runAll(m, attacks.SpectreV1("fr").Stream(rand.New(rand.NewSource(7))), 20_000, 10_000)
 		return m.Reg.Snapshot(nil)
 	}
 	a, b := run(), run()
@@ -203,7 +215,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestSampleWidthMatchesRegistry(t *testing.T) {
 	m := NewMachine(DefaultConfig())
-	samples := m.Run(benign.Bzip2().Stream(rand.New(rand.NewSource(1))), 25_000, 10_000)
+	samples := runAll(m, benign.Bzip2().Stream(rand.New(rand.NewSource(1))), 25_000, 10_000)
 	for _, s := range samples {
 		if len(s) != m.NumCounters() {
 			t.Fatalf("sample width %d != %d counters", len(s), m.NumCounters())
@@ -218,7 +230,7 @@ func TestLeakMarksRecorded(t *testing.T) {
 	p := attacks.SpectreV1("fr")
 	stream := p.Stream(rand.New(rand.NewSource(3)))
 	m := NewMachine(DefaultConfig())
-	m.Run(stream, 20_000, 10_000)
+	runAll(m, stream, 20_000, 10_000)
 	ls := stream.(*workload.LoopStream)
 	if len(ls.LeakMarks()) == 0 {
 		t.Fatalf("no leak marks recorded")

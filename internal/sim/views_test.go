@@ -149,14 +149,15 @@ func TestLockstepViewsMatchPerOpCounts(t *testing.T) {
 		cases := viewCases(&m.Pipe.C, o)
 		snap := make([]float64, m.Reg.Len())
 		lagging := 0
-		m.Pipe.OnCommit = func(n uint64) {
-			commits += n
+		// An interval-1 sampler fires at every commit.
+		m.Pipe.Sampler = stats.NewSampler(m.Reg, 1, func([]float64) {
+			commits++
 			if !s.ended && o.executed() == o.stepped()-1 {
 				lagging++ // the op being stepped has not executed yet
 			}
 			checkViews(t, m, cases, snap, "commit")
-		}
-		m.Pipe.Run(s, 0, nil)
+		})
+		m.Pipe.Run(s, 0)
 		if commits != uint64(len(ops)) {
 			t.Fatalf("%d commits, want %d", commits, len(ops))
 		}

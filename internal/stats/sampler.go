@@ -50,15 +50,16 @@ func (s *Sampler) Interval() uint64 { return s.interval }
 func (s *Sampler) Tick(n uint64) int {
 	s.committed += n
 	fired := 0
-	for s.committed >= s.nextFire {
+	for ; s.committed >= s.nextFire; fired++ {
 		s.fire()
-		s.nextFire += s.interval
-		fired++
 	}
 	return fired
 }
 
+// fire emits the delta since the last sample and moves the next boundary
+// one interval on.
 func (s *Sampler) fire() {
+	s.nextFire += s.interval
 	s.reg.Snapshot(s.cur)
 	delta := make([]float64, len(s.cur))
 	for i := range s.cur {

@@ -10,7 +10,6 @@ import (
 
 	"perspectron/internal/isa"
 	"perspectron/internal/retry"
-	"perspectron/internal/sim"
 	"perspectron/internal/telemetry"
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/benign"
@@ -214,71 +213,6 @@ func TestCollectRetryRecordsBackoffTelemetry(t *testing.T) {
 	if h.Count() == 0 {
 		t.Fatalf("no backoff sleep recorded")
 	}
-}
-
-func TestRunSourceNextCtxDeadline(t *testing.T) {
-	m := sim.NewMachine(sim.DefaultConfig())
-	// A stream that produces one interval quickly, then stalls far longer
-	// than the per-sample deadline (and ends itself after the stall window,
-	// so the producer goroutine is reclaimed promptly).
-	src := NewRunSource(context.Background(), m, &stallProg{stallAfter: 15_000, delay: 10 * time.Millisecond, stallOps: 60},
-		0, 1, CollectConfig{MaxInsts: 1 << 40, Interval: 10_000})
-	defer src.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	s, ok := src.Next(ctx)
-	cancel()
-	if !ok || s == nil {
-		t.Fatalf("first sample not delivered before the stall")
-	}
-	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, ok := src.Next(ctx); ok {
-		t.Fatalf("stalled source delivered a sample inside the deadline")
-	}
-	if ctx.Err() == nil {
-		t.Fatalf("Next returned false without a context error on a live run")
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatalf("Next did not honor the per-sample deadline")
-	}
-}
-
-// stallProg streams plain ops, then sleeps `delay` per op after stallAfter
-// ops — a pathologically slow sample source. After stallOps stalled ops the
-// stream ends, bounding how long a stuck producer goroutine lingers.
-type stallProg struct {
-	stallAfter uint64
-	delay      time.Duration
-	stallOps   uint64
-}
-
-func (p *stallProg) Info() workload.Info {
-	return workload.Info{Name: "staller", Label: workload.Benign, Category: "test"}
-}
-
-func (p *stallProg) Stream(_ *rand.Rand) isa.Stream {
-	return &stallStream{after: p.stallAfter, delay: p.delay, stallOps: p.stallOps}
-}
-
-type stallStream struct {
-	n        uint64
-	after    uint64
-	delay    time.Duration
-	stallOps uint64
-	op       isa.Op
-}
-
-func (s *stallStream) Next() (*isa.Op, bool) {
-	s.n++
-	if s.n > s.after {
-		if s.n > s.after+s.stallOps {
-			return nil, false
-		}
-		time.Sleep(s.delay)
-	}
-	s.op = isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu, PC: 0x4000 + 4*s.n}
-	return &s.op, true
 }
 
 func TestFilterCarriesDropped(t *testing.T) {

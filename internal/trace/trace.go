@@ -218,16 +218,20 @@ func Collect(ctx context.Context, progs []workload.Program, cfg CollectConfig) *
 	return ds
 }
 
-// collectOne executes a single program run by draining its RunSource — the
+// collectOne executes a single program run by draining its Source — the
 // producer recorded and streaming runs share — converting workload panics
 // into errors and bounding wall-clock time via the config timeout / context.
 func collectOne(ctx context.Context, prog workload.Program, run int, seed int64, cfg CollectConfig) ([]Sample, error) {
-	src := NewRunSource(ctx, sim.NewMachine(sim.DefaultConfig()), prog, run, seed, cfg)
-	var out []Sample
-	for s, ok := src.Next(ctx); ok; s, ok = src.Next(ctx) {
-		out = append(out, *s)
+	if cfg.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+		defer cancel()
 	}
-	src.Close() // releases the producer if ctx ended first; Err is valid after
+	src := NewSource(ctx, sim.NewMachine(sim.DefaultConfig()), prog, run, seed, cfg.MaxInsts, cfg.Interval)
+	var out []Sample
+	for s, ok := src.Next(); ok; s, ok = src.Next() {
+		out = append(out, s)
+	}
 	if err := src.Err(); err != nil {
 		return nil, err
 	}

@@ -188,7 +188,7 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 }
 
 // runGuarded runs f, converting a panic into the "run panicked" error a
-// RunSource reports for the same failure.
+// trace.Source reports for the same failure.
 func runGuarded(f func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -49,12 +49,11 @@ func Record(ctx context.Context, w Workload, maxInsts uint64, seed int64, interv
 	defer span.End()
 
 	m := sim.NewMachine(sim.DefaultConfig())
-	src := trace.NewRunSource(ctx, m, w, 0, seed, trace.CollectConfig{MaxInsts: maxInsts, Interval: interval})
+	src := trace.NewSource(ctx, m, w, 0, seed, maxInsts, interval)
 	rec := &Recording{Workload: info.Name, Malicious: info.Label == workload.Malicious, Interval: interval, reg: m.Reg}
-	for s, ok := src.Next(ctx); ok; s, ok = src.Next(ctx) {
+	for s, ok := src.Next(); ok; s, ok = src.Next() {
 		rec.Samples = append(rec.Samples, s.Raw)
 	}
-	src.Close() // releases the producer if ctx ended first
 	err := ctx.Err()
 	if err == nil {
 		err = src.Err()

@@ -2,8 +2,8 @@ package perspectron
 
 // Streaming sessions: the producer half of every scoring path. A Session
 // runs one workload on a fresh machine and hands back raw counter-delta
-// samples one sampling interval at a time, so a caller can apply per-sample
-// deadlines, walk the degradation ladder mid-run, and shut down promptly.
+// samples one sampling interval at a time, so a caller can time each sample,
+// walk the degradation ladder mid-run, and shut down promptly.
 // Sessions never score: every sample→verdict step goes through a RawScorer
 // (batch.go). The serving runtime (internal/serve) streams through Sessions;
 // batch monitoring records a whole run instead (record.go). A Session only
@@ -85,19 +85,18 @@ type SessionConfig struct {
 }
 
 // Session streams one workload run for a detector and/or classifier, one
-// sampling interval at a time. Create with NewSession, pull samples with
-// NextRaw, and Close when done (Close is mandatory on early abandonment —
-// it releases the producer goroutine).
+// sampling interval at a time. Create with NewSession and pull samples with
+// NextRaw, which simulates up to the next sample on the calling goroutine.
 type Session struct {
-	src    *trace.RunSource
+	src    *trace.Source
 	faults *faults.Schedule // nil: clean
 }
 
-// NewSession starts a streaming session for cfg.Workload. Either model may
-// be nil, but not both; when both are present the detector's sampling
+// NewSession prepares a streaming session for cfg.Workload. Either model
+// may be nil, but not both; when both are present the detector's sampling
 // interval drives the run and the classifier scores the same raw deltas.
-// ctx bounds the whole run (the producer observes it between instruction
-// blocks); per-sample deadlines go to NextRaw instead.
+// ctx bounds the whole run: the simulator polls it every 1024 instruction
+// fetches and, once it ends, drains and delivers what is in flight.
 func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg SessionConfig) (*Session, error) {
 	if det == nil && cls == nil {
 		return nil, fmt.Errorf("perspectron: session needs a detector or a classifier")
@@ -122,20 +121,21 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 	} else {
 		interval = cls.Interval
 	}
-	s.src = trace.NewRunSource(ctx, m, cfg.Workload, 0, cfg.Seed,
-		trace.CollectConfig{MaxInsts: cfg.MaxInsts, Interval: interval})
+	s.src = trace.NewSource(ctx, m, cfg.Workload, 0, cfg.Seed, cfg.MaxInsts, interval)
 	return s, nil
 }
 
-// NextRaw returns the next interval's raw sample, or false when the run has
-// ended or ctx expired first. Distinguish the two by ctx.Err(): nil means
-// the run genuinely ended (check Err for a workload panic). After a deadline
-// the session remains usable — the producer keeps the sample for a later
-// NextRaw. With SessionConfig.Faults set, the fault schedule has already
-// rewritten the returned vector: each sample is a fresh vector the simulator
-// no longer reads, so injecting here is exactly injecting into the run.
+// NextRaw simulates up to the next interval and returns its raw sample, or
+// false when the run has ended (check Err for a workload panic) or ctx had
+// already ended, in which case nothing is simulated. With
+// SessionConfig.Faults set, the fault schedule has already rewritten the
+// returned vector: each sample is a fresh vector the simulator no longer
+// reads, so injecting here is exactly injecting into the run.
 func (s *Session) NextRaw(ctx context.Context) (RawSample, bool) {
-	smp, ok := s.src.Next(ctx)
+	if ctx.Err() != nil {
+		return RawSample{}, false
+	}
+	smp, ok := s.src.Next()
 	if !ok {
 		return RawSample{}, false
 	}
@@ -143,10 +143,9 @@ func (s *Session) NextRaw(ctx context.Context) (RawSample, bool) {
 	return RawSample{Sample: smp.Index, Raw: smp.Raw}, true
 }
 
-// Err reports a workload panic that ended the stream; valid once NextRaw
-// has returned false with a live ctx, or after Close.
+// Err reports a workload panic that ended the stream.
 func (s *Session) Err() error { return s.src.Err() }
 
-// Close stops the underlying run and releases the producer goroutine. Safe
-// to call more than once.
+// Close ends the run where it stands; NextRaw then returns false. Safe to
+// call more than once.
 func (s *Session) Close() { s.src.Close() }
