@@ -3,14 +3,12 @@ package perspectron
 // Raw-sample scoring: the one sample→verdict implementation. Every path that
 // turns a raw counter-delta vector into a score — Replay (behind Monitor
 // and Classify), MonitorWithPolicy, the
-// promotion gate's golden evaluation and the serving runtime's shard workers
-// (internal/serve) — goes through a RawScorer, so no two of them can drift
-// apart. Sessions only produce raw
-// samples; a RawScorer can score samples from one stream or from many (the
-// bounded-queue ingest stage drains a whole shard's tick through one scorer,
-// one bit-pack plus one packed margin sweep per sample). The models are
-// read, never written, so any number of RawScorers can share one
-// hot-reloaded pair.
+// promotion gate's golden evaluation and the serving runtime's stream
+// workers (internal/serve) — goes through a RawScorer, so no two of them
+// can drift apart. Sessions only produce raw samples; a RawScorer scores
+// them with one bit-pack plus one packed margin sweep per sample. The
+// models are read, never written, so any number of RawScorers can share
+// one hot-reloaded pair.
 
 import (
 	"fmt"
@@ -20,8 +18,8 @@ import (
 )
 
 // RawSample is one sampling interval's raw counter-delta vector as produced
-// by Session.NextRaw, before any scoring: the unit of work the serving
-// ingest queues carry. Raw is machine-width (indexed by counter, not model
+// by Session.NextRaw, before any scoring: the unit of work a serving
+// stream scores. Raw is machine-width (indexed by counter, not model
 // slot) and may contain NaN/Inf fault sentinels.
 type RawSample struct {
 	// Sample is the sampling-interval index within the run (the encoding's
@@ -43,7 +41,7 @@ type RawSample struct {
 // normalized confidence degrades gracefully instead of collapsing.
 //
 // A RawScorer reuses internal scratch buffers and is NOT safe for
-// concurrent use — give each shard scorer its own.
+// concurrent use — give each serving stream its own.
 type RawScorer struct {
 	det    *Detector
 	cls    *Classifier

@@ -11,9 +11,7 @@
 //	perspectron serve  [-in detector.json] [-classifier classifier.json]
 //	                   [-workloads name,name|all|attacks|benign] [-channel fr|ff|pp]
 //	                   [-insts N] [-seed N] [-episodes N] [-verdicts FILE]
-//	                   [-poll D] [-shards N] [-queue-depth N] [-batch N]
-//	                   [-load-high F] [-load-critical F]
-//	                   [-attr-benign-every N] [-state FILE] [-log-flush D]
+//	                   [-poll D] [-attr-benign-every N] [-state FILE] [-log-flush D]
 //	                   [-disk-faults SPEC] [-disk-fault-seed N]
 //	                   [-shadow] [-shadow-workloads SPEC] [-shadow-interval D]
 //	                   [-shadow-budget N] [-shadow-insts N]
@@ -28,11 +26,10 @@
 // detector then runs in degraded mode and the report states its coverage.
 //
 // `serve` runs the long-lived supervised detection service (docs/SERVICE.md):
-// one worker per workload streaming raw samples over a consistent-hash ring
-// into bounded per-shard queues with deterministic shedding and
-// backpressure, checkpoint hot-reload with rollback, graceful degradation
-// on both counter coverage and queue load, and /healthz + /readyz next to
-// /metrics when -metrics-addr is given. SIGINT/SIGTERM drains cleanly,
+// one worker per workload, each scoring its raw samples on its own
+// goroutine as they complete, checkpoint hot-reload with rollback, graceful
+// degradation on counter coverage, and /healthz + /readyz next to /metrics
+// when -metrics-addr is given. SIGINT/SIGTERM drains cleanly,
 // flushing the verdict log.
 //
 // `explain` reconstructs a recorded verdict offline (docs/OBSERVABILITY.md):
@@ -458,12 +455,7 @@ func cmdServe(args []string) {
 	episodes := fs.Int("episodes", 0, "stop each worker after N episodes (0 = run until signalled)")
 	verdicts := fs.String("verdicts", "-", "verdict log destination: - for stdout, empty to disable, else a file (appended)")
 	poll := fs.Duration("poll", 500*time.Millisecond, "checkpoint watch cadence (negative disables hot-reload)")
-	shards := fs.Int("shards", 0, "scoring shards on the consistent-hash ring (0 = min(GOMAXPROCS, 8))")
-	queueDepth := fs.Int("queue-depth", 0, "per-shard pending-sample cap; a full queue sheds loudly (0 = 1024)")
-	batch := fs.Int("batch", 0, "max samples per scorer sweep (0 = 256)")
-	loadHigh := fs.Float64("load-high", 0, "queue pressure that starts backpressure + classifier demotion (0 = 0.75)")
-	loadCritical := fs.Float64("load-critical", 0, "queue pressure that demotes to the threshold rung (0 = 0.9)")
-	attrBenign := fs.Int("attr-benign-every", 0, "also attribute every Nth benign verdict per shard (0 = off)")
+	attrBenign := fs.Int("attr-benign-every", 0, "also attribute every Nth benign verdict per stream (0 = off)")
 	shadowOn := fs.Bool("shadow", false, "run the continual-learning shadow trainer in-process (retrain + gated promotion against -in)")
 	shadowSpec := fs.String("shadow-workloads", "all", "shadow trainer's fresh-corpus source: all|attacks|benign or names")
 	shadowInterval := fs.Duration("shadow-interval", 30*time.Second, "cadence of shadow-training rounds")
@@ -490,11 +482,6 @@ func cmdServe(args []string) {
 		Seed:           *seed,
 		MaxEpisodes:    *episodes,
 		PollInterval:   *poll,
-		Shards:         *shards,
-		QueueDepth:     *queueDepth,
-		Batch:          *batch,
-		LoadHigh:       *loadHigh,
-		LoadCritical:   *loadCritical,
 
 		AttrBenignEvery: *attrBenign,
 	}
@@ -757,12 +744,7 @@ func printExplanation(e *serve.Explanation) {
 	fmt.Printf("  mode %s  score %+.6f  flagged=%v  version %s\n",
 		r.Mode, r.Score, r.Flagged, r.Version)
 	if r.LatencyMs > 0 {
-		logMs := r.LatencyMs - r.QueueMs - r.BatchMs - r.ScoreMs
-		if logMs < 0 {
-			logMs = 0
-		}
-		fmt.Printf("  stages: queue %.3fms + batch %.3fms + score %.3fms + log %.3fms = %.3fms\n",
-			r.QueueMs, r.BatchMs, r.ScoreMs, logMs, r.LatencyMs)
+		fmt.Printf("  latency %.3fms (score %.3fms)\n", r.LatencyMs, r.ScoreMs)
 	}
 	fmt.Printf("\nreconstructed from %d fired features (checkpoint %s):\n",
 		len(r.Fired), e.Version)

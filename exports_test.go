@@ -435,7 +435,9 @@ func TestConfigKnobsAreSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	unset, total := unsetKnobs(fset, files, knobConfigs)
-	if total < 20 {
+	// The two configs declare 19 exported fields (serve 12, shadow 7); far
+	// fewer means the scanner missed a struct.
+	if total < 15 {
 		t.Fatalf("scanned only %d config fields — the scanner is broken", total)
 	}
 	for _, d := range unset {

@@ -88,21 +88,15 @@ type allocCase struct {
 }
 
 func checkVerdictAllocs(t *testing.T, s *Supervisor, cases []allocCase) {
-	sh := s.shards[0]
-	ss := newShardScorer(sh)
-	loadMode, _ := sh.load.snapshot()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newWorker(0, "alloc", "spectre_v1", false,
+			w := newWorker(0, "alloc", "spectre_v1",
 				newLadder(classifierFloor, detectorFloor, hysteresis, false))
-			it := &ingestItem{w: w, sample: tc.sample}
 			var gotAttr bool
 			s.onVerdict = func(rec VerdictRecord) { gotAttr = rec.Attr != nil }
 			defer func() { s.onVerdict = nil }()
 			allocs := testing.AllocsPerRun(200, func() {
-				now := time.Now()
-				it.enqueuedAt, it.dequeuedAt = now, now
-				if _, ok := s.scoreItem(ss, it, loadMode, now); !ok {
+				if _, ok := s.scoreItem(w, 0, tc.sample, time.Now()); !ok {
 					t.Fatal("scorer panicked")
 				}
 			})

@@ -70,33 +70,10 @@ func (l *ladder) observe(coverage float64) (mode perspectron.ServeMode, changed 
 	return l.mode, l.mode != prev
 }
 
-// observeLoad folds one queue-pressure reading (depth/capacity, 0..1) into
-// a ladder running as a shard's load rung. Pressure is mapped onto the same
-// machinery coverage uses by feeding its complement — headroom — so the
-// EWMA smoothing, floor semantics and climb-back hysteresis are shared
-// verbatim: a load ladder built with floors (1-LoadHigh, 1-LoadCritical)
-// walks classifier → detector → threshold as sustained pressure crosses
-// LoadHigh and LoadCritical, and climbs back one rung at a time only once
-// pressure clears the mark by the hysteresis margin.
-func (l *ladder) observeLoad(pressure float64) (mode perspectron.ServeMode, changed bool) {
-	return l.observe(1 - pressure)
-}
-
 // snapshot returns the current mode and smoothed coverage for health
 // reporting.
 func (l *ladder) snapshot() (mode perspectron.ServeMode, coverage float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.mode, l.ewma
-}
-
-// maxMode returns the more degraded of two serving modes — how a sample's
-// effective rung combines its worker's coverage rung with its shard's load
-// rung (rungs order classifier < detector < threshold, so the numeric max
-// is the lower rung).
-func maxMode(a, b perspectron.ServeMode) perspectron.ServeMode {
-	if b > a {
-		return b
-	}
-	return a
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 )
 
 func TestForensicsEndToEnd(t *testing.T) {
-	stages := []string{stageQueue, stageBatch, stageScore, stageLog}
+	stages := []string{stageScore, stageLog}
 	stageCount := func(name string) uint64 {
 		return telemetry.Get().Histogram(name, telemetry.LatencyBuckets).Count()
 	}
@@ -215,47 +216,58 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 	}
 }
 
-// TestShedRecordsCarryTrace forces shedding through a tiny queue and checks
-// the shed verdicts still join the trace stream and burn the shed SLO.
-func TestShedRecordsCarryTrace(t *testing.T) {
+// TestServedRecordShims checks the record fields kept only for bench/: a
+// served record has no queue or batch wait, is never shed and sits on shard
+// 0, its latency covers its score time, and it still round-trips through
+// ReadVerdictLog and Explain.
+func TestServedRecordShims(t *testing.T) {
 	det, _ := testModels(t)
+	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
 	s, err := New(Config{
-		detector:   det,
-		Workloads:  []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
-		Shards:     1,
-		QueueDepth: 4,
+		detector:       det,
+		Workloads:      []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
+		MaxInsts:       60_000,
+		MaxEpisodes:    1,
+		backoff:        fastBackoff(),
+		VerdictLogPath: path,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWorker(0, "burst", "benign", true,
-		newLadder(classifierFloor, detectorFloor, hysteresis, false))
-	var sheds []VerdictRecord
-	s.onVerdict = func(rec VerdictRecord) {
-		if rec.Shed {
-			sheds = append(sheds, rec)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Run(ctx); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	recs, corrupt, _, err := ReadVerdictLog(path, 0)
+	if err != nil || corrupt != 0 {
+		t.Fatalf("reading the log: err=%v corrupt=%d", err, corrupt)
+	}
+	served, explained := 0, 0
+	for _, rec := range recs {
+		if rec.Mode == ModeRecovery {
+			continue
 		}
-	}
-	// No scorer running: the queue fills at depth 4 and everything after
-	// sheds deterministically.
-	rs := perspectron.RawSample{Sample: 0, Raw: make([]float64, 8)}
-	for i := 0; i < 10; i++ {
-		rs.Sample = i
-		s.route(w, 3, rs)
-	}
-	if len(sheds) != 6 {
-		t.Fatalf("%d sheds, want 6", len(sheds))
-	}
-	for _, rec := range sheds {
-		want := fmt.Sprintf("burst/3/%d", rec.Sample)
-		if rec.Trace != want {
-			t.Fatalf("shed trace = %q, want %q", rec.Trace, want)
+		served++
+		if rec.QueueMs != 0 || rec.BatchMs != 0 || rec.Shed || rec.Shard != 0 {
+			t.Fatalf("shim field set: %+v", rec)
 		}
-		if rec.QueueMs < 0 {
-			t.Fatalf("shed queue wait negative: %+v", rec)
+		if rec.ScoreMs <= 0 || rec.LatencyMs < rec.ScoreMs {
+			t.Fatalf("latency %.6fms below score %.6fms", rec.LatencyMs, rec.ScoreMs)
 		}
+		if rec.Fired == nil {
+			continue
+		}
+		e, err := Explain(det, rec, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.Consistent() {
+			t.Fatalf("explain diverged on %s: %v", rec.Trace, e.Diffs)
+		}
+		explained++
 	}
-	if h := s.Health(); h.SLO.ShedFraction == 0 {
-		t.Fatalf("sheds not folded into SLO: %+v", h.SLO)
+	if served == 0 || explained == 0 {
+		t.Fatalf("%d served records, %d explained — need both", served, explained)
 	}
 }

@@ -17,11 +17,12 @@ type WorkerHealth struct {
 	Episodes int64   `json:"episodes"`
 	Failures int64   `json:"failures"`
 	Restarts int64   `json:"restarts"` // goroutine restarts after a panic
-	Sheds    int64   `json:"sheds"`    // samples shed by admission control
 	LastErr  string  `json:"last_error,omitempty"`
 }
 
-// ShardHealth is one scoring shard's row in the /healthz report.
+// ShardHealth was one scoring shard's row in the /healthz report. Serve has
+// no shards, so no row is ever reported; the type is read by bench/ until
+// the next benchmark PR.
 type ShardHealth struct {
 	Shard    int     `json:"shard"`
 	Depth    int     `json:"depth"`    // samples queued now
@@ -37,12 +38,12 @@ type ShardHealth struct {
 }
 
 // Health is the /healthz body: overall status, the live model versions, the
-// hot-reload ledger, per-worker and per-shard state.
+// hot-reload ledger and per-worker state.
 type Health struct {
-	// Status is "ok" (every worker on its top rung, breakers closed, no
-	// shard down or load-degraded), "degraded" (any worker or shard on a
-	// lower rung, an open breaker, a down shard, a rolled-back reload, or a
-	// failing verdict log), or "draining" (shutdown in progress).
+	// Status is "ok" (every worker on its top rung, breakers closed),
+	// "degraded" (any worker on a lower rung, an open breaker, a
+	// rolled-back reload, a failing verdict log, a drift alarm or an SLO
+	// breach), or "draining" (shutdown in progress).
 	Status string `json:"status"`
 	Ready  bool   `json:"ready"`
 	// MetricsAddr is the bound metrics/health listen address — the
@@ -76,7 +77,8 @@ type Health struct {
 	// SLO is the burn-rate block; a breach degrades Status.
 	SLO     SLOHealth      `json:"slo"`
 	Workers []WorkerHealth `json:"workers"`
-	Shards  []ShardHealth  `json:"shards"`
+	// Shards is always empty; read by bench/ until the next benchmark PR.
+	Shards []ShardHealth `json:"shards"`
 }
 
 // DriftProbe reports a shadow trainer's current smoothed drift and whether
@@ -150,7 +152,6 @@ func (s *Supervisor) Health() Health {
 			Episodes: w.episodes.Load(),
 			Failures: w.failures.Load(),
 			Restarts: w.restarts.Load(),
-			Sheds:    w.sheds.Load(),
 		}
 		if e := w.lastErr.Load(); e != nil {
 			wh.LastErr = *e
@@ -159,27 +160,6 @@ func (s *Supervisor) Health() Health {
 			degraded = true
 		}
 		h.Workers = append(h.Workers, wh)
-	}
-	for _, sh := range s.shards {
-		mode, headroom := sh.load.snapshot()
-		brk, _, _ := sh.breaker.snapshot()
-		shh := ShardHealth{
-			Shard:    sh.id,
-			Depth:    sh.depth(),
-			Capacity: sh.cap,
-			Pressure: 1 - headroom, // the load ladder smooths headroom
-			LoadMode: mode.String(),
-			Breaker:  brk,
-			Down:     sh.down.Load(),
-			Enqueued: sh.enqueued.Load(),
-			Scored:   sh.scored.Load(),
-			Shed:     sh.shed.Load(),
-			Panics:   sh.panics.Load(),
-		}
-		if shh.Down || shh.LoadMode != topMode || shh.Breaker != "closed" {
-			degraded = true
-		}
-		h.Shards = append(h.Shards, shh)
 	}
 	if degraded {
 		h.Status = "degraded"
@@ -210,10 +190,11 @@ func (s *Supervisor) Healthz() http.Handler {
 // Readyz answers 200 once the initial checkpoints are loaded and the workers
 // are running, 503 before that and while draining. The body is truthful
 // about partial health: "ok" only when nothing is degraded, "degraded" when
-// the service is up but shedding, load-degraded, or running on a lower
-// ladder rung — still 200, because degraded-but-serving is exactly what the
-// overload machinery exists to provide, but callers that care can read the
-// body (or /healthz) instead of trusting the status code alone.
+// the service is up but running on a lower ladder rung, behind an open
+// breaker or otherwise degraded per Health — still 200, because
+// degraded-but-serving is exactly what the ladder exists to provide, but
+// callers that care can read the body (or /healthz) instead of trusting the
+// status code alone.
 func (s *Supervisor) Readyz() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		if s.ready.Load() && !s.draining.Load() {

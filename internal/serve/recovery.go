@@ -11,7 +11,7 @@ package serve
 //
 //	enqueued == records + lost
 //
-// (records = scored + shed + error verdicts on disk, lost = counted-lossy
+// (records = scored and error verdicts on disk, lost = counted-lossy
 // drops + lost_on_crash) holds across restarts. Every recovery stamps a
 // mode:"recovery" accounting record into the log carrying the new session
 // number and the verdicts attributed to the crash.
@@ -37,7 +37,7 @@ import (
 type ServeState struct {
 	// Sessions counts process incarnations (1-based; each recovery bumps it).
 	Sessions int `json:"sessions"`
-	// Enqueued is every sample ever admitted to the ingest stage.
+	// Enqueued is every sample ever admitted to scoring.
 	Enqueued int64 `json:"enqueued"`
 	// Records is every sample verdict that reached the log on disk
 	// (recovery stamps excluded).
@@ -473,12 +473,12 @@ func (s *Supervisor) durableSnapshot() *DurableHealth {
 	return d
 }
 
-// sessionEnqueued sums the shards' admission counters — this incarnation's
-// contribution to the durable Enqueued ledger.
+// sessionEnqueued sums the workers' admission counters — this
+// incarnation's contribution to the durable Enqueued ledger.
 func (s *Supervisor) sessionEnqueued() int64 {
 	var n int64
-	for _, sh := range s.shards {
-		n += sh.enqueued.Load()
+	for _, w := range s.workers {
+		n += w.enqueued.Load()
 	}
 	return n
 }

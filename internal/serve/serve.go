@@ -1,23 +1,22 @@
 // Package serve is the resilient long-running detection service around the
 // perspectron models: a supervisor runs one monitor worker per workload
-// stream, each worker streaming raw samples through the Session API into a
-// bounded ingest stage — per-shard ring buffers over a consistent-hash ring
-// — where shard scorers batch-score them through the bit-packed RawScorer
-// path. Worker panics are recovered, failed episodes restart with jittered
-// exponential backoff behind a per-worker circuit breaker, model
-// checkpoints hot-reload from disk with rollback to the last good version,
-// and scoring degrades through an explicit ladder (classifier → detector →
-// threshold policy) as counter coverage drops or queue pressure rises; a
-// full queue sheds deterministically and loudly (every shed is logged and
-// counted). Liveness and model state are exposed on /healthz and /readyz
-// next to /metrics. See docs/SERVICE.md.
+// stream, each worker streaming raw samples through the Session API and
+// scoring every sample on its own goroutine, in the call that completed
+// it, through the bit-packed RawScorer path. Worker panics are recovered,
+// failed episodes restart with jittered exponential backoff behind a
+// per-worker circuit breaker, model checkpoints hot-reload from disk with
+// rollback to the last good version, and scoring degrades through an
+// explicit ladder (classifier → detector → threshold policy) as counter
+// coverage drops. Every sample yields exactly one verdict record. Liveness
+// and model state are exposed on /healthz and /readyz next to /metrics.
+// See docs/SERVICE.md.
 package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +33,7 @@ const (
 	episodeTimeout = 60 * time.Second
 	// classifierFloor and detectorFloor are the smoothed-coverage levels
 	// below which the ladder abandons the classifier and the detector;
-	// hysteresis is the climb-back margin, shared with the load rung.
+	// hysteresis is the climb-back margin.
 	classifierFloor = 0.9
 	detectorFloor   = 0.5
 	hysteresis      = 0.05
@@ -58,9 +57,6 @@ const (
 	// before a trial episode.
 	breakerThreshold = 3
 	breakerCooldown  = 5 * time.Second
-	// pace is the producer's sleep per sample once its shard crosses
-	// LoadHigh: the backpressure half of the overload contract.
-	pace = time.Millisecond
 )
 
 // Config configures a Supervisor. Zero-valued fields fall back to the
@@ -85,23 +81,6 @@ type Config struct {
 	// 0 means run until the context ends (the service default).
 	MaxEpisodes int
 
-	// Shards is the number of scoring lanes samples are hashed onto
-	// (default min(GOMAXPROCS, 8)).
-	Shards int
-	// QueueDepth caps each shard's pending-sample ring buffer (default
-	// 1024). A full ring sheds — oldest benign-stream sample first — and
-	// every shed is logged and counted, never silent.
-	QueueDepth int
-	// Batch bounds how many samples one scorer tick drains (default 256).
-	Batch int
-	// LoadHigh and LoadCritical are the smoothed queue-pressure marks
-	// (depth/capacity) at which a shard's load rung abandons the classifier
-	// (default 0.75) and the detector (default 0.9) — degrading scoring
-	// cost before latency collapses. Producers also start pacing once their
-	// shard crosses LoadHigh: the backpressure half of the contract.
-	LoadHigh     float64
-	LoadCritical float64
-
 	// PollInterval is the checkpoint watcher's cadence (default 500ms;
 	// negative disables watching).
 	PollInterval time.Duration
@@ -122,7 +101,7 @@ type Config struct {
 	LogFlushInterval time.Duration
 
 	// AttrBenignEvery additionally attributes every Nth non-flagged verdict
-	// per shard, so the flight recorder shows what "normal" looks like too
+	// per worker, so the flight recorder shows what "normal" looks like too
 	// (0 disables benign sampling; flagged samples are always attributed).
 	// Forensics are always on, so a negative value is a New error.
 	AttrBenignEvery int
@@ -142,7 +121,6 @@ type Config struct {
 	backoff          retry.Policy
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	pace             time.Duration
 }
 
 func (c *Config) withDefaults() Config {
@@ -170,30 +148,6 @@ func (c *Config) withDefaults() Config {
 		out.LogFlushInterval = 500 * time.Millisecond
 	}
 	out.derivePaths()
-	if out.Shards <= 0 {
-		out.Shards = runtime.GOMAXPROCS(0)
-		if out.Shards > 8 {
-			out.Shards = 8
-		}
-	}
-	if out.QueueDepth <= 0 {
-		out.QueueDepth = 1024
-	}
-	if out.Batch <= 0 {
-		out.Batch = 256
-	}
-	if out.LoadHigh <= 0 || out.LoadHigh > 1 {
-		out.LoadHigh = 0.75
-	}
-	if out.LoadCritical <= 0 || out.LoadCritical > 1 {
-		out.LoadCritical = 0.9
-	}
-	if out.LoadCritical < out.LoadHigh {
-		out.LoadCritical = out.LoadHigh
-	}
-	if out.pace <= 0 {
-		out.pace = pace
-	}
 	return out
 }
 
@@ -202,14 +156,17 @@ type worker struct {
 	id       int
 	name     string
 	prog     perspectron.Workload
-	benign   bool // ground-truth label, drives the shed policy
 	breaker  *breaker
 	ladder   *ladder
 	episodes atomic.Int64 // completed episodes
 	failures atomic.Int64 // failed episodes
 	restarts atomic.Int64 // goroutine restarts after a panic
-	sheds    atomic.Int64 // samples shed by admission control
+	enqueued atomic.Int64 // samples admitted to scoring, one record each
 	lastErr  atomic.Pointer[string]
+
+	// sc is the stream's scoring state, touched only by the goroutine
+	// running the worker's episodes.
+	sc verdictScorer
 
 	// The stream's counters, labeled by its family (see newWorker) rather
 	// than its name, so the series count is bounded by the number of
@@ -221,7 +178,7 @@ type worker struct {
 // newWorker returns one stream's runtime state with its counters resolved
 // once. family is the stream's workload category, or "benign" for a benign
 // stream.
-func newWorker(id int, name, family string, benign bool, lad *ladder) *worker {
+func newWorker(id int, name, family string, lad *ladder) *worker {
 	reg := telemetry.Get()
 	counter := func(series string) *telemetry.Counter {
 		return reg.Counter(telemetry.Name(series, "family", family))
@@ -229,8 +186,8 @@ func newWorker(id int, name, family string, benign bool, lad *ladder) *worker {
 	return &worker{
 		id:              id,
 		name:            name,
-		benign:          benign,
 		ladder:          lad,
+		sc:              newVerdictScorer(reg),
 		flagged:         counter("perspectron_serve_flagged_total"),
 		episodesTotal:   counter("perspectron_serve_episodes_total"),
 		episodeFailures: counter("perspectron_serve_episode_failures_total"),
@@ -247,21 +204,14 @@ func family(info workload.Info) string {
 	return info.Category
 }
 
-// Supervisor owns the workers, the shard ring, the model pointer, the
-// checkpoint watcher and the health surface. Create with New, drive with
-// Run.
+// Supervisor owns the workers, the model pointer, the checkpoint watcher
+// and the health surface. Create with New, drive with Run.
 type Supervisor struct {
 	cfg     Config
 	models  atomic.Pointer[Models]
 	watch   *watcher
 	workers []*worker
-	ring    *ring
-	shards  []*shard
 	log     *verdictLog
-
-	// produceDone closes once every stream worker has exited; scorers then
-	// finish draining their queues and stop. Created by Run.
-	produceDone chan struct{}
 
 	// flight is the flight recorder: the last flightSize attributed
 	// verdict records, served at /debug/verdicts. The verdict log is the
@@ -286,7 +236,7 @@ type Supervisor struct {
 	// scoreHook (tests only) runs before each sample is scored — the chaos
 	// harness's scorer-panic injection point. onVerdict (tests only)
 	// observes every verdict record after logging.
-	scoreHook func(*ingestItem)
+	scoreHook func()
 	onVerdict func(VerdictRecord)
 }
 
@@ -367,19 +317,11 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	for i, w := range cfg.Workloads {
 		info := w.Info()
-		wk := newWorker(i, info.Name, family(info), info.Label == workload.Benign,
+		wk := newWorker(i, info.Name, family(info),
 			newLadder(classifierFloor, detectorFloor, hysteresis, cls != nil))
 		wk.prog = w
 		wk.breaker = newBreaker(cfg.breakerThreshold, cfg.breakerCooldown)
 		s.workers = append(s.workers, wk)
-	}
-	s.ring = newRing(cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		// The load rung reuses the coverage ladder on headroom = 1-pressure,
-		// so its floors are the complements of the pressure marks.
-		load := newLadder(1-cfg.LoadHigh, 1-cfg.LoadCritical, hysteresis, cls != nil)
-		s.shards = append(s.shards, newShard(i, cfg.QueueDepth, load,
-			newBreaker(cfg.breakerThreshold, cfg.breakerCooldown)))
 	}
 	return s, nil
 }
@@ -396,12 +338,11 @@ func (s *Supervisor) pollNow() {
 	}
 }
 
-// Run starts the watcher, one scorer goroutine per shard, and one producer
-// goroutine per worker, then blocks until every worker finishes
-// (MaxEpisodes) or ctx ends. On ctx cancellation it drains: workers stop at
-// their next sample, scorers finish every queued sample (each one scored or
-// shed — never dropped), the verdict log flushes, and Run returns with zero
-// goroutines left behind.
+// Run starts the watcher and one goroutine per worker, then blocks until
+// every worker finishes (MaxEpisodes) or ctx ends. On ctx cancellation it
+// drains: workers stop at their next sample, every sample already admitted
+// has its verdict logged (scoring is synchronous, so none is in flight), the
+// verdict log flushes, and Run returns with zero goroutines left behind.
 func (s *Supervisor) Run(ctx context.Context) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -439,15 +380,6 @@ func (s *Supervisor) Run(ctx context.Context) error {
 			}
 		}()
 	}
-	s.produceDone = make(chan struct{})
-	var scorerWg sync.WaitGroup
-	for _, sh := range s.shards {
-		scorerWg.Add(1)
-		go func(sh *shard) {
-			defer scorerWg.Done()
-			s.scoreShard(sh)
-		}(sh)
-	}
 	var workerWg sync.WaitGroup
 	for _, w := range s.workers {
 		workerWg.Add(1)
@@ -469,8 +401,6 @@ func (s *Supervisor) Run(ctx context.Context) error {
 		<-workersDone
 	}
 	s.draining.Store(true)
-	close(s.produceDone) // scorers drain their queues and exit
-	scorerWg.Wait()
 	cancel() // release the watcher and the flush loop
 	watchWg.Wait()
 	flushWg.Wait()
@@ -486,9 +416,9 @@ func (s *Supervisor) Run(ctx context.Context) error {
 }
 
 // superviseWorker keeps one worker alive: the inner loop runs episodes with
-// breaker + backoff; a panic that escapes an episode (scoring bug, not
-// workload panic — those surface as errors) is recovered here and the loop
-// restarts.
+// breaker + backoff; a panic that escapes an episode (a bug in the episode
+// loop itself: workload and scoring panics are recovered inside the
+// episode) is recovered here and the loop restarts.
 func (s *Supervisor) superviseWorker(ctx context.Context, w *worker) {
 	reg := telemetry.Get()
 	s.running.Add(1)
@@ -555,14 +485,15 @@ func (s *Supervisor) runEpisodeLoop(ctx context.Context, w *worker) (normal bool
 	return true
 }
 
-// episode runs the workload once end to end as a pure producer: it
-// simulates on its own goroutine and routes each raw sample into the ingest
-// stage as the sample completes — scoring happens on the shard scorers, not
-// here. When the target shard is past LoadHigh the producer paces (sleeps
-// pace per sample): the backpressure half of the overload contract.
-// Workload panics surface as errors through the session; a sample that
-// takes longer than sampleTimeout to simulate, counted from the previous
-// sample or from the run's start, fails the episode.
+// episode runs the workload once end to end and scores each raw sample
+// on this goroutine, in the NextRaw call that completed it: no queue
+// stands between a sample and its verdict. A scoring panic still yields a
+// verdict record (mode "error") and counts against the worker's breaker;
+// once the breaker opens the episode fails, so the episode loop's backoff
+// and cooldown apply. Workload panics surface as errors through the
+// session; a sample that takes longer than sampleTimeout to simulate,
+// counted from the previous verdict or from the run's start, fails the
+// episode.
 func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -572,7 +503,7 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 	epCtx, cancel := context.WithTimeout(ctx, episodeTimeout)
 	defer cancel()
 
-	mdl := s.models.Load() // pinned for the whole episode
+	mdl := s.models.Load() // the session's models; each verdict loads the live ones
 	sess, err := perspectron.NewSession(epCtx, mdl.Det, mdl.Cls, perspectron.SessionConfig{
 		Workload: w.prog,
 		MaxInsts: s.cfg.MaxInsts,
@@ -584,33 +515,33 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 	}
 	defer sess.Close()
 
+	start := time.Now()
 	for {
-		start := time.Now()
 		rs, ok := sess.NextRaw(epCtx)
 		if !ok && epCtx.Err() != nil {
 			return fmt.Errorf("episode deadline: %w", epCtx.Err())
 		}
-		if time.Since(start) > s.cfg.sampleTimeout {
+		// One clock read serves the stall check and the verdict's
+		// admission stamp.
+		now := time.Now()
+		if now.Sub(start) > s.cfg.sampleTimeout {
 			return fmt.Errorf("sample stalled past %s", s.cfg.sampleTimeout)
 		}
 		if !ok {
 			break // run genuinely ended
 		}
-		pressure := s.route(w, episode, rs)
-		// Hand the P to the scorer route just woke. The runtime parks a
-		// woken goroutine in the waker's runnext slot, and this goroutine
-		// would otherwise simulate the whole next interval or run out its
-		// 10ms preemption slice first — the whole of a verdict's queue
-		// wait when streams outnumber Ps.
-		runtime.Gosched()
-		if pressure >= s.cfg.LoadHigh {
-			if !sleepCtx(epCtx, s.cfg.pace) {
-				break // drain or deadline; the session loop surfaces which
-			}
+		var scored bool
+		if start, scored = s.scoreItem(w, episode, rs, now); !scored && w.breaker.failure() {
+			w.breakerOpen.Inc()
+			return errScorerBreaker
 		}
 	}
 	return sess.Err()
 }
+
+// errScorerBreaker fails an episode whose scoring panics opened the
+// worker's breaker.
+var errScorerBreaker = errors.New("scorer panics opened the breaker")
 
 // sleepCtx sleeps d or until ctx ends, reporting false on cancellation.
 func sleepCtx(ctx context.Context, d time.Duration) bool {

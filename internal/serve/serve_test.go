@@ -313,12 +313,17 @@ func TestServiceScoresAndLogsVerdicts(t *testing.T) {
 	}
 }
 
-// TestQueueWaitStaysUnderPreemptionSlice guards the producers' yield after
-// route. With more CPU-bound simulated streams than Ps, a scorer that waits
-// for its waker's next blocking point or Go's 10ms preemption slice puts
-// about that much queue wait on every verdict; scored on arrival, the median
-// verdict waits microseconds.
-func TestQueueWaitStaysUnderPreemptionSlice(t *testing.T) {
+// TestVerdictLatencyStaysUnderOneMs guards inline scoring: four CPU-bound
+// simulated streams on 2 Ps, each scoring its own samples as they complete.
+// A verdict that waits on a queue, a scorer wake-up or another stream's
+// simulation pays up to a sample interval (about 2.5 ms here); scored in
+// the call that completed the sample, the p99 verdict costs microseconds.
+// Race instrumentation slows scoring past any useful bound, so the guard
+// runs only without the race detector.
+func TestVerdictLatencyStaysUnderOneMs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("latency bound needs an uninstrumented build")
+	}
 	det, _ := testModels(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	ws := []perspectron.Workload{
@@ -335,7 +340,6 @@ func TestQueueWaitStaysUnderPreemptionSlice(t *testing.T) {
 		detector:   det,
 		Workloads:  ws,
 		MaxInsts:   500_000,
-		Shards:     2,
 		backoff:    fastBackoff(),
 		VerdictLog: &buf,
 	})
@@ -347,22 +351,20 @@ func TestQueueWaitStaysUnderPreemptionSlice(t *testing.T) {
 	if err := s.Run(ctx); err != nil && ctx.Err() == nil {
 		t.Fatalf("run: %v", err)
 	}
-	var queue []float64
+	var latency []float64
 	sc := NewVerdictScanner(bytes.NewReader(buf.Bytes()))
 	for rec, ok := sc.Next(); ok; rec, ok = sc.Next() {
-		if !rec.Shed {
-			queue = append(queue, rec.QueueMs)
-		}
+		latency = append(latency, rec.LatencyMs)
 	}
-	if len(queue) < 20 {
-		t.Fatalf("only %d scored verdicts in 2s of %d streams", len(queue), len(ws))
+	if len(latency) < 100 {
+		t.Fatalf("only %d verdicts in 2s of %d streams", len(latency), len(ws))
 	}
-	sort.Float64s(queue)
-	p50 := queue[len(queue)/2]
-	t.Logf("median queue wait %.4f ms over %d verdicts", p50, len(queue))
-	if p50 >= 2 {
-		t.Fatalf("median queue wait %.3f ms, want < 2 ms: "+
-			"scorers wait on the simulating producers", p50)
+	sort.Float64s(latency)
+	p99 := latency[len(latency)*99/100]
+	t.Logf("p99 verdict latency %.4f ms over %d verdicts", p99, len(latency))
+	if p99 >= 1 {
+		t.Fatalf("p99 verdict latency %.3f ms, want < 1 ms: "+
+			"verdicts wait on something other than scoring", p99)
 	}
 }
 
@@ -456,11 +458,7 @@ func TestServiceStalledSourceHitsDeadlineAndBreaker(t *testing.T) {
 			if !strings.Contains(h.Workers[0].LastErr, "stalled") && !strings.Contains(h.Workers[0].LastErr, "deadline") {
 				t.Fatalf("last error %q does not mention the stall", h.Workers[0].LastErr)
 			}
-			var enqueued int64
-			for _, sh := range h.Shards {
-				enqueued += sh.Enqueued
-			}
-			if want := int64(c.stallAfter / det.Interval); enqueued < want {
+			if want, enqueued := int64(c.stallAfter/det.Interval), s.sessionEnqueued(); enqueued < want {
 				t.Fatalf("%d samples admitted, want at least the %d before the first stall", enqueued, want)
 			}
 		})
@@ -700,10 +698,9 @@ func TestNewErrors(t *testing.T) {
 }
 
 // TestConfigDefaults pins every documented default: the fixed-policy
-// constants, the zero Config's resolved fields (test seams included) and
-// the LoadCritical >= LoadHigh clamp.
+// constants and the zero Config's resolved fields (test seams included).
 func TestConfigDefaults(t *testing.T) {
-	if episodeTimeout != 60*time.Second || ringReplicas != 16 ||
+	if episodeTimeout != 60*time.Second ||
 		classifierFloor != 0.9 || detectorFloor != 0.5 || hysteresis != 0.05 ||
 		sloLatencyTarget != 50*time.Millisecond || sloLatencyBudget != 0.01 ||
 		sloShedBudget != 0.01 || sloAlpha != 0.02 ||
@@ -711,34 +708,19 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("fixed-policy constant moved")
 	}
 
-	shards := runtime.GOMAXPROCS(0)
-	if shards > 8 {
-		shards = 8
-	}
 	backoff := retry.DefaultPolicy()
 	backoff.MaxAttempts = 0
 	want := Config{
 		MaxInsts:         100_000,
-		Shards:           shards,
-		QueueDepth:       1024,
-		Batch:            256,
-		LoadHigh:         0.75,
-		LoadCritical:     0.9,
 		PollInterval:     500 * time.Millisecond,
 		LogFlushInterval: 500 * time.Millisecond,
 		sampleTimeout:    2 * time.Second,
 		backoff:          backoff,
 		breakerThreshold: 3,
 		breakerCooldown:  5 * time.Second,
-		pace:             time.Millisecond,
 	}
 	var zero Config
 	if got := zero.withDefaults(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("zero Config defaults:\n got %+v\nwant %+v", got, want)
-	}
-
-	inverted := Config{LoadHigh: 0.95, LoadCritical: 0.8}
-	if got := inverted.withDefaults(); got.LoadHigh != 0.95 || got.LoadCritical != 0.95 {
-		t.Fatalf("LoadCritical not clamped to LoadHigh: high %v critical %v", got.LoadHigh, got.LoadCritical)
 	}
 }

@@ -1,7 +1,7 @@
 package serve
 
 // SLO burn-rate tracking over the two signals an operator pages on: verdict
-// latency (enqueue→verdict beyond the target) and shed fraction (admission
+// latency (admission→verdict beyond the target) and shed fraction (admission
 // control dropping samples). Each is smoothed as an EWMA of a per-verdict
 // bad-event indicator and divided by its error budget — burn > 1 means the
 // service is currently spending budget faster than the SLO allows, which
@@ -44,7 +44,7 @@ func newSLOTracker() *sloTracker {
 	}
 }
 
-// observe folds one sample outcome into the burn state: its enqueue→verdict
+// observe folds one sample outcome into the burn state: its admission→verdict
 // latency (ignored for sheds) and whether it was shed. Called once per
 // verdict record, off the packed scoring inner loop.
 func (t *sloTracker) observe(latency time.Duration, shed bool) {

@@ -15,8 +15,8 @@ import (
 )
 
 // VerdictRecord is one sample's outcome as it appears in the verdict log
-// (JSON lines): scored, shed by admission control, or failed in the scorer.
-// Every sample admitted to the ingest stage produces exactly one record.
+// (JSON lines): scored, or failed in the scorer (mode "error"). Every
+// sample admitted to scoring produces exactly one record.
 type VerdictRecord struct {
 	Worker  string `json:"worker"`
 	Episode int    `json:"episode"`
@@ -32,24 +32,25 @@ type VerdictRecord struct {
 	// Coverage is the raw per-sample feature coverage (the ladder smooths
 	// its own copy).
 	Coverage float64 `json:"coverage"`
-	// Shard is the scoring lane the sample was routed to.
-	Shard int `json:"shard"`
-	// Shed marks a sample dropped by admission control (mode "shed") — the
-	// record is the loud half of the shed contract.
-	Shed bool `json:"shed,omitempty"`
-	// LatencyMs is enqueue-to-verdict latency for scored samples.
+	// Shard and Shed are always zero: serve scores each sample on its
+	// stream's goroutine, with no shard queue to route to or shed from.
+	// Read by bench/ until the next benchmark PR.
+	Shard int  `json:"shard"`
+	Shed  bool `json:"shed,omitempty"`
+	// LatencyMs is admission-to-verdict latency: from the clock read that
+	// closed the sample's NextRaw call to the end of scoring.
 	LatencyMs float64 `json:"latency_ms,omitempty"`
 	// Error carries the scorer failure for mode "error" records.
 	Error string `json:"error,omitempty"`
 
 	// Trace is the sample's stream-scoped trace ID (worker/episode/sample),
-	// stamped on every scored and shed record — the join key between the
-	// verdict log, the slow-verdict exemplar events in -trace-out, and
-	// /debug/verdicts.
+	// stamped on every record — the join key between the verdict log, the
+	// slow-verdict exemplar events in -trace-out, and /debug/verdicts.
 	Trace string `json:"trace,omitempty"`
-	// QueueMs/BatchMs/ScoreMs break LatencyMs into stages: admission→dequeue
-	// (queue wait), dequeue→this item's scoring turn (batch wait), and the
-	// scoring work itself. The residue (LatencyMs − sum) is log overhead.
+	// ScoreMs is the scoring work. Scoring runs at admission, so it is
+	// the whole of LatencyMs. QueueMs and BatchMs are always zero, read by
+	// bench/ until the next benchmark PR; logs from earlier versions carry
+	// the queue wait and batch wait there.
 	QueueMs float64 `json:"queue_ms,omitempty"`
 	BatchMs float64 `json:"batch_ms,omitempty"`
 	ScoreMs float64 `json:"score_ms,omitempty"`

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -14,9 +15,9 @@ import (
 )
 
 // Models is the immutable pair of scoring models a supervisor serves with.
-// Hot-reload swaps the whole pair atomically; sessions in flight keep the
-// pointer they started with, so a reload never changes a model under a
-// running episode.
+// Hot-reload swaps the whole pair atomically; each verdict loads the
+// pointer once, so a reload never changes a model under a verdict, and a
+// running episode scores with the new pair from its next sample.
 type Models struct {
 	Det *perspectron.Detector
 	Cls *perspectron.Classifier
@@ -77,9 +78,13 @@ type watcher struct {
 
 func newWatcher(detPath, clsPath string, models *atomic.Pointer[Models], poll time.Duration) *watcher {
 	w := &watcher{detPath: detPath, clsPath: clsPath, models: models, poll: poll}
+	// Seeding the jitter from the paths keeps a fleet watching different
+	// checkpoints from retrying in lockstep.
+	seed := fnv.New64a()
+	seed.Write([]byte(detPath + "\x00" + clsPath))
 	w.bo = retry.NewBackoff(retry.Policy{
 		Base: poll, Max: 16 * poll, Factor: 2, Jitter: 0.5,
-	}, int64(hashKey(detPath+"\x00"+clsPath)))
+	}, int64(seed.Sum64()))
 	if detPath != "" {
 		w.detSig, _ = sigOf(detPath)
 	}

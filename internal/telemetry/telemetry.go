@@ -186,9 +186,8 @@ var (
 	// (sub-microsecond datapath up to pathological stalls). The layout grows
 	// only by appending: the first twelve bounds are frozen (pinned by
 	// TestLatencyBucketsPrefixFrozen) so dashboards keyed on the historical
-	// `le` labels keep working, and the appended tail covers queue-wait
-	// under sustained overload, where a sample can sit for whole seconds
-	// before its shard scorer reaches it.
+	// `le` labels keep working, and the appended tail covers stalls of
+	// whole seconds.
 	LatencyBuckets = []float64{1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1,
 		2.5, 5, 10, 30, 60}
 	// DurationBuckets spans phase wall times in seconds (1 ms to 10 min).

@@ -40,9 +40,6 @@ for line in open(sys.argv[1]):
     if rec.get("mode") == "recovery":
         continue  # startup accounting stamp, not a sample verdict
     total += 1
-    if rec.get("shed"):
-        assert rec.get("trace"), rec
-        continue
     assert rec.get("trace"), rec
     if rec.get("flagged"):
         flagged += 1
