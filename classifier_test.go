@@ -2,6 +2,9 @@ package perspectron
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 )
 
@@ -127,5 +130,41 @@ func TestMajorityClassBreaksTiesByClassOrder(t *testing.T) {
 func TestTrainClassifierErrors(t *testing.T) {
 	if _, err := TrainClassifier(nil, DefaultOptions()); err == nil {
 		t.Fatalf("empty corpus accepted")
+	}
+}
+
+// classifierGolden is the SHA-256 of the saved bank trained at
+// sharedClassifier's config, frozen when the bank was fitted one class
+// after another: fitting the classes concurrently must not move a weight.
+const classifierGolden = "1d54d0ccc31f9bf9ddeddf35cd1d615f35715472a6b12be1768c7cb1b709c371"
+
+// TestTrainClassifierGolden pins the bank's saved bytes, and checks that
+// they do not depend on how many workers fit its classes.
+func TestTrainClassifierGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the classifier bank twice")
+	}
+	opts := DefaultOptions()
+	opts.MaxInsts = 150_000
+	opts.Runs = 1
+	saved := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		c, err := TrainClassifier(TrainingWorkloads(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := c.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		return hex.EncodeToString(sum[:])
+	}
+	one, four := saved(1), saved(4)
+	if one != four {
+		t.Fatalf("saved bank differs across workers: GOMAXPROCS 1 %s, 4 %s", one, four)
+	}
+	if one != classifierGolden {
+		t.Fatalf("saved bank hash %s, golden %s", one, classifierGolden)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"perspectron/internal/encoding"
+	"perspectron/internal/par"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 )
@@ -82,7 +83,9 @@ type CVConfig struct {
 // halves with encode (trace.Bits or trace.Scaled, given that fold's M, the
 // split and cfg.FeatureIdx), fits a fresh model, and scores the held-out attacks plus
 // a held-out benign slice (benign programs are split round-robin so class
-// proportions stay roughly balanced, per §VII-B).
+// proportions stay roughly balanced, per §VII-B). The folds run
+// concurrently through par.Do, each into its own slot: a fold owns its
+// split, encoding and model, and ds is only read.
 func CrossValidate[V any](ds *trace.Dataset, mk func() Model[V],
 	encode func(*encoding.Encoding, *trace.Dataset, []int) ([]V, []float64), cfg CVConfig) CVResult {
 	var res CVResult
@@ -181,9 +184,9 @@ func CrossValidate[V any](ds *trace.Dataset, mk func() Model[V],
 	}
 
 	res.Folds = make([]FoldResult, len(cfg.Folds))
-	for fi, fold := range cfg.Folds {
-		res.Folds[fi] = runFold(fi, fold)
-	}
+	par.Do(len(cfg.Folds), func(fi int) {
+		res.Folds[fi] = runFold(fi, cfg.Folds[fi])
+	})
 
 	res.MeanAccuracy, _ = MeanStd(res.Accuracies())
 	res.Confidence = Confidence95(res.Accuracies())

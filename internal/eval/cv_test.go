@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"perspectron/internal/encoding"
@@ -202,5 +204,29 @@ func TestCrossValidatePerceptronGolden(t *testing.T) {
 				t.Errorf("%s: fold %d score hash = %s, golden %s", tc.name, fi, h, tc.want[fi])
 			}
 		}
+	}
+}
+
+// TestCrossValidateIndependentOfWorkers checks that the folds, which run
+// concurrently, give the same CVResult at one worker as at four, for a
+// seeded neural network over scaled rows and the perceptron over packed
+// rows.
+func TestCrossValidateIndependentOfWorkers(t *testing.T) {
+	cfg := CVConfig{Folds: TableIIIFolds(), Threshold: 0}
+	at := func(procs int) (CVResult, CVResult) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		mlp := CrossValidate(synthDataset(), func() Model[[]float64] { return ml.NewMLP() }, trace.Scaled, cfg)
+		pct := CrossValidate(synthDataset(), func() Model[encoding.BitVec] {
+			return perceptron.New(2, perceptron.DefaultConfig())
+		}, trace.Bits, cfg)
+		return mlp, pct
+	}
+	mlp1, pct1 := at(1)
+	mlp4, pct4 := at(4)
+	if !reflect.DeepEqual(mlp1, mlp4) {
+		t.Errorf("MLP CV differs across workers:\n 1: %+v\n 4: %+v", mlp1, mlp4)
+	}
+	if !reflect.DeepEqual(pct1, pct4) {
+		t.Errorf("perceptron CV differs across workers:\n 1: %+v\n 4: %+v", pct1, pct4)
 	}
 }

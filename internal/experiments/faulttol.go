@@ -50,13 +50,16 @@ func FaultTol(cfg Config) *FaultTolResult {
 	// Every (workload, seed) run is simulated once and replayed under each
 	// dropout rate: faults rewrite sampled vectors only, so a replay equals
 	// a simulation with the faults injected.
-	var attacks, benign []*perspectron.Recording
+	var runs []monitoredRun
 	for i, w := range perspectron.AttackWorkloads() {
-		attacks = append(attacks, record(w, cfg, cfg.Seed+int64(i)*131))
+		runs = append(runs, monitoredRun{w, cfg, cfg.Seed + int64(i)*131})
 	}
+	nAttacks := len(runs)
 	for i, w := range perspectron.BenignWorkloads() {
-		benign = append(benign, record(w, cfg, cfg.Seed+int64(i)*151))
+		runs = append(runs, monitoredRun{w, cfg, cfg.Seed + int64(i)*151})
 	}
+	recs := recordEach(runs)
+	attacks, benign := recs[:nAttacks], recs[nAttacks:]
 	for _, rate := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
 		fc := &perspectron.FaultConfig{Seed: cfg.Seed + 1, Dropout: rate}
 		row := FaultTolRow{Rate: rate, Attacks: len(attacks)}

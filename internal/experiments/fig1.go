@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"perspectron/internal/encoding"
+	"perspectron/internal/par"
 	"perspectron/internal/sim"
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/attacks"
@@ -52,8 +53,11 @@ func Fig1(cfg Config) *Fig1Result {
 		benign.Bzip2(),
 	}
 
+	// The runs are independent, so they simulate concurrently through
+	// par.Do, each into its own row of raw.
 	raw := make([][]float64, len(progs))
-	for pi, p := range progs {
+	par.Do(len(progs), func(pi int) {
+		p := progs[pi]
 		m := sim.NewMachine(sim.DefaultConfig())
 		m.RunStream(p.Stream(rand.New(rand.NewSource(cfg.Seed))), cfg.MaxInsts, cfg.Interval, func(int, []float64) bool { return true })
 		vals := make([]float64, len(fig1Counters))
@@ -65,7 +69,7 @@ func Fig1(cfg Config) *Fig1Result {
 			vals[ci] = c.Value()
 		}
 		raw[pi] = vals
-	}
+	})
 
 	// Normalize per counter to the corpus maximum: an encoding with global
 	// maxima only, read at no particular execution point.

@@ -38,6 +38,16 @@ func trainPerSpectron(p *Prepared, threshold float64) *modelScorer[encoding.BitV
 		clf: det, threshold: threshold}
 }
 
+// polymorphicRuns are the 12 polymorphic variants' monitored runs, shared
+// by Fig. 3 and Table IV's evasion suite.
+func polymorphicRuns(cfg Config) []monitoredRun {
+	var runs []monitoredRun
+	for i, prog := range attacks.AllPolymorphic("fr") {
+		runs = append(runs, monitoredRun{prog, cfg, cfg.Seed + int64(i)*101})
+	}
+	return runs
+}
+
 // Fig3 trains PerSpectron on the core corpus (which contains no polymorphic
 // variants) and monitors each variant.
 func Fig3(cfg Config) *Fig3Result {
@@ -45,8 +55,8 @@ func Fig3(cfg Config) *Fig3Result {
 	sc := trainPerSpectron(p, 0.25)
 
 	res := &Fig3Result{Interval: cfg.Interval, Threshold: sc.threshold}
-	for i, prog := range attacks.AllPolymorphic("fr") {
-		v := sc.verdict(record(prog, cfg, cfg.Seed+int64(i)*101))
+	for _, rec := range recordEach(polymorphicRuns(cfg)) {
+		v := sc.verdict(rec)
 		res.Series = append(res.Series, Fig3Series{
 			Variant:   strings.TrimPrefix(v.Name, "spectreV1-poly-"),
 			Scores:    v.Scores,

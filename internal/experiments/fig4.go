@@ -35,15 +35,20 @@ func Fig4(cfg Config) *Fig4Result {
 	sc := trainPerSpectron(p, 0.25)
 
 	res := &Fig4Result{Interval: cfg.Interval, Threshold: sc.threshold}
-	for _, factor := range []float64{1.0, 0.75, 0.5, 0.25} {
+	factors := []float64{1.0, 0.75, 0.5, 0.25}
+	var runs []monitoredRun
+	for _, factor := range factors {
 		prog := attacks.Bandwidth(attacks.SpectreV1("fr"), factor)
 		// Lower bandwidth needs proportionally longer runs to show the
 		// same number of attack phases.
 		runCfg := cfg
 		runCfg.MaxInsts = uint64(float64(cfg.MaxInsts) / factor)
-		v := sc.verdict(record(prog, runCfg, cfg.Seed+17))
+		runs = append(runs, monitoredRun{prog, runCfg, cfg.Seed + 17})
+	}
+	for i, rec := range recordEach(runs) {
+		v := sc.verdict(rec)
 		res.Series = append(res.Series, Fig4Series{
-			Factor:    factor,
+			Factor:    factors[i],
 			Scores:    v.Scores,
 			FirstFlag: v.FirstFlag,
 			FirstLeak: v.FirstLeak,

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"perspectron/internal/par"
 	"perspectron/internal/sim"
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/attacks"
@@ -31,14 +32,27 @@ type MitigationResult struct {
 	NoiseBenignMispredicts map[int]float64
 }
 
-func runCycles(p workload.Program, cfg Config, seed int64, prep func(*sim.Machine)) (*sim.Machine, uint64) {
-	m := sim.NewMachine(sim.DefaultConfig())
-	if prep != nil {
-		prep(m)
-	}
-	m.RunStream(p.Stream(rand.New(rand.NewSource(seed))), cfg.MaxInsts, cfg.Interval, func(int, []float64) bool { return true })
-	return m, m.Pipe.Cycle()
+// mitigationRun is one of the studies' runs: a program at a seed on a
+// machine prep configures, and the machine once simulated.
+type mitigationRun struct {
+	prog workload.Program
+	seed int64
+	prep func(*sim.Machine)
+	m    *sim.Machine
 }
+
+// simulate runs r at cfg's run length and interval on a fresh machine.
+func (r *mitigationRun) simulate(cfg Config) {
+	m := sim.NewMachine(sim.DefaultConfig())
+	if r.prep != nil {
+		r.prep(m)
+	}
+	m.RunStream(r.prog.Stream(rand.New(rand.NewSource(r.seed))), cfg.MaxInsts, cfg.Interval, func(int, []float64) bool { return true })
+	r.m = m
+}
+
+// cycles is the simulated run's cycle count.
+func (r *mitigationRun) cycles() float64 { return float64(r.m.Pipe.Cycle()) }
 
 func counter(m *sim.Machine, name string) float64 {
 	c, ok := m.Reg.Lookup(name)
@@ -48,7 +62,9 @@ func counter(m *sim.Machine, name string) float64 {
 	return c.Value()
 }
 
-// Mitigate runs the three mitigation studies.
+// Mitigate runs the three mitigation studies. Their runs are independent
+// (each owns its machine and seed), so all of them simulate concurrently
+// through par.Do before the studies read the finished machines.
 func Mitigate(cfg Config) *MitigationResult {
 	res := &MitigationResult{
 		NoiseGadgetRate:        map[int]float64{},
@@ -56,40 +72,52 @@ func Mitigate(cfg Config) *MitigationResult {
 	}
 	spectre := attacks.SpectreV1("fr")
 	pp := attacks.PrimeProbe()
+	fence := func(m *sim.Machine) { m.EnableFencing(true) }
+	rekey := func(m *sim.Machine) {
+		m.OnSample = func(idx int, _ []float64) { m.RekeyCaches(uint64(idx)*2654435761 + 7) }
+	}
+	var runs []*mitigationRun
+	run := func(p workload.Program, seed int64, prep func(*sim.Machine)) *mitigationRun {
+		r := &mitigationRun{prog: p, seed: seed, prep: prep}
+		runs = append(runs, r)
+		return r
+	}
+	fenced := run(spectre, 1, fence)
+	gobmkBase, gobmkFenced := run(benign.Gobmk(), 2, nil), run(benign.Gobmk(), 2, fence)
+	basePP, rekeyPP := run(pp, 3, nil), run(pp, 3, rekey)
+	mcfBase, mcfRekey := run(benign.Mcf(), 4, nil), run(benign.Mcf(), 4, rekey)
+	permilles := []int{0, 100, 300, 500}
+	noisySpectre := make([]*mitigationRun, len(permilles))
+	noisyGcc := make([]*mitigationRun, len(permilles))
+	for i, permille := range permilles {
+		noise := func(m *sim.Machine) { m.InjectBPNoise(permille) }
+		noisySpectre[i] = run(spectre, 5, noise)
+		noisyGcc[i] = run(benign.Gcc(), 6, noise)
+	}
+	par.Do(len(runs), func(i int) { runs[i].simulate(cfg) })
 
 	// 1. Context-sensitive fencing.
-	fenced, _ := runCycles(spectre, cfg, 1, func(m *sim.Machine) { m.EnableFencing(true) })
-	squashed := counter(fenced, "lsq.thread0.squashedLoads")
-	blocked := counter(fenced, "iew.blockedSpecLoads")
+	squashed := counter(fenced.m, "lsq.thread0.squashedLoads")
+	blocked := counter(fenced.m, "iew.blockedSpecLoads")
 	if squashed > 0 {
 		res.FenceSpecLoadsBlocked = blocked / squashed
 	}
-	_, baseCyc := runCycles(benign.Gobmk(), cfg, 2, nil)
-	_, fenceCyc := runCycles(benign.Gobmk(), cfg, 2, func(m *sim.Machine) { m.EnableFencing(true) })
-	res.FenceBenignOverhead = float64(fenceCyc)/float64(baseCyc) - 1
+	res.FenceBenignOverhead = gobmkFenced.cycles()/gobmkBase.cycles() - 1
 
 	// 2. Cache index re-randomization against Prime+Probe.
 	missRate := func(m *sim.Machine) float64 {
 		return counter(m, "dcache.ReadReq_misses") / counter(m, "dcache.ReadReq_accesses")
 	}
-	basePP, _ := runCycles(pp, cfg, 3, nil)
-	res.RekeyMissNoiseBase = missRate(basePP)
-	rekeyPP, _ := runCycles(pp, cfg, 3, func(m *sim.Machine) {
-		m.OnSample = func(idx int, _ []float64) { m.RekeyCaches(uint64(idx)*2654435761 + 7) }
-	})
-	res.RekeyMissNoiseActive = missRate(rekeyPP)
-	_, mBase := runCycles(benign.Mcf(), cfg, 4, nil)
-	_, mRekey := runCycles(benign.Mcf(), cfg, 4, func(m *sim.Machine) {
-		m.OnSample = func(idx int, _ []float64) { m.RekeyCaches(uint64(idx)*2654435761 + 7) }
-	})
-	res.RekeyBenignOverhead = float64(mRekey)/float64(mBase) - 1
+	res.RekeyMissNoiseBase = missRate(basePP.m)
+	res.RekeyMissNoiseActive = missRate(rekeyPP.m)
+	res.RekeyBenignOverhead = mcfRekey.cycles()/mcfBase.cycles() - 1
 
 	// 3. Branch-predictor noise, dose-response.
-	for _, permille := range []int{0, 100, 300, 500} {
-		m, _ := runCycles(spectre, cfg, 5, func(m *sim.Machine) { m.InjectBPNoise(permille) })
+	for i, permille := range permilles {
+		m := noisySpectre[i].m
 		insts := counter(m, "commit.committedInsts")
 		res.NoiseGadgetRate[permille] = counter(m, "lsq.thread0.squashedLoads") / insts * 10_000
-		mb, _ := runCycles(benign.Gcc(), cfg, 6, func(m *sim.Machine) { m.InjectBPNoise(permille) })
+		mb := noisyGcc[i].m
 		res.NoiseBenignMispredicts[permille] =
 			counter(mb, "branchPred.condIncorrect") / counter(mb, "branchPred.condPredicted")
 	}

@@ -6,19 +6,34 @@ import (
 	"perspectron"
 	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
+	"perspectron/internal/par"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 )
 
-// record simulates one monitored run of p at the config's run length and
-// interval. The experiments' runs are never cancelled and their workloads
-// never panic, so an error is a bug and panics.
-func record(p workload.Program, cfg Config, seed int64) *perspectron.Recording {
-	rec, err := perspectron.Record(context.Background(), p, cfg.MaxInsts, seed, cfg.Interval)
-	if err != nil {
-		panic(err)
-	}
-	return rec
+// monitoredRun is one run an experiment monitors: a program at a config's
+// run length and interval, with its seed.
+type monitoredRun struct {
+	prog workload.Program
+	cfg  Config
+	seed int64
+}
+
+// recordEach simulates the runs concurrently through par.Do, each on its
+// own machine and seed, and returns their recordings in run order. The
+// experiments' runs are never cancelled and their workloads never panic, so
+// an error is a bug and panics.
+func recordEach(runs []monitoredRun) []*perspectron.Recording {
+	recs := make([]*perspectron.Recording, len(runs))
+	par.Do(len(runs), func(i int) {
+		r := runs[i]
+		rec, err := perspectron.Record(context.Background(), r.prog, r.cfg.MaxInsts, r.seed, r.cfg.Interval)
+		if err != nil {
+			panic(err)
+		}
+		recs[i] = rec
+	})
+	return recs
 }
 
 // modelScorer scores monitored samples with a model trained on the corpus:

@@ -9,6 +9,7 @@ import (
 	"perspectron/internal/eval"
 	"perspectron/internal/features"
 	"perspectron/internal/ml"
+	"perspectron/internal/par"
 	"perspectron/internal/perceptron"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload/attacks"
@@ -115,19 +116,21 @@ func Table4(cfg Config) *Table4Result {
 
 	// Evasion suite: the 12 polymorphic variants plus bandwidth-reduced
 	// SpectreV1, monitored once and scored by every model.
-	var polyRuns []*perspectron.Recording
-	for i, prog := range attacks.AllPolymorphic("fr") {
-		polyRuns = append(polyRuns, record(prog, cfg, cfg.Seed+int64(i)*101))
-	}
+	runs := polymorphicRuns(cfg)
+	nPoly := len(runs)
 	bwFactors := []float64{0.75, 0.5, 0.25}
-	var bwRuns []*perspectron.Recording
 	for _, f := range bwFactors {
-		bwRuns = append(bwRuns,
-			record(attacks.Bandwidth(attacks.SpectreV1("fr"), f), cfg, cfg.Seed+991))
+		runs = append(runs, monitoredRun{attacks.Bandwidth(attacks.SpectreV1("fr"), f), cfg, cfg.Seed + 991})
 	}
+	recs := recordEach(runs)
+	polyRuns, bwRuns := recs[:nPoly], recs[nPoly:]
 
-	res := &Table4Result{}
-	for _, spec := range table4Grid() {
+	// The grid rows run concurrently, each into its own slot: a row owns
+	// its models (seeded per model) and only reads p and the recordings.
+	grid := table4Grid()
+	res := &Table4Result{Rows: make([]Table4Row, len(grid))}
+	par.Do(len(grid), func(gi int) {
+		spec := grid[gi]
 		var idx []int
 		switch spec.featureSet {
 		case "MAP":
@@ -172,8 +175,8 @@ func Table4(cfg Config) *Table4Result {
 				row.BWDetected[bwFactors[bi]] = "missed"
 			}
 		}
-		res.Rows = append(res.Rows, row)
-	}
+		res.Rows[gi] = row
+	})
 	return res
 }
 

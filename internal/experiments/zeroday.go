@@ -33,15 +33,19 @@ func ZeroDay(cfg Config) *ZeroDayResult {
 		attacks.RowHammer(),
 	}
 	res := &ZeroDayResult{TPRate: map[string]float64{}, Detected: map[string]bool{}}
-	for _, prog := range subjects {
-		v := sc.verdict(record(prog, cfg, cfg.Seed+303))
+	runs := make([]monitoredRun, len(subjects))
+	for i, prog := range subjects {
+		runs[i] = monitoredRun{prog, cfg, cfg.Seed + 303}
+	}
+	for _, rec := range recordEach(runs) {
+		v := sc.verdict(rec)
 		flagged := 0
 		for _, s := range v.Scores {
 			if s >= sc.threshold {
 				flagged++
 			}
 		}
-		name := prog.Info().Name
+		name := v.Name
 		if len(v.Scores) > 0 {
 			res.TPRate[name] = float64(flagged) / float64(len(v.Scores))
 		}

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"perspectron/internal/encoding"
+	"perspectron/internal/par"
 )
 
 // selScratch is the reusable buffer bundle behind a selection context.
@@ -239,7 +240,7 @@ func (sc *selCtx) buildCentered() {
 	sc.ntiles = (n + denseTile - 1) / denseTile
 	stride := sc.ntiles + 1
 	sc.s.suf = growF64(sc.s.suf, nAct*stride)
-	parallelDo(nAct, func(k int) {
+	par.Do(nAct, func(k int) {
 		col := cent[k]
 		row := sc.s.suf[k*stride : (k+1)*stride]
 		row[sc.ntiles] = 0
@@ -287,7 +288,7 @@ func (sc *selCtx) denseEdges(threshold float64) [][]int32 {
 		sc.s.edges = make([][]int32, items)
 	}
 	slots := sc.s.edges[:items]
-	parallelDo(items, func(it int) {
+	par.Do(items, func(it int) {
 		bi, bj := unrankBlockPair(it, nb)
 		row := slots[it][:0]
 		aLo := bi * denseBlock
@@ -384,7 +385,7 @@ func (sc *selCtx) classCorrelation() []float64 {
 	sc.s.yc = yc
 	act := sc.active
 	cent := sc.centAct
-	parallelDo(len(act), func(k int) {
+	par.Do(len(act), func(k int) {
 		j := act[k]
 		col := cent[k]
 		var s float64

@@ -7,7 +7,10 @@
 
 package features
 
-import "perspectron/internal/encoding"
+import (
+	"perspectron/internal/encoding"
+	"perspectron/internal/par"
+)
 
 // packedMatrix is a column-major bit-packed view of a sample matrix: column
 // j of the input becomes the BitVec cols[j] (bit i set iff X[i][j] >= the
@@ -75,7 +78,7 @@ func (pm *packedMatrix) mutualInformation(y []float64) []float64 {
 	}
 	nPos := ypos.Ones()
 	pY1 := float64(nPos) / float64(n)
-	parallelDo(len(out), func(j int) {
+	par.Do(len(out), func(j int) {
 		out[j] = miFromCounts(n, pm.ones[j], pm.cols[j].AndCount(ypos), nPos, pY1)
 	})
 	return out

@@ -1,6 +1,9 @@
 package perceptron
 
-import "perspectron/internal/encoding"
+import (
+	"perspectron/internal/encoding"
+	"perspectron/internal/par"
+)
 
 // MultiClass implements the paper's attack *classification* mode (§VII-B):
 // a one-vs-rest bank of perceptrons, one per class, sharing the k-sparse
@@ -25,10 +28,12 @@ func NewMultiClass(classes []string, n int, cfg Config) *MultiClass {
 }
 
 // Fit trains every class detector one-vs-rest on the bit-packed rows X
-// through Perceptron.Fit.
+// through Perceptron.Fit. The classes fit concurrently through par.Do: each
+// detector owns its seeded RNG and its own ±1 targets, and X is only read,
+// so the bank does not depend on the worker count.
 func (m *MultiClass) Fit(X []encoding.BitVec, labels []string) {
-	y := make([]float64, len(X))
-	for ci := range m.Classes {
+	par.Do(len(m.Classes), func(ci int) {
+		y := make([]float64, len(X))
 		for i, l := range labels {
 			if l == m.Classes[ci] {
 				y[i] = 1
@@ -37,7 +42,7 @@ func (m *MultiClass) Fit(X []encoding.BitVec, labels []string) {
 			}
 		}
 		m.Detectors[ci].Fit(X, y)
-	}
+	})
 }
 
 // Predict returns the argmax class and its confidence for a bit-packed

@@ -188,10 +188,10 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 	tr := newSLOTracker()
 	// Verdicts at the target are on time: no burn.
 	for i := 0; i < 20; i++ {
-		tr.observe(sloLatencyTarget, false)
+		tr.observe(sloLatencyTarget)
 	}
 	h := tr.snapshot()
-	if h.Breach || h.LatencyBurn != 0 || h.ShedBurn != 0 || h.Samples != 20 ||
+	if h.Breach || h.LatencyBurn != 0 || h.Samples != 20 ||
 		h.LatencyTargetMs != 50 {
 		t.Fatalf("on-time traffic burned: %+v", h)
 	}
@@ -199,20 +199,11 @@ func TestSLOTrackerBurnMath(t *testing.T) {
 	// 1: after 20 at sloAlpha it is 1-0.98^20 ≈ 0.33, a burn of ≈33× the
 	// 0.01 budget.
 	for i := 0; i < 20; i++ {
-		tr.observe(sloLatencyTarget+time.Microsecond, false)
+		tr.observe(sloLatencyTarget + time.Microsecond)
 	}
 	h = tr.snapshot()
 	if !h.Breach || h.LatencyBurn < 5 {
 		t.Fatalf("slow traffic did not breach: %+v", h)
-	}
-	// Shed burn is independent of latency burn.
-	tr2 := newSLOTracker()
-	for i := 0; i < 20; i++ {
-		tr2.observe(0, true)
-	}
-	h = tr2.snapshot()
-	if !h.Breach || h.ShedBurn < 5 || h.LatencyBurn != 0 {
-		t.Fatalf("shed traffic did not breach: %+v", h)
 	}
 }
 

@@ -68,7 +68,8 @@ func newVerdictScorer(reg *telemetry.Registry) verdictScorer {
 }
 
 // scorerFor returns the RawScorer for mdl, rebuilding it when the model
-// generation changed.
+// generation changed. An episode builds it before its first sample; a
+// verdict rebuilds it only after a reload.
 func (vs *verdictScorer) scorerFor(mdl *Models) (*perspectron.RawScorer, error) {
 	if vs.scorer != nil && vs.mdl == mdl {
 		return vs.scorer, nil
@@ -117,7 +118,7 @@ func (s *Supervisor) scoreItem(w *worker, episode int, rs perspectron.RawSample,
 	if rec.Attr != nil {
 		s.flight.Push(rec)
 	}
-	s.slo.observe(total, false)
+	s.slo.observe(total)
 	vs := &w.sc
 	vs.latency.Observe(total.Seconds())
 	if ok {

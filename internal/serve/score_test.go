@@ -69,6 +69,38 @@ func TestScorerPanicsOpenWorkerBreaker(t *testing.T) {
 	}
 }
 
+// TestScorerBuiltBeforeFirstVerdict checks that an episode builds its
+// worker's RawScorer before the first sample is scored, so the stream's
+// first verdict does not pay for the build.
+func TestScorerBuiltBeforeFirstVerdict(t *testing.T) {
+	det, _ := testModels(t)
+	s, err := New(Config{
+		detector:    det,
+		Workloads:   []perspectron.Workload{perspectron.AttackByName("spectreV1", "fr")},
+		MaxInsts:    30_000,
+		MaxEpisodes: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls, built atomic.Int64
+	s.scoreHook = func() {
+		// The hook runs on the only worker's goroutine, which owns sc.
+		if calls.Add(1) == 1 && s.workers[0].sc.scorer != nil {
+			built.Store(1)
+		}
+	}
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 {
+		t.Fatalf("no sample was scored")
+	}
+	if built.Load() != 1 {
+		t.Fatalf("the worker's scorer was built inside its first verdict")
+	}
+}
+
 // --- verdict log error surfacing -----------------------------------------
 
 // failWriter errors after limit bytes — the disk-full/closed-pipe stand-in.

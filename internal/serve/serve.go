@@ -514,6 +514,11 @@ func (s *Supervisor) episode(ctx context.Context, w *worker, episode int) (err e
 		return err
 	}
 	defer sess.Close()
+	// Build the worker's scorer before the first sample, so no verdict
+	// pays for it; a hot reload still rebuilds it at the next sample.
+	if _, err := w.sc.scorerFor(mdl); err != nil {
+		return err
+	}
 
 	start := time.Now()
 	for {

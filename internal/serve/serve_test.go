@@ -703,7 +703,7 @@ func TestConfigDefaults(t *testing.T) {
 	if episodeTimeout != 60*time.Second ||
 		classifierFloor != 0.9 || detectorFloor != 0.5 || hysteresis != 0.05 ||
 		sloLatencyTarget != 50*time.Millisecond || sloLatencyBudget != 0.01 ||
-		sloShedBudget != 0.01 || sloAlpha != 0.02 ||
+		sloAlpha != 0.02 ||
 		attributionK != 5 || flightSize != 256 || slowSample != 250*time.Millisecond {
 		t.Fatalf("fixed-policy constant moved")
 	}

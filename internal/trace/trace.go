@@ -8,11 +8,11 @@ package trace
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"perspectron/internal/encoding"
+	"perspectron/internal/par"
 	"perspectron/internal/retry"
 	"perspectron/internal/sim"
 	"perspectron/internal/stats"
@@ -109,7 +109,8 @@ var collectBackoff = retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Mil
 
 // Collect runs every program on a fresh machine per run and gathers the
 // sampled counter deltas. Collection is deterministic for a fixed config
-// (per-run seeds are derived from cfg.Seed) and parallel across runs.
+// (per-run seeds are derived from cfg.Seed) and fans the runs out through
+// par.Do, each writing only its own slot.
 // Cancelling ctx stops scheduling new runs and cuts off in-flight ones at
 // their next instruction fetch. Each run is additionally shielded — a
 // panicking workload is retried cfg.Retries times with fresh seeds and then
@@ -138,8 +139,6 @@ func Collect(ctx context.Context, progs []workload.Program, cfg CollectConfig) *
 	}
 
 	results := make([][]Sample, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
 	var mu sync.Mutex // guards ds.Dropped and retried
 	retried := 0
 	drop := func(j job, reason string) {
@@ -147,65 +146,53 @@ func Collect(ctx context.Context, progs []workload.Program, cfg CollectConfig) *
 		ds.Dropped = append(ds.Dropped, fmt.Sprintf("%s#%d: %s", j.prog.Info().Name, j.run, reason))
 		mu.Unlock()
 	}
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ji := range ch {
-				j := jobs[ji]
-				if ctx.Err() != nil {
-					drop(j, "cancelled before start")
-					continue
-				}
-				var out []Sample
-				start := time.Now()
-				pol := cfg.Backoff
-				if pol == (retry.Policy{}) {
-					pol = collectBackoff
-				}
-				// Retries governs the attempt budget when set; otherwise a
-				// caller-supplied Backoff.MaxAttempts survives (overwriting it
-				// unconditionally used to silently disable those retries).
-				if cfg.Retries > 0 || pol.MaxAttempts <= 0 {
-					pol.MaxAttempts = cfg.Retries + 1
-				}
-				attempts, err := retry.Do(ctx, "collect", pol, cfg.Seed*1_000_003+int64(ji),
-					func(attempt int) error {
-						// Attempt 0 reproduces the historical seed schedule
-						// exactly; retries shift it so a data-dependent panic
-						// is not replayed verbatim.
-						seed := cfg.Seed*1_000_003 + int64(ji)*7919 + int64(attempt)*104_729
-						var aerr error
-						out, aerr = collectOne(ctx, j.prog, j.run, seed, cfg)
-						return aerr
-					})
-				if attempts > 1 {
-					mu.Lock()
-					retried += attempts - 1
-					mu.Unlock()
-				}
-				name := telemetry.Name("perspectron_collect_run_seconds",
-					"workload", j.prog.Info().Name)
-				reg.Histogram(name, telemetry.DurationBuckets).
-					Observe(time.Since(start).Seconds())
-				if err != nil {
-					drop(j, err.Error())
-					continue
-				}
-				if len(out) == 0 && ctx.Err() != nil {
-					drop(j, "cancelled with no samples")
-					continue
-				}
-				results[ji] = out
-			}
-		}()
-	}
-	for ji := range jobs {
-		ch <- ji
-	}
-	close(ch)
-	wg.Wait()
+	par.Do(len(jobs), func(ji int) {
+		j := jobs[ji]
+		if ctx.Err() != nil {
+			drop(j, "cancelled before start")
+			return
+		}
+		var out []Sample
+		start := time.Now()
+		pol := cfg.Backoff
+		if pol == (retry.Policy{}) {
+			pol = collectBackoff
+		}
+		// Retries governs the attempt budget when set; otherwise a
+		// caller-supplied Backoff.MaxAttempts survives (overwriting it
+		// unconditionally used to silently disable those retries).
+		if cfg.Retries > 0 || pol.MaxAttempts <= 0 {
+			pol.MaxAttempts = cfg.Retries + 1
+		}
+		attempts, err := retry.Do(ctx, "collect", pol, cfg.Seed*1_000_003+int64(ji),
+			func(attempt int) error {
+				// Attempt 0 reproduces the historical seed schedule
+				// exactly; retries shift it so a data-dependent panic
+				// is not replayed verbatim.
+				seed := cfg.Seed*1_000_003 + int64(ji)*7919 + int64(attempt)*104_729
+				var aerr error
+				out, aerr = collectOne(ctx, j.prog, j.run, seed, cfg)
+				return aerr
+			})
+		if attempts > 1 {
+			mu.Lock()
+			retried += attempts - 1
+			mu.Unlock()
+		}
+		name := telemetry.Name("perspectron_collect_run_seconds",
+			"workload", j.prog.Info().Name)
+		reg.Histogram(name, telemetry.DurationBuckets).
+			Observe(time.Since(start).Seconds())
+		if err != nil {
+			drop(j, err.Error())
+			return
+		}
+		if len(out) == 0 && ctx.Err() != nil {
+			drop(j, "cancelled with no samples")
+			return
+		}
+		results[ji] = out
+	})
 
 	for _, r := range results {
 		ds.Samples = append(ds.Samples, r...)
