@@ -60,7 +60,7 @@ func NewRawScorer(det *Detector, cls *Classifier) (*RawScorer, error) {
 	if det == nil && cls == nil {
 		return nil, fmt.Errorf("perspectron: raw scorer needs a detector or a classifier")
 	}
-	detIdx, clsIdx, err := resolveModels(sim.NewMachine(sim.DefaultConfig()).Reg, det, cls)
+	detIdx, clsIdx, err := resolveModels(sim.NewMachine().Reg, det, cls)
 	if err != nil {
 		return nil, err
 	}

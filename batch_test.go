@@ -50,7 +50,7 @@ func denseMargin(bias float64, w []float64, fired []bool) float64 {
 func TestRawScorerMatchesSession(t *testing.T) {
 	det := sharedDetector(t)
 	cls := sharedClassifier(t)
-	detIdx, clsIdx, err := resolveModels(sim.NewMachine(sim.DefaultConfig()).Reg, det, cls)
+	detIdx, clsIdx, err := resolveModels(sim.NewMachine().Reg, det, cls)
 	if err != nil {
 		t.Fatal(err)
 	}

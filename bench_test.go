@@ -51,7 +51,7 @@ func BenchmarkSimulatorStream(b *testing.B) {
 			b.ReportAllocs()
 			var done uint64
 			for i := 0; i < b.N; i++ {
-				m := sim.NewMachine(sim.DefaultConfig())
+				m := sim.NewMachine()
 				n := m.RunStream(w.Stream(rand.New(rand.NewSource(1))), insts, interval,
 					func(int, []float64) bool { return true })
 				done += min(uint64(n)*interval, insts)
@@ -340,7 +340,7 @@ func itob(n int) string {
 
 // BenchmarkPipelineStep measures the raw pipeline step rate on plain ops.
 func BenchmarkPipelineStep(b *testing.B) {
-	m := sim.NewMachine(sim.DefaultConfig())
+	m := sim.NewMachine()
 	ops := make([]isa.Op, 0, 1024)
 	for i := 0; i < 1024; i++ {
 		ops = append(ops, isa.Op{Kind: isa.KindPlain, Class: isa.IntAlu,

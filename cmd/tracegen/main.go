@@ -116,7 +116,7 @@ func dumpStats(name string, insts, interval uint64, seed int64) {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", name)
 		os.Exit(2)
 	}
-	m := sim.NewMachine(sim.DefaultConfig())
+	m := sim.NewMachine()
 	m.RunStream(prog.Stream(rand.New(rand.NewSource(seed))), insts, interval, func(int, []float64) bool { return true })
 	if err := m.Reg.Dump(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -112,6 +112,7 @@ func (d *Detector) TrainIncrement(workloads []Workload, opts Options, budget int
 	}
 	stats.Epochs = newSt.Epochs - prevEpochs
 	stats.Converged = newSt.Converged
+	publishFitGauges(stats.Epochs, perc)
 
 	child := &Detector{
 		FeatureNames: d.FeatureNames,

@@ -19,7 +19,9 @@ package perspectron
 //
 // There are no exceptions. The same scan guards the serving configs (see
 // unsetKnobs): every exported field of serve.Config and shadow.Config is
-// set by a caller, or it is a constant.
+// set by a caller, or it is a constant. And every field of those configs
+// and of cache.Config is read by its own package (see unreadFields): a
+// field only ever set configures nothing.
 
 import (
 	"fmt"
@@ -224,32 +226,16 @@ func unsetKnobs(fset *token.FileSet, files []goFile, types []string) (unset []ex
 		want[typ] = true
 	}
 	var fields []exportDecl
+	for _, f := range structFields(fset, files, types) {
+		if ast.IsExported(f.ident) {
+			fields = append(fields, f)
+		}
+	}
 	set := map[string]bool{} // "importpath.Type.Field"
 	for _, gf := range files {
 		if gf.test {
 			continue
 		}
-		for _, d := range gf.f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts := spec.(*ast.TypeSpec)
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || !want[gf.pkg+"."+ts.Name.Name] {
-					continue
-				}
-				for _, f := range st.Fields.List {
-					for _, id := range f.Names {
-						if id.IsExported() {
-							fields = append(fields, exportDecl{fset.Position(id.Pos()), gf.pkg, ts.Name.Name + "." + id.Name, id.Name, -1})
-						}
-					}
-				}
-			}
-		}
-
 		imports := fileImports(gf.f)
 		// typeOf names the knob type a pkg.Type or &pkg.Type{...}
 		// expression denotes, or "" for anything else.
@@ -322,6 +308,83 @@ func unsetKnobs(fset *token.FileSet, files []goFile, types []string) (unset []ex
 	}
 	sortByPos(unset)
 	return unset, len(fields)
+}
+
+// structFields lists the named fields of the struct types named in types
+// ("importpath.Type"), declared in non-test code.
+func structFields(fset *token.FileSet, files []goFile, types []string) []exportDecl {
+	want := map[string]bool{}
+	for _, typ := range types {
+		want[typ] = true
+	}
+	var fields []exportDecl
+	for _, gf := range files {
+		if gf.test {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !want[gf.pkg+"."+ts.Name.Name] {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						fields = append(fields, exportDecl{fset.Position(id.Pos()), gf.pkg, ts.Name.Name + "." + id.Name, id.Name, -1})
+					}
+				}
+			}
+		}
+	}
+	return fields
+}
+
+// unreadFields returns the fields of the struct types named in types that
+// no non-test file of the declaring package reads, sorted by position, plus
+// the number of fields scanned. A read is a .Field selector that is not the
+// target of an assignment; a composite-literal key is not a selector, so it
+// never counts. The match is by field name within the package.
+func unreadFields(fset *token.FileSet, files []goFile, types []string) (unread []exportDecl, total int) {
+	read := map[string]map[string]bool{} // pkg -> selected field names
+	for _, gf := range files {
+		if gf.test {
+			continue
+		}
+		if read[gf.pkg] == nil {
+			read[gf.pkg] = map[string]bool{}
+		}
+		targets := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN {
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							targets[sel] = true
+						}
+					}
+				}
+			case *ast.SelectorExpr:
+				if !targets[n] {
+					read[gf.pkg][n.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	fields := structFields(fset, files, types)
+	for _, f := range fields {
+		if !read[f.pkg][f.ident] {
+			unread = append(unread, f)
+		}
+	}
+	sortByPos(unread)
+	return unread, len(fields)
 }
 
 // exportedDecls lists the exported declarations of the non-test files, and
@@ -446,14 +509,38 @@ func TestConfigKnobsAreSet(t *testing.T) {
 	t.Logf("%d config fields, %d unset", total, len(unset))
 }
 
-// TestExportScannerFindsPlantedDeadCode runs both scanners over a fixture
-// tree with one dead function, one dead method and one dead Config field
-// planted among declarations each rule keeps: a cross-package call, a
-// method selector, a test oracle used by another package's tests, a String
-// method, an iota block with unnamed siblings, a method on an unexported
-// type, and Config fields set by a literal key and by an assignment from
-// another package (the dead one is set only by its own package's defaults
-// and tests).
+// TestConfigFieldsAreRead fails with file:line Config.Field for every field
+// of cache.Config, serve.Config or shadow.Config that its own package's
+// non-test code never reads: a value that is set but never read is dead
+// configuration.
+func TestConfigFieldsAreRead(t *testing.T) {
+	fset, files, err := parseTree(".", "perspectron")
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := append([]string{"perspectron/internal/cache.Config"}, knobConfigs...)
+	unread, total := unreadFields(fset, files, configs)
+	// The three configs declare 33 fields (cache.Config 7, the serving
+	// configs 26); far fewer means the scanner missed a struct.
+	if total < 25 {
+		t.Fatalf("scanned only %d config fields — the scanner is broken", total)
+	}
+	for _, d := range unread {
+		t.Errorf("%s: its package never reads it; delete it", d)
+	}
+	t.Logf("%d config fields, %d unread", total, len(unread))
+}
+
+// TestExportScannerFindsPlantedDeadCode runs the three scanners over a
+// fixture tree with one dead function, one dead method, one Config field no
+// caller sets and one Config field its package never reads, planted among
+// declarations each rule keeps: a cross-package call, a method selector, a
+// test oracle used by another package's tests, a String method, an iota
+// block with unnamed siblings, a method on an unexported type, and Config
+// fields set by a literal key and by an assignment from another package and
+// read by their own package (the unset one is set only by its own package's
+// defaults and tests; the unread one is only assigned by its package and
+// read by its tests).
 func TestExportScannerFindsPlantedDeadCode(t *testing.T) {
 	fset, files, err := parseTree(filepath.Join("testdata", "exports"), "fixture")
 	if err != nil {
@@ -461,12 +548,13 @@ func TestExportScannerFindsPlantedDeadCode(t *testing.T) {
 	}
 	dead, total := unusedExports(fset, files)
 	unset, fields := unsetKnobs(fset, files, []string{"fixture/a.Config"})
+	unread, _ := unreadFields(fset, files, []string{"fixture/a.Config"})
 	var got []string
-	for _, d := range append(dead, unset...) {
+	for _, d := range append(append(dead, unset...), unread...) {
 		got = append(got, d.name)
 	}
-	if want := []string{"DeadFunc", "Widget.DeadMethod", "Config.Dead"}; strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("scanners reported %v and %v, want exactly %v (of %d declarations, %d config fields)",
-			dead, unset, want, total, fields)
+	if want := []string{"DeadFunc", "Widget.DeadMethod", "Config.Dead", "Config.Unread"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("scanners reported %v, %v and %v, want exactly %v (of %d declarations, %d config fields)",
+			dead, unset, unread, want, total, fields)
 	}
 }

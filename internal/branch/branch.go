@@ -12,27 +12,15 @@ package branch
 
 import "perspectron/internal/stats"
 
-// Config sizes the predictor structures.
-type Config struct {
-	LocalHistoryBits  int // log2 of local history table entries
-	LocalCtrBits      int // saturating counter width, typically 2
-	GlobalHistoryBits int // global history register width
-	BTBEntries        int // Table II: 4096
-	RASEntries        int // Table II: 16
-	IndirectEntries   int // indirect target cache entries
-}
-
-// DefaultConfig matches the paper's Table II tournament predictor.
-func DefaultConfig() Config {
-	return Config{
-		LocalHistoryBits:  11,
-		LocalCtrBits:      2,
-		GlobalHistoryBits: 12,
-		BTBEntries:        4096,
-		RASEntries:        16,
-		IndirectEntries:   256,
-	}
-}
+// Table II tournament predictor sizes. The mask-indexed tables are written
+// as shifts, so they are powers of two by construction.
+const (
+	localHistoryBits  = 11      // log2 of local counter table entries
+	globalHistoryBits = 12      // global history register width
+	BTBEntries        = 1 << 12 // Table II: 4096
+	RASEntries        = 16      // Table II: 16
+	indirectEntries   = 1 << 8  // indirect target cache entries
+)
 
 // Counters groups the branchPred.* statistics.
 type Counters struct {
@@ -74,8 +62,7 @@ func newCounters(reg *stats.Registry) Counters {
 
 // Predictor is the full branch prediction unit.
 type Predictor struct {
-	cfg Config
-	C   Counters
+	C Counters
 
 	localHist  []uint32 // per-PC history registers
 	localCtrs  []int8   // indexed by local history
@@ -86,14 +73,12 @@ type Predictor struct {
 	btbTags    []uint64
 	btbTargets []uint64
 	btbValid   []bool
-	btbMask    uint64 // BTBEntries-1
 
 	ras    []uint64
 	rasTop int // number of valid entries
 
 	indTags    []uint64
 	indTargets []uint64
-	indMask    uint64 // IndirectEntries-1
 
 	// noisePermille randomizes predictions at the given rate (per mille)
 	// when nonzero — the paper's branch-predictor noise-injection
@@ -128,34 +113,22 @@ func (p *Predictor) noisy() bool {
 // localHistEntries is the size of the per-PC local history table.
 const localHistEntries = 1 << 10
 
-// New constructs a predictor registering its counters in reg. BTBEntries
-// and IndirectEntries must be powers of two.
-func New(cfg Config, reg *stats.Registry) *Predictor {
-	mustPow2("BTB entry count", cfg.BTBEntries)
-	mustPow2("indirect entry count", cfg.IndirectEntries)
+// New constructs a predictor registering its counters in reg.
+func New(reg *stats.Registry) *Predictor {
 	p := &Predictor{
-		cfg:        cfg,
 		C:          newCounters(reg),
 		localHist:  make([]uint32, localHistEntries),
-		localCtrs:  make([]int8, 1<<cfg.LocalHistoryBits),
-		globalCtrs: make([]int8, 1<<cfg.GlobalHistoryBits),
-		choiceCtrs: make([]int8, 1<<cfg.GlobalHistoryBits),
-		btbTags:    make([]uint64, cfg.BTBEntries),
-		btbTargets: make([]uint64, cfg.BTBEntries),
-		btbValid:   make([]bool, cfg.BTBEntries),
-		btbMask:    uint64(cfg.BTBEntries - 1),
-		ras:        make([]uint64, cfg.RASEntries),
-		indTags:    make([]uint64, cfg.IndirectEntries),
-		indTargets: make([]uint64, cfg.IndirectEntries),
-		indMask:    uint64(cfg.IndirectEntries - 1),
+		localCtrs:  make([]int8, 1<<localHistoryBits),
+		globalCtrs: make([]int8, 1<<globalHistoryBits),
+		choiceCtrs: make([]int8, 1<<globalHistoryBits),
+		btbTags:    make([]uint64, BTBEntries),
+		btbTargets: make([]uint64, BTBEntries),
+		btbValid:   make([]bool, BTBEntries),
+		ras:        make([]uint64, RASEntries),
+		indTags:    make([]uint64, indirectEntries),
+		indTargets: make([]uint64, indirectEntries),
 	}
 	return p
-}
-
-func mustPow2(what string, v int) {
-	if v <= 0 || v&(v-1) != 0 {
-		panic("branch: " + what + " must be a power of two")
-	}
 }
 
 func (p *Predictor) localIndex(pc uint64) int {
@@ -213,8 +186,8 @@ func (p *Predictor) PredictCond(pc uint64, taken bool) (correct bool) {
 
 	// History updates.
 	hi := pc & (localHistEntries - 1)
-	p.localHist[hi] = (p.localHist[hi] << 1) & ((1 << p.cfg.LocalHistoryBits) - 1)
-	p.globalHist = (p.globalHist << 1) & ((1 << p.cfg.GlobalHistoryBits) - 1)
+	p.localHist[hi] = (p.localHist[hi] << 1) & (1<<localHistoryBits - 1)
+	p.globalHist = (p.globalHist << 1) & (1<<globalHistoryBits - 1)
 	if taken {
 		p.localHist[hi] |= 1
 		p.globalHist |= 1
@@ -230,7 +203,7 @@ func (p *Predictor) PredictCond(pc uint64, taken bool) (correct bool) {
 // mismatch. It returns whether the stored target matched.
 func (p *Predictor) LookupBTB(pc, target uint64) (hit bool) {
 	p.C.BTBLookups.Inc()
-	i := pc >> 2 & p.btbMask
+	i := pc >> 2 & (BTBEntries - 1)
 	if p.btbValid[i] && p.btbTags[i] == pc && p.btbTargets[i] == target {
 		p.C.BTBHits.Inc()
 		hit = true
@@ -276,7 +249,7 @@ func (p *Predictor) Return(actualTarget uint64) (correct bool) {
 // prediction was correct.
 func (p *Predictor) PredictIndirect(pc, target uint64) (correct bool) {
 	p.C.IndirectLookups.Inc()
-	i := pc >> 2 & p.indMask
+	i := pc >> 2 & (indirectEntries - 1)
 	if p.indTags[i] == pc && p.indTargets[i] == target {
 		p.C.IndirectHits.Inc()
 		correct = true

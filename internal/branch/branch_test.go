@@ -10,7 +10,7 @@ import (
 
 func newTestPredictor() (*Predictor, *stats.Registry) {
 	reg := stats.NewRegistry()
-	p := New(DefaultConfig(), reg)
+	p := New(reg)
 	reg.Seal()
 	return p, reg
 }
@@ -131,7 +131,7 @@ func TestRASEmptyReturnIncorrect(t *testing.T) {
 
 func TestRASOverflowCircular(t *testing.T) {
 	p, _ := newTestPredictor()
-	n := DefaultConfig().RASEntries
+	n := RASEntries
 	for i := 0; i < n+4; i++ {
 		p.Call(uint64(0x1000 + i))
 	}
@@ -158,7 +158,7 @@ func TestIndirectMistrain(t *testing.T) {
 		t.Fatalf("stable indirect target missed")
 	}
 	// SpectreV2 (branch target injection): install an attacker-chosen target.
-	i := int(pc>>2) % p.cfg.IndirectEntries
+	i := int(pc>>2) % indirectEntries
 	p.indTags[i], p.indTargets[i] = pc, 0xbbbb
 	if p.PredictIndirect(pc, 0xaaaa) {
 		t.Fatalf("mistrained indirect branch predicted correctly")
@@ -207,7 +207,7 @@ func TestQuickRASDepthBounded(t *testing.T) {
 			} else {
 				p.Return(uint64(i + 1))
 			}
-			if p.rasTop < 0 || p.rasTop > DefaultConfig().RASEntries {
+			if p.rasTop < 0 || p.rasTop > RASEntries {
 				return false
 			}
 		}
@@ -215,27 +215,5 @@ func TestQuickRASDepthBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNewRejectsNonPowerOfTwo: the BTB and the indirect predictor index by
-// mask, so an entry count that is not a power of two must fail at
-// construction.
-func TestNewRejectsNonPowerOfTwo(t *testing.T) {
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.BTBEntries = 3000 },
-		func(c *Config) { c.IndirectEntries = 100 },
-		func(c *Config) { c.BTBEntries = 0 },
-	} {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%+v) did not panic", cfg)
-				}
-			}()
-			New(cfg, stats.NewRegistry())
-		}()
 	}
 }

@@ -1,8 +1,8 @@
 // Package cache implements the simulated cache hierarchy: set-associative
-// L1I/L1D/L2 caches with LRU replacement, MSHR and write-buffer occupancy
-// modelling, CLFLUSH semantics, and the bus transaction distributions
-// (ReadSharedReq, ReadResp, CleanEvict, WritebackClean, ...) that the paper's
-// feature analysis identifies as invariant attack footprints.
+// L1I/L1D/L2 caches with LRU replacement, MSHR occupancy modelling, CLFLUSH
+// semantics, and the bus transaction distributions (ReadSharedReq,
+// ReadResp, CleanEvict, WritebackClean, ...) that the paper's feature
+// analysis identifies as invariant attack footprints.
 package cache
 
 import (
@@ -13,34 +13,29 @@ import (
 
 // Config sizes one cache.
 type Config struct {
-	Name         string // gem5-style prefix, e.g. "dcache"
-	Component    stats.Component
-	SizeBytes    int
-	LineBytes    int
-	Ways         int
-	Latency      uint64 // hit latency, cycles (tag+data)
-	MSHRs        int
-	TgtsPerMSHR  int
-	WriteBuffers int
+	Name      string // gem5-style prefix, e.g. "dcache"
+	Component stats.Component
+	SizeBytes int
+	LineBytes int
+	Ways      int
+	Latency   uint64 // hit latency, cycles (tag+data)
+	MSHRs     int
 }
 
 // Table II configurations.
 func L1IConfig() Config {
 	return Config{Name: "icache", Component: stats.CompICache,
-		SizeBytes: 32 * 1024, LineBytes: 64, Ways: 4, Latency: 2,
-		MSHRs: 4, TgtsPerMSHR: 8, WriteBuffers: 0}
+		SizeBytes: 32 * 1024, LineBytes: 64, Ways: 4, Latency: 2, MSHRs: 4}
 }
 
 func L1DConfig() Config {
 	return Config{Name: "dcache", Component: stats.CompDCache,
-		SizeBytes: 64 * 1024, LineBytes: 64, Ways: 8, Latency: 2,
-		MSHRs: 10, TgtsPerMSHR: 12, WriteBuffers: 8}
+		SizeBytes: 64 * 1024, LineBytes: 64, Ways: 8, Latency: 2, MSHRs: 10}
 }
 
 func L2Config() Config {
 	return Config{Name: "l2", Component: stats.CompL2,
-		SizeBytes: 2 * 1024 * 1024, LineBytes: 64, Ways: 8, Latency: 20,
-		MSHRs: 20, TgtsPerMSHR: 12, WriteBuffers: 8}
+		SizeBytes: 2 * 1024 * 1024, LineBytes: 64, Ways: 8, Latency: 20, MSHRs: 20}
 }
 
 // ReqStats is the per-request-type counter family gem5 reports for each

@@ -196,7 +196,7 @@ func (s *Store) Stats() Stats {
 // once per process: a cached dataset is only valid for the feature space it
 // was collected on, so the dataset key incorporates this.
 var featureSpaceID = sync.OnceValue(func() string {
-	m := sim.NewMachine(sim.DefaultConfig())
+	m := sim.NewMachine()
 	h := sha256.New()
 	for _, name := range m.Reg.Names() {
 		fmt.Fprintln(h, name)

@@ -14,8 +14,8 @@ import (
 
 func TestSweepOrphansRemovesStaleTmpOnly(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, "abc123.tmp-999")
-	fresh := filepath.Join(dir, "def456.tmp-111")
+	stale := filepath.Join(dir, cacheFileName("abc123")+".tmp-999")
+	fresh := filepath.Join(dir, cacheFileName("def456")+".tmp-111")
 	keep := filepath.Join(dir, cacheFileName("abc123"))
 	for _, p := range []string{stale, fresh, keep} {
 		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
@@ -45,7 +45,7 @@ func TestSweepOrphansRemovesStaleTmpOnly(t *testing.T) {
 
 func TestSetCacheDirSweepsOrphans(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, "deadbeef.tmp-42")
+	stale := filepath.Join(dir, cacheFileName("deadbeef")+".tmp-42")
 	if err := os.WriteFile(stale, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -9,41 +9,24 @@
 // model computes all of them from the access stream.
 package dram
 
-import (
-	"math/bits"
+import "perspectron/internal/stats"
 
-	"perspectron/internal/stats"
+// A DDR3-1600-like device behind a 2 GHz core. The shift- and mask-indexed
+// sizes are written as shifts, so they are powers of two by construction.
+const (
+	Banks       = 1 << 3
+	rowShift    = 13
+	RowBytes    = 1 << rowShift
+	lineShift   = 6
+	lineBytes   = 1 << lineShift
+	ReadQDepth  = 32
+	WriteQDepth = 64
+	rowHitLat   = 28   // CAS-only access, CPU cycles
+	rowMissLat  = 76   // precharge+activate+CAS
+	writeDrain  = 400  // cycles a write lingers in the write queue
+	idleToPD    = 200  // idle cycles before power-down
+	pdToSREF    = 4000 // power-down cycles before self-refresh
 )
-
-// Config sizes the controller.
-type Config struct {
-	Banks       int
-	RowBytes    int
-	LineBytes   int
-	ReadQDepth  int
-	WriteQDepth int
-	RowHitLat   uint64 // CAS-only access, CPU cycles
-	RowMissLat  uint64 // precharge+activate+CAS
-	WriteDrain  uint64 // cycles a write lingers in the write queue
-	IdleToPD    uint64 // idle cycles before power-down
-	PDToSREF    uint64 // power-down cycles before self-refresh
-}
-
-// DefaultConfig is a DDR3-1600-like device behind a 2 GHz core.
-func DefaultConfig() Config {
-	return Config{
-		Banks:       8,
-		RowBytes:    8192,
-		LineBytes:   64,
-		ReadQDepth:  32,
-		WriteQDepth: 64,
-		RowHitLat:   28,
-		RowMissLat:  76,
-		WriteDrain:  400,
-		IdleToPD:    200,
-		PDToSREF:    4000,
-	}
-}
 
 // Counters groups the mem_ctrls statistics.
 type Counters struct {
@@ -98,7 +81,7 @@ type Counters struct {
 	BytesPerActPdf []*stats.Counter // bytes-per-activate distribution
 }
 
-func newCounters(reg *stats.Registry, banks int) Counters {
+func newCounters(reg *stats.Registry) Counters {
 	mk := func(name, desc string) *stats.Counter {
 		return reg.NewRaw(stats.CompMemCtrl, "mem_ctrls."+name, desc)
 	}
@@ -143,7 +126,7 @@ func newCounters(reg *stats.Registry, banks int) Counters {
 		TimePowerDown:   mk("memoryStateTime::PDN", "cycles in power-down"),
 		TimeSelfRefresh: mk("memoryStateTime::SREF", "cycles in self-refresh"),
 	}
-	for b := 0; b < banks; b++ {
+	for b := 0; b < Banks; b++ {
 		c.PerBankRd = append(c.PerBankRd, reg.NewRaw(stats.CompMemCtrl,
 			"mem_ctrls.perBankRdBursts"+itoa(b), "per-bank read bursts"))
 		c.PerBankWr = append(c.PerBankWr, reg.NewRaw(stats.CompMemCtrl,
@@ -191,15 +174,10 @@ type pendingWrite struct {
 
 // Controller is the memory controller. It implements cache.Memory.
 type Controller struct {
-	cfg Config
-	C   Counters
+	C Counters
 
 	openRow       []int64 // per bank; -1 = closed
 	bytesSinceAct []uint64
-
-	lineShift uint   // log2(LineBytes)
-	rowShift  uint   // log2(RowBytes)
-	bankMask  uint64 // Banks-1
 
 	writeQ []pendingWrite
 	rdQLen int // modelled read-queue occupancy
@@ -210,20 +188,12 @@ type Controller struct {
 	lastAccounted uint64
 }
 
-// New constructs a controller and registers its counters. Banks, RowBytes
-// and LineBytes must be powers of two.
-func New(cfg Config, reg *stats.Registry) *Controller {
-	mustPow2("bank count", cfg.Banks)
-	mustPow2("row size", cfg.RowBytes)
-	mustPow2("line size", cfg.LineBytes)
+// New constructs a controller and registers its counters.
+func New(reg *stats.Registry) *Controller {
 	c := &Controller{
-		cfg:           cfg,
-		C:             newCounters(reg, cfg.Banks),
-		openRow:       make([]int64, cfg.Banks),
-		bytesSinceAct: make([]uint64, cfg.Banks),
-		lineShift:     uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		rowShift:      uint(bits.TrailingZeros(uint(cfg.RowBytes))),
-		bankMask:      uint64(cfg.Banks - 1),
+		C:             newCounters(reg),
+		openRow:       make([]int64, Banks),
+		bytesSinceAct: make([]uint64, Banks),
 	}
 	for i := range c.openRow {
 		c.openRow[i] = -1
@@ -231,18 +201,12 @@ func New(cfg Config, reg *stats.Registry) *Controller {
 	return c
 }
 
-func mustPow2(what string, v int) {
-	if v <= 0 || v&(v-1) != 0 {
-		panic("dram: " + what + " must be a power of two")
-	}
-}
-
 func (c *Controller) bank(addr uint64) int {
-	return int(addr >> c.lineShift & c.bankMask)
+	return int(addr >> lineShift & (Banks - 1))
 }
 
 func (c *Controller) row(addr uint64) int64 {
-	return int64(addr >> c.rowShift)
+	return int64(addr >> rowShift)
 }
 
 // Access services a read or write of one cache line at cycle and returns the
@@ -251,8 +215,7 @@ func (c *Controller) Access(addr uint64, write bool, cycle uint64) uint64 {
 	c.accountBackground(cycle)
 	c.drainWrites(cycle)
 
-	lb := uint64(c.cfg.LineBytes)
-	line := addr >> c.lineShift
+	line := addr >> lineShift
 
 	c.C.WrQLenPdf[minInt(len(c.writeQ), len(c.C.WrQLenPdf)-1)].Inc()
 	c.C.RdQLenPdf[minInt(c.rdQLen, len(c.C.RdQLenPdf)-1)].Inc()
@@ -260,13 +223,13 @@ func (c *Controller) Access(addr uint64, write bool, cycle uint64) uint64 {
 	if write {
 		c.C.WriteReqs.Inc()
 		c.C.WriteBursts.Inc()
-		c.C.BytesWritten.Add(float64(lb))
+		c.C.BytesWritten.Add(float64(lineBytes))
 		c.C.PerBankWr[c.bank(addr)].Inc()
 		c.turnaround(2)
 		// Writes complete into the write queue; the array update is
 		// deferred.
-		if len(c.writeQ) < c.cfg.WriteQDepth {
-			c.writeQ = append(c.writeQ, pendingWrite{line: line, ready: cycle + c.cfg.WriteDrain})
+		if len(c.writeQ) < WriteQDepth {
+			c.writeQ = append(c.writeQ, pendingWrite{line: line, ready: cycle + writeDrain})
 			c.C.AvgWrQLen.Add(float64(len(c.writeQ)))
 			c.C.WriteEnergy.Add(4)
 			c.C.TotalEnergy.Add(4)
@@ -282,7 +245,7 @@ func (c *Controller) Access(addr uint64, write bool, cycle uint64) uint64 {
 	c.C.ReadReqs.Inc()
 	c.C.ReadBursts.Inc()
 	c.C.PerBankRd[c.bank(addr)].Inc()
-	if c.rdQLen < c.cfg.ReadQDepth {
+	if c.rdQLen < ReadQDepth {
 		c.rdQLen++
 	}
 	c.turnaround(1)
@@ -291,13 +254,13 @@ func (c *Controller) Access(addr uint64, write bool, cycle uint64) uint64 {
 	for _, w := range c.writeQ {
 		if w.line == line {
 			c.C.ServicedByWrQ.Inc()
-			c.C.BytesReadWrQ.Add(float64(lb))
+			c.C.BytesReadWrQ.Add(float64(lineBytes))
 			c.busyUntil(cycle + 6)
 			return 6
 		}
 	}
 
-	c.C.BytesReadDRAM.Add(float64(lb))
+	c.C.BytesReadDRAM.Add(float64(lineBytes))
 	lat := c.arrayAccess(addr, cycle, false)
 	c.C.TotMemAccLat.Add(float64(lat))
 	c.busyUntil(cycle + lat)
@@ -308,14 +271,13 @@ func (c *Controller) Access(addr uint64, write bool, cycle uint64) uint64 {
 func (c *Controller) arrayAccess(addr uint64, cycle uint64, write bool) uint64 {
 	b := c.bank(addr)
 	r := c.row(addr)
-	lb := uint64(c.cfg.LineBytes)
 	if c.openRow[b] == r {
 		c.C.RowHits.Inc()
 		c.C.PerBankRowHit[b].Inc()
-		c.bytesSinceAct[b] += lb
+		c.bytesSinceAct[b] += lineBytes
 		c.C.ReadEnergy.Add(2)
 		c.C.TotalEnergy.Add(2)
-		return c.cfg.RowHitLat
+		return rowHitLat
 	}
 	c.C.RowMisses.Inc()
 	c.C.PerBankRowMiss[b].Inc()
@@ -334,13 +296,13 @@ func (c *Controller) arrayAccess(addr uint64, cycle uint64, write bool) uint64 {
 		c.C.BytesPerActPdf[bkt].Inc()
 	}
 	c.openRow[b] = r
-	c.bytesSinceAct[b] = lb
+	c.bytesSinceAct[b] = lineBytes
 	c.C.Activations.Inc()
 	c.C.PerBankAct[b].Inc()
 	c.C.ActEnergy.Add(8)
 	c.C.ReadEnergy.Add(2)
 	c.C.TotalEnergy.Add(10)
-	return c.cfg.RowMissLat
+	return rowMissLat
 }
 
 // turnaround tracks bus direction switches and the run lengths the paper's
@@ -389,8 +351,8 @@ func (c *Controller) busyUntil(cycle uint64) {
 }
 
 // accountBackground distributes the gap since the device last worked across
-// the power states: IDLE for the first IdleToPD cycles, power-down until
-// PDToSREF, then self-refresh. Long memory-quiet stretches therefore show up
+// the power states: IDLE for the first idleToPD cycles, power-down until
+// pdToSREF, then self-refresh. Long memory-quiet stretches therefore show up
 // in selfRefreshEnergy.
 func (c *Controller) accountBackground(cycle uint64) {
 	if cycle <= c.lastAccounted {
@@ -399,18 +361,18 @@ func (c *Controller) accountBackground(cycle uint64) {
 	gap := cycle - c.lastAccounted
 	// Reads drain from the modelled read queue at roughly one per
 	// row-hit service time.
-	drained := int(gap / c.cfg.RowHitLat)
+	drained := int(gap / rowHitLat)
 	if drained >= c.rdQLen {
 		c.rdQLen = 0
 	} else {
 		c.rdQLen -= drained
 	}
-	idle := min64(gap, c.cfg.IdleToPD)
+	idle := min64(gap, idleToPD)
 	c.C.TimeIdle.Add(float64(idle))
 	c.C.PreBackEnergy.Add(float64(idle) * 0.3)
 	gap -= idle
 	if gap > 0 {
-		pd := min64(gap, c.cfg.PDToSREF)
+		pd := min64(gap, pdToSREF)
 		c.C.TimePowerDown.Add(float64(pd))
 		c.C.PrePowerDownE.Add(float64(pd) * 0.1)
 		gap -= pd

@@ -8,7 +8,7 @@ import (
 
 func TestQueueLengthPDFsPopulate(t *testing.T) {
 	reg := stats.NewRegistry()
-	c := New(DefaultConfig(), reg)
+	c := New(reg)
 	reg.Seal()
 	var cycle uint64
 	for i := 0; i < 200; i++ {
@@ -30,14 +30,14 @@ func TestQueueLengthPDFsPopulate(t *testing.T) {
 
 func TestBytesPerActivatePDFPopulates(t *testing.T) {
 	reg := stats.NewRegistry()
-	c := New(DefaultConfig(), reg)
+	c := New(reg)
 	reg.Seal()
-	banks := uint64(DefaultConfig().Banks)
+	banks := uint64(Banks)
 	// Several same-row accesses, then a row change to flush the histogram.
 	for i := uint64(0); i < 8; i++ {
 		c.Access(i*64*banks, false, 0)
 	}
-	c.Access(uint64(DefaultConfig().RowBytes)*banks, false, 0)
+	c.Access(RowBytes*banks, false, 0)
 	var mass float64
 	for _, b := range c.C.BytesPerActPdf {
 		mass += b.Value()
@@ -49,11 +49,11 @@ func TestBytesPerActivatePDFPopulates(t *testing.T) {
 
 func TestPerBankRowStats(t *testing.T) {
 	reg := stats.NewRegistry()
-	c := New(DefaultConfig(), reg)
+	c := New(reg)
 	reg.Seal()
 	c.Access(0, false, 0)    // bank 0 row miss (activation)
 	c.Access(0x40, false, 0) // bank 1 row miss
-	banks := uint64(DefaultConfig().Banks)
+	banks := uint64(Banks)
 	c.Access(64*banks, false, 0) // bank 0 row hit
 	if c.C.PerBankRowMiss[0].Value() != 1 || c.C.PerBankRowMiss[1].Value() != 1 {
 		t.Fatalf("per-bank row misses: %v/%v",
@@ -69,8 +69,7 @@ func TestPerBankRowStats(t *testing.T) {
 
 func TestReadQueueDecays(t *testing.T) {
 	reg := stats.NewRegistry()
-	cfg := DefaultConfig()
-	c := New(cfg, reg)
+	c := New(reg)
 	reg.Seal()
 	for i := 0; i < 10; i++ {
 		c.Access(uint64(i)*4096, false, 0) // burst at cycle 0

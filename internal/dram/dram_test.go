@@ -11,7 +11,7 @@ import (
 func newCtl(t *testing.T) *Controller {
 	t.Helper()
 	reg := stats.NewRegistry()
-	c := New(DefaultConfig(), reg)
+	c := New(reg)
 	reg.Seal()
 	return c
 }
@@ -19,7 +19,7 @@ func newCtl(t *testing.T) *Controller {
 func TestRowBufferHitFasterThanMiss(t *testing.T) {
 	c := newCtl(t)
 	missLat := c.Access(0x0, false, 0)
-	hitLat := c.Access(0x40*uint64(DefaultConfig().Banks), false, 100) // same bank 0, same row
+	hitLat := c.Access(0x40*uint64(Banks), false, 100) // same bank 0, same row
 	if hitLat >= missLat {
 		t.Fatalf("row hit (%d) not faster than miss (%d)", hitLat, missLat)
 	}
@@ -55,22 +55,21 @@ func TestReadServicedByWriteQueue(t *testing.T) {
 func TestWriteQueueDrains(t *testing.T) {
 	c := newCtl(t)
 	c.Access(0x2000, true, 0)
-	c.Access(0x9000, false, DefaultConfig().WriteDrain+100)
+	c.Access(0x9000, false, writeDrain+100)
 	if len(c.writeQ) != 0 {
 		t.Fatalf("write queue did not drain: %d", len(c.writeQ))
 	}
 }
 
 func TestWriteQueueFullPaysArrayAccess(t *testing.T) {
-	reg := stats.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.WriteQDepth = 2
-	c := New(cfg, reg)
-	reg.Seal()
-	c.Access(0x0000, true, 0)
-	c.Access(0x4000, true, 0)
-	lat := c.Access(0x8000, true, 0) // queue full
-	if lat < cfg.RowHitLat {
+	c := newCtl(t)
+	for i := uint64(0); i < WriteQDepth; i++ {
+		if lat := c.Access(i*0x4000, true, 0); lat >= rowHitLat {
+			t.Fatalf("write %d into a non-full queue paid %d cycles, want a posted write", i, lat)
+		}
+	}
+	lat := c.Access(WriteQDepth*0x4000, true, 0) // queue full
+	if lat < rowHitLat {
 		t.Fatalf("full-queue write latency = %d, want an array access", lat)
 	}
 }
@@ -100,13 +99,13 @@ func TestTurnaroundAccounting(t *testing.T) {
 
 func TestBytesPerActivate(t *testing.T) {
 	c := newCtl(t)
-	banks := uint64(DefaultConfig().Banks)
+	banks := uint64(Banks)
 	// Three accesses in the same row of bank 0, then a different row of
 	// bank 0 forces re-activation, accounting 3*64 bytes.
 	c.Access(0x0, false, 0)
 	c.Access(0x40*banks, false, 0)
 	c.Access(0x80*banks, false, 0)
-	c.Access(uint64(DefaultConfig().RowBytes)*banks, false, 0)
+	c.Access(RowBytes*banks, false, 0)
 	if c.C.BytesPerAct.Value() != 192 {
 		t.Fatalf("bytesPerActivate = %v, want 192", c.C.BytesPerAct.Value())
 	}
@@ -117,10 +116,9 @@ func TestBytesPerActivate(t *testing.T) {
 
 func TestPowerStateProgression(t *testing.T) {
 	c := newCtl(t)
-	cfg := DefaultConfig()
 	c.Access(0x0, false, 0)
 	// A long quiet gap must traverse IDLE -> PDN -> SREF.
-	c.Access(0x4000, false, cfg.IdleToPD+cfg.PDToSREF+100000)
+	c.Access(0x4000, false, idleToPD+pdToSREF+100000)
 	if c.C.TimeIdle.Value() == 0 {
 		t.Fatalf("no idle time accounted")
 	}
@@ -173,7 +171,7 @@ func TestPerBankCounters(t *testing.T) {
 func TestQuickReadByteConservation(t *testing.T) {
 	f := func(ops []uint16) bool {
 		reg := stats.NewRegistry()
-		c := New(DefaultConfig(), reg)
+		c := New(reg)
 		reg.Seal()
 		var cycle uint64
 		reads := 0
@@ -199,7 +197,7 @@ func TestQuickReadByteConservation(t *testing.T) {
 func TestQuickStateTimeCoversGaps(t *testing.T) {
 	f := func(gaps []uint16) bool {
 		reg := stats.NewRegistry()
-		c := New(DefaultConfig(), reg)
+		c := New(reg)
 		reg.Seal()
 		var cycle uint64
 		for _, g := range gaps {
@@ -213,27 +211,5 @@ func TestQuickStateTimeCoversGaps(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(8))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNewRejectsNonPowerOfTwo: bank, row and line indexing use shift and
-// mask, so a size that is not a power of two must fail at construction.
-func TestNewRejectsNonPowerOfTwo(t *testing.T) {
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.Banks = 6 },
-		func(c *Config) { c.RowBytes = 6000 },
-		func(c *Config) { c.LineBytes = 48 },
-		func(c *Config) { c.Banks = 0 },
-	} {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%+v) did not panic", cfg)
-				}
-			}()
-			New(cfg, stats.NewRegistry())
-		}()
 	}
 }

@@ -58,7 +58,7 @@ func Fig1(cfg Config) *Fig1Result {
 	raw := make([][]float64, len(progs))
 	par.Do(len(progs), func(pi int) {
 		p := progs[pi]
-		m := sim.NewMachine(sim.DefaultConfig())
+		m := sim.NewMachine()
 		m.RunStream(p.Stream(rand.New(rand.NewSource(cfg.Seed))), cfg.MaxInsts, cfg.Interval, func(int, []float64) bool { return true })
 		vals := make([]float64, len(fig1Counters))
 		for ci, name := range fig1Counters {

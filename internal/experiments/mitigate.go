@@ -43,7 +43,7 @@ type mitigationRun struct {
 
 // simulate runs r at cfg's run length and interval on a fresh machine.
 func (r *mitigationRun) simulate(cfg Config) {
-	m := sim.NewMachine(sim.DefaultConfig())
+	m := sim.NewMachine()
 	if r.prep != nil {
 		r.prep(m)
 	}

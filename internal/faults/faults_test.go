@@ -135,7 +135,7 @@ func TestJitterScalesWholeVector(t *testing.T) {
 }
 
 func TestBlackoutComponentWindow(t *testing.T) {
-	m := sim.NewMachine(sim.DefaultConfig())
+	m := sim.NewMachine()
 	b, err := NewBlackout(m.Reg, "dcache", 1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestScheduleComposesInOrder(t *testing.T) {
 func TestScheduleApplyRecordedRun(t *testing.T) {
 	prog := benign.All()[0]
 	var clean [][]float64
-	sim.NewMachine(sim.DefaultConfig()).RunStream(prog.Stream(rand.New(rand.NewSource(9))), 35_000, 10_000,
+	sim.NewMachine().RunStream(prog.Stream(rand.New(rand.NewSource(9))), 35_000, 10_000,
 		func(_ int, v []float64) bool {
 			clean = append(clean, v)
 			return true

@@ -201,10 +201,9 @@ func (t *Trainer) journalShuffle(n int) {
 }
 
 // Fit runs Step until convergence or the epoch budget is spent (budget 0
-// uses the config's Epochs, default 1000), reporting convergence, and
-// publishes the end-of-fit gauges. Calling it on a fresh trainer reproduces
-// Perceptron.Fit exactly; calling it again after appending samples is the
-// incremental path.
+// uses the config's Epochs, default 1000), reporting convergence. Calling
+// it on a fresh trainer reproduces Perceptron.Fit exactly; calling it again
+// after appending samples is the incremental path.
 func (t *Trainer) Fit(X []encoding.BitVec, y []float64, budget int) (converged bool) {
 	if budget <= 0 {
 		budget = t.p.cfg.Epochs
@@ -212,18 +211,12 @@ func (t *Trainer) Fit(X []encoding.BitVec, y []float64, budget int) (converged b
 			budget = 1000
 		}
 	}
-	used := 0
-	for used < budget {
-		used++
+	for used := 0; used < budget; used++ {
 		if t.Step(X, y) {
-			converged = true
-			break
+			return true
 		}
 	}
-	reg := telemetry.Get()
-	reg.Gauge("perspectron_train_epochs_converged").Set(float64(used))
-	reg.Gauge("perspectron_train_saturated_weights").Set(float64(t.p.SaturatedWeights()))
-	return converged
+	return false
 }
 
 // FitIncremental resumes training from a serialized optimizer state over a

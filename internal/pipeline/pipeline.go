@@ -1,8 +1,9 @@
 // Package pipeline implements a cycle-accounting out-of-order core model in
 // the style of gem5's O3CPU, configured per the paper's Table II: 8-wide
 // fetch/dispatch/issue/commit, 192-entry ROB, 32-entry load and store
-// queues, 256 physical integer and float registers, a tournament branch
-// predictor, and TLBs whose permission faults are deferred to commit.
+// queues, 256 physical integer registers (the float register file is not
+// modelled), a tournament branch predictor, and TLBs whose permission
+// faults are deferred to commit.
 //
 // The model is instruction-stepped rather than strictly cycle-stepped: each
 // committed-path op flows through fetch → decode → rename → issue/execute →
@@ -23,33 +24,21 @@ import (
 	"perspectron/internal/tlb"
 )
 
-// Config holds the core parameters (Table II).
-type Config struct {
-	Width            int
-	ROBEntries       int
-	LQEntries        int
-	SQEntries        int
-	NumPhysIntRegs   int
-	NumPhysFloatRegs int
-	SquashPenalty    uint64
-	TrapLatency      uint64
-	L1IHitLatency    uint64
-}
+// Table II core parameters.
+const (
+	Width          = 8 // fetch/dispatch/issue/commit
+	ROBEntries     = 192
+	LQEntries      = 32
+	SQEntries      = 32
+	NumPhysIntRegs = 256
+)
 
-// DefaultConfig returns the Table II configuration.
-func DefaultConfig() Config {
-	return Config{
-		Width:            8,
-		ROBEntries:       192,
-		LQEntries:        32,
-		SQEntries:        32,
-		NumPhysIntRegs:   256,
-		NumPhysFloatRegs: 256,
-		SquashPenalty:    8,
-		TrapLatency:      40,
-		L1IHitLatency:    2,
-	}
-}
+// Model latencies, in cycles.
+const (
+	squashPenalty uint64 = 8  // refetch after a squash, charged to every stage
+	trapLatency   uint64 = 40 // a fault taken at commit
+	l1iHitLatency uint64 = 2  // an instruction fetch that hits the L1I
+)
 
 // inflight is one window (ROB) entry.
 type inflight struct {
@@ -116,8 +105,7 @@ type memRef struct {
 
 // Pipeline is the core model.
 type Pipeline struct {
-	cfg Config
-	C   Counters
+	C Counters
 
 	Mem *cache.Hierarchy
 	BP  *branch.Predictor
@@ -165,9 +153,8 @@ type Pipeline struct {
 
 // New constructs a pipeline and registers its counters in reg. Wire Mem,
 // BP, ITB, DTB before Run.
-func New(cfg Config, reg *stats.Registry) *Pipeline {
+func New(reg *stats.Registry) *Pipeline {
 	p := &Pipeline{
-		cfg:           cfg,
 		lastFetchLine: ^uint64(0),
 		lastFetchPage: ^uint64(0),
 		recentStores:  make([]memRef, 0, memHistory),
@@ -178,7 +165,7 @@ func New(cfg Config, reg *stats.Registry) *Pipeline {
 	// rename retires the head before dispatch whenever the ROB is full,
 	// so occupancy never exceeds ROBEntries.
 	ring := 1
-	for ring < cfg.ROBEntries {
+	for ring < ROBEntries {
 		ring <<= 1
 	}
 	p.window = make([]inflight, ring)
@@ -186,7 +173,7 @@ func New(cfg Config, reg *stats.Registry) *Pipeline {
 	for i := range p.fu {
 		p.fu[i] = make([]uint64, fuPoolSizes[i])
 	}
-	p.C = newCounters(reg, cfg.Width, &p.n)
+	p.C = newCounters(reg, Width, &p.n)
 	return p
 }
 
@@ -235,9 +222,9 @@ func (p *Pipeline) Step(op *isa.Op) {
 		if faulted {
 			// Trap at commit: drain and pay the trap latency.
 			p.Drain()
-			p.C.Fetch.PendingTrapStallCycles.Add(float64(p.cfg.TrapLatency))
+			p.C.Fetch.PendingTrapStallCycles.Add(float64(trapLatency))
 			p.C.Commit.Traps.Inc()
-			p.cycle += p.cfg.TrapLatency
+			p.cycle += trapLatency
 			done = p.cycle
 		}
 	}
@@ -270,8 +257,8 @@ func (p *Pipeline) fetch(op *isa.Op) {
 		p.lastFetchLine = line
 		fc.CacheLines.Inc()
 		lat := p.Mem.FetchInst(op.PC, p.cycle)
-		if lat > p.cfg.L1IHitLatency {
-			extra := lat - p.cfg.L1IHitLatency
+		if lat > l1iHitLatency {
+			extra := lat - l1iHitLatency
 			if sequential {
 				// The next-line prefetcher has this fill in flight;
 				// sequential streams hide most of the miss.
@@ -360,20 +347,20 @@ func (p *Pipeline) rename(op *isa.Op) {
 	// physical register by retiring the head when needed. The stall cycles
 	// propagate backwards to every earlier stage, the coupling the paper's
 	// replicated-feature argument builds on.
-	if p.windowLen() >= p.cfg.ROBEntries {
+	if p.windowLen() >= ROBEntries {
 		rc.ROBFullEvents.Inc()
 		p.C.ROB.FullEvents.Inc()
 		p.retireForSpace()
 	}
-	if op.Kind == isa.KindLoad && p.lq >= p.cfg.LQEntries {
+	if op.Kind == isa.KindLoad && p.lq >= LQEntries {
 		rc.LQFullEvents.Inc()
 		p.retireForSpace()
 	}
-	if op.Kind == isa.KindStore && p.sq >= p.cfg.SQEntries {
+	if op.Kind == isa.KindStore && p.sq >= SQEntries {
 		rc.SQFullEvents.Inc()
 		p.retireForSpace()
 	}
-	if p.windowLen() >= p.cfg.NumPhysIntRegs-p.cfg.Width*4 {
+	if p.windowLen() >= NumPhysIntRegs-Width*4 {
 		rc.FullRegisterEvents.Inc()
 		p.retireForSpace()
 	}
@@ -716,7 +703,7 @@ func (p *Pipeline) runTransient(body []isa.Op) {
 
 // squash accounts a pipeline squash of n instructions.
 func (p *Pipeline) squash(n int) {
-	pen := p.cfg.SquashPenalty
+	pen := squashPenalty
 	p.cycle += pen
 	fpen := float64(pen)
 	p.C.Fetch.SquashCycles.Add(fpen)
@@ -907,7 +894,7 @@ func (p *Pipeline) Drain() {
 // energy accrual.
 func (p *Pipeline) advance() {
 	p.sub++
-	if p.sub >= p.cfg.Width {
+	if p.sub >= Width {
 		p.sub = 0
 		p.cycle++
 		p.n.cycles++
@@ -929,7 +916,7 @@ func (p *Pipeline) histograms() {
 	p.opsSinceHist = 0
 
 	occ := p.windowLen()
-	bucket := occ * (len(p.C.ROB.OccDist) - 1) / p.cfg.ROBEntries
+	bucket := occ * (len(p.C.ROB.OccDist) - 1) / ROBEntries
 	if bucket >= len(p.C.ROB.OccDist) {
 		bucket = len(p.C.ROB.OccDist) - 1
 	}
@@ -941,9 +928,9 @@ func (p *Pipeline) histograms() {
 	}
 	p.C.IQ.OccDist[ib].Inc()
 
-	lb := clampBucket(p.lq, p.cfg.LQEntries, len(p.C.LSQ.LQOccDist))
+	lb := clampBucket(p.lq, LQEntries, len(p.C.LSQ.LQOccDist))
 	p.C.LSQ.LQOccDist[lb].Inc()
-	sb := clampBucket(p.sq, p.cfg.SQEntries, len(p.C.LSQ.SQOccDist))
+	sb := clampBucket(p.sq, SQEntries, len(p.C.LSQ.SQOccDist))
 	p.C.LSQ.SQOccDist[sb].Inc()
 
 	// Rate histograms: instructions per cycle since the last refresh.
@@ -951,7 +938,7 @@ func (p *Pipeline) histograms() {
 	di := p.n.commits - p.lastHistInst
 	p.lastHistCyc = p.cycle
 	p.lastHistInst = p.n.commits
-	rate := p.cfg.Width
+	rate := Width
 	if dc > 0 {
 		r := int(di / dc)
 		if r < rate {

@@ -13,7 +13,7 @@ func TestLQFullBackPressure(t *testing.T) {
 	// trigger LQ-full events.
 	var ops []isa.Op
 	ops = append(ops, isa.Op{Kind: isa.KindLoad, PC: 0x1000, Addr: 0x40000000})
-	for i := 0; i < 3*DefaultConfig().LQEntries; i++ {
+	for i := 0; i < 3*LQEntries; i++ {
 		ops = append(ops, isa.Op{Kind: isa.KindLoad, PC: 0x2000 + uint64(i)*4,
 			Addr: 0x10000 + uint64(i%4)*64}) // warm lines: fast
 	}
@@ -27,7 +27,7 @@ func TestSQFullBackPressure(t *testing.T) {
 	p, _, _ := newTestPipeline(t)
 	var ops []isa.Op
 	ops = append(ops, isa.Op{Kind: isa.KindLoad, PC: 0x1000, Addr: 0x40000000})
-	for i := 0; i < 3*DefaultConfig().SQEntries; i++ {
+	for i := 0; i < 3*SQEntries; i++ {
 		ops = append(ops, isa.Op{Kind: isa.KindStore, PC: 0x2000 + uint64(i)*4,
 			Addr: 0x10000 + uint64(i%4)*64})
 	}

@@ -14,12 +14,12 @@ import (
 func newTestPipeline(t *testing.T) (*Pipeline, *cache.Hierarchy, *stats.Registry) {
 	t.Helper()
 	reg := stats.NewRegistry()
-	mem := dram.New(dram.DefaultConfig(), reg)
+	mem := dram.New(reg)
 	h := cache.NewHierarchy(reg, mem)
-	bp := branch.New(branch.DefaultConfig(), reg)
-	itb := tlb.New(tlb.DefaultConfig(), reg, stats.CompITB, "itb")
-	dtb := tlb.New(tlb.DefaultConfig(), reg, stats.CompDTB, "dtb")
-	p := New(DefaultConfig(), reg)
+	bp := branch.New(reg)
+	itb := tlb.New(reg, stats.CompITB, "itb")
+	dtb := tlb.New(reg, stats.CompDTB, "dtb")
+	p := New(reg)
 	p.Mem = h
 	p.BP = bp
 	p.ITB = itb

@@ -58,7 +58,7 @@ func New(quantum, interval uint64, seed int64, progs ...workload.Program) (*Sche
 		return nil, fmt.Errorf("sched: no programs")
 	}
 	s := &Scheduler{
-		M:        sim.NewMachine(sim.DefaultConfig()),
+		M:        sim.NewMachine(),
 		Quantum:  quantum,
 		Interval: interval,
 	}

@@ -40,7 +40,7 @@ func allocOps() []isa.Op {
 // nothing — no window growth, no history reslicing, no wrong-path slices.
 func TestStepAllocationFree(t *testing.T) {
 	ops := allocOps()
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	replay := func() {
 		for i := range ops {
 			op := ops[i]
@@ -64,7 +64,7 @@ const runStreamAllocSlack = 16
 func TestRunStreamAllocations(t *testing.T) {
 	const insts, interval = 100_000, 10_000
 	ops := allocOps()
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	samples := 0
 	run := func() {
 		samples = m.RunStream(isa.NewSliceStream(ops), insts, interval, func(int, []float64) bool { return true })
@@ -95,7 +95,7 @@ func TestColdRunBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	n := m.RunStream(benign.Mcf().Stream(rand.New(rand.NewSource(1))), insts, interval,
 		func(int, []float64) bool { return true })
 	runtime.ReadMemStats(&after)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSpectreV4Footprint(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	runAll(m, attacks.SpectreV4("fr").Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
 	fmt.Println("memOrderViolations:", value(t, m, "iew.memOrderViolationEvents"))
 	fmt.Println("squashedLoads:", value(t, m, "lsq.thread0.squashedLoads"))
@@ -20,7 +20,7 @@ func TestSpectreV4Footprint(t *testing.T) {
 }
 
 func TestRowHammerFootprint(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	runAll(m, attacks.RowHammer().Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
 	fmt.Println("activations:", value(t, m, "mem_ctrls.rank0.actCount"))
 	fmt.Println("flush_ops:", value(t, m, "dcache.flush_ops"))

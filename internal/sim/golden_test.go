@@ -73,7 +73,7 @@ func (f *fingerprint) machine(m *Machine, n int) string {
 // hooks first, and fingerprints the result. stopAfter >= 0 makes the
 // consumer cut the run off once it has seen that sample index.
 func goldenRun(prog workload.Program, seed int64, stopAfter int, setup func(*Machine)) (string, [][]float64) {
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	if setup != nil {
 		setup(m)
 	}
@@ -249,7 +249,7 @@ func TestRunMatchesRunStream(t *testing.T) {
 		t.Run(prog.Info().Name, func(t *testing.T) {
 			t.Parallel()
 			_, streamed := goldenRun(prog, 1, -1, nil)
-			pulled := runAll(NewMachine(DefaultConfig()), prog.Stream(rand.New(rand.NewSource(1))), goldenInsts, goldenInterval)
+			pulled := runAll(NewMachine(), prog.Stream(rand.New(rand.NewSource(1))), goldenInsts, goldenInterval)
 			if len(pulled) != len(streamed) {
 				t.Fatalf("Next gave %d samples, RunStream %d", len(pulled), len(streamed))
 			}

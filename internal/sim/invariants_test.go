@@ -59,7 +59,7 @@ func TestQuickRandomProgramsPreserveInvariants(t *testing.T) {
 		for i := range ops {
 			ops[i] = randomOp(r, i)
 		}
-		m := NewMachine(DefaultConfig())
+		m := NewMachine()
 		runAll(m, isa.NewSliceStream(ops), 0, 1000)
 
 		lookup := func(name string) float64 {
@@ -122,7 +122,7 @@ func TestQuickSamplesPartitionCounters(t *testing.T) {
 		for i := range ops {
 			ops[i] = randomOp(r, i)
 		}
-		m := NewMachine(DefaultConfig())
+		m := NewMachine()
 		samples := runAll(m, isa.NewSliceStream(ops), 0, 100)
 		if len(samples) == 0 {
 			return true

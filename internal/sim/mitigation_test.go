@@ -11,7 +11,7 @@ import (
 func TestFencingBlocksSpectreChannel(t *testing.T) {
 	attack := attacks.SpectreV1("fr")
 
-	plain := NewMachine(DefaultConfig())
+	plain := NewMachine()
 	runAll(plain, attack.Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
 	plainBlocked := value(t, plain, "iew.blockedSpecLoads")
 	plainSquashed := value(t, plain, "lsq.thread0.squashedLoads")
@@ -22,7 +22,7 @@ func TestFencingBlocksSpectreChannel(t *testing.T) {
 		t.Fatalf("attack produced no speculative loads")
 	}
 
-	fenced := NewMachine(DefaultConfig())
+	fenced := NewMachine()
 	fenced.EnableFencing(true)
 	runAll(fenced, attack.Stream(rand.New(rand.NewSource(1))), 50_000, 10_000)
 	blocked := value(t, fenced, "iew.blockedSpecLoads")
@@ -37,7 +37,7 @@ func TestFencingBlocksSpectreChannel(t *testing.T) {
 
 func TestFencingCostsBenignPerformance(t *testing.T) {
 	run := func(fence bool) uint64 {
-		m := NewMachine(DefaultConfig())
+		m := NewMachine()
 		m.EnableFencing(fence)
 		runAll(m, benign.Gobmk().Stream(rand.New(rand.NewSource(2))), 30_000, 10_000)
 		return m.Pipe.Cycle()
@@ -52,7 +52,7 @@ func TestRekeyBreaksPrimeProbeSets(t *testing.T) {
 	attack := attacks.PrimeProbe()
 
 	miss := func(rekey bool) float64 {
-		m := NewMachine(DefaultConfig())
+		m := NewMachine()
 		if rekey {
 			m.OnSample = func(idx int, _ []float64) { m.RekeyCaches(uint64(idx)*2654435761 + 7) }
 		}
@@ -64,7 +64,7 @@ func TestRekeyBreaksPrimeProbeSets(t *testing.T) {
 		t.Fatalf("rekeying did not raise the attacker's miss noise: %.3f vs %.3f", rekeyed, base)
 	}
 	// The rekey events themselves must be counted.
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	m.OnSample = func(idx int, _ []float64) { m.RekeyCaches(uint64(idx) + 1) }
 	runAll(m, attack.Stream(rand.New(rand.NewSource(3))), 30_000, 10_000)
 	if value(t, m, "dcache.rekeys") == 0 {
@@ -76,7 +76,7 @@ func TestBPNoiseDegradesMistraining(t *testing.T) {
 	attack := attacks.SpectreV1("fr")
 
 	gadgetLoads := func(permille int) float64 {
-		m := NewMachine(DefaultConfig())
+		m := NewMachine()
 		m.InjectBPNoise(permille)
 		runAll(m, attack.Stream(rand.New(rand.NewSource(4))), 60_000, 10_000)
 		return value(t, m, "lsq.thread0.squashedLoads")
@@ -87,7 +87,7 @@ func TestBPNoiseDegradesMistraining(t *testing.T) {
 		t.Fatalf("noise did not reduce gadget executions: %v vs %v", noisy, base)
 	}
 	// The injected randomization must be visible in the counter.
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	m.InjectBPNoise(300)
 	runAll(m, benign.Gobmk().Stream(rand.New(rand.NewSource(5))), 20_000, 10_000)
 	if value(t, m, "branchPred.noiseInjected") == 0 {
@@ -99,7 +99,7 @@ func TestBPNoiseDegradesMistraining(t *testing.T) {
 }
 
 func TestOnSampleHookFires(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	var got []int
 	m.OnSample = func(idx int, _ []float64) { got = append(got, idx) }
 	runAll(m, benign.Bzip2().Stream(rand.New(rand.NewSource(6))), 35_000, 10_000)

@@ -18,23 +18,14 @@ import (
 	"perspectron/internal/tlb"
 )
 
-// Config gathers every sub-component configuration.
-type Config struct {
-	Pipeline pipeline.Config
-	Branch   branch.Config
-	TLB      tlb.Config
-	DRAM     dram.Config
-}
+// Config is empty: the machine is the paper's fixed Table II configuration,
+// whose sizes are constants in the component packages. It is kept only
+// because bench/ still calls NewMachine(DefaultConfig()); the next change to
+// bench/ drops that argument, and Config and DefaultConfig go with it.
+type Config struct{}
 
-// DefaultConfig is the paper's Table II machine.
-func DefaultConfig() Config {
-	return Config{
-		Pipeline: pipeline.DefaultConfig(),
-		Branch:   branch.DefaultConfig(),
-		TLB:      tlb.DefaultConfig(),
-		DRAM:     dram.DefaultConfig(),
-	}
-}
+// DefaultConfig returns the empty Config bench/ still passes to NewMachine.
+func DefaultConfig() Config { return Config{} }
 
 // ClockGHz is the simulated core frequency (Table II).
 const ClockGHz = 2.0
@@ -43,7 +34,6 @@ const ClockGHz = 2.0
 // Machine per program run: microarchitectural state (caches, predictors,
 // counters) starts cold, as in the paper's per-program gem5 runs.
 type Machine struct {
-	Cfg  Config
 	Reg  *stats.Registry
 	Pipe *pipeline.Pipeline
 	Hier *cache.Hierarchy
@@ -59,21 +49,22 @@ type Machine struct {
 	OnSample sampleHook
 }
 
-// NewMachine wires a machine and seals its counter registry.
-func NewMachine(cfg Config) *Machine {
+// NewMachine wires a Table II machine and seals its counter registry. The
+// optional Config is ignored; see Config.
+func NewMachine(...Config) *Machine {
 	reg := stats.NewRegistry()
-	d := dram.New(cfg.DRAM, reg)
+	d := dram.New(reg)
 	h := cache.NewHierarchy(reg, d)
-	bp := branch.New(cfg.Branch, reg)
-	itb := tlb.New(cfg.TLB, reg, stats.CompITB, "itb")
-	dtb := tlb.New(cfg.TLB, reg, stats.CompDTB, "dtb")
-	p := pipeline.New(cfg.Pipeline, reg)
+	bp := branch.New(reg)
+	itb := tlb.New(reg, stats.CompITB, "itb")
+	dtb := tlb.New(reg, stats.CompDTB, "dtb")
+	p := pipeline.New(reg)
 	p.Mem = h
 	p.BP = bp
 	p.ITB = itb
 	p.DTB = dtb
 	reg.Seal()
-	return &Machine{Cfg: cfg, Reg: reg, Pipe: p, Hier: h, DRAM: d, BP: bp, ITB: itb, DTB: dtb}
+	return &Machine{Reg: reg, Pipe: p, Hier: h, DRAM: d, BP: bp, ITB: itb, DTB: dtb}
 }
 
 // NumCounters returns the size of the machine's counter space (the paper's

@@ -24,7 +24,7 @@ func runAll(m *Machine, stream isa.Stream, maxInsts, interval uint64) [][]float6
 // runProg runs a program for maxInsts on a fresh machine and returns it.
 func runProg(t *testing.T, p workload.Program, maxInsts uint64) *Machine {
 	t.Helper()
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	samples := runAll(m, p.Stream(rand.New(rand.NewSource(42))), maxInsts, 10_000)
 	if len(samples) == 0 {
 		t.Fatalf("%s produced no samples", p.Info().Name)
@@ -43,7 +43,7 @@ func value(t *testing.T, m *Machine, name string) float64 {
 }
 
 func TestMachineCounterInventory(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	// The inventory is fixed by construction; DESIGN.md documents the
 	// relationship to the paper's 1159 gem5 counters.
 	if got := m.NumCounters(); got < 700 {
@@ -200,7 +200,7 @@ func TestBenignBranchyStillSquashes(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []float64 {
-		m := NewMachine(DefaultConfig())
+		m := NewMachine()
 		runAll(m, attacks.SpectreV1("fr").Stream(rand.New(rand.NewSource(7))), 20_000, 10_000)
 		return m.Reg.Snapshot(nil)
 	}
@@ -208,13 +208,13 @@ func TestDeterministicRuns(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic counter %s: %v vs %v",
-				NewMachine(DefaultConfig()).Reg.Counter(i).Name(), a[i], b[i])
+				NewMachine().Reg.Counter(i).Name(), a[i], b[i])
 		}
 	}
 }
 
 func TestSampleWidthMatchesRegistry(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	samples := runAll(m, benign.Bzip2().Stream(rand.New(rand.NewSource(1))), 25_000, 10_000)
 	for _, s := range samples {
 		if len(s) != m.NumCounters() {
@@ -229,7 +229,7 @@ func TestSampleWidthMatchesRegistry(t *testing.T) {
 func TestLeakMarksRecorded(t *testing.T) {
 	p := attacks.SpectreV1("fr")
 	stream := p.Stream(rand.New(rand.NewSource(3)))
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	runAll(m, stream, 20_000, 10_000)
 	ls := stream.(*workload.LoopStream)
 	if len(ls.LeakMarks()) == 0 {

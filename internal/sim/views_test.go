@@ -61,7 +61,7 @@ func (o lockstepOracle) executed() uint64 {
 }
 
 func (o lockstepOracle) cycles() uint64 {
-	return o.s.completedSteps() / uint64(o.m.Cfg.Pipeline.Width)
+	return o.s.completedSteps() / uint64(pipeline.Width)
 }
 
 // viewCase is one lockstep counter: its handle, its registered name and
@@ -122,7 +122,7 @@ func TestLockstepViewsMatchPerOpCounts(t *testing.T) {
 	ops := allocOps()
 
 	t.Run("OnSample", func(t *testing.T) {
-		m := NewMachine(DefaultConfig())
+		m := NewMachine()
 		s := &countingStream{ops: append([]isa.Op(nil), ops...)}
 		cases := viewCases(&m.Pipe.C, lockstepOracle{m: m, s: s, commit: m.Pipe.Committed})
 		snap := make([]float64, m.Reg.Len())
@@ -142,7 +142,7 @@ func TestLockstepViewsMatchPerOpCounts(t *testing.T) {
 	})
 
 	t.Run("EveryCommit", func(t *testing.T) {
-		m := NewMachine(DefaultConfig())
+		m := NewMachine()
 		s := &countingStream{ops: append([]isa.Op(nil), ops...)}
 		var commits uint64
 		o := lockstepOracle{m: m, s: s, commit: func() uint64 { return commits }}
@@ -175,7 +175,7 @@ func TestLockstepViewsMatchPerOpCounts(t *testing.T) {
 // over its request types, and a bus's packet count, snoop requests and
 // request-layer occupancy against its transaction distribution.
 func TestMemoryViewsMatchPlainCounters(t *testing.T) {
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	snap := make([]float64, m.Reg.Len())
 	check := func(where, name string, v *stats.View, want float64) {
 		t.Helper()
@@ -249,7 +249,7 @@ func TestViewsHaveNoIncrement(t *testing.T) {
 		}
 		return n
 	}
-	m := NewMachine(DefaultConfig())
+	m := NewMachine()
 	if n := views(reflect.ValueOf(m.Pipe.C)); n != 17 {
 		t.Fatalf("%d pipeline counters are views, want 17", n)
 	}

@@ -5,23 +5,15 @@
 // reaches commit; the transient window in between is where the attack leaks.
 package tlb
 
-import (
-	"math/bits"
+import "perspectron/internal/stats"
 
-	"perspectron/internal/stats"
+// Each TLB is direct-mapped: 64 entries of 4 KiB pages, written as shifts
+// so both are powers of two by construction.
+const (
+	entries     = 1 << 6
+	pageShift   = 12 // 4 KiB pages
+	walkLatency = 50 // page table walk cost in cycles
 )
-
-// Config sizes one TLB.
-type Config struct {
-	Entries     int
-	PageBytes   int
-	WalkLatency uint64 // page table walk cost in cycles
-}
-
-// DefaultConfig is a 64-entry 4 KiB-page TLB.
-func DefaultConfig() Config {
-	return Config{Entries: 64, PageBytes: 4096, WalkLatency: 50}
-}
 
 // KernelBase marks the start of supervisor-only address space in the
 // simulated layout; user accesses at or above it fault.
@@ -81,31 +73,16 @@ type Result struct {
 
 // TLB is one translation buffer.
 type TLB struct {
-	cfg       Config
-	C         Counters
-	ents      []entry
-	tick      uint64
-	pageShift uint   // log2(PageBytes)
-	entMask   uint64 // Entries-1
+	C    Counters
+	ents []entry
+	tick uint64
 }
 
 // New constructs a TLB with counters under comp/name ("dtb" or "itb").
-// Entries and PageBytes must be powers of two.
-func New(cfg Config, reg *stats.Registry, comp stats.Component, name string) *TLB {
-	mustPow2("entry count", cfg.Entries)
-	mustPow2("page size", cfg.PageBytes)
+func New(reg *stats.Registry, comp stats.Component, name string) *TLB {
 	return &TLB{
-		cfg:       cfg,
-		C:         newCounters(reg, comp, name),
-		ents:      make([]entry, cfg.Entries),
-		pageShift: uint(bits.TrailingZeros(uint(cfg.PageBytes))),
-		entMask:   uint64(cfg.Entries - 1),
-	}
-}
-
-func mustPow2(what string, v int) {
-	if v <= 0 || v&(v-1) != 0 {
-		panic("tlb: " + what + " must be a power of two")
+		C:    newCounters(reg, comp, name),
+		ents: make([]entry, entries),
 	}
 }
 
@@ -123,12 +100,12 @@ func (t *TLB) Translate(addr uint64, write bool) Result {
 		// No translation exists: full walk, then page fault.
 		t.miss(write)
 		t.C.PageFaults.Inc()
-		return Result{Latency: t.cfg.WalkLatency, PageFault: true}
+		return Result{Latency: walkLatency, PageFault: true}
 	}
 
 	super := addr >= KernelBase
-	vpn := addr >> t.pageShift
-	e := &t.ents[vpn&t.entMask]
+	vpn := addr >> pageShift
+	e := &t.ents[vpn&(entries-1)]
 	if e.valid && e.vpn == vpn {
 		if write {
 			t.C.WrHits.Inc()
@@ -145,7 +122,7 @@ func (t *TLB) Translate(addr uint64, write bool) Result {
 
 	t.miss(write)
 	*e = entry{vpn: vpn, valid: true, supervisor: super, lastUse: t.tick}
-	res := Result{Latency: t.cfg.WalkLatency}
+	res := Result{Latency: walkLatency}
 	if super {
 		t.C.PermFaults.Inc()
 		res.PermFault = true
@@ -160,7 +137,7 @@ func (t *TLB) miss(write bool) {
 		t.C.RdMisses.Inc()
 	}
 	t.C.Walks.Inc()
-	t.C.WalkCycles.Add(float64(t.cfg.WalkLatency))
+	t.C.WalkCycles.Add(float64(walkLatency))
 }
 
 // Flush invalidates all entries (context switch / attack hygiene).

@@ -9,7 +9,7 @@ import (
 func newTLB(t *testing.T) *TLB {
 	t.Helper()
 	reg := stats.NewRegistry()
-	tb := New(DefaultConfig(), reg, stats.CompDTB, "dtb")
+	tb := New(reg, stats.CompDTB, "dtb")
 	reg.Seal()
 	return tb
 }
@@ -17,7 +17,7 @@ func newTLB(t *testing.T) *TLB {
 func TestMissThenHit(t *testing.T) {
 	tb := newTLB(t)
 	r1 := tb.Translate(0x1000, false)
-	if r1.Latency != DefaultConfig().WalkLatency {
+	if r1.Latency != walkLatency {
 		t.Fatalf("cold translate latency = %d", r1.Latency)
 	}
 	r2 := tb.Translate(0x1008, false) // same page
@@ -52,7 +52,7 @@ func TestUnmappedPageFault(t *testing.T) {
 	if !r.PageFault {
 		t.Fatalf("unmapped access did not page fault")
 	}
-	if r.Latency != DefaultConfig().WalkLatency {
+	if r.Latency != walkLatency {
 		t.Fatalf("unmapped latency = %d, want full walk", r.Latency)
 	}
 	if tb.C.PageFaults.Value() != 1 {
@@ -75,7 +75,7 @@ func TestFlush(t *testing.T) {
 	tb.Translate(0x1000, false)
 	tb.Flush()
 	r := tb.Translate(0x1000, false)
-	if r.Latency != DefaultConfig().WalkLatency {
+	if r.Latency != walkLatency {
 		t.Fatalf("post-flush translate hit")
 	}
 	if tb.C.Flushes.Value() != 1 {
@@ -85,33 +85,10 @@ func TestFlush(t *testing.T) {
 
 func TestConflictEviction(t *testing.T) {
 	tb := newTLB(t)
-	n := uint64(DefaultConfig().Entries)
-	pg := uint64(DefaultConfig().PageBytes)
 	tb.Translate(0, false)
-	tb.Translate(n*pg, false) // maps to the same slot
+	tb.Translate(entries<<pageShift, false) // maps to the same slot
 	r := tb.Translate(0, false)
-	if r.Latency != DefaultConfig().WalkLatency {
+	if r.Latency != walkLatency {
 		t.Fatalf("conflicting entry not evicted")
-	}
-}
-
-// TestNewRejectsNonPowerOfTwo: Translate indexes by shift and mask, so a
-// size that is not a power of two must fail at construction.
-func TestNewRejectsNonPowerOfTwo(t *testing.T) {
-	for _, mutate := range []func(*Config){
-		func(c *Config) { c.Entries = 48 },
-		func(c *Config) { c.PageBytes = 3000 },
-		func(c *Config) { c.Entries = 0 },
-	} {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%+v) did not panic", cfg)
-				}
-			}()
-			New(cfg, stats.NewRegistry(), stats.CompDTB, "dtb")
-		}()
 	}
 }

@@ -120,7 +120,7 @@ func Collect(ctx context.Context, progs []workload.Program, cfg CollectConfig) *
 	ctx, span := reg.StartSpan(ctx, "collect")
 	defer span.End()
 
-	probe := sim.NewMachine(sim.DefaultConfig())
+	probe := sim.NewMachine()
 	ds := &Dataset{
 		FeatureNames: probe.Reg.Names(),
 		Components:   probe.Reg.Components(),
@@ -214,7 +214,7 @@ func collectOne(ctx context.Context, prog workload.Program, run int, seed int64,
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	src := NewSource(ctx, sim.NewMachine(sim.DefaultConfig()), prog, run, seed, cfg.MaxInsts, cfg.Interval)
+	src := NewSource(ctx, sim.NewMachine(), prog, run, seed, cfg.MaxInsts, cfg.Interval)
 	var out []Sample
 	for s, ok := src.Next(); ok; s, ok = src.Next() {
 		out = append(out, s)

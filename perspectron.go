@@ -235,6 +235,7 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 	perc := perceptron.New(len(sel.Indices), pcfg)
 	tr := perceptron.NewTrainer(perc)
 	tr.Fit(Xp, yb, 0)
+	publishFitGauges(tr.Epochs(), perc)
 	st := tr.State()
 
 	// The detector embeds the served view projected onto its feature slots:
@@ -258,6 +259,16 @@ func Train(workloads []Workload, opts Options) (*Detector, error) {
 		d.FeatureNames[i] = ds.FeatureNames[j]
 	}
 	return d, nil
+}
+
+// publishFitGauges sets the end-of-fit training gauges from a detector's
+// own fit. Only Train and TrainIncrement publish them, so the classifier
+// bank's classes, the CV folds and the experiments, which fit concurrently,
+// never overwrite the detector's values.
+func publishFitGauges(epochs int, p *perceptron.Perceptron) {
+	reg := telemetry.Get()
+	reg.Gauge("perspectron_train_epochs_converged").Set(float64(epochs))
+	reg.Gauge("perspectron_train_saturated_weights").Set(float64(p.SaturatedWeights()))
 }
 
 // maxPoints caps the execution points whose maxima a detector embeds;

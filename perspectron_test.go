@@ -8,6 +8,7 @@ import (
 
 	"perspectron/internal/corpus"
 	"perspectron/internal/encoding"
+	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload/attacks"
 	"perspectron/internal/workload/benign"
@@ -34,6 +35,36 @@ func sharedDetector(t *testing.T) *Detector {
 		cachedDetector = trainSmall(t)
 	}
 	return cachedDetector
+}
+
+// TestTrainGaugesHoldTheDetectorFit: the end-of-fit gauges report the
+// detector's own fit, and a classifier bank fitted afterwards, whose classes
+// stop at other epochs, leaves them alone.
+func TestTrainGaugesHoldTheDetectorFit(t *testing.T) {
+	reg := telemetry.Get()
+	epochs := reg.Gauge("perspectron_train_epochs_converged")
+	saturated := reg.Gauge("perspectron_train_saturated_weights")
+	opts := DefaultOptions()
+	opts.MaxInsts = 100_000
+	opts.Runs = 1
+	det, err := Train(TrainingWorkloads(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(det.Lineage.Trainer.Epochs)
+	if got := epochs.Value(); got != want {
+		t.Fatalf("epochs gauge after Train = %v, want the fit's %v", got, want)
+	}
+	wantSat := saturated.Value()
+	if _, err := TrainClassifier(TrainingWorkloads(), opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := epochs.Value(); got != want {
+		t.Errorf("epochs gauge after TrainClassifier = %v, want Train's %v", got, want)
+	}
+	if got := saturated.Value(); got != wantSat {
+		t.Errorf("saturated-weights gauge after TrainClassifier = %v, want Train's %v", got, wantSat)
+	}
 }
 
 func TestTrainProducesDetector(t *testing.T) {

@@ -126,7 +126,7 @@ func (d *Detector) MonitorWithPolicy(w Workload, maxInsts uint64, seed int64, po
 	if policy == nil {
 		return nil, fmt.Errorf("perspectron: nil policy")
 	}
-	m := sim.NewMachine(sim.DefaultConfig())
+	m := sim.NewMachine()
 	detIdx, _, err := resolveModels(m.Reg, d, nil)
 	if err != nil {
 		return nil, err

@@ -48,7 +48,7 @@ func Record(ctx context.Context, w Workload, maxInsts uint64, seed int64, interv
 	_, span := telemetry.Get().StartSpan(ctx, "record")
 	defer span.End()
 
-	m := sim.NewMachine(sim.DefaultConfig())
+	m := sim.NewMachine()
 	src := trace.NewSource(ctx, m, w, 0, seed, maxInsts, interval)
 	rec := &Recording{Workload: info.Name, Malicious: info.Label == workload.Malicious, Interval: interval, reg: m.Reg}
 	for s, ok := src.Next(); ok; s, ok = src.Next() {

@@ -104,7 +104,7 @@ func NewSession(ctx context.Context, det *Detector, cls *Classifier, cfg Session
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("perspectron: session needs a workload")
 	}
-	m := sim.NewMachine(sim.DefaultConfig())
+	m := sim.NewMachine()
 	_, _, err := resolveModels(m.Reg, det, cls)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
-// Package a plants exports for the public-surface guard's self-test: three
-// are dead (DeadFunc, Widget.DeadMethod, Config.Dead), every other one is
-// referenced or set by one of the rules the guard honours.
+// Package a plants exports for the public-surface guard's self-test: four
+// are dead (DeadFunc, Widget.DeadMethod, Config.Dead, Config.Unread), every
+// other one is referenced, set or read by one of the rules the guard
+// honours.
 package a
 
 // Live is called from package b.
@@ -47,24 +48,32 @@ var table = len(Table)
 var Table = []int{1, 2}
 
 // Config is a knob-guarded config: package b sets Live by a literal key and
-// Assigned by an assignment.
+// Assigned by an assignment, and Resolve reads them.
 type Config struct {
 	Live     int
 	Assigned int
 	// Dead is set only by withDefaults and this package's tests: reported.
 	Dead int
+	// Unread is set by package b, but this package only assigns it and
+	// only its tests read it: reported.
+	Unread int
 	// seam is unexported: not public surface.
 	seam int
 }
 
-// withDefaults's own assignments do not count as a caller setting a field.
+// withDefaults's own assignments do not count as a caller setting a field,
+// nor as a read.
 func (c Config) withDefaults() Config {
 	if c.Dead == 0 {
 		c.Dead = 1
 	}
+	c.Unread = 0
 	c.seam = 1
 	return c
 }
 
 // Resolve is called from package b.
-func Resolve(c Config) int { return c.withDefaults().Dead + c.seam }
+func Resolve(c Config) int {
+	c = c.withDefaults()
+	return c.Live + c.Assigned + c.Dead + c.seam
+}

@@ -9,7 +9,7 @@ func main() { println(Use()) }
 func Use() int {
 	var w a.Widget
 	w.LiveMethod()
-	cfg := a.Config{Live: 1}
+	cfg := a.Config{Live: 1, Unread: 3}
 	cfg.Assigned = 2
 	return a.Live() + a.Resolve(cfg)
 }
