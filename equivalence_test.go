@@ -128,7 +128,7 @@ func TestEncoderEquivalence(t *testing.T) {
 	progs := []workload.Program{benign.Bzip2(), attacks.FlushReload()}
 	ds := trace.Collect(context.Background(), progs, trace.CollectConfig{
 		MaxInsts: 40_000, Interval: 10_000, Seed: 3, Runs: 1,
-	})
+	})[0]
 	m := trace.Maxima(ds)
 	X, y := trace.Scaled(m, ds, nil)
 	// The bit-packed encoding must carry the bits of the golden dense

@@ -111,10 +111,10 @@ type Store struct {
 	inflight map[string]*sync.WaitGroup
 	reg      *telemetry.Registry // traffic accounting; never nil
 
-	// collect is the collection backend, replaceable in tests. It receives
-	// the caller's context so a cancelled DatasetCtx stops scheduling
-	// simulation runs.
-	collect func(context.Context, []workload.Program, trace.CollectConfig) *trace.Dataset
+	// collect is the collection backend, replaceable in tests: one
+	// Dataset per config, in order. It receives the caller's context so a
+	// cancelled request stops scheduling simulation runs.
+	collect func(context.Context, []workload.Program, ...trace.CollectConfig) []*trace.Dataset
 }
 
 // NewStore returns an empty in-memory store with a private telemetry
@@ -234,61 +234,122 @@ func (s *Store) Dataset(progs []workload.Program, cfg trace.CollectConfig) *trac
 // simulation runs (the collection backend observes ctx) and skips disk-cache
 // reads and writes. A cancelled request still returns whatever partial
 // dataset the backend produced — callers that care should check ctx.Err().
+// It is DatasetsCtx for one config.
 func (s *Store) DatasetCtx(ctx context.Context, progs []workload.Program, cfg trace.CollectConfig) *trace.Dataset {
-	key := DatasetKey(progs, cfg)
+	return s.DatasetsCtx(ctx, progs, cfg)[0]
+}
+
+// DatasetsCtx returns the dataset of each config over progs, in order,
+// simulating each at most once per key. A key resolves from memory, then
+// from the on-disk cache; the keys left are collected together in one
+// trace.Collect pass, which simulates runs the configs share only once,
+// and each dataset is memoized and saved under its own key. Concurrent
+// requests for a key collapse into one collection. Cancellation behaves as
+// in DatasetCtx.
+func (s *Store) DatasetsCtx(ctx context.Context, progs []workload.Program, cfgs ...trace.CollectConfig) []*trace.Dataset {
+	out := make([]*trace.Dataset, len(cfgs))
+	keys := make([]string, len(cfgs))
+	first := map[string]int{} // key -> its first config: a repeated config resolves once
+	for i, c := range cfgs {
+		keys[i] = DatasetKey(progs, c)
+		if _, ok := first[keys[i]]; !ok {
+			first[keys[i]] = i
+		}
+	}
 	for {
+		// Take what memory holds and claim what nobody is resolving;
+		// wait for the rest only after resolving the claimed keys, so two
+		// requests claiming each other's keys cannot deadlock.
+		var mine []int
+		var busy []*sync.WaitGroup
 		s.mu.Lock()
-		if ds, ok := s.datasets[key]; ok {
-			s.reg.Counter(MetricDatasetsMemory).Inc()
-			s.mu.Unlock()
-			return ds
+		for i, k := range keys {
+			if first[k] != i || out[i] != nil {
+				continue
+			}
+			if ds, ok := s.datasets[k]; ok {
+				s.reg.Counter(MetricDatasetsMemory).Inc()
+				out[i] = ds
+			} else if wg, ok := s.inflight[k]; ok {
+				busy = append(busy, wg)
+			} else {
+				wg := &sync.WaitGroup{}
+				wg.Add(1)
+				s.inflight[k] = wg
+				mine = append(mine, i)
+			}
 		}
-		if wg, busy := s.inflight[key]; busy {
-			s.mu.Unlock()
-			wg.Wait() // another goroutine is collecting this key
-			continue
-		}
-		wg := &sync.WaitGroup{}
-		wg.Add(1)
-		s.inflight[key] = wg
 		dir := s.dir
 		s.mu.Unlock()
 
-		reg := s.registry()
-		ds, readBytes := s.load(ctx, dir, key)
-		fromDisk := ds != nil
-		if fromDisk {
+		if len(mine) > 0 {
+			s.resolve(ctx, dir, progs, cfgs, keys, mine, out)
+		}
+		if len(busy) == 0 {
+			break
+		}
+		for _, wg := range busy {
+			wg.Wait() // another request is resolving this key
+		}
+	}
+	for i, k := range keys {
+		out[i] = out[first[k]]
+	}
+	return out
+}
+
+// resolve fills out[i] for the claimed configs mine: from the on-disk
+// cache where it holds the key, else from one collection of all the
+// missing configs. It memoizes and persists each complete dataset under its
+// own key, then releases the claims.
+func (s *Store) resolve(ctx context.Context, dir string, progs []workload.Program, cfgs []trace.CollectConfig, keys []string, mine []int, out []*trace.Dataset) {
+	reg := s.registry()
+	fromDisk := map[int]bool{}
+	var missing []trace.CollectConfig
+	var at []int // missing[j] is cfgs[at[j]]
+	for _, i := range mine {
+		if ds, readBytes := s.load(ctx, dir, keys[i]); ds != nil {
 			reg.Counter(MetricDiskReadBytes).Add(uint64(readBytes))
+			out[i], fromDisk[i] = ds, true
 		} else {
-			ds = s.collect(ctx, progs, cfg)
+			missing, at = append(missing, cfgs[i]), append(at, i)
+		}
+	}
+	if len(missing) > 0 {
+		for j, ds := range s.collect(ctx, progs, missing...) {
+			out[at[j]] = ds
 			reg.Counter(MetricRunsDropped).Add(uint64(len(ds.Dropped)))
 			reg.Counter(MetricRunRetries).Add(uint64(ds.Retried))
-			// A cancelled collection is partial: never persist it, and keep
-			// it out of the memory cache too — a later caller with a live
-			// context must get a complete collection.
-			if ctx.Err() != nil {
-				s.mu.Lock()
-				delete(s.inflight, key)
-				s.mu.Unlock()
-				wg.Done()
-				return ds
-			}
-			if dir != "" && cacheable(ds, cfg) {
-				written := s.save(ctx, dir, key, ds)
-				reg.Counter(MetricDiskWrittenBytes).Add(uint64(written))
+		}
+	}
+	// A cancelled collection is partial: never persist it, and keep it out
+	// of the memory cache too — a later caller with a live context must
+	// get a complete collection.
+	cancelled := ctx.Err() != nil
+	if dir != "" && !cancelled {
+		for _, i := range at {
+			if cacheable(out[i], cfgs[i]) {
+				reg.Counter(MetricDiskWrittenBytes).Add(uint64(s.save(ctx, dir, keys[i], out[i])))
 			}
 		}
-		s.mu.Lock()
-		s.datasets[key] = ds
-		if fromDisk {
+	}
+	s.mu.Lock()
+	var done []*sync.WaitGroup
+	for _, i := range mine {
+		switch {
+		case fromDisk[i]:
+			s.datasets[keys[i]] = out[i]
 			s.reg.Counter(MetricDatasetsDisk).Inc()
-		} else {
+		case !cancelled:
+			s.datasets[keys[i]] = out[i]
 			s.reg.Counter(MetricDatasetsCollected).Inc()
 		}
-		delete(s.inflight, key)
-		s.mu.Unlock()
+		done = append(done, s.inflight[keys[i]])
+		delete(s.inflight, keys[i])
+	}
+	s.mu.Unlock()
+	for _, wg := range done {
 		wg.Done()
-		return ds
 	}
 }
 

@@ -48,9 +48,9 @@ func TestDatasetMemoized(t *testing.T) {
 	s := NewStore()
 	collections := 0
 	inner := s.collect
-	s.collect = func(ctx context.Context, p []workload.Program, c trace.CollectConfig) *trace.Dataset {
+	s.collect = func(ctx context.Context, p []workload.Program, c ...trace.CollectConfig) []*trace.Dataset {
 		collections++
-		return inner(ctx, p, c)
+		return inner(ctx, p, c...)
 	}
 	a := s.Dataset(tinyCorpus(), tinyConfig())
 	b := s.Dataset(tinyCorpus(), tinyConfig())
@@ -114,7 +114,7 @@ func TestDiskCacheRoundTripByteIdentical(t *testing.T) {
 	// A second store (fresh process, same cache dir) must load from disk —
 	// zero collections — and serve bit-identical samples.
 	s2 := NewStore()
-	s2.collect = func(context.Context, []workload.Program, trace.CollectConfig) *trace.Dataset {
+	s2.collect = func(context.Context, []workload.Program, ...trace.CollectConfig) []*trace.Dataset {
 		t.Fatal("disk-cached dataset was re-collected")
 		return nil
 	}
@@ -155,11 +155,11 @@ func TestConcurrentRequestsCollapse(t *testing.T) {
 	var mu sync.Mutex
 	collections := 0
 	inner := s.collect
-	s.collect = func(ctx context.Context, p []workload.Program, c trace.CollectConfig) *trace.Dataset {
+	s.collect = func(ctx context.Context, p []workload.Program, c ...trace.CollectConfig) []*trace.Dataset {
 		mu.Lock()
 		collections++
 		mu.Unlock()
-		return inner(ctx, p, c)
+		return inner(ctx, p, c...)
 	}
 	const goroutines = 8
 	out := make([]*trace.Dataset, goroutines)
@@ -221,5 +221,93 @@ func TestStatsSubAndString(t *testing.T) {
 	}
 	if d.String() == "" {
 		t.Fatalf("empty stats string")
+	}
+}
+
+// TestDatasetsResolveEachKey: a multi-config request takes what memory
+// holds, collects every missing config in one backend call, and memoizes
+// and persists each dataset under its own key; a second process then loads
+// all of them from disk, bit-identical to separate collections.
+func TestDatasetsResolveEachKey(t *testing.T) {
+	dir := t.TempDir()
+	short, long := tinyConfig(), tinyConfig()
+	short.MaxInsts, long.MaxInsts, long.Interval = 20_000, 60_000, 20_000
+
+	s := NewStore()
+	if err := s.SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	var calls [][]trace.CollectConfig
+	inner := s.collect
+	s.collect = func(ctx context.Context, p []workload.Program, c ...trace.CollectConfig) []*trace.Dataset {
+		calls = append(calls, c)
+		return inner(ctx, p, c...)
+	}
+	base := s.Dataset(tinyCorpus(), tinyConfig())
+	got := s.DatasetsCtx(context.Background(), tinyCorpus(), long, tinyConfig(), short, long)
+	if len(calls) != 2 || len(calls[1]) != 2 || calls[1][0] != long || calls[1][1] != short {
+		t.Fatalf("backend calls = %v, want the base config, then long and short together", calls)
+	}
+	if got[1] != base || got[3] != got[0] {
+		t.Fatalf("memoized or repeated configs resolved to different datasets")
+	}
+	if st := s.Stats(); st.Collections != 3 || st.MemoryHits != 1 {
+		t.Fatalf("stats = %+v, want 3 collections and 1 memory hit", st)
+	}
+	for i, c := range []trace.CollectConfig{long, short} {
+		if !identical(got[2*i], trace.Collect(context.Background(), tinyCorpus(), c)[0]) {
+			t.Fatalf("%v: shared collection differs from a separate one", c)
+		}
+	}
+
+	s2 := NewStore()
+	s2.collect = func(context.Context, []workload.Program, ...trace.CollectConfig) []*trace.Dataset {
+		t.Fatal("disk-cached datasets were re-collected")
+		return nil
+	}
+	if err := s2.SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	again := s2.DatasetsCtx(context.Background(), tinyCorpus(), short, long, tinyConfig())
+	if !identical(again[0], got[2]) || !identical(again[1], got[0]) || !identical(again[2], base) {
+		t.Fatalf("disk round trip is not byte-identical")
+	}
+	if st := s2.Stats(); st.Collections != 0 || st.DiskHits != 3 {
+		t.Fatalf("stats = %+v, want 3 disk hits", st)
+	}
+}
+
+// TestDatasetsCrossedRequestsCollapse: requests for the same keys in
+// opposite orders neither deadlock nor collect a key twice.
+func TestDatasetsCrossedRequestsCollapse(t *testing.T) {
+	s := NewStore()
+	a, b := tinyConfig(), tinyConfig()
+	b.Interval = 5_000
+	var mu sync.Mutex
+	collected := map[trace.CollectConfig]int{}
+	inner := s.collect
+	s.collect = func(ctx context.Context, p []workload.Program, c ...trace.CollectConfig) []*trace.Dataset {
+		mu.Lock()
+		for _, x := range c {
+			collected[x]++
+		}
+		mu.Unlock()
+		return inner(ctx, p, c...)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				s.DatasetsCtx(context.Background(), tinyCorpus(), a, b)
+			} else {
+				s.DatasetsCtx(context.Background(), tinyCorpus(), b, a)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if collected[a] != 1 || collected[b] != 1 {
+		t.Fatalf("collections per config = %v, want 1 each", collected)
 	}
 }

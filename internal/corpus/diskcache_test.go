@@ -99,9 +99,9 @@ func TestDatasetCtxCancelledSkipsCacheAndMemo(t *testing.T) {
 	// A live request after the cancelled one collects fresh and caches.
 	collections := 0
 	inner := s.collect
-	s.collect = func(ctx context.Context, p []workload.Program, c trace.CollectConfig) *trace.Dataset {
+	s.collect = func(ctx context.Context, p []workload.Program, c ...trace.CollectConfig) []*trace.Dataset {
 		collections++
-		return inner(ctx, p, c)
+		return inner(ctx, p, c...)
 	}
 	ds := s.Dataset(tinyCorpus(), tinyConfig())
 	if len(ds.Samples) == 0 || collections != 1 {

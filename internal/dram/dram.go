@@ -389,6 +389,24 @@ func (c *Controller) accountBackground(cycle uint64) {
 // FinishAt closes background accounting at the end of a run.
 func (c *Controller) FinishAt(cycle uint64) { c.accountBackground(cycle) }
 
+// BackgroundMark is the controller state FinishAt changes outside the
+// counter registry.
+type BackgroundMark struct {
+	lastAccounted uint64
+	rdQLen        int
+}
+
+// Mark records the state a FinishAt would change, for Rewind.
+func (c *Controller) Mark() BackgroundMark {
+	return BackgroundMark{lastAccounted: c.lastAccounted, rdQLen: c.rdQLen}
+}
+
+// Rewind undoes a FinishAt since m was taken; the caller restores the
+// registry's counter values alongside.
+func (c *Controller) Rewind(m BackgroundMark) {
+	c.lastAccounted, c.rdQLen = m.lastAccounted, m.rdQLen
+}
+
 func min64(a, b uint64) uint64 {
 	if a < b {
 		return a

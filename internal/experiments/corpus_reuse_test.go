@@ -14,7 +14,8 @@ import (
 // the public perspectron.Train API, the path FaultTol takes — must trigger
 // exactly one base-corpus collection in the shared artifact store. Fig5 then
 // adds exactly its two longer-granularity corpora; its 10K-interval request
-// is served from the store.
+// is served from the store, and the 50K corpus is nested in the 100K runs,
+// so Fig5 simulates each (program, run) once.
 func TestSingleCollectionAcrossExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several experiments")
@@ -53,11 +54,16 @@ func TestSingleCollectionAcrossExperiments(t *testing.T) {
 	// Fig5 sweeps 10K/50K/100K granularities: the 10K corpus is the one
 	// already collected above; only the two longer-interval corpora are new.
 	mid := store.Stats()
+	simRuns := func() uint64 { return telemetry.Get().CounterValue("perspectron_sim_runs_total") }
+	runs0 := simRuns()
 	Fig5(cfg)
 	d5 := store.Stats().Sub(mid)
 	if d5.Collections != 2 {
 		t.Fatalf("Fig5 ran %d collections, want exactly 2 (50K and 100K; stats delta: %s)",
 			d5.Collections, d5)
+	}
+	if got, want := simRuns()-runs0, uint64(len(perspectron.TrainingWorkloads())*cfg.Runs); got != want {
+		t.Fatalf("Fig5 simulated %d machine runs, want %d (one per program and run)", got, want)
 	}
 }
 

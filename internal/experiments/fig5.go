@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"perspectron"
 	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
 	"perspectron/internal/perceptron"
@@ -27,9 +29,12 @@ type Fig5Result struct {
 
 // Fig5 collects a dataset per granularity, runs the attack-holdout CV with
 // PerSpectron, and pools the per-fold test scores into one ROC per
-// granularity.
+// granularity. The granularities the store lacks are collected in one
+// pass: each program run simulates the longest and the shorter ones ride
+// along as nested runs.
 func Fig5(cfg Config) *Fig5Result {
-	res := &Fig5Result{}
+	var cfgs []Config
+	var collect []trace.CollectConfig
 	for _, interval := range []uint64{10_000, 50_000, 100_000} {
 		c := cfg
 		c.Interval = interval
@@ -37,6 +42,13 @@ func Fig5(cfg Config) *Fig5Result {
 			// Longer intervals need longer runs for the same sample count.
 			c.MaxInsts = cfg.MaxInsts * (interval / 10_000)
 		}
+		cfgs = append(cfgs, c)
+		collect = append(collect, c.CollectConfig())
+	}
+	cfg.store().DatasetsCtx(context.Background(), perspectron.TrainingWorkloads(), collect...)
+
+	res := &Fig5Result{}
+	for _, c := range cfgs {
 		p := Prepare(c)
 
 		cv := eval.CrossValidate(p.DS, func() eval.Model[encoding.BitVec] {
@@ -54,7 +66,7 @@ func Fig5(cfg Config) *Fig5Result {
 		}
 		points := eval.ROC(scores, labels)
 		curve := Fig5Curve{
-			Interval: interval,
+			Interval: c.Interval,
 			Points:   points,
 			AUC:      eval.AUC(points),
 		}

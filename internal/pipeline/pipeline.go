@@ -890,6 +890,26 @@ func (p *Pipeline) Drain() {
 	}
 }
 
+// DrainMark is the pipeline state Drain changes outside the counter
+// registry: the window head, the load/store queue counts, the clock and
+// the lockstep counts. Drain only reads the window entries it retires.
+type DrainMark struct {
+	head, cycle uint64
+	lq, sq      int
+	n           lockstep
+}
+
+// Mark records the state a Drain would change, for Rewind.
+func (p *Pipeline) Mark() DrainMark {
+	return DrainMark{head: p.head, cycle: p.cycle, lq: p.lq, sq: p.sq, n: p.n}
+}
+
+// Rewind undoes a Drain since m was taken; the caller restores the
+// registry's counter values alongside.
+func (p *Pipeline) Rewind(m DrainMark) {
+	p.head, p.cycle, p.lq, p.sq, p.n = m.head, m.cycle, m.lq, m.sq, m.n
+}
+
 // advance moves the base clock: width instructions per cycle plus static
 // energy accrual.
 func (p *Pipeline) advance() {

@@ -104,8 +104,11 @@ type Run struct {
 	m        *Machine
 	ctx      context.Context
 	stream   isa.Stream
-	maxInsts uint64
+	maxInsts uint64 // fetch budget; ^0 for none
+	limit    uint64 // maxInsts, or the budget of the next nested run below it
 	sampler  *stats.Sampler
+	nested   []*Nested // still open, by budget
+	saved    []float64 // counter values kept across a drain probe
 	fetched  uint64
 	stopped  bool        // RunStream's consumer declined: fetch no more
 	done     bool        // the stream is over: drained, tail flushed
@@ -119,11 +122,63 @@ type Run struct {
 // (polled before the first fetch and every 1024 after) the run stops
 // fetching, as if the stream had ended there.
 func (m *Machine) Start(ctx context.Context, stream isa.Stream, maxInsts, sampleInterval uint64) *Run {
-	r := &Run{m: m, ctx: ctx, stream: stream, maxInsts: maxInsts}
+	r := &Run{m: m, ctx: ctx, stream: stream, maxInsts: budget(maxInsts)}
+	r.limit = r.maxInsts
 	r.sampler = stats.NewSampler(m.Reg, sampleInterval, r.emit)
 	m.Pipe.Sampler = r.sampler
 	return r
 }
+
+// budget maps a 0 ("until the stream ends") fetch budget to no bound.
+func budget(maxInsts uint64) uint64 {
+	if maxInsts == 0 {
+		return ^uint64(0)
+	}
+	return maxInsts
+}
+
+// Nested is a shorter run carried inside a Run: the run of the same stream
+// on the same machine that would stop fetching at a smaller budget, sampled
+// at its own interval. The two share every op up to the nested budget, so
+// the outer run simulates both at once; at the budget a drain probe
+// delivers the nested run's end, as Next would have for the shorter run,
+// and then rewinds the machine.
+type Nested struct {
+	maxInsts uint64
+	sampler  *stats.Sampler
+	samples  [][]float64
+	done     bool
+}
+
+// Nest adds a nested run of up to maxInsts fetches (0: until the stream
+// ends), sampled every sampleInterval committed instructions. It must be
+// called before the first Next, and maxInsts may not exceed the run's.
+// The nested run's samples are those a separate Start of the same stream
+// and context with these arguments would deliver.
+func (r *Run) Nest(maxInsts, sampleInterval uint64) *Nested {
+	if r.fetched > 0 || r.done {
+		panic("sim: Nest after the run started")
+	}
+	n := &Nested{maxInsts: budget(maxInsts)}
+	if n.maxInsts > r.maxInsts {
+		panic("sim: nested run longer than its outer run")
+	}
+	n.sampler = stats.NewSampler(r.m.Reg, sampleInterval, func(v []float64) { n.samples = append(n.samples, v) })
+	r.sampler.Attach(n.sampler)
+	i := len(r.nested)
+	for i > 0 && r.nested[i-1].maxInsts > n.maxInsts {
+		i--
+	}
+	r.nested = append(r.nested[:i], append([]*Nested{n}, r.nested[i:]...)...)
+	r.limit = min(r.limit, n.maxInsts)
+	return n
+}
+
+// Samples returns the samples the nested run has delivered, in order.
+func (n *Nested) Samples() [][]float64 { return n.samples }
+
+// Done reports whether the nested run has ended, so Samples is complete.
+func (n *Nested) Done() bool { return n.done }
 
 // emit queues a sample inside the Step whose commit closed its interval,
 // where OnSample sees it, before the next op executes.
@@ -151,24 +206,69 @@ func (r *Run) Next() ([]float64, bool) {
 	return v, true
 }
 
-// step fetches and executes one op or, once the stream is over, drains the
-// pipeline and flushes the trailing partial interval.
+// step fetches and executes one op; at a nested run's budget, runs its
+// drain probe; once the stream is over, drains the pipeline and flushes the
+// trailing partial interval of the run and of every nested run still open.
 func (r *Run) step() {
-	if !r.stopped && (r.maxInsts == 0 || r.fetched < r.maxInsts) &&
+	if !r.stopped && r.fetched < r.limit &&
 		(r.fetched&ctxPollMask != 0 || r.ctx.Err() == nil) {
 		if op, ok := r.stream.Next(); ok {
 			r.fetched++
 			r.m.Pipe.Step(op)
 			return
 		}
+	} else if r.fetched == r.limit && r.limit < r.maxInsts && !r.stopped {
+		r.probe()
+		return
 	}
-	r.m.Pipe.Drain()
-	r.m.DRAM.FinishAt(r.m.Pipe.Cycle())
+	m := r.m
+	m.Pipe.Drain()
+	m.DRAM.FinishAt(m.Pipe.Cycle())
 	r.done = true // OnSample skips the tail
 	r.sampler.Flush(r.sampler.Interval() / 2)
+	for _, n := range r.nested {
+		r.sampler.Detach(n.sampler)
+		n.finish()
+	}
+	r.nested = nil
 	reg := telemetry.Get()
 	reg.Counter("perspectron_sim_runs_total").Inc()
 	reg.Counter("perspectron_sim_samples_total").Add(uint64(r.emitted))
+}
+
+// probe ends each nested run whose budget the run has reached: it detaches
+// the run's sampler, drains the pipeline and closes DRAM accounting into
+// the nested sampler alone, flushes that sampler's tail, and rewinds the
+// machine to where the drain began, so the run carries on as if nothing
+// had happened.
+func (r *Run) probe() {
+	m := r.m
+	pipe, mem := m.Pipe.Mark(), m.DRAM.Mark()
+	r.saved = m.Reg.Values(r.saved)
+	for len(r.nested) > 0 && r.nested[0].maxInsts == r.fetched {
+		n := r.nested[0]
+		r.nested = r.nested[1:]
+		r.sampler.Detach(n.sampler)
+		m.Pipe.Sampler = n.sampler
+		m.Pipe.Drain()
+		m.DRAM.FinishAt(m.Pipe.Cycle())
+		n.finish()
+		m.Pipe.Rewind(pipe)
+		m.DRAM.Rewind(mem)
+		m.Reg.SetValues(r.saved)
+	}
+	m.Pipe.Sampler = r.sampler
+	r.limit = r.maxInsts
+	if len(r.nested) > 0 {
+		r.limit = min(r.limit, r.nested[0].maxInsts)
+	}
+}
+
+// finish flushes the nested run's trailing partial interval and ends it.
+func (n *Nested) finish() {
+	n.sampler.Flush(n.sampler.Interval() / 2)
+	n.done = true
+	telemetry.Get().Counter("perspectron_sim_samples_total").Add(uint64(len(n.samples)))
 }
 
 // EnableFencing toggles the context-sensitive-fencing mitigation (§IV-G1):

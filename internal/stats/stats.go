@@ -242,6 +242,26 @@ func (r *Registry) Snapshot(dst []float64) []float64 {
 	return dst
 }
 
+// Values copies every counter's stored value into dst (nil allocates).
+// Unlike Snapshot it reads no view: with SetValues it saves and restores
+// the registry's own state, while views follow their owners' counts.
+func (r *Registry) Values(dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, len(r.counters))
+	}
+	for i, c := range r.counters {
+		dst[i] = c.val
+	}
+	return dst
+}
+
+// SetValues restores the stored values Values copied out.
+func (r *Registry) SetValues(src []float64) {
+	for i, c := range r.counters {
+		c.val = src[i]
+	}
+}
+
 // ByComponent returns the indices of all counters belonging to comp, in
 // registry order.
 func (r *Registry) ByComponent(comp Component) []int {

@@ -71,7 +71,7 @@ func TestCollectRecoversFromPanickingWorkload(t *testing.T) {
 		&panicProg{after: 5_000, failures: 99, attempts: &attempts}, // never succeeds
 	}
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(context.Background(), progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)[0]
 	if len(ds.Samples) == 0 {
 		t.Fatalf("healthy workload produced no samples alongside a panicking one")
 	}
@@ -95,7 +95,7 @@ func TestCollectRetrySucceedsWithFreshSeed(t *testing.T) {
 		&panicProg{after: 5_000, failures: 1, attempts: &attempts}, // first attempt only
 	}
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(context.Background(), progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)[0]
 	if len(ds.Dropped) != 0 {
 		t.Fatalf("recovered run still dropped: %v", ds.Dropped)
 	}
@@ -118,7 +118,7 @@ func TestCollectBackoffMaxAttemptsHonored(t *testing.T) {
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1,
 		Backoff: retry.Policy{Base: time.Millisecond, Max: 2 * time.Millisecond,
 			Factor: 2, MaxAttempts: 3}}
-	ds := Collect(context.Background(), progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)[0]
 	if len(ds.Dropped) != 0 {
 		t.Fatalf("run that recovered on its Backoff-granted retry was dropped: %v", ds.Dropped)
 	}
@@ -132,7 +132,7 @@ func TestCollectBackoffMaxAttemptsHonored(t *testing.T) {
 	cfg.Backoff.MaxAttempts = 1
 	ds = Collect(context.Background(), []workload.Program{
 		&panicProg{after: 5_000, failures: 1, attempts: &attempts},
-	}, cfg)
+	}, cfg)[0]
 	if len(ds.Dropped) != 0 {
 		t.Fatalf("Retries-granted retry was dropped: %v", ds.Dropped)
 	}
@@ -141,7 +141,7 @@ func TestCollectBackoffMaxAttemptsHonored(t *testing.T) {
 	attempts = 0
 	ds = Collect(context.Background(), []workload.Program{
 		&panicProg{after: 5_000, failures: 99, attempts: &attempts},
-	}, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1})
+	}, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1})[0]
 	if len(ds.Dropped) != 1 {
 		t.Fatalf("dropped = %v, want the single failed attempt recorded", ds.Dropped)
 	}
@@ -167,7 +167,7 @@ func TestCollectTimeoutCutsRunawayRun(t *testing.T) {
 		Timeout:  100 * time.Millisecond,
 	}
 	start := time.Now()
-	ds := Collect(context.Background(), []workload.Program{endless{}}, cfg)
+	ds := Collect(context.Background(), []workload.Program{endless{}}, cfg)[0]
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("timeout did not bound the run (%v elapsed)", elapsed)
 	}
@@ -181,7 +181,7 @@ func TestCollectCtxCancelStopsScheduling(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: every run must be dropped
 	progs := []workload.Program{benign.All()[0], benign.All()[1]}
-	ds := Collect(ctx, progs, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 2})
+	ds := Collect(ctx, progs, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 2})[0]
 	if len(ds.Samples) != 0 {
 		t.Fatalf("cancelled collection still produced %d samples", len(ds.Samples))
 	}
@@ -201,7 +201,7 @@ func TestCollectRetryRecordsBackoffTelemetry(t *testing.T) {
 	var attempts int32
 	progs := []workload.Program{&panicProg{after: 5_000, failures: 1, attempts: &attempts}}
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(context.Background(), progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)[0]
 	if ds.Retried != 1 {
 		t.Fatalf("Retried = %d, want 1", ds.Retried)
 	}

@@ -74,6 +74,31 @@ func (s *Source) Next() (smp Sample, ok bool) {
 	return smp, true
 }
 
+// Nest adds a run of the same program cut at maxInsts instructions and
+// sampled every interval, simulated inside this one (sim.Run.Nest); call
+// it before the first Next. The returned function reports the nested
+// run's samples, labelled as this source's, once it has ended, and false
+// until then.
+func (s *Source) Nest(maxInsts, interval uint64) func() ([]Sample, bool) {
+	var n *sim.Nested
+	begin := s.begin
+	s.begin = func() {
+		begin()
+		n = s.run.Nest(maxInsts, interval)
+	}
+	return func() ([]Sample, bool) {
+		if n == nil || !n.Done() {
+			return nil, false
+		}
+		out := make([]Sample, len(n.Samples()))
+		for i, v := range n.Samples() {
+			out[i] = s.next
+			out[i].Index, out[i].Raw = i, v
+		}
+		return out, true
+	}
+}
+
 // Close ends the run where it stands; Next then returns false. Safe to
 // call more than once.
 func (s *Source) Close() { s.done = true }

@@ -16,7 +16,7 @@ func TestCollectCountsRetries(t *testing.T) {
 		&panicProg{after: 5_000, failures: 1, attempts: &attempts},
 	}
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 2}
-	ds := Collect(context.Background(), progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)[0]
 	if ds.Retried != 1 {
 		t.Errorf("Retried = %d, want 1 (one panic absorbed)", ds.Retried)
 	}
@@ -50,7 +50,7 @@ func TestCollectRecordsTelemetry(t *testing.T) {
 		&panicProg{after: 5_000, failures: 99, attempts: &attempts}, // always drops
 	}
 	cfg := CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1, Retries: 1}
-	ds := Collect(context.Background(), progs, cfg)
+	ds := Collect(context.Background(), progs, cfg)[0]
 	if len(ds.Dropped) != 1 {
 		t.Fatalf("Dropped = %v, want 1", ds.Dropped)
 	}

@@ -8,7 +8,6 @@ package trace
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"perspectron/internal/encoding"
@@ -108,121 +107,231 @@ type CollectConfig struct {
 var collectBackoff = retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2, Jitter: 0.5}
 
 // Collect runs every program on a fresh machine per run and gathers the
-// sampled counter deltas. Collection is deterministic for a fixed config
-// (per-run seeds are derived from cfg.Seed) and fans the runs out through
-// par.Do, each writing only its own slot.
+// sampled counter deltas, one Dataset per config, in order. Collection is
+// deterministic for a fixed config (per-run seeds are derived from
+// cfg.Seed) and fans the runs out through par.Do, each writing only its
+// own slot.
+//
+// Configs that differ only in MaxInsts and Interval and set no Timeout
+// share their runs: each (program, run) simulates only the longest, and
+// the shorter ones ride along as nested runs (sim.Run.Nest). Every dataset
+// holds the samples, Dropped and Retried a collection of its config alone
+// returns.
+//
 // Cancelling ctx stops scheduling new runs and cuts off in-flight ones at
 // their next instruction fetch. Each run is additionally shielded — a
 // panicking workload is retried cfg.Retries times with fresh seeds and then
 // dropped (recorded in Dataset.Dropped) instead of killing the collection.
-func Collect(ctx context.Context, progs []workload.Program, cfg CollectConfig) *Dataset {
+// A retry re-nests only the nested runs that had not ended when the
+// workload panicked.
+func Collect(ctx context.Context, progs []workload.Program, cfgs ...CollectConfig) []*Dataset {
 	reg := telemetry.Get()
 	ctx, span := reg.StartSpan(ctx, "collect")
 	defer span.End()
 
 	probe := sim.NewMachine()
-	ds := &Dataset{
-		FeatureNames: probe.Reg.Names(),
-		Components:   probe.Reg.Components(),
-		Interval:     cfg.Interval,
+	out := make([]*Dataset, len(cfgs))
+	for i, cfg := range cfgs {
+		out[i] = &Dataset{
+			FeatureNames: probe.Reg.Names(),
+			Components:   probe.Reg.Components(),
+			Interval:     cfg.Interval,
+		}
 	}
 
+	// A job is one (program, run) of one group of configs sharing runs;
+	// ji is its index in the group, which derives its seeds as it would in
+	// a collection of each config alone.
+	groups := shareRuns(cfgs)
+	sets := make([][]CollectConfig, len(groups)) // each group's configs
 	type job struct {
-		prog workload.Program
-		run  int
+		g, ji, run int
+		prog       workload.Program
 	}
 	var jobs []job
-	for _, p := range progs {
-		for r := 0; r < cfg.Runs; r++ {
-			jobs = append(jobs, job{p, r})
+	for g, idx := range groups {
+		for _, c := range idx {
+			sets[g] = append(sets[g], cfgs[c])
+		}
+		runs := sets[g][0].Runs
+		for ji := 0; ji < len(progs)*runs; ji++ {
+			jobs = append(jobs, job{g, ji, ji % runs, progs[ji/runs]})
 		}
 	}
 
-	results := make([][]Sample, len(jobs))
-	var mu sync.Mutex // guards ds.Dropped and retried
-	retried := 0
-	drop := func(j job, reason string) {
-		mu.Lock()
-		ds.Dropped = append(ds.Dropped, fmt.Sprintf("%s#%d: %s", j.prog.Info().Name, j.run, reason))
-		mu.Unlock()
-	}
-	par.Do(len(jobs), func(ji int) {
-		j := jobs[ji]
-		if ctx.Err() != nil {
-			drop(j, "cancelled before start")
-			return
-		}
-		var out []Sample
-		start := time.Now()
-		pol := cfg.Backoff
-		if pol == (retry.Policy{}) {
-			pol = collectBackoff
-		}
-		// Retries governs the attempt budget when set; otherwise a
-		// caller-supplied Backoff.MaxAttempts survives (overwriting it
-		// unconditionally used to silently disable those retries).
-		if cfg.Retries > 0 || pol.MaxAttempts <= 0 {
-			pol.MaxAttempts = cfg.Retries + 1
-		}
-		attempts, err := retry.Do(ctx, "collect", pol, cfg.Seed*1_000_003+int64(ji),
-			func(attempt int) error {
-				// Attempt 0 reproduces the historical seed schedule
-				// exactly; retries shift it so a data-dependent panic
-				// is not replayed verbatim.
-				seed := cfg.Seed*1_000_003 + int64(ji)*7919 + int64(attempt)*104_729
-				var aerr error
-				out, aerr = collectOne(ctx, j.prog, j.run, seed, cfg)
-				return aerr
-			})
-		if attempts > 1 {
-			mu.Lock()
-			retried += attempts - 1
-			mu.Unlock()
-		}
-		name := telemetry.Name("perspectron_collect_run_seconds",
-			"workload", j.prog.Info().Name)
-		reg.Histogram(name, telemetry.DurationBuckets).
-			Observe(time.Since(start).Seconds())
-		if err != nil {
-			drop(j, err.Error())
-			return
-		}
-		if len(out) == 0 && ctx.Err() != nil {
-			drop(j, "cancelled with no samples")
-			return
-		}
-		results[ji] = out
+	// results[j][k] is job j's outcome for its group's k-th config.
+	results := make([][]runResult, len(jobs))
+	par.Do(len(jobs), func(j int) {
+		jb := jobs[j]
+		results[j] = collectRun(ctx, jb.prog, jb.run, jb.ji, sets[jb.g])
 	})
 
-	for _, r := range results {
-		ds.Samples = append(ds.Samples, r...)
+	for j, jb := range jobs {
+		for k, c := range groups[jb.g] {
+			ds, r := out[c], results[j][k]
+			ds.Samples = append(ds.Samples, r.samples...)
+			ds.Retried += r.retried
+			if r.dropped != "" {
+				ds.Dropped = append(ds.Dropped, fmt.Sprintf("%s#%d: %s", jb.prog.Info().Name, jb.run, r.dropped))
+			}
+		}
 	}
-	ds.Retried = retried
-	reg.Counter("perspectron_collect_runs_total").Add(uint64(len(jobs)))
-	reg.Counter("perspectron_collect_run_retries_total").Add(uint64(ds.Retried))
-	reg.Counter("perspectron_collect_runs_dropped_total").Add(uint64(len(ds.Dropped)))
-	reg.Counter("perspectron_collect_samples_total").Add(uint64(len(ds.Samples)))
-	return ds
+	for i, ds := range out {
+		reg.Counter("perspectron_collect_runs_total").Add(uint64(len(progs) * cfgs[i].Runs))
+		reg.Counter("perspectron_collect_run_retries_total").Add(uint64(ds.Retried))
+		reg.Counter("perspectron_collect_runs_dropped_total").Add(uint64(len(ds.Dropped)))
+		reg.Counter("perspectron_collect_samples_total").Add(uint64(len(ds.Samples)))
+	}
+	return out
+}
+
+// shareRuns partitions cfgs into groups whose runs one simulation can
+// serve, each as indices into cfgs with the longest run first. A config
+// with a Timeout is a group of its own: its cut-off depends on wall time,
+// which a longer run would not reproduce.
+func shareRuns(cfgs []CollectConfig) [][]int {
+	var groups [][]int
+	byRuns := map[CollectConfig]int{} // cfg without MaxInsts and Interval -> group
+	for i, c := range cfgs {
+		k := c
+		k.MaxInsts, k.Interval = 0, 0
+		g, ok := byRuns[k]
+		if !ok || c.Timeout != 0 {
+			g = len(groups)
+			groups = append(groups, nil)
+			if c.Timeout == 0 {
+				byRuns[k] = g
+			}
+		}
+		groups[g] = append(groups[g], i)
+	}
+	longer := func(a, b uint64) bool { return a == 0 && b != 0 || b != 0 && a > b }
+	for _, g := range groups {
+		for k := 1; k < len(g); k++ {
+			if longer(cfgs[g[k]].MaxInsts, cfgs[g[0]].MaxInsts) {
+				g[0], g[k] = g[k], g[0]
+			}
+		}
+	}
+	return groups
+}
+
+// runResult is one (program, run)'s outcome under one config.
+type runResult struct {
+	samples []Sample
+	dropped string // why the run was abandoned; "" if it was not
+	retried int
+}
+
+// collectRun executes one (program, run) for a group of configs sharing
+// it, group[0] the longest, under the group's retry policy. A config's
+// outcome is the one its own collection would reach: a nested run that
+// ended before a panic keeps its samples and is not re-run, and every
+// config counts only the attempts it took part in.
+func collectRun(ctx context.Context, prog workload.Program, run, ji int, group []CollectConfig) []runResult {
+	res := make([]runResult, len(group))
+	if ctx.Err() != nil {
+		for k := range res {
+			res[k].dropped = "cancelled before start"
+		}
+		return res
+	}
+	cfg := group[0]
+	start := time.Now()
+	pol := cfg.Backoff
+	if pol == (retry.Policy{}) {
+		pol = collectBackoff
+	}
+	// Retries governs the attempt budget when set; otherwise a
+	// caller-supplied Backoff.MaxAttempts survives (overwriting it
+	// unconditionally used to silently disable those retries).
+	if cfg.Retries > 0 || pol.MaxAttempts <= 0 {
+		pol.MaxAttempts = cfg.Retries + 1
+	}
+	open := make([]int, len(group)) // configs whose run has not ended
+	for k := range open {
+		open[k] = k
+	}
+	tries := make([]int, len(group))
+	_, err := retry.Do(ctx, "collect", pol, cfg.Seed*1_000_003+int64(ji),
+		func(attempt int) error {
+			// Attempt 0 reproduces the historical seed schedule
+			// exactly; retries shift it so a data-dependent panic
+			// is not replayed verbatim.
+			seed := cfg.Seed*1_000_003 + int64(ji)*7919 + int64(attempt)*104_729
+			cfgs := make([]CollectConfig, len(open))
+			for i, k := range open {
+				cfgs[i] = group[k]
+				tries[k]++
+			}
+			outs, aerr := collectOne(ctx, prog, run, seed, cfgs)
+			still := open[:0]
+			for i, k := range open {
+				if outs[i] == nil && aerr != nil {
+					still = append(still, k)
+					continue
+				}
+				res[k].samples = outs[i]
+			}
+			open = still
+			return aerr
+		})
+	name := telemetry.Name("perspectron_collect_run_seconds", "workload", prog.Info().Name)
+	telemetry.Get().Histogram(name, telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
+	if err != nil {
+		for _, k := range open {
+			res[k].dropped = err.Error()
+		}
+	}
+	for k := range res {
+		res[k].retried = max(tries[k]-1, 0)
+		if res[k].dropped == "" && len(res[k].samples) == 0 && ctx.Err() != nil {
+			res[k].dropped = "cancelled with no samples"
+		}
+	}
+	return res
 }
 
 // collectOne executes a single program run by draining its Source — the
-// producer recorded and streaming runs share — converting workload panics
-// into errors and bounding wall-clock time via the config timeout / context.
-func collectOne(ctx context.Context, prog workload.Program, run int, seed int64, cfg CollectConfig) ([]Sample, error) {
+// producer recorded and streaming runs share — for cfgs[0] with every
+// other config nested in it, converting workload panics into errors and
+// bounding wall-clock time via the config timeout / context. It returns
+// each config's samples, nil for a nested run a panic cut short.
+func collectOne(ctx context.Context, prog workload.Program, run int, seed int64, cfgs []CollectConfig) ([][]Sample, error) {
+	cfg := cfgs[0]
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
 	src := NewSource(ctx, sim.NewMachine(), prog, run, seed, cfg.MaxInsts, cfg.Interval)
+	nested := make([]func() ([]Sample, bool), len(cfgs))
+	for i, c := range cfgs[1:] {
+		nested[i+1] = src.Nest(c.MaxInsts, c.Interval)
+	}
 	var out []Sample
 	for s, ok := src.Next(); ok; s, ok = src.Next() {
 		out = append(out, s)
 	}
-	if err := src.Err(); err != nil {
-		return nil, err
+	outs := make([][]Sample, len(cfgs))
+	for i, n := range nested[1:] {
+		if smp, done := n(); done {
+			outs[i+1] = nonNil(smp)
+		}
 	}
-	return out, nil
+	if err := src.Err(); err != nil {
+		return outs, err
+	}
+	outs[0] = nonNil(out)
+	return outs, nil
+}
+
+// nonNil returns s, or an empty non-nil slice: nil marks a run cut short.
+func nonNil(s []Sample) []Sample {
+	if s == nil {
+		return []Sample{}
+	}
+	return s
 }
 
 // Maxima builds the maximum matrix M from a training dataset: each run's

@@ -15,9 +15,9 @@ func TestCollectParallelMatchesSerial(t *testing.T) {
 	progs := []workload.Program{benign.Bzip2(), benign.Mcf()}
 	cfg := CollectConfig{MaxInsts: 20_000, Interval: 10_000, Seed: 9, Runs: 1}
 	prev := runtime.GOMAXPROCS(1)
-	a := Collect(context.Background(), progs, cfg)
+	a := Collect(context.Background(), progs, cfg)[0]
 	runtime.GOMAXPROCS(4)
-	b := Collect(context.Background(), progs, cfg)
+	b := Collect(context.Background(), progs, cfg)[0]
 	runtime.GOMAXPROCS(prev)
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatalf("sample counts differ: %d vs %d", len(a.Samples), len(b.Samples))
@@ -76,7 +76,7 @@ func TestLabelValue(t *testing.T) {
 
 func TestCollectZeroRunsIsEmpty(t *testing.T) {
 	ds := Collect(context.Background(), []workload.Program{benign.Bzip2()},
-		CollectConfig{MaxInsts: 10_000, Interval: 10_000, Seed: 1, Runs: 0})
+		CollectConfig{MaxInsts: 10_000, Interval: 10_000, Seed: 1, Runs: 0})[0]
 	if len(ds.Samples) != 0 {
 		t.Fatalf("zero runs produced samples")
 	}

@@ -14,7 +14,7 @@ import (
 func smallDataset(t *testing.T) *Dataset {
 	t.Helper()
 	progs := []workload.Program{benign.Bzip2(), attacks.FlushReload()}
-	return Collect(context.Background(), progs, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1})
+	return Collect(context.Background(), progs, CollectConfig{MaxInsts: 30_000, Interval: 10_000, Seed: 1, Runs: 1})[0]
 }
 
 func TestCollectProducesBothClasses(t *testing.T) {
@@ -35,8 +35,8 @@ func TestCollectProducesBothClasses(t *testing.T) {
 
 func TestCollectDeterministic(t *testing.T) {
 	cfg := CollectConfig{MaxInsts: 20_000, Interval: 10_000, Seed: 5, Runs: 1}
-	a := Collect(context.Background(), []workload.Program{benign.Mcf()}, cfg)
-	b := Collect(context.Background(), []workload.Program{benign.Mcf()}, cfg)
+	a := Collect(context.Background(), []workload.Program{benign.Mcf()}, cfg)[0]
+	b := Collect(context.Background(), []workload.Program{benign.Mcf()}, cfg)[0]
 	if len(a.Samples) != len(b.Samples) {
 		t.Fatalf("sample counts differ: %d vs %d", len(a.Samples), len(b.Samples))
 	}
@@ -51,7 +51,7 @@ func TestCollectDeterministic(t *testing.T) {
 
 func TestCollectMultiRunSeedsDiffer(t *testing.T) {
 	cfg := CollectConfig{MaxInsts: 20_000, Interval: 10_000, Seed: 5, Runs: 2}
-	ds := Collect(context.Background(), []workload.Program{benign.Gobmk()}, cfg)
+	ds := Collect(context.Background(), []workload.Program{benign.Gobmk()}, cfg)[0]
 	run0 := ds.Filter(func(s *Sample) bool { return s.Run == 0 })
 	run1 := ds.Filter(func(s *Sample) bool { return s.Run == 1 })
 	if len(run0.Samples) == 0 || len(run1.Samples) == 0 {
