@@ -10,7 +10,7 @@ BENCH ?= .
 # (single-iteration numbers are noise).
 HOTPATH_BENCHTIME ?= 5x
 
-.PHONY: ci vet build test race fuzz bench bench-hotpath bench-select bench-verdict bench-sim smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
+.PHONY: ci vet build test race loc fuzz bench bench-hotpath bench-select bench-verdict bench-sim smoke-serve smoke-chaos smoke-shadow smoke-explain smoke-crash
 
 # ci is the gate for every PR: static analysis, a full build, and the test
 # suite under the race detector (trace.Collect and the experiments fan out
@@ -34,6 +34,13 @@ test:
 
 race:
 	$(GO) test -race -timeout 20m ./...
+
+# loc prints the tracked Go line counts outside bench/ (testdata/ included),
+# split into non-test and _test.go files: the figures ROADMAP's "Net" line
+# and CHANGES.md report for a change.
+loc:
+	@git ls-files '*.go' ':!:bench/' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo non-test:
+	@git ls-files '*_test.go' ':!:bench/' | xargs cat | wc -l | xargs echo test:
 
 # fuzz runs the native fuzz targets for a bounded budget each: FuzzLoad over
 # the checkpoint parsers (Load and LoadClassifier), seeded from

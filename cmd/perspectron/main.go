@@ -148,11 +148,10 @@ func cmdTrain(args []string) {
 		fatal(err)
 	}
 	// Re-fetch the training dataset (a free memory hit on the corpus store)
-	// to surface collection health: runs the fault shield retried or dropped.
+	// to surface collection health: runs dropped after a workload panic.
 	ds := corpus.Default().Dataset(workloads, opts.CollectConfig())
-	if ds.Retried > 0 || len(ds.Dropped) > 0 {
-		fmt.Fprintf(os.Stderr, "collection: %d runs retried, %d dropped\n",
-			ds.Retried, len(ds.Dropped))
+	if len(ds.Dropped) > 0 {
+		fmt.Fprintf(os.Stderr, "collection: %d runs dropped\n", len(ds.Dropped))
 		for _, d := range ds.Dropped {
 			fmt.Fprintf(os.Stderr, "  dropped %s\n", d)
 		}

@@ -17,11 +17,12 @@ package perspectron
 //   - methods the standard library calls through an interface (String,
 //     Error, ...) need no selector.
 //
-// There are no exceptions. The same scan guards the serving configs (see
-// unsetKnobs): every exported field of serve.Config and shadow.Config is
-// set by a caller, or it is a constant. And every field of those configs
-// and of cache.Config is read by its own package (see unreadFields): a
-// field only ever set configures nothing.
+// There are no exceptions. The same scan guards the knob configs (see
+// unsetKnobs): every exported field of serve.Config, shadow.Config,
+// trace.CollectConfig and retry.Policy is set by a caller, or it is a
+// constant. And every field of those configs and of cache.Config is read
+// by its own package (see unreadFields): a field only ever set configures
+// nothing.
 
 import (
 	"fmt"
@@ -204,13 +205,15 @@ func unusedExports(fset *token.FileSet, files []goFile) (dead []exportDecl, tota
 	return dead, len(decls)
 }
 
-// knobConfigs are the serving configs whose every exported field must be
-// set by a caller: a field nothing sets is a fixed policy, so it is a
-// constant (or, when only the package's own tests vary it, an unexported
-// test seam).
+// knobConfigs are the configs whose every exported field must be set by a
+// caller: the serving configs, trace collection's and the backoff policy.
+// A field nothing sets is a fixed policy, so it is a constant (or, when
+// only the package's own tests vary it, an unexported test seam).
 var knobConfigs = []string{
 	"perspectron/internal/serve.Config",
 	"perspectron/internal/shadow.Config",
+	"perspectron/internal/trace.CollectConfig",
+	"perspectron/internal/retry.Policy",
 }
 
 // unsetKnobs returns the exported fields of the struct types named in
@@ -490,17 +493,19 @@ func TestExportsAreReferenced(t *testing.T) {
 }
 
 // TestConfigKnobsAreSet fails with file:line Config.Field for every exported
-// serve.Config or shadow.Config field that no caller sets: cmd/, examples/
-// and the bench/ module count, tests and the declaring package do not.
+// field of a knobConfigs type that no caller sets: cmd/, examples/, the
+// bench/ module and other packages count, tests and the declaring package
+// do not.
 func TestConfigKnobsAreSet(t *testing.T) {
 	fset, files, err := parseTree(".", "perspectron")
 	if err != nil {
 		t.Fatal(err)
 	}
 	unset, total := unsetKnobs(fset, files, knobConfigs)
-	// The two configs declare 19 exported fields (serve 12, shadow 7); far
-	// fewer means the scanner missed a struct.
-	if total < 15 {
+	// The four configs declare 26 exported fields (serve 12, shadow 7,
+	// CollectConfig 4, Policy 3); far fewer means the scanner missed a
+	// struct.
+	if total < 22 {
 		t.Fatalf("scanned only %d config fields — the scanner is broken", total)
 	}
 	for _, d := range unset {
@@ -510,8 +515,8 @@ func TestConfigKnobsAreSet(t *testing.T) {
 }
 
 // TestConfigFieldsAreRead fails with file:line Config.Field for every field
-// of cache.Config, serve.Config or shadow.Config that its own package's
-// non-test code never reads: a value that is set but never read is dead
+// of cache.Config or a knobConfigs type that its own package's non-test
+// code never reads: a value that is set but never read is dead
 // configuration.
 func TestConfigFieldsAreRead(t *testing.T) {
 	fset, files, err := parseTree(".", "perspectron")
@@ -520,9 +525,10 @@ func TestConfigFieldsAreRead(t *testing.T) {
 	}
 	configs := append([]string{"perspectron/internal/cache.Config"}, knobConfigs...)
 	unread, total := unreadFields(fset, files, configs)
-	// The three configs declare 33 fields (cache.Config 7, the serving
-	// configs 26); far fewer means the scanner missed a struct.
-	if total < 25 {
+	// The five configs declare 40 fields (cache.Config 7, the serving
+	// configs 26, CollectConfig 4, Policy 3); far fewer means the scanner
+	// missed a struct.
+	if total < 32 {
 		t.Fatalf("scanned only %d config fields — the scanner is broken", total)
 	}
 	for _, d := range unread {

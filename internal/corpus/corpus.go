@@ -8,10 +8,10 @@
 // byte-identical to a fresh collection — the store trades nothing but the
 // simulation time.
 //
-// Callers share the process-wide Default store unless they need isolation
-// (tests use private stores to count collections). Cached datasets are
-// shared across consumers and must be treated as immutable; derive with
-// Dataset.Filter rather than mutating samples in place.
+// Callers share the process-wide Default store (this package's tests use
+// private stores to count collections). Cached datasets are shared across
+// consumers and must be treated as immutable; derive with Dataset.Filter
+// rather than mutating samples in place.
 package corpus
 
 import (
@@ -51,15 +51,13 @@ const (
 	MetricDiskReadBytes     = "perspectron_corpus_disk_read_bytes_total"
 	MetricDiskWrittenBytes  = "perspectron_corpus_disk_written_bytes_total"
 	MetricRunsDropped       = "perspectron_corpus_runs_dropped_total"
-	MetricRunRetries        = "perspectron_corpus_run_retries_total"
 )
 
 // Stats is a snapshot of the store's traffic: how many datasets were
 // actually simulated versus served from memory or disk, the same split for
 // prepared bundles (encoder + feature selection), disk-cache bytes moved,
-// and the collection-health tallies (runs retried after a panic, runs
-// dropped). It is read out of the store's telemetry registry — there is no
-// second accounting path.
+// and the collection-health tally (runs dropped). It is read out of the
+// store's telemetry registry — there is no second accounting path.
 type Stats struct {
 	Collections int // datasets simulated from scratch
 	MemoryHits  int // datasets served from the in-process map
@@ -70,7 +68,6 @@ type Stats struct {
 	DiskReadBytes    int64 // compressed artifact bytes loaded from disk
 	DiskWrittenBytes int64 // compressed artifact bytes persisted to disk
 	RunsDropped      int   // collection runs abandoned (Dataset.Dropped)
-	RunRetries       int   // collection run attempts that were retried
 }
 
 // Sub returns the component-wise difference s - o, for measuring the
@@ -85,24 +82,23 @@ func (s Stats) Sub(o Stats) Stats {
 		DiskReadBytes:    s.DiskReadBytes - o.DiskReadBytes,
 		DiskWrittenBytes: s.DiskWrittenBytes - o.DiskWrittenBytes,
 		RunsDropped:      s.RunsDropped - o.RunsDropped,
-		RunRetries:       s.RunRetries - o.RunRetries,
 	}
 }
 
 // String renders the one-line cache summary the experiments CLI prints.
-// Collection-health tallies are appended only when something went wrong.
+// The dropped-run tally is appended only when a run was dropped.
 func (s Stats) String() string {
 	out := fmt.Sprintf("%d collected, %d reused in-process, %d loaded from disk (selections: %d computed, %d reused)",
 		s.Collections, s.MemoryHits, s.DiskHits, s.Prepared, s.PreparedHit)
-	if s.RunRetries > 0 || s.RunsDropped > 0 {
-		out += fmt.Sprintf("; %d runs retried, %d dropped", s.RunRetries, s.RunsDropped)
+	if s.RunsDropped > 0 {
+		out += fmt.Sprintf("; %d runs dropped", s.RunsDropped)
 	}
 	return out
 }
 
 // Store is a content-addressed artifact cache. The zero value is not ready;
-// use NewStore. All methods are safe for concurrent use, and concurrent
-// requests for the same key collapse into one collection.
+// the process shares Default. All methods are safe for concurrent use, and
+// concurrent requests for the same key collapse into one collection.
 type Store struct {
 	mu       sync.Mutex
 	dir      string // on-disk cache directory ("" = memory only)
@@ -117,10 +113,7 @@ type Store struct {
 	collect func(context.Context, []workload.Program, ...trace.CollectConfig) []*trace.Dataset
 }
 
-// NewStore returns an empty in-memory store with a private telemetry
-// registry for its traffic counters.
-func NewStore() *Store { return newStore(telemetry.NewRegistry()) }
-
+// newStore returns an empty in-memory store accounting into reg.
 func newStore(reg *telemetry.Registry) *Store {
 	return &Store{
 		datasets: map[string]*trace.Dataset{},
@@ -188,7 +181,6 @@ func (s *Store) Stats() Stats {
 		DiskReadBytes:    int64(reg.CounterValue(MetricDiskReadBytes)),
 		DiskWrittenBytes: int64(reg.CounterValue(MetricDiskWrittenBytes)),
 		RunsDropped:      int(reg.CounterValue(MetricRunsDropped)),
-		RunRetries:       int(reg.CounterValue(MetricRunRetries)),
 	}
 }
 
@@ -213,8 +205,8 @@ var featureSpaceID = sync.OnceValue(func() string {
 func DatasetKey(progs []workload.Program, cfg trace.CollectConfig) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "corpus/v1 features=%s\n", featureSpaceID())
-	fmt.Fprintf(h, "insts=%d interval=%d seed=%d runs=%d timeout=%s retries=%d\n",
-		cfg.MaxInsts, cfg.Interval, cfg.Seed, cfg.Runs, cfg.Timeout, cfg.Retries)
+	fmt.Fprintf(h, "insts=%d interval=%d seed=%d runs=%d\n",
+		cfg.MaxInsts, cfg.Interval, cfg.Seed, cfg.Runs)
 	for _, p := range progs {
 		i := p.Info()
 		fmt.Fprintf(h, "%s|%s|%s|%d\n", i.Name, i.Category, i.Channel, i.Label)
@@ -319,16 +311,16 @@ func (s *Store) resolve(ctx context.Context, dir string, progs []workload.Progra
 		for j, ds := range s.collect(ctx, progs, missing...) {
 			out[at[j]] = ds
 			reg.Counter(MetricRunsDropped).Add(uint64(len(ds.Dropped)))
-			reg.Counter(MetricRunRetries).Add(uint64(ds.Retried))
 		}
 	}
 	// A cancelled collection is partial: never persist it, and keep it out
 	// of the memory cache too — a later caller with a live context must
-	// get a complete collection.
+	// get a complete collection. Nor is a dataset with dropped runs
+	// persisted: its key would outlive a fix to the workload that panicked.
 	cancelled := ctx.Err() != nil
 	if dir != "" && !cancelled {
 		for _, i := range at {
-			if cacheable(out[i], cfgs[i]) {
+			if len(out[i].Dropped) == 0 {
 				reg.Counter(MetricDiskWrittenBytes).Add(uint64(s.save(ctx, dir, keys[i], out[i])))
 			}
 		}
@@ -353,13 +345,6 @@ func (s *Store) resolve(ctx context.Context, dir string, progs []workload.Progra
 	}
 }
 
-// cacheable reports whether a dataset may be persisted: runs dropped by
-// timeouts or panics make the artifact wall-clock-dependent, so only
-// complete, deterministic collections go to disk.
-func cacheable(ds *trace.Dataset, cfg trace.CollectConfig) bool {
-	return len(ds.Dropped) == 0 && cfg.Timeout == 0
-}
-
 // selKey fingerprints a feature-selection configuration.
 func selKey(datasetKey string, selCfg features.SelectConfig) string {
 	return fmt.Sprintf("%s/sel:g=%v,m=%d,mi=%v",
@@ -371,7 +356,9 @@ func selKey(datasetKey string, selCfg features.SelectConfig) string {
 // each layer at most once: the dataset via DatasetCtx, the encoder +
 // selection memoized per (dataset, selCfg). ctx is threaded through
 // collection and selection, so their telemetry spans nest under the
-// caller's (e.g. a train span) instead of starting a fresh trace.
+// caller's (e.g. a train span) instead of starting a fresh trace. As in
+// DatasetCtx, a cancelled request returns a bundle built from the partial
+// dataset and memoizes nothing.
 func (s *Store) PreparedCtx(ctx context.Context, progs []workload.Program, cfg trace.CollectConfig, selCfg features.SelectConfig) *Prepared {
 	dsKey := DatasetKey(progs, cfg)
 	key := selKey(dsKey, selCfg)
@@ -388,6 +375,9 @@ func (s *Store) PreparedCtx(ctx context.Context, progs []workload.Program, cfg t
 	X, y := trace.Scaled(m, ds, nil)
 	sel := features.Select(ctx, X, y, ds.Components, selCfg)
 	p := &Prepared{DS: ds, Enc: m, Sel: sel}
+	if ctx.Err() != nil {
+		return p
+	}
 
 	s.mu.Lock()
 	if prev, ok := s.prepared[key]; ok { // concurrent preparer won

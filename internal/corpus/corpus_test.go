@@ -9,11 +9,16 @@ import (
 	"testing"
 
 	"perspectron/internal/features"
+	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
 	"perspectron/internal/workload"
 	"perspectron/internal/workload/attacks"
 	"perspectron/internal/workload/benign"
 )
+
+// newTestStore returns an empty in-memory store with a private telemetry
+// registry, so a test counts only its own traffic.
+func newTestStore() *Store { return newStore(telemetry.NewRegistry()) }
 
 func tinyCorpus() []workload.Program {
 	return []workload.Program{benign.Bzip2(), attacks.FlushReload()}
@@ -45,7 +50,7 @@ func identical(a, b *trace.Dataset) bool {
 }
 
 func TestDatasetMemoized(t *testing.T) {
-	s := NewStore()
+	s := newTestStore()
 	collections := 0
 	inner := s.collect
 	s.collect = func(ctx context.Context, p []workload.Program, c ...trace.CollectConfig) []*trace.Dataset {
@@ -78,8 +83,6 @@ func TestDatasetKeySensitivity(t *testing.T) {
 		"Interval": func(c *trace.CollectConfig) { c.Interval = 50_000 },
 		"Seed":     func(c *trace.CollectConfig) { c.Seed++ },
 		"Runs":     func(c *trace.CollectConfig) { c.Runs++ },
-		"Timeout":  func(c *trace.CollectConfig) { c.Timeout = 1 },
-		"Retries":  func(c *trace.CollectConfig) { c.Retries = 3 },
 	}
 	for field, mut := range mutations {
 		c := tinyConfig()
@@ -101,7 +104,7 @@ func TestDatasetKeySensitivity(t *testing.T) {
 func TestDiskCacheRoundTripByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 
-	s1 := NewStore()
+	s1 := newTestStore()
 	if err := s1.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestDiskCacheRoundTripByteIdentical(t *testing.T) {
 
 	// A second store (fresh process, same cache dir) must load from disk —
 	// zero collections — and serve bit-identical samples.
-	s2 := NewStore()
+	s2 := newTestStore()
 	s2.collect = func(context.Context, []workload.Program, ...trace.CollectConfig) []*trace.Dataset {
 		t.Fatal("disk-cached dataset was re-collected")
 		return nil
@@ -137,7 +140,7 @@ func TestDiskCacheIgnoresCorruptArtifact(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, cacheFileName(key)), []byte("not gzip"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := NewStore()
+	s := newTestStore()
 	if err := s.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestDiskCacheIgnoresCorruptArtifact(t *testing.T) {
 }
 
 func TestConcurrentRequestsCollapse(t *testing.T) {
-	s := NewStore()
+	s := newTestStore()
 	var mu sync.Mutex
 	collections := 0
 	inner := s.collect
@@ -183,7 +186,7 @@ func TestConcurrentRequestsCollapse(t *testing.T) {
 }
 
 func TestPreparedMemoized(t *testing.T) {
-	s := NewStore()
+	s := newTestStore()
 	selCfg := features.DefaultSelectConfig()
 	a := s.PreparedCtx(context.Background(), tinyCorpus(), tinyConfig(), selCfg)
 	b := s.PreparedCtx(context.Background(), tinyCorpus(), tinyConfig(), selCfg)
@@ -212,6 +215,27 @@ func TestPreparedMemoized(t *testing.T) {
 	}
 }
 
+// TestPreparedCtxCancelledNotMemoized: a bundle built from a cancelled,
+// partial collection is not memoized, so the next live request collects
+// and prepares afresh and gets samples.
+func TestPreparedCtxCancelledNotMemoized(t *testing.T) {
+	s := newTestStore()
+	selCfg := features.DefaultSelectConfig()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if p := s.PreparedCtx(cancelled, tinyCorpus(), tinyConfig(), selCfg); len(p.DS.Samples) != 0 {
+		t.Fatalf("cancelled request collected %d samples", len(p.DS.Samples))
+	}
+	p := s.PreparedCtx(context.Background(), tinyCorpus(), tinyConfig(), selCfg)
+	if len(p.DS.Samples) == 0 || len(p.Sel.Indices) == 0 {
+		t.Fatalf("live request after a cancelled one got %d samples and %d selected features",
+			len(p.DS.Samples), len(p.Sel.Indices))
+	}
+	if st := s.Stats(); st.Prepared != 1 || st.PreparedHit != 0 {
+		t.Fatalf("stats = %+v, want the live bundle computed and no hit", st)
+	}
+}
+
 func TestStatsSubAndString(t *testing.T) {
 	a := Stats{Collections: 3, MemoryHits: 5, DiskHits: 1, Prepared: 2, PreparedHit: 4}
 	b := Stats{Collections: 1, MemoryHits: 2, DiskHits: 1, Prepared: 1, PreparedHit: 1}
@@ -233,7 +257,7 @@ func TestDatasetsResolveEachKey(t *testing.T) {
 	short, long := tinyConfig(), tinyConfig()
 	short.MaxInsts, long.MaxInsts, long.Interval = 20_000, 60_000, 20_000
 
-	s := NewStore()
+	s := newTestStore()
 	if err := s.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +284,7 @@ func TestDatasetsResolveEachKey(t *testing.T) {
 		}
 	}
 
-	s2 := NewStore()
+	s2 := newTestStore()
 	s2.collect = func(context.Context, []workload.Program, ...trace.CollectConfig) []*trace.Dataset {
 		t.Fatal("disk-cached datasets were re-collected")
 		return nil
@@ -280,7 +304,7 @@ func TestDatasetsResolveEachKey(t *testing.T) {
 // TestDatasetsCrossedRequestsCollapse: requests for the same keys in
 // opposite orders neither deadlock nor collect a key twice.
 func TestDatasetsCrossedRequestsCollapse(t *testing.T) {
-	s := NewStore()
+	s := newTestStore()
 	a, b := tinyConfig(), tinyConfig()
 	b.Interval = 5_000
 	var mu sync.Mutex

@@ -53,7 +53,7 @@ func TestSetCacheDirSweepsOrphans(t *testing.T) {
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
-	s := NewStore()
+	s := newTestStore()
 	if err := s.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSetCacheDirSweepsOrphans(t *testing.T) {
 // persists normally.
 func TestDatasetCtxCancelledSkipsCacheAndMemo(t *testing.T) {
 	dir := t.TempDir()
-	s := NewStore()
+	s := newTestStore()
 	if err := s.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func TestDiskCacheByteCounters(t *testing.T) {
 	dir := t.TempDir()
 
-	s1 := NewStore()
+	s1 := newTestStore()
 	if err := s1.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestDiskCacheByteCounters(t *testing.T) {
 		t.Fatalf("read bytes = %d, want 0 on a fresh collection", st1.DiskReadBytes)
 	}
 
-	s2 := NewStore()
+	s2 := newTestStore()
 	if err := s2.SetCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDiskCacheByteCounters(t *testing.T) {
 
 func TestSetRegistryExposesCorpusSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := NewStore()
+	s := newTestStore()
 	s.SetRegistry(reg)
 
 	s.Dataset(tinyCorpus(), tinyConfig())
@@ -89,12 +89,12 @@ func TestDefaultStoreRecordsIntoProcessRegistry(t *testing.T) {
 }
 
 func TestStatsStringIncludesHealth(t *testing.T) {
-	s := Stats{Collections: 1, RunRetries: 2, RunsDropped: 1}
-	if got := s.String(); !strings.Contains(got, "2 runs retried, 1 dropped") {
-		t.Errorf("String() = %q, want health tallies", got)
+	s := Stats{Collections: 1, RunsDropped: 2}
+	if got := s.String(); !strings.Contains(got, "; 2 runs dropped") {
+		t.Errorf("String() = %q, want the dropped-run tally", got)
 	}
 	clean := Stats{Collections: 1}
-	if got := clean.String(); strings.Contains(got, "retried") {
-		t.Errorf("clean String() mentions retries: %q", got)
+	if got := clean.String(); strings.Contains(got, "dropped") {
+		t.Errorf("clean String() mentions dropped runs: %q", got)
 	}
 }

@@ -118,22 +118,3 @@ func TestFaultTolSimulatesEachRunOnce(t *testing.T) {
 		t.Fatalf("Replay simulated %d runs, want 0", got)
 	}
 }
-
-// TestConfigPrivateStore verifies experiments honour Config.Store, the
-// isolation hook this test suite itself depends on.
-func TestConfigPrivateStore(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.MaxInsts = 30_000
-	cfg.Store = corpus.NewStore()
-
-	defBefore := corpus.Default().Stats()
-	collect(perspectron.TrainingWorkloads(), cfg)
-	collect(perspectron.TrainingWorkloads(), cfg)
-	st := cfg.Store.Stats()
-	if st.Collections != 1 || st.MemoryHits != 1 {
-		t.Fatalf("private store stats = %+v, want 1 collection + 1 hit", st)
-	}
-	if d := corpus.Default().Stats().Sub(defBefore); d.Collections != 0 {
-		t.Fatalf("private-store collection leaked into the default store: %s", d)
-	}
-}

@@ -20,7 +20,6 @@ import (
 	"perspectron/internal/features"
 	"perspectron/internal/telemetry"
 	"perspectron/internal/trace"
-	"perspectron/internal/workload"
 )
 
 // Config scales every experiment.
@@ -29,19 +28,6 @@ type Config struct {
 	MaxInsts uint64 // committed-path ops per program run
 	Runs     int    // runs per program
 	Interval uint64 // sampling granularity
-
-	// Store is the corpus store experiments collect through; nil means the
-	// process-wide corpus.Default(). Tests set a private store to count
-	// collections in isolation.
-	Store *corpus.Store
-}
-
-// store returns the artifact store this config collects through.
-func (c Config) store() *corpus.Store {
-	if c.Store != nil {
-		return c.Store
-	}
-	return corpus.Default()
 }
 
 // CollectConfig returns the trace-collection settings the config describes —
@@ -65,13 +51,6 @@ func QuickConfig() Config {
 	return Config{Seed: 1, MaxInsts: 100_000, Runs: 1, Interval: 10_000}
 }
 
-// collect fetches (progs, cfg)'s dataset through the artifact store: a
-// corpus any experiment in this process already collected — at any config —
-// is served from memory (or the on-disk cache) instead of re-simulated.
-func collect(progs []workload.Program, cfg Config) *trace.Dataset {
-	return cfg.store().Dataset(progs, cfg.CollectConfig())
-}
-
 // Prepared bundles a dataset with its maximum matrix and PerSpectron
 // selection — the shared front half of most experiments. It is the corpus
 // store's memoized artifact type: every experiment asking for the same
@@ -85,7 +64,7 @@ type Prepared = corpus.Prepared
 func Prepare(cfg Config) *Prepared {
 	ctx, span := telemetry.StartSpan(context.Background(), "prepare")
 	defer span.End()
-	return cfg.store().PreparedCtx(ctx, perspectron.TrainingWorkloads(), cfg.CollectConfig(), features.DefaultSelectConfig())
+	return corpus.Default().PreparedCtx(ctx, perspectron.TrainingWorkloads(), cfg.CollectConfig(), features.DefaultSelectConfig())
 }
 
 // table renders rows as fixed-width text with a header underline.

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"perspectron"
+	"perspectron/internal/corpus"
 	"perspectron/internal/encoding"
 	"perspectron/internal/eval"
 	"perspectron/internal/perceptron"
@@ -45,7 +46,7 @@ func Fig5(cfg Config) *Fig5Result {
 		cfgs = append(cfgs, c)
 		collect = append(collect, c.CollectConfig())
 	}
-	cfg.store().DatasetsCtx(context.Background(), perspectron.TrainingWorkloads(), collect...)
+	corpus.Default().DatasetsCtx(context.Background(), perspectron.TrainingWorkloads(), collect...)
 
 	res := &Fig5Result{}
 	for _, c := range cfgs {

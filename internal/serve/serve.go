@@ -111,9 +111,8 @@ type Config struct {
 	// that win over the paths for the initial load (the watcher still
 	// follows the paths); faults injects counter faults into every
 	// episode's machine, the degradation ladder's harness; backoff shapes
-	// the delay between failed episodes (default retry.DefaultPolicy with
-	// unlimited attempts: the breaker, not the policy, decides when to stop
-	// trying).
+	// the delay between failed episodes (default retry.DefaultPolicy; the
+	// breaker decides when to stop trying).
 	detector         *perspectron.Detector
 	classifier       *perspectron.Classifier
 	faults           *perspectron.FaultConfig
@@ -134,7 +133,6 @@ func (c *Config) withDefaults() Config {
 	if out.backoff == (retry.Policy{}) {
 		out.backoff = retry.DefaultPolicy()
 	}
-	out.backoff.MaxAttempts = 0 // the breaker owns give-up decisions
 	if out.breakerThreshold <= 0 {
 		out.breakerThreshold = breakerThreshold
 	}

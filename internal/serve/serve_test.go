@@ -54,7 +54,7 @@ func testModels(t testing.TB) (*perspectron.Detector, *perspectron.Classifier) {
 
 // fastBackoff keeps supervisor tests quick and deterministic.
 func fastBackoff() retry.Policy {
-	return retry.Policy{Base: time.Millisecond, Max: 5 * time.Millisecond, Factor: 2, Jitter: 0.1}
+	return retry.Policy{Base: time.Millisecond, Max: 5 * time.Millisecond, Jitter: 0.1}
 }
 
 // --- synthetic workloads -------------------------------------------------
@@ -708,14 +708,12 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("fixed-policy constant moved")
 	}
 
-	backoff := retry.DefaultPolicy()
-	backoff.MaxAttempts = 0
 	want := Config{
 		MaxInsts:         100_000,
 		PollInterval:     500 * time.Millisecond,
 		LogFlushInterval: 500 * time.Millisecond,
 		sampleTimeout:    2 * time.Second,
-		backoff:          backoff,
+		backoff:          retry.DefaultPolicy(),
 		breakerThreshold: 3,
 		breakerCooldown:  5 * time.Second,
 	}

@@ -83,7 +83,7 @@ func newWatcher(detPath, clsPath string, models *atomic.Pointer[Models], poll ti
 	seed := fnv.New64a()
 	seed.Write([]byte(detPath + "\x00" + clsPath))
 	w.bo = retry.NewBackoff(retry.Policy{
-		Base: poll, Max: 16 * poll, Factor: 2, Jitter: 0.5,
+		Base: poll, Max: 16 * poll, Jitter: 0.5,
 	}, int64(seed.Sum64()))
 	if detPath != "" {
 		w.detSig, _ = sigOf(detPath)

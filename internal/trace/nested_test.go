@@ -14,19 +14,24 @@ import (
 	"perspectron/internal/workload/benign"
 )
 
-// scheduledPanic runs mcf, but on the streams whose seed's first draw is a
-// key of panicAt it panics when it is asked for op panicAt[key]. The
-// schedule follows the seed, not the call count, so a collection of one
-// config and a collection nesting it meet the same panics on the same
-// attempts.
-type scheduledPanic struct{ panicAt map[int64]uint64 }
+// scheduledPanic runs mcf, but the stream of the first job of a
+// collection at seed panics when it is asked for op at (0: never). It
+// finds that stream by its seed's first draw, so a collection of one
+// config and a collection nesting it meet the same panic.
+type scheduledPanic struct {
+	key int64
+	at  uint64
+}
 
 func (p scheduledPanic) Info() workload.Info {
 	return workload.Info{Name: "scheduled-panic", Label: workload.Benign, Category: "test"}
 }
 
 func (p scheduledPanic) Stream(rng *rand.Rand) isa.Stream {
-	at := p.panicAt[rng.Int63()]
+	var at uint64
+	if rng.Int63() == p.key {
+		at = p.at
+	}
 	return &panicAtStream{inner: benign.Mcf().Stream(rng), at: at}
 }
 
@@ -43,14 +48,14 @@ func (s *panicAtStream) Next() (*isa.Op, bool) {
 	return s.inner.Next()
 }
 
-// attemptKey is the first draw of the stream attempt a of the first job
-// of a collection at seed: the key scheduledPanic looks up.
-func attemptKey(seed int64, a int) int64 {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(a)*104_729)).Int63()
+// firstJobKey is the first draw of the stream of the first job of a
+// collection at seed: the key scheduledPanic looks for.
+func firstJobKey(seed int64) int64 {
+	return rand.New(rand.NewSource(seed * 1_000_003)).Int63()
 }
 
 // sameDataset reports how got differs from want in samples (bit for bit,
-// in order), Dropped or Retried; "" if it does not.
+// in order), Dropped or interval; "" if it does not.
 func sameDataset(got, want *Dataset) string {
 	if len(got.Samples) != len(want.Samples) {
 		return fmt.Sprintf("%d samples, want %d", len(got.Samples), len(want.Samples))
@@ -69,8 +74,8 @@ func sameDataset(got, want *Dataset) string {
 	if !reflect.DeepEqual(got.Dropped, want.Dropped) {
 		return fmt.Sprintf("Dropped %q, want %q", got.Dropped, want.Dropped)
 	}
-	if got.Retried != want.Retried || got.Interval != want.Interval {
-		return fmt.Sprintf("Retried %d interval %d, want %d and %d", got.Retried, got.Interval, want.Retried, want.Interval)
+	if got.Interval != want.Interval {
+		return fmt.Sprintf("interval %d, want %d", got.Interval, want.Interval)
 	}
 	return ""
 }
@@ -78,29 +83,23 @@ func sameDataset(got, want *Dataset) string {
 // TestCollectNestedMatchesSeparate checks that collecting two configs in
 // one pass — the shorter nested in the longer — gives each exactly the
 // dataset a collection of that config alone gives, when the first job's
-// workload panics after the nested run's end and then before it, the
-// other way round, or always on one side.
+// workload always panics after the nested run's end, always before it, or
+// never.
 func TestCollectNestedMatchesSeparate(t *testing.T) {
 	const seed = 5
-	short := CollectConfig{MaxInsts: 5_000, Interval: 1_000, Seed: seed, Runs: 2, Retries: 2}
-	long := CollectConfig{MaxInsts: 12_000, Interval: 2_000, Seed: seed, Runs: 2, Retries: 2}
-	const before, after = 3_000, 8_000 // op numbers either side of the short run's end
+	short := CollectConfig{MaxInsts: 5_000, Interval: 1_000, Seed: seed, Runs: 2}
+	long := CollectConfig{MaxInsts: 12_000, Interval: 2_000, Seed: seed, Runs: 2}
 	for _, tc := range []struct {
-		name     string
-		schedule []uint64 // the panicking op of attempts 0, 1, 2; 0 = none
-		retried  [2]int   // want short, long
-		dropped  [2]int
+		name    string
+		at      uint64 // the panicking op; 0 = none
+		dropped [2]int // want short, long
 	}{
-		{"after-then-before", []uint64{after, before, 0}, [2]int{0, 2}, [2]int{0, 0}},
-		{"before-then-after", []uint64{before, after, 0}, [2]int{1, 2}, [2]int{0, 0}},
-		{"always-before", []uint64{before, before, before}, [2]int{2, 2}, [2]int{1, 1}},
-		{"always-after", []uint64{after, after, after}, [2]int{0, 2}, [2]int{0, 1}},
+		{"always-after", 8_000, [2]int{0, 1}}, // past the short run's end
+		{"always-before", 3_000, [2]int{1, 1}},
+		{"never", 0, [2]int{0, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prog := scheduledPanic{panicAt: map[int64]uint64{}}
-			for a, at := range tc.schedule {
-				prog.panicAt[attemptKey(seed, a)] = at
-			}
+			prog := scheduledPanic{key: firstJobKey(seed), at: tc.at}
 			progs := []workload.Program{prog, benign.Bzip2()}
 			ctx := context.Background()
 			got := Collect(ctx, progs, short, long) // the longer run carries the shorter
@@ -109,9 +108,8 @@ func TestCollectNestedMatchesSeparate(t *testing.T) {
 				if d := sameDataset(got[i], want); d != "" {
 					t.Errorf("%v: %s", cfg, d)
 				}
-				if got[i].Retried != tc.retried[i] || len(got[i].Dropped) != tc.dropped[i] {
-					t.Errorf("%v: Retried %d, %d dropped; want %d and %d", cfg,
-						got[i].Retried, len(got[i].Dropped), tc.retried[i], tc.dropped[i])
+				if len(got[i].Dropped) != tc.dropped[i] {
+					t.Errorf("%v: %d dropped, want %d", cfg, len(got[i].Dropped), tc.dropped[i])
 				}
 			}
 		})
@@ -120,14 +118,14 @@ func TestCollectNestedMatchesSeparate(t *testing.T) {
 
 // TestCollectSimulatesSharedRunsOnce counts machine runs: configs that
 // differ only in length and interval share one simulation per (program,
-// run), while a config with a Timeout is never nested.
+// run), while a config with another seed is simulated on its own.
 func TestCollectSimulatesSharedRunsOnce(t *testing.T) {
 	progs := []workload.Program{benign.Bzip2(), benign.Gcc()}
 	a := CollectConfig{MaxInsts: 6_000, Interval: 1_000, Seed: 3, Runs: 1}
 	b := CollectConfig{MaxInsts: 9_000, Interval: 3_000, Seed: 3, Runs: 1}
 	c := b
 	c.MaxInsts = 12_000
-	c.Timeout = 1 << 40 // long enough never to cut
+	c.Seed = 4
 	simRuns := func() uint64 { return telemetry.Get().CounterValue("perspectron_sim_runs_total") }
 	for _, tc := range []struct {
 		cfgs []CollectConfig

@@ -12,7 +12,6 @@ import (
 
 	"perspectron/internal/encoding"
 	"perspectron/internal/par"
-	"perspectron/internal/retry"
 	"perspectron/internal/sim"
 	"perspectron/internal/stats"
 	"perspectron/internal/telemetry"
@@ -37,14 +36,13 @@ type Dataset struct {
 	Interval     uint64
 	Samples      []Sample
 
-	// Dropped lists runs Collect abandoned ("program#run: reason"): panics
-	// that persisted through every retry, or runs cancelled/timed out before
-	// producing a single sample. Training proceeds on the surviving runs.
+	// Dropped lists runs Collect abandoned ("program#run: reason"): runs
+	// whose workload panicked, or runs cancelled before producing a single
+	// sample. Training proceeds on the surviving runs.
 	Dropped []string
 
-	// Retried counts run attempts that panicked and were re-attempted with a
-	// fresh seed. Nonzero Retried with empty Dropped means the fault shield
-	// absorbed every failure.
+	// Retried is always zero: Collect makes one attempt per run. It is
+	// kept only because the benchmark harness (bench/setup.go) reads it.
 	Retried int
 }
 
@@ -81,30 +79,7 @@ type CollectConfig struct {
 	Interval uint64 // sampling granularity (10K/50K/100K)
 	Seed     int64
 	Runs     int // independent runs (seeds) per program
-
-	// Timeout bounds each program run's wall-clock time; the run's stream
-	// is cut off at the deadline and whatever samples it produced are kept.
-	// 0 means no per-run limit.
-	Timeout time.Duration
-	// Retries is the number of extra attempts (with fresh derived seeds)
-	// granted to a run whose workload panics, so one bad run cannot sink a
-	// whole training job. Runs that still fail are recorded in
-	// Dataset.Dropped.
-	Retries int
-	// Backoff shapes the sleep between retry attempts (the shared
-	// internal/retry jittered-exponential helper; sequences are seeded from
-	// cfg.Seed, so a fixed config replays the same schedule). The zero value
-	// uses collectBackoff, a millisecond-scale policy that keeps retried
-	// collections fast. When Retries is set it governs the attempt count
-	// (Retries+1 total tries); with Retries == 0 a caller-supplied
-	// Backoff.MaxAttempts is honored as-is.
-	Backoff retry.Policy
 }
-
-// collectBackoff is the default retry pacing for panicked collection runs:
-// short, capped sleeps so a transient data-dependent fault is re-rolled
-// almost immediately while correlated failures still spread out.
-var collectBackoff = retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Factor: 2, Jitter: 0.5}
 
 // Collect runs every program on a fresh machine per run and gathers the
 // sampled counter deltas, one Dataset per config, in order. Collection is
@@ -112,18 +87,15 @@ var collectBackoff = retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Mil
 // cfg.Seed) and fans the runs out through par.Do, each writing only its
 // own slot.
 //
-// Configs that differ only in MaxInsts and Interval and set no Timeout
-// share their runs: each (program, run) simulates only the longest, and
-// the shorter ones ride along as nested runs (sim.Run.Nest). Every dataset
-// holds the samples, Dropped and Retried a collection of its config alone
-// returns.
+// Configs that differ only in MaxInsts and Interval share their runs: each
+// (program, run) simulates only the longest, and the shorter ones ride
+// along as nested runs (sim.Run.Nest). Every dataset holds the samples and
+// Dropped a collection of its config alone returns.
 //
 // Cancelling ctx stops scheduling new runs and cuts off in-flight ones at
-// their next instruction fetch. Each run is additionally shielded — a
-// panicking workload is retried cfg.Retries times with fresh seeds and then
-// dropped (recorded in Dataset.Dropped) instead of killing the collection.
-// A retry re-nests only the nested runs that had not ended when the
-// workload panicked.
+// their next instruction fetch. A panicking workload is recovered and its
+// run dropped (recorded in Dataset.Dropped) instead of killing the
+// collection; a nested run that ended before the panic keeps its samples.
 func Collect(ctx context.Context, progs []workload.Program, cfgs ...CollectConfig) []*Dataset {
 	reg := telemetry.Get()
 	ctx, span := reg.StartSpan(ctx, "collect")
@@ -140,7 +112,7 @@ func Collect(ctx context.Context, progs []workload.Program, cfgs ...CollectConfi
 	}
 
 	// A job is one (program, run) of one group of configs sharing runs;
-	// ji is its index in the group, which derives its seeds as it would in
+	// ji is its index in the group, which derives its seed as it would in
 	// a collection of each config alone.
 	groups := shareRuns(cfgs)
 	sets := make([][]CollectConfig, len(groups)) // each group's configs
@@ -170,7 +142,6 @@ func Collect(ctx context.Context, progs []workload.Program, cfgs ...CollectConfi
 		for k, c := range groups[jb.g] {
 			ds, r := out[c], results[j][k]
 			ds.Samples = append(ds.Samples, r.samples...)
-			ds.Retried += r.retried
 			if r.dropped != "" {
 				ds.Dropped = append(ds.Dropped, fmt.Sprintf("%s#%d: %s", jb.prog.Info().Name, jb.run, r.dropped))
 			}
@@ -178,7 +149,6 @@ func Collect(ctx context.Context, progs []workload.Program, cfgs ...CollectConfi
 	}
 	for i, ds := range out {
 		reg.Counter("perspectron_collect_runs_total").Add(uint64(len(progs) * cfgs[i].Runs))
-		reg.Counter("perspectron_collect_run_retries_total").Add(uint64(ds.Retried))
 		reg.Counter("perspectron_collect_runs_dropped_total").Add(uint64(len(ds.Dropped)))
 		reg.Counter("perspectron_collect_samples_total").Add(uint64(len(ds.Samples)))
 	}
@@ -186,9 +156,7 @@ func Collect(ctx context.Context, progs []workload.Program, cfgs ...CollectConfi
 }
 
 // shareRuns partitions cfgs into groups whose runs one simulation can
-// serve, each as indices into cfgs with the longest run first. A config
-// with a Timeout is a group of its own: its cut-off depends on wall time,
-// which a longer run would not reproduce.
+// serve, each as indices into cfgs with the longest run first.
 func shareRuns(cfgs []CollectConfig) [][]int {
 	var groups [][]int
 	byRuns := map[CollectConfig]int{} // cfg without MaxInsts and Interval -> group
@@ -196,12 +164,10 @@ func shareRuns(cfgs []CollectConfig) [][]int {
 		k := c
 		k.MaxInsts, k.Interval = 0, 0
 		g, ok := byRuns[k]
-		if !ok || c.Timeout != 0 {
+		if !ok {
 			g = len(groups)
 			groups = append(groups, nil)
-			if c.Timeout == 0 {
-				byRuns[k] = g
-			}
+			byRuns[k] = g
 		}
 		groups[g] = append(groups[g], i)
 	}
@@ -220,14 +186,14 @@ func shareRuns(cfgs []CollectConfig) [][]int {
 type runResult struct {
 	samples []Sample
 	dropped string // why the run was abandoned; "" if it was not
-	retried int
 }
 
 // collectRun executes one (program, run) for a group of configs sharing
-// it, group[0] the longest, under the group's retry policy. A config's
-// outcome is the one its own collection would reach: a nested run that
-// ended before a panic keeps its samples and is not re-run, and every
-// config counts only the attempts it took part in.
+// it by draining its Source — the producer recorded and streaming runs
+// share — for group[0], the longest, with every other config nested in
+// it. A workload panic drops the run of every config that had not ended
+// when it struck; a nested run that had ended keeps its samples, as its
+// own collection would.
 func collectRun(ctx context.Context, prog workload.Program, run, ji int, group []CollectConfig) []runResult {
 	res := make([]runResult, len(group))
 	if ctx.Err() != nil {
@@ -238,100 +204,35 @@ func collectRun(ctx context.Context, prog workload.Program, run, ji int, group [
 	}
 	cfg := group[0]
 	start := time.Now()
-	pol := cfg.Backoff
-	if pol == (retry.Policy{}) {
-		pol = collectBackoff
-	}
-	// Retries governs the attempt budget when set; otherwise a
-	// caller-supplied Backoff.MaxAttempts survives (overwriting it
-	// unconditionally used to silently disable those retries).
-	if cfg.Retries > 0 || pol.MaxAttempts <= 0 {
-		pol.MaxAttempts = cfg.Retries + 1
-	}
-	open := make([]int, len(group)) // configs whose run has not ended
-	for k := range open {
-		open[k] = k
-	}
-	tries := make([]int, len(group))
-	_, err := retry.Do(ctx, "collect", pol, cfg.Seed*1_000_003+int64(ji),
-		func(attempt int) error {
-			// Attempt 0 reproduces the historical seed schedule
-			// exactly; retries shift it so a data-dependent panic
-			// is not replayed verbatim.
-			seed := cfg.Seed*1_000_003 + int64(ji)*7919 + int64(attempt)*104_729
-			cfgs := make([]CollectConfig, len(open))
-			for i, k := range open {
-				cfgs[i] = group[k]
-				tries[k]++
-			}
-			outs, aerr := collectOne(ctx, prog, run, seed, cfgs)
-			still := open[:0]
-			for i, k := range open {
-				if outs[i] == nil && aerr != nil {
-					still = append(still, k)
-					continue
-				}
-				res[k].samples = outs[i]
-			}
-			open = still
-			return aerr
-		})
-	name := telemetry.Name("perspectron_collect_run_seconds", "workload", prog.Info().Name)
-	telemetry.Get().Histogram(name, telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
-	if err != nil {
-		for _, k := range open {
-			res[k].dropped = err.Error()
-		}
-	}
-	for k := range res {
-		res[k].retried = max(tries[k]-1, 0)
-		if res[k].dropped == "" && len(res[k].samples) == 0 && ctx.Err() != nil {
-			res[k].dropped = "cancelled with no samples"
-		}
-	}
-	return res
-}
-
-// collectOne executes a single program run by draining its Source — the
-// producer recorded and streaming runs share — for cfgs[0] with every
-// other config nested in it, converting workload panics into errors and
-// bounding wall-clock time via the config timeout / context. It returns
-// each config's samples, nil for a nested run a panic cut short.
-func collectOne(ctx context.Context, prog workload.Program, run int, seed int64, cfgs []CollectConfig) ([][]Sample, error) {
-	cfg := cfgs[0]
-	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-		defer cancel()
-	}
-	src := NewSource(ctx, sim.NewMachine(), prog, run, seed, cfg.MaxInsts, cfg.Interval)
-	nested := make([]func() ([]Sample, bool), len(cfgs))
-	for i, c := range cfgs[1:] {
-		nested[i+1] = src.Nest(c.MaxInsts, c.Interval)
+	src := NewSource(ctx, sim.NewMachine(), prog, run, cfg.Seed*1_000_003+int64(ji)*7919, cfg.MaxInsts, cfg.Interval)
+	nested := make([]func() ([]Sample, bool), len(group))
+	for k := 1; k < len(group); k++ {
+		nested[k] = src.Nest(group[k].MaxInsts, group[k].Interval)
 	}
 	var out []Sample
 	for s, ok := src.Next(); ok; s, ok = src.Next() {
 		out = append(out, s)
 	}
-	outs := make([][]Sample, len(cfgs))
-	for i, n := range nested[1:] {
-		if smp, done := n(); done {
-			outs[i+1] = nonNil(smp)
+	name := telemetry.Name("perspectron_collect_run_seconds", "workload", prog.Info().Name)
+	telemetry.Get().Histogram(name, telemetry.DurationBuckets).Observe(time.Since(start).Seconds())
+
+	err := src.Err()
+	if err == nil {
+		res[0].samples = out
+	}
+	for k := range res {
+		done := err == nil
+		if k > 0 {
+			res[k].samples, done = nested[k]()
+		}
+		switch {
+		case !done && err != nil:
+			res[k].dropped = err.Error()
+		case len(res[k].samples) == 0 && ctx.Err() != nil:
+			res[k].dropped = "cancelled with no samples"
 		}
 	}
-	if err := src.Err(); err != nil {
-		return outs, err
-	}
-	outs[0] = nonNil(out)
-	return outs, nil
-}
-
-// nonNil returns s, or an empty non-nil slice: nil marks a run cut short.
-func nonNil(s []Sample) []Sample {
-	if s == nil {
-		return []Sample{}
-	}
-	return s
+	return res
 }
 
 // Maxima builds the maximum matrix M from a training dataset: each run's
@@ -423,13 +324,13 @@ func LabelValue(l workload.Label) float64 {
 }
 
 // Summary returns a one-line description of the dataset, including the
-// collection-health tallies when anything was retried or dropped.
+// dropped-run tally when any run was dropped.
 func (d *Dataset) Summary() string {
 	b, m := d.ClassCounts()
 	out := fmt.Sprintf("%d samples (%d benign, %d malicious), %d features, interval %d",
 		len(d.Samples), b, m, d.NumFeatures(), d.Interval)
-	if d.Retried > 0 || len(d.Dropped) > 0 {
-		out += fmt.Sprintf(" (%d runs retried, %d dropped)", d.Retried, len(d.Dropped))
+	if len(d.Dropped) > 0 {
+		out += fmt.Sprintf(" (%d runs dropped)", len(d.Dropped))
 	}
 	return out
 }
